@@ -86,7 +86,7 @@ let substrate_tests =
            let h = Cachesim.Hierarchy.create Cachesim.Hierarchy.default_config in
            let rng = Numkit.Rng.create 1L in
            let chain =
-             Cachesim.Pointer_chase.make ~base:0L ~pointers:512 ~stride_bytes:64
+             Cachesim.Pointer_chase.make ~base:0 ~pointers:512 ~stride_bytes:64
                (Cachesim.Pointer_chase.Shuffled rng)
            in
            ignore (Cachesim.Pointer_chase.run h chain ~accesses:8192 ~warmup:true)));

@@ -61,7 +61,7 @@ let run_one ~category ~shards ~jobs =
      dcache activity tables would otherwise be generated inside the
      first (jobs=1) front and reused by later arms, inflating the
      apparent speedup with a cache artifact. *)
-  Core.Category.prewarm ~reps:config.reps category;
+  Core.Category.prewarm ~executor ~reps:config.reps category;
   let t0 = Obs.Clock.now_ns () in
   let captured =
     Core.Exec.map ~executor (Array.length ranges) (fun i ->

@@ -1,6 +1,7 @@
 (** A single level of set-associative cache.
 
-    Addresses are byte addresses; the cache operates on lines.  The
+    Addresses are non-negative byte addresses; the cache operates on
+    lines.  The
     cache tracks demand hits and misses separately from prefetch
     fills so the hierarchy can expose the demand counters the paper's
     data-cache events report. *)
@@ -27,11 +28,11 @@ val size_bytes : t -> int
 
 type outcome = Hit | Miss
 
-val access : t -> int64 -> outcome
+val access : t -> int -> outcome
 (** Demand access: looks up the line, updates replacement state and
     the demand counters, fills on miss (evicting if needed). *)
 
-val write : t -> int64 -> outcome
+val write : t -> int -> outcome
 (** Write-allocate store: like {!access} but marks the line dirty;
     counted separately as a write hit/miss.  Evicting a dirty line
     increments {!writebacks}. *)
@@ -41,15 +42,17 @@ val write_misses : t -> int
 val writebacks : t -> int
 (** Dirty lines evicted (the write traffic the next level sees). *)
 
-val probe : t -> int64 -> bool
+val probe : t -> int -> bool
 (** Lookup without any state change; used by tests. *)
 
-val fill_prefetch : t -> int64 -> unit
+val fill_prefetch : t -> int -> unit
 (** Insert a line without touching demand counters (prefetcher
     path). *)
 
 val invalidate_all : t -> unit
-(** Empty the cache and replacement state, keep counters. *)
+(** Empty the cache and its replacement state (fill counts, stamps,
+    clock), keep counters: afterwards the cache evicts exactly as a
+    fresh one would. *)
 
 val demand_hits : t -> int
 val demand_misses : t -> int

@@ -22,10 +22,10 @@ val default_config : config
 
 val create : config -> t
 
-val load : t -> int64 -> level
+val load : t -> int -> level
 (** Demand load of one address; returns the level that served it. *)
 
-val store : t -> int64 -> level
+val store : t -> int -> level
 (** Write-allocate store: the line is brought to L1 (via L2/L3 as
     needed, counted as demand traffic there) and dirtied.  Returns
     the level the line was found in. *)
@@ -41,11 +41,11 @@ type write_counters = {
 
 val write_counters : t -> write_counters
 
-val warm : t -> int64 array -> unit
+val warm : t -> int array -> unit
 (** Touch every address once without counting (counter reset after);
     used to separate cold-miss effects in tests. *)
 
-val prefetch_fill : t -> int64 -> unit
+val prefetch_fill : t -> int -> unit
 (** Insert a line into L1 and L2 without touching demand counters —
     the entry point hardware prefetchers use. *)
 

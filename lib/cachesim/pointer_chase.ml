@@ -1,7 +1,7 @@
 type layout = Sequential | Shuffled of Numkit.Rng.t
 
 type chain = {
-  base : int64;
+  base : int;
   stride : int;
   next : int array; (* next.(i) = index of successor slot *)
 }
@@ -33,28 +33,7 @@ let make ~base ~pointers ~stride_bytes layout =
 let buffer_bytes c = Array.length c.next * c.stride
 let pointers c = Array.length c.next
 
-let address c i =
-  Int64.add c.base (Int64.of_int (i * c.stride))
-
-let walk_once h c =
-  let n = Array.length c.next in
-  let idx = ref 0 in
-  for _ = 1 to n do
-    ignore (Hierarchy.load h (address c !idx));
-    idx := c.next.(!idx)
-  done
-
-let run h c ~accesses ~warmup =
-  if warmup then begin
-    walk_once h c;
-    Hierarchy.reset_counters h
-  end;
-  let idx = ref 0 in
-  for _ = 1 to accesses do
-    ignore (Hierarchy.load h (address c !idx));
-    idx := c.next.(!idx)
-  done;
-  Hierarchy.counters h
+let address c i = c.base + (i * c.stride)
 
 type instrumented = {
   cache : Hierarchy.counters;
@@ -94,6 +73,8 @@ let run_instrumented ?tlb ?prefetcher h c ~accesses ~warmup =
     prefetches =
       (match prefetcher with Some p -> Prefetcher.issued p | None -> 0);
   }
+
+let run h c ~accesses ~warmup = (run_instrumented h c ~accesses ~warmup).cache
 
 let is_cycle c =
   let n = Array.length c.next in

@@ -13,7 +13,7 @@ type layout = Sequential | Shuffled of Numkit.Rng.t
 type chain
 (** An immutable pointer chain placed at a base address. *)
 
-val make : base:int64 -> pointers:int -> stride_bytes:int -> layout -> chain
+val make : base:int -> pointers:int -> stride_bytes:int -> layout -> chain
 (** Builds the chain.  [pointers >= 1], [stride_bytes >= 1]. *)
 
 val buffer_bytes : chain -> int
@@ -21,7 +21,7 @@ val buffer_bytes : chain -> int
 
 val pointers : chain -> int
 
-val address : chain -> int -> int64
+val address : chain -> int -> int
 (** Address of slot [i] (for warming and tests). *)
 
 val run : Hierarchy.t -> chain -> accesses:int -> warmup:bool -> Hierarchy.counters

@@ -18,7 +18,7 @@ type kind =
 
 val create : kind -> t
 
-val on_demand_access : t -> Hierarchy.t -> int64 -> hit:bool -> unit
+val on_demand_access : t -> Hierarchy.t -> int -> hit:bool -> unit
 (** Inform the prefetcher of a demand access; it may insert prefetch
     fills into the hierarchy (which do not count as demand traffic). *)
 

@@ -1,41 +1,5 @@
 type kind = Lru | Fifo | Random of Numkit.Rng.t
 
-type t = {
-  kind : kind;
-  ways : int;
-  (* stamp.(set).(way): recency counter for LRU, fill order for FIFO. *)
-  stamp : int array array;
-  clock : int array; (* per-set logical clock *)
-}
-
-let create kind ~sets ~ways =
-  if sets <= 0 || ways <= 0 then invalid_arg "Replacement.create: bad geometry";
-  { kind; ways; stamp = Array.make_matrix sets ways 0; clock = Array.make sets 0 }
-
-let tick t set =
-  t.clock.(set) <- t.clock.(set) + 1;
-  t.clock.(set)
-
-let on_hit t ~set ~way =
-  match t.kind with
-  | Lru -> t.stamp.(set).(way) <- tick t set
-  | Fifo | Random _ -> ()
-
-let on_fill t ~set ~way =
-  match t.kind with
-  | Lru | Fifo -> t.stamp.(set).(way) <- tick t set
-  | Random _ -> ()
-
-let victim t ~set =
-  match t.kind with
-  | Random rng -> Numkit.Rng.int rng t.ways
-  | Lru | Fifo ->
-    let best = ref 0 in
-    for w = 1 to t.ways - 1 do
-      if t.stamp.(set).(w) < t.stamp.(set).(!best) then best := w
-    done;
-    !best
-
 let kind_name = function
   | Lru -> "lru"
   | Fifo -> "fifo"

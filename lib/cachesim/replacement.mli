@@ -1,27 +1,13 @@
 (** Replacement policies for set-associative caches.
 
-    The policy sees way-level events (hit on a way, fill into a way)
-    and answers eviction queries.  Policies are per-set and purely
-    index-based so one value can serve a whole cache via the [set]
-    argument. *)
-
-type t
+    Only the choice of policy lives here; {!Cache} keeps the per-set
+    recency / fill-order state and picks victims itself, so the
+    per-access work stays inside one module. *)
 
 type kind =
   | Lru  (** Least-recently-used: victim is the stalest way. *)
   | Fifo  (** Round-robin fill order, ignores hits. *)
   | Random of Numkit.Rng.t
       (** Uniform victim choice; used in noise-sensitivity tests. *)
-
-val create : kind -> sets:int -> ways:int -> t
-
-val on_hit : t -> set:int -> way:int -> unit
-(** Notify the policy that [way] of [set] was touched. *)
-
-val on_fill : t -> set:int -> way:int -> unit
-(** Notify the policy that [way] of [set] was (re)filled. *)
-
-val victim : t -> set:int -> int
-(** Choose the way to evict from [set]. *)
 
 val kind_name : kind -> string

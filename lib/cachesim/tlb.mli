@@ -23,7 +23,7 @@ val create : config -> t
 
 type outcome = L1_hit | L2_hit | Walk
 
-val access : t -> int64 -> outcome
+val access : t -> int -> outcome
 (** Translate one byte address. *)
 
 type stats = { l1_hits : int; l2_hits : int; walks : int }

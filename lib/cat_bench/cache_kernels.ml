@@ -77,7 +77,7 @@ let thread_activity config ~rep ~thread =
       (Printf.sprintf "cat-cache/%s/rep=%d/thread=%d" config.label rep thread)
   in
   let chain =
-    Cachesim.Pointer_chase.make ~base:0L
+    Cachesim.Pointer_chase.make ~base:0
       ~pointers:(config.buffer_bytes / config.stride_bytes)
       ~stride_bytes:config.stride_bytes
       (Cachesim.Pointer_chase.Shuffled rng)

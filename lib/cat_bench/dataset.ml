@@ -126,22 +126,32 @@ let zen_flops_range ?(reps = default_reps) ~lo ~hi () =
    thread) only — independent of which events a build measures — so
    shards of the same campaign can share one generation.  Cached at
    the last repetition count (shard sweeps hit the same count N
-   times in a row). *)
-let dcache_activities =
-  let cache = ref None in
-  fun ~reps ->
-    match !cache with
-    | Some (r, a) when r = reps -> a
-    | _ ->
-      let configs = Array.of_list Cache_kernels.configs in
-      let a =
-        Array.init reps (fun rep ->
-            Array.init (Array.length configs) (fun row ->
-                Array.init Cache_kernels.threads (fun thread ->
-                    Cache_kernels.thread_activity configs.(row) ~rep ~thread)))
-      in
-      cache := Some (reps, a);
-      a
+   times in a row).  Every simulation is a pure function of its seed
+   string, so [executor] may run them in any order and place. *)
+let dcache_cache = ref None
+
+let dcache_activities_on executor ~reps =
+  match !dcache_cache with
+  | Some (r, a) when r = reps -> a
+  | _ ->
+    let configs = Array.of_list Cache_kernels.configs in
+    let nrows = Array.length configs and threads = Cache_kernels.threads in
+    (* Task k is (rep, row, thread) in row-major order. *)
+    let flat =
+      Executor.map ~executor (reps * nrows * threads) (fun k ->
+          Cache_kernels.thread_activity
+            configs.(k / threads mod nrows)
+            ~rep:(k / (nrows * threads)) ~thread:(k mod threads))
+    in
+    let a =
+      Array.init reps (fun rep ->
+          Array.init nrows (fun row ->
+              Array.sub flat (((rep * nrows) + row) * threads) threads))
+    in
+    dcache_cache := Some (reps, a);
+    a
+
+let dcache_activities ~reps = dcache_activities_on Executor.Seq ~reps
 
 (* Pre-force the activity cache from the calling (main) domain before
    shard builders run on worker domains: the workers then only read
@@ -149,6 +159,8 @@ let dcache_activities =
    builder computes the same arrays and the cache write is a single
    pointer store — but wasteful.) *)
 let prewarm_dcache ~reps = ignore (dcache_activities ~reps)
+
+let prewarm_dcache_on executor ~reps = ignore (dcache_activities_on executor ~reps)
 
 let dcache_build ?(lo = 0) ?hi ~reduce ~reps () =
   let total = List.length Hwsim.Catalog_sapphire_rapids.events in
@@ -171,7 +183,9 @@ let dcache_build ?(lo = 0) ?hi ~reduce ~reps () =
   let nrows = Array.length configs in
   (* activities.(rep).(row).(thread) *)
   let activities = dcache_activities ~reps in
-  let seed = "cat-dcache" in
+  let thread_seeds =
+    Array.init Cache_kernels.threads (Printf.sprintf "cat-dcache/thread=%d")
+  in
   let reduce_thread_readings readings =
     match reduce with
     | `Median -> Numkit.Stats.median readings
@@ -182,9 +196,8 @@ let dcache_build ?(lo = 0) ?hi ~reduce ~reps () =
         let per_thread =
           Array.mapi
             (fun thread activity ->
-              Hwsim.Machine.measure
-                ~seed:(Printf.sprintf "%s/thread=%d" seed thread)
-                ~rep ~row event activity)
+              Hwsim.Machine.measure ~seed:thread_seeds.(thread) ~rep ~row event
+                activity)
             activities.(rep).(row)
         in
         reduce_thread_readings per_thread)

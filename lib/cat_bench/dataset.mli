@@ -82,6 +82,11 @@ val prewarm_dcache : reps:int -> unit
     to worker domains, so the one module-level cache in this library
     is only ever read concurrently, never raced on. *)
 
+val prewarm_dcache_on : Executor.t -> reps:int -> unit
+(** {!prewarm_dcache} with the pointer-chase simulations run on
+    [executor]: one task per (repetition, row, thread).  The cached
+    arrays are the same whatever the executor. *)
+
 val dcache_reduced : ?reps:int -> [ `Median | `Mean ] -> t
 (** The data-cache benchmark with an explicit thread-reduction
     choice; [`Mean] is the ablation showing why the paper uses the

@@ -44,7 +44,7 @@ let row_activity config =
     | Cyclic -> i mod lines
     | Random_reuse -> Numkit.Rng.int rng lines
   in
-  let addr i = Int64.of_int (slot i * 64) in
+  let addr i = slot i * 64 in
   (* Deterministic store/load interleave matching the fraction:
      store on every k-th access with k = 1/f rounded. *)
   let period = max 1 (int_of_float (Float.round (1.0 /. config.store_fraction))) in
@@ -56,7 +56,7 @@ let row_activity config =
   in
   (* Warmup lap over the buffer, then reset and measure. *)
   for i = 0 to lines - 1 do
-    ignore (Cachesim.Hierarchy.load h (Int64.of_int (i * 64)))
+    ignore (Cachesim.Hierarchy.load h (i * 64))
   done;
   Cachesim.Hierarchy.reset_counters h;
   run ();

@@ -47,8 +47,8 @@ let dataset_range ?reps ~lo ~hi = function
 
 (* Force any module-level cache the shard builders share, from the
    calling domain, before shards are dispatched to workers. *)
-let prewarm ~reps = function
-  | Dcache -> Cat_bench.Dataset.prewarm_dcache ~reps
+let prewarm ~executor ~reps = function
+  | Dcache -> Cat_bench.Dataset.prewarm_dcache_on executor ~reps
   | Cpu_flops | Gpu_flops | Branch -> ()
 
 let ideals = function

@@ -43,10 +43,11 @@ val dataset_range : ?reps:int -> lo:int -> hi:int -> t -> Cat_bench.Dataset.t
     seeds, same benchmark rows).  Raises [Invalid_argument] on an
     out-of-bounds range. *)
 
-val prewarm : reps:int -> t -> unit
+val prewarm : executor:Exec.t -> reps:int -> t -> unit
 (** Force any module-level cache the category's shard builders share
     (the dcache activity arrays), from the calling domain, before
-    shards are dispatched to worker domains. *)
+    shards are dispatched to worker domains.  The simulations that
+    fill it run on [executor]. *)
 
 val ideals : t -> Cat_bench.Ideal.ideal list
 

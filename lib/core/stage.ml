@@ -789,7 +789,7 @@ let check_shard_counter_invariant ~category ~before:(ev0, kp0, nf_kept0) =
    invariant and recorded manifests) observe exactly the stream a
    sequential front would have produced.  Module-level caches a task
    could populate ([Dataset.dcache_activities]) are pre-forced here
-   first, so workers only ever read them. *)
+   first, on the same pool, so workers only ever read them. *)
 let run_front ~config ~category ~executor ~shards ranges =
   let work i range =
     Obs.Progress.note_shard_start ~index:i ~total:shards;
@@ -814,7 +814,7 @@ let run_front ~config ~category ~executor ~shards ranges =
     Obs.Progress.note_shard ~index:shards ~total:shards;
     classified
   | Executor.Domains _ as e ->
-    Category.prewarm ~reps:config.reps category;
+    Category.prewarm ~executor:e ~reps:config.reps category;
     Obs.Progress.note_front ~total:shards ~jobs:(Executor.jobs e);
     let arr = Array.of_list ranges in
     let tagged =

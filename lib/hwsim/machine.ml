@@ -1,6 +1,9 @@
+(* The FNV-1a hash of "seed|name|rep=R|row=W", fed piece by piece. *)
 let reading_rng ~seed ~rep ~row (event : Event.t) =
-  Numkit.Rng.of_string
-    (Printf.sprintf "%s|%s|rep=%d|row=%d" seed event.Event.name rep row)
+  let open Numkit.Rng in
+  let h = hash_extend (hash_extend (hash_string seed) "|") event.Event.name in
+  let h = hash_extend_int (hash_extend h "|rep=") rep in
+  create (hash_extend_int (hash_extend h "|row=") row)
 
 let measure ~seed ~rep ~row event activity =
   Obs.incr "hwsim.readings";

@@ -9,6 +9,11 @@
     - noisy events vary across repetitions but not across re-runs of
       the whole experiment. *)
 
+val reading_rng : seed:string -> rep:int -> row:int -> Event.t -> Numkit.Rng.t
+(** The generator of one reading:
+    [Numkit.Rng.of_string (Printf.sprintf "%s|%s|rep=%d|row=%d" seed name rep row)],
+    computed without building that string. *)
+
 val measure :
   seed:string -> rep:int -> row:int -> Event.t -> Activity.t -> float
 (** One counter reading of [event] over the execution described by

@@ -9,13 +9,37 @@ let mix z =
 
 let create seed = { state = seed; seed }
 
-let hash_string s =
-  (* FNV-1a, 64-bit. *)
-  let offset_basis = 0xCBF29CE484222325L and prime = 0x100000001B3L in
-  let h = ref offset_basis in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-    s;
+(* FNV-1a, 64-bit.  Plain loops over a local ref keep the state
+   unboxed: one boxed result per call, nothing per byte. *)
+let fnv_prime = 0x100000001B3L
+
+let hash_extend h s =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    let c = Char.code (String.unsafe_get s i) in
+    h := Int64.mul (Int64.logxor !h (Int64.of_int c)) fnv_prime
+  done;
+  !h
+
+let hash_string s = hash_extend 0xCBF29CE484222325L s
+
+let hash_extend_int h n =
+  let h = ref h in
+  if n < 0 then
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code '-'))) fnv_prime;
+  (* Digits of [m = -|n|], most significant first; working on the
+     non-positive side cannot overflow, even at [min_int]. *)
+  let m = if n < 0 then n else -n in
+  let p = ref 1 in
+  while m / !p <= -10 do
+    p := !p * 10
+  done;
+  while !p > 0 do
+    let digit = -((m / !p) mod 10) in
+    let c = Char.code '0' + digit in
+    h := Int64.mul (Int64.logxor !h (Int64.of_int c)) fnv_prime;
+    p := !p / 10
+  done;
   !h
 
 let of_string s = create (hash_string s)

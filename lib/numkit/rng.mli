@@ -52,5 +52,13 @@ val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle driven by [t]. *)
 
 val hash_string : string -> int64
-(** The FNV-1a hash used by {!of_string} and {!split}, exposed for
-    tests. *)
+(** The FNV-1a hash used by {!of_string} and {!split}:
+    [of_string s = create (hash_string s)]. *)
+
+val hash_extend : int64 -> string -> int64
+(** Streaming FNV-1a: [hash_extend (hash_string a) b = hash_string (a ^ b)],
+    so a key can be hashed piece by piece without building it. *)
+
+val hash_extend_int : int64 -> int -> int64
+(** [hash_extend_int h n = hash_extend h (string_of_int n)], without
+    the string. *)

@@ -334,6 +334,28 @@ let test_session_restrict () =
     (Invalid_argument "Session.restrict: bad range") (fun () ->
       ignore (Hwsim.Session.restrict p ~lo:3 ~hi:1))
 
+(* [reading_rng] hashes the key piece by piece; it must give the
+   generator of the key string itself, bit for bit. *)
+let prop_reading_rng_matches_key =
+  let gen =
+    QCheck.Gen.(
+      quad (string_size ~gen:printable (int_range 0 24))
+        (string_size ~gen:printable (int_range 0 40))
+        (oneof [ int_range 0 12; int_range 0 100_000; pure 0 ])
+        (oneof [ int_range 0 60; int_range 0 100_000; pure 0 ]))
+  in
+  QCheck.Test.make ~name:"reading_rng = of_string of the key" ~count:500
+    (QCheck.make ~print:QCheck.Print.(quad string string int int) gen)
+    (fun (seed, name, rep, row) ->
+      let event = Hwsim.Event.make ~name ~desc:"" [] in
+      let a = Hwsim.Machine.reading_rng ~seed ~rep ~row event in
+      let b =
+        Numkit.Rng.of_string (Printf.sprintf "%s|%s|rep=%d|row=%d" seed name rep row)
+      in
+      List.for_all
+        (fun _ -> Numkit.Rng.next_int64 a = Numkit.Rng.next_int64 b)
+        [ 1; 2; 3 ])
+
 let () =
   Alcotest.run "hwsim"
     [
@@ -390,5 +412,6 @@ let () =
           Alcotest.test_case "per-rep reproducible" `Quick test_measure_noisy_reproducible_per_rep;
           Alcotest.test_case "vector shape" `Quick test_measure_vector_shape;
           Alcotest.test_case "repetitions shape" `Quick test_measure_repetitions_shape;
+          QCheck_alcotest.to_alcotest prop_reading_rng_matches_key;
         ] );
     ]

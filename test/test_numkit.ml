@@ -29,6 +29,28 @@ let test_of_string_stable () =
     (Numkit.Rng.next_int64 (Numkit.Rng.of_string "hello")
      <> Numkit.Rng.next_int64 c)
 
+(* Reference FNV-1a 64 vectors; every seed in the repository derives
+   from this hash, so it must never drift. *)
+let test_hash_string_vectors () =
+  List.iter
+    (fun (s, h) ->
+      Alcotest.(check int64) (Printf.sprintf "%S" s) h (Numkit.Rng.hash_string s))
+    [ ("", 0xcbf29ce484222325L); ("a", 0xaf63dc4c8601ec8cL);
+      ("foobar", 0x85944171f73967e8L) ]
+
+let prop_hash_extend_streams =
+  QCheck.Test.make ~name:"hash_extend / hash_extend_int stream the hash"
+    ~count:500
+    QCheck.(triple string_printable string_printable int)
+    (fun (a, b, n) ->
+      let h = Numkit.Rng.hash_string a in
+      let extends_int n =
+        Numkit.Rng.hash_extend_int h n = Numkit.Rng.hash_string (a ^ string_of_int n)
+      in
+      Numkit.Rng.hash_extend h b = Numkit.Rng.hash_string (a ^ b)
+      && List.for_all extends_int
+           [ n; 0; 9; 10; 99; 100; -1; -10; max_int; min_int ])
+
 let test_split_independent () =
   let parent = Numkit.Rng.create 7L in
   let c1 = Numkit.Rng.split parent "a" and c2 = Numkit.Rng.split parent "b" in
@@ -189,6 +211,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
           Alcotest.test_case "of_string stable" `Quick test_of_string_stable;
+          Alcotest.test_case "FNV-1a vectors" `Quick test_hash_string_vectors;
           Alcotest.test_case "split independent" `Quick test_split_independent;
           Alcotest.test_case "float in [0,1)" `Quick test_float_range;
           Alcotest.test_case "int uniform" `Quick test_int_range;
@@ -213,5 +236,6 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_rnmse_symmetric; prop_median_bounds; prop_mean_linear ] );
+          [ prop_rnmse_symmetric; prop_median_bounds; prop_mean_linear;
+            prop_hash_extend_streams ] );
     ]

@@ -115,7 +115,7 @@ let test_reps_one_pipeline_bounded () =
 let test_single_pointer_chain () =
   let h = Cachesim.Hierarchy.create Cachesim.Hierarchy.default_config in
   let c =
-    Cachesim.Pointer_chase.make ~base:0L ~pointers:1 ~stride_bytes:64
+    Cachesim.Pointer_chase.make ~base:0 ~pointers:1 ~stride_bytes:64
       Cachesim.Pointer_chase.Sequential
   in
   let k = Cachesim.Pointer_chase.run h c ~accesses:100 ~warmup:true in
@@ -126,7 +126,7 @@ let test_store_writeback_path () =
   (* Dirty 128 distinct lines (L1 holds 64): the second half's fills
      must evict dirty lines and count writebacks. *)
   for i = 0 to 127 do
-    ignore (Cachesim.Hierarchy.store h (Int64.of_int (i * 64)))
+    ignore (Cachesim.Hierarchy.store h (i * 64))
   done;
   Alcotest.(check bool)
     (Printf.sprintf "writebacks occurred (%d)" (Cachesim.Hierarchy.writebacks h))
@@ -135,17 +135,17 @@ let test_store_writeback_path () =
 
 let test_store_then_load_hits () =
   let h = Cachesim.Hierarchy.create Cachesim.Hierarchy.default_config in
-  ignore (Cachesim.Hierarchy.store h 0L);
+  ignore (Cachesim.Hierarchy.store h 0);
   Alcotest.(check bool) "load after store hits L1" true
-    (Cachesim.Hierarchy.load h 0L = Cachesim.Hierarchy.L1)
+    (Cachesim.Hierarchy.load h 0 = Cachesim.Hierarchy.L1)
 
 let test_clean_eviction_no_writeback () =
   let cfg = { Cachesim.Cache.size_bytes = 128; ways = 2; line_bytes = 64;
               policy = Cachesim.Replacement.Lru } in
   let c = Cachesim.Cache.create cfg in
-  ignore (Cachesim.Cache.access c 0L);
-  ignore (Cachesim.Cache.access c 128L);
-  ignore (Cachesim.Cache.access c 256L);
+  ignore (Cachesim.Cache.access c 0);
+  ignore (Cachesim.Cache.access c 128);
+  ignore (Cachesim.Cache.access c 256);
   (* evicts a clean line *)
   Alcotest.(check int) "no writeback for clean lines" 0 (Cachesim.Cache.writebacks c)
 
@@ -153,9 +153,9 @@ let test_dirty_eviction_writeback () =
   let cfg = { Cachesim.Cache.size_bytes = 128; ways = 2; line_bytes = 64;
               policy = Cachesim.Replacement.Lru } in
   let c = Cachesim.Cache.create cfg in
-  ignore (Cachesim.Cache.write c 0L);
-  ignore (Cachesim.Cache.access c 128L);
-  ignore (Cachesim.Cache.access c 256L);
+  ignore (Cachesim.Cache.write c 0);
+  ignore (Cachesim.Cache.access c 128);
+  ignore (Cachesim.Cache.access c 256);
   (* LRU victim is the dirty line 0 *)
   Alcotest.(check int) "one writeback" 1 (Cachesim.Cache.writebacks c);
   Alcotest.(check int) "write miss counted" 1 (Cachesim.Cache.write_misses c)

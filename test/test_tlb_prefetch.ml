@@ -11,13 +11,13 @@ let default_h () = Cachesim.Hierarchy.create Cachesim.Hierarchy.default_config
 let test_tlb_hit_after_miss () =
   let t = Cachesim.Tlb.create Cachesim.Tlb.default_config in
   Alcotest.(check bool) "first access walks" true
-    (Cachesim.Tlb.access t 0L = Cachesim.Tlb.Walk);
+    (Cachesim.Tlb.access t 0 = Cachesim.Tlb.Walk);
   Alcotest.(check bool) "second hits L1" true
-    (Cachesim.Tlb.access t 0L = Cachesim.Tlb.L1_hit);
+    (Cachesim.Tlb.access t 0 = Cachesim.Tlb.L1_hit);
   Alcotest.(check bool) "same page hits" true
-    (Cachesim.Tlb.access t 4095L = Cachesim.Tlb.L1_hit);
+    (Cachesim.Tlb.access t 4095 = Cachesim.Tlb.L1_hit);
   Alcotest.(check bool) "next page walks" true
-    (Cachesim.Tlb.access t 4096L = Cachesim.Tlb.Walk)
+    (Cachesim.Tlb.access t 4096 = Cachesim.Tlb.Walk)
 
 let test_tlb_l2_backstop () =
   let cfg =
@@ -26,11 +26,11 @@ let test_tlb_l2_backstop () =
   let t = Cachesim.Tlb.create cfg in
   (* Touch 8 pages: fits L2 (1024 entries) but not L1 (4). *)
   for p = 0 to 7 do
-    ignore (Cachesim.Tlb.access t (Int64.of_int (p * 4096)))
+    ignore (Cachesim.Tlb.access t (p * 4096))
   done;
   Cachesim.Tlb.reset_stats t;
   for p = 0 to 7 do
-    ignore (Cachesim.Tlb.access t (Int64.of_int (p * 4096)))
+    ignore (Cachesim.Tlb.access t (p * 4096))
   done;
   let s = Cachesim.Tlb.stats t in
   Alcotest.(check int) "no walks in steady state" 0 s.Cachesim.Tlb.walks;
@@ -40,7 +40,7 @@ let test_tlb_stats_conserve () =
   let t = Cachesim.Tlb.create Cachesim.Tlb.default_config in
   let n = 500 in
   for i = 0 to n - 1 do
-    ignore (Cachesim.Tlb.access t (Int64.of_int (i * 8192)))
+    ignore (Cachesim.Tlb.access t (i * 8192))
   done;
   let s = Cachesim.Tlb.stats t in
   Alcotest.(check int) "hits + walks = accesses" n
@@ -65,7 +65,7 @@ let test_instrumented_run_reports_tlb () =
   let rng = Numkit.Rng.create 5L in
   (* 1 MiB buffer = 256 pages: thrashes the 64-entry L1 TLB. *)
   let chain =
-    Cachesim.Pointer_chase.make ~base:0L ~pointers:16384 ~stride_bytes:64
+    Cachesim.Pointer_chase.make ~base:0 ~pointers:16384 ~stride_bytes:64
       (Cachesim.Pointer_chase.Shuffled rng)
   in
   let r =
@@ -82,7 +82,7 @@ let test_small_buffer_no_tlb_misses () =
   let h = default_h () in
   let tlb = Cachesim.Tlb.create Cachesim.Tlb.default_config in
   let chain =
-    Cachesim.Pointer_chase.make ~base:0L ~pointers:32 ~stride_bytes:64
+    Cachesim.Pointer_chase.make ~base:0 ~pointers:32 ~stride_bytes:64
       Cachesim.Pointer_chase.Sequential
   in
   let r =
@@ -103,7 +103,7 @@ let run_chase ?prefetcher layout =
   let h = default_h () in
   (* 1024 lines: far beyond the 64-line L1. *)
   let chain =
-    Cachesim.Pointer_chase.make ~base:0L ~pointers:1024 ~stride_bytes:64 layout
+    Cachesim.Pointer_chase.make ~base:0 ~pointers:1024 ~stride_bytes:64 layout
   in
   Cachesim.Pointer_chase.run_instrumented ?prefetcher h chain ~accesses:4096
     ~warmup:true
@@ -143,7 +143,7 @@ let test_stride_prefetcher_detects_constant_stride () =
   let pf = Cachesim.Prefetcher.create (Cachesim.Prefetcher.Stride 2) in
   let h = default_h () in
   for i = 0 to 63 do
-    let addr = Int64.of_int (i * 128) in
+    let addr = i * 128 in
     Cachesim.Prefetcher.on_demand_access pf h addr ~hit:false
   done;
   Alcotest.(check bool) "stride detected and prefetches issued" true
@@ -154,7 +154,7 @@ let test_stride_prefetcher_ignores_random () =
   let h = default_h () in
   let rng = Numkit.Rng.create 7L in
   for _ = 0 to 63 do
-    let addr = Int64.of_int (Numkit.Rng.int rng 100000 * 64) in
+    let addr = Numkit.Rng.int rng 100000 * 64 in
     Cachesim.Prefetcher.on_demand_access pf h addr ~hit:false
   done;
   Alcotest.(check bool)
