@@ -113,7 +113,7 @@ let substrate_tests =
           fun () -> ignore (Linalg.Qr.factor a)));
     Test.make ~name:"substrate/spr-catalog-measure-rep"
       (Staged.stage (fun () ->
-           let rows = Cat_bench.Flops_kernels.rows in
+           let rows = Cat_bench.Flops_kernels.rows () in
            List.iter
              (fun e ->
                ignore (Hwsim.Machine.measure_vector ~seed:"bench" ~rep:0 e rows))
@@ -160,7 +160,7 @@ let extension_tests =
                   ignore
                     (Cat_bench.Multiplex.measure cfg ~seed:"bench" ~rep:0 ~row:0
                        ~event_index:i ~n_events:64 e
-                       Cat_bench.Branch_kernels.rows.(0)))
+                       (Cat_bench.Branch_kernels.rows ()).(0)))
                 (List.filteri
                    (fun i _ -> i < 64)
                    Hwsim.Catalog_sapphire_rapids.events)));

@@ -22,7 +22,7 @@ let activity_of_counters (c : Branchsim.Engine.counters) =
     ((1.5 *. instructions) +. (18.0 *. c.mispredicted));
   a
 
-let run_rows kind =
+let rows_with_predictor kind =
   Array.of_list
     (List.map
        (fun (k : Branchsim.Kernels.t) ->
@@ -34,9 +34,7 @@ let run_rows kind =
          activity_of_counters counters)
        Branchsim.Kernels.all)
 
-let rows = run_rows predictor_kind
-
-let rows_with_predictor kind = run_rows kind
+let rows = Once.once (fun () -> rows_with_predictor predictor_kind)
 
 let row_labels =
   Array.of_list (List.map (fun (k : Branchsim.Kernels.t) -> k.name) Branchsim.Kernels.all)

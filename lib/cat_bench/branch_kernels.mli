@@ -14,8 +14,8 @@ val iterations : int
 val warmup : int
 (** Uncounted predictor-training iterations. *)
 
-val rows : Hwsim.Activity.t array
-(** Eleven activity records in paper row order. *)
+val rows : unit -> Hwsim.Activity.t array
+(** Eleven activity records in paper row order; simulated on first use. *)
 
 val row_labels : string array
 

@@ -72,25 +72,25 @@ let memo f =
 let cpu_flops =
   memo (fun ~reps ->
       of_activities ~name:"cpu-flops" ~seed:"cat-cpu-flops" ~reps
-        ~events:Hwsim.Catalog_sapphire_rapids.events ~rows:Flops_kernels.rows
+        ~events:Hwsim.Catalog_sapphire_rapids.events ~rows:(Flops_kernels.rows ())
         ~row_labels:Flops_kernels.row_labels)
 
 let branch =
   memo (fun ~reps ->
       of_activities ~name:"branch" ~seed:"cat-branch" ~reps
-        ~events:Hwsim.Catalog_sapphire_rapids.events ~rows:Branch_kernels.rows
+        ~events:Hwsim.Catalog_sapphire_rapids.events ~rows:(Branch_kernels.rows ())
         ~row_labels:Branch_kernels.row_labels)
 
 let gpu_flops =
   memo (fun ~reps ->
       of_activities ~name:"gpu-flops" ~seed:"cat-gpu-flops" ~reps
-        ~events:Hwsim.Catalog_mi250x.events ~rows:Gpu_kernels.rows
+        ~events:Hwsim.Catalog_mi250x.events ~rows:(Gpu_kernels.rows ())
         ~row_labels:Gpu_kernels.row_labels)
 
 let zen_flops =
   memo (fun ~reps ->
       of_activities ~name:"zen-flops" ~seed:"cat-zen-flops" ~reps
-        ~events:Hwsim.Catalog_zen.events ~rows:Flops_kernels.rows
+        ~events:Hwsim.Catalog_zen.events ~rows:(Flops_kernels.rows ())
         ~row_labels:Flops_kernels.row_labels)
 
 (* Range variants of the four catalog-wide builders: measure only the
@@ -102,25 +102,25 @@ let cpu_flops_range ?(reps = default_reps) ~lo ~hi () =
   of_activities_range
     ~name:(range_name "cpu-flops" ~lo ~hi)
     ~seed:"cat-cpu-flops" ~reps ~events:Hwsim.Catalog_sapphire_rapids.events
-    ~lo ~hi ~rows:Flops_kernels.rows ~row_labels:Flops_kernels.row_labels
+    ~lo ~hi ~rows:(Flops_kernels.rows ()) ~row_labels:Flops_kernels.row_labels
 
 let branch_range ?(reps = default_reps) ~lo ~hi () =
   of_activities_range
     ~name:(range_name "branch" ~lo ~hi)
     ~seed:"cat-branch" ~reps ~events:Hwsim.Catalog_sapphire_rapids.events ~lo
-    ~hi ~rows:Branch_kernels.rows ~row_labels:Branch_kernels.row_labels
+    ~hi ~rows:(Branch_kernels.rows ()) ~row_labels:Branch_kernels.row_labels
 
 let gpu_flops_range ?(reps = default_reps) ~lo ~hi () =
   of_activities_range
     ~name:(range_name "gpu-flops" ~lo ~hi)
     ~seed:"cat-gpu-flops" ~reps ~events:Hwsim.Catalog_mi250x.events ~lo ~hi
-    ~rows:Gpu_kernels.rows ~row_labels:Gpu_kernels.row_labels
+    ~rows:(Gpu_kernels.rows ()) ~row_labels:Gpu_kernels.row_labels
 
 let zen_flops_range ?(reps = default_reps) ~lo ~hi () =
   of_activities_range
     ~name:(range_name "zen-flops" ~lo ~hi)
     ~seed:"cat-zen-flops" ~reps ~events:Hwsim.Catalog_zen.events ~lo ~hi
-    ~rows:Flops_kernels.rows ~row_labels:Flops_kernels.row_labels
+    ~rows:(Flops_kernels.rows ()) ~row_labels:Flops_kernels.row_labels
 
 (* The thread activities are a function of (kernel config, rep,
    thread) only — independent of which events a build measures — so

@@ -55,17 +55,10 @@ let row_activity k loop_payload =
   Activity.add a Keys.core_stores (iters /. 8.0);
   a
 
-let rows =
+let per_loop f =
   Array.of_list
-    (List.concat_map
-       (fun k ->
-         Array.to_list (Array.map (fun payload -> row_activity k payload) k.loop_payloads))
-       kernels)
+    (List.concat_map (fun k -> List.mapi (f k) (Array.to_list k.loop_payloads)) kernels)
 
-let row_labels =
-  Array.of_list
-    (List.concat_map
-       (fun k ->
-         List.init (Array.length k.loop_payloads) (fun i ->
-             Printf.sprintf "%s/loop%d" k.name (i + 1)))
-       kernels)
+let rows = Once.once (fun () -> per_loop (fun k _ payload -> row_activity k payload))
+
+let row_labels = per_loop (fun k i _ -> Printf.sprintf "%s/loop%d" k.name (i + 1))

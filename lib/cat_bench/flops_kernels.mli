@@ -30,8 +30,8 @@ val kernels : kernel list
 val iterations : int
 (** Loop trip count shared by all loops. *)
 
-val rows : Hwsim.Activity.t array
-(** The 48 activity records, kernel-major, loop-minor. *)
+val rows : unit -> Hwsim.Activity.t array
+(** The 48 activity records, kernel-major, loop-minor; simulated on first use. *)
 
 val row_labels : string array
 (** e.g. ["dp_256_fma/loop1"]. *)

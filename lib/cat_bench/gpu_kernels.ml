@@ -54,22 +54,15 @@ let row_activity (op, precision) unroll =
   Activity.set a (Keys.gpu_valu_total ~device:0) (float_of_int c.valu_total);
   a
 
-let rows =
+let per_kernel f =
   Array.of_list
-    (List.concat_map
-       (fun pair -> Array.to_list (Array.map (row_activity pair) unrolls))
-       pairs)
+    (List.concat_map (fun pair -> List.map (f pair) (Array.to_list unrolls)) pairs)
+
+let rows = Once.once (fun () -> per_kernel row_activity)
 
 let row_labels =
-  Array.of_list
-    (List.concat_map
-       (fun (op, precision) ->
-         Array.to_list
-           (Array.map
-              (fun u ->
-                Printf.sprintf "%s/u%d" (Keys.gpu ~device:0 ~op ~precision) u)
-              unrolls))
-       pairs)
+  per_kernel (fun (op, precision) u ->
+      Printf.sprintf "%s/u%d" (Keys.gpu ~device:0 ~op ~precision) u)
 
 let device_counters_consistent () =
   List.for_all

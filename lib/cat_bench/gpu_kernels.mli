@@ -17,8 +17,8 @@ val pairs : (Hwsim.Keys.gpu_op * Hwsim.Keys.gpu_precision) list
 (** The 15 (op, precision) pairs in Table II order (A, S, M, SQ, F
     outer; H, S, D inner). *)
 
-val rows : Hwsim.Activity.t array
-(** 45 activity rows, pair-major, unroll-minor. *)
+val rows : unit -> Hwsim.Activity.t array
+(** 45 activity rows, pair-major, unroll-minor; simulated on first use. *)
 
 val row_labels : string array
 

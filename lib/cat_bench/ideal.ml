@@ -24,7 +24,7 @@ let cpu_flops () =
       [ (Keys.Single, false); (Keys.Double, false);
         (Keys.Single, true); (Keys.Double, true) ]
   in
-  of_keys Flops_kernels.rows labelled
+  of_keys (Flops_kernels.rows ()) labelled
 
 let branch_of_rows rows =
   of_keys rows
@@ -34,7 +34,7 @@ let branch_of_rows rows =
       ("D", Keys.branch_uncond);
       ("M", Keys.branch_misp) ]
 
-let branch () = branch_of_rows Branch_kernels.rows
+let branch () = branch_of_rows (Branch_kernels.rows ())
 
 let gpu_flops () =
   (* Table II order: A, S, M, SQ, F outer; H, S, D inner. *)
@@ -47,7 +47,7 @@ let gpu_flops () =
           [ Keys.F16; Keys.F32; Keys.F64 ])
       [ Keys.Add; Keys.Sub; Keys.Mul; Keys.Trans; Keys.Fma ]
   in
-  of_keys Gpu_kernels.rows labelled
+  of_keys (Gpu_kernels.rows ()) labelled
 
 let dcache () =
   let rows =

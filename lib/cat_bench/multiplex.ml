@@ -93,5 +93,5 @@ let dataset cfg ~name ~seed ~reps ~events ~rows ~row_labels =
 
 let branch_dataset ?(reps = Dataset.default_reps) cfg =
   dataset cfg ~name:"branch-multiplexed" ~seed:"cat-branch-mux" ~reps
-    ~events:Hwsim.Catalog_sapphire_rapids.events ~rows:Branch_kernels.rows
+    ~events:Hwsim.Catalog_sapphire_rapids.events ~rows:(Branch_kernels.rows ())
     ~row_labels:Branch_kernels.row_labels

@@ -84,12 +84,12 @@ let row_activity config =
     ((3.0 *. n) +. (12.0 *. float_of_int c.Cachesim.Hierarchy.l1_miss));
   a
 
-let rows = Array.of_list (List.map row_activity configs)
+let rows = Once.once (fun () -> Array.of_list (List.map row_activity configs))
 
 let row_labels = Array.of_list (List.map (fun c -> c.label) configs)
 
 let ideals () =
-  let read key = Array.map (fun a -> Activity.get a key) rows in
+  let read key = Array.map (fun a -> Activity.get a key) (rows ()) in
   [ { Ideal.label = "WH"; key = Keys.cache_w_l1_dh; vector = read Keys.cache_w_l1_dh };
     { Ideal.label = "WM"; key = Keys.cache_w_l1_dm; vector = read Keys.cache_w_l1_dm };
     { Ideal.label = "WB"; key = Keys.cache_writebacks;

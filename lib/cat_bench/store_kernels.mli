@@ -32,7 +32,9 @@ val accesses : int
 val row_activity : config -> Hwsim.Activity.t
 (** Simulate one configuration (deterministic: exact counters). *)
 
-val rows : Hwsim.Activity.t array
+val rows : unit -> Hwsim.Activity.t array
+(** The nine rows; simulated on first use. *)
+
 val row_labels : string array
 
 val ideals : unit -> Ideal.ideal list

@@ -146,9 +146,9 @@ let rules_table () =
 (* ------------------------------------------------------------------ *)
 
 let rows_declared = function
-  | Core.Category.Cpu_flops -> Array.length Cat_bench.Flops_kernels.rows
-  | Core.Category.Branch -> Array.length Cat_bench.Branch_kernels.rows
-  | Core.Category.Gpu_flops -> Array.length Cat_bench.Gpu_kernels.rows
+  | Core.Category.Cpu_flops -> Array.length Cat_bench.Flops_kernels.row_labels
+  | Core.Category.Branch -> Array.length Cat_bench.Branch_kernels.row_labels
+  | Core.Category.Gpu_flops -> Array.length Cat_bench.Gpu_kernels.row_labels
   | Core.Category.Dcache -> List.length Cat_bench.Cache_kernels.configs
 
 let catalog_name = function

@@ -45,11 +45,13 @@ let dataset_range ?reps ~lo ~hi = function
   | Branch -> Cat_bench.Dataset.branch_range ?reps ~lo ~hi ()
   | Dcache -> Cat_bench.Dataset.dcache_range ?reps ~lo ~hi ()
 
-(* Force any module-level cache the shard builders share, from the
-   calling domain, before shards are dispatched to workers. *)
+(* Force the row table or activity cache the shard builders share,
+   from the calling domain, before shards are dispatched to workers. *)
 let prewarm ~executor ~reps = function
+  | Cpu_flops -> ignore (Cat_bench.Flops_kernels.rows ())
+  | Gpu_flops -> ignore (Cat_bench.Gpu_kernels.rows ())
+  | Branch -> ignore (Cat_bench.Branch_kernels.rows ())
   | Dcache -> Cat_bench.Dataset.prewarm_dcache_on executor ~reps
-  | Cpu_flops | Gpu_flops | Branch -> ()
 
 let ideals = function
   | Cpu_flops -> Cat_bench.Ideal.cpu_flops ()

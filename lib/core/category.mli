@@ -44,10 +44,11 @@ val dataset_range : ?reps:int -> lo:int -> hi:int -> t -> Cat_bench.Dataset.t
     out-of-bounds range. *)
 
 val prewarm : executor:Exec.t -> reps:int -> t -> unit
-(** Force any module-level cache the category's shard builders share
-    (the dcache activity arrays), from the calling domain, before
-    shards are dispatched to worker domains.  The simulations that
-    fill it run on [executor]. *)
+(** Force the table the category's shard builders share, from the
+    calling domain, before shards are dispatched to worker domains:
+    the kernel row table of cpu-flops, gpu-flops and branch, or the
+    dcache activity arrays.  The dcache simulations run on
+    [executor]; the row tables are built on the calling domain. *)
 
 val ideals : t -> Cat_bench.Ideal.ideal list
 

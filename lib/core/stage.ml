@@ -788,8 +788,9 @@ let check_shard_counter_invariant ~category ~before:(ev0, kp0, nf_kept0) =
    order, so sinks, counters (and therefore the shard-counter
    invariant and recorded manifests) observe exactly the stream a
    sequential front would have produced.  Module-level caches a task
-   could populate ([Dataset.dcache_activities]) are pre-forced here
-   first, on the same pool, so workers only ever read them. *)
+   could populate (the category's kernel row table, or
+   [Dataset.dcache_activities] on the same pool) are pre-forced here
+   first, so workers only ever read them. *)
 let run_front ~config ~category ~executor ~shards ranges =
   let work i range =
     Obs.Progress.note_shard_start ~index:i ~total:shards;

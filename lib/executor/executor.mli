@@ -35,10 +35,11 @@
     fresh [Numkit.Rng] from the pure key [(seed, event, rep, row)] for
     every reading, so shard workers never observe generator state from
     another shard — this is what makes parallel collection bit-exact.
-    The one module-level cache reachable from shard tasks
-    ([Cat_bench.Dataset.dcache_activities]) is pre-forced on the
-    calling domain before dispatch.  Audited 2026-08: no other mutable
-    state in [hwsim]/[cat_bench] escapes into tasks.
+    The module-level caches reachable from shard tasks (the kernel
+    row tables and [Cat_bench.Dataset.dcache_activities]) are
+    pre-forced by [Category.prewarm] before dispatch; the row tables
+    are also safe to fill from a worker ([Cat_bench.Once]).  No other
+    mutable state in [hwsim]/[cat_bench] escapes into tasks.
 
     Nested submission (a task that itself calls [map]/[iter_ranges])
     degrades to sequential execution on the worker — the pool is never

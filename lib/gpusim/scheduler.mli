@@ -4,8 +4,9 @@
     latency, as if a single wavefront ran alone.  Real GPUs hide
     latency by interleaving resident wavefronts: while one wave waits
     on a long-latency instruction, others issue.  This scheduler
-    simulates that at cycle granularity — one issue port, round-robin
-    among ready waves — and is how the simulated MI250X's
+    simulates that at cycle granularity — each cycle up to
+    [issue_per_cycle] ready waves issue, longest-ready first, ties to
+    the most recently launched — and is how the simulated MI250X's
     time-coupled counters get occupancy-dependent values.
 
     Architectural instruction counts are untouched by scheduling;
@@ -22,7 +23,8 @@ val default_config : config
 (** 8 resident waves, 1 issue port. *)
 
 val simulate : ?config:config -> Kernel.t -> int
-(** Cycles to drain the kernel's wavefronts through one CU. *)
+(** Cycles to drain the kernel's wavefronts through one CU (the
+    cycle of the last issue); allocates nothing per cycle. *)
 
 val serial_cycles : Kernel.t -> int
 (** Lower-fidelity reference: every instruction charged its full

@@ -238,7 +238,7 @@ let test_dcache_activities_pinned () =
 
 let test_store_rows_pinned () =
   Alcotest.(check string) "digest" "271c51e76b1cbcebb6a77ab67b961306"
-    (activity_digest (Array.to_list Cat_bench.Store_kernels.rows))
+    (activity_digest (Array.to_list (Cat_bench.Store_kernels.rows ())))
 
 (* ------------------------------------------------------------------ *)
 (* Hierarchy                                                           *)

@@ -9,7 +9,7 @@ module Keys = Hwsim.Keys
 
 let test_flops_kernel_count () =
   Alcotest.(check int) "16 kernels" 16 (List.length Cat_bench.Flops_kernels.kernels);
-  Alcotest.(check int) "48 rows" 48 (Array.length Cat_bench.Flops_kernels.rows);
+  Alcotest.(check int) "48 rows" 48 (Array.length (Cat_bench.Flops_kernels.rows ()));
   Alcotest.(check int) "48 labels" 48 (Array.length Cat_bench.Flops_kernels.row_labels)
 
 let test_flops_loop_sizes () =
@@ -21,7 +21,7 @@ let test_flops_loop_sizes () =
 
 let test_flops_payload_exact () =
   (* Row 0 is sp_scalar loop 1: 24 instructions x iterations. *)
-  let row0 = Cat_bench.Flops_kernels.rows.(0) in
+  let row0 = (Cat_bench.Flops_kernels.rows ()).(0) in
   Alcotest.(check (float 0.0)) "payload"
     (float_of_int (24 * Cat_bench.Flops_kernels.iterations))
     (Hwsim.Activity.get row0 "flops.sp_scalar")
@@ -33,7 +33,7 @@ let test_flops_rows_have_one_payload_class () =
         List.filter (fun k -> Hwsim.Activity.get row k > 0.0) Keys.all_flops
       in
       Alcotest.(check int) "exactly one FP class per row" 1 (List.length nonzero))
-    Cat_bench.Flops_kernels.rows
+    (Cat_bench.Flops_kernels.rows ())
 
 let test_flops_overhead_present () =
   Array.iter
@@ -45,7 +45,7 @@ let test_flops_overhead_present () =
          > List.fold_left
              (fun acc k -> Float.max acc (Hwsim.Activity.get row k))
              0.0 Keys.all_flops))
-    Cat_bench.Flops_kernels.rows
+    (Cat_bench.Flops_kernels.rows ())
 
 let test_fp_ops_per_instr () =
   Alcotest.(check int) "scalar dp" 1
@@ -60,7 +60,7 @@ let test_fp_ops_per_instr () =
 (* ------------------------------------------------------------------ *)
 
 let test_branch_rows () =
-  Alcotest.(check int) "11 rows" 11 (Array.length Cat_bench.Branch_kernels.rows)
+  Alcotest.(check int) "11 rows" 11 (Array.length (Cat_bench.Branch_kernels.rows ()))
 
 let test_branch_ground_truth_consistency () =
   (* CE >= CR, CR >= T, all non-negative. *)
@@ -72,7 +72,7 @@ let test_branch_ground_truth_consistency () =
       Alcotest.(check bool) "CE >= CR" true (ce >= cr);
       Alcotest.(check bool) "CR >= T" true (cr >= t);
       Alcotest.(check bool) "T > 0 (every kernel has a taken branch)" true (t > 0.0))
-    Cat_bench.Branch_kernels.rows
+    (Cat_bench.Branch_kernels.rows ())
 
 let test_branch_predictor_ablation_changes_misp () =
   let static =
@@ -91,12 +91,12 @@ let test_branch_predictor_ablation_changes_misp () =
 
 let test_gpu_rows () =
   Alcotest.(check int) "15 pairs" 15 (List.length Cat_bench.Gpu_kernels.pairs);
-  Alcotest.(check int) "45 rows" 45 (Array.length Cat_bench.Gpu_kernels.rows)
+  Alcotest.(check int) "45 rows" 45 (Array.length (Cat_bench.Gpu_kernels.rows ()))
 
 let test_gpu_ground_truth_separates_add_sub () =
   (* Row 0: add f16; row 3: sub f16 (pair-major, 3 unrolls each). *)
-  let add_row = Cat_bench.Gpu_kernels.rows.(0) in
-  let sub_row = Cat_bench.Gpu_kernels.rows.(9) in
+  let add_row = (Cat_bench.Gpu_kernels.rows ()).(0) in
+  let sub_row = (Cat_bench.Gpu_kernels.rows ()).(9) in
   Alcotest.(check bool) "add row has add key" true
     (Hwsim.Activity.get add_row "gpu0.add_f16" > 0.0);
   Alcotest.(check (float 0.0)) "add row has no sub" 0.0

@@ -118,6 +118,37 @@ let test_ideal_shape_mismatch () =
   in
   expect_only_error ds "ideal/shape-mismatch"
 
+(* The reference row count comes from the kernel declarations, not
+   from the simulated rows the ideal vectors are read from: one
+   truncated vector in a shipped basis is caught. *)
+let test_shape_mismatch_against_declarations () =
+  List.iter
+    (fun (c, declared) ->
+      let name = Core.Category.name c in
+      Alcotest.(check int) (name ^ " declared rows") declared
+        (Check.rows_declared c);
+      match Core.Category.ideals c with
+      | [] -> Alcotest.fail (name ^ ": empty basis")
+      | first :: rest ->
+        let truncated =
+          { first with
+            Cat_bench.Ideal.vector = Array.sub first.vector 0 (declared - 1) }
+        in
+        let ds =
+          Check.Basis_check.analyze ~category:name
+            ~expected_rows:(Check.rows_declared c) (truncated :: rest)
+        in
+        expect_only_error ds "ideal/shape-mismatch";
+        List.iter
+          (fun d ->
+            if d.D.rule = "ideal/shape-mismatch" then
+              Alcotest.(check string) (name ^ " expected rows")
+                (Jsonio.to_string (Jsonio.fnum (float_of_int declared)))
+                (Jsonio.to_string (List.assoc "expected_rows" d.D.data)))
+          ds)
+    Core.Category.
+      [ (Cpu_flops, 48); (Gpu_flops, 45); (Branch, 11); (Dcache, 16) ]
+
 let test_ideal_negative_entry () =
   let ds = Check.Basis_check.analyze [ ideal "A" [| 1.0; -2.0 |] ] in
   expect_only_error ds "ideal/negative-entry"
@@ -465,6 +496,8 @@ let () =
             test_basis_non_finite;
           Alcotest.test_case "shape mismatch" `Quick
             test_ideal_shape_mismatch;
+          Alcotest.test_case "shape mismatch vs declarations" `Quick
+            test_shape_mismatch_against_declarations;
           Alcotest.test_case "negative entry" `Quick
             test_ideal_negative_entry;
         ] );

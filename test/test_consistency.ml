@@ -10,8 +10,8 @@ let known_keys =
     List.concat_map
       (fun rows ->
         Array.to_list rows |> List.concat_map Hwsim.Activity.keys)
-      [ Cat_bench.Flops_kernels.rows; Cat_bench.Branch_kernels.rows;
-        Cat_bench.Gpu_kernels.rows; Cat_bench.Store_kernels.rows ]
+      [ Cat_bench.Flops_kernels.rows (); Cat_bench.Branch_kernels.rows ();
+        Cat_bench.Gpu_kernels.rows (); Cat_bench.Store_kernels.rows () ]
   in
   let cache_keys =
     (* The cache benchmark's per-thread activities. *)

@@ -150,7 +150,7 @@ let test_flops_benchmark_rows_come_from_core () =
     (fun ki (k : Cat_bench.Flops_kernels.kernel) ->
       Array.iteri
         (fun li payload ->
-          let row = Cat_bench.Flops_kernels.rows.((ki * 3) + li) in
+          let row = (Cat_bench.Flops_kernels.rows ()).((ki * 3) + li) in
           Alcotest.(check (float 0.0))
             (Printf.sprintf "%s loop %d payload" k.name li)
             (float_of_int (payload * iters))

@@ -106,6 +106,166 @@ let prop_payload_counts =
       (Gpusim.Device.counters d).Gpusim.Device.valu_fma.f32
       = unroll * iterations * wavefronts)
 
+(* --- scheduler ---------------------------------------------------- *)
+
+(* The list-based scheduler the array-based [Scheduler.simulate]
+   replaced, kept verbatim as the reference model. *)
+module Reference = struct
+  open Gpusim
+  open Scheduler
+
+  type wave = {
+    mutable remaining : int;  (** Dynamic instructions left. *)
+    mutable pc : int;  (** Index into the body (cyclic). *)
+    mutable ready_at : int;  (** Cycle the wave can issue next. *)
+  }
+
+  let simulate ?(config = default_config) (k : Kernel.t) =
+    if config.max_waves_in_flight < 1 || config.issue_per_cycle < 1 then
+      invalid_arg "Scheduler.simulate: bad config";
+    let body = Array.of_list k.body in
+    let body_len = Array.length body in
+    let per_wave = body_len * k.iterations in
+    let total_waves = k.wavefronts in
+    let launched = ref 0 in
+    let resident : wave list ref = ref [] in
+    let launch_upto cycle =
+      while
+        List.length !resident < config.max_waves_in_flight
+        && !launched < total_waves
+      do
+        incr launched;
+        resident := { remaining = per_wave; pc = 0; ready_at = cycle } :: !resident
+      done
+    in
+    let cycle = ref 0 in
+    launch_upto 0;
+    while !resident <> [] do
+      (* Issue up to issue_per_cycle instructions from ready waves,
+         oldest-ready first (round-robin equivalent for this model). *)
+      let ready =
+        List.filter (fun w -> w.ready_at <= !cycle) !resident
+        |> List.sort (fun a b -> compare a.ready_at b.ready_at)
+      in
+      let rec issue n = function
+        | [] -> ()
+        | w :: rest when n > 0 ->
+          let instr = body.(w.pc) in
+          w.pc <- (w.pc + 1) mod body_len;
+          w.remaining <- w.remaining - 1;
+          w.ready_at <- !cycle + Isa.latency instr;
+          issue (n - 1) rest
+        | _ -> ()
+      in
+      issue config.issue_per_cycle ready;
+      (* Retire finished waves, refill from the launch queue. *)
+      resident := List.filter (fun w -> w.remaining > 0) !resident;
+      launch_upto !cycle;
+      (* Advance time: next cycle, or jump to the earliest ready time
+         if everyone is stalled. *)
+      (match !resident with
+       | [] -> ()
+       | ws ->
+         let earliest =
+           List.fold_left (fun acc w -> min acc w.ready_at) max_int ws
+         in
+         cycle := max (!cycle + 1) earliest)
+    done;
+    !cycle
+end
+
+let all_instrs =
+  List.concat_map
+    (fun op ->
+      List.map (fun p -> Gpusim.Isa.Valu (op, p)) Gpusim.Isa.all_precisions)
+    Gpusim.Isa.all_ops
+  @ Gpusim.Isa.[ Salu; Smem; Vmem; Branch ]
+
+let instr_name = function
+  | Gpusim.Isa.Valu (op, p) ->
+    Gpusim.Isa.op_name op ^ "_" ^ Gpusim.Isa.precision_name p
+  | Gpusim.Isa.Salu -> "salu"
+  | Gpusim.Isa.Smem -> "smem"
+  | Gpusim.Isa.Vmem -> "vmem"
+  | Gpusim.Isa.Branch -> "branch"
+
+(* Random bodies over every instruction, wavefront counts above the
+   occupancy limit, and random issue widths.  Zero iterations or
+   wavefronts are degenerate kernels that must still agree. *)
+let gen_schedule =
+  QCheck.Gen.(
+    let* body = list_size (int_range 1 8) (oneofl all_instrs) in
+    let* iterations = int_range 0 40 in
+    let* wavefronts = int_range 0 24 in
+    let* max_waves_in_flight = int_range 1 10 in
+    let* issue_per_cycle = int_range 1 3 in
+    return
+      ( { Gpusim.Kernel.name = "random"; body; iterations; wavefronts },
+        { Gpusim.Scheduler.max_waves_in_flight; issue_per_cycle } ))
+
+let print_schedule ((k : Gpusim.Kernel.t), (c : Gpusim.Scheduler.config)) =
+  Printf.sprintf "body=[%s] iterations=%d wavefronts=%d waves=%d issue=%d"
+    (String.concat ";" (List.map instr_name k.body))
+    k.iterations k.wavefronts c.max_waves_in_flight c.issue_per_cycle
+
+let prop_scheduler_matches_reference =
+  QCheck.Test.make ~name:"scheduler agrees with the reference model"
+    ~count:500
+    (QCheck.make ~print:print_schedule gen_schedule)
+    (fun (k, config) ->
+      Gpusim.Scheduler.simulate ~config k = Reference.simulate ~config k)
+
+(* Cycle counts of the 45 CAT GPU kernels (pair-major, unroll-minor),
+   taken with the reference scheduler. *)
+let gpu_kernel_cycles =
+  [| 19455; 35839; 68607; 19455; 35839; 68607; 19482; 35898; 68730;
+     19455; 35839; 68607; 19455; 35839; 68607; 19482; 35898; 68730;
+     19455; 35839; 68607; 19455; 35839; 68607; 19482; 35898; 68730;
+     33564; 66332; 131868; 33564; 66332; 131868; 66329; 131865; 262937;
+     19455; 35839; 68607; 19455; 35839; 68607; 19482; 35898; 68730 |]
+
+let test_gpu_kernel_cycles_pinned () =
+  let cycles =
+    List.concat_map
+      (fun op ->
+        List.concat_map
+          (fun precision ->
+            Array.to_list
+              (Array.map
+                 (fun unroll ->
+                   Gpusim.Scheduler.simulate
+                     (Gpusim.Kernel.flops_kernel ~op ~precision ~unroll
+                        ~iterations:Cat_bench.Gpu_kernels.iterations
+                        ~wavefronts:Cat_bench.Gpu_kernels.wavefronts))
+                 Cat_bench.Gpu_kernels.unrolls))
+          Gpusim.Isa.all_precisions)
+      Gpusim.Isa.all_ops
+  in
+  Alcotest.(check (array int)) "cycles" gpu_kernel_cycles
+    (Array.of_list cycles);
+  Alcotest.(check (array int)) "rows carry the same cycles" gpu_kernel_cycles
+    (Array.map
+       (fun a ->
+         int_of_float (Hwsim.Activity.get a (Hwsim.Keys.gpu_cycles ~device:0)))
+       (Cat_bench.Gpu_kernels.rows ()))
+
+(* Digest of every GPU-FLOPs activity row, taken with the reference
+   scheduler.  A change here changes the paper's inputs. *)
+let activity_digest records =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun k -> Printf.bprintf buf "%s=%h;" k (Hwsim.Activity.get a k))
+        (Hwsim.Activity.keys a);
+      Buffer.add_char buf '\n')
+    records;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_gpu_rows_pinned () =
+  Alcotest.(check string) "digest" "706f2768cf85c7a525c5c27d6bddfd85"
+    (activity_digest (Array.to_list (Cat_bench.Gpu_kernels.rows ())))
+
 let () =
   Alcotest.run "gpusim"
     [
@@ -131,6 +291,13 @@ let () =
           Alcotest.test_case "accumulation" `Quick test_accumulation_across_kernels;
           Alcotest.test_case "cycles vs latency" `Quick test_cycles_scale_with_latency;
         ] );
+      ( "scheduler",
+        [
+          Alcotest.test_case "45 kernel cycle counts pinned" `Quick
+            test_gpu_kernel_cycles_pinned;
+          Alcotest.test_case "gpu rows pinned" `Quick test_gpu_rows_pinned;
+        ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_payload_counts ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_payload_counts; prop_scheduler_matches_reference ] );
     ]

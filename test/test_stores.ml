@@ -10,7 +10,7 @@ let store_dataset =
     (Cat_bench.Dataset.of_activities ~name:"stores" ~seed:"cat-stores"
        ~reps:Cat_bench.Dataset.default_reps
        ~events:Hwsim.Catalog_sapphire_rapids.events
-       ~rows:Cat_bench.Store_kernels.rows
+       ~rows:(Cat_bench.Store_kernels.rows ())
        ~row_labels:Cat_bench.Store_kernels.row_labels)
 
 let store_result =
@@ -30,13 +30,13 @@ let store_result =
 
 let test_configs () =
   Alcotest.(check int) "nine configs" 9 (List.length Cat_bench.Store_kernels.configs);
-  Alcotest.(check int) "nine rows" 9 (Array.length Cat_bench.Store_kernels.rows)
+  Alcotest.(check int) "nine rows" 9 (Array.length (Cat_bench.Store_kernels.rows ()))
 
 let test_resident_configs_all_store_hits () =
   List.iteri
     (fun i (c : Cat_bench.Store_kernels.config) ->
       if c.resident then begin
-        let row = Cat_bench.Store_kernels.rows.(i) in
+        let row = (Cat_bench.Store_kernels.rows ()).(i) in
         Alcotest.(check (float 0.0)) (c.label ^ " no write misses") 0.0
           (Hwsim.Activity.get row Keys.cache_w_l1_dm);
         Alcotest.(check (float 0.0)) (c.label ^ " no writebacks") 0.0
@@ -50,7 +50,7 @@ let test_thrashing_configs_write_allocate_and_writeback () =
   List.iteri
     (fun i (c : Cat_bench.Store_kernels.config) ->
       if not c.resident then begin
-        let row = Cat_bench.Store_kernels.rows.(i) in
+        let row = (Cat_bench.Store_kernels.rows ()).(i) in
         let wm = Hwsim.Activity.get row Keys.cache_w_l1_dm in
         let wb = Hwsim.Activity.get row Keys.cache_writebacks in
         let wh = Hwsim.Activity.get row Keys.cache_w_l1_dh in
@@ -72,7 +72,7 @@ let test_store_fraction_scales_store_traffic () =
       | (c : Cat_bench.Store_kernels.config) :: rest ->
         if (not c.resident) && c.pattern = Cat_bench.Store_kernels.Cyclic
            && c.store_fraction = f then
-          Hwsim.Activity.get Cat_bench.Store_kernels.rows.(i) Keys.cache_w_l1_dm
+          Hwsim.Activity.get (Cat_bench.Store_kernels.rows ()).(i) Keys.cache_w_l1_dm
         else go (i + 1) rest
     in
     go 0 Cat_bench.Store_kernels.configs
