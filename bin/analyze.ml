@@ -274,10 +274,23 @@ let run_category ?csv ?auto_tau ?summary ~shards ~tau ~alpha ~proj_tol ~reps
     match csv with
     | None -> Core.Pipeline.run ~config ~shards category
     | Some path ->
+      let text =
+        try read_file path
+        with Sys_error msg ->
+          Printf.eprintf "analyze: %s\n" msg;
+          exit 1
+      in
       let dataset =
-        Cat_bench.Dataset.of_reps_csv
-          ~name:(Core.Category.name category)
-          (read_file path)
+        match
+          Cat_bench.Dataset.parse_reps_csv ~name:(Core.Category.name category) text
+        with
+        | Ok d -> d
+        | Error { line = Some l; reason } ->
+          Printf.eprintf "analyze: %s line %d: %s\n" path l reason;
+          exit 1
+        | Error { line = None; reason } ->
+          Printf.eprintf "analyze: %s: %s\n" path reason;
+          exit 1
       in
       Core.Pipeline.run_custom ~config ~category ~dataset
         ~basis:(Core.Category.basis category)

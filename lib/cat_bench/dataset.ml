@@ -267,65 +267,182 @@ let reps_to_csv t =
     t.measurements;
   Buffer.contents buf
 
-let of_reps_csv ~name csv =
-  let fail line msg = failwith (Printf.sprintf "Dataset.of_reps_csv: line %d: %s" line msg) in
-  let lines =
-    String.split_on_char '\n' csv
-    |> List.map String.trim
-    |> List.filter (fun l -> l <> "")
+(* Import of the [reps_to_csv] format in one scan over the text: each
+   byte is read once, and a line allocates only its value array and
+   its event name.  Lines end at '\n' and are trimmed as by [String.trim];
+   blank lines are skipped and not counted in line numbers. *)
+
+type csv_error = { line : int option; reason : string }
+
+exception Csv_error of csv_error
+
+let csv_fail line reason = raise (Csv_error { line = Some line; reason })
+
+(* [String.trim]'s whitespace but '\n', which ends a line. *)
+let is_blank c = c = ' ' || c = '\t' || c = '\r' || c = '\012'
+
+let is_digit c = c >= '0' && c <= '9'
+
+(* The end of the field that starts at [i]: the next ',' or '\n', or
+   the end of the text. *)
+let field_end csv i =
+  let len = String.length csv and j = ref i in
+  while
+    !j < len
+    && (let c = String.unsafe_get csv !j in
+        c <> ',' && c <> '\n')
+  do
+    incr j
+  done;
+  !j
+
+let at_comma csv i = i < String.length csv && String.unsafe_get csv i = ','
+
+(* Parse the field that starts at [i] into [v.(k)] (dropped when [k]
+   is past the row labels) and return where it ends.  Up to 15 plain
+   decimal digits between blanks are summed as an int: that is exact
+   below 2^53, so it equals [float_of_string]'s result.  Anything else
+   goes through [float_of_string_opt] on the trimmed field; if that
+   fails and no field of the line has failed before, [bad] is set to
+   the field's start. *)
+let scan_value csv ~bad i v k =
+  let len = String.length csv and j = ref i in
+  while !j < len && is_blank (String.unsafe_get csv !j) do incr j done;
+  let first = !j and acc = ref 0 in
+  while !j < len && is_digit (String.unsafe_get csv !j) do
+    (* May wrap past 18 digits, but is then not used. *)
+    acc := (10 * !acc) + Char.code (String.unsafe_get csv !j) - Char.code '0';
+    incr j
+  done;
+  let ndigits = !j - first in
+  while !j < len && is_blank (String.unsafe_get csv !j) do incr j done;
+  let e = field_end csv !j in
+  if ndigits >= 1 && ndigits <= 15 && e = !j then begin
+    if k < Array.length v then v.(k) <- float_of_int !acc
+  end
+  else begin
+    let last = ref e in
+    while !last > first && is_blank (String.unsafe_get csv (!last - 1)) do
+      decr last
+    done;
+    match float_of_string_opt (String.sub csv first (!last - first)) with
+    | Some x -> if k < Array.length v then v.(k) <- x
+    | None -> if !bad < 0 then bad := i
+  end;
+  e
+
+(* The field at [i] as the line's split shows it: untrimmed, except
+   that the line's trailing blanks are not part of its last field. *)
+let raw_field csv i =
+  let e = field_end csv i in
+  let e =
+    if at_comma csv e then e
+    else begin
+      let e = ref e in
+      while !e > i && is_blank (String.unsafe_get csv (!e - 1)) do decr e done;
+      !e
+    end
   in
-  match lines with
-  | [] -> failwith "Dataset.of_reps_csv: empty input"
-  | header :: data ->
-    let cols = String.split_on_char ',' header in
-    (match cols with
+  String.sub csv i (e - i)
+
+(* An event's repetitions as they are read, newest first. *)
+type pending = {
+  pname : string;
+  first_line : int;
+  mutable count : int;
+  mutable rev_reps : float array list;
+}
+
+let parse_reps_csv ~name csv =
+  let len = String.length csv in
+  let row_labels = ref [||] and lineno = ref 0 and pos = ref 0 in
+  let bad = ref (-1) in
+  let table = Hashtbl.create 64 and order = ref [] in
+  (* The header line from [ls]; return where it ends. *)
+  let header ls =
+    let eol = Option.value (String.index_from_opt csv ls '\n') ~default:len in
+    let le = ref eol in
+    while is_blank (String.unsafe_get csv (!le - 1)) do decr le done;
+    (match String.split_on_char ',' (String.sub csv ls (!le - ls)) with
      | "event" :: "rep" :: labels when labels <> [] ->
-       let row_labels = Array.of_list labels in
-       let n = Array.length row_labels in
-       (* Accumulate repetition vectors per event, preserving first-
-          appearance order. *)
-       let order = ref [] in
-       let table : (string, float array list ref) Hashtbl.t = Hashtbl.create 64 in
-       List.iteri
-         (fun i line ->
-           let lineno = i + 2 in
-           match String.split_on_char ',' line with
-           | event :: _rep :: values ->
-             if List.length values <> n then
-               fail lineno
-                 (Printf.sprintf "expected %d values, got %d" n
-                    (List.length values));
-             let v =
-               Array.of_list
-                 (List.map
-                    (fun s ->
-                      match float_of_string_opt (String.trim s) with
-                      | Some f -> f
-                      | None -> fail lineno ("bad number " ^ s))
-                    values)
-             in
-             (match Hashtbl.find_opt table event with
-              | Some cell -> cell := v :: !cell
-              | None ->
-                order := event :: !order;
-                Hashtbl.add table event (ref [ v ]))
-           | _ -> fail lineno "expected event,rep,values...")
-         data;
-       let measurements =
-         List.rev_map
-           (fun event_name ->
-             let reps = List.rev !(Hashtbl.find table event_name) in
-             {
-               event = Hwsim.Event.make ~name:event_name ~desc:"imported" [];
-               reps;
-             })
-           !order
-       in
-       let reps =
-         match measurements with [] -> 0 | m :: _ -> List.length m.reps
-       in
-       { name; row_labels; reps; measurements }
-     | _ -> fail 1 "expected header event,rep,<row labels>")
+       row_labels := Array.of_list labels
+     | _ -> csv_fail 1 "expected header event,rep,<row labels>");
+    eol
+  in
+  (* The data line from [ls]: event, repetition (ignored), then one
+     value per row label.  Return where it ends.  A wrong value count
+     is reported before a bad number anywhere in the line. *)
+  let data_line line ls =
+    let n = Array.length !row_labels in
+    let c1 = field_end csv ls in
+    if not (at_comma csv c1) then csv_fail line "expected event,rep,values...";
+    let v = Array.create_float n in
+    let e = ref (field_end csv (c1 + 1)) and values = ref 0 in
+    bad := -1;
+    while at_comma csv !e do
+      e := scan_value csv ~bad (!e + 1) v !values;
+      incr values
+    done;
+    if !values <> n then
+      csv_fail line (Printf.sprintf "expected %d values, got %d" n !values);
+    if !bad >= 0 then csv_fail line ("bad number " ^ raw_field csv !bad);
+    let event = String.sub csv ls (c1 - ls) in
+    let p =
+      match Hashtbl.find_opt table event with
+      | Some p -> p
+      | None ->
+        let p = { pname = event; first_line = line; count = 0; rev_reps = [] } in
+        Hashtbl.add table event p;
+        order := p :: !order;
+        p
+    in
+    p.count <- p.count + 1;
+    p.rev_reps <- v :: p.rev_reps;
+    !e
+  in
+  try
+    while !pos < len do
+      let ls = ref !pos in
+      while !ls < len && is_blank (String.unsafe_get csv !ls) do incr ls done;
+      if !ls = len || String.unsafe_get csv !ls = '\n' then pos := !ls + 1
+      else begin
+        incr lineno;
+        let eol = if !lineno = 1 then header !ls else data_line !lineno !ls in
+        pos := eol + 1
+      end
+    done;
+    if !lineno = 0 then Error { line = None; reason = "empty input" }
+    else begin
+      let events = List.rev !order in
+      let reps = match events with [] -> 0 | p :: _ -> p.count in
+      (* The noise filter compares repetitions pairwise: every event
+         must have as many as the first. *)
+      List.iter
+        (fun p ->
+          if p.count <> reps then
+            csv_fail p.first_line
+              (Printf.sprintf "event %s has %d repetitions, expected %d"
+                 p.pname p.count reps))
+        events;
+      let measurements =
+        List.map
+          (fun p ->
+            {
+              event = Hwsim.Event.make ~name:p.pname ~desc:"imported" [];
+              reps = List.rev p.rev_reps;
+            })
+          events
+      in
+      Ok { name; row_labels = !row_labels; reps; measurements }
+    end
+  with Csv_error e -> Error e
+
+let of_reps_csv ~name csv =
+  match parse_reps_csv ~name csv with
+  | Ok t -> t
+  | Error { line = None; reason } -> failwith ("Dataset.of_reps_csv: " ^ reason)
+  | Error { line = Some l; reason } ->
+    failwith (Printf.sprintf "Dataset.of_reps_csv: line %d: %s" l reason)
 
 let to_csv t =
   let buf = Buffer.create 4096 in

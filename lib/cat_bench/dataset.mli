@@ -110,10 +110,28 @@ val reps_to_csv : t -> string
 (** Full export: header [event,rep,<row labels>] then one line per
     (event, repetition) pair.  Lossless counterpart of {!to_csv}. *)
 
-val of_reps_csv : name:string -> string -> t
+type csv_error = {
+  line : int option;
+      (** The 1-based line, counting non-blank lines only; [None] when
+          the error concerns the whole input. *)
+  reason : string;
+}
+(** Why an import was refused, e.g. [{ line = Some 2; reason = "bad
+    number xyz" }]. *)
+
+val parse_reps_csv : name:string -> string -> (t, csv_error) result
 (** Parse the {!reps_to_csv} format.  Events are reconstructed as
     opaque named events (no semantics, [Exact] noise tag — the noise
     lives in the data itself), which is exactly what an import of
     {e real} CAT measurements looks like: the analysis only ever uses
-    names and numbers.  Raises [Failure] with a line number on
-    malformed input. *)
+    names and numbers.  Blank lines are skipped, and lines and fields
+    are trimmed as by [String.trim] (event names only at the line's
+    start).  Events keep their first-appearance order.  The input is
+    refused when it is empty, the header is not
+    [event,rep,<row labels>], a line has too few fields or not one
+    value per row label, a value is not a [float_of_string] number, or
+    an event has a different number of repetitions than the first. *)
+
+val of_reps_csv : name:string -> string -> t
+(** {!parse_reps_csv} raising [Failure "Dataset.of_reps_csv: line N:
+    reason"] (or [": empty input"]) on malformed input. *)

@@ -1,6 +1,11 @@
 (* Tests for data interchange: CSV dataset round-trips and the JSON
    emitter behind the preset export. *)
 
+let contains ~needle haystack =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  nl = 0 || go 0
+
 (* ------------------------------------------------------------------ *)
 (* CSV round trip                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -73,6 +78,248 @@ let test_csv_errors () =
      Alcotest.fail "expected failure on bad number"
    with Failure _ -> ())
 
+(* ------------------------------------------------------------------ *)
+(* CSV scanner against the split-based parser it replaced               *)
+(* ------------------------------------------------------------------ *)
+
+(* The former [Dataset.of_reps_csv], kept verbatim (module paths
+   aside) as the reference model of the single-pass scanner. *)
+let reference_of_reps_csv ~name csv =
+  let fail line msg = failwith (Printf.sprintf "Dataset.of_reps_csv: line %d: %s" line msg) in
+  let lines =
+    String.split_on_char '\n' csv
+    |> List.map String.trim
+    |> List.filter (fun l -> l <> "")
+  in
+  match lines with
+  | [] -> failwith "Dataset.of_reps_csv: empty input"
+  | header :: data ->
+    let cols = String.split_on_char ',' header in
+    (match cols with
+     | "event" :: "rep" :: labels when labels <> [] ->
+       let row_labels = Array.of_list labels in
+       let n = Array.length row_labels in
+       (* Accumulate repetition vectors per event, preserving first-
+          appearance order. *)
+       let order = ref [] in
+       let table : (string, float array list ref) Hashtbl.t = Hashtbl.create 64 in
+       List.iteri
+         (fun i line ->
+           let lineno = i + 2 in
+           match String.split_on_char ',' line with
+           | event :: _rep :: values ->
+             if List.length values <> n then
+               fail lineno
+                 (Printf.sprintf "expected %d values, got %d" n
+                    (List.length values));
+             let v =
+               Array.of_list
+                 (List.map
+                    (fun s ->
+                      match float_of_string_opt (String.trim s) with
+                      | Some f -> f
+                      | None -> fail lineno ("bad number " ^ s))
+                    values)
+             in
+             (match Hashtbl.find_opt table event with
+              | Some cell -> cell := v :: !cell
+              | None ->
+                order := event :: !order;
+                Hashtbl.add table event (ref [ v ]))
+           | _ -> fail lineno "expected event,rep,values...")
+         data;
+       let measurements =
+         List.rev_map
+           (fun event_name ->
+             let reps = List.rev !(Hashtbl.find table event_name) in
+             {
+               Cat_bench.Dataset.event = Hwsim.Event.make ~name:event_name ~desc:"imported" [];
+               reps;
+             })
+           !order
+       in
+       let reps =
+         match measurements with [] -> 0 | m :: _ -> List.length m.reps
+       in
+       { Cat_bench.Dataset.name; row_labels; reps; measurements }
+     | _ -> fail 1 "expected header event,rep,<row labels>")
+
+(* Texts near the format: blank and whitespace-only lines, CRLF,
+   blanks around fields, every number spelling [float_of_string]
+   knows and some it does not, ragged lines and ragged repetition
+   counts. *)
+let gen_csv_text =
+  let open QCheck.Gen in
+  let blank = oneofl [ ""; " "; "\t"; "\r"; " \t "; "\012" ] in
+  let pad = frequency [ (6, return ""); (1, blank) ] in
+  let digits k =
+    map (String.concat "") (list_repeat k (map string_of_int (int_bound 9)))
+  in
+  let number =
+    frequency
+      [ (8, map string_of_int (int_bound 100_000_000));
+        (2, digits 15); (1, digits 16); (1, digits 19);
+        (1, map (fun d -> "000" ^ d) (digits 3));
+        (3, oneofl [ "-0"; "+5"; "1.5"; "1e3"; "0x1F"; "1_000"; "nan"; "inf";
+                     "-inf"; "0.1e-5"; "1e400" ]);
+        (1, oneofl [ ""; "xyz"; "1 2"; "-"; "."; "1e"; "0x" ]) ]
+  in
+  let field = map (fun (a, x, b) -> a ^ x ^ b) (triple pad number pad) in
+  let event = oneofl [ "E1"; "E2"; "E3"; "E1 "; "ev:a/b" ] in
+  int_range 1 4 >>= fun nlabels ->
+  int_range 1 4 >>= fun nreps ->
+  list_size (int_range 0 4) event >>= fun events ->
+  let line ev rep =
+    frequency [ (60, return nlabels); (1, return (nlabels - 1));
+                (1, return (nlabels + 1)); (1, return (-1)) ]
+    >>= fun k ->
+    if k < 0 then map (fun p -> p ^ ev) pad
+    else
+      map
+        (fun vs -> String.concat "," (ev :: string_of_int rep :: vs))
+        (list_repeat k field)
+  in
+  let data =
+    List.concat_map (fun ev -> List.init nreps (fun rep -> (ev, rep))) events
+  in
+  (* Occasionally drop a line: a ragged repetition count. *)
+  map (fun drop -> List.filteri (fun i _ -> i <> drop) data) (int_bound 20)
+  >>= fun data ->
+  shuffle_l data >>= fun data ->
+  flatten_l (List.map (fun (ev, rep) -> line ev rep) data) >>= fun lines ->
+  let labels = List.init nlabels (fun i -> Printf.sprintf "r%d" i) in
+  frequency
+    [ (40, return ("event,rep," ^ String.concat "," labels));
+      (1, return "event,rep"); (1, return "event, rep,a");
+      (1, return "ev,rep,a"); (1, return "") ]
+  >>= fun header ->
+  let blank_lines = frequency [ (4, return ""); (1, map (fun b -> b ^ "\n") blank) ] in
+  flatten_l
+    (List.map
+       (fun l ->
+         map3
+           (fun before (pre, post) eol -> before ^ pre ^ l ^ post ^ eol)
+           blank_lines (pair pad pad) (oneofl [ "\n"; "\r\n" ]))
+       (header :: lines))
+  >>= fun lines ->
+  pair blank_lines bool >|= fun (tail, chop) ->
+  let text = String.concat "" lines ^ tail in
+  (* Sometimes no newline after the last line. *)
+  if chop && text <> "" then String.sub text 0 (String.length text - 1) else text
+
+let same_dataset (a : Cat_bench.Dataset.t) (b : Cat_bench.Dataset.t) =
+  let bits v = Array.map Int64.bits_of_float v in
+  a.name = b.name && a.row_labels = b.row_labels && a.reps = b.reps
+  && List.length a.measurements = List.length b.measurements
+  && List.for_all2
+       (fun (m : Cat_bench.Dataset.measurement) (m' : Cat_bench.Dataset.measurement) ->
+         m.event = m'.event
+         && List.map bits m.reps = List.map bits m'.reps)
+       a.measurements b.measurements
+
+(* The first event whose repetition count differs from the first
+   event's, as the reference model accepted it. *)
+let ragged_event (d : Cat_bench.Dataset.t) =
+  match d.measurements with
+  | [] -> None
+  | first :: _ ->
+    let k = List.length first.reps in
+    List.find_opt
+      (fun (m : Cat_bench.Dataset.measurement) -> List.length m.reps <> k)
+      d.measurements
+    |> Option.map (fun (m : Cat_bench.Dataset.measurement) ->
+           (m.event.Hwsim.Event.name, List.length m.reps, k))
+
+let prop_scanner_matches_reference =
+  QCheck.Test.make ~name:"scanner agrees with the split-based parser"
+    ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_csv_text)
+    (fun text ->
+      let run f = try Ok (f ~name:"p" text) with Failure msg -> Error msg in
+      match (run reference_of_reps_csv, run Cat_bench.Dataset.of_reps_csv) with
+      | Ok d, Ok d' -> ragged_event d = None && same_dataset d d'
+      | Ok d, Error msg -> (
+        (* The one intended difference: ragged repetition counts. *)
+        match ragged_event d with
+        | Some (ev, got, want) ->
+          contains
+            ~needle:(Printf.sprintf ": event %s has %d repetitions, expected %d"
+                       ev got want)
+            msg
+        | None -> false)
+      | Error msg, Error msg' -> msg = msg'
+      | Error _, Ok _ -> false)
+
+(* The cpu-flops export read back, as csv-wide's real events are;
+   pinned from the split-based parser. *)
+let test_cpu_flops_import_pinned () =
+  let d =
+    Cat_bench.Dataset.of_reps_csv ~name:"cpu-flops"
+      (Cat_bench.Dataset.reps_to_csv (Cat_bench.Dataset.cpu_flops ()))
+  in
+  Alcotest.(check string) "marshalled digest" "7b12f8b9c9dd12bbdffb0c08ef5d5333"
+    (Digest.to_hex (Digest.string (Marshal.to_string d [])))
+
+let test_ragged_repetitions () =
+  let parse text = Cat_bench.Dataset.parse_reps_csv ~name:"x" text in
+  let check what text expected =
+    match parse text with
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | Error e ->
+      Alcotest.(check (option int)) (what ^ " line") (fst expected) e.line;
+      Alcotest.(check string) (what ^ " reason") (snd expected) e.reason
+  in
+  check "fewer" "event,rep,a\nE1,0,1\nE1,1,2\n\nE2,0,3\nE3,0,4\nE3,1,5\n"
+    (Some 4, "event E2 has 1 repetitions, expected 2");
+  check "more" "event,rep,a\nE1,0,1\nE2,0,3\nE2,1,4\n"
+    (Some 3, "event E2 has 2 repetitions, expected 1");
+  Alcotest.check_raises "raising wrapper"
+    (Failure "Dataset.of_reps_csv: line 3: event E2 has 2 repetitions, expected 1")
+    (fun () ->
+      ignore
+        (Cat_bench.Dataset.of_reps_csv ~name:"x"
+           "event,rep,a\nE1,0,1\nE2,0,3\nE2,1,4\n"))
+
+let test_typed_errors () =
+  let error text =
+    match Cat_bench.Dataset.parse_reps_csv ~name:"x" text with
+    | Ok _ -> Alcotest.failf "accepted %S" text
+    | Error e -> (e.line, e.reason)
+  in
+  let check = Alcotest.(check (pair (option int) string)) in
+  check "empty" (None, "empty input") (error " \r\n\t\n");
+  check "header" (Some 1, "expected header event,rep,<row labels>")
+    (error "\n event,rep\n");
+  check "arity before number" (Some 3, "expected 1 values, got 2")
+    (error "event,rep,a\nE1,0,1\n\nE1,1,x,y\n");
+  check "raw field" (Some 2, "bad number  x ")
+    (error "event,rep,a,b\nE1,0, x ,1\n");
+  check "fields" (Some 2, "expected event,rep,values...")
+    (error "event,rep,a\nE1\n")
+
+(* [analyze --csv] reports a refused import on one line and exits 1,
+   not through the uncaught-exception handler. *)
+let test_analyze_csv_exit () =
+  let csv = Filename.temp_file "bad" ".csv" in
+  let err = Filename.temp_file "bad" ".err" in
+  Out_channel.with_open_bin csv (fun oc ->
+      output_string oc "event,rep,a\nE1,0,xyz\n");
+  let analyze =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/analyze.exe"
+  in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s -c branch --csv %s > /dev/null 2> %s"
+         (Filename.quote analyze) (Filename.quote csv) (Filename.quote err))
+  in
+  let stderr = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove csv;
+  Sys.remove err;
+  Alcotest.(check int) "exit code" 1 code;
+  Alcotest.(check string) "one-line message"
+    (Printf.sprintf "analyze: %s line 2: bad number xyz\n" csv)
+    stderr
+
 let test_mean_csv_shape () =
   let d = small_dataset () in
   let lines = String.split_on_char '\n' (String.trim (Cat_bench.Dataset.to_csv d)) in
@@ -144,11 +391,6 @@ let test_preset_marks_unavailable () =
   let dp = List.find (fun (p : Core.Preset.t) -> p.papi_name = "PAPI_DP_OPS") presets in
   Alcotest.(check bool) "DP_OPS available" true dp.available
 
-let contains ~needle haystack =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  nl = 0 || go 0
-
 let test_preset_text_and_json_render () =
   let presets = Core.Preset.derive (Core.Pipeline.run Core.Category.Branch) in
   let text = Core.Preset.to_text presets in
@@ -169,6 +411,12 @@ let () =
           Alcotest.test_case "real data roundtrip" `Quick test_real_dataset_roundtrip_preserves_analysis;
           Alcotest.test_case "errors" `Quick test_csv_errors;
           Alcotest.test_case "mean csv shape" `Quick test_mean_csv_shape;
+          Alcotest.test_case "cpu-flops import pinned" `Quick
+            test_cpu_flops_import_pinned;
+          Alcotest.test_case "ragged repetitions" `Quick test_ragged_repetitions;
+          Alcotest.test_case "typed errors" `Quick test_typed_errors;
+          Alcotest.test_case "analyze --csv exit" `Quick test_analyze_csv_exit;
+          QCheck_alcotest.to_alcotest prop_scanner_matches_reference;
         ] );
       ( "json",
         [

@@ -203,6 +203,172 @@ let prop_mean_linear =
       Float.abs ((3.0 *. Numkit.Stats.mean a) -. Numkit.Stats.mean scaled)
       <= 1e-6 *. Float.max 1.0 (Float.abs (Numkit.Stats.mean scaled)))
 
+(* ------------------------------------------------------------------ *)
+(* Noise-filter kernels against the list-based code they replaced      *)
+(* ------------------------------------------------------------------ *)
+
+(* The former Stats kernels, kept verbatim as reference models: the
+   loops that replaced them must give bit-identical floats and raise
+   the same exceptions. *)
+module Reference = struct
+  let check_nonempty name a =
+    if Array.length a = 0 then invalid_arg (name ^ ": empty input")
+
+  let sum a =
+    (* Kahan summation: measurement vectors mix magnitudes freely. *)
+    let s = ref 0.0 and c = ref 0.0 in
+    Array.iter
+      (fun x ->
+        let y = x -. !c in
+        let t = !s +. y in
+        c := t -. !s -. y;
+        s := t)
+      a;
+    !s
+
+  let mean a =
+    check_nonempty "Stats.mean" a;
+    sum a /. float_of_int (Array.length a)
+
+  let rnmse m1 m2 =
+    let n = Array.length m1 in
+    if n = 0 || n <> Array.length m2 then invalid_arg "Stats.rnmse: length mismatch";
+    let mu1 = mean m1 and mu2 = mean m2 in
+    if mu1 *. mu2 <= 0.0 then 1.0
+    else begin
+      let diff = Array.init n (fun i -> (m1.(i) -. m2.(i)) *. (m1.(i) -. m2.(i))) in
+      sqrt (sum diff) /. sqrt (float_of_int n *. mu1 *. mu2)
+    end
+
+  let max_rnmse reps =
+    let reps = Array.of_list reps in
+    let worst = ref 0.0 in
+    for i = 0 to Array.length reps - 1 do
+      for j = i + 1 to Array.length reps - 1 do
+        let v = rnmse reps.(i) reps.(j) in
+        if not (v <= !worst) then worst := v
+      done
+    done;
+    !worst
+
+  let mean_rnmse reps =
+    let reps = Array.of_list reps in
+    let total = ref 0.0 and pairs = ref 0 in
+    for i = 0 to Array.length reps - 1 do
+      for j = i + 1 to Array.length reps - 1 do
+        total := !total +. rnmse reps.(i) reps.(j);
+        incr pairs
+      done
+    done;
+    if !pairs = 0 then 0.0 else !total /. float_of_int !pairs
+
+  let max_relative_range reps =
+    match reps with
+    | [] | [ _ ] -> 0.0
+    | first :: _ ->
+      let n = Array.length first in
+      let worst = ref 0.0 in
+      for i = 0 to n - 1 do
+        let values = List.map (fun v -> v.(i)) reps in
+        let lo = List.fold_left Float.min infinity values in
+        let hi = List.fold_left Float.max neg_infinity values in
+        let mu = List.fold_left ( +. ) 0.0 values /. float_of_int (List.length values) in
+        let range = hi -. lo in
+        let rel =
+          if range = 0.0 then 0.0 else if mu = 0.0 then 1.0 else range /. mu
+        in
+        if not (rel <= !worst) then worst := rel
+      done;
+      !worst
+
+  let elementwise f vs =
+    match vs with
+    | [] -> invalid_arg "Stats.elementwise: empty list"
+    | first :: _ ->
+      let n = Array.length first in
+      List.iter
+        (fun v ->
+          if Array.length v <> n then invalid_arg "Stats.elementwise: ragged input")
+        vs;
+      Array.init n (fun i -> f (Array.of_list (List.map (fun v -> v.(i)) vs)))
+
+  let elementwise_mean vs = elementwise mean vs
+end
+
+(* Readings as a corrupt or hostile import may carry them: NaN, +-inf,
+   signed zeros, negatives, and magnitudes from 1e-300 to 1e300. *)
+let gen_reading =
+  QCheck.Gen.(
+    frequency
+      [ (6, float_range 0. 1e6);
+        (2, map float_of_int (int_range (-5) 5));
+        (2, map2 (fun m e -> m *. (10. ** float_of_int e))
+              (float_range (-10.) 10.) (int_range (-300) 300));
+        (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0 ]) ])
+
+(* 0-8 repetitions of one length 0-8, all-zero or zero-mean ones among
+   them, and now and then one of another length. *)
+let gen_reps =
+  QCheck.Gen.(
+    int_range 0 8 >>= fun k ->
+    int_range 0 8 >>= fun n ->
+    let vector =
+      frequency
+        [ (8, array_repeat n gen_reading);
+          (1, return (Array.make n 0.0));
+          (1, return (Array.init n (fun i -> if i mod 2 = 0 then 1.0 else -1.0))) ]
+    in
+    list_repeat k vector >>= fun reps ->
+    frequency [ (8, return reps);
+                (1, map (fun m -> reps @ [ Array.make m 1.0 ]) (int_range 0 9)) ])
+
+let arb_reps =
+  QCheck.make gen_reps
+    ~print:QCheck.Print.(list (fun a -> array float a))
+
+let outcome f x =
+  match f x with
+  | v -> Ok v
+  | exception (Invalid_argument _ as e) -> Error (Printexc.to_string e)
+
+let bits_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_outcome eq f g x =
+  match (outcome f x, outcome g x) with
+  | Ok a, Ok b -> eq a b
+  | Error a, Error b -> a = b
+  | _ -> false
+
+let prop_kernel name f g =
+  QCheck.Test.make ~name:(name ^ " bit-identical to reference") ~count:1000
+    arb_reps (same_outcome bits_eq f g)
+
+let prop_kernels_match_reference =
+  [ prop_kernel "max_rnmse" Numkit.Stats.max_rnmse Reference.max_rnmse;
+    prop_kernel "mean_rnmse" Numkit.Stats.mean_rnmse Reference.mean_rnmse;
+    prop_kernel "max_relative_range" Numkit.Stats.max_relative_range
+      Reference.max_relative_range;
+    QCheck.Test.make ~name:"elementwise_mean bit-identical to reference"
+      ~count:1000 arb_reps
+      (same_outcome
+         (fun a b -> Array.length a = Array.length b && Array.for_all2 bits_eq a b)
+         Numkit.Stats.elementwise_mean Reference.elementwise_mean);
+    (* sum, mean and rnmse over every vector and every pair. *)
+    QCheck.Test.make ~name:"sum, mean, rnmse bit-identical to reference"
+      ~count:1000 arb_reps (fun reps ->
+        List.for_all
+          (fun a ->
+            same_outcome bits_eq Numkit.Stats.sum Reference.sum a
+            && same_outcome bits_eq Numkit.Stats.mean Reference.mean a
+            && List.for_all
+                 (fun b ->
+                   same_outcome bits_eq
+                     (fun (a, b) -> Numkit.Stats.rnmse a b)
+                     (fun (a, b) -> Reference.rnmse a b)
+                     (a, b))
+                 reps)
+          reps) ]
+
 let () =
   Alcotest.run "numkit"
     [
@@ -236,6 +402,7 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_rnmse_symmetric; prop_median_bounds; prop_mean_linear;
-            prop_hash_extend_streams ] );
+          ([ prop_rnmse_symmetric; prop_median_bounds; prop_mean_linear;
+             prop_hash_extend_streams ]
+          @ prop_kernels_match_reference) );
     ]
