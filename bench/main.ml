@@ -81,15 +81,18 @@ let fig3_test =
 let substrate_tests =
   [
     (* The simulators that stand in for the paper's hardware. *)
-    Test.make ~name:"substrate/pointer-chase-8k"
-      (Staged.stage (fun () ->
-           let h = Cachesim.Hierarchy.create Cachesim.Hierarchy.default_config in
-           let rng = Numkit.Rng.create 1L in
-           let chain =
-             Cachesim.Pointer_chase.make ~base:0 ~pointers:512 ~stride_bytes:64
-               (Cachesim.Pointer_chase.Shuffled rng)
-           in
-           ignore (Cachesim.Pointer_chase.run h chain ~accesses:8192 ~warmup:true)));
+    (* One of the dcache category's 640 simulations, on its largest
+       buffer: chain shuffle, warmup walk and measured chase, with the
+       TLB. *)
+    Test.make ~name:"substrate/dcache-thread-s64-M-1.5MB"
+      (Staged.stage
+         (let config =
+            List.find
+              (fun c -> c.Cat_bench.Cache_kernels.label = "s64/M/1572864B")
+              Cat_bench.Cache_kernels.configs
+          in
+          fun () ->
+            ignore (Cat_bench.Cache_kernels.thread_activity config ~rep:0 ~thread:0)));
     Test.make ~name:"substrate/branch-engine-4k-iters"
       (Staged.stage (fun () ->
            let k = Branchsim.Kernels.find "k08_taken_if_random_shadow_never" in

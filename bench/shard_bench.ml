@@ -11,6 +11,12 @@
    per-event summary (mean vector + verdict), an order of magnitude
    smaller than the repetition data.
 
+   Cold and warm are measured apart.  Before its sweep, each category's
+   shared tables (the dcache activity cache, the kernel row tables)
+   are built once by [Core.Category.prewarm], timed as cold_ms_* with
+   the calling domain's minor words as cold_minor_mwords_*; every
+   front_ms_* then runs warm, so no shard count pays for the others.
+
    Every run is self-validating: chosen events must be bit-identical
    to the monolithic reference for each shard count.  Results are
    written as a run manifest (the unified bench-report schema) —
@@ -31,6 +37,12 @@ let source_label = "bench:shard"
 (* Measurement                                                         *)
 (* ------------------------------------------------------------------ *)
 
+type cold = {
+  cold_category : string;
+  cold_ms : float;  (* first build of the shared tables *)
+  cold_minor_words : float;  (* calling domain *)
+}
+
 type sample = {
   category : string;
   shards : int;
@@ -46,6 +58,19 @@ let ms_between t0 t1 = Int64.to_float (Int64.sub t1 t0) /. 1e6
 let live_words () =
   Gc.full_major ();
   (Gc.stat ()).Gc.live_words
+
+let prewarm category =
+  let config = Core.Stage.default_config category in
+  let w0 = Gc.minor_words () in
+  let t0 = Obs.Clock.now_ns () in
+  Core.Category.prewarm ~executor:(Core.Exec.default ()) ~reps:config.reps
+    category;
+  let t1 = Obs.Clock.now_ns () in
+  {
+    cold_category = Core.Category.name category;
+    cold_ms = ms_between t0 t1;
+    cold_minor_words = Gc.minor_words () -. w0;
+  }
 
 let run_one ~category ~shards =
   let config = Core.Stage.default_config category in
@@ -87,24 +112,35 @@ let run_one ~category ~shards =
    bit-identical to the monolithic Pipeline.run; re-running the
    monolithic driver here would pin its memoized whole-catalog
    dataset in the heap and flatten the peak-live-words comparison). *)
+let sweep ~shard_counts category =
+  let reference = ref [||] in
+  List.map
+    (fun shards ->
+      let sample, chosen = run_one ~category ~shards in
+      if !reference = [||] then reference := chosen
+      else if chosen <> !reference then begin
+        Printf.eprintf
+          "shard_bench: %s with %d shards chose different events than the \
+           single-shard run\n"
+          (Core.Category.name category) shards;
+        exit 1
+      end;
+      sample)
+    shard_counts
+
+(* Each category's tables are built just before its own sweep, so an
+   earlier category's sweep does not carry a later one's tables in
+   the heap its per-shard [live_words] collections walk. *)
 let bench ~categories ~shard_counts =
-  List.concat_map
-    (fun category ->
-      let reference = ref [||] in
-      List.map
-        (fun shards ->
-          let sample, chosen = run_one ~category ~shards in
-          if !reference = [||] then reference := chosen
-          else if chosen <> !reference then begin
-            Printf.eprintf
-              "shard_bench: %s with %d shards chose different events than \
-               the single-shard run\n"
-              (Core.Category.name category) shards;
-            exit 1
-          end;
-          sample)
-        shard_counts)
-    categories
+  let colds, samples =
+    List.split
+      (List.map
+         (fun category ->
+           let cold = prewarm category in
+           (cold, sweep ~shard_counts category))
+         categories)
+  in
+  (colds, List.concat samples)
 
 (* ------------------------------------------------------------------ *)
 (* Manifest assembly                                                   *)
@@ -113,7 +149,7 @@ let bench ~categories ~shard_counts =
 let sample_key s = Printf.sprintf "%s_s%d" s.category s.shards
 
 let manifest_of_samples ~smoke ~categories ~shard_counts ~jobs recorder
-    samples =
+    ~colds samples =
   let config =
     [
       ("benchmark", "sharded-noise-filter");
@@ -127,14 +163,21 @@ let manifest_of_samples ~smoke ~categories ~shard_counts ~jobs recorder
   in
   let metrics =
     List.concat_map
-      (fun s ->
+      (fun c ->
         [
-          ("front_ms_" ^ sample_key s, s.front_ms);
-          ("merge_ms_" ^ sample_key s, s.merge_ms);
-          ( "peak_live_mwords_" ^ sample_key s,
-            float_of_int s.peak_live_words /. 1e6 );
+          ("cold_ms_" ^ c.cold_category, c.cold_ms);
+          ("cold_minor_mwords_" ^ c.cold_category, c.cold_minor_words /. 1e6);
         ])
-      samples
+      colds
+    @ List.concat_map
+        (fun s ->
+          [
+            ("front_ms_" ^ sample_key s, s.front_ms);
+            ("merge_ms_" ^ sample_key s, s.merge_ms);
+            ( "peak_live_mwords_" ^ sample_key s,
+              float_of_int s.peak_live_words /. 1e6 );
+          ])
+        samples
   in
   (* Chosen-event counts are correctness, not timing: exact-match. *)
   let extra_counters =
@@ -211,7 +254,12 @@ let () =
         ( [ Core.Category.Branch; Core.Category.Dcache ],
           [ 1; 2; 4; 8 ] )
     in
-    let samples = bench ~categories ~shard_counts in
+    let colds, samples = bench ~categories ~shard_counts in
+    List.iter
+      (fun c ->
+        Printf.printf "%-8s cold tables %7.1f ms  %.2fM minor words\n"
+          c.cold_category c.cold_ms (c.cold_minor_words /. 1e6))
+      colds;
     List.iter
       (fun s ->
         Printf.printf
@@ -222,7 +270,7 @@ let () =
       samples;
     let m =
       manifest_of_samples ~smoke:!smoke ~categories ~shard_counts ~jobs:!jobs
-        recorder samples
+        recorder ~colds samples
     in
     Bench_report.write_manifest !out m;
     (try ignore (check_manifest !out)

@@ -5,20 +5,22 @@ type config = {
   policy : Replacement.kind;
 }
 
-(* Slot [set * ways + way] holds one line.  The valid ways of a set are
-   always its first [fill.(set)] ways: lines are only ever invalidated
-   all at once, so the first free way is the fill count and a lookup
-   scans no further. *)
+(* Slot [set * ways + way] holds one line as [line lsl 1 lor dirty].
+   The valid ways of a set are always its first [fill.(set)] ways:
+   lines are only ever invalidated all at once, so the first free way
+   is the fill count, a lookup scans no further, and slots past it are
+   never read.  Under Lru and Fifo a set keeps its ways newest first
+   (by last use, by fill), so the victim of a full set is its last
+   way; under Random a line stays in the way it was filled into.
+   Packing the dirty bit costs the line number its top bit, which only
+   a 1-byte line at an address of 2^61 or more would need. *)
 type t = {
   cfg : config;
   ways : int;
   set_mask : int;
   line_shift : int;
-  tags : int array;  (* line number per slot, -1 when free *)
-  dirty : Bytes.t;  (* '\001' per dirty slot *)
-  stamp : int array;  (* per slot: last touch (LRU) or fill (FIFO) *)
+  tags : int array;
   fill : int array;  (* valid ways per set *)
-  mutable clock : int;
   mutable demand_hits : int;
   mutable demand_misses : int;
   mutable write_hits : int;
@@ -41,17 +43,13 @@ let log2 x =
 let create cfg =
   if not (config_valid cfg) then invalid_arg "Cache.create: invalid geometry";
   let nsets = cfg.size_bytes / (cfg.ways * cfg.line_bytes) in
-  let slots = nsets * cfg.ways in
   {
     cfg;
     ways = cfg.ways;
     set_mask = nsets - 1;
     line_shift = log2 cfg.line_bytes;
-    tags = Array.make slots (-1);
-    dirty = Bytes.make slots '\000';
-    stamp = Array.make slots 0;
+    tags = Array.make (nsets * cfg.ways) 0;
     fill = Array.make nsets 0;
-    clock = 0;
     demand_hits = 0;
     demand_misses = 0;
     write_hits = 0;
@@ -70,99 +68,107 @@ type outcome = Hit | Miss
 (* The slot holding [line] among [base, base + n), or -1. *)
 let find (tags : int array) base n (line : int) =
   let i = ref base and stop = base + n in
-  while !i < stop && tags.(!i) <> line do
+  while !i < stop && tags.(!i) lsr 1 <> line do
     incr i
   done;
   if !i < stop then !i else -1
 
 let line_of t addr = addr lsr t.line_shift
 
-(* The slot holding [line], or -1 on a miss. *)
-let lookup t line =
-  let set = line land t.set_mask in
-  find t.tags (set * t.ways) t.fill.(set) line
+let evict t entry =
+  t.evictions <- t.evictions + 1;
+  if entry land 1 <> 0 then t.writebacks <- t.writebacks + 1
 
-let stamp t slot =
-  t.clock <- t.clock + 1;
-  t.stamp.(slot) <- t.clock
-
-let touch t slot =
-  match t.cfg.policy with Replacement.Lru -> stamp t slot | Fifo | Random _ -> ()
-
-(* The oldest stamp of a full set (first on ties). *)
-let oldest (stamp : int array) base ways =
-  let best = ref base in
-  for s = base + 1 to base + ways - 1 do
-    if stamp.(s) < stamp.(!best) then best := s
+(* Put [line] in front of its set in one pass: each way is shifted
+   down by one until [line] turns up, and its old dirty bit is OR-ed
+   into the front.  On a miss the whole set has shifted and the old
+   last way is carried out: into the first free way, or evicted.
+   [dirty] is 1 for a store, else 0.  True on a hit. *)
+let to_front t set line dirty =
+  let tags = t.tags and base = set * t.ways and n = t.fill.(set) in
+  let stop = base + n in
+  let i = ref base and carry = ref ((line lsl 1) lor dirty) in
+  while !i < stop && tags.(!i) lsr 1 <> line do
+    let cur = tags.(!i) in
+    tags.(!i) <- !carry;
+    carry := cur;
+    incr i
   done;
-  !best
-
-let insert t line ~dirty =
-  let set = line land t.set_mask in
-  let base = set * t.ways in
-  let n = t.fill.(set) in
-  let slot =
+  if !i < stop then begin
+    let cur = tags.(!i) in
+    tags.(!i) <- !carry;
+    tags.(base) <- tags.(base) lor (cur land 1);
+    true
+  end
+  else begin
     if n < t.ways then begin
-      t.fill.(set) <- n + 1;
-      base + n
+      tags.(stop) <- !carry;
+      t.fill.(set) <- n + 1
     end
-    else begin
-      t.evictions <- t.evictions + 1;
-      let victim =
-        match t.cfg.policy with
-        | Replacement.Random rng -> base + Numkit.Rng.int rng t.ways
-        | Lru | Fifo -> oldest t.stamp base t.ways
+    else evict t !carry;
+    false
+  end
+
+(* Fifo and Random: on a hit only the dirty bit changes. *)
+let mark t set line dirty =
+  let slot = find t.tags (set * t.ways) t.fill.(set) line in
+  if slot >= 0 then t.tags.(slot) <- t.tags.(slot) lor dirty;
+  slot >= 0
+
+(* Look [line] up, update the replacement state and the dirty bit, and
+   fill it on a miss.  True on a hit. *)
+let reference t line dirty =
+  let set = line land t.set_mask in
+  match t.cfg.policy with
+  | Replacement.Lru -> to_front t set line dirty
+  | Fifo -> mark t set line dirty || to_front t set line dirty
+  | Random rng ->
+    mark t set line dirty
+    || begin
+      let base = set * t.ways and n = t.fill.(set) in
+      let slot =
+        if n < t.ways then begin
+          t.fill.(set) <- n + 1;
+          base + n
+        end
+        else begin
+          let victim = base + Numkit.Rng.int rng t.ways in
+          evict t t.tags.(victim);
+          victim
+        end
       in
-      if Bytes.get t.dirty victim <> '\000' then t.writebacks <- t.writebacks + 1;
-      victim
+      t.tags.(slot) <- (line lsl 1) lor dirty;
+      false
     end
-  in
-  t.tags.(slot) <- line;
-  Bytes.set t.dirty slot (if dirty then '\001' else '\000');
-  match t.cfg.policy with Replacement.Lru | Fifo -> stamp t slot | Random _ -> ()
 
 let access t addr =
-  let line = line_of t addr in
-  let slot = lookup t line in
-  if slot >= 0 then begin
+  if reference t (line_of t addr) 0 then begin
     t.demand_hits <- t.demand_hits + 1;
-    touch t slot;
     Hit
   end
   else begin
     t.demand_misses <- t.demand_misses + 1;
-    insert t line ~dirty:false;
     Miss
   end
 
 let write t addr =
-  let line = line_of t addr in
-  let slot = lookup t line in
-  if slot >= 0 then begin
+  if reference t (line_of t addr) 1 then begin
     t.write_hits <- t.write_hits + 1;
-    Bytes.set t.dirty slot '\001';
-    touch t slot;
     Hit
   end
   else begin
     t.write_misses <- t.write_misses + 1;
-    insert t line ~dirty:true;
     Miss
   end
 
-let probe t addr = lookup t (line_of t addr) >= 0
-
-let fill_prefetch t addr =
+let probe t addr =
   let line = line_of t addr in
-  let slot = lookup t line in
-  if slot >= 0 then touch t slot else insert t line ~dirty:false
+  let set = line land t.set_mask in
+  find t.tags (set * t.ways) t.fill.(set) line >= 0
 
-let invalidate_all t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
-  Array.fill t.stamp 0 (Array.length t.stamp) 0;
-  Array.fill t.fill 0 (Array.length t.fill) 0;
-  t.clock <- 0
+let fill_prefetch t addr = ignore (reference t (line_of t addr) 0)
+
+let invalidate_all t = Array.fill t.fill 0 (Array.length t.fill) 0
 
 let demand_hits t = t.demand_hits
 let demand_misses t = t.demand_misses

@@ -50,9 +50,9 @@ val fill_prefetch : t -> int -> unit
     path). *)
 
 val invalidate_all : t -> unit
-(** Empty the cache and its replacement state (fill counts, stamps,
-    clock), keep counters: afterwards the cache evicts exactly as a
-    fresh one would. *)
+(** Empty the cache, keep counters: only the per-set fill counts are
+    reset, since a set's recency order lives in its valid ways.
+    Afterwards the cache evicts exactly as a fresh one would. *)
 
 val demand_hits : t -> int
 val demand_misses : t -> int

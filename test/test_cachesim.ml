@@ -146,17 +146,46 @@ module Reference = struct
       t.sets.(set) <- (line, ref dirty) :: cells;
       false
 
+  (* Each returns whether [addr] hit. *)
   let load t addr =
-    if touch t addr ~dirty:false then t.hits <- t.hits + 1 else t.misses <- t.misses + 1
+    let hit = touch t addr ~dirty:false in
+    if hit then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
+    hit
 
   let store t addr =
-    if touch t addr ~dirty:true then t.write_hits <- t.write_hits + 1
-    else t.write_misses <- t.write_misses + 1
+    let hit = touch t addr ~dirty:true in
+    if hit then t.write_hits <- t.write_hits + 1
+    else t.write_misses <- t.write_misses + 1;
+    hit
 
   let prefetch t addr = ignore (touch t addr ~dirty:false)
+
+  let invalidate t = Array.fill t.sets 0 t.nsets []
+
+  let resident t addr =
+    let line = addr / t.line_bytes in
+    List.mem_assoc line t.sets.(line mod t.nsets)
 end
 
-type op = Load | Store | Prefetch
+type op = Load | Store | Prefetch | Invalidate
+
+let gen_op ~span =
+  QCheck.Gen.(
+    pair
+      (frequency
+         [ (10, pure Load); (10, pure Store); (5, pure Prefetch); (1, pure Invalidate) ])
+      (int_range 0 span))
+
+let print_ops ops =
+  String.concat "; "
+    (List.map
+       (fun (op, a) ->
+         match op with
+         | Load -> "L" ^ string_of_int a
+         | Store -> "S" ^ string_of_int a
+         | Prefetch -> "P" ^ string_of_int a
+         | Invalidate -> "I")
+       ops)
 
 let gen_case =
   QCheck.Gen.(
@@ -165,21 +194,13 @@ let gen_case =
     let* nsets = map (fun k -> 1 lsl k) (int_range 0 5) in
     let* lru = bool in
     let size = line_bytes * ways * nsets in
-    let+ ops =
-      list_size (int_range 1 400)
-        (pair (oneofl [ Load; Store; Prefetch ]) (int_range 0 (3 * size)))
-    in
+    let+ ops = list_size (int_range 1 400) (gen_op ~span:(3 * size)) in
     (line_bytes, ways, nsets, lru, ops))
 
 let print_case (line_bytes, ways, nsets, lru, ops) =
   Printf.sprintf "line=%d ways=%d sets=%d %s [%s]" line_bytes ways nsets
     (if lru then "lru" else "fifo")
-    (String.concat "; "
-       (List.map
-          (fun (op, a) ->
-            (match op with Load -> "L" | Store -> "S" | Prefetch -> "P")
-            ^ string_of_int a)
-          ops))
+    (print_ops ops)
 
 let prop_cache_matches_reference =
   QCheck.Test.make ~name:"Cache agrees with the reference model" ~count:300
@@ -191,17 +212,196 @@ let prop_cache_matches_reference =
           { Cachesim.Cache.size_bytes = line_bytes * ways * nsets; ways; line_bytes; policy }
       in
       let r = Reference.create ~line_bytes ~nsets ~ways ~lru in
-      List.iter
-        (fun (op, a) ->
-          match op with
-          | Load -> ignore (Cachesim.Cache.access c a); Reference.load r a
-          | Store -> ignore (Cachesim.Cache.write c a); Reference.store r a
-          | Prefetch -> Cachesim.Cache.fill_prefetch c a; Reference.prefetch r a)
-        ops;
+      let hit o = o = Cachesim.Cache.Hit in
+      let agree =
+        List.for_all
+          (fun (op, a) ->
+            match op with
+            | Load -> hit (Cachesim.Cache.access c a) = Reference.load r a
+            | Store -> hit (Cachesim.Cache.write c a) = Reference.store r a
+            | Prefetch -> Cachesim.Cache.fill_prefetch c a; Reference.prefetch r a; true
+            | Invalidate -> Cachesim.Cache.invalidate_all c; Reference.invalidate r; true)
+          ops
+      in
+      (* The tags an invalidation leaves past each set's fill count
+         must never make a line look resident. *)
+      let residents_agree =
+        List.for_all
+          (fun k ->
+            let a = k * line_bytes in
+            Cachesim.Cache.probe c a = Reference.resident r a)
+          (List.init (3 * ways * nsets + 1) Fun.id)
+      in
       let open Cachesim.Cache in
-      demand_hits c = r.hits && demand_misses c = r.misses
+      agree && residents_agree
+      && demand_hits c = r.hits && demand_misses c = r.misses
       && write_hits c = r.write_hits && write_misses c = r.write_misses
       && writebacks c = r.writebacks && evictions c = r.evictions)
+
+(* The hierarchy and the TLB against compositions of reference
+   levels: a level below L1 sees only the misses of the level above,
+   a store writes L1 and on a miss loads through L2 and L3, and a
+   prefetch fills L1 and L2. *)
+type level_geom = { l_ways : int; l_sets : int; l_lru : bool }
+
+let gen_level ~max_sets ~lru =
+  QCheck.Gen.(
+    let* l_ways = int_range 1 8 in
+    let* l_sets = map (fun k -> 1 lsl k) (int_range 0 max_sets) in
+    let+ l_lru = lru in
+    { l_ways; l_sets; l_lru })
+
+let print_level g =
+  Printf.sprintf "%dx%d%s" g.l_sets g.l_ways (if g.l_lru then "" else "/fifo")
+
+let reference_of ~line_bytes g =
+  Reference.create ~line_bytes ~nsets:g.l_sets ~ways:g.l_ways ~lru:g.l_lru
+
+let cache_config ~line_bytes g =
+  {
+    Cachesim.Cache.size_bytes = line_bytes * g.l_ways * g.l_sets;
+    ways = g.l_ways;
+    line_bytes;
+    policy = (if g.l_lru then Cachesim.Replacement.Lru else Cachesim.Replacement.Fifo);
+  }
+
+let gen_hierarchy_case =
+  QCheck.Gen.(
+    let* line_bytes = oneofl [ 32; 64 ] in
+    let* l1 = gen_level ~max_sets:2 ~lru:bool in
+    let* l2 = gen_level ~max_sets:3 ~lru:bool in
+    let* l3 = gen_level ~max_sets:4 ~lru:bool in
+    let span = 2 * line_bytes * l3.l_ways * l3.l_sets in
+    let+ ops =
+      list_size (int_range 1 400)
+        (pair (frequency [ (4, pure Load); (4, pure Store); (1, pure Prefetch) ])
+           (int_range 0 span))
+    in
+    (line_bytes, (l1, l2, l3), ops))
+
+let print_hierarchy_case (line_bytes, (l1, l2, l3), ops) =
+  Printf.sprintf "line=%d l1=%s l2=%s l3=%s [%s]" line_bytes (print_level l1)
+    (print_level l2) (print_level l3) (print_ops ops)
+
+let prop_hierarchy_matches_reference =
+  QCheck.Test.make ~name:"Hierarchy agrees with composed reference levels"
+    ~count:200
+    (QCheck.make ~print:print_hierarchy_case gen_hierarchy_case)
+    (fun (line_bytes, (g1, g2, g3), ops) ->
+      let module H = Cachesim.Hierarchy in
+      let h =
+        H.create
+          {
+            H.l1 = cache_config ~line_bytes g1;
+            l2 = cache_config ~line_bytes g2;
+            l3 = cache_config ~line_bytes g3;
+          }
+      in
+      let r1 = reference_of ~line_bytes g1
+      and r2 = reference_of ~line_bytes g2
+      and r3 = reference_of ~line_bytes g3 in
+      let below a =
+        if Reference.load r2 a then H.L2
+        else if Reference.load r3 a then H.L3
+        else H.Memory
+      in
+      let agree =
+        List.for_all
+          (fun (op, a) ->
+            match op with
+            | Load -> H.load h a = if Reference.load r1 a then H.L1 else below a
+            | Store -> H.store h a = if Reference.store r1 a then H.L1 else below a
+            | Prefetch ->
+              H.prefetch_fill h a;
+              Reference.prefetch r1 a;
+              Reference.prefetch r2 a;
+              true
+            | Invalidate -> assert false (* not generated *))
+          ops
+      in
+      let c = H.counters h and w = H.write_counters h in
+      agree
+      && c.H.l1_hit = r1.hits && c.H.l1_miss = r1.misses
+      && c.H.l2_hit = r2.hits && c.H.l2_miss = r2.misses
+      && c.H.l3_hit = r3.hits && c.H.l3_miss = r3.misses
+      && w.H.w_l1_hit = r1.write_hits && w.H.w_l1_miss = r1.write_misses
+      && w.H.w_writebacks = r1.writebacks)
+
+let gen_tlb_case =
+  QCheck.Gen.(
+    let* page_bytes = oneofl [ 64; 256; 4096 ] in
+    (* A TLB level is always Lru. *)
+    let* l1 = gen_level ~max_sets:3 ~lru:(pure true) in
+    let* l2 = gen_level ~max_sets:4 ~lru:(pure true) in
+    let span = 2 * page_bytes * l2.l_ways * l2.l_sets in
+    let+ addrs = list_size (int_range 1 400) (int_range 0 span) in
+    (page_bytes, (l1, l2), addrs))
+
+let print_tlb_case (page_bytes, (l1, l2), addrs) =
+  Printf.sprintf "page=%d l1=%s l2=%s [%s]" page_bytes (print_level l1)
+    (print_level l2)
+    (String.concat "; " (List.map string_of_int addrs))
+
+let prop_tlb_matches_reference =
+  QCheck.Test.make ~name:"Tlb agrees with composed reference levels" ~count:200
+    (QCheck.make ~print:print_tlb_case gen_tlb_case)
+    (fun (page_bytes, (g1, g2), addrs) ->
+      let module T = Cachesim.Tlb in
+      let t =
+        T.create
+          {
+            T.l1_entries = g1.l_ways * g1.l_sets;
+            l1_ways = g1.l_ways;
+            l2_entries = g2.l_ways * g2.l_sets;
+            l2_ways = g2.l_ways;
+            page_bytes;
+          }
+      in
+      let r1 = reference_of ~line_bytes:page_bytes g1
+      and r2 = reference_of ~line_bytes:page_bytes g2 in
+      let agree =
+        List.for_all
+          (fun a ->
+            T.access t a
+            = if Reference.load r1 a then T.L1_hit
+              else if Reference.load r2 a then T.L2_hit
+              else T.Walk)
+          addrs
+      in
+      let s = T.stats t in
+      agree && s.T.l1_hits = r1.hits && s.T.l2_hits = r2.hits
+      && s.T.walks = r2.misses)
+
+(* ------------------------------------------------------------------ *)
+(* Random replacement                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference model has no Random policy, so its outcomes are
+   pinned: counters and final residents of a seeded 8-set x 4-way
+   cache over a fixed stream of loads, stores and prefetches, with
+   one invalidation part-way. *)
+let test_random_pinned () =
+  let c =
+    Cachesim.Cache.create
+      (cfg ~policy:(Cachesim.Replacement.Random (Numkit.Rng.create 15L)) 2048 4)
+  in
+  let state = ref 12345 in
+  for i = 0 to 3999 do
+    state := ((!state * 1103515245) + 12345) land 0x3fffffff;
+    let addr = (!state lsr 8) mod (3 * 2048) in
+    (match i mod 5 with
+     | 0 | 2 -> ignore (Cachesim.Cache.write c addr)
+     | 4 -> Cachesim.Cache.fill_prefetch c addr
+     | _ -> ignore (Cachesim.Cache.access c addr));
+    if i = 2500 then Cachesim.Cache.invalidate_all c
+  done;
+  let open Cachesim.Cache in
+  Alcotest.(check (list int)) "hits, misses, write hits, write misses, writebacks, evictions"
+    [ 531; 1069; 540; 1060; 1275; 2595 ]
+    [ demand_hits c; demand_misses c; write_hits c; write_misses c; writebacks c; evictions c ];
+  Alcotest.(check string) "residents"
+    "000011000100000000100011000100000011101110010001110001010100100000100000110001000001111010100010"
+    (String.concat "" (List.init 96 (fun k -> if probe c (k * 64) then "1" else "0")))
 
 (* ------------------------------------------------------------------ *)
 (* Pinned simulator output                                             *)
@@ -405,6 +605,7 @@ let () =
           Alcotest.test_case "invalidate resets replacement" `Quick
             test_invalidate_all_resets_replacement;
           QCheck_alcotest.to_alcotest prop_cache_matches_reference;
+          Alcotest.test_case "Random outcomes pinned" `Quick test_random_pinned;
         ] );
       ( "hierarchy",
         [
@@ -412,6 +613,8 @@ let () =
           Alcotest.test_case "counters" `Quick test_hierarchy_counters;
           Alcotest.test_case "L2 hit path" `Quick test_hierarchy_l2_hit_path;
           Alcotest.test_case "warm resets" `Quick test_warm_resets_counters;
+          QCheck_alcotest.to_alcotest prop_hierarchy_matches_reference;
+          QCheck_alcotest.to_alcotest prop_tlb_matches_reference;
         ] );
       ( "pointer-chase",
         [
