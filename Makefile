@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test check lint lint-smoke bench bench-smoke bench-linalg bench-linalg-backends bench-shard bench-par bench-check bench-check-smoke manifest-smoke shard-smoke backend-smoke par-smoke store-smoke trend-smoke repro examples figures docs clean
+.PHONY: all build test check lint lint-smoke bench bench-smoke bench-linalg bench-shard bench-par bench-check bench-check-smoke manifest-smoke shard-smoke par-smoke store-smoke trend-smoke repro examples figures docs clean
 
 all: build
 
@@ -23,7 +23,6 @@ check:
 	dune exec bin/analyze.exe -- -c cpu-flops --stats --show summary
 	dune exec bin/analyze.exe -- explain --smoke
 	$(MAKE) shard-smoke
-	$(MAKE) backend-smoke
 	$(MAKE) par-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) manifest-smoke
@@ -60,29 +59,6 @@ shard-smoke:
 	dune exec bench/shard_bench.exe -- --smoke --out /tmp/BENCH_shard_smoke.json
 	dune exec bench/shard_bench.exe -- --check /tmp/BENCH_shard_smoke.json
 
-# Storage backends must be interchangeable: the same category run on
-# floatarray and on bigarray storage must produce byte-identical
-# output (cmp, not diff), a cross-backend manifest diff must exit
-# zero with only the backend label and config digest differing, the
-# backend oracle suite must pass on both backends, and a bad
-# --backend value must fail through the typed lint diagnostic.
-backend-smoke:
-	dune exec bin/analyze.exe -- -c branch --backend floatarray \
-	  --show summary,chosen,metrics > /tmp/backend_smoke_fa.txt
-	dune exec bin/analyze.exe -- -c branch --backend bigarray \
-	  --show summary,chosen,metrics > /tmp/backend_smoke_ba.txt
-	cmp /tmp/backend_smoke_fa.txt /tmp/backend_smoke_ba.txt
-	dune exec bin/analyze.exe -- -c dcache --backend floatarray \
-	  --show summary --manifest /tmp/backend_manifest_fa.json
-	dune exec bin/analyze.exe -- -c dcache --backend bigarray \
-	  --show summary --manifest /tmp/backend_manifest_ba.json
-	dune exec bin/analyze.exe -- report --diff \
-	  /tmp/backend_manifest_fa.json /tmp/backend_manifest_ba.json
-	dune exec bin/analyze.exe -- lint --quiet --backend bigarray
-	! dune exec bin/analyze.exe -- lint --quiet --backend vaporware 2> /dev/null
-	dune exec test/test_linalg_oracle.exe > /dev/null
-	dune exec bench/linalg_scale.exe -- --smoke --out /tmp/BENCH_backend_smoke.json
-
 # Domain-parallel execution must be byte-identical to the sequential
 # reference: the same sharded run at --jobs 1 and at --jobs 4 must
 # produce byte-identical output for every category (cmp, not diff),
@@ -99,18 +75,6 @@ par-smoke:
 	! dune exec bin/analyze.exe -- -c branch --jobs 0 --show summary 2> /dev/null
 	dune exec bench/par_bench.exe -- --smoke --out /tmp/BENCH_par_smoke.json
 	dune exec bench/par_bench.exe -- --check /tmp/BENCH_par_smoke.json
-
-# Side-by-side backend benchmark: one full-scale manifest per backend
-# under identical metric names, gated with the standard regression
-# policy (bigarray as "current" vs floatarray as "baseline") and
-# recorded into the trajectory log.
-bench-linalg-backends:
-	dune exec bench/linalg_scale.exe -- --backend floatarray \
-	  --out /tmp/BENCH_linalg_fa.json
-	dune exec bench/linalg_scale.exe -- --backend bigarray \
-	  --out /tmp/BENCH_linalg_ba.json
-	dune exec bench/bench_check.exe -- --baseline /tmp/BENCH_linalg_fa.json \
-	  --current /tmp/BENCH_linalg_ba.json --trajectory bench/TRAJECTORY.jsonl
 
 # Full reproduction: every table and figure, plus stage timings.
 bench:

@@ -8,20 +8,12 @@
    digest, per-span latency histograms, GC deltas, metrics) as
    [BENCH_linalg.json].
 
-   The storage backend is a benchmark dimension: [--backend both]
-   (the default) times every scale on floatarray and on C-layout
-   Bigarray storage and cross-checks that the factorizations are
-   bitwise identical; [--backend NAME] times one backend under the
-   legacy metric names, so two single-backend manifests can be fed
-   straight to bench_check as baseline/current (the
-   [make bench-linalg-backends] gate).
-
    Timings come from the [lib/obs] span machinery (a Memory sink
    records every span; wall time is the recorded span duration), so
    this benchmark also exercises the tracing layer end to end.
 
    Usage:
-     linalg_scale [--smoke] [--backend NAME|both] [--out FILE]
+     linalg_scale [--smoke] [--jobs N] [--out FILE]
                   [--baseline FILE] [--check FILE] [--trajectory FILE]
 
    [--smoke] runs only the smallest scale with one repetition (the
@@ -35,10 +27,6 @@
    against a baseline manifest is bench_check's job. *)
 
 let source_label = "bench:linalg-scale"
-
-let storage_label = function
-  | Linalg.Backend.Floatarray -> "flat-floatarray-row-major"
-  | Linalg.Backend.Bigarray -> "flat-bigarray-c-layout-row-major"
 
 (* ------------------------------------------------------------------ *)
 (* Synthetic event catalogs                                            *)
@@ -92,7 +80,6 @@ let best name reps f =
   !bestt
 
 type scale_result = {
-  backend : Linalg.Backend.id;
   rows : int;
   cols : int;
   reps : int;
@@ -101,20 +88,12 @@ type scale_result = {
   qrcp_rank : int;
 }
 
-(* [span_suffix]: floatarray keeps the legacy span and metric names
-   (so bench_check against manifests recorded before the backend
-   dimension existed still lines up); the second backend of a [both]
-   run is suffixed. *)
-let run_scale ~backend ~suffixed ~reps ~rows ~cols =
-  Linalg.Backend.with_default backend @@ fun () ->
-  let suffix =
-    if suffixed then "@" ^ Linalg.Backend.name backend else ""
-  in
+let run_scale ~reps ~rows ~cols =
   let a = catalog ~rows ~cols in
   let b = rhs rows in
   Obs.incr "linalg_scale.scales";
   let qrcp_ms =
-    best (Printf.sprintf "qrcp-%dx%d%s" rows cols suffix) reps (fun () ->
+    best (Printf.sprintf "qrcp-%dx%d" rows cols) reps (fun () ->
         ignore (Linalg.Qrcp.factor a))
   in
   let rank = (Linalg.Qrcp.factor a).Linalg.Qrcp.rank in
@@ -123,72 +102,21 @@ let run_scale ~backend ~suffixed ~reps ~rows ~cols =
   let idx = Array.init (min rows cols) (fun i -> i * (cols / min rows cols)) in
   let sub = Linalg.Mat.select_cols a idx in
   let lstsq_ms =
-    best (Printf.sprintf "lstsq-%dx%d%s" rows cols suffix) reps (fun () ->
+    best (Printf.sprintf "lstsq-%dx%d" rows cols) reps (fun () ->
         ignore (Linalg.Lstsq.solve_rank_aware sub b))
   in
-  { backend; rows; cols; reps; qrcp_ms; lstsq_ms; qrcp_rank = rank }
-
-(* The backends promise bitwise-identical factorizations; a [both]
-   run checks that promise on every scale (pivot order, rank, and
-   the R diagonal bit for bit) instead of timing two silently
-   divergent computations. *)
-let check_cross_backend ~rows ~cols =
-  let factor backend =
-    Linalg.Backend.with_default backend @@ fun () ->
-    Linalg.Qrcp.factor (catalog ~rows ~cols)
-  in
-  let fa = factor Linalg.Backend.Floatarray in
-  let ba = factor Linalg.Backend.Bigarray in
-  let fail fmt =
-    Printf.ksprintf
-      (fun msg ->
-        Printf.eprintf "linalg_scale: %dx%d: cross-backend mismatch: %s\n"
-          rows cols msg;
-        exit 1)
-      fmt
-  in
-  if fa.Linalg.Qrcp.rank <> ba.Linalg.Qrcp.rank then
-    fail "rank %d (floatarray) vs %d (bigarray)" fa.Linalg.Qrcp.rank
-      ba.Linalg.Qrcp.rank;
-  if fa.Linalg.Qrcp.perm <> ba.Linalg.Qrcp.perm then fail "pivot order differs";
-  Array.iteri
-    (fun k d ->
-      let d' = ba.Linalg.Qrcp.rdiag.(k) in
-      if Int64.bits_of_float d <> Int64.bits_of_float d' then
-        fail "rdiag.(%d): %.17g vs %.17g" k d d')
-    fa.Linalg.Qrcp.rdiag
+  { rows; cols; reps; qrcp_ms; lstsq_ms; qrcp_rank = rank }
 
 (* ------------------------------------------------------------------ *)
 (* Manifest assembly                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let scale_key r = Printf.sprintf "%dx%d" r.rows r.cols
+let tagged base r = Printf.sprintf "%s_%dx%d" base r.rows r.cols
 
-(* Metric/counter names: legacy (no backend tag) unless this result
-   row is the suffixed half of a [both] run. *)
-let tagged ~suffixed base r =
-  if suffixed r then
-    Printf.sprintf "%s_%s_%s" base (scale_key r)
-      (Linalg.Backend.name r.backend)
-  else Printf.sprintf "%s_%s" base (scale_key r)
-
-let manifest_of_results ~backend_mode ~smoke ~reps ~scales ~jobs ~suffixed
-    recorder
-    results =
-  let storage =
-    match backend_mode with
-    | `One b -> storage_label b
-    | `Both ->
-      String.concat "+"
-        (List.map storage_label [ Linalg.Backend.Floatarray; Linalg.Backend.Bigarray ])
-  in
+let manifest_of_results ~smoke ~reps ~scales ~jobs recorder results =
   let config =
     [
-      ("storage", storage);
-      ( "backend",
-        match backend_mode with
-        | `One b -> Linalg.Backend.name b
-        | `Both -> "both" );
+      ("storage", "flat-floatarray-row-major");
       ("smoke", string_of_bool smoke);
       ("reps", string_of_int reps);
       ("jobs", string_of_int jobs);
@@ -201,14 +129,14 @@ let manifest_of_results ~backend_mode ~smoke ~reps ~scales ~jobs ~suffixed
     List.concat_map
       (fun r ->
         [
-          (tagged ~suffixed "qrcp_ms" r, r.qrcp_ms);
-          (tagged ~suffixed "lstsq_ms" r, r.lstsq_ms);
+          (tagged "qrcp_ms" r, r.qrcp_ms);
+          (tagged "lstsq_ms" r, r.lstsq_ms);
         ])
       results
   in
   let extra_counters =
     List.map
-      (fun r -> (tagged ~suffixed "qrcp_rank" r, float_of_int r.qrcp_rank))
+      (fun r -> (tagged "qrcp_rank" r, float_of_int r.qrcp_rank))
       results
   in
   Bench_report.finalize ~source:source_label ~label:"linalg" ~config ~metrics
@@ -239,7 +167,6 @@ let () =
   let baseline = ref "" in
   let check = ref "" in
   let trajectory = ref "" in
-  let backend = ref "both" in
   let jobs = ref 1 in
   let spec =
     [
@@ -248,10 +175,6 @@ let () =
         Arg.Set_int jobs,
         "N executor domains for the parallel panel primitives (default 1, \
          the sequential reference)" );
-      ( "--backend",
-        Arg.Set_string backend,
-        "NAME storage backend to time: floatarray, bigarray, or 'both' \
-         (default; also cross-checks bitwise identity)" );
       ("--out", Arg.Set_string out, "FILE output path (default BENCH_linalg.json)");
       ("--baseline", Arg.Set_string baseline, "FILE print speedups vs a recorded manifest");
       ("--check", Arg.Set_string check, "FILE strictly decode FILE as a bench manifest and exit");
@@ -259,7 +182,7 @@ let () =
     ]
   in
   Arg.parse spec (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "linalg_scale [--smoke] [--backend NAME|both] [--jobs N] [--out FILE] \
+    "linalg_scale [--smoke] [--jobs N] [--out FILE] \
      [--baseline FILE] [--check FILE] [--trajectory FILE]";
   if !check <> "" then begin
     let m =
@@ -274,28 +197,6 @@ let () =
       m.Obs.Manifest.config_digest;
     exit 0
   end;
-  let backend_mode =
-    match !backend with
-    | "both" -> `Both
-    | name -> (
-      match Linalg.Backend.of_name name with
-      | Some b -> `One b
-      | None ->
-        Printf.eprintf
-          "linalg_scale: unknown backend %S (floatarray, bigarray, both)\n"
-          name;
-        exit 2)
-  in
-  let backends =
-    match backend_mode with
-    | `One b -> [ b ]
-    | `Both -> [ Linalg.Backend.Floatarray; Linalg.Backend.Bigarray ]
-  in
-  (* Only the second-and-later backends of a [both] run carry a name
-     tag; a single-backend run is metric-compatible with any other. *)
-  let suffixed r =
-    backend_mode = `Both && r.backend <> Linalg.Backend.Floatarray
-  in
   if !jobs < 1 then begin
     prerr_endline "linalg_scale: --jobs must be at least 1";
     exit 2
@@ -307,22 +208,13 @@ let () =
   let scales = if !smoke then scales_smoke else scales_full in
   let reps = if !smoke then 1 else 5 in
   let results =
-    List.concat_map
+    List.map
       (fun (rows, cols) ->
-        let rs =
-          List.map
-            (fun b ->
-              let suffixed = backend_mode = `Both && b <> Linalg.Backend.Floatarray in
-              let r = run_scale ~backend:b ~suffixed ~reps ~rows ~cols in
-              Printf.printf
-                "%dx%-6d %-10s qrcp %8.2f ms   lstsq %8.3f ms   (rank %d, best of %d)\n%!"
-                r.rows r.cols (Linalg.Backend.name b) r.qrcp_ms r.lstsq_ms
-                r.qrcp_rank r.reps;
-              r)
-            backends
-        in
-        if backend_mode = `Both then check_cross_backend ~rows ~cols;
-        rs)
+        let r = run_scale ~reps ~rows ~cols in
+        Printf.printf
+          "%dx%-6d qrcp %8.2f ms   lstsq %8.3f ms   (rank %d, best of %d)\n%!"
+          r.rows r.cols r.qrcp_ms r.lstsq_ms r.qrcp_rank r.reps;
+        r)
       scales
   in
   (if !baseline <> "" then
@@ -333,20 +225,15 @@ let () =
      | Ok base ->
        List.iter
          (fun r ->
-           match
-             Obs.Manifest.find_metric base (tagged ~suffixed "qrcp_ms" r)
-           with
+           match Obs.Manifest.find_metric base (tagged "qrcp_ms" r) with
            | Some base_ms when r.qrcp_ms > 0.0 ->
-             Printf.printf "%dx%-6d %-10s qrcp speedup vs baseline: %.2fx\n%!"
-               r.rows r.cols
-               (Linalg.Backend.name r.backend)
-               (base_ms /. r.qrcp_ms)
+             Printf.printf "%dx%-6d qrcp speedup vs baseline: %.2fx\n%!"
+               r.rows r.cols (base_ms /. r.qrcp_ms)
            | _ -> ())
          results);
   let m =
-    manifest_of_results ~backend_mode ~smoke:!smoke ~reps ~scales ~jobs:!jobs
-      ~suffixed
-      recorder results
+    manifest_of_results ~smoke:!smoke ~reps ~scales ~jobs:!jobs recorder
+      results
   in
   Bench_report.write_manifest !out m;
   (* The file must survive the strict decoder: emitting a malformed

@@ -127,29 +127,6 @@ let with_obs ?(render_stats = true) (trace, stats, progress) f =
   | _ -> ());
   result
 
-let backend_flag =
-  let doc = "Raw storage backend for the numeric core: floatarray (the \
-             portable reference) or bigarray (C-layout Bigarray.Array1, \
-             GC-opaque).  Both execute identical floating-point operations \
-             in identical order, so chosen events, metrics and the \
-             provenance ledger are byte-identical; the active name is \
-             recorded in the run manifest's config (and its digest)." in
-  Arg.(value & opt (some string) None & info [ "backend" ] ~docv:"BACKEND" ~doc)
-
-(* Backend-name validation goes through the lint rule so a bad value is
-   a typed pre-flight diagnostic (param/unknown-backend) naming this
-   build's alternatives, not an argv failure. *)
-let set_backend backend =
-  Option.iter
-    (fun name ->
-      match Check.Param_check.check_backend name with
-      | [] ->
-        Option.iter Core.Backend.set_default (Core.Backend.of_name name)
-      | ds ->
-        List.iter (fun d -> prerr_endline (Core.Diagnostic.render d)) ds;
-        exit 1)
-    backend
-
 let shards_flag =
   let doc = "Split data collection and noise filtering into $(docv) \
              catalog-range shards (merged deterministically before \
@@ -166,7 +143,7 @@ let jobs_flag =
              manifest's config (and its digest)." in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-(* Jobs validation mirrors set_backend: a bad value is the typed
+(* Jobs validation goes through the lint rule: a bad value is the typed
    param/unknown-jobs diagnostic, not an argv failure.  Warnings
    (jobs > shards) print but do not abort. *)
 let set_jobs ?shards jobs =
@@ -305,8 +282,7 @@ let run_category ?csv ?auto_tau ?summary ~shards ~tau ~alpha ~proj_tol ~reps
   print_newline ()
 
 let main category tau alpha proj_tol reps sections csv auto_tau obs manifest
-    store shards preflight backend jobs =
-  set_backend backend;
+    store shards preflight jobs =
   set_jobs ~shards jobs;
   let sections = String.split_on_char ',' sections |> List.map String.trim in
   if shards < 1 then begin
@@ -451,8 +427,7 @@ let smoke_category ?(shards = 1) category =
   check "chosen" chosen;
   check "discarded" discarded
 
-let explain_main category event all fate json smoke shards backend jobs obs =
-  set_backend backend;
+let explain_main category event all fate json smoke shards jobs obs =
   set_jobs ~shards jobs;
   with_obs obs @@ fun ~summary:_ ->
   let module L = Provenance.Ledger in
@@ -550,15 +525,13 @@ let explain_cmd =
     Term.(
       const explain_main $ explain_category $ explain_event $ explain_all
       $ explain_fate $ explain_json $ explain_smoke $ explain_shards
-      $ backend_flag $ jobs_flag $ obs_term)
+      $ jobs_flag $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* shard / merge: the serialized staged pipeline                       *)
 (* ------------------------------------------------------------------ *)
 
-let shard_main category index shards out tau alpha proj_tol reps backend jobs
-    obs =
-  set_backend backend;
+let shard_main category index shards out tau alpha proj_tol reps jobs obs =
   set_jobs jobs;
   with_obs obs @@ fun ~summary:_ ->
   let category =
@@ -634,10 +607,9 @@ let shard_cmd =
     (Cmd.info "shard" ~doc ~man)
     Term.(
       const shard_main $ explain_category $ index $ shards $ out $ tau $ alpha
-      $ proj_tol $ reps $ backend_flag $ jobs_flag $ obs_term)
+      $ proj_tol $ reps $ jobs_flag $ obs_term)
 
-let merge_main files sections json manifest store backend jobs obs =
-  set_backend backend;
+let merge_main files sections json manifest store jobs obs =
   set_jobs jobs;
   with_obs obs @@ fun ~summary:_ ->
   let sections = String.split_on_char ',' sections |> List.map String.trim in
@@ -721,7 +693,7 @@ let merge_cmd =
     (Cmd.info "merge" ~doc ~man)
     Term.(
       const merge_main $ files $ sections $ json $ manifest_file
-      $ store_flag $ backend_flag $ jobs_flag $ obs_term)
+      $ store_flag $ jobs_flag $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* lint: the static pre-flight analyzer                                *)
@@ -739,21 +711,11 @@ let severity_conv =
       fun ppf s ->
         Format.pp_print_string ppf (Core.Diagnostic.severity_name s) )
 
-let lint_main category severity json rules_flag quiet backend obs =
+let lint_main category severity json rules_flag quiet obs =
   with_obs obs @@ fun ~summary:_ ->
   if rules_flag then print_string (Check.rules_table ())
   else begin
-    (* --backend participates in the pass itself: an unknown name is a
-       param/unknown-backend diagnostic in the report (and the exit
-       status), not an argv failure. *)
-    let backend_diags =
-      match backend with
-      | None -> []
-      | Some name -> Check.Param_check.check_backend name
-    in
     let diagnostics =
-      backend_diags
-      @
       match category with
       | Some c -> Check.run_all ~categories:[ c ] ()
       | None -> Check.run_all ()
@@ -839,7 +801,7 @@ let lint_cmd =
     (Cmd.info "lint" ~doc ~man)
     Term.(
       const lint_main $ lint_category $ lint_severity $ lint_json
-      $ lint_rules $ lint_quiet $ backend_flag $ obs_term)
+      $ lint_rules $ lint_quiet $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* report: render and compare run manifests                            *)
@@ -863,20 +825,11 @@ let changes_to_json changes =
    contract shared by --diff and --baseline. *)
 let report_compare ~json ~quiet ~timing baseline current =
   let changes = Obs.Manifest.diff baseline current in
-  let cross = Obs.Manifest.cross_backend baseline current in
   let cross_j = Obs.Manifest.cross_jobs baseline current in
   if not quiet then
     if json then
       print_string (Jsonio.to_string (changes_to_json changes) ^ "\n")
     else begin
-      Option.iter
-        (fun (ba, bb) ->
-          Printf.printf
-            "cross-backend comparison: %s vs %s (config.backend and \
-             config_digest are expected to differ; everything else \
-             must still agree)\n"
-            ba bb)
-        cross;
       Option.iter
         (fun (ja, jb) ->
           Printf.printf
@@ -888,15 +841,13 @@ let report_compare ~json ~quiet ~timing baseline current =
       print_string (Obs.Manifest.render_changes ~show_timing:timing changes)
     end;
   (* Timing deltas are expected between any two runs; a non-timing
-     difference means the runs were not equivalent.  Across backends
-     (or jobs counts) the recorded name (and hence the config digest)
-     differs by construction — those fields are the labeled signature
-     of a cross-backend/cross-jobs comparison, and any *other*
-     non-timing difference still fails: both axes promise
-     byte-identical outputs. *)
+     difference means the runs were not equivalent.  Across jobs counts
+     the recorded count (and hence the config digest) differs by
+     construction — those fields are the labeled signature of a
+     cross-jobs comparison, and any *other* non-timing difference still
+     fails: the executors promise byte-identical outputs. *)
   let expected_cross path =
-    (cross <> None && (path = "config.backend" || path = "config_digest"))
-    || (cross_j <> None && (path = "config.jobs" || path = "config_digest"))
+    cross_j <> None && (path = "config.jobs" || path = "config_digest")
   in
   let gating =
     List.filter
@@ -978,12 +929,11 @@ let report_cmd =
          artifact hashes — identical configs must agree).  The exit \
          status is 1 if any non-timing field differs.";
       `P
-        "When the two manifests record different storage backends \
-         (config key 'backend'), the comparison is labeled cross-backend: \
-         the backend name and the config digest differ by construction \
-         and are exempt from the exit status, while every other \
-         non-timing field must still agree — the backends promise \
-         byte-identical outputs.";
+        "When the two manifests record different jobs counts (config key \
+         'jobs'), the comparison is labeled cross-jobs: the jobs count \
+         and the config digest differ by construction and are exempt \
+         from the exit status, while every other non-timing field must \
+         still agree — every jobs count promises byte-identical outputs.";
       `P
         "With $(b,--baseline) $(i,BASE), the single FILE is compared \
          against $(i,BASE): a manifest file path, or the literal \
@@ -993,7 +943,7 @@ let report_cmd =
       `S Manpage.s_exit_status;
       `P
         "0 — the runs are equivalent (only timing fields, or expected \
-         cross-backend fields, differ).  1 — a non-timing field differs \
+         cross-jobs fields, differ).  1 — a non-timing field differs \
          (or a manifest fails strict decoding).  2 — usage error, or no \
          comparable baseline exists in the store.  $(b,--quiet) changes \
          none of this, it only suppresses the rendering.";
@@ -1176,8 +1126,7 @@ let trend_cmd =
 (* trace: flamegraph (folded stacks) and Chrome-trace export           *)
 (* ------------------------------------------------------------------ *)
 
-let trace_main category shards folded flamegraph backend obs =
-  set_backend backend;
+let trace_main category shards folded flamegraph obs =
   let category =
     match category with
     | Some c -> c
@@ -1254,7 +1203,7 @@ let trace_cmd =
     (Cmd.info "trace" ~doc ~man)
     Term.(
       const trace_main $ category $ shards_flag $ folded $ flamegraph
-      $ backend_flag $ obs_term)
+      $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* store: inspect and feed the run store directly                      *)
@@ -1270,13 +1219,12 @@ let store_ls_main dir =
     Obs_cli.open_store_or_fail ~command:"analyze store ls" ~create:false dir
   in
   let entries = Obs.Store.entries store in
-  Printf.printf "%-4s %-16s %-16s %-12s %-10s %s\n" "seq" "config" "source"
-    "label" "backend" "file";
+  Printf.printf "%-4s %-16s %-16s %-12s %s\n" "seq" "config" "source" "label"
+    "file";
   List.iter
     (fun (e : Obs.Store.entry) ->
-      Printf.printf "%-4d %-16s %-16s %-12s %-10s %s\n" e.Obs.Store.seq
+      Printf.printf "%-4d %-16s %-16s %-12s %s\n" e.Obs.Store.seq
         e.Obs.Store.config_digest e.Obs.Store.source e.Obs.Store.label
-        (Option.value e.Obs.Store.backend ~default:"-")
         e.Obs.Store.file)
     entries;
   Printf.printf "%d run(s) in %s\n" (List.length entries) dir
@@ -1303,7 +1251,7 @@ let store_cmd =
   let doc = "Inspect the run store, or ingest manifest files by hand" in
   let ls =
     let doc = "List every stored run (seq, config digest, source, label, \
-               backend, file)." in
+               file)." in
     Cmd.v (Cmd.info "ls" ~doc) Term.(const store_ls_main $ store_dir_arg)
   in
   let ingest =
@@ -1329,7 +1277,7 @@ let cmd =
     Term.(
       const main $ category $ tau $ alpha $ proj_tol $ reps $ sections
       $ csv_file $ auto_tau $ obs_term $ manifest_file $ store_flag
-      $ shards_flag $ preflight_flag $ backend_flag $ jobs_flag)
+      $ shards_flag $ preflight_flag $ jobs_flag)
   in
   Cmd.group ~default info
     [

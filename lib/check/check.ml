@@ -107,9 +107,6 @@ let rules =
       "Relative residuals live in [0, 1]";
     rule "param/reps-too-few" D.Error "Fewer than 2 repetitions"
       "Eq. 4 is pairwise over repetition vectors";
-    rule "param/unknown-backend" D.Error
-      "Unknown storage backend name"
-      "[--backend] selects a compiled Linalg storage backend";
     rule "param/unknown-jobs" D.Error
       "Impossible or wasteful --jobs count"
       "[--jobs] sizes the executor's domain pool (error below 1, \

@@ -110,27 +110,11 @@ let check_reps ?category reps =
     ]
   else []
 
-(* A backend name is pipeline configuration like tau or alpha: a bad
-   value should be a typed pre-flight diagnostic naming the compiled
-   alternatives, not an argv failure. *)
-let check_backend ?category name =
-  match Linalg.Backend.of_name name with
-  | Some _ -> []
-  | None ->
-    [
-      diag ?category
-        ~data:[ ("backend", Jsonio.Str name) ]
-        "param/unknown-backend" D.Error "backend"
-        "unknown storage backend %S: this build compiles %s"
-        name
-        (String.concat ", " Linalg.Backend.names);
-    ]
-
-(* The jobs count is configuration the same way: reject impossible
-   values as typed diagnostics, and flag the shape that silently buys
-   nothing — more workers than shards leaves the surplus idle for the
-   whole front (the panel kernels can still use them downstream, hence
-   a warning, not an error). *)
+(* The jobs count is pipeline configuration like tau or alpha: reject
+   impossible values as typed diagnostics, not argv failures, and flag
+   the shape that silently buys nothing — more workers than shards
+   leaves the surplus idle for the whole front (the panel kernels can
+   still use them downstream, hence a warning, not an error). *)
 let check_jobs ?category ?shards jobs =
   if jobs < 1 then
     [

@@ -35,11 +35,6 @@ val check_projection_tol :
 val check_reps : ?category:string -> int -> Core.Diagnostic.t list
 (** [param/reps-too-few] (error, fewer than 2 repetitions). *)
 
-val check_backend : ?category:string -> string -> Core.Diagnostic.t list
-(** [param/unknown-backend] (error): the name does not identify a
-    compiled storage backend ({!Linalg.Backend.of_name}); the message
-    lists this build's valid names. *)
-
 val check_jobs :
   ?category:string -> ?shards:int -> int -> Core.Diagnostic.t list
 (** [param/unknown-jobs]: error when [jobs < 1] (the executor needs at

@@ -377,13 +377,9 @@ let config_pairs ~category ~config ~shards ~jobs (r : result) =
   [
     ("category", Category.name category);
     ("machine", Category.machine category);
-    (* The storage backend enters the config digest, so manifests from
-       different backends diff as explicit config drift rather than
-       silent timing drift (`analyze report --diff` labels it).  The
-       jobs count follows the same discipline: runs at different
-       concurrency diff as config drift even though their outputs are
-       byte-identical. *)
-    ("backend", Linalg.Backend.name (Linalg.Backend.default ()));
+    (* The jobs count enters the config digest, so runs at different
+       concurrency diff as config drift (`analyze report --diff`
+       labels it) even though their outputs are byte-identical. *)
     ("jobs", string_of_int jobs);
     ("tau", g config.tau);
     ("alpha", g config.alpha);

@@ -1,50 +1,33 @@
-(* Backend-dispatching kernel layer.
+(* Every floating-point operation of the numeric core, and its order,
+   is written here once, over [floatarray] storage.  Element access
+   is the [Float.Array] compiler primitives, so each access is a
+   single load/store.
 
-   The arithmetic lives in kernel_body.mlt, instantiated as the
-   monomorphic twins [Kernel_fa]/[Kernel_ba] (fast: the backend is a
-   module alias, element access is a compiler primitive) and as the
-   [Make] functor (reference path).  This module owns the public
-   [view] over dynamic {!Backend.buf} storage: every entry point
-   matches the storage tag once and runs a monomorphic loop; only
-   mixed-backend binary operations fall back to the generic
-   element-dispatching loops below, which execute the identical
-   floating-point operations in the identical order. *)
+   Accumulators ([col_sqnorms]'s per-column sums, [reflect_panel]'s
+   [w]) are plain [float array] scratch. *)
 
-module Make = Kernel_make.Make
-
-type view = { data : Backend.buf; off : int; inc : int; len : int }
+type view = { data : floatarray; off : int; inc : int; len : int }
 
 let view data ~off ~inc ~len =
   if len < 0 then invalid_arg "Kernel.view: negative length";
   if len > 0 then begin
     let last = off + ((len - 1) * inc) in
-    let bound = Backend.length data in
+    let bound = Float.Array.length data in
     if off < 0 || off >= bound || last < 0 || last >= bound then
       invalid_arg "Kernel.view: view exceeds storage"
   end;
   { data; off; inc; len }
 
-let full data = { data; off = 0; inc = 1; len = Backend.length data }
+let full data = { data; off = 0; inc = 1; len = Float.Array.length data }
 let len v = v.len
-let backend v = Backend.id_of v.data
-let storage v = v.data
 
 let sub v ~pos ~len =
   if pos < 0 || len < 0 || pos + len > v.len then
     invalid_arg "Kernel.sub: range out of bounds";
   { v with off = v.off + (pos * v.inc); len }
 
-(* Re-tag a validated public view as a monomorphic one.  The bounds
-   were proved by [view]/[full]; the twins' record fields are public
-   within the library, so this is just a re-wrap. *)
-let fa v a : Kernel_fa.view =
-  { Kernel_fa.data = a; off = v.off; inc = v.inc; len = v.len }
-
-let ba v a : Kernel_ba.view =
-  { Kernel_ba.data = a; off = v.off; inc = v.inc; len = v.len }
-
-let unsafe_get v i = Backend.unsafe_get v.data (v.off + (i * v.inc))
-let unsafe_set v i x = Backend.unsafe_set v.data (v.off + (i * v.inc)) x
+let unsafe_get v i = Float.Array.unsafe_get v.data (v.off + (i * v.inc))
+let unsafe_set v i x = Float.Array.unsafe_set v.data (v.off + (i * v.inc)) x
 
 let get v i =
   if i < 0 || i >= v.len then invalid_arg "Kernel.get: index out of bounds";
@@ -57,151 +40,186 @@ let set v i x =
 let check_same_len name x y =
   if x.len <> y.len then invalid_arg (name ^ ": length mismatch")
 
-(* ---- unary operations: one dispatch, then a monomorphic loop ---- *)
-
 let fill v x =
-  match v.data with
-  | Backend.Fa a -> Kernel_fa.fill (fa v a) x
-  | Backend.Ba a -> Kernel_ba.fill (ba v a) x
-
-let scal alpha v =
-  match v.data with
-  | Backend.Fa a -> Kernel_fa.scal alpha (fa v a)
-  | Backend.Ba a -> Kernel_ba.scal alpha (ba v a)
-
-let amax v =
-  match v.data with
-  | Backend.Fa a -> Kernel_fa.amax (fa v a)
-  | Backend.Ba a -> Kernel_ba.amax (ba v a)
-
-let asum v =
-  match v.data with
-  | Backend.Fa a -> Kernel_fa.asum (fa v a)
-  | Backend.Ba a -> Kernel_ba.asum (ba v a)
-
-let sqnorm v =
-  match v.data with
-  | Backend.Fa a -> Kernel_fa.sqnorm (fa v a)
-  | Backend.Ba a -> Kernel_ba.sqnorm (ba v a)
-
-let nrm2 v =
-  match v.data with
-  | Backend.Fa a -> Kernel_fa.nrm2 (fa v a)
-  | Backend.Ba a -> Kernel_ba.nrm2 (ba v a)
-
-let iteri f v =
-  match v.data with
-  | Backend.Fa a -> Kernel_fa.iteri f (fa v a)
-  | Backend.Ba a -> Kernel_ba.iteri f (ba v a)
-
-let fold_left f init v =
-  match v.data with
-  | Backend.Fa a -> Kernel_fa.fold_left f init (fa v a)
-  | Backend.Ba a -> Kernel_ba.fold_left f init (ba v a)
-
-let to_floatarray v =
-  match v.data with
-  | Backend.Fa a -> Kernel_fa.to_floatarray (fa v a)
-  | Backend.Ba a -> Kernel_ba.to_floatarray (ba v a)
-
-(* ---- binary operations: homogeneous pairs go monomorphic; mixed
-   pairs run the same loops through the dynamic accessors ---- *)
+  for i = 0 to v.len - 1 do
+    unsafe_set v i x
+  done
 
 let copy ~src ~dst =
-  match (src.data, dst.data) with
-  | Backend.Fa s, Backend.Fa d -> Kernel_fa.copy ~src:(fa src s) ~dst:(fa dst d)
-  | Backend.Ba s, Backend.Ba d -> Kernel_ba.copy ~src:(ba src s) ~dst:(ba dst d)
-  | _ ->
-    check_same_len "Kernel.copy" src dst;
-    for i = 0 to src.len - 1 do
-      unsafe_set dst i (unsafe_get src i)
-    done
+  check_same_len "Kernel.copy" src dst;
+  for i = 0 to src.len - 1 do
+    unsafe_set dst i (unsafe_get src i)
+  done
 
 let swap x y =
-  match (x.data, y.data) with
-  | Backend.Fa a, Backend.Fa b -> Kernel_fa.swap (fa x a) (fa y b)
-  | Backend.Ba a, Backend.Ba b -> Kernel_ba.swap (ba x a) (ba y b)
-  | _ ->
-    check_same_len "Kernel.swap" x y;
-    for i = 0 to x.len - 1 do
-      let t = unsafe_get x i in
-      unsafe_set x i (unsafe_get y i);
-      unsafe_set y i t
-    done
+  check_same_len "Kernel.swap" x y;
+  for i = 0 to x.len - 1 do
+    let t = unsafe_get x i in
+    unsafe_set x i (unsafe_get y i);
+    unsafe_set y i t
+  done
+
+let scal alpha v =
+  for i = 0 to v.len - 1 do
+    unsafe_set v i (alpha *. unsafe_get v i)
+  done
 
 let dot x y =
-  match (x.data, y.data) with
-  | Backend.Fa a, Backend.Fa b -> Kernel_fa.dot (fa x a) (fa y b)
-  | Backend.Ba a, Backend.Ba b -> Kernel_ba.dot (ba x a) (ba y b)
-  | _ ->
-    check_same_len "Kernel.dot" x y;
-    let s = ref 0.0 in
-    for i = 0 to x.len - 1 do
-      s := !s +. (unsafe_get x i *. unsafe_get y i)
-    done;
-    !s
+  check_same_len "Kernel.dot" x y;
+  let s = ref 0.0 in
+  for i = 0 to x.len - 1 do
+    s := !s +. (unsafe_get x i *. unsafe_get y i)
+  done;
+  !s
 
 let axpy ~alpha ~x ~y =
-  match (x.data, y.data) with
-  | Backend.Fa a, Backend.Fa b -> Kernel_fa.axpy ~alpha ~x:(fa x a) ~y:(fa y b)
-  | Backend.Ba a, Backend.Ba b -> Kernel_ba.axpy ~alpha ~x:(ba x a) ~y:(ba y b)
-  | _ ->
-    check_same_len "Kernel.axpy" x y;
-    for i = 0 to x.len - 1 do
-      unsafe_set y i (unsafe_get y i +. (alpha *. unsafe_get x i))
-    done
+  check_same_len "Kernel.axpy" x y;
+  for i = 0 to x.len - 1 do
+    unsafe_set y i (unsafe_get y i +. (alpha *. unsafe_get x i))
+  done
 
-(* ---- row-major panel primitives ---- *)
+let amax v =
+  let s = ref 0.0 in
+  for i = 0 to v.len - 1 do
+    s := Float.max !s (Float.abs (unsafe_get v i))
+  done;
+  !s
+
+let asum v =
+  let s = ref 0.0 in
+  for i = 0 to v.len - 1 do
+    s := !s +. Float.abs (unsafe_get v i)
+  done;
+  !s
+
+let sqnorm v =
+  let s = ref 0.0 in
+  for i = 0 to v.len - 1 do
+    let x = unsafe_get v i in
+    s := !s +. (x *. x)
+  done;
+  !s
+
+let nrm2 v =
+  (* Scaled two-pass norm: avoids overflow for large counts such as
+     cycle measurements in the raw matrices. *)
+  let scale = amax v in
+  if scale = 0.0 then 0.0
+  else begin
+    let s = ref 0.0 in
+    for i = 0 to v.len - 1 do
+      let r = unsafe_get v i /. scale in
+      s := !s +. (r *. r)
+    done;
+    scale *. sqrt !s
+  end
+
+let iteri f v =
+  for i = 0 to v.len - 1 do
+    f i (unsafe_get v i)
+  done
+
+let fold_left f init v =
+  let acc = ref init in
+  for i = 0 to v.len - 1 do
+    acc := f !acc (unsafe_get v i)
+  done;
+  !acc
+
+(* ------------------------------------------------------------------ *)
+(* Row-major panel primitives                                          *)
+(* ------------------------------------------------------------------ *)
 
 let check_panel name ~data ~rs ~row0 ~row1 ~col0 ~col1 =
   if rs <= 0 then invalid_arg (name ^ ": non-positive row stride");
   if row0 < 0 || col0 < 0 || col1 > rs then invalid_arg (name ^ ": panel out of bounds");
   if row1 > row0 && col1 > col0 then begin
     let last = ((row1 - 1) * rs) + (col1 - 1) in
-    if last >= Backend.length data then invalid_arg (name ^ ": panel exceeds storage")
+    if last >= Float.Array.length data then
+      invalid_arg (name ^ ": panel exceeds storage")
   end
 
+(* Parallel decomposition: both panel primitives accumulate (or
+   update) strictly per column, so splitting the column range over
+   worker domains keeps each column's floating-point operation order
+   exactly that of the sequential loops — the results are bitwise
+   identical for any split.  Workers touch disjoint [acc]/[w] slots
+   and disjoint storage columns, so the split is also race-free.
+   Panels below [par_min_elems] stay sequential: the pool round-trip
+   costs more than the pass saves. *)
+let par_min_elems = 32768
+
+let par_executor ~rows ~width =
+  match Executor.default () with
+  | Executor.Seq -> None
+  | Executor.Domains j as e ->
+    if j > 1 && width > 1 && rows * width >= par_min_elems then Some e
+    else None
+
+(* Columns [col0 + k0, col0 + k1) of the sequential pass, verbatim. *)
+let col_sqnorms_cols ~data ~rs ~row0 ~row1 ~col0 ~acc ~k0 ~k1 =
+  for i = row0 to row1 - 1 do
+    let base = i * rs in
+    for k = k0 to k1 - 1 do
+      let x = Float.Array.unsafe_get data (base + col0 + k) in
+      Array.unsafe_set acc k (Array.unsafe_get acc k +. (x *. x))
+    done
+  done
+
 let col_sqnorms ~data ~rs ~row0 ~row1 ~col0 ~col1 =
-  match data with
-  | Backend.Fa a -> Kernel_fa.col_sqnorms ~data:a ~rs ~row0 ~row1 ~col0 ~col1
-  | Backend.Ba a -> Kernel_ba.col_sqnorms ~data:a ~rs ~row0 ~row1 ~col0 ~col1
+  check_panel "Kernel.col_sqnorms" ~data ~rs ~row0 ~row1 ~col0 ~col1;
+  let width = max 0 (col1 - col0) in
+  let acc = Array.make width 0.0 in
+  (match par_executor ~rows:(max 0 (row1 - row0)) ~width with
+  | Some e ->
+    Executor.iter_ranges ~executor:e ~lo:0 ~hi:width (fun k0 k1 ->
+        col_sqnorms_cols ~data ~rs ~row0 ~row1 ~col0 ~acc ~k0 ~k1)
+  | None -> col_sqnorms_cols ~data ~rs ~row0 ~row1 ~col0 ~acc ~k0:0 ~k1:width);
+  acc
+
+(* Columns [col0 + k0, col0 + k1) of the sequential reflection,
+   verbatim: accumulate w = tau * (V^T A) per column in ascending row
+   order, then A <- A - v w^T, skipping exactly-zero coefficients so
+   columns already in the reflector's fixed space are left untouched
+   bit-for-bit. *)
+let reflect_panel_cols ~tau ~v ~len ~data ~rs ~row0 ~col0 ~w ~k0 ~k1 =
+  for i = 0 to len - 1 do
+    let vi = Float.Array.unsafe_get v i in
+    let base = ((row0 + i) * rs) + col0 in
+    for k = k0 to k1 - 1 do
+      Array.unsafe_set w k
+        (Array.unsafe_get w k +. (vi *. Float.Array.unsafe_get data (base + k)))
+    done
+  done;
+  for k = k0 to k1 - 1 do
+    Array.unsafe_set w k (tau *. Array.unsafe_get w k)
+  done;
+  for i = 0 to len - 1 do
+    let vi = Float.Array.unsafe_get v i in
+    let base = ((row0 + i) * rs) + col0 in
+    for k = k0 to k1 - 1 do
+      let s = Array.unsafe_get w k in
+      if s <> 0.0 then
+        Float.Array.unsafe_set data (base + k)
+          (Float.Array.unsafe_get data (base + k) -. (s *. vi))
+    done
+  done
 
 let reflect_panel ~tau ~v ~data ~rs ~row0 ~col0 ~col1 =
-  match (v, data) with
-  | Backend.Fa vv, Backend.Fa a ->
-    Kernel_fa.reflect_panel ~tau ~v:vv ~data:a ~rs ~row0 ~col0 ~col1
-  | Backend.Ba vv, Backend.Ba a ->
-    Kernel_ba.reflect_panel ~tau ~v:vv ~data:a ~rs ~row0 ~col0 ~col1
-  | _ ->
-    (* Mixed reflector/panel backends: the same two streaming passes
-       through the dynamic accessors, identical FP order. *)
-    if tau <> 0.0 then begin
-      let len = Backend.length v in
-      check_panel "Kernel.reflect_panel" ~data ~rs ~row0 ~row1:(row0 + len)
-        ~col0 ~col1;
-      let width = max 0 (col1 - col0) in
-      if width > 0 then begin
-        let w = Array.make width 0.0 in
-        for i = 0 to len - 1 do
-          let vi = Backend.unsafe_get v i in
-          let base = ((row0 + i) * rs) + col0 in
-          for k = 0 to width - 1 do
-            Array.unsafe_set w k
-              (Array.unsafe_get w k +. (vi *. Backend.unsafe_get data (base + k)))
-          done
-        done;
-        for k = 0 to width - 1 do
-          Array.unsafe_set w k (tau *. Array.unsafe_get w k)
-        done;
-        for i = 0 to len - 1 do
-          let vi = Backend.unsafe_get v i in
-          let base = ((row0 + i) * rs) + col0 in
-          for k = 0 to width - 1 do
-            let s = Array.unsafe_get w k in
-            if s <> 0.0 then
-              Backend.unsafe_set data (base + k)
-                (Backend.unsafe_get data (base + k) -. (s *. vi))
-          done
-        done
-      end
+  if tau <> 0.0 then begin
+    let len = Float.Array.length v in
+    check_panel "Kernel.reflect_panel" ~data ~rs ~row0 ~row1:(row0 + len) ~col0 ~col1;
+    let width = max 0 (col1 - col0) in
+    if width > 0 then begin
+      (* w = tau * (V^T A): per-column accumulation in ascending row
+         order, traversed row-major so the storage is streamed. *)
+      let w = Array.make width 0.0 in
+      match par_executor ~rows:len ~width with
+      | Some e ->
+        Executor.iter_ranges ~executor:e ~lo:0 ~hi:width (fun k0 k1 ->
+            reflect_panel_cols ~tau ~v ~len ~data ~rs ~row0 ~col0 ~w ~k0 ~k1)
+      | None ->
+        reflect_panel_cols ~tau ~v ~len ~data ~rs ~row0 ~col0 ~w ~k0:0
+          ~k1:width
     end
+  end

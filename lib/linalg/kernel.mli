@@ -1,18 +1,12 @@
-(** In-place BLAS-1/2 primitives over swappable flat storage.
+(** In-place BLAS-1/2 primitives over flat [floatarray] storage.
 
     This is the substrate the whole numeric stack sits on: {!Vec} is
     a contiguous view, {!Mat} is a single row-major storage block
     with a row stride, and the factorizations ({!Householder}, {!Qr},
     {!Qrcp}, the specialized pivoting in [Core.Special_qrcp]) drive
     their hot loops through the panel primitives below instead of
-    copying columns in and out.
-
-    Raw storage is a {!Backend.buf} — the tagged union of the shipped
-    backends ([floatarray] and C-layout [Bigarray]).  Entry points
-    dispatch on the tag once and run a monomorphic loop; the
-    arithmetic for every backend comes from one shared body (see
-    {!Make} and backend.mli), so the same input bits produce the same
-    output bits on every backend.
+    copying columns in and out.  Every floating-point operation of
+    the numeric core, and its order, lives in this module.
 
     {2 Views and the aliasing contract}
 
@@ -35,14 +29,12 @@
     {2 The no-copy contract}
 
     Reading or updating {e through a view costs zero copies}: every
-    operation in this module walks the backing storage in place, on
-    any backend.  Pipeline code must therefore reach numeric data via
-    views ({!Vec.view}, {!Mat.col_view}/{!Mat.row_view}, {!sub}) or
-    the iteration combinators ({!iteri}, {!fold_left}) — never by
+    operation in this module walks the backing storage in place.
+    Pipeline code must therefore reach numeric data via views
+    ({!Vec.view}, {!Mat.col_view}/{!Mat.row_view}, {!sub}) or the
+    iteration combinators ({!iteri}, {!fold_left}) — never by
     round-tripping through [Vec.to_array]/[Vec.of_array], which
-    materializes a boxed copy on the host and, with a GC-opaque
-    backend such as Bigarray, forces a full element-by-element
-    conversion each way.  [of_array]/[to_array] are interchange
+    materializes a boxed copy.  [of_array]/[to_array] are interchange
     boundaries (JSON, reports, tests), not access paths.
 
     All view accessors are bounds-checked at construction
@@ -51,13 +43,13 @@
 
 type view
 (** An aliasing window ([data], [off], [inc], [len]) over a
-    {!Backend.buf}; construct with {!view}, {!full} or {!sub}. *)
+    [floatarray]; construct with {!view}, {!full} or {!sub}. *)
 
-val view : Backend.buf -> off:int -> inc:int -> len:int -> view
+val view : floatarray -> off:int -> inc:int -> len:int -> view
 (** Validates that every designated element lies inside [data];
     raises [Invalid_argument] otherwise. *)
 
-val full : Backend.buf -> view
+val full : floatarray -> view
 (** The whole storage as a unit-stride view. *)
 
 val sub : view -> pos:int -> len:int -> view
@@ -66,14 +58,6 @@ val sub : view -> pos:int -> len:int -> view
     Raises [Invalid_argument] if the range exceeds [v]. *)
 
 val len : view -> int
-
-val backend : view -> Backend.id
-(** The backend of the backing storage (derived allocations — e.g. a
-    Householder reflector for a column view — are made in this
-    backend so factorizations stay backend-homogeneous). *)
-
-val storage : view -> Backend.buf
-(** The backing storage itself (aliasing). *)
 
 val get : view -> int -> float
 val set : view -> int -> float -> unit
@@ -112,9 +96,6 @@ val nrm2 : view -> float
 val iteri : (int -> float -> unit) -> view -> unit
 val fold_left : ('a -> float -> 'a) -> 'a -> view -> 'a
 
-val to_floatarray : view -> floatarray
-(** Contiguous fresh host copy (interchange boundary). *)
-
 (** {2 Row-major panel primitives}
 
     These operate directly on a matrix's flat storage ([data] with
@@ -123,69 +104,20 @@ val to_floatarray : view -> floatarray
     strided column walks. *)
 
 val col_sqnorms :
-  data:Backend.buf -> rs:int -> row0:int -> row1:int -> col0:int -> col1:int ->
+  data:floatarray -> rs:int -> row0:int -> row1:int -> col0:int -> col1:int ->
   float array
 (** [col_sqnorms ~data ~rs ~row0 ~row1 ~col0 ~col1] returns the array
     of per-column sums of squares over rows [row0..row1-1] for
     columns [col0..col1-1].  Each column's sum accumulates in
     ascending row order, so results are bit-identical to a per-column
-    loop — on every backend. *)
+    loop. *)
 
 val reflect_panel :
-  tau:float -> v:Backend.buf -> data:Backend.buf -> rs:int ->
+  tau:float -> v:floatarray -> data:floatarray -> rs:int ->
   row0:int -> col0:int -> col1:int -> unit
 (** Applies the Householder reflector [I - tau v v^T] to the panel of
     rows [row0 .. row0 + length v - 1], columns [col0..col1-1], in
     place: two row-major passes (accumulate [w = tau V^T A], then
     rank-one update [A <- A - v w^T]).  Columns with an exactly-zero
     coefficient are skipped, matching the column-at-a-time reference
-    bit-for-bit.  [tau = 0.] is the identity and returns immediately.
-    [v] and [data] may live in different backends (slow generic
-    path, same FP order). *)
-
-(** {2 The backend functor}
-
-    [Make] instantiates the complete kernel set for any storage
-    honoring {!Backend.S} — the reference path for bringing up a
-    third backend (external BLAS staging buffers, mmap-backed
-    storage...).  It is the {e same source text} as the shipped
-    monomorphic kernels, so its FP behaviour is theirs by
-    construction; what it lacks is their speed (on a non-flambda
-    compiler, element access through the functor parameter is a
-    closure call).  The dual-backend oracle tests run the pipeline
-    through the dispatching API above; [Make] is additionally pinned
-    bitwise against it. *)
-module Make (B : Backend.S) : sig
-  type storage = B.t
-  type view = { data : storage; off : int; inc : int; len : int }
-
-  val view : storage -> off:int -> inc:int -> len:int -> view
-  val full : storage -> view
-  val len : view -> int
-  val sub : view -> pos:int -> len:int -> view
-  val get : view -> int -> float
-  val set : view -> int -> float -> unit
-  val unsafe_get : view -> int -> float
-  val unsafe_set : view -> int -> float -> unit
-  val fill : view -> float -> unit
-  val copy : src:view -> dst:view -> unit
-  val swap : view -> view -> unit
-  val scal : float -> view -> unit
-  val dot : view -> view -> float
-  val axpy : alpha:float -> x:view -> y:view -> unit
-  val amax : view -> float
-  val asum : view -> float
-  val sqnorm : view -> float
-  val nrm2 : view -> float
-  val iteri : (int -> float -> unit) -> view -> unit
-  val fold_left : ('a -> float -> 'a) -> 'a -> view -> 'a
-  val to_floatarray : view -> floatarray
-
-  val col_sqnorms :
-    data:storage -> rs:int -> row0:int -> row1:int -> col0:int -> col1:int ->
-    float array
-
-  val reflect_panel :
-    tau:float -> v:storage -> data:storage -> rs:int ->
-    row0:int -> col0:int -> col1:int -> unit
-end
+    bit-for-bit.  [tau = 0.] is the identity and returns immediately. *)

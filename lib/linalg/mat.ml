@@ -1,19 +1,16 @@
-type t = { m : int; n : int; rs : int; data : Backend.buf }
+type t = { m : int; n : int; rs : int; data : floatarray }
 (* Row-major: element (i, j) lives at [i * rs + j].  Every
    constructor below builds a dense matrix with [rs = n]; the stride
    is carried separately so future submatrix views can share
-   storage.  [data] is dynamic storage (see {!Backend}): hot kernels
-   dispatch on its tag once per call, the per-element accessors here
-   are the generic path for construction and small matrices. *)
+   storage. *)
 
 let rows t = t.m
 let cols t = t.n
 let row_stride t = t.rs
 let storage t = t.data
-let backend t = Backend.id_of t.data
 
-let unsafe_get t i j = Backend.unsafe_get t.data ((i * t.rs) + j)
-let unsafe_set t i j x = Backend.unsafe_set t.data ((i * t.rs) + j) x
+let unsafe_get t i j = Float.Array.unsafe_get t.data ((i * t.rs) + j)
+let unsafe_set t i j x = Float.Array.unsafe_set t.data ((i * t.rs) + j) x
 
 let get t i j =
   if i < 0 || i >= t.m || j < 0 || j >= t.n then
@@ -25,45 +22,41 @@ let set t i j x =
     invalid_arg "Mat.set: index out of bounds";
   unsafe_set t i j x
 
-let alloc_in backend mn =
-  match backend with
-  | None -> Backend.create mn
-  | Some b -> Backend.create_in b mn
+let alloc mn = Float.Array.make mn 0.0
+let create m n = { m; n; rs = n; data = alloc (m * n) }
 
-let create ?backend m n = { m; n; rs = n; data = alloc_in backend (m * n) }
-
-let init ?backend m n f =
-  let data = alloc_in backend (m * n) in
+let init m n f =
+  let data = alloc (m * n) in
   for i = 0 to m - 1 do
     let base = i * n in
     for j = 0 to n - 1 do
-      Backend.unsafe_set data (base + j) (f i j)
+      Float.Array.unsafe_set data (base + j) (f i j)
     done
   done;
   { m; n; rs = n; data }
 
-let of_rows ?backend rows =
+let of_rows rows =
   let m = Array.length rows in
-  if m = 0 then create ?backend 0 0
+  if m = 0 then create 0 0
   else begin
     let n = Array.length rows.(0) in
     Array.iter
       (fun r -> if Array.length r <> n then invalid_arg "Mat.of_rows: ragged rows")
       rows;
-    let data = alloc_in backend (m * n) in
+    let data = alloc (m * n) in
     for i = 0 to m - 1 do
       let r = Array.unsafe_get rows i in
       let base = i * n in
       for j = 0 to n - 1 do
-        Backend.unsafe_set data (base + j) (Array.unsafe_get r j)
+        Float.Array.unsafe_set data (base + j) (Array.unsafe_get r j)
       done
     done;
     { m; n; rs = n; data }
   end
 
-let of_cols ?backend cols =
+let of_cols cols =
   let n = Array.length cols in
-  if n = 0 then create ?backend 0 0
+  if n = 0 then create 0 0
   else begin
     let m = Array.length cols.(0) in
     Array.iter
@@ -71,48 +64,43 @@ let of_cols ?backend cols =
       cols;
     (* Direct transposing copy: column j is contiguous on input, so
        stream each one down its strided destination. *)
-    let data = alloc_in backend (m * n) in
+    let data = alloc (m * n) in
     for j = 0 to n - 1 do
       let c = Array.unsafe_get cols j in
       for i = 0 to m - 1 do
-        Backend.unsafe_set data ((i * n) + j) (Array.unsafe_get c i)
+        Float.Array.unsafe_set data ((i * n) + j) (Array.unsafe_get c i)
       done
     done;
     { m; n; rs = n; data }
   end
 
-let of_col_vecs ?backend cols =
+let of_col_vecs cols =
   let n = Array.length cols in
-  if n = 0 then create ?backend 0 0
+  if n = 0 then create 0 0
   else begin
     let m = Vec.dim cols.(0) in
     Array.iter
       (fun c -> if Vec.dim c <> m then invalid_arg "Mat.of_col_vecs: ragged columns")
       cols;
-    let data = alloc_in backend (m * n) in
+    let data = alloc (m * n) in
     for j = 0 to n - 1 do
       let c = Array.unsafe_get cols j in
       for i = 0 to m - 1 do
-        Backend.unsafe_set data ((i * n) + j) (Vec.unsafe_get c i)
+        Float.Array.unsafe_set data ((i * n) + j) (Vec.unsafe_get c i)
       done
     done;
     { m; n; rs = n; data }
   end
 
-let identity ?backend n = init ?backend n n (fun i j -> if i = j then 1.0 else 0.0)
+let identity n = init n n (fun i j -> if i = j then 1.0 else 0.0)
 
 let copy t =
-  let b = Backend.id_of t.data in
-  if t.rs = t.n then begin
-    let data = Backend.create_in b (t.m * t.n) in
-    Backend.blit ~src:t.data ~src_pos:0 ~dst:data ~dst_pos:0 ~len:(t.m * t.n);
-    { t with data }
-  end
+  if t.rs = t.n then { t with data = Float.Array.sub t.data 0 (t.m * t.n) }
   else begin
-    let data = Backend.create_in b (t.m * t.n) in
+    let data = alloc (t.m * t.n) in
     for i = 0 to t.m - 1 do
       for j = 0 to t.n - 1 do
-        Backend.unsafe_set data ((i * t.n) + j) (unsafe_get t i j)
+        Float.Array.unsafe_set data ((i * t.n) + j) (unsafe_get t i j)
       done
     done;
     { m = t.m; n = t.n; rs = t.n; data }
@@ -130,11 +118,11 @@ let row_view ?(col0 = 0) t i =
 
 let col t j =
   if j < 0 || j >= t.n then invalid_arg "Mat.col: column out of bounds";
-  Vec.init ~backend:(backend t) t.m (fun i -> unsafe_get t i j)
+  Vec.init t.m (fun i -> unsafe_get t i j)
 
 let row t i =
   if i < 0 || i >= t.m then invalid_arg "Mat.row: row out of bounds";
-  Vec.init ~backend:(backend t) t.n (fun j -> unsafe_get t i j)
+  Vec.init t.n (fun j -> unsafe_get t i j)
 
 let set_col t j v =
   if Vec.dim v <> t.m then invalid_arg "Mat.set_col: dimension mismatch";
@@ -148,11 +136,11 @@ let swap_cols t j1 j2 =
     invalid_arg "Mat.swap_cols: column out of bounds";
   if j1 <> j2 then Kernel.swap (col_view t j1) (col_view t j2)
 
-let transpose t = init ~backend:(backend t) t.n t.m (fun i j -> unsafe_get t j i)
+let transpose t = init t.n t.m (fun i j -> unsafe_get t j i)
 
 let mul x y =
   if x.n <> y.m then invalid_arg "Mat.mul: dimension mismatch";
-  let r = create ~backend:(backend x) x.m y.n in
+  let r = create x.m y.n in
   for i = 0 to x.m - 1 do
     for k = 0 to x.n - 1 do
       let xik = unsafe_get x i k in
@@ -167,11 +155,11 @@ let mul x y =
 let mul_vec t x =
   if Vec.dim x <> t.n then invalid_arg "Mat.mul_vec: dimension mismatch";
   let xv = Vec.view x in
-  Vec.init ~backend:(backend t) t.m (fun i -> Kernel.dot (row_view t i) xv)
+  Vec.init t.m (fun i -> Kernel.dot (row_view t i) xv)
 
 let tmul_vec t x =
   if Vec.dim x <> t.m then invalid_arg "Mat.tmul_vec: dimension mismatch";
-  let r = Vec.create ~backend:(backend t) t.n in
+  let r = Vec.create t.n in
   for i = 0 to t.m - 1 do
     let xi = Vec.unsafe_get x i in
     if xi <> 0.0 then
@@ -183,7 +171,7 @@ let tmul_vec t x =
 
 let sub x y =
   if x.m <> y.m || x.n <> y.n then invalid_arg "Mat.sub: dimension mismatch";
-  init ~backend:(backend x) x.m x.n (fun i j -> unsafe_get x i j -. unsafe_get y i j)
+  init x.m x.n (fun i j -> unsafe_get x i j -. unsafe_get y i j)
 
 let frobenius t =
   let s = ref 0.0 in
@@ -214,10 +202,7 @@ let norm2 ?(iters = 200) t =
        plus a deterministic perturbation so it cannot start orthogonal
        to the dominant singular vector for the structured 0/1 matrices
        used in the pipeline. *)
-    let v =
-      Vec.init ~backend:(backend t) t.n (fun j ->
-          1.0 +. (float_of_int (j mod 7) /. 17.0))
-    in
+    let v = Vec.init t.n (fun j -> 1.0 +. (float_of_int (j mod 7) /. 17.0)) in
     let normalize x =
       let n = Vec.norm2 x in
       if n > 0.0 then Vec.scale_inplace (1.0 /. n) x;
@@ -245,7 +230,7 @@ let select_cols t idx =
   Array.iter
     (fun j -> if j < 0 || j >= t.n then invalid_arg "Mat.select_cols: column out of bounds")
     idx;
-  init ~backend:(backend t) t.m (Array.length idx) (fun i k -> unsafe_get t i idx.(k))
+  init t.m (Array.length idx) (fun i k -> unsafe_get t i idx.(k))
 
 let equal ?(eps = 0.0) x y =
   x.m = y.m && x.n = y.n

@@ -1,6 +1,6 @@
 (** Dense, row-major matrices of floats on flat unboxed storage.
 
-    A matrix is a single contiguous {!Backend.buf} in row-major order
+    A matrix is a single contiguous [floatarray] in row-major order
     with an explicit row stride (element [(i, j)] lives at
     [i * row_stride + j]; all constructors build dense matrices with
     [row_stride = cols]).  Event catalogs put the pipeline's hot
@@ -13,46 +13,39 @@
     The representation is abstract; interchange with ordinary OCaml
     data goes through {!of_rows}/{!of_cols}/{!to_rows}, and
     {!storage} / {!row_stride} are the documented escape hatch for
-    kernel code.
-
-    Backend selection follows {!Vec}: constructors allocate in
-    {!Backend.default} unless given [?backend]; derived matrices
-    ({!copy}, {!transpose}, {!mul}, {!sub}, {!select_cols}) inherit
-    the backend of their (first) input. *)
+    kernel code. *)
 
 type t
 
-val create : ?backend:Backend.id -> int -> int -> t
+val create : int -> int -> t
 (** [create m n] is an [m] x [n] zero matrix. *)
 
-val init : ?backend:Backend.id -> int -> int -> (int -> int -> float) -> t
+val init : int -> int -> (int -> int -> float) -> t
 (** [init m n f] fills entry [(i, j)] with [f i j], in row-major
     order. *)
 
-val of_rows : ?backend:Backend.id -> float array array -> t
+val of_rows : float array array -> t
 (** Rows are copied; all rows must have equal length. *)
 
-val of_cols : ?backend:Backend.id -> float array array -> t
+val of_cols : float array array -> t
 (** Builds the matrix whose [j]-th column is the [j]-th input, with a
     single transposing copy pass.  All columns must have equal
     length. *)
 
-val of_col_vecs : ?backend:Backend.id -> Vec.t array -> t
+val of_col_vecs : Vec.t array -> t
 (** As {!of_cols}, from vectors. *)
 
-val identity : ?backend:Backend.id -> int -> t
+val identity : int -> t
 
 val rows : t -> int
 val cols : t -> int
-
-val backend : t -> Backend.id
 
 val row_stride : t -> int
 (** Distance in the flat storage between vertically adjacent
     elements; equals [cols t] for every matrix built by this
     module. *)
 
-val storage : t -> Backend.buf
+val storage : t -> floatarray
 (** The backing storage itself — an {e aliasing} escape hatch for
     kernels that need raw panel access (see {!Kernel}).  Indexing is
     [(i * row_stride t) + j]; writes are visible in the matrix. *)
@@ -122,7 +115,7 @@ val select_cols : t -> int array -> t
     listed order. *)
 
 val equal : ?eps:float -> t -> t -> bool
-(** Componentwise; backends need not match. *)
+(** Componentwise, with absolute tolerance [eps] (default [0.]). *)
 
 val to_rows : t -> float array array
 (** Fresh row-array copy. *)

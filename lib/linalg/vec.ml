@@ -1,52 +1,47 @@
-type t = Backend.buf
+type t = floatarray
 
-let create ?backend n =
-  match backend with
-  | None -> Backend.create n
-  | Some b -> Backend.create_in b n
+external dim : t -> int = "%floatarray_length"
+external get : t -> int -> float = "%floatarray_safe_get"
+external set : t -> int -> float -> unit = "%floatarray_safe_set"
+external unsafe_get : t -> int -> float = "%floatarray_unsafe_get"
+external unsafe_set : t -> int -> float -> unit = "%floatarray_unsafe_set"
 
-let init ?backend n f =
-  match backend with
-  | None -> Backend.init n f
-  | Some b -> Backend.init_in b n f
+let create n = Float.Array.make n 0.0
 
-let backend = Backend.id_of
-let copy v = Backend.copy v
-let dim = Backend.length
-let fill v x = Backend.fill v ~pos:0 ~len:(Backend.length v) x
-
-let of_list ?backend l =
-  let a = Array.of_list l in
-  init ?backend (Array.length a) (Array.unsafe_get a)
-
-let of_array ?backend a = init ?backend (Array.length a) (Array.unsafe_get a)
-
-let to_array v =
-  let n = Backend.length v in
-  let a = Array.make n 0.0 in
+let init n f =
+  let a = Float.Array.create n in
   for i = 0 to n - 1 do
-    Array.unsafe_set a i (Backend.unsafe_get v i)
+    unsafe_set a i (f i)
   done;
   a
 
-let get = Backend.get
-let set = Backend.set
-let unsafe_get = Backend.unsafe_get
-let unsafe_set = Backend.unsafe_set
+let copy = Float.Array.copy
+let fill v x = Float.Array.fill v 0 (dim v) x
 
-let storage v = v
-let of_storage v = v
+let of_list l =
+  let a = Array.of_list l in
+  init (Array.length a) (Array.unsafe_get a)
+
+let of_array a = init (Array.length a) (Array.unsafe_get a)
+
+let to_array v =
+  let n = dim v in
+  let a = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    Array.unsafe_set a i (unsafe_get v i)
+  done;
+  a
+
 let view v = Kernel.full v
-let slice v pos len = Backend.sub v ~pos ~len
+let slice v pos len = Float.Array.sub v pos len
 
 let blit src dst =
-  let n = Backend.length src in
-  if Backend.length dst <> n then invalid_arg "Vec.blit: dimension mismatch";
-  Backend.blit ~src ~src_pos:0 ~dst ~dst_pos:0 ~len:n
+  let n = dim src in
+  if dim dst <> n then invalid_arg "Vec.blit: dimension mismatch";
+  Float.Array.blit src 0 dst 0 n
 
 let check_same_dim name x y =
-  if Backend.length x <> Backend.length y then
-    invalid_arg (name ^ ": dimension mismatch")
+  if dim x <> dim y then invalid_arg (name ^ ": dimension mismatch")
 
 let dot x y =
   check_same_dim "Vec.dot" x y;
@@ -55,20 +50,12 @@ let dot x y =
 let norm_inf x = Kernel.amax (Kernel.full x)
 let norm1 x = Kernel.asum (Kernel.full x)
 let norm2 x = Kernel.nrm2 (Kernel.full x)
-
-(* Derived vectors are allocated in the backend of their (first)
-   input, so a backend-homogeneous computation stays homogeneous
-   whatever the ambient default is. *)
-let scale alpha x =
-  Backend.init_in (Backend.id_of x) (Backend.length x) (fun i ->
-      alpha *. Backend.unsafe_get x i)
-
+let scale alpha x = init (dim x) (fun i -> alpha *. unsafe_get x i)
 let scale_inplace alpha x = Kernel.scal alpha (Kernel.full x)
 
 let map2 f x y =
   check_same_dim "Vec.map2" x y;
-  Backend.init_in (Backend.id_of x) (Backend.length x) (fun i ->
-      f (Backend.unsafe_get x i) (Backend.unsafe_get y i))
+  init (dim x) (fun i -> f (unsafe_get x i) (unsafe_get y i))
 
 let add x y = map2 ( +. ) x y
 let sub x y = map2 ( -. ) x y
@@ -78,46 +65,30 @@ let axpy ~alpha ~x ~y =
   Kernel.axpy ~alpha ~x:(Kernel.full x) ~y:(Kernel.full y)
 
 let equal ?(eps = 0.0) x y =
-  Backend.length x = Backend.length y
+  dim x = dim y
   && begin
        let ok = ref true in
-       for i = 0 to Backend.length x - 1 do
-         if Float.abs (Backend.unsafe_get x i -. Backend.unsafe_get y i) > eps
-         then ok := false
+       for i = 0 to dim x - 1 do
+         if Float.abs (unsafe_get x i -. unsafe_get y i) > eps then ok := false
        done;
        !ok
      end
 
-let concat vs =
-  let total = List.fold_left (fun acc v -> acc + Backend.length v) 0 vs in
-  let b =
-    match vs with [] -> Backend.default () | v :: _ -> Backend.id_of v
-  in
-  let r = Backend.create_in b total in
-  let pos = ref 0 in
-  List.iter
-    (fun v ->
-      let n = Backend.length v in
-      Backend.blit ~src:v ~src_pos:0 ~dst:r ~dst_pos:!pos ~len:n;
-      pos := !pos + n)
-    vs;
-  r
+let concat = Float.Array.concat
 
 let iteri f v =
-  for i = 0 to Backend.length v - 1 do
-    f i (Backend.unsafe_get v i)
+  for i = 0 to dim v - 1 do
+    f i (unsafe_get v i)
   done
 
 let fold_left f init v =
   let acc = ref init in
-  for i = 0 to Backend.length v - 1 do
-    acc := f !acc (Backend.unsafe_get v i)
+  for i = 0 to dim v - 1 do
+    acc := f !acc (unsafe_get v i)
   done;
   !acc
 
-let map f x =
-  Backend.init_in (Backend.id_of x) (Backend.length x) (fun i ->
-      f (Backend.unsafe_get x i))
+let map f x = init (dim x) (fun i -> f (unsafe_get x i))
 
 let pp ppf v =
   Format.fprintf ppf "(";

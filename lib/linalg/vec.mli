@@ -1,37 +1,25 @@
 (** Dense vectors of floats on flat unboxed storage.
 
-    The representation is abstract: a vector is backed by a single
-    contiguous {!Backend.buf} — [floatarray] or C-layout [Bigarray]
-    storage, chosen at allocation time — so the numeric kernels never
+    A vector is a plain [floatarray], so the numeric kernels never
     chase pointers.  Construct from ordinary OCaml data with
     {!of_array} / {!of_list} and extract with {!to_array}; code on
     the hot path uses {!unsafe_get}/{!unsafe_set} or takes a
-    {!Kernel.view}.  All binary operations check that lengths agree.
+    {!Kernel.view}.  All binary operations check that lengths agree. *)
 
-    {2 Backend selection}
+type t = floatarray
 
-    Fresh-from-scratch constructors ({!create}, {!init}, {!of_array},
-    {!of_list}) allocate in {!Backend.default} unless given an
-    explicit [?backend]; derived vectors ({!copy}, {!scale}, {!add},
-    {!sub}, {!map}, {!map2}, {!slice}, {!concat}) inherit the backend
-    of their (first) input.  Mixed-backend binary operations are
-    supported and bit-identical, just slower. *)
-
-type t
-
-val create : ?backend:Backend.id -> int -> t
+val create : int -> t
 (** [create n] is a zero vector of length [n]. *)
 
-val init : ?backend:Backend.id -> int -> (int -> float) -> t
+val init : int -> (int -> float) -> t
 (** Fills in ascending index order (the initializer may carry
     state). *)
 
 val copy : t -> t
-(** Same backend as the input. *)
 
-val of_list : ?backend:Backend.id -> float list -> t
+val of_list : float list -> t
 
-val of_array : ?backend:Backend.id -> float array -> t
+val of_array : float array -> t
 (** Fresh vector with the same contents (always copies). *)
 
 val to_array : t -> float array
@@ -39,39 +27,28 @@ val to_array : t -> float array
     code (reports, JSON export, tests).  An interchange boundary —
     never an access path; see the no-copy contract in kernel.mli. *)
 
-val backend : t -> Backend.id
-
-val dim : t -> int
+external dim : t -> int = "%floatarray_length"
 
 val fill : t -> float -> unit
 
-val get : t -> int -> float
-val set : t -> int -> float -> unit
+external get : t -> int -> float = "%floatarray_safe_get"
+external set : t -> int -> float -> unit = "%floatarray_safe_set"
 
-val unsafe_get : t -> int -> float
+external unsafe_get : t -> int -> float = "%floatarray_unsafe_get"
 (** No bounds check; for kernel inner loops only. *)
 
-val unsafe_set : t -> int -> float -> unit
-
-val storage : t -> Backend.buf
-(** The backing storage itself — an {e aliasing} escape hatch for
-    kernels (writes through the result write the vector).  Prefer
-    {!view}. *)
-
-val of_storage : Backend.buf -> t
-(** Adopts the storage without copying; the caller must not retain
-    other mutable references to it. *)
+external unsafe_set : t -> int -> float -> unit = "%floatarray_unsafe_set"
 
 val view : t -> Kernel.view
 (** The whole vector as a unit-stride aliasing view. *)
 
 val slice : t -> int -> int -> t
 (** [slice v pos len] is a fresh copy of the [len] elements starting
-    at [pos], in [v]'s backend. *)
+    at [pos]. *)
 
 val blit : t -> t -> unit
 (** [blit src dst] copies [src] into [dst] in place (dimensions must
-    agree; backends may differ). *)
+    agree). *)
 
 val dot : t -> t -> float
 (** Inner product. *)
@@ -101,7 +78,7 @@ val axpy : alpha:float -> x:t -> y:t -> unit
 
 val equal : ?eps:float -> t -> t -> bool
 (** Componentwise comparison with absolute tolerance [eps]
-    (default [0.]); backends need not match. *)
+    (default [0.]). *)
 
 val map2 : (float -> float -> float) -> t -> t -> t
 

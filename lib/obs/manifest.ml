@@ -424,13 +424,6 @@ type change = {
 let non_timing changes = List.filter (fun c -> not c.timing) changes
 let timing_only changes = List.filter (fun c -> c.timing) changes
 
-let backend t = List.assoc_opt "backend" t.config
-
-let cross_backend a b =
-  match (backend a, backend b) with
-  | Some ba, Some bb when ba <> bb -> Some (ba, bb)
-  | _ -> None
-
 let jobs t = List.assoc_opt "jobs" t.config
 
 let cross_jobs a b =

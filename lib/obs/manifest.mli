@@ -118,19 +118,6 @@ val render_changes : ?show_timing:bool -> change list -> string
     timing deltas are counted but not listed (the expected-noise case:
     the caller only wants the non-timing verdict). *)
 
-val backend : t -> string option
-(** The storage backend recorded under the [backend] config key
-    (pipeline manifests and linalg bench manifests record it; older
-    manifests may not). *)
-
-val cross_backend : t -> t -> (string * string) option
-(** [cross_backend a b] is [Some (ba, bb)] when both manifests record
-    a backend and they differ — the caller is comparing runs of the
-    same computation on different storage backends, and the
-    [config.backend]/[config_digest] differences {!diff} reports are
-    the expected signature of that, not silent drift.  [analyze
-    report --diff] uses this to label such comparisons explicitly. *)
-
 val jobs : t -> string option
 (** The executor concurrency recorded under the [jobs] config key
     (older manifests may not carry it). *)

@@ -17,7 +17,6 @@ type entry = {
   config_digest : string;
   source : string;
   label : string;
-  backend : string option;
   created_unix : float;
   manifest_hash : string;
   file : string;
@@ -55,15 +54,16 @@ let write_file_atomic path text =
 
 (* The canonical line rendering an entry contributes to the index
    digest — order-sensitive (entries are kept sorted by seq), so a
-   reordered or edited table no longer matches. *)
-let entry_line e =
+   reordered or edited table no longer matches.  The fifth slot held a
+   storage backend name in indexes written before the storage backends
+   were removed; it is empty now, and [legacy] re-supplies a decoded
+   row's old value so those indexes still verify. *)
+let entry_line ?(legacy = "") e =
   Printf.sprintf "%d|%s|%s|%s|%s|%.17g|%s|%s\n" e.seq e.config_digest e.source
-    e.label
-    (Option.value e.backend ~default:"")
-    e.created_unix e.manifest_hash e.file
+    e.label legacy e.created_unix e.manifest_hash e.file
 
-let entries_digest all =
-  Manifest.fnv64_hex (String.concat "" (List.map entry_line all))
+let lines_digest lines = Manifest.fnv64_hex (String.concat "" lines)
+let entries_digest all = lines_digest (List.map (fun e -> entry_line e) all)
 
 (* ------------------------------------------------------------------ *)
 (* Index JSON                                                          *)
@@ -76,8 +76,6 @@ let entry_to_json e =
       ("config_digest", Jsonio.Str e.config_digest);
       ("source", Jsonio.Str e.source);
       ("label", Jsonio.Str e.label);
-      ( "backend",
-        match e.backend with None -> Jsonio.Null | Some b -> Jsonio.Str b );
       ("created_unix", Jsonio.Num e.created_unix);
       ("manifest_hash", Jsonio.Str e.manifest_hash);
       ("file", Jsonio.Str e.file);
@@ -124,6 +122,9 @@ let rec map_result f = function
     let* ys = map_result f rest in
     Ok (y :: ys)
 
+(* A decoded row and its digest line.  Rows written before the storage
+   backends were removed carry a "backend" key (a name, or null); it is
+   ignored except for re-deriving the row's digest line. *)
 let entry_of_json json =
   let ctx = "store entry" in
   let* seq = d_int ctx "seq" json in
@@ -131,23 +132,19 @@ let entry_of_json json =
   let* config_digest = d_str ctx "config_digest" json in
   let* source = d_str ctx "source" json in
   let* label = d_str ctx "label" json in
-  let* backend =
-    match Jsonio.member "backend" json with
-    | None -> Error (ctx ^ ": missing field \"backend\"")
-    | Some Jsonio.Null -> Ok None
-    | Some v -> (
-      match Jsonio.to_string_opt v with
-      | Some s -> Ok (Some s)
-      | None -> Error (ctx ^ ": field \"backend\" is not a string"))
-  in
   let* created_unix = d_num ctx "created_unix" json in
   let* manifest_hash = d_str ctx "manifest_hash" json in
   let* file = d_str ctx "file" json in
   if Filename.basename file <> file then
     Error (Printf.sprintf "%s: file %S is not a plain name" ctx file)
   else
-    Ok { seq; config_digest; source; label; backend; created_unix;
-         manifest_hash; file }
+    let e =
+      { seq; config_digest; source; label; created_unix; manifest_hash; file }
+    in
+    let legacy =
+      Option.bind (Jsonio.member "backend" json) Jsonio.to_string_opt
+    in
+    Ok (e, entry_line ?legacy e)
 
 let index_of_json root json =
   let ctx = kind_name in
@@ -166,17 +163,19 @@ let index_of_json root json =
       let* next_seq = d_int ctx "next_seq" json in
       let* digest = d_str ctx "entries_digest" json in
       let* entries_j = d_field ctx "entries" json in
-      let* all =
+      let* rows =
         match entries_j with
         | Jsonio.List l -> map_result entry_of_json l
         | _ -> Error (ctx ^ ": field \"entries\" is not a list")
       in
-      if digest <> entries_digest all then
+      let all = List.map fst rows in
+      let recomputed = lines_digest (List.map snd rows) in
+      if digest <> recomputed then
         Error
           (Printf.sprintf
              "%s: entries digest mismatch (recorded %s, recomputed %s) — \
               the index was modified after it was written"
-             ctx digest (entries_digest all))
+             ctx digest recomputed)
       else if List.exists (fun e -> e.seq >= next_seq) all then
         Error (ctx ^ ": an entry's seq is not below next_seq")
       else Ok { root; next_seq; all }
@@ -238,7 +237,6 @@ let ingest t (m : Manifest.t) =
         config_digest = m.Manifest.config_digest;
         source = m.Manifest.source;
         label = m.Manifest.label;
-        backend = Manifest.backend m;
         created_unix = m.Manifest.created_unix;
         manifest_hash = hash;
         file = Printf.sprintf "run-%06d-%s.json" seq m.Manifest.config_digest;
@@ -254,13 +252,12 @@ let ingest t (m : Manifest.t) =
     with Sys_error msg | Unix.Unix_error (_, msg, _) ->
       Error (Printf.sprintf "cannot write run to store %s: %s" t.root msg))
 
-let query ?config_digest ?source ?label ?backend t =
+let query ?config_digest ?source ?label t =
   let want opt f = match opt with None -> true | Some v -> f = v in
   List.filter
     (fun e ->
       want config_digest e.config_digest
-      && want source e.source && want label e.label
-      && (match backend with None -> true | Some b -> e.backend = Some b))
+      && want source e.source && want label e.label)
     t.all
 
 let load t e =

@@ -25,7 +25,6 @@ type entry = {
   config_digest : string;
   source : string;  (** Manifest source ("pipeline", "bench:*", ...). *)
   label : string;  (** Category or bench label. *)
-  backend : string option;  (** Config [backend] key, when recorded. *)
   created_unix : float;
   manifest_hash : string;  (** FNV-1a 64 of the stored JSON text. *)
   file : string;  (** File name under [runs/]. *)
@@ -58,7 +57,6 @@ val query :
   ?config_digest:string ->
   ?source:string ->
   ?label:string ->
-  ?backend:string ->
   t ->
   entry list
 (** Entries matching every given filter, ascending by [seq]. *)

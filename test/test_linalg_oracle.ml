@@ -1,31 +1,17 @@
 (* Numerical oracle for the flat-storage linear algebra core.
 
-   Three layers of protection for the pluggable-backend refactor:
-
    - Reconstruction residuals on seeded random matrices: QR, QRCP,
      SVD and least squares must reproduce their defining identities
-     to 1e-10 relative accuracy — on {e both} storage backends
-     (floatarray and C-layout Bigarray), since every suite below runs
-     once per backend under [Backend.with_default].
+     to 1e-10 relative accuracy.
 
    - Pivot-sequence oracle: the specialized QRCP must pick exactly
      the same events, in the same order, as the boxed-storage seed
-     build did on all four paper categories — again on both backends.
-     The expected sequences below were captured from the pre-refactor
-     binary; any change in floating-point behaviour of the pivoting
-     path shows up here as a hard failure.
-
-   - Cross-backend bitwise identity: the backends promise identical
-     FP operations in identical order, so the whole pipeline (chosen
-     events, metric combinations and errors, the provenance ledger's
-     JSON) and the hot kernel primitives ([col_sqnorms],
-     [reflect_panel]) are pinned bit-for-bit equal across backends,
-     and the reference functor [Kernel.Make] is pinned against the
-     dispatching kernels. *)
+     build did on all four paper categories.  The expected sequences
+     below were captured from the pre-refactor binary; any change in
+     floating-point behaviour of the pivoting path shows up here as a
+     hard failure. *)
 
 let rel = 1e-10
-
-let backends = [ Linalg.Backend.Floatarray; Linalg.Backend.Bigarray ]
 
 (* Deterministic dense test matrices: entries uniform in [-1, 1]. *)
 let random_mat seed m n =
@@ -42,11 +28,6 @@ let check_small msg bound value =
   Alcotest.(check bool)
     (Printf.sprintf "%s (%.3e <= %.3e)" msg value bound)
     true (value <= bound)
-
-let bits = Int64.bits_of_float
-
-let check_bits msg a b =
-  Alcotest.(check int64) msg (bits a) (bits b)
 
 (* ------------------------------------------------------------------ *)
 (* QR                                                                  *)
@@ -210,117 +191,11 @@ let test_pivot_sequence category () =
     (expected_pivots category) r.Core.Pipeline.chosen_names
 
 (* ------------------------------------------------------------------ *)
-(* Cross-backend bitwise identity                                      *)
+(* Suite assembly                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The whole pipeline, per category: chosen events equal, every
-   metric's combination/error/residual bit-identical, and the full
-   provenance ledger rendering to the same JSON string. *)
-let test_pipeline_cross_backend category () =
-  let run backend =
-    Linalg.Backend.with_default backend @@ fun () ->
-    let r = Core.Pipeline.run category in
-    let ledger = Jsonio.to_string (Provenance.Ledger.to_json (Core.Pipeline.ledger r)) in
-    (r, ledger)
-  in
-  let fa, fa_ledger = run Linalg.Backend.Floatarray in
-  let ba, ba_ledger = run Linalg.Backend.Bigarray in
-  let name = Core.Category.name category in
-  Alcotest.(check (array string))
-    (name ^ " chosen events") fa.Core.Pipeline.chosen_names
-    ba.Core.Pipeline.chosen_names;
-  List.iter2
-    (fun (a : Core.Metric_solver.metric_def) (b : Core.Metric_solver.metric_def) ->
-      Alcotest.(check string) (name ^ " metric name") a.Core.Metric_solver.metric
-        b.Core.Metric_solver.metric;
-      check_bits
-        (name ^ " " ^ a.Core.Metric_solver.metric ^ " error")
-        a.Core.Metric_solver.error b.Core.Metric_solver.error;
-      check_bits
-        (name ^ " " ^ a.Core.Metric_solver.metric ^ " residual")
-        a.Core.Metric_solver.residual_norm b.Core.Metric_solver.residual_norm;
-      List.iter2
-        (fun (ca, ea) (cb, eb) ->
-          Alcotest.(check string) "combination event" ea eb;
-          check_bits ("coefficient of " ^ ea) ca cb)
-        a.Core.Metric_solver.combination b.Core.Metric_solver.combination)
-    fa.Core.Pipeline.metrics ba.Core.Pipeline.metrics;
-  Alcotest.(check string) (name ^ " provenance ledger JSON") fa_ledger ba_ledger
-
-(* The row-major panel primitives, compared element by element across
-   backends (and against the reference functor instantiation). *)
-module K = Linalg.Kernel
-module K_fa = Linalg.Kernel.Make (Linalg.Backend.Floatarray)
-
-let panel_data backend m rs =
-  let rng = Numkit.Rng.of_string (Printf.sprintf "panel-%dx%d" m rs) in
-  Linalg.Backend.init_in backend (m * rs) (fun _ ->
-      Numkit.Rng.uniform rng ~lo:(-2.0) ~hi:2.0)
-
-let test_col_sqnorms_cross_backend () =
-  let m = 17 and rs = 23 in
-  let args = (3, m, 2, rs) in
-  let norms backend =
-    let row0, row1, col0, col1 = args in
-    K.col_sqnorms ~data:(panel_data backend m rs) ~rs ~row0 ~row1 ~col0 ~col1
-  in
-  let fa = norms Linalg.Backend.Floatarray in
-  let ba = norms Linalg.Backend.Bigarray in
-  Alcotest.(check int) "width" (Array.length fa) (Array.length ba);
-  Array.iteri (fun k v -> check_bits (Printf.sprintf "col %d" k) v ba.(k)) fa;
-  (* The reference functor computes the same numbers from the same
-     storage. *)
-  let row0, row1, col0, col1 = args in
-  let via_functor =
-    match panel_data Linalg.Backend.Floatarray m rs with
-    | Linalg.Backend.Fa a -> K_fa.col_sqnorms ~data:a ~rs ~row0 ~row1 ~col0 ~col1
-    | Linalg.Backend.Ba _ -> assert false
-  in
-  Array.iteri
-    (fun k v -> check_bits (Printf.sprintf "functor col %d" k) v via_functor.(k))
-    fa
-
-let test_reflect_panel_cross_backend () =
-  let m = 14 and rs = 19 in
-  let row0 = 2 and col0 = 1 and col1 = 17 in
-  let vlen = m - row0 in
-  let reflector backend =
-    let rng = Numkit.Rng.of_string "panel-reflector" in
-    Linalg.Backend.init_in backend vlen (fun _ ->
-        Numkit.Rng.uniform rng ~lo:(-1.0) ~hi:1.0)
-  in
-  let apply backend =
-    let data = panel_data backend m rs in
-    K.reflect_panel ~tau:0.7 ~v:(reflector backend) ~data ~rs ~row0 ~col0 ~col1;
-    Array.init (m * rs) (fun i -> Linalg.Backend.get data i)
-  in
-  let fa = apply Linalg.Backend.Floatarray in
-  let ba = apply Linalg.Backend.Bigarray in
-  Array.iteri
-    (fun i v -> check_bits (Printf.sprintf "panel elt %d" i) v ba.(i))
-    fa;
-  (* Mixed backends (floatarray reflector, bigarray panel) take the
-     generic path; same FP order, same bits. *)
-  let mixed =
-    let data = panel_data Linalg.Backend.Bigarray m rs in
-    K.reflect_panel ~tau:0.7
-      ~v:(reflector Linalg.Backend.Floatarray)
-      ~data ~rs ~row0 ~col0 ~col1;
-    Array.init (m * rs) (fun i -> Linalg.Backend.get data i)
-  in
-  Array.iteri
-    (fun i v -> check_bits (Printf.sprintf "mixed panel elt %d" i) v mixed.(i))
-    fa
-
-(* ------------------------------------------------------------------ *)
-(* Suite assembly: every numerical suite runs once per backend        *)
-(* ------------------------------------------------------------------ *)
-
-let per_backend backend (name, f) =
-  Alcotest.test_case
-    (Printf.sprintf "%s [%s]" name (Linalg.Backend.name backend))
-    `Quick
-    (fun () -> Linalg.Backend.with_default backend f)
+(* Every case carries the name of the storage it runs on. *)
+let on_floatarray name = name ^ " [floatarray]"
 
 let reconstruction_tests =
   [
@@ -335,31 +210,14 @@ let () =
   Alcotest.run "linalg-oracle"
     [
       ( "reconstruction",
-        List.concat_map
-          (fun b -> List.map (per_backend b) reconstruction_tests)
-          backends );
+        List.map
+          (fun (name, f) -> Alcotest.test_case (on_floatarray name) `Quick f)
+          reconstruction_tests );
       ( "pivot-oracle",
-        List.concat_map
-          (fun b ->
-            List.map
-              (fun c ->
-                Alcotest.test_case
-                  (Printf.sprintf "%s [%s]" (Core.Category.name c)
-                     (Linalg.Backend.name b))
-                  `Slow
-                  (fun () ->
-                    Linalg.Backend.with_default b (test_pivot_sequence c)))
-              Core.Category.all)
-          backends );
-      ( "cross-backend",
-        Alcotest.test_case "col_sqnorms bitwise" `Quick
-          test_col_sqnorms_cross_backend
-        :: Alcotest.test_case "reflect_panel bitwise" `Quick
-             test_reflect_panel_cross_backend
-        :: List.map
-             (fun c ->
-               Alcotest.test_case
-                 (Core.Category.name c ^ " pipeline bitwise")
-                 `Slow (test_pipeline_cross_backend c))
-             Core.Category.all );
+        List.map
+          (fun c ->
+            Alcotest.test_case
+              (on_floatarray (Core.Category.name c))
+              `Slow (test_pivot_sequence c))
+          Core.Category.all );
     ]

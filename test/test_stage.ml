@@ -375,12 +375,12 @@ let test_executor_capture_counters () =
   Alcotest.(check (float 0.0)) "span counter" 12.0 (Obs.counter "cap.spans")
 
 (* ------------------------------------------------------------------ *)
-(* The jobs sweep: executor equivalence on both storage backends      *)
+(* The jobs sweep: executor equivalence                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Reduced repetitions keep the 2-backend x 5-shard x 3-jobs matrix
-   affordable; both sides of every comparison use the same config, so
-   the bit-identity property is tested at full strength. *)
+(* Reduced repetitions keep the 5-shard x 3-jobs matrix affordable;
+   both sides of every comparison use the same config, so the
+   bit-identity property is tested at full strength. *)
 let sweep_config category =
   { (Stage.default_config category) with Stage.reps = 3 }
 
@@ -416,27 +416,19 @@ let test_jobs_sweep category () =
   Provenance.set_recording true;
   let config = sweep_config category in
   List.iter
-    (fun backend ->
-      Linalg.Backend.with_default backend (fun () ->
-          List.iter
-            (fun shards ->
-              let ref_r, ref_m =
-                run_with_manifest ~jobs:1 ~shards ~config category
-              in
-              List.iter
-                (fun jobs ->
-                  let msg =
-                    Printf.sprintf "%s backend=%s shards=%d jobs=%d"
-                      (Core.Category.name category)
-                      (Linalg.Backend.name backend)
-                      shards jobs
-                  in
-                  let r, m = run_with_manifest ~jobs ~shards ~config category in
-                  check_equivalent ~msg ref_r r;
-                  check_manifest_cross_jobs ~msg ref_m m)
-                [ 2; 4 ])
-            [ 1; 2; 3; 5; 8 ]))
-    [ Linalg.Backend.Floatarray; Linalg.Backend.Bigarray ]
+    (fun shards ->
+      let ref_r, ref_m = run_with_manifest ~jobs:1 ~shards ~config category in
+      List.iter
+        (fun jobs ->
+          let msg =
+            Printf.sprintf "%s shards=%d jobs=%d" (Core.Category.name category)
+              shards jobs
+          in
+          let r, m = run_with_manifest ~jobs ~shards ~config category in
+          check_equivalent ~msg ref_r r;
+          check_manifest_cross_jobs ~msg ref_m m)
+        [ 2; 4 ])
+    [ 1; 2; 3; 5; 8 ]
 
 let () =
   let open Alcotest in
@@ -481,7 +473,7 @@ let () =
         List.map
           (fun c ->
             test_case
-              (Printf.sprintf "jobs x shards x backends == Seq %s"
+              (Printf.sprintf "jobs x shards == Seq %s"
                  (Core.Category.name c))
               `Slow (test_jobs_sweep c))
           categories );

@@ -193,6 +193,70 @@ let test_store_missing () =
   with_temp_store @@ fun dir ->
   ignore (err "absent store" (S.open_store dir))
 
+(* An index and a run written before the storage backends were
+   removed: the row and the manifest's config both carry
+   "backend": "floatarray", and the entries digest covers the row's
+   backend name.  Both must still decode and verify. *)
+let legacy_index =
+  {|{
+  "schema_version": 1,
+  "kind": "run-store-index",
+  "next_seq": 2,
+  "entries_digest": "c21005fbdcac25cf",
+  "entries": [
+    {
+      "seq": 1,
+      "config_digest": "9fcacc74a62fd0f2",
+      "source": "pipeline",
+      "label": "branch",
+      "backend": "floatarray",
+      "created_unix": 1000001,
+      "manifest_hash": "6d6cdd04f756e02f",
+      "file": "run-000001-9fcacc74a62fd0f2.json"
+    }
+  ]
+}
+|}
+
+let test_store_reads_legacy_backend () =
+  with_temp_store @@ fun dir ->
+  let legacy =
+    synthetic
+      ~config:[ ("backend", "floatarray"); ("category", "branch"); ("tau", "0.005") ]
+      ~at:1.0 [ ("pipeline", 10.0) ]
+  in
+  Alcotest.(check string)
+    "config digest as recorded" "9fcacc74a62fd0f2" legacy.M.config_digest;
+  let text = Jsonio.to_string (M.to_json legacy) ^ "\n" in
+  Alcotest.(check string)
+    "run file is the recorded bytes" "6d6cdd04f756e02f" (M.fnv64_hex text);
+  let runs = Filename.concat dir "runs" in
+  Sys.mkdir dir 0o755;
+  Sys.mkdir runs 0o755;
+  let write path s =
+    let oc = open_out_bin path in
+    output_string oc s;
+    close_out oc
+  in
+  write (Filename.concat runs "run-000001-9fcacc74a62fd0f2.json") text;
+  write (Filename.concat dir "index.json") legacy_index;
+  let store = ok "open legacy store" (S.open_store dir) in
+  let e =
+    match S.entries store with
+    | [ e ] -> e
+    | es -> Alcotest.failf "expected one entry, got %d" (List.length es)
+  in
+  Alcotest.(check bool)
+    "legacy run loads and its config digest verifies" true
+    (M.equal legacy (ok "load legacy run" (S.load store e)));
+  (* Appending rewrites the index without the backend key; the
+     rewritten index verifies on the next open. *)
+  let fresh = synthetic ~at:2.0 [ ("pipeline", 11.0) ] in
+  ignore (ok "ingest into legacy store" (S.ingest store fresh));
+  Alcotest.(check (list int))
+    "reopen sees both runs" [ 1; 2 ]
+    (List.map (fun e -> e.S.seq) (S.entries (ok "reopen" (S.open_store dir))))
+
 (* ------------------------------------------------------------------ *)
 (* Trend: regression verdicts and change points                        *)
 (* ------------------------------------------------------------------ *)
@@ -492,6 +556,8 @@ let () =
           test_case "ingest, dedupe, query, load" `Quick test_store_roundtrip;
           test_case "tampering rejected" `Quick test_store_tamper_rejected;
           test_case "missing store is an error" `Quick test_store_missing;
+          test_case "legacy backend key still reads" `Quick
+            test_store_reads_legacy_backend;
         ] );
       ( "trend",
         [
