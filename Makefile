@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test check lint lint-smoke bench bench-smoke bench-linalg bench-shard bench-par bench-check bench-check-smoke manifest-smoke shard-smoke par-smoke store-smoke trend-smoke repro examples figures docs clean
+.PHONY: all build test loc check lint lint-smoke bench bench-smoke bench-linalg bench-shard bench-par bench-check bench-check-smoke manifest-smoke shard-smoke par-smoke store-smoke trend-smoke repro examples figures docs clean
 
 all: build
 
@@ -9,6 +9,14 @@ build:
 
 test:
 	dune runtest
+
+# The three line counts ROADMAP tracks: lib, bin+bench and test, each
+# the .ml/.mli/.mlt files git knows about.
+loc:
+	@for d in lib "bin bench" test; do \
+	  printf '%-10s %s\n' "$$d" \
+	    "$$(cat $$(git ls-files $$d | grep -E '\.(ml|mli|mlt)$$') | wc -l)"; \
+	done
 
 # Single CI entry point: build, full test suite, the static
 # pre-flight lint (must report zero errors on the shipped inputs),

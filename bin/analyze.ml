@@ -363,12 +363,7 @@ let explain_smoke =
   Arg.(value & flag & info [ "smoke" ] ~doc)
 
 let ledger_for ?(shards = 1) category =
-  (* Record during the run so the CLI exercises the emission path (the
-     rebuild path is the fallback for results produced without
-     recording). *)
-  Provenance.set_recording true;
   let r = Core.Pipeline.run ~shards category in
-  Provenance.set_recording false;
   (r, Core.Pipeline.ledger r)
 
 let write_json path ledger =
@@ -503,15 +498,16 @@ let explain_cmd =
     [
       `S Manpage.s_description;
       `P
-        "Runs the pipeline with provenance recording on and queries the \
-         resulting ledger: for each event, the noise filter's variability \
+        "Runs the pipeline and queries the provenance ledger it derives \
+         from its stage outputs: for each event, the noise filter's variability \
          verdict against tau, the projection residual against its \
          tolerance, the specialized QRCP's pick round (with score and \
          runner-up) or elimination reason, and the final metric \
          memberships.";
       `P
         "With --json FILE the complete ledger is exported as versioned \
-         JSON; ledgers from disjoint event ranges can later be merged.";
+         JSON.  A --shards run derives the same ledger from the merged \
+         catalog.";
     ]
   in
   let explain_shards =
@@ -647,15 +643,12 @@ let merge_main files sections json manifest store jobs obs =
           s.Core.Stage.category (List.hd files);
         exit 1)
   in
-  Provenance.set_recording true;
   let r =
     try Core.Stage.run_merged ~category shards
     with Invalid_argument msg ->
-      Provenance.set_recording false;
       Printf.eprintf "analyze merge: %s\n" msg;
       exit 1
   in
-  Provenance.set_recording false;
   print_sections ~sections category r;
   (* Same trailing newline as the default runner, so a merged run's
      output is byte-comparable against a monolithic one. *)

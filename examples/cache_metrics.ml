@@ -35,23 +35,4 @@ let () =
         p.metric p.max_deviation
         (String.concat " "
            (String.split_on_char '\n' (Core.Combination.to_string p.combination))))
-    (Core.Report.fig3_panels r);
-
-  (* How much trust is the rounding consuming?  Bootstrap the
-     repetitions: the 95% intervals of every coefficient sit well
-     inside the 2% rounding budget. *)
-  print_endline "\nBootstrap 95% confidence intervals (noise budget check):";
-  let cis =
-    Core.Bootstrap.analyze ~samples:100 ~result:r
-      ~dataset:(Cat_bench.Dataset.dcache ()) ()
-  in
-  List.iter
-    (fun (ci : Core.Bootstrap.metric_ci) ->
-      let worst =
-        List.fold_left
-          (fun acc (_, i) -> Float.max acc (Core.Bootstrap.width i))
-          0.0 ci.coefficient_cis
-      in
-      Printf.printf "  %-12s widest coefficient CI = %.5f (rounding budget 0.04)\n"
-        ci.metric worst)
-    cis
+    (Core.Report.fig3_panels r)

@@ -47,27 +47,4 @@ let () =
     "\nPrecision-specific FLOPs cannot be composed here, but the combined\n\
      metric can:\n%s\n"
     (Core.Combination.to_string (Core.Metric_solver.display_combination all_fp));
-  Printf.printf "backward error: %.2e\n" all_fp.error;
-
-  (* Side-by-side availability matrix against the Intel analysis,
-     over the shared (paper) signature set. *)
-  let intel = Core.Pipeline.run Core.Category.Cpu_flops in
-  let zen_paper_only =
-    Core.Pipeline.run_custom ~config ~category:Core.Category.Cpu_flops
-      ~dataset:(Cat_bench.Dataset.zen_flops ())
-      ~basis:(Core.Category.basis Core.Category.Cpu_flops)
-      ~signatures:(Core.Category.signatures Core.Category.Cpu_flops) ()
-  in
-  let rows =
-    Core.Compare.compare
-      [ ("sapphire-rapids", intel); ("zen", zen_paper_only) ]
-  in
-  print_newline ();
-  print_string (Core.Compare.to_text rows);
-  Printf.printf "\nportable metrics: %s\n"
-    (String.concat ", " (Core.Compare.portable_metrics rows));
-  List.iter
-    (fun (machine, only) ->
-      if only <> [] then
-        Printf.printf "only on %s: %s\n" machine (String.concat ", " only))
-    (Core.Compare.machine_specific rows)
+  Printf.printf "backward error: %.2e\n" all_fp.error

@@ -6,8 +6,8 @@
    residual against its tolerance, the QRCP pick round (with the
    runner-up gap) or elimination reason, and the final metric
    coefficients.  The ledger gathers all of it into one queryable
-   document, exportable as versioned JSON and mergeable across
-   catalog shards.
+   document, derived once per run from the stage outputs and
+   exportable as versioned JSON.
 
    Run with: dune exec examples/explain_event.exe *)
 
@@ -16,13 +16,9 @@ module Ledger = Provenance.Ledger
 let () =
   print_endline "eventlab provenance: the audit trail of a pipeline run\n";
 
-  (* Recording is off by default (the pipeline is then bit-identical
-     to an uninstrumented run); turn it on around the run we want to
-     audit.  Without recording, Pipeline.ledger rebuilds the same
-     document from the result — recording just captures it live. *)
-  Provenance.set_recording true;
+  (* Every run derives the ledger once from its stage outputs, so the
+     audit needs nothing switched on. *)
   let result = Core.Pipeline.run Core.Category.Cpu_flops in
-  Provenance.set_recording false;
   let ledger = Core.Pipeline.ledger result in
 
   (* Stage totals: every event has exactly one terminal fate. *)
@@ -51,8 +47,8 @@ let () =
   | None -> ());
 
   (* The whole ledger exports as versioned JSON (the `analyze explain
-     --json` CLI path); shards over disjoint event ranges merge back
-     losslessly, so a sharded catalog sweep still yields one audit
+     --json` CLI path).  A sharded run derives it from the merged
+     catalog, so a sharded catalog sweep yields the same audit
      trail. *)
   let json = Jsonio.to_string (Ledger.to_json ledger) in
   Printf.printf "\nJSON export: %d bytes (schema version %d)\n"

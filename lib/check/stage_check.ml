@@ -25,7 +25,6 @@ let synthetic_shard () =
     range = { Stage.lo = 0; hi = 2 };
     total = 2;
     row_labels = [| "row0"; "row1" |];
-    measure = "max-rnmse";
     entries =
       [
         {

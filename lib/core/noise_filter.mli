@@ -31,18 +31,16 @@ val classify_shard :
   ?measure:measure -> tau:float -> Cat_bench.Dataset.t -> classified list
 (** Classify one catalog-range shard.  Verdicts are identical to
     {!classify} (each event's verdict depends only on its own
-    repetition vectors); the differences are operational: no
-    provenance emission (a shard may live in another process — the
-    merge stage re-emits noise facts from the shard artifacts in
-    catalog order) and per-shard [shard.events] / [shard.kept]
-    counters next to the [noise_filter.*] tallies, which sum across
-    shards to the monolithic totals. *)
+    repetition vectors); the one difference is operational: per-shard
+    [shard.events] / [shard.kept] counters next to the
+    [noise_filter.*] tallies, which sum across shards to the
+    monolithic totals. *)
 
 val measure_name : measure -> string
 
 val provenance_status : status -> Provenance.Ledger.noise_status
-(** The ledger-side rendering of a verdict (used by the merge stage
-    when it re-emits shard noise facts). *)
+(** The ledger-side rendering of a verdict (used by the ledger
+    builder in {!Stage}). *)
 
 val kept : classified list -> classified list
 

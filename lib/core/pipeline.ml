@@ -24,14 +24,13 @@ type result = Stage.result = {
   chosen_names : string array;
   xhat : Linalg.Mat.t;
   metrics : Metric_solver.metric_def list;
-  mutable ledger : Provenance.Ledger.t option;
+  ledger : Provenance.Ledger.t option;
 }
 
 (* The stages downstream of data collection, shared by [run] (which
    opens the root span around its own dataset collection) and
    [run_custom] (which receives the dataset ready-made). *)
 let run_stages ~config ~category ~dataset ~basis ~signatures () =
-  if Provenance.recording () then Provenance.begin_run ();
   let classified = Stage.classify ~config dataset in
   Stage.downstream ~config ~category ~basis ~signatures ~classified ()
 
@@ -66,109 +65,7 @@ let run ?config ?(shards = 1) category =
 
 let run_all () = List.map (fun c -> run c) Category.all
 
-(* Rebuilding the ledger from a finished result: every stage verdict is
-   recoverable from the stage outputs the result already carries, plus
-   one re-factorization for the QRCP picks and eliminations (the same
-   re-derivation Report.qrcp_trace performs).  This is the pure twin of
-   the emission path; test_provenance pins the two bit-equal. *)
-let rebuild_ledger (r : result) =
-  let module L = Provenance.Ledger in
-  let proj_by_name = Hashtbl.create 64 in
-  List.iter
-    (fun (p : Projection.projected) ->
-      Hashtbl.replace proj_by_name p.event.Hwsim.Event.name
-        {
-          L.residual = p.relative_residual;
-          tol = r.config.projection_tol;
-          accepted = p.accepted;
-          representation = Linalg.Vec.to_array p.representation;
-        })
-    r.projected;
-  let _, steps, leftovers = Special_qrcp.factor_full ~alpha:r.config.alpha r.x in
-  let qrcp_by_name = Hashtbl.create 64 in
-  List.iteri
-    (fun i (s : Special_qrcp.step) ->
-      Hashtbl.replace qrcp_by_name r.x_names.(s.pick)
-        (L.Picked
-           {
-             round = i + 1;
-             score = s.score;
-             trailing_norm = s.trailing_norm;
-             candidates = s.candidates;
-             runner_up = Option.map (fun c -> r.x_names.(c)) s.runner_up;
-             runner_up_score = s.runner_up_score;
-           }))
-    steps;
-  let beta =
-    Special_qrcp.beta ~alpha:r.config.alpha ~rows:(Linalg.Mat.rows r.x)
-  in
-  List.iter
-    (fun (l : Special_qrcp.leftover) ->
-      Hashtbl.replace qrcp_by_name r.x_names.(l.col)
-        (L.Dropped
-           { reason = l.reason; final_norm = l.final_norm; beta }))
-    leftovers;
-  let members_by_name = Hashtbl.create 64 in
-  List.iter
-    (fun (d : Metric_solver.metric_def) ->
-      List.iter
-        (fun (coef, event) ->
-          let cell =
-            match Hashtbl.find_opt members_by_name event with
-            | Some c -> c
-            | None ->
-              let c = ref [] in
-              Hashtbl.add members_by_name event c;
-              c
-          in
-          cell := (d.metric, coef) :: !cell)
-        d.combination)
-    r.metrics;
-  let entries =
-    List.map
-      (fun (c : Noise_filter.classified) ->
-        let name = c.event.Hwsim.Event.name in
-        {
-          L.event = name;
-          description = c.event.Hwsim.Event.description;
-          noise =
-            {
-              measure = Noise_filter.measure_name Noise_filter.Max_rnmse;
-              variability = c.variability;
-              tau = r.config.tau;
-              status =
-                (match c.status with
-                | Noise_filter.Kept -> L.Kept
-                | Noise_filter.Too_noisy -> L.Too_noisy
-                | Noise_filter.All_zero -> L.All_zero);
-            };
-          projection = Hashtbl.find_opt proj_by_name name;
-          qrcp = Hashtbl.find_opt qrcp_by_name name;
-          memberships =
-            (match Hashtbl.find_opt members_by_name name with
-            | Some cell -> List.rev !cell
-            | None -> []);
-        })
-      r.classified
-  in
-  {
-    L.version = L.schema_version;
-    category = Category.name r.category;
-    machine = Category.machine r.category;
-    tau = r.config.tau;
-    alpha = r.config.alpha;
-    projection_tol = r.config.projection_tol;
-    basis_labels = Expectation.labels r.basis;
-    entries;
-  }
-
-let ledger r =
-  match r.ledger with
-  | Some l -> l
-  | None ->
-    let l = rebuild_ledger r in
-    r.ledger <- Some l;
-    l
+let ledger = Stage.ledger
 
 let metric result name =
   List.find (fun (d : Metric_solver.metric_def) -> d.metric = name) result.metrics

@@ -34,11 +34,10 @@ type result = Stage.result = {
   chosen_names : string array;
   xhat : Linalg.Mat.t;  (** The chosen columns of [x]. *)
   metrics : Metric_solver.metric_def list;  (** One per signature. *)
-  mutable ledger : Provenance.Ledger.t option;
-      (** The per-event provenance ledger, populated by the run when
-          {!Provenance.recording} was on (and cached here by {!ledger}
-          otherwise).  Recording changes nothing else in the result —
-          the stages only {e read} extra state to emit facts. *)
+  ledger : Provenance.Ledger.t option;
+      (** The per-event provenance ledger.  Every run fills it
+          ({!Stage.downstream} builds it once from the fields above);
+          [None] only on results assembled by hand. *)
 }
 
 val run : ?config:config -> ?shards:int -> Category.t -> result
@@ -66,13 +65,9 @@ val run_all : unit -> result list
 (** All four categories with default parameters. *)
 
 val ledger : result -> Provenance.Ledger.t
-(** The result's provenance ledger.  If the run recorded one (see
-    {!Provenance.set_recording}) it is returned as-is; otherwise it is
-    rebuilt from the stage outputs the result already carries (one
-    extra specialized-QRCP factorization, like {!Report.qrcp_trace})
-    and cached on the result.  The two paths are bit-identical — the
-    recorded ledger is the emission-side view, the rebuilt one the
-    pure re-derivation, and the drift tests pin them equal. *)
+(** The result's provenance ledger: [r.ledger] when set, else the
+    same derivation over the stage outputs the result carries, after
+    one specialized-QRCP factorization (see {!Stage.ledger}). *)
 
 val metric : result -> string -> Metric_solver.metric_def
 (** Lookup a metric definition by name; raises [Not_found]. *)

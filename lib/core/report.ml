@@ -32,10 +32,10 @@ let metric_table (r : Pipeline.result) =
     r.metrics;
   Buffer.contents buf
 
-(* Both summaries below read the provenance ledger — the single source
-   of per-event verdicts — rather than re-scanning [classified] and
-   re-deriving the pick order; --stats counters and the ledger export
-   are then views of the same record. *)
+(* The summaries and the trace below read the provenance ledger — the
+   single source of per-event verdicts — rather than re-scanning
+   [classified] and re-factoring X; the ledger export and the manifest
+   totals are then views of the same record. *)
 
 let chosen_events (r : Pipeline.result) =
   let buf = Buffer.create 1024 in
@@ -70,13 +70,18 @@ let filter_summary (r : Pipeline.result) =
         d.Expectation.rank d.Expectation.dim
 
 let qrcp_trace (r : Pipeline.result) =
-  let _, steps = Special_qrcp.factor_traced ~alpha:r.config.alpha r.x in
   let buf = Buffer.create 1024 in
   bprintf buf "Specialized QRCP trace for %s (alpha = %g):\n"
     (Category.name r.category) r.config.alpha;
-  let ppf = Format.formatter_of_buffer buf in
-  Special_qrcp.pp_trace ~names:r.x_names ppf steps;
-  Format.pp_print_flush ppf ();
+  List.iter
+    (fun ((e : Provenance.Ledger.entry), (p : Provenance.Ledger.pick)) ->
+      bprintf buf
+        "step %2d: pick %s (score %.3g, trailing norm %.3g, %d candidates%s)\n"
+        p.round e.event p.score p.trailing_norm p.candidates
+        (match p.runner_up with
+        | Some name -> ", runner-up " ^ name
+        | None -> ""))
+    (Provenance.Ledger.chosen_in_order (Pipeline.ledger r));
   Buffer.contents buf
 
 let fig2_series (r : Pipeline.result) =

@@ -27,10 +27,10 @@ val filter_summary : Pipeline.result -> string
 (** {1 Figure data} *)
 
 val qrcp_trace : Pipeline.result -> string
-(** Re-derives the specialized QRCP's pick trace on the result's X
-    matrix: which event was chosen at each step, with what score and
-    trailing norm, and who the runner-up was.  Explains the
-    Section V selections decision by decision. *)
+(** The specialized QRCP's pick trace, read from the provenance
+    ledger's pick rounds: which event was chosen at each step, with
+    what score and trailing norm, and who the runner-up was.  Explains
+    the Section V selections decision by decision. *)
 
 val fig2_series : Pipeline.result -> (string * float) array
 (** Sorted (event, max-RNMSE) series of Figure 2 for the result's

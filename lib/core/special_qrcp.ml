@@ -115,11 +115,6 @@ let factor_full ~alpha x =
        | Some (best, step) ->
          let sp = Obs.begin_span "qrcp-pivot" in
          trace := step :: !trace;
-         if Provenance.recording () then
-           Provenance.emit_pick ~col:step.pick ~round:(i + 1)
-             ~score:step.score ~trailing_norm:step.trailing_norm
-             ~candidates:step.candidates ~runner_up:step.runner_up
-             ~runner_up_score:step.runner_up_score;
          let pivot = best.c_j in
          Linalg.Mat.swap_cols a i pivot;
          let tmp = perm.(i) in
@@ -174,12 +169,6 @@ let factor_full ~alpha x =
           })
     end
   in
-  if Provenance.recording () then
-    List.iter
-      (fun l ->
-        Provenance.emit_elimination ~col:l.col ~reason:l.reason
-          ~final_norm:l.final_norm ~beta:beta_threshold)
-      leftovers;
   ( { perm; rank; scores = Array.sub scores 0 rank },
     List.rev !trace,
     leftovers )
@@ -195,14 +184,3 @@ let factor ~alpha x =
 let chosen_columns ~alpha x =
   let r = factor ~alpha x in
   Array.sub r.perm 0 r.rank
-
-let pp_trace ~names ppf steps =
-  List.iteri
-    (fun i (s : step) ->
-      Format.fprintf ppf
-        "step %2d: pick %s (score %.3g, trailing norm %.3g, %d candidates%s)@."
-        (i + 1) names.(s.pick) s.score s.trailing_norm s.candidates
-        (match s.runner_up with
-         | Some r -> Printf.sprintf ", runner-up %s" names.(r)
-         | None -> ""))
-    steps

@@ -90,13 +90,8 @@ val factor_traced : alpha:float -> Linalg.Mat.t -> result * step list
 val factor_full :
   alpha:float -> Linalg.Mat.t -> result * step list * leftover list
 (** Like {!factor_traced}, also returning the elimination verdict of
-    every unchosen column.  When provenance recording is on, every
-    pick and elimination is also emitted to the collector (by column
-    index); the extra work is read-only, so the factorization itself
-    is bit-identical either way. *)
+    every unchosen column — the picks and leftovers the provenance
+    ledger is built from ({!Stage.downstream}). *)
 
 val chosen_columns : alpha:float -> Linalg.Mat.t -> int array
 (** First [rank] entries of the permutation, in pick order. *)
-
-val pp_trace : names:string array -> Format.formatter -> step list -> unit
-(** Render a trace with event names substituted for column indices. *)

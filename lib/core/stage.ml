@@ -8,10 +8,11 @@
    (its measurement vectors and its Eq. 4 noise verdict), so
    collection and noise filtering shard by catalog range; projection
    onwards needs the whole accepted set and runs once, downstream of
-   the merge.  The sequential path (Pipeline.run, a thin driver over
-   this module) remains the bit-exact reference: a sharded run must
-   produce byte-identical chosen events, metric definitions and
-   provenance ledger. *)
+   the merge, and so does the one derivation of the provenance ledger.
+   The sequential path (Pipeline.run, a thin driver over this module)
+   remains the bit-exact reference: a sharded run must produce
+   byte-identical chosen events, metric definitions and provenance
+   ledger. *)
 
 type config = {
   tau : float;
@@ -81,7 +82,7 @@ type result = {
   chosen_names : string array;
   xhat : Linalg.Mat.t;
   metrics : Metric_solver.metric_def list;
-  mutable ledger : Provenance.Ledger.t option;
+  ledger : Provenance.Ledger.t option;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -118,7 +119,6 @@ type classified_shard = {
   range : range;
   total : int;
   row_labels : string array;
-  measure : string;
   entries : Noise_filter.classified list;  (* catalog order within range *)
 }
 
@@ -155,7 +155,6 @@ let classify_shard ~config ~category (ds : dataset_shard) =
     range = ds.shard_range;
     total = ds.catalog_events;
     row_labels = ds.dataset.Cat_bench.Dataset.row_labels;
-    measure = Noise_filter.measure_name Noise_filter.Max_rnmse;
     entries;
   }
 
@@ -194,10 +193,6 @@ let merge_shards shards =
                s.total)
         else if s.row_labels <> first.row_labels then
           Error "benchmark row labels mismatch"
-        else if s.measure <> first.measure then
-          Error
-            (Printf.sprintf "variability measure mismatch: %s vs %s"
-               first.measure s.measure)
         else if List.length s.entries <> s.range.hi - s.range.lo then
           Error
             (Printf.sprintf
@@ -250,28 +245,107 @@ let merge_shards shards =
 (* Downstream stages (projection -> QRCP -> metrics), run once          *)
 (* ------------------------------------------------------------------ *)
 
-let publish_ledger_counters (l : Provenance.Ledger.t) =
-  if Obs.enabled () then begin
-    let t = Provenance.Ledger.totals l in
-    let f = float_of_int in
-    Obs.add "ledger.events" (f t.events);
-    Obs.add "ledger.all_zero" (f t.all_zero);
-    Obs.add "ledger.noisy" (f t.noisy);
-    Obs.add "ledger.kept" (f t.kept);
-    Obs.add "ledger.unrepresentable" (f t.unrepresentable);
-    Obs.add "ledger.accepted" (f t.accepted);
-    Obs.add "ledger.eliminated" (f t.eliminated);
-    Obs.add "ledger.chosen" (f t.chosen)
-  end
-
 let classify ~config dataset =
   Obs.span "noise-filter" (fun () ->
       Noise_filter.classify ~tau:config.tau dataset)
 
-(* Callers own Provenance.begin_run (the noise facts precede this
-   stage: the monolithic classify emits them itself, the merge stage
-   re-emits them from the shard artifacts); finalize happens here
-   because only this stage knows the accepted column names. *)
+(* The only variability measure the pipeline runs (Eq. 4); a shard
+   artifact naming another is rejected at decode. *)
+let measure = Noise_filter.measure_name Noise_filter.Max_rnmse
+
+(* The provenance ledger is a join of stage outputs: the Eq. 4 noise
+   verdicts in [classified], the residuals in [projected], the
+   Algorithm 2 picks and leftovers of the one QRCP factorization, and
+   the metric memberships in [metrics].  Column indices resolve to
+   event names through [x_names]; entries follow catalog order. *)
+let build_ledger (r : result) ~steps ~leftovers =
+  let module L = Provenance.Ledger in
+  let proj_by_name = Hashtbl.create 64 in
+  List.iter
+    (fun (p : Projection.projected) ->
+      Hashtbl.replace proj_by_name p.event.Hwsim.Event.name
+        {
+          L.residual = p.relative_residual;
+          tol = r.config.projection_tol;
+          accepted = p.accepted;
+          representation = Linalg.Vec.to_array p.representation;
+        })
+    r.projected;
+  let qrcp_by_name = Hashtbl.create 64 in
+  List.iteri
+    (fun i (s : Special_qrcp.step) ->
+      Hashtbl.replace qrcp_by_name r.x_names.(s.pick)
+        (L.Picked
+           {
+             round = i + 1;
+             score = s.score;
+             trailing_norm = s.trailing_norm;
+             candidates = s.candidates;
+             runner_up = Option.map (fun c -> r.x_names.(c)) s.runner_up;
+             runner_up_score = s.runner_up_score;
+           }))
+    steps;
+  let beta =
+    Special_qrcp.beta ~alpha:r.config.alpha ~rows:(Linalg.Mat.rows r.x)
+  in
+  List.iter
+    (fun (l : Special_qrcp.leftover) ->
+      Hashtbl.replace qrcp_by_name r.x_names.(l.col)
+        (L.Dropped { reason = l.reason; final_norm = l.final_norm; beta }))
+    leftovers;
+  let members_by_name = Hashtbl.create 64 in
+  List.iter
+    (fun (d : Metric_solver.metric_def) ->
+      List.iter
+        (fun (coef, event) ->
+          let prev =
+            Option.value ~default:[] (Hashtbl.find_opt members_by_name event)
+          in
+          Hashtbl.replace members_by_name event ((d.metric, coef) :: prev))
+        d.combination)
+    r.metrics;
+  let entries =
+    List.map
+      (fun (c : Noise_filter.classified) ->
+        let name = c.event.Hwsim.Event.name in
+        {
+          L.event = name;
+          description = c.event.Hwsim.Event.description;
+          noise =
+            {
+              measure;
+              variability = c.variability;
+              tau = r.config.tau;
+              status = Noise_filter.provenance_status c.status;
+            };
+          projection = Hashtbl.find_opt proj_by_name name;
+          qrcp = Hashtbl.find_opt qrcp_by_name name;
+          memberships =
+            List.rev
+              (Option.value ~default:[] (Hashtbl.find_opt members_by_name name));
+        })
+      r.classified
+  in
+  {
+    L.version = L.schema_version;
+    category = Category.name r.category;
+    machine = Category.machine r.category;
+    tau = r.config.tau;
+    alpha = r.config.alpha;
+    projection_tol = r.config.projection_tol;
+    basis_labels = Expectation.labels r.basis;
+    entries;
+  }
+
+let ledger (r : result) =
+  match r.ledger with
+  | Some l -> l
+  | None ->
+    let _, steps, leftovers =
+      Special_qrcp.factor_full ~alpha:r.config.alpha r.x
+    in
+    build_ledger r ~steps ~leftovers
+
 let downstream ~config ~category ~basis ~signatures ~classified () =
   let projected, (x, x_names) =
     Obs.span "projection" (fun () ->
@@ -281,7 +355,9 @@ let downstream ~config ~category ~basis ~signatures ~classified () =
         in
         (projected, Projection.to_matrix projected))
   in
-  let qr = Obs.span "qrcp" (fun () -> Special_qrcp.factor ~alpha:config.alpha x) in
+  let qr, steps, leftovers =
+    Obs.span "qrcp" (fun () -> Special_qrcp.factor_full ~alpha:config.alpha x)
+  in
   let chosen = Array.sub qr.Special_qrcp.perm 0 qr.Special_qrcp.rank in
   let chosen_names = Array.map (fun j -> x_names.(j)) chosen in
   let xhat = Linalg.Mat.select_cols x chosen in
@@ -290,34 +366,24 @@ let downstream ~config ~category ~basis ~signatures ~classified () =
         Metric_solver.define_all ~xhat ~names:chosen_names ~basis signatures)
   in
   if Obs.enabled () then Obs.add "pipeline.metrics_defined" (float_of_int (List.length metrics));
-  let ledger =
-    if Provenance.recording () then begin
-      let l =
-        Provenance.finalize ~category:(Category.name category)
-          ~machine:(Category.machine category) ~tau:config.tau
-          ~alpha:config.alpha ~projection_tol:config.projection_tol
-          ~basis_labels:(Expectation.labels basis) ~column_names:x_names ()
-      in
-      publish_ledger_counters l;
-      Some l
-    end
-    else None
+  let r =
+    {
+      category;
+      config;
+      basis;
+      basis_diagnostics = Expectation.diagnostics basis;
+      classified;
+      projected;
+      x;
+      x_names;
+      chosen;
+      chosen_names;
+      xhat;
+      metrics;
+      ledger = None;
+    }
   in
-  {
-    category;
-    config;
-    basis;
-    basis_diagnostics = Expectation.diagnostics basis;
-    classified;
-    projected;
-    x;
-    x_names;
-    chosen;
-    chosen_names;
-    xhat;
-    metrics;
-    ledger;
-  }
+  { r with ledger = Some (build_ledger r ~steps ~leftovers) }
 
 (* ------------------------------------------------------------------ *)
 (* Run manifests                                                       *)
@@ -330,8 +396,8 @@ let downstream ~config ~category ~basis ~signatures ~classified () =
 (* itself, snapshots it into a schema-versioned Obs.Manifest.t —       *)
 (* config digest, per-stage span timings + latency histograms + GC     *)
 (* deltas, counters/gauges, ledger fate totals, the lint summary and   *)
-(* content hashes of any shard/ledger artifacts — and hands it to the  *)
-(* hook.                                                               *)
+(* content hashes of the shard artifacts consumed and the ledger       *)
+(* produced — and hands it to the hook.                                *)
 (* ------------------------------------------------------------------ *)
 
 let manifest_hook : (Obs.Manifest.t -> unit) option ref = ref None
@@ -353,23 +419,17 @@ let note_artifact name json =
       (name, Obs.Manifest.fnv64_hex (Jsonio.to_string json))
       :: !manifest_artifacts
 
-let fate_totals (r : result) =
-  let events = List.length r.classified in
-  let kept = Noise_filter.count r.classified Noise_filter.Kept in
-  let noisy = Noise_filter.count r.classified Noise_filter.Too_noisy in
-  let all_zero = Noise_filter.count r.classified Noise_filter.All_zero in
-  let accepted = List.length r.projected in
-  let chosen = Array.length r.chosen in
+let totals_pairs (t : Provenance.Ledger.totals) =
   let f = float_of_int in
   [
-    ("events", f events);
-    ("all_zero", f all_zero);
-    ("noisy", f noisy);
-    ("kept", f kept);
-    ("accepted", f accepted);
-    ("unrepresentable", f (kept - accepted));
-    ("eliminated", f (accepted - chosen));
-    ("chosen", f chosen);
+    ("events", f t.events);
+    ("all_zero", f t.all_zero);
+    ("noisy", f t.noisy);
+    ("kept", f t.kept);
+    ("accepted", f t.accepted);
+    ("unrepresentable", f t.unrepresentable);
+    ("eliminated", f t.eliminated);
+    ("chosen", f t.chosen);
   ]
 
 let config_pairs ~category ~config ~shards ~jobs (r : result) =
@@ -430,16 +490,15 @@ let with_manifest ~source ~category ~config ~shards ?jobs f =
     let gc_delta =
       Obs.Gc_sample.delta ~before:gc_before ~after:(Obs.Gc_sample.take ())
     in
-    (match r.ledger with
-    | Some l -> note_artifact "ledger" (Provenance.Ledger.to_json l)
-    | None -> ());
+    let l = ledger r in
+    note_artifact "ledger" (Provenance.Ledger.to_json l);
     finish ();
     let artifacts = List.rev !manifest_artifacts in
     manifest_artifacts := [];
     let m =
       Obs.Manifest.of_recorder ~source ~label:(Category.name category)
         ~config:(config_pairs ~category ~config ~shards ~jobs r)
-        ~totals:(fate_totals r) ~gc:(gc_pairs gc_delta) ?lint:!last_lint
+        ~totals:(totals_pairs (Provenance.Ledger.totals l)) ~gc:(gc_pairs gc_delta) ?lint:!last_lint
         ~artifacts recorder
     in
     emit m;
@@ -498,7 +557,7 @@ let shard_to_json (s : classified_shard) =
       ( "row_labels",
         Jsonio.List
           (Array.to_list (Array.map (fun l -> Jsonio.Str l) s.row_labels)) );
-      ("measure", Jsonio.Str s.measure);
+      ("measure", Jsonio.Str measure);
       ("events", Jsonio.List (List.map entry_json s.entries));
     ]
 
@@ -612,11 +671,15 @@ let shard_of_json json =
             | None -> Error (ctx ^ ": row label is not a string"))
           labels_l
       in
-      let* measure = d_str ctx "measure" json in
+      let* measure_s = d_str ctx "measure" json in
       let* events = d_list ctx "events" json in
       let rows = List.length labels in
       let* entries = map_result (entry_of_json ~rows) events in
-      if lo < 0 || hi < lo || hi > total then
+      if measure_s <> measure then
+        Error
+          (Printf.sprintf "%s: unknown variability measure %S (expected %S)"
+             ctx measure_s measure)
+      else if lo < 0 || hi < lo || hi > total then
         Error (Printf.sprintf "%s: bad range [%d,%d) of %d" ctx lo hi total)
       else if List.length entries <> hi - lo then
         Error
@@ -631,7 +694,6 @@ let shard_of_json json =
             range = { lo; hi };
             total;
             row_labels = Array.of_list labels;
-            measure;
             entries;
           }
 
@@ -649,25 +711,12 @@ let shard_equal a b =
   a.category = b.category && a.machine = b.machine
   && config_equal a.shard_config b.shard_config
   && a.range = b.range && a.total = b.total
-  && a.row_labels = b.row_labels && a.measure = b.measure
+  && a.row_labels = b.row_labels
   && List.equal entry_equal a.entries b.entries
 
 (* ------------------------------------------------------------------ *)
 (* Sharded drivers                                                     *)
 (* ------------------------------------------------------------------ *)
-
-let split_ledger (l : Provenance.Ledger.t) ranges =
-  let arr = Array.of_list l.Provenance.Ledger.entries in
-  List.filter_map
-    (fun { lo; hi } ->
-      if lo >= hi then None
-      else
-        Some
-          {
-            l with
-            Provenance.Ledger.entries = Array.to_list (Array.sub arr lo (hi - lo));
-          })
-    ranges
 
 let run_merged_inner ~category shards =
   (* When a manifest is being collected, content-hash each incoming
@@ -696,50 +745,9 @@ let run_merged_inner ~category shards =
     invalid_arg
       (Printf.sprintf "Stage.run_merged: shards are for machine %s, not %s"
          merged.machine (Category.machine category));
-  let config = merged.shard_config in
-  (* The shards never emit provenance (they may have lived in another
-     process); the noise facts re-enter here, in catalog order, so the
-     final ledger is bit-identical to the monolithic run's. *)
-  if Provenance.recording () then begin
-    Provenance.begin_run ();
-    List.iter
-      (fun (c : Noise_filter.classified) ->
-        Provenance.emit_noise ~event:c.event.Hwsim.Event.name
-          ~description:c.event.Hwsim.Event.description ~measure:merged.measure
-          ~variability:c.variability ~tau:config.tau
-          ~status:(Noise_filter.provenance_status c.status))
-      merged.entries
-  end;
-  let r =
-    downstream ~config ~category ~basis:(Category.basis category)
-      ~signatures:(Category.signatures category) ~classified:merged.entries ()
-  in
-  (* Reassemble the recorded ledger through Ledger.merge: split at the
-     shard boundaries and fold the per-shard audit documents back into
-     one — every sharded run exercises the conflict-detecting merge,
-     and the result is the same coherent document (entries concatenate
-     in catalog order). *)
-  (match r.ledger with
-  | None -> ()
-  | Some l ->
-    let ranges =
-      List.sort compare (List.map (fun s -> (s.range.lo, s.range.hi)) shards)
-      |> List.map (fun (lo, hi) -> { lo; hi })
-    in
-    let folded =
-      match split_ledger l ranges with
-      | [] -> l
-      | piece :: rest ->
-        List.fold_left
-          (fun acc p ->
-            match Provenance.Ledger.merge acc p with
-            | Ok m -> m
-            | Error msg ->
-              invalid_arg ("Stage.run_merged: ledger merge: " ^ msg))
-          piece rest
-    in
-    r.ledger <- Some folded);
-  r
+  downstream ~config:merged.shard_config ~category
+    ~basis:(Category.basis category)
+    ~signatures:(Category.signatures category) ~classified:merged.entries ()
 
 let run_merged ~category shards =
   match shards with

@@ -51,10 +51,17 @@ type result = {
   chosen_names : string array;
   xhat : Linalg.Mat.t;
   metrics : Metric_solver.metric_def list;
-  mutable ledger : Provenance.Ledger.t option;
+  ledger : Provenance.Ledger.t option;
 }
 (** See {!Pipeline.result} for per-field documentation (Pipeline
     re-exports this type). *)
+
+val ledger : result -> Provenance.Ledger.t
+(** The result's provenance ledger: [r.ledger] when the run built it
+    (every {!downstream} does), else derived from the stage outputs
+    the result carries, after one specialized-QRCP factorization (for
+    results assembled by hand).  Both are the same derivation, so they
+    are the same document. *)
 
 (** {1 Optional pre-flight gate}
 
@@ -90,7 +97,8 @@ val preflight_check : Category.t -> unit
     tolerance, reps, shard count), per-stage span timings with latency
     histograms and GC deltas, all counters and gauges, the ledger fate
     totals, the latest pre-flight lint summary and content hashes of
-    the shard/ledger artifacts the run consumed or produced. *)
+    the shard artifacts the run consumed and of the ledger it
+    produced. *)
 
 val set_manifest : (Obs.Manifest.t -> unit) option -> unit
 (** Install (or, with [None], remove) the manifest emission hook. *)
@@ -111,12 +119,6 @@ val with_manifest :
     at the outermost scope.  On exception the recorder is torn down
     and nothing is emitted.  [jobs] is recorded in the manifest config
     (defaults to the jobs of {!Exec.default}). *)
-
-val fate_totals : result -> (string * float) list
-(** The ledger fate totals of a finished run, recomputed from the
-    stage outputs (events / all_zero / noisy / kept / accepted /
-    unrepresentable / eliminated / chosen) — what the manifest's
-    [totals] table records. *)
 
 (** {1 Shard geometry} *)
 
@@ -148,7 +150,6 @@ type classified_shard = {
   range : range;
   total : int;  (** Catalog size the range refers to. *)
   row_labels : string array;
-  measure : string;  (** Variability measure name. *)
   entries : Noise_filter.classified list;  (** Catalog order within range. *)
 }
 (** The unit of exchange between the shardable front and the merged
@@ -167,9 +168,8 @@ val collect_shard :
 
 val classify_shard :
   config:config -> category:Category.t -> dataset_shard -> classified_shard
-(** Run the noise filter on one shard.  Emits no provenance (the
-    merge stage re-emits noise facts from the artifacts); publishes
-    [shard.events] / [shard.kept] counters. *)
+(** Run the noise filter on one shard; publishes [shard.events] /
+    [shard.kept] counters. *)
 
 (** {1 Merge stage} *)
 
@@ -177,7 +177,7 @@ val merge_shards :
   classified_shard list -> (classified_shard, string) Stdlib.result
 (** Deterministically reassemble the full classified catalog:
     sorts shards by range, validates headers (category, machine,
-    config, catalog size, benchmark rows, measure), coverage (no
+    config, catalog size, benchmark rows), coverage (no
     gaps, no overlaps, every shard carrying exactly its range's
     entries) and event-name uniqueness, then concatenates entries in
     catalog order.  [Error] names the first conflict. *)
@@ -186,25 +186,23 @@ val merge_shards :
 
 val classify :
   config:config -> Cat_bench.Dataset.t -> Noise_filter.classified list
-(** The monolithic noise-filter stage (with provenance emission),
-    inside the ["noise-filter"] span — what {!Pipeline.run} uses. *)
+(** The monolithic noise-filter stage, inside the ["noise-filter"]
+    span — what {!Pipeline.run} uses. *)
 
 val downstream :
   config:config -> category:Category.t -> basis:Expectation.t ->
   signatures:Signature.t list -> classified:Noise_filter.classified list ->
   unit -> result
-(** Projection -> specialized QRCP -> metric definitions, plus
-    provenance finalization when recording.  The caller owns
-    [Provenance.begin_run] and the noise-fact emission (they precede
-    this stage). *)
+(** Projection -> specialized QRCP -> metric definitions, then the
+    provenance ledger, built once from [classified], the projections,
+    the QRCP picks and leftovers and the metrics.  The result always
+    carries [ledger = Some _]. *)
 
 val run_merged : category:Category.t -> classified_shard list -> result
 (** Merge the shards (raising [Invalid_argument] on any conflict
-    {!merge_shards} reports), re-emit their noise facts in catalog
-    order when recording, and run {!downstream} with the category's
-    basis and signatures.  The recorded ledger is reassembled through
-    [Provenance.Ledger.merge] at the shard boundaries, so every
-    sharded run exercises the conflict-detecting ledger merge. *)
+    {!merge_shards} reports) and run {!downstream} with the
+    category's basis and signatures; the ledger is derived from the
+    merged catalog exactly as on the monolithic path. *)
 
 val run_sharded :
   ?config:config -> ?executor:Exec.t -> shards:int -> Category.t -> result
@@ -216,28 +214,20 @@ val run_sharded :
     replayed in shard order, and the merge is order-insensitive by
     construction.  [executor] defaults to {!Exec.default}. *)
 
-val publish_ledger_counters : Provenance.Ledger.t -> unit
-(** Publish the [ledger.*] stage-total counters (used by the
-    downstream stage; exposed for Pipeline). *)
-
-val split_ledger :
-  Provenance.Ledger.t -> range list -> Provenance.Ledger.t list
-(** Cut a finalized ledger at shard boundaries (entry ranges; empty
-    ranges dropped) — the inverse of the [Ledger.merge] fold
-    {!run_merged} performs.  Exposed for the round-trip tests. *)
-
 (** {1 Shard artifact JSON} *)
 
 val shard_schema_version : int
 
 val shard_to_json : classified_shard -> Jsonio.t
-(** Versioned export ([schema_version], [kind = "classified-shard"]).
+(** Versioned export ([schema_version], [kind = "classified-shard"],
+    [measure = "max-rnmse"], the noise filter's Eq. 4 measure).
     Non-finite variability/mean values are encoded with
     {!Jsonio.fnum} so they round-trip losslessly. *)
 
 val shard_of_json : Jsonio.t -> (classified_shard, string) Stdlib.result
 (** Strict decode: rejects unknown schema versions, missing or
-    mistyped fields, ranges that disagree with the entry count, and
+    mistyped fields, any variability measure other than
+    ["max-rnmse"], ranges that disagree with the entry count, and
     mean vectors that disagree with the benchmark rows.  Events are
     reconstructed as opaque named events (like a CSV import of real
     measurements): downstream stages only use names, descriptions and

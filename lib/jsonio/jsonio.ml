@@ -6,8 +6,9 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
+(* Append the quoted, escaped form of [s] straight into the output
+   buffer: the printers call this for every key and string value. *)
+let add_escaped buf s =
   Buffer.add_char buf '"';
   String.iter
     (fun c ->
@@ -21,25 +22,37 @@ let escape_string s =
         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
     s;
-  Buffer.add_char buf '"';
+  Buffer.add_char buf '"'
+
+let escape_string s =
+  let buf = Buffer.create (String.length s + 2) in
+  add_escaped buf s;
   Buffer.contents buf
+
+(* The runtime conversion behind Printf's [%g]/[%f], called directly:
+   the same bytes as [Printf.sprintf "%.17g"], without interpreting a
+   format on every number. *)
+external format_float : string -> float -> string = "caml_format_float"
 
 let number_string f =
   if Float.is_finite f then begin
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Printf.sprintf "%.0f" f
-    else Printf.sprintf "%.17g" f
+    if Float.is_integer f && Float.abs f < 1e15 then format_float "%.0f" f
+    else format_float "%.17g" f
   end
   else "null"
 
 let to_string ?(indent = 2) t =
   let buf = Buffer.create 256 in
-  let pad level = Buffer.add_string buf (String.make (level * indent) ' ') in
+  let pad level =
+    for _ = 1 to level * indent do
+      Buffer.add_char buf ' '
+    done
+  in
   let rec go level = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | Num f -> Buffer.add_string buf (number_string f)
-    | Str s -> Buffer.add_string buf (escape_string s)
+    | Str s -> add_escaped buf s
     | List [] -> Buffer.add_string buf "[]"
     | List items ->
       Buffer.add_string buf "[\n";
@@ -59,7 +72,7 @@ let to_string ?(indent = 2) t =
         (fun i (k, v) ->
           if i > 0 then Buffer.add_string buf ",\n";
           pad (level + 1);
-          Buffer.add_string buf (escape_string k);
+          add_escaped buf k;
           Buffer.add_string buf ": ";
           go (level + 1) v)
         fields;
@@ -77,7 +90,7 @@ let to_string_compact t =
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | Num f -> Buffer.add_string buf (number_string f)
-    | Str s -> Buffer.add_string buf (escape_string s)
+    | Str s -> add_escaped buf s
     | List items ->
       Buffer.add_char buf '[';
       List.iteri
@@ -91,7 +104,7 @@ let to_string_compact t =
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (escape_string k);
+          add_escaped buf k;
           Buffer.add_char buf ':';
           go v)
         fields;

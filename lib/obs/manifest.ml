@@ -56,11 +56,15 @@ type t = {
 
 let fnv64_hex s =
   let prime = 0x100000001b3L in
+  (* A loop, not [String.iter]: the accumulator then stays a local
+     unboxed int64 instead of a heap box per byte. *)
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        prime
+  done;
   Printf.sprintf "%016Lx" !h
 
 let digest_config pairs =

@@ -196,43 +196,10 @@ let validate t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Merge                                                               *)
+(* Equality (NaN-tolerant, for round-trip tests)                       *)
 (* ------------------------------------------------------------------ *)
 
 let float_eq a b = Float.equal a b (* NaN-aware bitwise-style equality *)
-
-let merge a b =
-  if a.version <> b.version then
-    Error (Printf.sprintf "schema version mismatch: %d vs %d" a.version b.version)
-  else if a.category <> b.category then
-    Error (Printf.sprintf "category mismatch: %s vs %s" a.category b.category)
-  else if a.machine <> b.machine then
-    Error (Printf.sprintf "machine mismatch: %s vs %s" a.machine b.machine)
-  else if
-    not
-      (float_eq a.tau b.tau && float_eq a.alpha b.alpha
-       && float_eq a.projection_tol b.projection_tol)
-  then Error "threshold mismatch (tau/alpha/projection_tol)"
-  else if a.basis_labels <> b.basis_labels then
-    Error "expectation basis mismatch"
-  else begin
-    let names = Hashtbl.create 64 in
-    List.iter (fun e -> Hashtbl.replace names e.event ()) a.entries;
-    let overlap =
-      List.filter (fun e -> Hashtbl.mem names e.event) b.entries
-      |> List.map (fun e -> e.event)
-    in
-    match overlap with
-    | [] -> Ok { a with entries = a.entries @ b.entries }
-    | names ->
-      Error
-        (Printf.sprintf "overlapping event names: %s"
-           (String.concat ", " names))
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Equality (NaN-tolerant, for round-trip tests)                       *)
-(* ------------------------------------------------------------------ *)
 
 let noise_equal a b =
   a.measure = b.measure
@@ -383,7 +350,7 @@ let to_json t =
     ]
 
 (* Decoding: strict — a missing or mistyped field is an error naming
-   the field, so shards from incompatible builds fail loudly. *)
+   the field, so exports from incompatible builds fail loudly. *)
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 

@@ -78,31 +78,6 @@ let test_signature_combinators () =
     [ ("X", 2.); ("Y", 4.) ]
     (List.sort compare d.coords)
 
-let test_compare_availability_matrix () =
-  let intel = Core.Pipeline.run Core.Category.Cpu_flops in
-  let zen = Lazy.force zen_result in
-  let rows = Core.Compare.compare [ ("intel", intel); ("zen", zen) ] in
-  Alcotest.(check int) "six shared metrics" 6 (List.length rows);
-  Alcotest.(check (list string)) "nothing portable" []
-    (Core.Compare.portable_metrics rows);
-  (match Core.Compare.machine_specific rows with
-   | [ ("intel", intel_only); ("zen", zen_only) ] ->
-     Alcotest.(check (list string)) "intel-only metrics"
-       [ "SP Instrs."; "SP Ops."; "DP Instrs."; "DP Ops." ]
-       intel_only;
-     Alcotest.(check (list string)) "zen has no exclusive paper metric" [] zen_only
-   | _ -> Alcotest.fail "two machines expected");
-  let text = Core.Compare.to_text rows in
-  Alcotest.(check bool) "renders" true (String.length text > 100)
-
-let test_compare_rejects_mismatched_sets () =
-  let intel = Core.Pipeline.run Core.Category.Cpu_flops in
-  let branch = Core.Pipeline.run Core.Category.Branch in
-  (try
-     ignore (Core.Compare.compare [ ("a", intel); ("b", branch) ]);
-     Alcotest.fail "expected mismatch rejection"
-   with Invalid_argument _ -> ())
-
 (* ------------------------------------------------------------------ *)
 (* Multiplexing                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -310,8 +285,6 @@ let () =
           Alcotest.test_case "precision metrics unavailable" `Quick test_zen_precision_metrics_unavailable;
           Alcotest.test_case "combined FLOPs composable" `Quick test_zen_combined_flops_composable;
           Alcotest.test_case "signature combinators" `Quick test_signature_combinators;
-          Alcotest.test_case "availability matrix" `Quick test_compare_availability_matrix;
-          Alcotest.test_case "compare rejects mismatch" `Quick test_compare_rejects_mismatched_sets;
         ] );
       ( "multiplex",
         [

@@ -343,6 +343,28 @@ let test_json_escaping () =
   Alcotest.(check string) "newline" "\"a\\nb\"" (Jsonio.escape_string "a\nb");
   Alcotest.(check string) "control" "\"\\u0001\"" (Jsonio.escape_string "\001")
 
+(* Numbers are printed through the runtime's float conversion
+   directly; the bytes must stay those of the Printf formats. *)
+let prop_numbers_match_printf =
+  let reference f =
+    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+    else Printf.sprintf "%.17g" f
+  in
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          float;
+          map float_of_int (int_range (-1_000_000) 1_000_000);
+          map (fun e -> Float.ldexp 1.0 e) (int_range (-1074) 1023);
+        ])
+  in
+  QCheck.Test.make ~name:"numbers print as %.17g / %.0f" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun f ->
+      QCheck.assume (Float.is_finite f);
+      Jsonio.to_string_compact (Jsonio.Num f) = reference f)
+
 let test_json_structures () =
   let j =
     Jsonio.Obj
@@ -422,6 +444,7 @@ let () =
         [
           Alcotest.test_case "scalars" `Quick test_json_scalars;
           Alcotest.test_case "escaping" `Quick test_json_escaping;
+          QCheck_alcotest.to_alcotest prop_numbers_match_printf;
           Alcotest.test_case "structures" `Quick test_json_structures;
           Alcotest.test_case "float precision" `Quick test_json_float_precision;
         ] );

@@ -225,9 +225,6 @@ let test_diff_flags_real_differences () =
 
 let test_sharded_manifest_coherent () =
   with_clean_state @@ fun () ->
-  Provenance.set_recording true;
-  Fun.protect ~finally:(fun () -> Provenance.set_recording false)
-  @@ fun () ->
   let category = Core.Category.Branch in
   let m, r = capture_pipeline_manifest ~shards:3 category in
   Alcotest.(check string) "source" "pipeline" m.M.source;
@@ -256,6 +253,44 @@ let test_sharded_manifest_coherent () =
         (name ^ " hash is 16 hex digits")
         16 (String.length hash))
     m.M.artifacts
+
+(* The manifest's totals table is the ledger's stage totals, for every
+   fate.  Branch pins the unrepresentable case: two kept events have no
+   representation in the basis, so kept and accepted must differ. *)
+let test_manifest_totals_are_ledger_totals () =
+  with_clean_state @@ fun () ->
+  List.iter
+    (fun category ->
+      let m, r = capture_pipeline_manifest category in
+      let ledger = Core.Pipeline.ledger r in
+      let t = Provenance.Ledger.totals ledger in
+      let name = Core.Category.name category in
+      Alcotest.(check (option string))
+        (name ^ ": ledger artifact hash")
+        (Some
+           (M.fnv64_hex (Jsonio.to_string (Provenance.Ledger.to_json ledger))))
+        (List.assoc_opt "ledger" m.M.artifacts);
+      List.iter
+        (fun (key, expected) ->
+          Alcotest.(check (option (float 0.0)))
+            (Printf.sprintf "%s totals/%s" name key)
+            (Some (float_of_int expected))
+            (List.assoc_opt key m.M.totals))
+        [
+          ("events", t.events);
+          ("all_zero", t.all_zero);
+          ("noisy", t.noisy);
+          ("kept", t.kept);
+          ("accepted", t.accepted);
+          ("unrepresentable", t.unrepresentable);
+          ("eliminated", t.eliminated);
+          ("chosen", t.chosen);
+        ])
+    Core.Category.all;
+  let m, _ = capture_pipeline_manifest Core.Category.Branch in
+  Alcotest.(check (option (float 0.0)))
+    "branch: two kept events are unrepresentable" (Some 2.0)
+    (List.assoc_opt "unrepresentable" m.M.totals)
 
 (* ------------------------------------------------------------------ *)
 (* Inertness                                                           *)
@@ -300,6 +335,11 @@ let () =
             test_diff_identical_runs;
           test_case "real differences flagged" `Quick
             test_diff_flags_real_differences;
+        ] );
+      ( "totals",
+        [
+          test_case "totals are the ledger totals" `Quick
+            test_manifest_totals_are_ledger_totals;
         ] );
       ( "sharded",
         [
