@@ -15,7 +15,7 @@ let () =
     Cat_bench.Dataset.of_activities ~name:"stores" ~seed:"cat-stores"
       ~reps:Cat_bench.Dataset.default_reps
       ~events:Hwsim.Catalog_sapphire_rapids.events
-      ~rows:(Cat_bench.Store_kernels.rows ())
+      ~rows:Cat_bench.Store_kernels.rows
       ~row_labels:Cat_bench.Store_kernels.row_labels
   in
   let basis = Core.Expectation.of_ideals (Cat_bench.Store_kernels.ideals ()) in

@@ -177,6 +177,69 @@ let write_misses t = t.write_misses
 let writebacks t = t.writebacks
 let evictions t = t.evictions
 
+(* The valid ways set by set, each set's fill count and the counters.
+   The replacement order is the way order, so this is the whole state
+   under Lru and Fifo; Random also draws from its RNG. *)
+type snapshot = {
+  s_tags : int array;
+  s_fill : int array;
+  s_demand_hits : int;
+  s_demand_misses : int;
+  s_write_hits : int;
+  s_write_misses : int;
+  s_writebacks : int;
+  s_evictions : int;
+}
+
+let deterministic t =
+  match t.cfg.policy with Replacement.Lru | Fifo -> true | Random _ -> false
+
+let snapshot t =
+  let valid = Array.fold_left ( + ) 0 t.fill in
+  let s_tags = Array.make valid 0 and k = ref 0 in
+  Array.iteri
+    (fun set n ->
+      Array.blit t.tags (set * t.ways) s_tags !k n;
+      k := !k + n)
+    t.fill;
+  {
+    s_tags;
+    s_fill = Array.copy t.fill;
+    s_demand_hits = t.demand_hits;
+    s_demand_misses = t.demand_misses;
+    s_write_hits = t.write_hits;
+    s_write_misses = t.write_misses;
+    s_writebacks = t.writebacks;
+    s_evictions = t.evictions;
+  }
+
+let same_state t s =
+  let nsets = Array.length t.fill in
+  let same = ref true and set = ref 0 and k = ref 0 in
+  (* [k] is where the current set's ways start in [s.s_tags]. *)
+  while !same && !set < nsets do
+    let n = t.fill.(!set) in
+    if n <> s.s_fill.(!set) then same := false
+    else begin
+      let base = !set * t.ways and w = ref 0 in
+      while !same && !w < n do
+        if t.tags.(base + !w) <> s.s_tags.(!k + !w) then same := false;
+        incr w
+      done;
+      k := !k + n;
+      incr set
+    end
+  done;
+  !same
+
+let advance t s k =
+  t.demand_hits <- t.demand_hits + (k * (t.demand_hits - s.s_demand_hits));
+  t.demand_misses <- t.demand_misses + (k * (t.demand_misses - s.s_demand_misses));
+  t.write_hits <- t.write_hits + (k * (t.write_hits - s.s_write_hits));
+  t.write_misses <- t.write_misses + (k * (t.write_misses - s.s_write_misses));
+  t.writebacks <- t.writebacks + (k * (t.writebacks - s.s_writebacks));
+  t.evictions <- t.evictions + (k * (t.evictions - s.s_evictions))
+
 let reset_counters t =
   t.demand_hits <- 0;
   t.demand_misses <- 0;

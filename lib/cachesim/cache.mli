@@ -58,3 +58,27 @@ val demand_hits : t -> int
 val demand_misses : t -> int
 val evictions : t -> int
 val reset_counters : t -> unit
+
+(** {1 Steady state}
+
+    A deterministic cache that returns to an earlier state after some
+    run of accesses will repeat that run's counter deltas on every
+    repetition of the same accesses.  These three operations let a
+    caller detect the repeat and apply its deltas without simulating
+    them. *)
+
+type snapshot
+(** A copy of the valid ways, set by set, the per-set fill counts and
+    every counter. *)
+
+val deterministic : t -> bool
+(** False under [Random]: its RNG is state no snapshot holds. *)
+
+val snapshot : t -> snapshot
+
+val same_state : t -> snapshot -> bool
+(** The valid ways (with their order and dirty bits) and fill counts
+    equal the snapshot's; counters are not compared. *)
+
+val advance : t -> snapshot -> int -> unit
+(** [advance t s k] adds [k] times (current - [s]) to every counter. *)

@@ -7,7 +7,6 @@ type t = {
   l2 : Cache.t;
   l3 : Cache.t;
   mutable accesses : int;
-  mutable mem_accesses : int;
 }
 
 let default_config =
@@ -22,7 +21,6 @@ let create (cfg : config) =
     l2 = Cache.create cfg.l2;
     l3 = Cache.create cfg.l3;
     accesses = 0;
-    mem_accesses = 0;
   }
 
 let load t addr =
@@ -35,9 +33,7 @@ let load t addr =
      | Cache.Miss ->
        (match Cache.access t.l3 addr with
         | Cache.Hit -> L3
-        | Cache.Miss ->
-          t.mem_accesses <- t.mem_accesses + 1;
-          Memory))
+        | Cache.Miss -> Memory))
 
 let store t addr =
   t.accesses <- t.accesses + 1;
@@ -50,9 +46,7 @@ let store t addr =
      | Cache.Miss ->
        (match Cache.access t.l3 addr with
         | Cache.Hit -> L3
-        | Cache.Miss ->
-          t.mem_accesses <- t.mem_accesses + 1;
-          Memory))
+        | Cache.Miss -> Memory))
 
 let writebacks t = Cache.writebacks t.l1
 
@@ -94,8 +88,36 @@ let reset_counters t =
   Cache.reset_counters t.l1;
   Cache.reset_counters t.l2;
   Cache.reset_counters t.l3;
-  t.accesses <- 0;
-  t.mem_accesses <- 0
+  t.accesses <- 0
+
+type snapshot = {
+  s_l1 : Cache.snapshot;
+  s_l2 : Cache.snapshot;
+  s_l3 : Cache.snapshot;
+  s_accesses : int;
+}
+
+let deterministic t =
+  Cache.deterministic t.l1 && Cache.deterministic t.l2 && Cache.deterministic t.l3
+
+let snapshot (t : t) =
+  {
+    s_l1 = Cache.snapshot t.l1;
+    s_l2 = Cache.snapshot t.l2;
+    s_l3 = Cache.snapshot t.l3;
+    s_accesses = t.accesses;
+  }
+
+let same_state t s =
+  Cache.same_state t.l1 s.s_l1
+  && Cache.same_state t.l2 s.s_l2
+  && Cache.same_state t.l3 s.s_l3
+
+let advance (t : t) s k =
+  Cache.advance t.l1 s.s_l1 k;
+  Cache.advance t.l2 s.s_l2 k;
+  Cache.advance t.l3 s.s_l3 k;
+  t.accesses <- t.accesses + (k * (t.accesses - s.s_accesses))
 
 let warm t addrs =
   Array.iter (fun a -> ignore (load t a)) addrs;

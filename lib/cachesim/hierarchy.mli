@@ -65,3 +65,17 @@ val level_capacity : t -> level -> int
 (** Capacity in bytes ([max_int] for [Memory]). *)
 
 val pp_counters : Format.formatter -> counters -> unit
+
+(** {1 Steady state}
+
+    {!Cache}'s snapshot operations over all three levels, plus the
+    access count. *)
+
+type snapshot
+
+val deterministic : t -> bool
+(** No level uses [Random] replacement. *)
+
+val snapshot : t -> snapshot
+val same_state : t -> snapshot -> bool
+val advance : t -> snapshot -> int -> unit

@@ -20,6 +20,9 @@ val default_config : config
 (** 64-entry 4-way L1, 1024-entry 8-way L2, 4 KiB pages. *)
 
 val create : config -> t
+(** Raises [Invalid_argument "Tlb.create: ..."] unless the page size
+    is a power of two and each level's ways are positive and divide
+    its entries into a power-of-two number of sets. *)
 
 type outcome = L1_hit | L2_hit | Walk
 
@@ -33,3 +36,14 @@ val reset_stats : t -> unit
 
 val pages_touched : buffer_bytes:int -> page_bytes:int -> int
 (** Helper: pages a buffer spans (ceiling division). *)
+
+(** {1 Steady state}
+
+    {!Cache}'s snapshot operations over both levels, plus the hit and
+    walk counts. *)
+
+type snapshot
+
+val snapshot : t -> snapshot
+val same_state : t -> snapshot -> bool
+val advance : t -> snapshot -> int -> unit

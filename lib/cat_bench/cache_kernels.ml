@@ -85,6 +85,11 @@ let thread_activity config ~rep ~thread =
   let r =
     Cachesim.Pointer_chase.run_instrumented ~tlb h chain ~accesses ~warmup:true
   in
+  if Obs.enabled () then begin
+    let stepped = accesses + Cachesim.Pointer_chase.pointers chain in
+    Obs.add "cachesim.accesses_simulated" (float_of_int r.simulated);
+    Obs.add "cachesim.accesses_skipped" (float_of_int (stepped - r.simulated))
+  end;
   let c = r.cache in
   let a = Activity.create () in
   Activity.set a Keys.cache_l1_dh (float_of_int c.l1_hit);

@@ -33,7 +33,10 @@ val accesses : int
 
 val thread_activity : config -> rep:int -> thread:int -> Hwsim.Activity.t
 (** Simulate one thread's chase: fresh hierarchy, rep/thread-seeded
-    random chain, warmup walk, measured chase. *)
+    random chain, warmup walk, measured chase.  With the collector
+    enabled, adds the steps simulated and the steps applied from the
+    steady state to the counters [cachesim.accesses_simulated] and
+    [cachesim.accesses_skipped]. *)
 
 val ideal_row : config -> Hwsim.Activity.t
 (** The idealized expectation: all [accesses] loads served by the

@@ -27,8 +27,6 @@ let range_name base ~lo ~hi = Printf.sprintf "%s[%d,%d)" base lo hi
    bit-identical vectors to the whole-catalog build: the shard is a
    restriction, never a re-randomization. *)
 let of_activities_range ~name ~seed ~reps ~events ~lo ~hi ~rows ~row_labels =
-  if Array.length rows <> Array.length row_labels then
-    invalid_arg "Dataset.of_activities_range: rows/labels mismatch";
   let total = List.length events in
   let events = slice_events ~ctx:"Dataset.of_activities_range" ~lo ~hi events in
   Obs.span "dataset-build" (fun () ->
@@ -38,7 +36,11 @@ let of_activities_range ~name ~seed ~reps ~events ~lo ~hi ~rows ~row_labels =
         Obs.attr_int "lo" lo;
         Obs.attr_int "hi" hi
       end;
+      let rows = Obs.span "activities" rows in
+      if Array.length rows <> Array.length row_labels then
+        invalid_arg "Dataset.of_activities_range: rows/labels mismatch";
       let measurements =
+        Obs.span "readings" @@ fun () ->
         List.map
           (fun event ->
             if Obs.enabled () then begin
@@ -72,25 +74,25 @@ let memo f =
 let cpu_flops =
   memo (fun ~reps ->
       of_activities ~name:"cpu-flops" ~seed:"cat-cpu-flops" ~reps
-        ~events:Hwsim.Catalog_sapphire_rapids.events ~rows:(Flops_kernels.rows ())
+        ~events:Hwsim.Catalog_sapphire_rapids.events ~rows:Flops_kernels.rows
         ~row_labels:Flops_kernels.row_labels)
 
 let branch =
   memo (fun ~reps ->
       of_activities ~name:"branch" ~seed:"cat-branch" ~reps
-        ~events:Hwsim.Catalog_sapphire_rapids.events ~rows:(Branch_kernels.rows ())
+        ~events:Hwsim.Catalog_sapphire_rapids.events ~rows:Branch_kernels.rows
         ~row_labels:Branch_kernels.row_labels)
 
 let gpu_flops =
   memo (fun ~reps ->
       of_activities ~name:"gpu-flops" ~seed:"cat-gpu-flops" ~reps
-        ~events:Hwsim.Catalog_mi250x.events ~rows:(Gpu_kernels.rows ())
+        ~events:Hwsim.Catalog_mi250x.events ~rows:Gpu_kernels.rows
         ~row_labels:Gpu_kernels.row_labels)
 
 let zen_flops =
   memo (fun ~reps ->
       of_activities ~name:"zen-flops" ~seed:"cat-zen-flops" ~reps
-        ~events:Hwsim.Catalog_zen.events ~rows:(Flops_kernels.rows ())
+        ~events:Hwsim.Catalog_zen.events ~rows:Flops_kernels.rows
         ~row_labels:Flops_kernels.row_labels)
 
 (* Range variants of the four catalog-wide builders: measure only the
@@ -102,25 +104,25 @@ let cpu_flops_range ?(reps = default_reps) ~lo ~hi () =
   of_activities_range
     ~name:(range_name "cpu-flops" ~lo ~hi)
     ~seed:"cat-cpu-flops" ~reps ~events:Hwsim.Catalog_sapphire_rapids.events
-    ~lo ~hi ~rows:(Flops_kernels.rows ()) ~row_labels:Flops_kernels.row_labels
+    ~lo ~hi ~rows:Flops_kernels.rows ~row_labels:Flops_kernels.row_labels
 
 let branch_range ?(reps = default_reps) ~lo ~hi () =
   of_activities_range
     ~name:(range_name "branch" ~lo ~hi)
     ~seed:"cat-branch" ~reps ~events:Hwsim.Catalog_sapphire_rapids.events ~lo
-    ~hi ~rows:(Branch_kernels.rows ()) ~row_labels:Branch_kernels.row_labels
+    ~hi ~rows:Branch_kernels.rows ~row_labels:Branch_kernels.row_labels
 
 let gpu_flops_range ?(reps = default_reps) ~lo ~hi () =
   of_activities_range
     ~name:(range_name "gpu-flops" ~lo ~hi)
     ~seed:"cat-gpu-flops" ~reps ~events:Hwsim.Catalog_mi250x.events ~lo ~hi
-    ~rows:(Gpu_kernels.rows ()) ~row_labels:Gpu_kernels.row_labels
+    ~rows:Gpu_kernels.rows ~row_labels:Gpu_kernels.row_labels
 
 let zen_flops_range ?(reps = default_reps) ~lo ~hi () =
   of_activities_range
     ~name:(range_name "zen-flops" ~lo ~hi)
     ~seed:"cat-zen-flops" ~reps ~events:Hwsim.Catalog_zen.events ~lo ~hi
-    ~rows:(Flops_kernels.rows ()) ~row_labels:Flops_kernels.row_labels
+    ~rows:Flops_kernels.rows ~row_labels:Flops_kernels.row_labels
 
 (* The thread activities are a function of (kernel config, rep,
    thread) only — independent of which events a build measures — so
@@ -137,11 +139,23 @@ let dcache_activities_on executor ~reps =
     let configs = Array.of_list Cache_kernels.configs in
     let nrows = Array.length configs and threads = Cache_kernels.threads in
     (* Task k is (rep, row, thread) in row-major order. *)
+    let sim k =
+      Cache_kernels.thread_activity
+        configs.(k / threads mod nrows)
+        ~rep:(k / (nrows * threads)) ~thread:(k mod threads)
+    in
     let flat =
-      Executor.map ~executor (reps * nrows * threads) (fun k ->
-          Cache_kernels.thread_activity
-            configs.(k / threads mod nrows)
-            ~rep:(k / (nrows * threads)) ~thread:(k mod threads))
+      match executor with
+      | Executor.Seq -> Executor.map ~executor (reps * nrows * threads) sim
+      | Executor.Domains _ ->
+        (* Workers buffer their counters; they are replayed here in
+           task order. *)
+        let tagged =
+          Executor.map ~executor (reps * nrows * threads) (fun k ->
+              Obs.with_capture (fun () -> sim k))
+        in
+        Array.iter (fun (_, cap) -> Option.iter Obs.replay cap) tagged;
+        Array.map fst tagged
     in
     let a =
       Array.init reps (fun rep ->
@@ -182,7 +196,7 @@ let dcache_build ?(lo = 0) ?hi ~reduce ~reps () =
   let configs = Array.of_list Cache_kernels.configs in
   let nrows = Array.length configs in
   (* activities.(rep).(row).(thread) *)
-  let activities = dcache_activities ~reps in
+  let activities = Obs.span "activities" (fun () -> dcache_activities ~reps) in
   let thread_seeds =
     Array.init Cache_kernels.threads (Printf.sprintf "cat-dcache/thread=%d")
   in
@@ -203,6 +217,7 @@ let dcache_build ?(lo = 0) ?hi ~reduce ~reps () =
         reduce_thread_readings per_thread)
   in
   let measurements =
+    Obs.span "readings" @@ fun () ->
     List.map
       (fun event ->
         if Obs.enabled () then begin

@@ -23,7 +23,7 @@ val default_reps : int
 
 val of_activities_range :
   name:string -> seed:string -> reps:int -> events:Hwsim.Event.t list ->
-  lo:int -> hi:int -> rows:Hwsim.Activity.t array ->
+  lo:int -> hi:int -> rows:(unit -> Hwsim.Activity.t array) ->
   row_labels:string array -> t
 (** Range-based collection, the primitive behind catalog sharding:
     measure only the events at catalog positions [lo, hi) (0-based,
@@ -31,11 +31,14 @@ val of_activities_range :
     derived from [seed].  Because a reading's noise stream is keyed by
     [(seed, event name, rep, row)], the shard's vectors are
     bit-identical to the corresponding slice of the whole-catalog
-    dataset.  Raises [Invalid_argument] on an out-of-bounds range. *)
+    dataset.  [rows ()] gives the per-row activities; it is called
+    inside the [dataset-build] span, in a child span [activities],
+    and the readings are taken in a second child span [readings].
+    Raises [Invalid_argument] on an out-of-bounds range. *)
 
 val of_activities :
   name:string -> seed:string -> reps:int -> events:Hwsim.Event.t list ->
-  rows:Hwsim.Activity.t array -> row_labels:string array -> t
+  rows:(unit -> Hwsim.Activity.t array) -> row_labels:string array -> t
 (** Whole-catalog collection: {!of_activities_range} over the full
     range (kept as the compatibility entry point). *)
 

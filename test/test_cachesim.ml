@@ -421,20 +421,38 @@ let activity_digest records =
     records;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+(* Also pins how many chase steps the 640 simulations step and how
+   many they apply from the steady state: together, every measured
+   access plus one warm-up cycle per simulation. *)
 let test_dcache_activities_pinned () =
-  let records =
-    List.concat_map
-      (fun rep ->
-        List.concat_map
-          (fun config ->
-            List.init Cat_bench.Cache_kernels.threads (fun thread ->
-                Cat_bench.Cache_kernels.thread_activity config ~rep ~thread))
-          Cat_bench.Cache_kernels.configs)
-      (List.init 5 Fun.id)
+  Obs.clear ();
+  Obs.install Obs.Sink.null;
+  let records, simulated, skipped =
+    Fun.protect ~finally:Obs.clear (fun () ->
+        let records =
+          List.concat_map
+            (fun rep ->
+              List.concat_map
+                (fun config ->
+                  List.init Cat_bench.Cache_kernels.threads (fun thread ->
+                      Cat_bench.Cache_kernels.thread_activity config ~rep ~thread))
+                Cat_bench.Cache_kernels.configs)
+            (List.init 5 Fun.id)
+        in
+        ( records,
+          Obs.counter "cachesim.accesses_simulated",
+          Obs.counter "cachesim.accesses_skipped" ))
   in
   Alcotest.(check int) "640 simulations" 640 (List.length records);
   Alcotest.(check string) "digest" "fae0db143508624e61b3dbe77a1c0347"
-    (activity_digest records)
+    (activity_digest records);
+  let simulated = int_of_float simulated and skipped = int_of_float skipped in
+  (* 52,660 pointers over the 16 configs, for 5 reps x 8 threads. *)
+  Alcotest.(check int) "measured + warm-up steps"
+    ((640 * Cat_bench.Cache_kernels.accesses) + (40 * 52660))
+    (simulated + skipped);
+  Alcotest.(check int) "simulated" 3_699_840 simulated;
+  Alcotest.(check int) "skipped" 3_649_440 skipped
 
 let test_store_rows_pinned () =
   Alcotest.(check string) "digest" "271c51e76b1cbcebb6a77ab67b961306"
@@ -589,6 +607,275 @@ let prop_counters_conserve =
       && k.Cachesim.Hierarchy.l3_hit + k.Cachesim.Hierarchy.l3_miss
          = k.Cachesim.Hierarchy.l2_miss)
 
+(* ------------------------------------------------------------------ *)
+(* Steady-state skipping                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A periodic stream of cache operations, skipped the way the pointer
+   chase skips cycles: snapshot at each period boundary and, once the
+   state repeats, advance by the remaining whole periods.  Every
+   counter and every resident must equal the plain run's. *)
+let prop_cache_advance_exact =
+  QCheck.Test.make ~name:"Cache.advance applies repeated periods exactly"
+    ~count:300
+    (QCheck.make ~print:print_case gen_case)
+    (fun (line_bytes, ways, nsets, lru, ops) ->
+      let module C = Cachesim.Cache in
+      let policy = if lru then Cachesim.Replacement.Lru else Cachesim.Replacement.Fifo in
+      let create () =
+        C.create { C.size_bytes = line_bytes * ways * nsets; ways; line_bytes; policy }
+      in
+      let period c =
+        List.iter
+          (fun (op, a) ->
+            match op with
+            | Load -> ignore (C.access c a)
+            | Store -> ignore (C.write c a)
+            | Prefetch -> C.fill_prefetch c a
+            | Invalidate -> C.invalidate_all c)
+          ops
+      in
+      let periods = 7 in
+      let plain = create () and skipping = create () in
+      for _ = 1 to periods do period plain done;
+      let rec go s done_ =
+        period skipping;
+        if C.same_state skipping s then C.advance skipping s (periods - done_ - 1)
+        else if done_ + 1 < periods then go (C.snapshot skipping) (done_ + 1)
+      in
+      go (C.snapshot skipping) 0;
+      let counters c =
+        C.[ demand_hits c; demand_misses c; write_hits c; write_misses c;
+            writebacks c; evictions c ]
+      in
+      let residents c =
+        List.init (3 * ways * nsets + 1) (fun k -> C.probe c (k * line_bytes))
+      in
+      C.deterministic plain
+      && counters plain = counters skipping
+      && residents plain = residents skipping)
+
+(* The chase with every step simulated: what the skipping
+   [run_instrumented] must equal counter for counter. *)
+let plain_chase ?tlb h c ~accesses ~warmup =
+  let visit k =
+    let addr = Cachesim.Pointer_chase.(address c (slot c k)) in
+    Option.iter (fun t -> ignore (Cachesim.Tlb.access t addr)) tlb;
+    ignore (Cachesim.Hierarchy.load h addr)
+  in
+  if warmup then begin
+    for k = 0 to Cachesim.Pointer_chase.pointers c - 1 do visit k done;
+    Cachesim.Hierarchy.reset_counters h;
+    Option.iter Cachesim.Tlb.reset_stats tlb
+  end;
+  for k = 0 to accesses - 1 do visit k done
+
+(* What the hierarchy, but not the TLB, has seen before the chase:
+   one cycle of the chain's loads or stores.  Either can put the
+   hierarchy in its steady state while the TLB is still cold, and the
+   stores leave dirty lines that a later cycle reloads clean. *)
+type history = Fresh | Loaded | Stored
+
+type chase_case = {
+  c_line : int;
+  c_levels : (level_geom * bool) list;  (* geometry; Random replacement *)
+  c_tlb : (int * level_geom * level_geom) option;  (* page bytes, L1, L2 *)
+  c_pointers : int;
+  c_stride : int;
+  c_shuffle : int option;  (* Sattolo seed, or sequential *)
+  c_history : history;
+  c_warmup : bool;
+  c_accesses : int;
+  c_extra : int;  (* plain steps both runs take afterwards *)
+}
+
+let gen_chase_case =
+  QCheck.Gen.(
+    let level max_sets =
+      pair (gen_level ~max_sets ~lru:bool) (frequency [ (7, pure false); (1, pure true) ])
+    in
+    let* c_line = oneofl [ 32; 64 ] in
+    let* l1 = level 2 in
+    let* l2 = level 3 in
+    let* l3 = level 5 in
+    let* c_tlb =
+      opt
+        (triple (oneofl [ 256; 1024; 4096 ])
+           (gen_level ~max_sets:2 ~lru:(pure true))
+           (gen_level ~max_sets:4 ~lru:(pure true)))
+    in
+    let* n = frequency [ (3, int_range 1 64); (2, int_range 65 5000) ] in
+    let* c_stride = oneofl [ 8; 24; 32; 64; 100; 128; 192 ] in
+    let* c_shuffle = opt (int_range 0 1_000_000) in
+    let* c_history = frequency [ (3, pure Fresh); (1, pure Loaded); (1, pure Stored) ] in
+    let* c_warmup = bool in
+    let* c_accesses =
+      frequency
+        [
+          (1, int_range 0 (n - 1));
+          (2, map (fun k -> k * n) (int_range 0 5));
+          (2, map2 (fun k r -> (k * n) + r) (int_range 1 5) (int_range 0 (n - 1)));
+        ]
+    in
+    let+ c_extra = int_range 0 ((2 * n) + 5) in
+    { c_line; c_levels = [ l1; l2; l3 ]; c_tlb; c_pointers = n; c_stride;
+      c_shuffle; c_history; c_warmup; c_accesses; c_extra })
+
+let print_chase_case k =
+  Printf.sprintf "line=%d levels=%s tlb=%s n=%d stride=%d %s %s warmup=%b accesses=%d extra=%d"
+    k.c_line
+    (String.concat ","
+       (List.map (fun (g, r) -> print_level g ^ if r then "/random" else "") k.c_levels))
+    (match k.c_tlb with
+     | None -> "off"
+     | Some (p, g1, g2) -> Printf.sprintf "%d:%s,%s" p (print_level g1) (print_level g2))
+    k.c_pointers k.c_stride
+    (match k.c_shuffle with None -> "sequential" | Some s -> "sattolo:" ^ string_of_int s)
+    (match k.c_history with Fresh -> "fresh" | Loaded -> "loaded" | Stored -> "stored")
+    k.c_warmup k.c_accesses k.c_extra
+
+let prop_chase_skipping_exact =
+  QCheck.Test.make ~name:"run_instrumented equals the plain chase" ~count:200
+    (QCheck.make ~print:print_chase_case gen_chase_case)
+    (fun k ->
+      let module H = Cachesim.Hierarchy in
+      let module T = Cachesim.Tlb in
+      let module P = Cachesim.Pointer_chase in
+      let level i =
+        let g, random = List.nth k.c_levels i in
+        let c = cache_config ~line_bytes:k.c_line g in
+        if random then
+          { c with Cachesim.Cache.policy =
+                     Cachesim.Replacement.Random (Numkit.Rng.create (Int64.of_int (i + 1))) }
+        else c
+      in
+      let hierarchy () = H.create { H.l1 = level 0; l2 = level 1; l3 = level 2 } in
+      let tlb () =
+        Option.map
+          (fun (page_bytes, g1, g2) ->
+            T.create
+              { T.l1_entries = g1.l_ways * g1.l_sets; l1_ways = g1.l_ways;
+                l2_entries = g2.l_ways * g2.l_sets; l2_ways = g2.l_ways; page_bytes })
+          k.c_tlb
+      in
+      let chain =
+        P.make ~base:0 ~pointers:k.c_pointers ~stride_bytes:k.c_stride
+          (match k.c_shuffle with
+           | None -> P.Sequential
+           | Some s -> P.Shuffled (Numkit.Rng.create (Int64.of_int s)))
+      in
+      let hierarchy () =
+        let h = hierarchy () in
+        for s = 0 to k.c_pointers - 1 do
+          let addr = P.(address chain (slot chain s)) in
+          match k.c_history with
+          | Fresh -> ()
+          | Loaded -> ignore (H.load h addr)
+          | Stored -> ignore (H.store h addr)
+        done;
+        h
+      in
+      let h1 = hierarchy () and t1 = tlb () and h2 = hierarchy () and t2 = tlb () in
+      let r = P.run_instrumented ?tlb:t1 h1 chain ~accesses:k.c_accesses ~warmup:k.c_warmup in
+      plain_chase ?tlb:t2 h2 chain ~accesses:k.c_accesses ~warmup:k.c_warmup;
+      let same () =
+        H.counters h1 = H.counters h2
+        && H.write_counters h1 = H.write_counters h2
+        && Option.map T.stats t1 = Option.map T.stats t2
+      in
+      let reported =
+        r.P.cache = H.counters h2 && r.P.tlb = Option.map T.stats t2 && r.P.prefetches = 0
+      in
+      let stepped = k.c_accesses + if k.c_warmup then k.c_pointers else 0 in
+      let may_skip = k.c_accesses >= 2 * k.c_pointers && H.deterministic h1 in
+      let simulated =
+        r.P.simulated = stepped || (may_skip && r.P.simulated < stepped)
+      in
+      let first = reported && simulated && same () in
+      (* The state left behind must agree too. *)
+      plain_chase ?tlb:t1 h1 chain ~accesses:k.c_extra ~warmup:false;
+      plain_chase ?tlb:t2 h2 chain ~accesses:k.c_extra ~warmup:false;
+      first && same ())
+
+let test_chase_skips_steady_cycles () =
+  (* 32 L1-resident lines: the first measured cycle ends where it
+     started, so 30 of the remaining 30.25 cycles are applied. *)
+  let h = Cachesim.Hierarchy.create Cachesim.Hierarchy.default_config in
+  let c =
+    Cachesim.Pointer_chase.make ~base:0 ~pointers:32 ~stride_bytes:64
+      (Cachesim.Pointer_chase.Shuffled (Numkit.Rng.create 1L))
+  in
+  let r = Cachesim.Pointer_chase.run_instrumented h c ~accesses:1000 ~warmup:true in
+  Alcotest.(check int) "all hits" 1000 r.cache.Cachesim.Hierarchy.l1_hit;
+  Alcotest.(check int) "warm-up, one cycle and 8 steps" 72 r.simulated
+
+let test_dirty_lines_are_state () =
+  (* Stores leave the L1 tags of the chase's steady state, but dirty;
+     the first cycle writes them back and reloads them clean, so its
+     writebacks must not be repeated. *)
+  let c =
+    Cachesim.Pointer_chase.make ~base:0 ~pointers:256 ~stride_bytes:64
+      Cachesim.Pointer_chase.Sequential
+  in
+  let stored () =
+    let h = Cachesim.Hierarchy.create Cachesim.Hierarchy.default_config in
+    for k = 0 to 255 do
+      ignore (Cachesim.Hierarchy.store h (Cachesim.Pointer_chase.(address c (slot c k))))
+    done;
+    h
+  in
+  let h = stored () and reference = stored () in
+  ignore (Cachesim.Pointer_chase.run_instrumented h c ~accesses:1024 ~warmup:false);
+  plain_chase reference c ~accesses:1024 ~warmup:false;
+  Alcotest.(check int) "writebacks" 256
+    (Cachesim.Hierarchy.write_counters reference).w_writebacks;
+  Alcotest.(check bool) "counters" true
+    (Cachesim.Hierarchy.(counters h = counters reference
+                         && write_counters h = write_counters reference))
+
+let test_random_never_skipped () =
+  (* Three lines in one 2-way Random set: the tags often repeat at a
+     cycle boundary, but the RNG has moved on, so nothing is skipped. *)
+  let config policy =
+    { Cachesim.Cache.size_bytes = 128; ways = 2; line_bytes = 64; policy }
+  in
+  let hierarchy () =
+    Cachesim.Hierarchy.create
+      {
+        Cachesim.Hierarchy.l1 =
+          config (Cachesim.Replacement.Random (Numkit.Rng.create 9L));
+        l2 = config Cachesim.Replacement.Lru;
+        l3 = config Cachesim.Replacement.Lru;
+      }
+  in
+  let c =
+    Cachesim.Pointer_chase.make ~base:0 ~pointers:3 ~stride_bytes:64
+      Cachesim.Pointer_chase.Sequential
+  in
+  let h = hierarchy () and reference = hierarchy () in
+  let r = Cachesim.Pointer_chase.run_instrumented h c ~accesses:3000 ~warmup:true in
+  plain_chase reference c ~accesses:3000 ~warmup:true;
+  Alcotest.(check int) "every step simulated" 3003 r.simulated;
+  Alcotest.(check bool) "counters" true
+    (r.cache = Cachesim.Hierarchy.counters reference)
+
+let test_slot_walks_the_cycle () =
+  let c =
+    Cachesim.Pointer_chase.make ~base:0 ~pointers:7 ~stride_bytes:64
+      (Cachesim.Pointer_chase.Shuffled (Numkit.Rng.create 3L))
+  in
+  let slots = List.init 14 (Cachesim.Pointer_chase.slot c) in
+  Alcotest.(check int) "starts at slot 0" 0 (List.hd slots);
+  Alcotest.(check (list int)) "period 7"
+    (List.filteri (fun i _ -> i < 7) slots)
+    (List.filteri (fun i _ -> i >= 7) slots);
+  Alcotest.(check (list int)) "every slot once" (List.init 7 Fun.id)
+    (List.sort compare (List.filteri (fun i _ -> i < 7) slots))
+
+(* Fixed seed, so [dune runtest] always checks the same cases. *)
+let fixed_seed test =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 18 |]) test
+
 let () =
   Alcotest.run "cachesim"
     [
@@ -624,6 +911,15 @@ let () =
           Alcotest.test_case "oversized all misses" `Quick test_chase_oversized_all_misses;
           Alcotest.test_case "warmup removes cold misses" `Quick test_chase_warmup_removes_cold_misses;
           Alcotest.test_case "stride halves capacity" `Quick test_stride_halves_effective_capacity;
+          Alcotest.test_case "slot walks the cycle" `Quick test_slot_walks_the_cycle;
+        ] );
+      ( "steady-state",
+        [
+          Alcotest.test_case "skips steady cycles" `Quick test_chase_skips_steady_cycles;
+          Alcotest.test_case "Random never skipped" `Quick test_random_never_skipped;
+          Alcotest.test_case "dirty lines are state" `Quick test_dirty_lines_are_state;
+          fixed_seed prop_cache_advance_exact;
+          fixed_seed prop_chase_skipping_exact;
         ] );
       ( "pinned",
         [

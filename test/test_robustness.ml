@@ -121,6 +121,20 @@ let test_single_pointer_chain () =
   let k = Cachesim.Pointer_chase.run h c ~accesses:100 ~warmup:true in
   Alcotest.(check int) "all hits on self-loop" 100 k.Cachesim.Hierarchy.l1_hit
 
+let test_negative_accesses_rejected () =
+  let h = Cachesim.Hierarchy.create Cachesim.Hierarchy.default_config in
+  let c =
+    Cachesim.Pointer_chase.make ~base:0 ~pointers:8 ~stride_bytes:64
+      Cachesim.Pointer_chase.Sequential
+  in
+  let e = Invalid_argument "Pointer_chase.run: accesses < 0" in
+  Alcotest.check_raises "run" e (fun () ->
+      ignore (Cachesim.Pointer_chase.run h c ~accesses:(-5) ~warmup:true));
+  Alcotest.check_raises "run_instrumented" e (fun () ->
+      ignore
+        (Cachesim.Pointer_chase.run_instrumented h c ~accesses:(-1)
+           ~warmup:false))
+
 let test_store_writeback_path () =
   let h = Cachesim.Hierarchy.create Cachesim.Hierarchy.default_config in
   (* Dirty 128 distinct lines (L1 holds 64): the second half's fills
@@ -234,6 +248,7 @@ let () =
       ( "simulators",
         [
           Alcotest.test_case "single-pointer chain" `Quick test_single_pointer_chain;
+          Alcotest.test_case "negative accesses" `Quick test_negative_accesses_rejected;
           Alcotest.test_case "store writebacks" `Quick test_store_writeback_path;
           Alcotest.test_case "store then load" `Quick test_store_then_load_hits;
           Alcotest.test_case "clean eviction" `Quick test_clean_eviction_no_writeback;

@@ -10,7 +10,7 @@ let store_dataset =
     (Cat_bench.Dataset.of_activities ~name:"stores" ~seed:"cat-stores"
        ~reps:Cat_bench.Dataset.default_reps
        ~events:Hwsim.Catalog_sapphire_rapids.events
-       ~rows:(Cat_bench.Store_kernels.rows ())
+       ~rows:Cat_bench.Store_kernels.rows
        ~row_labels:Cat_bench.Store_kernels.row_labels)
 
 let store_result =

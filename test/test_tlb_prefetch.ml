@@ -53,6 +53,21 @@ let test_tlb_bad_page_size () =
         (Cachesim.Tlb.create
            { Cachesim.Tlb.default_config with Cachesim.Tlb.page_bytes = 1000 }))
 
+let test_tlb_bad_geometry () =
+  let bad cfg =
+    match Cachesim.Tlb.create cfg with
+    | _ -> Alcotest.fail "accepted an invalid geometry"
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool) ("names Tlb.create: " ^ msg) true
+        (String.starts_with ~prefix:"Tlb.create: " msg)
+  in
+  let d = Cachesim.Tlb.default_config in
+  (* 60 entries in 4 ways: 15 sets, not a power of two. *)
+  bad { d with Cachesim.Tlb.l1_entries = 60 };
+  bad { d with Cachesim.Tlb.l1_ways = 0 };
+  bad { d with Cachesim.Tlb.l2_entries = 1000 };
+  bad { d with Cachesim.Tlb.l2_ways = 3 }
+
 let test_pages_touched () =
   Alcotest.(check int) "exact" 2
     (Cachesim.Tlb.pages_touched ~buffer_bytes:8192 ~page_bytes:4096);
@@ -172,6 +187,7 @@ let () =
           Alcotest.test_case "L2 backstop" `Quick test_tlb_l2_backstop;
           Alcotest.test_case "stats conserve" `Quick test_tlb_stats_conserve;
           Alcotest.test_case "bad page size" `Quick test_tlb_bad_page_size;
+          Alcotest.test_case "bad geometry" `Quick test_tlb_bad_geometry;
           Alcotest.test_case "pages touched" `Quick test_pages_touched;
           Alcotest.test_case "instrumented run" `Quick test_instrumented_run_reports_tlb;
           Alcotest.test_case "small buffer clean" `Quick test_small_buffer_no_tlb_misses;
