@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test loc check lint lint-smoke bench bench-smoke bench-linalg bench-shard bench-par bench-check bench-check-smoke manifest-smoke shard-smoke par-smoke store-smoke trend-smoke repro examples figures docs clean
+.PHONY: all build test loc check lint lint-smoke bench bench-smoke bench-linalg bench-shard bench-par bench-check bench-check-smoke manifest-smoke shard-smoke par-smoke store-smoke trend-smoke repro examples figures clean
 
 all: build
 
@@ -22,11 +22,13 @@ loc:
 # pre-flight lint (must report zero errors on the shipped inputs),
 # an observability smoke run (per-stage timings + counters on one
 # category), the provenance explain smoke (one kept + one discarded
-# event per category must produce a coherent decision chain), and the
-# linalg benchmark smoke test.
+# event per category must produce a coherent decision chain), the
+# machine-checked reproduction scorecard (every paper claim must
+# hold), and the linalg benchmark smoke test.
 check:
 	dune build
 	dune runtest
+	$(MAKE) repro
 	$(MAKE) lint-smoke
 	dune exec bin/analyze.exe -- -c cpu-flops --stats --show summary
 	dune exec bin/analyze.exe -- explain --smoke
@@ -215,7 +217,6 @@ examples:
 	dune exec examples/cross_architecture.exe
 	dune exec examples/validate_on_app.exe
 	dune exec examples/arithmetic_intensity.exe
-	dune exec examples/store_metrics.exe
 	dune exec examples/explain_event.exe
 
 figures:
@@ -225,10 +226,6 @@ figures:
 	dune exec bin/figures.exe -- 2c --gnuplot _figures
 	dune exec bin/figures.exe -- 2d --gnuplot _figures
 	dune exec bin/figures.exe -- 3 --gnuplot _figures
-
-docs:
-	dune exec bin/handbook.exe > METRICS.md
-	dune exec bin/catalog_doc.exe -- spr > CATALOG_SPR.md
 
 clean:
 	dune clean

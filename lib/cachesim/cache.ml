@@ -5,15 +5,13 @@ type config = {
   policy : Replacement.kind;
 }
 
-(* Slot [set * ways + way] holds one line as [line lsl 1 lor dirty].
-   The valid ways of a set are always its first [fill.(set)] ways:
-   lines are only ever invalidated all at once, so the first free way
-   is the fill count, a lookup scans no further, and slots past it are
-   never read.  Under Lru and Fifo a set keeps its ways newest first
-   (by last use, by fill), so the victim of a full set is its last
-   way; under Random a line stays in the way it was filled into.
-   Packing the dirty bit costs the line number its top bit, which only
-   a 1-byte line at an address of 2^61 or more would need. *)
+(* Slot [set * ways + way] holds one line number.  The valid ways of
+   a set are always its first [fill.(set)] ways: lines are only ever
+   invalidated all at once, so the first free way is the fill count, a
+   lookup scans no further, and slots past it are never read.  Under
+   Lru and Fifo a set keeps its ways newest first (by last use, by
+   fill), so the victim of a full set is its last way; under Random a
+   line stays in the way it was filled into. *)
 type t = {
   cfg : config;
   ways : int;
@@ -23,9 +21,6 @@ type t = {
   fill : int array;  (* valid ways per set *)
   mutable demand_hits : int;
   mutable demand_misses : int;
-  mutable write_hits : int;
-  mutable write_misses : int;
-  mutable writebacks : int;
   mutable evictions : int;
 }
 
@@ -52,9 +47,6 @@ let create cfg =
     fill = Array.make nsets 0;
     demand_hits = 0;
     demand_misses = 0;
-    write_hits = 0;
-    write_misses = 0;
-    writebacks = 0;
     evictions = 0;
   }
 
@@ -65,39 +57,24 @@ let size_bytes t = t.cfg.size_bytes
 
 type outcome = Hit | Miss
 
-(* The slot holding [line] among [base, base + n), or -1. *)
-let find (tags : int array) base n (line : int) =
-  let i = ref base and stop = base + n in
-  while !i < stop && tags.(!i) lsr 1 <> line do
-    incr i
-  done;
-  if !i < stop then !i else -1
-
 let line_of t addr = addr lsr t.line_shift
 
-let evict t entry =
-  t.evictions <- t.evictions + 1;
-  if entry land 1 <> 0 then t.writebacks <- t.writebacks + 1
-
 (* Put [line] in front of its set in one pass: each way is shifted
-   down by one until [line] turns up, and its old dirty bit is OR-ed
-   into the front.  On a miss the whole set has shifted and the old
-   last way is carried out: into the first free way, or evicted.
-   [dirty] is 1 for a store, else 0.  True on a hit. *)
-let to_front t set line dirty =
+   down by one until [line] turns up.  On a miss the whole set has
+   shifted and the old last way is carried out: into the first free
+   way, or evicted.  True on a hit. *)
+let to_front t set line =
   let tags = t.tags and base = set * t.ways and n = t.fill.(set) in
   let stop = base + n in
-  let i = ref base and carry = ref ((line lsl 1) lor dirty) in
-  while !i < stop && tags.(!i) lsr 1 <> line do
+  let i = ref base and carry = ref line in
+  while !i < stop && tags.(!i) <> line do
     let cur = tags.(!i) in
     tags.(!i) <- !carry;
     carry := cur;
     incr i
   done;
   if !i < stop then begin
-    let cur = tags.(!i) in
     tags.(!i) <- !carry;
-    tags.(base) <- tags.(base) lor (cur land 1);
     true
   end
   else begin
@@ -105,25 +82,28 @@ let to_front t set line dirty =
       tags.(stop) <- !carry;
       t.fill.(set) <- n + 1
     end
-    else evict t !carry;
+    else t.evictions <- t.evictions + 1;
     false
   end
 
-(* Fifo and Random: on a hit only the dirty bit changes. *)
-let mark t set line dirty =
-  let slot = find t.tags (set * t.ways) t.fill.(set) line in
-  if slot >= 0 then t.tags.(slot) <- t.tags.(slot) lor dirty;
-  slot >= 0
+(* Whether [line] is among the valid ways of [set]; no state change. *)
+let resident t set (line : int) =
+  let tags = t.tags and base = set * t.ways in
+  let i = ref base and stop = base + t.fill.(set) in
+  while !i < stop && tags.(!i) <> line do
+    incr i
+  done;
+  !i < stop
 
-(* Look [line] up, update the replacement state and the dirty bit, and
-   fill it on a miss.  True on a hit. *)
-let reference t line dirty =
+(* Look [line] up, update the replacement state, and fill it on a
+   miss.  True on a hit; under Fifo and Random a hit changes nothing. *)
+let reference t line =
   let set = line land t.set_mask in
   match t.cfg.policy with
-  | Replacement.Lru -> to_front t set line dirty
-  | Fifo -> mark t set line dirty || to_front t set line dirty
+  | Replacement.Lru -> to_front t set line
+  | Fifo -> resident t set line || to_front t set line
   | Random rng ->
-    mark t set line dirty
+    resident t set line
     || begin
       let base = set * t.ways and n = t.fill.(set) in
       let slot =
@@ -132,17 +112,16 @@ let reference t line dirty =
           base + n
         end
         else begin
-          let victim = base + Numkit.Rng.int rng t.ways in
-          evict t t.tags.(victim);
-          victim
+          t.evictions <- t.evictions + 1;
+          base + Numkit.Rng.int rng t.ways
         end
       in
-      t.tags.(slot) <- (line lsl 1) lor dirty;
+      t.tags.(slot) <- line;
       false
     end
 
 let access t addr =
-  if reference t (line_of t addr) 0 then begin
+  if reference t (line_of t addr) then begin
     t.demand_hits <- t.demand_hits + 1;
     Hit
   end
@@ -151,30 +130,16 @@ let access t addr =
     Miss
   end
 
-let write t addr =
-  if reference t (line_of t addr) 1 then begin
-    t.write_hits <- t.write_hits + 1;
-    Hit
-  end
-  else begin
-    t.write_misses <- t.write_misses + 1;
-    Miss
-  end
-
 let probe t addr =
   let line = line_of t addr in
-  let set = line land t.set_mask in
-  find t.tags (set * t.ways) t.fill.(set) line >= 0
+  resident t (line land t.set_mask) line
 
-let fill_prefetch t addr = ignore (reference t (line_of t addr) 0)
+let fill_prefetch t addr = ignore (reference t (line_of t addr))
 
 let invalidate_all t = Array.fill t.fill 0 (Array.length t.fill) 0
 
 let demand_hits t = t.demand_hits
 let demand_misses t = t.demand_misses
-let write_hits t = t.write_hits
-let write_misses t = t.write_misses
-let writebacks t = t.writebacks
 let evictions t = t.evictions
 
 (* The valid ways set by set, each set's fill count and the counters.
@@ -185,9 +150,6 @@ type snapshot = {
   s_fill : int array;
   s_demand_hits : int;
   s_demand_misses : int;
-  s_write_hits : int;
-  s_write_misses : int;
-  s_writebacks : int;
   s_evictions : int;
 }
 
@@ -207,9 +169,6 @@ let snapshot t =
     s_fill = Array.copy t.fill;
     s_demand_hits = t.demand_hits;
     s_demand_misses = t.demand_misses;
-    s_write_hits = t.write_hits;
-    s_write_misses = t.write_misses;
-    s_writebacks = t.writebacks;
     s_evictions = t.evictions;
   }
 
@@ -235,15 +194,9 @@ let same_state t s =
 let advance t s k =
   t.demand_hits <- t.demand_hits + (k * (t.demand_hits - s.s_demand_hits));
   t.demand_misses <- t.demand_misses + (k * (t.demand_misses - s.s_demand_misses));
-  t.write_hits <- t.write_hits + (k * (t.write_hits - s.s_write_hits));
-  t.write_misses <- t.write_misses + (k * (t.write_misses - s.s_write_misses));
-  t.writebacks <- t.writebacks + (k * (t.writebacks - s.s_writebacks));
   t.evictions <- t.evictions + (k * (t.evictions - s.s_evictions))
 
 let reset_counters t =
   t.demand_hits <- 0;
   t.demand_misses <- 0;
-  t.write_hits <- 0;
-  t.write_misses <- 0;
-  t.writebacks <- 0;
   t.evictions <- 0

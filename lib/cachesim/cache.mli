@@ -32,16 +32,6 @@ val access : t -> int -> outcome
 (** Demand access: looks up the line, updates replacement state and
     the demand counters, fills on miss (evicting if needed). *)
 
-val write : t -> int -> outcome
-(** Write-allocate store: like {!access} but marks the line dirty;
-    counted separately as a write hit/miss.  Evicting a dirty line
-    increments {!writebacks}. *)
-
-val write_hits : t -> int
-val write_misses : t -> int
-val writebacks : t -> int
-(** Dirty lines evicted (the write traffic the next level sees). *)
-
 val probe : t -> int -> bool
 (** Lookup without any state change; used by tests. *)
 
@@ -77,8 +67,8 @@ val deterministic : t -> bool
 val snapshot : t -> snapshot
 
 val same_state : t -> snapshot -> bool
-(** The valid ways (with their order and dirty bits) and fill counts
-    equal the snapshot's; counters are not compared. *)
+(** The valid ways (with their order) and fill counts equal the
+    snapshot's; counters are not compared. *)
 
 val advance : t -> snapshot -> int -> unit
 (** [advance t s k] adds [k] times (current - [s]) to every counter. *)

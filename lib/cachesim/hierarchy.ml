@@ -35,34 +35,6 @@ let load t addr =
         | Cache.Hit -> L3
         | Cache.Miss -> Memory))
 
-let store t addr =
-  t.accesses <- t.accesses + 1;
-  match Cache.write t.l1 addr with
-  | Cache.Hit -> L1
-  | Cache.Miss ->
-    (* Write-allocate: fetch the line through the hierarchy. *)
-    (match Cache.access t.l2 addr with
-     | Cache.Hit -> L2
-     | Cache.Miss ->
-       (match Cache.access t.l3 addr with
-        | Cache.Hit -> L3
-        | Cache.Miss -> Memory))
-
-let writebacks t = Cache.writebacks t.l1
-
-type write_counters = {
-  w_l1_hit : int;
-  w_l1_miss : int;
-  w_writebacks : int;
-}
-
-let write_counters t =
-  {
-    w_l1_hit = Cache.write_hits t.l1;
-    w_l1_miss = Cache.write_misses t.l1;
-    w_writebacks = Cache.writebacks t.l1;
-  }
-
 type counters = {
   accesses : int;
   l1_hit : int;

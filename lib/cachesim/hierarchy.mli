@@ -25,22 +25,6 @@ val create : config -> t
 val load : t -> int -> level
 (** Demand load of one address; returns the level that served it. *)
 
-val store : t -> int -> level
-(** Write-allocate store: the line is brought to L1 (via L2/L3 as
-    needed, counted as demand traffic there) and dirtied.  Returns
-    the level the line was found in. *)
-
-val writebacks : t -> int
-(** Dirty L1 lines evicted so far (write traffic toward L2). *)
-
-type write_counters = {
-  w_l1_hit : int;  (** Stores that hit L1. *)
-  w_l1_miss : int;  (** Stores that write-allocated. *)
-  w_writebacks : int;  (** Dirty L1 evictions. *)
-}
-
-val write_counters : t -> write_counters
-
 val warm : t -> int array -> unit
 (** Touch every address once without counting (counter reset after);
     used to separate cold-miss effects in tests. *)

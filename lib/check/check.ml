@@ -207,14 +207,7 @@ let report_to_json ds =
       ("diagnostics", Jsonio.List (List.map D.to_json ds));
     ]
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
+open Jsonio.Decode
 
 let report_of_json json =
   let ctx = "lint-report" in

@@ -77,13 +77,7 @@ let to_json d =
       ("data", Jsonio.Obj d.data);
     ]
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let d_str ctx name json =
-  match Jsonio.member name json with
-  | Some (Jsonio.Str s) -> Ok s
-  | Some _ -> Error (Printf.sprintf "%s: field %S is not a string" ctx name)
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx name)
+open Jsonio.Decode
 
 let of_json json =
   let ctx = "diagnostic" in

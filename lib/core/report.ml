@@ -253,43 +253,6 @@ let fig3_gnuplot (r : Pipeline.result) =
       (slug, Buffer.contents dat, Buffer.contents gp))
     (fig3_panels r)
 
-let handbook () =
-  let buf = Buffer.create 16384 in
-  bprintf buf "# Derived performance metrics handbook\n\n";
-  bprintf buf
-    "Generated by the event-analysis pipeline; every entry lists the \
-     raw-event recipe and its least-squares fitness (backward error).  \
-     Metrics marked *unavailable* cannot be composed from the machine's \
-     events — using any substitute combination would misreport.\n";
-  List.iter
-    (fun category ->
-      let r = Pipeline.run category in
-      bprintf buf "\n## %s (%s)\n\n" (Category.name category)
-        (Category.machine category);
-      bprintf buf "Independent events selected: %s\n\n"
-        (String.concat ", "
-           (List.map (fun n -> "`" ^ n ^ "`") (Array.to_list r.chosen_names)));
-      List.iter
-        (fun (d : Metric_solver.metric_def) ->
-          if Metric_solver.well_defined ~threshold:1e-6 d then begin
-            bprintf buf "### %s\n\n" d.metric;
-            bprintf buf "```\n%s\n```\n\n"
-              (Combination.to_string
-                 (Combination.round_coefficients
-                    (Metric_solver.display_combination d)));
-            bprintf buf "backward error: %.2e\n\n" d.error
-          end
-          else begin
-            bprintf buf "### %s — UNAVAILABLE\n\n" d.metric;
-            bprintf buf
-              "No combination of this machine's events composes the metric \
-               (backward error %.2e).\n\n"
-              d.error
-          end)
-        r.metrics)
-    Category.all;
-  Buffer.contents buf
-
 let all_tables () =
   let buf = Buffer.create 16384 in
   List.iter

@@ -72,12 +72,7 @@ val fig3_gnuplot : Pipeline.result -> (string * string * string) list
     measured (rounded combination) vs signature per configuration.
     [Dcache] only. *)
 
-(** {1 Handbook} *)
-
-val handbook : unit -> string
-(** A Markdown handbook of every derived metric on every simulated
-    machine: recipe, fitness, availability — the deliverable a
-    performance-tools team would consume. *)
+(** {1 Reproduction dump} *)
 
 val all_tables : unit -> string
 (** Every table and figure series, all categories — the full

@@ -234,7 +234,7 @@ let merge_shards shards =
       in
       go entries
     in
-    let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
+    let open Jsonio.Decode in
     let* () = check_headers sorted in
     let* () = check_coverage 0 sorted in
     let entries = List.concat_map (fun s -> s.entries) sorted in
@@ -565,42 +565,7 @@ let shard_to_json (s : classified_shard) =
    mistyped field is an error naming the field, so artifacts from
    drifted builds fail loudly rather than merge quietly. *)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let d_field ctx name json =
-  match Jsonio.member name json with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx name)
-
-let d_float ctx name json =
-  let* v = d_field ctx name json in
-  match Jsonio.fnum_opt v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "%s: field %S is not a number" ctx name)
-
-let d_int ctx name json =
-  let* f = d_float ctx name json in
-  if Float.is_integer f then Ok (int_of_float f)
-  else Error (Printf.sprintf "%s: field %S is not an integer" ctx name)
-
-let d_str ctx name json =
-  let* v = d_field ctx name json in
-  match Jsonio.to_string_opt v with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "%s: field %S is not a string" ctx name)
-
-let d_list ctx name json =
-  let* v = d_field ctx name json in
-  match Jsonio.to_list_opt v with
-  | Some l -> Ok l
-  | None -> Error (Printf.sprintf "%s: field %S is not a list" ctx name)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
+open Jsonio.Decode
 
 let entry_of_json ~rows json =
   let* event = d_str "shard entry" "event" json in

@@ -53,8 +53,6 @@ let cache_w_l1_dh = "cache.w_l1_dh"
 let cache_w_l1_dm = "cache.w_l1_dm"
 let cache_writebacks = "cache.writebacks"
 
-let store_basis = [ cache_w_l1_dh; cache_w_l1_dm; cache_writebacks ]
-
 let core_cycles = "core.cycles"
 let core_instructions = "core.instructions"
 let core_uops = "core.uops"

@@ -54,7 +54,10 @@ val cache_basis : string list
 (** The paper's four-expectation basis order:
     [L1DM; L1DH; L2DH; L3DH]. *)
 
-(** {2 Store-side keys (write-traffic extension)} *)
+(** {2 Store-side keys}
+
+    Read by the SPR catalog's store events.  No benchmark sets them
+    (every category is loads only), so those events read zero. *)
 
 val cache_w_l1_dh : string
 (** Stores that hit L1. *)
@@ -64,9 +67,6 @@ val cache_w_l1_dm : string
 
 val cache_writebacks : string
 (** Dirty L1 lines written back on eviction. *)
-
-val store_basis : string list
-(** [WH; WM; WB] — the write-traffic expectation order. *)
 
 (** {1 Core / uncore} *)
 

@@ -20,10 +20,4 @@ let apply t rng v =
     let v = v *. (1.0 +. Numkit.Rng.normal rng ~mu:0.0 ~sigma:rel) in
     clamp_count (v +. Numkit.Rng.normal rng ~mu:0.0 ~sigma:abs_sigma)
 
-let describe = function
-  | Exact -> "exact"
-  | Gauss_rel s -> Printf.sprintf "gauss-rel(%g)" s
-  | Gauss_abs s -> Printf.sprintf "gauss-abs(%g)" s
-  | Mixed (r, a) -> Printf.sprintf "mixed(%g,%g)" r a
-
 let is_exact = function Exact -> true | _ -> false

@@ -23,6 +23,4 @@ val apply : t -> Numkit.Rng.t -> float -> float
 (** Apply the model to an ideal value.  The result is clamped at zero
     and rounded to the nearest integer — counters count. *)
 
-val describe : t -> string
-
 val is_exact : t -> bool

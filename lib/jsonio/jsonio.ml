@@ -300,3 +300,43 @@ let fnum_opt = function
 let to_string_opt = function Str s -> Some s | _ -> None
 let to_bool_opt = function Bool b -> Some b | _ -> None
 let to_list_opt = function List l -> Some l | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Strict decoding                                                     *)
+(* ------------------------------------------------------------------ *)
+
+module Decode = struct
+  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+
+  let rec map_result f = function
+    | [] -> Ok []
+    | x :: rest ->
+      let* y = f x in
+      let* ys = map_result f rest in
+      Ok (y :: ys)
+
+  let d_field ctx name json =
+    match member name json with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "%s: missing field %S" ctx name)
+
+  let typed what conv ctx name json =
+    let* v = d_field ctx name json in
+    match conv v with
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "%s: field %S is not %s" ctx name what)
+
+  let d_float = typed "a number" fnum_opt
+  let d_num = typed "a number" to_float_opt
+  let d_str = typed "a string" to_string_opt
+  let d_bool = typed "a boolean" to_bool_opt
+  let d_list = typed "a list" to_list_opt
+
+  let integral ctx name = function
+    | Ok f when Float.is_integer f -> Ok (int_of_float f)
+    | Ok _ -> Error (Printf.sprintf "%s: field %S is not an integer" ctx name)
+    | Error _ as e -> e
+
+  let d_int ctx name json = integral ctx name (d_float ctx name json)
+  let d_num_int ctx name json = integral ctx name (d_num ctx name json)
+end

@@ -53,3 +53,37 @@ val to_float_opt : t -> float option
 val to_string_opt : t -> string option
 val to_bool_opt : t -> bool option
 val to_list_opt : t -> t list option
+
+(** {1 Strict decoding}
+
+    Field decoders shared by every artifact reader: stage shards,
+    manifests, the run-store index, ledgers and lint reports.  Each
+    takes a context, a field name and an object.  A missing or
+    mistyped field is an [Error] naming both, e.g.
+    [ctx: missing field "name"] or [ctx: field "n" is not a number],
+    so documents from a drifted build fail loudly. *)
+module Decode : sig
+  val ( let* ) :
+    ('a, 'e) result -> ('a -> ('b, 'e) result) -> ('b, 'e) result
+
+  val map_result : ('a -> ('b, 'e) result) -> 'a list -> ('b list, 'e) result
+  (** The first [Error] in list order, else every result. *)
+
+  val d_field : string -> string -> t -> (t, string) result
+
+  val d_float : string -> string -> t -> (float, string) result
+  (** A number or one of {!fnum}'s tagged non-finite strings. *)
+
+  val d_int : string -> string -> t -> (int, string) result
+  (** An integral {!d_float}. *)
+
+  val d_num : string -> string -> t -> (float, string) result
+  (** A plain JSON number only: the tagged strings are rejected. *)
+
+  val d_num_int : string -> string -> t -> (int, string) result
+  (** An integral {!d_num}. *)
+
+  val d_str : string -> string -> t -> (string, string) result
+  val d_bool : string -> string -> t -> (bool, string) result
+  val d_list : string -> string -> t -> (t list, string) result
+end

@@ -91,43 +91,14 @@ let index_to_json t =
       ("entries", Jsonio.List (List.map entry_to_json t.all));
     ]
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let d_field ctx name json =
-  match Jsonio.member name json with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx name)
-
-let d_num ctx name json =
-  let* v = d_field ctx name json in
-  match Jsonio.to_float_opt v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "%s: field %S is not a number" ctx name)
-
-let d_int ctx name json =
-  let* f = d_num ctx name json in
-  if Float.is_integer f then Ok (int_of_float f)
-  else Error (Printf.sprintf "%s: field %S is not an integer" ctx name)
-
-let d_str ctx name json =
-  let* v = d_field ctx name json in
-  match Jsonio.to_string_opt v with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "%s: field %S is not a string" ctx name)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
+open Jsonio.Decode
 
 (* A decoded row and its digest line.  Rows written before the storage
    backends were removed carry a "backend" key (a name, or null); it is
    ignored except for re-deriving the row's digest line. *)
 let entry_of_json json =
   let ctx = "store entry" in
-  let* seq = d_int ctx "seq" json in
+  let* seq = d_num_int ctx "seq" json in
   let ctx = Printf.sprintf "store entry %d" seq in
   let* config_digest = d_str ctx "config_digest" json in
   let* source = d_str ctx "source" json in
@@ -148,7 +119,7 @@ let entry_of_json json =
 
 let index_of_json root json =
   let ctx = kind_name in
-  let* version = d_int ctx "schema_version" json in
+  let* version = d_num_int ctx "schema_version" json in
   if version <> schema_version then
     Error
       (Printf.sprintf
@@ -160,7 +131,7 @@ let index_of_json root json =
     if kind <> kind_name then
       Error (Printf.sprintf "%s: unexpected kind %S" ctx kind)
     else
-      let* next_seq = d_int ctx "next_seq" json in
+      let* next_seq = d_num_int ctx "next_seq" json in
       let* digest = d_str ctx "entries_digest" json in
       let* entries_j = d_field ctx "entries" json in
       let* rows =

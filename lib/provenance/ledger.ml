@@ -352,48 +352,7 @@ let to_json t =
 (* Decoding: strict — a missing or mistyped field is an error naming
    the field, so exports from incompatible builds fail loudly. *)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let d_field ctx name json =
-  match Jsonio.member name json with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx name)
-
-let d_float ctx name json =
-  let* v = d_field ctx name json in
-  match Jsonio.fnum_opt v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "%s: field %S is not a number" ctx name)
-
-let d_int ctx name json =
-  let* f = d_float ctx name json in
-  if Float.is_integer f then Ok (int_of_float f)
-  else Error (Printf.sprintf "%s: field %S is not an integer" ctx name)
-
-let d_str ctx name json =
-  let* v = d_field ctx name json in
-  match Jsonio.to_string_opt v with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "%s: field %S is not a string" ctx name)
-
-let d_bool ctx name json =
-  let* v = d_field ctx name json in
-  match Jsonio.to_bool_opt v with
-  | Some b -> Ok b
-  | None -> Error (Printf.sprintf "%s: field %S is not a boolean" ctx name)
-
-let d_list ctx name json =
-  let* v = d_field ctx name json in
-  match Jsonio.to_list_opt v with
-  | Some l -> Ok l
-  | None -> Error (Printf.sprintf "%s: field %S is not a list" ctx name)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
+open Jsonio.Decode
 
 let noise_of_json ctx json =
   let* measure = d_str ctx "measure" json in

@@ -99,81 +99,66 @@ let test_invalidate_all_resets_replacement () =
 (* Differential check against a naive reference model                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Each set is a list of (line, dirty) cells, youngest first: last use
-   for LRU, fill for FIFO.  The victim is the last cell. *)
+(* Each set is a list of lines, youngest first: last use for LRU,
+   fill for FIFO.  The victim is the last line. *)
 module Reference = struct
   type t = {
     line_bytes : int;
     nsets : int;
     ways : int;
     lru : bool;
-    sets : (int * bool ref) list array;
+    sets : int list array;
     mutable hits : int;
     mutable misses : int;
-    mutable write_hits : int;
-    mutable write_misses : int;
-    mutable writebacks : int;
     mutable evictions : int;
   }
 
   let create ~line_bytes ~nsets ~ways ~lru =
     { line_bytes; nsets; ways; lru; sets = Array.make nsets [];
-      hits = 0; misses = 0; write_hits = 0; write_misses = 0;
-      writebacks = 0; evictions = 0 }
+      hits = 0; misses = 0; evictions = 0 }
 
   (* Returns whether [addr] hit; a miss fills it. *)
-  let touch t addr ~dirty =
+  let touch t addr =
     let line = addr / t.line_bytes in
     let set = line mod t.nsets in
-    let cells = t.sets.(set) in
-    match List.assoc_opt line cells with
-    | Some d ->
-      if dirty then d := true;
-      if t.lru then
-        t.sets.(set) <- (line, d) :: List.filter (fun (l, _) -> l <> line) cells;
+    let lines = t.sets.(set) in
+    if List.mem line lines then begin
+      if t.lru then t.sets.(set) <- line :: List.filter (( <> ) line) lines;
       true
-    | None ->
-      let cells =
-        if List.length cells < t.ways then cells
+    end
+    else begin
+      let lines =
+        if List.length lines < t.ways then lines
         else begin
           t.evictions <- t.evictions + 1;
-          let kept = List.filteri (fun i _ -> i < t.ways - 1) cells in
-          let _, victim_dirty = List.nth cells (t.ways - 1) in
-          if !victim_dirty then t.writebacks <- t.writebacks + 1;
-          kept
+          List.filteri (fun i _ -> i < t.ways - 1) lines
         end
       in
-      t.sets.(set) <- (line, ref dirty) :: cells;
+      t.sets.(set) <- line :: lines;
       false
+    end
 
-  (* Each returns whether [addr] hit. *)
+  (* Returns whether [addr] hit. *)
   let load t addr =
-    let hit = touch t addr ~dirty:false in
+    let hit = touch t addr in
     if hit then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
     hit
 
-  let store t addr =
-    let hit = touch t addr ~dirty:true in
-    if hit then t.write_hits <- t.write_hits + 1
-    else t.write_misses <- t.write_misses + 1;
-    hit
-
-  let prefetch t addr = ignore (touch t addr ~dirty:false)
+  let prefetch t addr = ignore (touch t addr)
 
   let invalidate t = Array.fill t.sets 0 t.nsets []
 
   let resident t addr =
     let line = addr / t.line_bytes in
-    List.mem_assoc line t.sets.(line mod t.nsets)
+    List.mem line t.sets.(line mod t.nsets)
 end
 
-type op = Load | Store | Prefetch | Invalidate
+type op = Load | Prefetch | Invalidate
 
 let gen_op ~span =
   QCheck.Gen.(
     pair
-      (frequency
-         [ (10, pure Load); (10, pure Store); (5, pure Prefetch); (1, pure Invalidate) ])
+      (frequency [ (20, pure Load); (5, pure Prefetch); (1, pure Invalidate) ])
       (int_range 0 span))
 
 let print_ops ops =
@@ -182,7 +167,6 @@ let print_ops ops =
        (fun (op, a) ->
          match op with
          | Load -> "L" ^ string_of_int a
-         | Store -> "S" ^ string_of_int a
          | Prefetch -> "P" ^ string_of_int a
          | Invalidate -> "I")
        ops)
@@ -218,7 +202,6 @@ let prop_cache_matches_reference =
           (fun (op, a) ->
             match op with
             | Load -> hit (Cachesim.Cache.access c a) = Reference.load r a
-            | Store -> hit (Cachesim.Cache.write c a) = Reference.store r a
             | Prefetch -> Cachesim.Cache.fill_prefetch c a; Reference.prefetch r a; true
             | Invalidate -> Cachesim.Cache.invalidate_all c; Reference.invalidate r; true)
           ops
@@ -235,13 +218,11 @@ let prop_cache_matches_reference =
       let open Cachesim.Cache in
       agree && residents_agree
       && demand_hits c = r.hits && demand_misses c = r.misses
-      && write_hits c = r.write_hits && write_misses c = r.write_misses
-      && writebacks c = r.writebacks && evictions c = r.evictions)
+      && evictions c = r.evictions)
 
 (* The hierarchy and the TLB against compositions of reference
    levels: a level below L1 sees only the misses of the level above,
-   a store writes L1 and on a miss loads through L2 and L3, and a
-   prefetch fills L1 and L2. *)
+   and a prefetch fills L1 and L2. *)
 type level_geom = { l_ways : int; l_sets : int; l_lru : bool }
 
 let gen_level ~max_sets ~lru =
@@ -274,7 +255,7 @@ let gen_hierarchy_case =
     let span = 2 * line_bytes * l3.l_ways * l3.l_sets in
     let+ ops =
       list_size (int_range 1 400)
-        (pair (frequency [ (4, pure Load); (4, pure Store); (1, pure Prefetch) ])
+        (pair (frequency [ (8, pure Load); (1, pure Prefetch) ])
            (int_range 0 span))
     in
     (line_bytes, (l1, l2, l3), ops))
@@ -310,7 +291,6 @@ let prop_hierarchy_matches_reference =
           (fun (op, a) ->
             match op with
             | Load -> H.load h a = if Reference.load r1 a then H.L1 else below a
-            | Store -> H.store h a = if Reference.store r1 a then H.L1 else below a
             | Prefetch ->
               H.prefetch_fill h a;
               Reference.prefetch r1 a;
@@ -319,13 +299,11 @@ let prop_hierarchy_matches_reference =
             | Invalidate -> assert false (* not generated *))
           ops
       in
-      let c = H.counters h and w = H.write_counters h in
+      let c = H.counters h in
       agree
       && c.H.l1_hit = r1.hits && c.H.l1_miss = r1.misses
       && c.H.l2_hit = r2.hits && c.H.l2_miss = r2.misses
-      && c.H.l3_hit = r3.hits && c.H.l3_miss = r3.misses
-      && w.H.w_l1_hit = r1.write_hits && w.H.w_l1_miss = r1.write_misses
-      && w.H.w_writebacks = r1.writebacks)
+      && c.H.l3_hit = r3.hits && c.H.l3_miss = r3.misses)
 
 let gen_tlb_case =
   QCheck.Gen.(
@@ -378,8 +356,8 @@ let prop_tlb_matches_reference =
 
 (* The reference model has no Random policy, so its outcomes are
    pinned: counters and final residents of a seeded 8-set x 4-way
-   cache over a fixed stream of loads, stores and prefetches, with
-   one invalidation part-way. *)
+   cache over a fixed stream of loads and prefetches, with one
+   invalidation part-way. *)
 let test_random_pinned () =
   let c =
     Cachesim.Cache.create
@@ -390,15 +368,14 @@ let test_random_pinned () =
     state := ((!state * 1103515245) + 12345) land 0x3fffffff;
     let addr = (!state lsr 8) mod (3 * 2048) in
     (match i mod 5 with
-     | 0 | 2 -> ignore (Cachesim.Cache.write c addr)
      | 4 -> Cachesim.Cache.fill_prefetch c addr
      | _ -> ignore (Cachesim.Cache.access c addr));
     if i = 2500 then Cachesim.Cache.invalidate_all c
   done;
   let open Cachesim.Cache in
-  Alcotest.(check (list int)) "hits, misses, write hits, write misses, writebacks, evictions"
-    [ 531; 1069; 540; 1060; 1275; 2595 ]
-    [ demand_hits c; demand_misses c; write_hits c; write_misses c; writebacks c; evictions c ];
+  Alcotest.(check (list int)) "hits, misses, evictions"
+    [ 1071; 2129; 2595 ]
+    [ demand_hits c; demand_misses c; evictions c ];
   Alcotest.(check string) "residents"
     "000011000100000000100011000100000011101110010001110001010100100000100000110001000001111010100010"
     (String.concat "" (List.init 96 (fun k -> if probe c (k * 64) then "1" else "0")))
@@ -407,9 +384,9 @@ let test_random_pinned () =
 (* Pinned simulator output                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Digests of every activity record the data-cache and store
-   categories are built from, taken before addresses became native
-   ints.  A change here changes the paper's inputs. *)
+(* Digest of every activity record the data-cache category is built
+   from, taken before addresses became native ints.  A change here
+   changes the paper's inputs. *)
 let activity_digest records =
   let buf = Buffer.create 65536 in
   List.iter
@@ -453,10 +430,6 @@ let test_dcache_activities_pinned () =
     (simulated + skipped);
   Alcotest.(check int) "simulated" 3_699_840 simulated;
   Alcotest.(check int) "skipped" 3_649_440 skipped
-
-let test_store_rows_pinned () =
-  Alcotest.(check string) "digest" "271c51e76b1cbcebb6a77ab67b961306"
-    (activity_digest (Array.to_list (Cat_bench.Store_kernels.rows ())))
 
 (* ------------------------------------------------------------------ *)
 (* Hierarchy                                                           *)
@@ -630,7 +603,6 @@ let prop_cache_advance_exact =
           (fun (op, a) ->
             match op with
             | Load -> ignore (C.access c a)
-            | Store -> ignore (C.write c a)
             | Prefetch -> C.fill_prefetch c a
             | Invalidate -> C.invalidate_all c)
           ops
@@ -644,10 +616,7 @@ let prop_cache_advance_exact =
         else if done_ + 1 < periods then go (C.snapshot skipping) (done_ + 1)
       in
       go (C.snapshot skipping) 0;
-      let counters c =
-        C.[ demand_hits c; demand_misses c; write_hits c; write_misses c;
-            writebacks c; evictions c ]
-      in
+      let counters c = C.[ demand_hits c; demand_misses c; evictions c ] in
       let residents c =
         List.init (3 * ways * nsets + 1) (fun k -> C.probe c (k * line_bytes))
       in
@@ -671,10 +640,9 @@ let plain_chase ?tlb h c ~accesses ~warmup =
   for k = 0 to accesses - 1 do visit k done
 
 (* What the hierarchy, but not the TLB, has seen before the chase:
-   one cycle of the chain's loads or stores.  Either can put the
-   hierarchy in its steady state while the TLB is still cold, and the
-   stores leave dirty lines that a later cycle reloads clean. *)
-type history = Fresh | Loaded | Stored
+   nothing, or one cycle of the chain's loads, which can put the
+   hierarchy in its steady state while the TLB is still cold. *)
+type history = Fresh | Loaded
 
 type chase_case = {
   c_line : int;
@@ -707,7 +675,7 @@ let gen_chase_case =
     let* n = frequency [ (3, int_range 1 64); (2, int_range 65 5000) ] in
     let* c_stride = oneofl [ 8; 24; 32; 64; 100; 128; 192 ] in
     let* c_shuffle = opt (int_range 0 1_000_000) in
-    let* c_history = frequency [ (3, pure Fresh); (1, pure Loaded); (1, pure Stored) ] in
+    let* c_history = frequency [ (3, pure Fresh); (2, pure Loaded) ] in
     let* c_warmup = bool in
     let* c_accesses =
       frequency
@@ -731,7 +699,7 @@ let print_chase_case k =
      | Some (p, g1, g2) -> Printf.sprintf "%d:%s,%s" p (print_level g1) (print_level g2))
     k.c_pointers k.c_stride
     (match k.c_shuffle with None -> "sequential" | Some s -> "sattolo:" ^ string_of_int s)
-    (match k.c_history with Fresh -> "fresh" | Loaded -> "loaded" | Stored -> "stored")
+    (match k.c_history with Fresh -> "fresh" | Loaded -> "loaded")
     k.c_warmup k.c_accesses k.c_extra
 
 let prop_chase_skipping_exact =
@@ -771,7 +739,6 @@ let prop_chase_skipping_exact =
           match k.c_history with
           | Fresh -> ()
           | Loaded -> ignore (H.load h addr)
-          | Stored -> ignore (H.store h addr)
         done;
         h
       in
@@ -780,7 +747,6 @@ let prop_chase_skipping_exact =
       plain_chase ?tlb:t2 h2 chain ~accesses:k.c_accesses ~warmup:k.c_warmup;
       let same () =
         H.counters h1 = H.counters h2
-        && H.write_counters h1 = H.write_counters h2
         && Option.map T.stats t1 = Option.map T.stats t2
       in
       let reported =
@@ -808,30 +774,6 @@ let test_chase_skips_steady_cycles () =
   let r = Cachesim.Pointer_chase.run_instrumented h c ~accesses:1000 ~warmup:true in
   Alcotest.(check int) "all hits" 1000 r.cache.Cachesim.Hierarchy.l1_hit;
   Alcotest.(check int) "warm-up, one cycle and 8 steps" 72 r.simulated
-
-let test_dirty_lines_are_state () =
-  (* Stores leave the L1 tags of the chase's steady state, but dirty;
-     the first cycle writes them back and reloads them clean, so its
-     writebacks must not be repeated. *)
-  let c =
-    Cachesim.Pointer_chase.make ~base:0 ~pointers:256 ~stride_bytes:64
-      Cachesim.Pointer_chase.Sequential
-  in
-  let stored () =
-    let h = Cachesim.Hierarchy.create Cachesim.Hierarchy.default_config in
-    for k = 0 to 255 do
-      ignore (Cachesim.Hierarchy.store h (Cachesim.Pointer_chase.(address c (slot c k))))
-    done;
-    h
-  in
-  let h = stored () and reference = stored () in
-  ignore (Cachesim.Pointer_chase.run_instrumented h c ~accesses:1024 ~warmup:false);
-  plain_chase reference c ~accesses:1024 ~warmup:false;
-  Alcotest.(check int) "writebacks" 256
-    (Cachesim.Hierarchy.write_counters reference).w_writebacks;
-  Alcotest.(check bool) "counters" true
-    (Cachesim.Hierarchy.(counters h = counters reference
-                         && write_counters h = write_counters reference))
 
 let test_random_never_skipped () =
   (* Three lines in one 2-way Random set: the tags often repeat at a
@@ -917,14 +859,12 @@ let () =
         [
           Alcotest.test_case "skips steady cycles" `Quick test_chase_skips_steady_cycles;
           Alcotest.test_case "Random never skipped" `Quick test_random_never_skipped;
-          Alcotest.test_case "dirty lines are state" `Quick test_dirty_lines_are_state;
           fixed_seed prop_cache_advance_exact;
           fixed_seed prop_chase_skipping_exact;
         ] );
       ( "pinned",
         [
           Alcotest.test_case "dcache activities" `Quick test_dcache_activities_pinned;
-          Alcotest.test_case "store rows" `Quick test_store_rows_pinned;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -11,7 +11,12 @@ let known_keys =
       (fun rows ->
         Array.to_list rows |> List.concat_map Hwsim.Activity.keys)
       [ Cat_bench.Flops_kernels.rows (); Cat_bench.Branch_kernels.rows ();
-        Cat_bench.Gpu_kernels.rows (); Cat_bench.Store_kernels.rows () ]
+        Cat_bench.Gpu_kernels.rows () ]
+  in
+  let store_keys =
+    (* The SPR store events read these; every benchmark is loads only,
+       so no simulator sets them and those events read zero. *)
+    Hwsim.Keys.[ cache_w_l1_dh; cache_w_l1_dm; cache_writebacks ]
   in
   let cache_keys =
     (* The cache benchmark's per-thread activities. *)
@@ -34,7 +39,8 @@ let known_keys =
             Hwsim.Keys.gpu_valu_total ~device:d ])
       (List.init Hwsim.Catalog_mi250x.devices (fun d -> d))
   in
-  List.sort_uniq compare (benchmark_keys @ cache_keys @ gpu_all_devices)
+  List.sort_uniq compare
+    (benchmark_keys @ cache_keys @ store_keys @ gpu_all_devices)
 
 let check_catalog name events =
   List.iter

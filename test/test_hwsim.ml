@@ -240,39 +240,6 @@ let test_measure_repetitions_shape () =
   Alcotest.(check int) "3 reps" 3 (List.length reps)
 
 (* ------------------------------------------------------------------ *)
-(* Docgen                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let contains ~needle haystack =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  nl = 0 || go 0
-
-let test_docgen_event_section () =
-  let e = Hwsim.Catalog_sapphire_rapids.find "FP_ARITH_INST_RETIRED:256B_PACKED_DOUBLE" in
-  let md = Hwsim.Docgen.event_markdown e in
-  Alcotest.(check bool) "name heading" true
-    (contains ~needle:"### `FP_ARITH_INST_RETIRED:256B_PACKED_DOUBLE`" md);
-  Alcotest.(check bool) "semantics shown" true
-    (contains ~needle:"2 x `flops.dp_256_fma`" md);
-  Alcotest.(check bool) "noise class" true (contains ~needle:"noise: exact" md)
-
-let test_docgen_dead_event () =
-  let e = Hwsim.Catalog_sapphire_rapids.find "ASSISTS:FP" in
-  Alcotest.(check bool) "documented as never firing" true
-    (contains ~needle:"never increments" (Hwsim.Docgen.event_markdown e))
-
-let test_docgen_catalog_summary () =
-  let md =
-    Hwsim.Docgen.catalog_markdown ~title:"test" Hwsim.Catalog_zen.events
-  in
-  Alcotest.(check bool) "title" true (contains ~needle:"# test" md);
-  Alcotest.(check bool) "summary table" true (contains ~needle:"| exact |" md);
-  let s = Hwsim.Docgen.summary Hwsim.Catalog_zen.events in
-  Alcotest.(check int) "classes sum to catalog size" Hwsim.Catalog_zen.size
-    (List.fold_left (fun acc (_, n) -> acc + n) 0 s)
-
-(* ------------------------------------------------------------------ *)
 (* Session planning                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -390,12 +357,6 @@ let () =
           Alcotest.test_case "ADD aliases SUB" `Quick test_mi250x_add_aliases_sub;
           Alcotest.test_case "12 VALU chosen" `Quick test_mi250x_valu_chosen;
           Alcotest.test_case "idle devices noisy" `Quick test_mi250x_idle_devices_noisy;
-        ] );
-      ( "docgen",
-        [
-          Alcotest.test_case "event section" `Quick test_docgen_event_section;
-          Alcotest.test_case "dead event" `Quick test_docgen_dead_event;
-          Alcotest.test_case "catalog summary" `Quick test_docgen_catalog_summary;
         ] );
       ( "session",
         [

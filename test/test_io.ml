@@ -381,6 +381,36 @@ let test_json_float_precision () =
   let s = Jsonio.to_string (Jsonio.Num 0.1) in
   Alcotest.(check (float 1e-18)) "round trip" 0.1 (float_of_string s)
 
+(* The shared field decoders: their error strings, and the split
+   between [d_float] (takes the tagged non-finite strings) and [d_num]
+   (plain numbers only, as the run-store index requires). *)
+let test_json_decode () =
+  let open Jsonio.Decode in
+  let doc =
+    Jsonio.Obj
+      [ ("n", Jsonio.Num 2.0); ("half", Jsonio.Num 1.5);
+        ("nan", Jsonio.Str "nan"); ("s", Jsonio.Str "x");
+        ("l", Jsonio.List [ Jsonio.Num 1.0; Jsonio.Str "y" ]) ]
+  in
+  let ints = Alcotest.(result int string) in
+  Alcotest.check ints "int" (Ok 2) (d_int "c" "n" doc);
+  Alcotest.check ints "missing" (Error "c: missing field \"m\"")
+    (d_int "c" "m" doc);
+  Alcotest.check ints "fraction"
+    (Error "c: field \"half\" is not an integer") (d_int "c" "half" doc);
+  Alcotest.check ints "string"
+    (Error "c: field \"s\" is not a number") (d_num_int "c" "s" doc);
+  Alcotest.(check bool) "d_float takes \"nan\"" true
+    (match d_float "c" "nan" doc with Ok f -> Float.is_nan f | Error _ -> false);
+  Alcotest.(check (result (float 0.0) string)) "d_num rejects \"nan\""
+    (Error "c: field \"nan\" is not a number") (d_num "c" "nan" doc);
+  Alcotest.(check (result (list int) string)) "first error in order"
+    (Error "item: field \"v\" is not a number")
+    (let* l = d_list "c" "l" doc in
+     map_result
+       (fun v -> d_int "item" "v" (Jsonio.Obj [ ("v", v) ]))
+       l)
+
 (* ------------------------------------------------------------------ *)
 (* Presets                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -447,6 +477,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_numbers_match_printf;
           Alcotest.test_case "structures" `Quick test_json_structures;
           Alcotest.test_case "float precision" `Quick test_json_float_precision;
+          Alcotest.test_case "decode" `Quick test_json_decode;
         ] );
       ( "presets",
         [

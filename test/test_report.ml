@@ -1,6 +1,5 @@
 (* Tests for the reporting layer: tables, figure series and ASCII
-   panels, QRCP traces, gnuplot emission, the handbook and dataset
-   utilities. *)
+   panels, QRCP traces, gnuplot emission and dataset utilities. *)
 
 let contains ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in
@@ -112,19 +111,6 @@ let test_trace_report_text () =
   Alcotest.(check bool) "mentions first pick" true
     (contains ~needle:"step  1: pick BR_INST_RETIRED:COND" s);
   Alcotest.(check bool) "mentions runner-up" true (contains ~needle:"runner-up" s)
-
-(* ------------------------------------------------------------------ *)
-(* Handbook                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_handbook_structure () =
-  let h = Core.Report.handbook () in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) needle true (contains ~needle h))
-    [ "## cpu-flops"; "## gpu-flops"; "## branch"; "## dcache";
-      "### DP Ops."; "UNAVAILABLE";
-      "1 x FP_ARITH_INST_RETIRED:SCALAR_DOUBLE" ]
 
 (* ------------------------------------------------------------------ *)
 (* Dataset utilities                                                   *)
@@ -246,8 +232,6 @@ let () =
           Alcotest.test_case "candidates decrease" `Quick test_trace_candidate_counts_decrease;
           Alcotest.test_case "report text" `Quick test_trace_report_text;
         ] );
-      ( "handbook",
-        [ Alcotest.test_case "structure" `Slow test_handbook_structure ] );
       ( "scorecard",
         [
           Alcotest.test_case "all claims hold" `Slow test_all_reproduction_claims_hold;
