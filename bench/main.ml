@@ -116,11 +116,14 @@ let substrate_tests =
           fun () -> ignore (Linalg.Qr.factor a)));
     Test.make ~name:"substrate/spr-catalog-measure-rep"
       (Staged.stage (fun () ->
-           let rows = Cat_bench.Flops_kernels.rows () in
-           List.iter
-             (fun e ->
-               ignore (Hwsim.Machine.measure_vector ~seed:"bench" ~rep:0 e rows))
-             Hwsim.Catalog_sapphire_rapids.events));
+           (* Densifying the rows is part of a repetition's cost. *)
+           let catalog = Cat_bench.Dataset.sapphire_rapids () in
+           let rows =
+             Array.map (Hwsim.Machine.row catalog) (Cat_bench.Flops_kernels.rows ())
+           in
+           for i = 0 to Hwsim.Machine.size catalog - 1 do
+             ignore (Hwsim.Machine.sweep catalog ~seed:"bench" ~rep:0 i rows)
+           done));
   ]
 
 let extension_tests =

@@ -34,7 +34,8 @@ let rows_with_predictor kind =
          activity_of_counters counters)
        Branchsim.Kernels.all)
 
-let rows = Once.once (fun () -> rows_with_predictor predictor_kind)
+let rows =
+  Once.once (fun () -> Obs.span "branchsim" (fun () -> rows_with_predictor predictor_kind))
 
 let row_labels =
   Array.of_list (List.map (fun (k : Branchsim.Kernels.t) -> k.name) Branchsim.Kernels.all)

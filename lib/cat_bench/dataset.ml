@@ -12,23 +12,30 @@ type t = {
 
 let default_reps = 5
 
-let slice_events ~ctx ~lo ~hi events =
-  let n = List.length events in
+let check_range ~ctx ~lo ~hi catalog =
+  let n = Hwsim.Machine.size catalog in
   if lo < 0 || hi < lo || hi > n then
     invalid_arg
       (Printf.sprintf "%s: bad event range [%d,%d) of a %d-event catalog" ctx
-         lo hi n);
-  List.filteri (fun i _ -> i >= lo && i < hi) events
+         lo hi n)
 
 let range_name base ~lo ~hi = Printf.sprintf "%s[%d,%d)" base lo hi
+
+(* The compiled catalogs, built on first use.  They do not depend on
+   the seed, so every builder, shard and domain shares them. *)
+let sapphire_rapids =
+  Once.once (fun () -> Hwsim.Machine.compile Hwsim.Catalog_sapphire_rapids.events)
+
+let mi250x = Once.once (fun () -> Hwsim.Machine.compile Hwsim.Catalog_mi250x.events)
+let zen = Once.once (fun () -> Hwsim.Machine.compile Hwsim.Catalog_zen.events)
 
 (* One reading is derived from (seed, event name, repetition, row) —
    see Hwsim.Machine — so measuring only the events in [lo, hi) yields
    bit-identical vectors to the whole-catalog build: the shard is a
    restriction, never a re-randomization. *)
-let of_activities_range ~name ~seed ~reps ~events ~lo ~hi ~rows ~row_labels =
-  let total = List.length events in
-  let events = slice_events ~ctx:"Dataset.of_activities_range" ~lo ~hi events in
+let of_activities_range ~name ~seed ~reps ~catalog ~lo ~hi ~rows ~row_labels =
+  let total = Hwsim.Machine.size catalog in
+  check_range ~ctx:"Dataset.of_activities_range" ~lo ~hi catalog;
   Obs.span "dataset-build" (fun () ->
       Obs.attr_str "dataset" name;
       Obs.attr_int "reps" reps;
@@ -36,26 +43,37 @@ let of_activities_range ~name ~seed ~reps ~events ~lo ~hi ~rows ~row_labels =
         Obs.attr_int "lo" lo;
         Obs.attr_int "hi" hi
       end;
-      let rows = Obs.span "activities" rows in
-      if Array.length rows <> Array.length row_labels then
+      let rows =
+        Obs.span "activities" (fun () ->
+            Array.map (Hwsim.Machine.row catalog) (rows ()))
+      in
+      let nrows = Array.length rows in
+      if nrows <> Array.length row_labels then
         invalid_arg "Dataset.of_activities_range: rows/labels mismatch";
       let measurements =
         Obs.span "readings" @@ fun () ->
-        List.map
-          (fun event ->
+        List.init (hi - lo) (fun j ->
+            let i = lo + j in
             if Obs.enabled () then begin
               Obs.incr "dataset.events_measured";
-              Obs.add "dataset.repetitions" (float_of_int reps)
+              Obs.add "dataset.repetitions" (float_of_int reps);
+              (* Each repetition is one sweep, read as one vector. *)
+              Obs.add "hwsim.event_sweeps" (float_of_int reps);
+              Obs.add "hwsim.kernel_runs" (float_of_int (reps * nrows))
             end;
-            { event; reps = Hwsim.Machine.measure_repetitions ~seed ~reps event rows })
-          events
+            {
+              event = Hwsim.Machine.event catalog i;
+              reps =
+                List.init reps (fun rep ->
+                    Hwsim.Machine.sweep catalog ~seed ~rep i rows);
+            })
       in
       { name; row_labels; reps; measurements })
 
 (* Compatibility wrapper: the whole catalog is the full range. *)
-let of_activities ~name ~seed ~reps ~events ~rows ~row_labels =
-  of_activities_range ~name ~seed ~reps ~events ~lo:0
-    ~hi:(List.length events) ~rows ~row_labels
+let of_activities ~name ~seed ~reps ~catalog ~rows ~row_labels =
+  of_activities_range ~name ~seed ~reps ~catalog ~lo:0
+    ~hi:(Hwsim.Machine.size catalog) ~rows ~row_labels
 
 let memo f =
   (* Datasets at default repetitions are deterministic: build once. *)
@@ -74,25 +92,25 @@ let memo f =
 let cpu_flops =
   memo (fun ~reps ->
       of_activities ~name:"cpu-flops" ~seed:"cat-cpu-flops" ~reps
-        ~events:Hwsim.Catalog_sapphire_rapids.events ~rows:Flops_kernels.rows
+        ~catalog:(sapphire_rapids ()) ~rows:Flops_kernels.rows
         ~row_labels:Flops_kernels.row_labels)
 
 let branch =
   memo (fun ~reps ->
       of_activities ~name:"branch" ~seed:"cat-branch" ~reps
-        ~events:Hwsim.Catalog_sapphire_rapids.events ~rows:Branch_kernels.rows
+        ~catalog:(sapphire_rapids ()) ~rows:Branch_kernels.rows
         ~row_labels:Branch_kernels.row_labels)
 
 let gpu_flops =
   memo (fun ~reps ->
       of_activities ~name:"gpu-flops" ~seed:"cat-gpu-flops" ~reps
-        ~events:Hwsim.Catalog_mi250x.events ~rows:Gpu_kernels.rows
+        ~catalog:(mi250x ()) ~rows:Gpu_kernels.rows
         ~row_labels:Gpu_kernels.row_labels)
 
 let zen_flops =
   memo (fun ~reps ->
       of_activities ~name:"zen-flops" ~seed:"cat-zen-flops" ~reps
-        ~events:Hwsim.Catalog_zen.events ~rows:Flops_kernels.rows
+        ~catalog:(zen ()) ~rows:Flops_kernels.rows
         ~row_labels:Flops_kernels.row_labels)
 
 (* Range variants of the four catalog-wide builders: measure only the
@@ -103,48 +121,54 @@ let zen_flops =
 let cpu_flops_range ?(reps = default_reps) ~lo ~hi () =
   of_activities_range
     ~name:(range_name "cpu-flops" ~lo ~hi)
-    ~seed:"cat-cpu-flops" ~reps ~events:Hwsim.Catalog_sapphire_rapids.events
+    ~seed:"cat-cpu-flops" ~reps ~catalog:(sapphire_rapids ())
     ~lo ~hi ~rows:Flops_kernels.rows ~row_labels:Flops_kernels.row_labels
 
 let branch_range ?(reps = default_reps) ~lo ~hi () =
   of_activities_range
     ~name:(range_name "branch" ~lo ~hi)
-    ~seed:"cat-branch" ~reps ~events:Hwsim.Catalog_sapphire_rapids.events ~lo
+    ~seed:"cat-branch" ~reps ~catalog:(sapphire_rapids ()) ~lo
     ~hi ~rows:Branch_kernels.rows ~row_labels:Branch_kernels.row_labels
 
 let gpu_flops_range ?(reps = default_reps) ~lo ~hi () =
   of_activities_range
     ~name:(range_name "gpu-flops" ~lo ~hi)
-    ~seed:"cat-gpu-flops" ~reps ~events:Hwsim.Catalog_mi250x.events ~lo ~hi
+    ~seed:"cat-gpu-flops" ~reps ~catalog:(mi250x ()) ~lo ~hi
     ~rows:Gpu_kernels.rows ~row_labels:Gpu_kernels.row_labels
 
 let zen_flops_range ?(reps = default_reps) ~lo ~hi () =
   of_activities_range
     ~name:(range_name "zen-flops" ~lo ~hi)
-    ~seed:"cat-zen-flops" ~reps ~events:Hwsim.Catalog_zen.events ~lo ~hi
+    ~seed:"cat-zen-flops" ~reps ~catalog:(zen ()) ~lo ~hi
     ~rows:Flops_kernels.rows ~row_labels:Flops_kernels.row_labels
 
 (* The thread activities are a function of (kernel config, rep,
    thread) only — independent of which events a build measures — so
    shards of the same campaign can share one generation.  Cached at
    the last repetition count (shard sweeps hit the same count N
-   times in a row).  Every simulation is a pure function of its seed
-   string, so [executor] may run them in any order and place. *)
+   times in a row) as dense rows of the Sapphire Rapids catalog,
+   [a.(rep).(thread).(row)]: each task densifies its activity as soon
+   as it is simulated, so no activity record is kept.  Every
+   simulation is a pure function of its seed string, so [executor]
+   may run them in any order and place. *)
 let dcache_cache = ref None
 
 let dcache_activities_on executor ~reps =
   match !dcache_cache with
   | Some (r, a) when r = reps -> a
   | _ ->
+    let catalog = sapphire_rapids () in
     let configs = Array.of_list Cache_kernels.configs in
     let nrows = Array.length configs and threads = Cache_kernels.threads in
     (* Task k is (rep, row, thread) in row-major order. *)
     let sim k =
-      Cache_kernels.thread_activity
-        configs.(k / threads mod nrows)
-        ~rep:(k / (nrows * threads)) ~thread:(k mod threads)
+      Hwsim.Machine.row catalog
+        (Cache_kernels.thread_activity
+           configs.(k / threads mod nrows)
+           ~rep:(k / (nrows * threads)) ~thread:(k mod threads))
     in
     let flat =
+      Obs.span "cachesim" @@ fun () ->
       match executor with
       | Executor.Seq -> Executor.map ~executor (reps * nrows * threads) sim
       | Executor.Domains _ ->
@@ -159,8 +183,9 @@ let dcache_activities_on executor ~reps =
     in
     let a =
       Array.init reps (fun rep ->
-          Array.init nrows (fun row ->
-              Array.sub flat (((rep * nrows) + row) * threads) threads))
+          Array.init threads (fun thread ->
+              Array.init nrows (fun row ->
+                  flat.((((rep * nrows) + row) * threads) + thread))))
     in
     dcache_cache := Some (reps, a);
     a
@@ -177,12 +202,10 @@ let prewarm_dcache ~reps = ignore (dcache_activities ~reps)
 let prewarm_dcache_on executor ~reps = ignore (dcache_activities_on executor ~reps)
 
 let dcache_build ?(lo = 0) ?hi ~reduce ~reps () =
-  let total = List.length Hwsim.Catalog_sapphire_rapids.events in
+  let catalog = sapphire_rapids () in
+  let total = Hwsim.Machine.size catalog in
   let hi = Option.value hi ~default:total in
-  let events =
-    slice_events ~ctx:"Dataset.dcache_range" ~lo ~hi
-      Hwsim.Catalog_sapphire_rapids.events
-  in
+  check_range ~ctx:"Dataset.dcache_range" ~lo ~hi catalog;
   let name =
     if lo = 0 && hi = total then "dcache" else range_name "dcache" ~lo ~hi
   in
@@ -193,9 +216,7 @@ let dcache_build ?(lo = 0) ?hi ~reduce ~reps () =
     Obs.attr_int "lo" lo;
     Obs.attr_int "hi" hi
   end;
-  let configs = Array.of_list Cache_kernels.configs in
-  let nrows = Array.length configs in
-  (* activities.(rep).(row).(thread) *)
+  let nrows = Array.length Cache_kernels.row_labels in
   let activities = Obs.span "activities" (fun () -> dcache_activities ~reps) in
   let thread_seeds =
     Array.init Cache_kernels.threads (Printf.sprintf "cat-dcache/thread=%d")
@@ -205,29 +226,32 @@ let dcache_build ?(lo = 0) ?hi ~reduce ~reps () =
     | `Median -> Numkit.Stats.median readings
     | `Mean -> Numkit.Stats.mean readings
   in
-  let measure_rep event rep =
+  (* One sweep per thread over its rows, then each row's readings are
+     reduced across the threads, in thread order. *)
+  let measure_rep i rep =
+    let per_thread =
+      Array.mapi
+        (fun thread rows ->
+          Hwsim.Machine.sweep catalog ~seed:thread_seeds.(thread) ~rep i rows)
+        activities.(rep)
+    in
     Array.init nrows (fun row ->
-        let per_thread =
-          Array.mapi
-            (fun thread activity ->
-              Hwsim.Machine.measure ~seed:thread_seeds.(thread) ~rep ~row event
-                activity)
-            activities.(rep).(row)
-        in
-        reduce_thread_readings per_thread)
+        reduce_thread_readings (Array.map (fun v -> v.(row)) per_thread))
   in
   let measurements =
     Obs.span "readings" @@ fun () ->
-    List.map
-      (fun event ->
+    List.init (hi - lo) (fun j ->
+        let i = lo + j in
         if Obs.enabled () then begin
           Obs.incr "dataset.events_measured";
           Obs.add "dataset.repetitions" (float_of_int reps);
           Obs.add "dataset.thread_reductions"
             (float_of_int (reps * nrows))
         end;
-        { event; reps = List.init reps (fun rep -> measure_rep event rep) })
-      events
+        {
+          event = Hwsim.Machine.event catalog i;
+          reps = List.init reps (measure_rep i);
+        })
   in
   {
     name;

@@ -21,8 +21,18 @@ type t = {
 val default_reps : int
 (** 5 repetitions, as a CAT campaign would use. *)
 
+val sapphire_rapids : unit -> Hwsim.Machine.catalog
+(** {!Hwsim.Catalog_sapphire_rapids}, compiled on first use (safely
+    from several domains) and shared by every builder. *)
+
+val mi250x : unit -> Hwsim.Machine.catalog
+(** {!Hwsim.Catalog_mi250x}, compiled on first use. *)
+
+val zen : unit -> Hwsim.Machine.catalog
+(** {!Hwsim.Catalog_zen}, compiled on first use. *)
+
 val of_activities_range :
-  name:string -> seed:string -> reps:int -> events:Hwsim.Event.t list ->
+  name:string -> seed:string -> reps:int -> catalog:Hwsim.Machine.catalog ->
   lo:int -> hi:int -> rows:(unit -> Hwsim.Activity.t array) ->
   row_labels:string array -> t
 (** Range-based collection, the primitive behind catalog sharding:
@@ -32,12 +42,14 @@ val of_activities_range :
     [(seed, event name, rep, row)], the shard's vectors are
     bit-identical to the corresponding slice of the whole-catalog
     dataset.  [rows ()] gives the per-row activities; it is called
-    inside the [dataset-build] span, in a child span [activities],
-    and the readings are taken in a second child span [readings].
-    Raises [Invalid_argument] on an out-of-bounds range. *)
+    inside the [dataset-build] span, in a child span [activities]
+    that also turns them into dense rows, and the readings (one
+    {!Hwsim.Machine.sweep} per event and repetition) are taken in a
+    second child span [readings].  Raises [Invalid_argument] on an
+    out-of-bounds range. *)
 
 val of_activities :
-  name:string -> seed:string -> reps:int -> events:Hwsim.Event.t list ->
+  name:string -> seed:string -> reps:int -> catalog:Hwsim.Machine.catalog ->
   rows:(unit -> Hwsim.Activity.t array) -> row_labels:string array -> t
 (** Whole-catalog collection: {!of_activities_range} over the full
     range (kept as the compatibility entry point). *)

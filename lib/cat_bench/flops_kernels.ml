@@ -59,6 +59,8 @@ let per_loop f =
   Array.of_list
     (List.concat_map (fun k -> List.mapi (f k) (Array.to_list k.loop_payloads)) kernels)
 
-let rows = Once.once (fun () -> per_loop (fun k _ payload -> row_activity k payload))
+let rows =
+  Once.once (fun () ->
+      Obs.span "cpusim" (fun () -> per_loop (fun k _ payload -> row_activity k payload)))
 
 let row_labels = per_loop (fun k i _ -> Printf.sprintf "%s/loop%d" k.name (i + 1))

@@ -58,7 +58,7 @@ let per_kernel f =
   Array.of_list
     (List.concat_map (fun pair -> List.map (f pair) (Array.to_list unrolls)) pairs)
 
-let rows = Once.once (fun () -> per_kernel row_activity)
+let rows = Once.once (fun () -> Obs.span "gpusim" (fun () -> per_kernel row_activity))
 
 let row_labels =
   per_kernel (fun (op, precision) u ->

@@ -205,7 +205,7 @@ let predictor_comparison () =
         Cat_bench.Dataset.of_activities ~name:"branch-predictor-ablation"
           ~seed:("cat-branch-" ^ Branchsim.Predictor.kind_name kind)
           ~reps:Cat_bench.Dataset.default_reps
-          ~events:Hwsim.Catalog_sapphire_rapids.events ~rows:(fun () -> rows)
+          ~catalog:(Cat_bench.Dataset.sapphire_rapids ()) ~rows:(fun () -> rows)
           ~row_labels:Cat_bench.Branch_kernels.row_labels
       in
       let basis = Expectation.of_ideals (Cat_bench.Ideal.branch_of_rows rows) in

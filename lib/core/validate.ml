@@ -6,24 +6,32 @@ type report = {
   relative_error : float;
 }
 
+(* The combination's non-negligible terms, with their events compiled
+   as one catalog: event [i] is term [i]. *)
+let compile comb ~catalog =
+  let terms = List.filter (fun (c, _) -> Float.abs c > 1e-12) comb in
+  let find name =
+    List.find (fun (e : Hwsim.Event.t) -> e.Hwsim.Event.name = name) catalog
+  in
+  (terms, Hwsim.Machine.compile (List.map (fun (_, name) -> find name) terms))
+
+(* Each reading is a sweep of one event over the one row. *)
+let measure (terms, events) ~seed activity =
+  let row = [| Hwsim.Machine.row events activity |] in
+  let readings =
+    List.mapi (fun i _ -> (Hwsim.Machine.sweep events ~seed ~rep:0 i row).(0)) terms
+  in
+  List.fold_left2 (fun acc (c, _) reading -> acc +. (c *. reading)) 0.0 terms readings
+
 let evaluate_combination comb ~catalog ~seed activity =
-  List.fold_left
-    (fun acc (c, name) ->
-      if Float.abs c <= 1e-12 then acc
-      else begin
-        let event =
-          List.find (fun (e : Hwsim.Event.t) -> e.Hwsim.Event.name = name) catalog
-        in
-        let reading = Hwsim.Machine.measure ~seed ~rep:0 ~row:0 event activity in
-        acc +. (c *. reading)
-      end)
-    0.0 comb
+  measure (compile comb ~catalog) ~seed activity
 
 let validate ~(metric : Metric_solver.metric_def) ~catalog ~truth ~apps =
+  let compiled = compile metric.Metric_solver.combination ~catalog in
   List.map
     (fun (app : Cat_bench.App_workloads.t) ->
       let predicted =
-        evaluate_combination metric.Metric_solver.combination ~catalog
+        measure compiled
           ~seed:("validate/" ^ app.Cat_bench.App_workloads.name)
           app.Cat_bench.App_workloads.activity
       in

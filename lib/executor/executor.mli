@@ -31,14 +31,16 @@
 
     Tasks submitted to [Domains] must not share mutable state except
     through their disjoint output slots.  In particular no random
-    generator may be shared across tasks: [Hwsim.Machine] derives a
-    fresh [Numkit.Rng] from the pure key [(seed, event, rep, row)] for
-    every reading, so shard workers never observe generator state from
-    another shard — this is what makes parallel collection bit-exact.
-    The module-level caches reachable from shard tasks (the kernel
-    row tables and [Cat_bench.Dataset.dcache_activities]) are
-    pre-forced by [Category.prewarm] before dispatch; the row tables
-    are also safe to fill from a worker ([Cat_bench.Once]).  No other
+    generator may be shared across tasks: [Hwsim.Machine.sweep] owns
+    one [Numkit.Rng], reseeded from the pure key
+    [(seed, event, rep, row)] for every reading, so shard workers never
+    observe generator state from another shard — this is what makes
+    parallel collection bit-exact.  The module-level caches reachable
+    from shard tasks (the kernel row tables and
+    [Cat_bench.Dataset.dcache_activities]) are pre-forced by
+    [Category.prewarm] before dispatch; the row tables and the
+    compiled catalogs are also safe to fill from a worker
+    ([Cat_bench.Once]).  No other
     mutable state in [hwsim]/[cat_bench] escapes into tasks.
 
     Nested submission (a task that itself calls [map]/[iter_ranges])

@@ -23,4 +23,8 @@ val apply : t -> Numkit.Rng.t -> float -> float
 (** Apply the model to an ideal value.  The result is clamped at zero
     and rounded to the nearest integer — counters count. *)
 
+val draws : t -> int
+(** Normal draws {!apply} takes: 0 for [Exact], 2 for [Mixed], else 1
+    (also when a sigma is 0). *)
+
 val is_exact : t -> bool

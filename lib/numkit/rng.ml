@@ -1,13 +1,27 @@
-type t = { mutable state : int64; seed : int64 }
+(* Bytes 0-7 hold the splitmix64 state, bytes 8-15 the seed [split]
+   derives children from.  Reading and writing them with
+   [get_int64_le] / [set_int64_le] keeps the state unboxed: a draw
+   allocates nothing for it. *)
+type t = Bytes.t
+
+let[@inline] state t = Bytes.get_int64_le t 0
+let seed t = Bytes.get_int64_le t 8
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = seed; seed }
+let reseed t s =
+  Bytes.set_int64_le t 0 s;
+  Bytes.set_int64_le t 8 s
+
+let create s =
+  let t = Bytes.create 16 in
+  reseed t s;
+  t
 
 (* FNV-1a, 64-bit.  Plain loops over a local ref keep the state
    unboxed: one boxed result per call, nothing per byte. *)
@@ -44,16 +58,16 @@ let hash_extend_int h n =
 
 let of_string s = create (hash_string s)
 
-let split t label =
-  create (mix (Int64.logxor t.seed (hash_string label)))
+let split t label = create (mix (Int64.logxor (seed t) (hash_string label)))
 
-let copy t = { state = t.state; seed = t.seed }
+let copy = Bytes.copy
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] next_int64 t =
+  let s = Int64.add (state t) golden_gamma in
+  Bytes.set_int64_le t 0 s;
+  mix s
 
-let float t =
+let[@inline] float t =
   (* 53 high bits -> [0, 1). *)
   let bits = Int64.shift_right_logical (next_int64 t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
@@ -72,13 +86,13 @@ let normal t ~mu ~sigma =
   assert (sigma >= 0.0);
   if sigma = 0.0 then mu
   else begin
-    (* Box-Muller; guard against log 0. *)
-    let rec nonzero () =
-      let u = float t in
-      if u > 0.0 then u else nonzero ()
-    in
-    let u1 = nonzero () and u2 = float t in
-    let r = sqrt (-2.0 *. log u1) in
+    (* Box-Muller; redraw [u1] to guard against log 0. *)
+    let u1 = ref (float t) in
+    while not (!u1 > 0.0) do
+      u1 := float t
+    done;
+    let u2 = float t in
+    let r = sqrt (-2.0 *. log !u1) in
     mu +. (sigma *. r *. cos (2.0 *. Float.pi *. u2))
   end
 

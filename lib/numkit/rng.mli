@@ -13,6 +13,10 @@ type t
 val create : int64 -> t
 (** [create seed] makes a fresh generator from a 64-bit seed. *)
 
+val reseed : t -> int64 -> unit
+(** [reseed t seed] puts [t] in the state of [create seed], in place:
+    a generator reused across many short streams allocates nothing. *)
+
 val of_string : string -> t
 (** [of_string s] seeds a generator from the FNV-1a hash of [s].
     Distinct strings give (with overwhelming probability) independent

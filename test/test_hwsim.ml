@@ -199,10 +199,16 @@ let test_mi250x_idle_devices_noisy () =
 
 let act v = Hwsim.Activity.of_list [ ("x", v) ]
 
+(* Reading [row] of repetition [rep] of a one-event catalog. *)
+let measure ~seed ~rep ~row e activity =
+  let catalog = Hwsim.Machine.compile [ e ] in
+  let rows = Array.make (row + 1) (Hwsim.Machine.row catalog activity) in
+  (Hwsim.Machine.sweep catalog ~seed ~rep 0 rows).(row)
+
 let test_measure_exact_reproducible () =
   let e = Hwsim.Event.make ~name:"E" ~desc:"" [ (1.0, "x") ] in
-  let v1 = Hwsim.Machine.measure ~seed:"s" ~rep:0 ~row:0 e (act 42.0) in
-  let v2 = Hwsim.Machine.measure ~seed:"s" ~rep:7 ~row:0 e (act 42.0) in
+  let v1 = measure ~seed:"s" ~rep:0 ~row:0 e (act 42.0) in
+  let v2 = measure ~seed:"s" ~rep:7 ~row:0 e (act 42.0) in
   Alcotest.(check (float 0.0)) "identical across reps" v1 v2
 
 let test_measure_noisy_varies_by_rep () =
@@ -210,10 +216,7 @@ let test_measure_noisy_varies_by_rep () =
     Hwsim.Event.make ~noise:(Hwsim.Noise_model.Gauss_rel 0.1) ~name:"N" ~desc:""
       [ (1.0, "x") ]
   in
-  let vs =
-    List.init 20 (fun rep ->
-        Hwsim.Machine.measure ~seed:"s" ~rep ~row:0 e (act 1.0e6))
-  in
+  let vs = List.init 20 (fun rep -> measure ~seed:"s" ~rep ~row:0 e (act 1.0e6)) in
   Alcotest.(check bool) "not all equal" true
     (List.exists (fun v -> v <> List.hd vs) vs)
 
@@ -222,22 +225,120 @@ let test_measure_noisy_reproducible_per_rep () =
     Hwsim.Event.make ~noise:(Hwsim.Noise_model.Gauss_rel 0.1) ~name:"N" ~desc:""
       [ (1.0, "x") ]
   in
-  let v1 = Hwsim.Machine.measure ~seed:"s" ~rep:3 ~row:5 e (act 1.0e6) in
-  let v2 = Hwsim.Machine.measure ~seed:"s" ~rep:3 ~row:5 e (act 1.0e6) in
+  let v1 = measure ~seed:"s" ~rep:3 ~row:5 e (act 1.0e6) in
+  let v2 = measure ~seed:"s" ~rep:3 ~row:5 e (act 1.0e6) in
   Alcotest.(check (float 0.0)) "same (seed,rep,row) stream" v1 v2
 
-let test_measure_vector_shape () =
-  let e = Hwsim.Event.make ~name:"E" ~desc:"" [ (1.0, "x") ] in
-  let rows = Array.init 5 (fun i -> act (float_of_int i)) in
-  let v = Hwsim.Machine.measure_vector ~seed:"s" ~rep:0 e rows in
-  Alcotest.(check int) "length" 5 (Array.length v);
-  Alcotest.(check (float 0.0)) "values" 3.0 v.(3)
+(* The reading's definition, one string-keyed reading at a time: the
+   compiled sweep must reproduce it bit for bit. *)
+let reference_reading ~seed ~rep ~row (e : Hwsim.Event.t) activity =
+  let rng =
+    Numkit.Rng.of_string
+      (Printf.sprintf "%s|%s|rep=%d|row=%d" seed e.Hwsim.Event.name rep row)
+  in
+  Hwsim.Noise_model.apply e.Hwsim.Event.noise rng
+    (Hwsim.Event.ideal_value e activity)
 
-let test_measure_repetitions_shape () =
-  let e = Hwsim.Event.make ~name:"E" ~desc:"" [ (1.0, "x") ] in
-  let rows = Array.init 4 (fun i -> act (float_of_int i)) in
-  let reps = Hwsim.Machine.measure_repetitions ~seed:"s" ~reps:3 e rows in
-  Alcotest.(check int) "3 reps" 3 (List.length reps)
+let prop_sweep_matches_reference =
+  let open QCheck.Gen in
+  (* Rows set some of "a".."d"; events also read "z", which no row
+     sets, and may name a key twice. *)
+  let key = oneofl [ "a"; "b"; "c"; "d"; "z" ] in
+  (* Past 2^53 a sum's rounding depends on the order of its terms, and
+     counts are rounded to integers, so only large values tell. *)
+  let value =
+    oneof
+      [ float_range 0.0 1.0e7; map float_of_int (int_range 0 5000);
+        float_range 1.0e15 1.0e18 ]
+  in
+  let activity =
+    map Hwsim.Activity.of_list
+      (list_size (int_range 0 4) (pair (oneofl [ "a"; "b"; "c"; "d" ]) value))
+  in
+  let noise =
+    oneof
+      [
+        pure Hwsim.Noise_model.Exact;
+        map (fun s -> Hwsim.Noise_model.Gauss_rel s) (oneofl [ 0.0; 0.01; 0.3 ]);
+        map (fun s -> Hwsim.Noise_model.Gauss_abs s) (oneofl [ 0.0; 1.0; 50.0 ]);
+        map2 (fun r a -> Hwsim.Noise_model.Mixed (r, a))
+          (oneofl [ 0.0; 0.05 ]) (oneofl [ 0.0; 5.0 ]);
+      ]
+  in
+  let event i =
+    map3
+      (fun terms offset noise ->
+        Hwsim.Event.make ~offset ~noise ~name:(Printf.sprintf "EV%d:x" i) ~desc:""
+          terms)
+      (list_size (int_range 0 5) (pair (float_range (-8.0) 8.0) key))
+      (oneof [ pure 0.0; float_range (-100.0) 1000.0 ])
+      noise
+  in
+  let events = int_range 1 4 >>= fun n -> flatten_l (List.init n event) in
+  (* 0, 1 and more than 10 rows; repetitions past 9 have two or more
+     digits. *)
+  let rows = oneof [ pure 0; pure 1; int_range 2 9; int_range 11 30 ] in
+  let gen =
+    triple
+      (pair (string_size ~gen:printable (int_range 0 12))
+         (oneof [ int_range 0 9; int_range 10 2000 ]))
+      events
+      (rows >>= fun n -> array_repeat n activity)
+  in
+  let bits v = Int64.bits_of_float v in
+  QCheck.Test.make ~name:"sweep = reference readings" ~count:300
+    (QCheck.make gen)
+    (fun ((seed, rep), events, activities) ->
+      let catalog = Hwsim.Machine.compile events in
+      let rows = Array.map (Hwsim.Machine.row catalog) activities in
+      List.for_all
+        (fun i ->
+          let e = Hwsim.Machine.event catalog i in
+          let expected =
+            Array.mapi
+              (fun row activity -> bits (reference_reading ~seed ~rep ~row e activity))
+              activities
+          in
+          Array.map bits (Hwsim.Machine.sweep catalog ~seed ~rep i rows) = expected)
+        (List.init (Hwsim.Machine.size catalog) Fun.id))
+
+(* [analyze --stats] counts once per sweep yet reports the totals a
+   reading at a time would: gpu-flops has 1,248 events x 5 reps x 45
+   rows, and sharding over two domains changes none of them. *)
+let test_stats_counters_per_sweep () =
+  let analyze =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/analyze.exe"
+  in
+  let counters args =
+    let out = Filename.temp_file "stats" ".txt" in
+    let code =
+      Sys.command
+        (Printf.sprintf "%s -c gpu-flops --stats --show summary %s > %s 2>&1"
+           (Filename.quote analyze) args (Filename.quote out))
+    in
+    let text = In_channel.with_open_bin out In_channel.input_all in
+    Sys.remove out;
+    Alcotest.(check int) "exit code" 0 code;
+    List.filter_map
+      (fun line ->
+        match String.split_on_char ' ' (String.trim line) |> List.filter (( <> ) "") with
+        | [ name; value ] when String.starts_with ~prefix:"hwsim." name ->
+          Some (name, value)
+        | _ -> None)
+      (String.split_on_char '\n' text)
+  in
+  let expected =
+    [
+      ("hwsim.event_sweeps", "6240");
+      ("hwsim.kernel_runs", "280800");
+      ("hwsim.noise_draws", "276975");
+      ("hwsim.readings", "280800");
+    ]
+  in
+  Alcotest.(check (list (pair string string))) "monolithic" expected (counters "");
+  Alcotest.(check (list (pair string string)))
+    "2 shards on 2 domains" expected
+    (counters "--shards 2 --jobs 2")
 
 (* ------------------------------------------------------------------ *)
 (* Session planning                                                    *)
@@ -301,28 +402,6 @@ let test_session_restrict () =
     (Invalid_argument "Session.restrict: bad range") (fun () ->
       ignore (Hwsim.Session.restrict p ~lo:3 ~hi:1))
 
-(* [reading_rng] hashes the key piece by piece; it must give the
-   generator of the key string itself, bit for bit. *)
-let prop_reading_rng_matches_key =
-  let gen =
-    QCheck.Gen.(
-      quad (string_size ~gen:printable (int_range 0 24))
-        (string_size ~gen:printable (int_range 0 40))
-        (oneof [ int_range 0 12; int_range 0 100_000; pure 0 ])
-        (oneof [ int_range 0 60; int_range 0 100_000; pure 0 ]))
-  in
-  QCheck.Test.make ~name:"reading_rng = of_string of the key" ~count:500
-    (QCheck.make ~print:QCheck.Print.(quad string string int int) gen)
-    (fun (seed, name, rep, row) ->
-      let event = Hwsim.Event.make ~name ~desc:"" [] in
-      let a = Hwsim.Machine.reading_rng ~seed ~rep ~row event in
-      let b =
-        Numkit.Rng.of_string (Printf.sprintf "%s|%s|rep=%d|row=%d" seed name rep row)
-      in
-      List.for_all
-        (fun _ -> Numkit.Rng.next_int64 a = Numkit.Rng.next_int64 b)
-        [ 1; 2; 3 ])
-
 let () =
   Alcotest.run "hwsim"
     [
@@ -371,8 +450,7 @@ let () =
           Alcotest.test_case "exact reproducible" `Quick test_measure_exact_reproducible;
           Alcotest.test_case "noisy varies by rep" `Quick test_measure_noisy_varies_by_rep;
           Alcotest.test_case "per-rep reproducible" `Quick test_measure_noisy_reproducible_per_rep;
-          Alcotest.test_case "vector shape" `Quick test_measure_vector_shape;
-          Alcotest.test_case "repetitions shape" `Quick test_measure_repetitions_shape;
-          QCheck_alcotest.to_alcotest prop_reading_rng_matches_key;
+          QCheck_alcotest.to_alcotest prop_sweep_matches_reference;
+          Alcotest.test_case "stats counters per sweep" `Quick test_stats_counters_per_sweep;
         ] );
     ]

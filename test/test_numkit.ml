@@ -108,6 +108,112 @@ let test_shuffle_permutes () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 50 (fun i -> i)) sorted
 
+(* The first outputs of each draw for three seeds, recorded from the
+   generator as it was when its state was a mutable [int64] field.
+   The representation of the state may change; these streams may not.
+   [copy] and [split] must not advance their parent. *)
+type golden = {
+  label : string;
+  make : unit -> Numkit.Rng.t;
+  seed : int64;  (** What [make] seeds with, for [reseed]. *)
+  first : int64 list;
+  copy_next : int64;
+  split_next : int64 list;
+  parent_next : int64;
+  floats : float list;
+  ints : int list;
+  normals : float list;
+  shuffled : int array;
+  last : int64;
+}
+
+let reading_key = "cat-dcache/thread=3|L1D:REPLACEMENT|rep=4|row=15"
+
+let goldens =
+  [
+    {
+      label = "create 0";
+      make = (fun () -> Numkit.Rng.create 0L);
+      seed = 0L;
+      first = [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L ];
+      copy_next = -537132696929009172L;
+      split_next = [ -7212968599198153566L; 2451887796644670434L ];
+      parent_next = -537132696929009172L;
+      floats = [ 0x1.b39896a51a87p-4; 0x1.4f2e7c31d1fa8p-2; 0x1.6414d5f0fa298p-3 ];
+      ints = [ 470; 649; 195 ];
+      normals = [ 0x1.81fae2d6ddccbp-4; -0x1.11c125d48b7fep+0; -0x1.a66ed714dc55fp-1 ];
+      shuffled = [| 6; 4; 8; 5; 0; 1; 3; 9; 7; 2 |];
+      last = -7827675127045402757L;
+    };
+    {
+      label = "create 42";
+      make = (fun () -> Numkit.Rng.create 42L);
+      seed = 42L;
+      first = [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L ];
+      copy_next = 6349198060258255764L;
+      split_next = [ -3835226041937404597L; -8277967316975860013L ];
+      parent_next = 6349198060258255764L;
+      floats = [ 0x1.378b0b448904p-5; 0x1.bc8863f47901bp-1; 0x1.bf4b38e229bb4p-3 ];
+      ints = [ 954; 2; 487 ];
+      normals = [ -0x1.c76296a7a60e6p+0; -0x1.25473fd96d151p+0; 0x1.0ab38bced1168p-2 ];
+      shuffled = [| 1; 6; 8; 2; 5; 0; 7; 3; 9; 4 |];
+      last = 5120214421805786385L;
+    };
+    {
+      label = "of_string reading key";
+      make = (fun () -> Numkit.Rng.of_string reading_key);
+      seed = Numkit.Rng.hash_string reading_key;
+      first = [ 7370337885043962885L; -4838156415449571505L; 2198721324653673916L ];
+      copy_next = 4448811638425580665L;
+      split_next = [ 1391031668177860041L; -3576748822963325274L ];
+      parent_next = 4448811638425580665L;
+      floats = [ 0x1.7d222e7902845p-1; 0x1.b3a9655f60d88p-4; 0x1.5d369fba0f6cp-1 ];
+      ints = [ 274; 262; 118 ];
+      normals = [ 0x1.ea8145727f667p-3; 0x1.c7163b88efb6dp+0; 0x1.c9ca3c117f9c5p+0 ];
+      shuffled = [| 2; 8; 7; 5; 1; 6; 3; 0; 9; 4 |];
+      last = 4930320433605955875L;
+    };
+  ]
+
+(* Replays the draw sequence the values above were recorded with. *)
+let check_golden_stream g rng =
+  let module R = Numkit.Rng in
+  let draws n f = List.init n (fun _ -> f ()) in
+  let check_i64s what expected got =
+    Alcotest.(check (list int64)) (g.label ^ ": " ^ what) expected got
+  in
+  check_i64s "next_int64" g.first (draws 3 (fun () -> R.next_int64 rng));
+  let c = R.copy rng in
+  let child = R.split rng "child" in
+  Alcotest.(check int64) (g.label ^ ": copy") g.copy_next (R.next_int64 c);
+  check_i64s "split" g.split_next (draws 2 (fun () -> R.next_int64 child));
+  Alcotest.(check int64) (g.label ^ ": parent not advanced") g.parent_next
+    (R.next_int64 rng);
+  Alcotest.(check (list (float 0.0))) (g.label ^ ": float") g.floats
+    (draws 3 (fun () -> R.float rng));
+  Alcotest.(check (list int)) (g.label ^ ": int") g.ints
+    (draws 3 (fun () -> R.int rng 1000));
+  Alcotest.(check (list (float 0.0))) (g.label ^ ": normal") g.normals
+    (draws 3 (fun () -> R.normal rng ~mu:0.0 ~sigma:1.0));
+  let a = Array.init 10 Fun.id in
+  R.shuffle rng a;
+  Alcotest.(check (array int)) (g.label ^ ": shuffle") g.shuffled a;
+  Alcotest.(check int64) (g.label ^ ": last") g.last (R.next_int64 rng)
+
+let test_golden_streams () =
+  List.iter (fun g -> check_golden_stream g (g.make ())) goldens
+
+(* [reseed] restarts a used generator, split seed included, as if it
+   were new. *)
+let test_reseed_is_create () =
+  let rng = Numkit.Rng.create 99L in
+  List.iter
+    (fun g ->
+      ignore (Numkit.Rng.normal rng ~mu:0.0 ~sigma:1.0);
+      Numkit.Rng.reseed rng g.seed;
+      check_golden_stream g rng)
+    goldens
+
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -385,6 +491,8 @@ let () =
           Alcotest.test_case "normal sigma=0" `Quick test_normal_zero_sigma;
           Alcotest.test_case "copy preserves state" `Quick test_copy_diverges_from_original;
           Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
+          Alcotest.test_case "golden streams" `Quick test_golden_streams;
+          Alcotest.test_case "reseed is create" `Quick test_reseed_is_create;
         ] );
       ( "stats",
         [
