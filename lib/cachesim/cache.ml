@@ -2,16 +2,14 @@ type config = {
   size_bytes : int;
   ways : int;
   line_bytes : int;
-  policy : Replacement.kind;
 }
 
 (* Slot [set * ways + way] holds one line number.  The valid ways of
    a set are always its first [fill.(set)] ways: lines are only ever
    invalidated all at once, so the first free way is the fill count, a
-   lookup scans no further, and slots past it are never read.  Under
-   Lru and Fifo a set keeps its ways newest first (by last use, by
-   fill), so the victim of a full set is its last way; under Random a
-   line stays in the way it was filled into. *)
+   lookup scans no further, and slots past it are never read.  A set
+   keeps its ways newest first by last use, so the victim of a full set
+   is its last way. *)
 type t = {
   cfg : config;
   ways : int;
@@ -53,7 +51,6 @@ let create cfg =
 let sets t = t.set_mask + 1
 let ways t = t.ways
 let line_bytes t = t.cfg.line_bytes
-let size_bytes t = t.cfg.size_bytes
 
 type outcome = Hit | Miss
 
@@ -95,33 +92,9 @@ let resident t set (line : int) =
   done;
   !i < stop
 
-(* Look [line] up, update the replacement state, and fill it on a
-   miss.  True on a hit; under Fifo and Random a hit changes nothing. *)
-let reference t line =
-  let set = line land t.set_mask in
-  match t.cfg.policy with
-  | Replacement.Lru -> to_front t set line
-  | Fifo -> resident t set line || to_front t set line
-  | Random rng ->
-    resident t set line
-    || begin
-      let base = set * t.ways and n = t.fill.(set) in
-      let slot =
-        if n < t.ways then begin
-          t.fill.(set) <- n + 1;
-          base + n
-        end
-        else begin
-          t.evictions <- t.evictions + 1;
-          base + Numkit.Rng.int rng t.ways
-        end
-      in
-      t.tags.(slot) <- line;
-      false
-    end
-
 let access t addr =
-  if reference t (line_of t addr) then begin
+  let line = line_of t addr in
+  if to_front t (line land t.set_mask) line then begin
     t.demand_hits <- t.demand_hits + 1;
     Hit
   end
@@ -134,67 +107,11 @@ let probe t addr =
   let line = line_of t addr in
   resident t (line land t.set_mask) line
 
-let fill_prefetch t addr = ignore (reference t (line_of t addr))
-
 let invalidate_all t = Array.fill t.fill 0 (Array.length t.fill) 0
 
 let demand_hits t = t.demand_hits
 let demand_misses t = t.demand_misses
 let evictions t = t.evictions
-
-(* The valid ways set by set, each set's fill count and the counters.
-   The replacement order is the way order, so this is the whole state
-   under Lru and Fifo; Random also draws from its RNG. *)
-type snapshot = {
-  s_tags : int array;
-  s_fill : int array;
-  s_demand_hits : int;
-  s_demand_misses : int;
-  s_evictions : int;
-}
-
-let deterministic t =
-  match t.cfg.policy with Replacement.Lru | Fifo -> true | Random _ -> false
-
-let snapshot t =
-  let valid = Array.fold_left ( + ) 0 t.fill in
-  let s_tags = Array.make valid 0 and k = ref 0 in
-  Array.iteri
-    (fun set n ->
-      Array.blit t.tags (set * t.ways) s_tags !k n;
-      k := !k + n)
-    t.fill;
-  {
-    s_tags;
-    s_fill = Array.copy t.fill;
-    s_demand_hits = t.demand_hits;
-    s_demand_misses = t.demand_misses;
-    s_evictions = t.evictions;
-  }
-
-let same_state t s =
-  let nsets = Array.length t.fill in
-  let same = ref true and set = ref 0 and k = ref 0 in
-  (* [k] is where the current set's ways start in [s.s_tags]. *)
-  while !same && !set < nsets do
-    let n = t.fill.(!set) in
-    if n <> s.s_fill.(!set) then same := false
-    else begin
-      let base = !set * t.ways and w = ref 0 in
-      while !same && !w < n do
-        if t.tags.(base + !w) <> s.s_tags.(!k + !w) then same := false;
-        incr w
-      done;
-      k := !k + n;
-      incr set
-    end
-  done;
-  !same
-
-let advance t s k =
-  t.demand_hits <- t.demand_hits + (k * (t.demand_hits - s.s_demand_hits));
-  t.demand_misses <- t.demand_misses + (k * (t.demand_misses - s.s_demand_misses));
-  t.evictions <- t.evictions + (k * (t.evictions - s.s_evictions))
 
 let reset_counters t =
   t.demand_hits <- 0;

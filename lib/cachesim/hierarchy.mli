@@ -1,4 +1,4 @@
-(** Three-level inclusive-ish cache hierarchy with a memory backstop.
+(** Three-level cache hierarchy with a memory backstop.
 
     Models the load path the CAT data-cache benchmark exercises: each
     demand load probes L1, then L2, then L3; the line is filled into
@@ -6,7 +6,8 @@
     single-workload runs used here).  Counters distinguish demand hits
     and demand misses per level, mirroring the raw events the paper
     analyzes ([MEM_LOAD_RETIRED:L1_HIT], [L2_RQSTS:DEMAND_DATA_RD_HIT],
-    ...). *)
+    ...).  {!load} is the stepping reference; the chase itself is
+    computed in closed form by {!Pointer_chase.measure}. *)
 
 type t
 
@@ -25,14 +26,6 @@ val create : config -> t
 val load : t -> int -> level
 (** Demand load of one address; returns the level that served it. *)
 
-val warm : t -> int array -> unit
-(** Touch every address once without counting (counter reset after);
-    used to separate cold-miss effects in tests. *)
-
-val prefetch_fill : t -> int -> unit
-(** Insert a line into L1 and L2 without touching demand counters —
-    the entry point hardware prefetchers use. *)
-
 type counters = {
   accesses : int;
   l1_hit : int;
@@ -45,21 +38,3 @@ type counters = {
 
 val counters : t -> counters
 val reset_counters : t -> unit
-val level_capacity : t -> level -> int
-(** Capacity in bytes ([max_int] for [Memory]). *)
-
-val pp_counters : Format.formatter -> counters -> unit
-
-(** {1 Steady state}
-
-    {!Cache}'s snapshot operations over all three levels, plus the
-    access count. *)
-
-type snapshot
-
-val deterministic : t -> bool
-(** No level uses [Random] replacement. *)
-
-val snapshot : t -> snapshot
-val same_state : t -> snapshot -> bool
-val advance : t -> snapshot -> int -> unit

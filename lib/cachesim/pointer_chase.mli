@@ -6,7 +6,8 @@
     makes each thread's traffic distinct.  Chasing the cycle for
     [accesses] steps yields a dependent-load stream whose hit level is
     dictated by whether the buffer fits in L1 / L2 / L3 or spills to
-    memory, exactly the knob the paper's benchmark turns. *)
+    memory, exactly the knob the paper's benchmark turns.  {!measure}
+    computes the warmed chase's counters in closed form. *)
 
 type layout = Sequential | Shuffled of Numkit.Rng.t
 
@@ -24,44 +25,42 @@ val buffer_bytes : chain -> int
 val pointers : chain -> int
 
 val address : chain -> int -> int
-(** Address of slot [i] (for warming and tests). *)
+(** Address of slot [i] (for tests). *)
 
 val slot : chain -> int -> int
 (** [slot c k] is the slot the chase visits at step [k] ([k >= 0])
     from slot 0: [slot c 0 = 0], and the sequence repeats with period
     [pointers c]. *)
 
-val run : Hierarchy.t -> chain -> accesses:int -> warmup:bool -> Hierarchy.counters
-(** [run h chain ~accesses ~warmup] chases the chain for [accesses]
-    dependent loads starting from slot 0 and returns the demand
-    counters for the measured portion.  With [warmup] the chain is
-    walked once beforehand and counters reset, removing cold
-    misses.  Raises [Invalid_argument] when [accesses < 0]. *)
-
-type instrumented = {
+type measurement = {
   cache : Hierarchy.counters;
-  tlb : Tlb.stats option;
-  prefetches : int;
-  simulated : int;
-      (** Steps actually simulated, warm-up included; the remaining
-          measured steps were whole cycles applied from the steady
-          state (see {!run_instrumented}). *)
+  tlb : Tlb.stats;
+  tlb_steps : int;
+      (** Measured chase steps stepped through the L1 TLB: 0 when
+          [accesses = 0] or every L1-TLB set holds at most its ways of
+          the buffer's pages, otherwise [min accesses (pointers c)].
+          The warm state is read off the cycle, walking back from its
+          end until every stepped set is full (at most one pass). *)
 }
 
-val run_instrumented :
-  ?tlb:Tlb.t -> ?prefetcher:Prefetcher.t -> Hierarchy.t -> chain ->
-  accesses:int -> warmup:bool -> instrumented
-(** Like {!run}, additionally translating each address through a TLB
-    and/or feeding a prefetcher.  With a prefetcher, sequential
-    chains see their miss counts collapse — randomized (Sattolo)
-    chains do not, which is why CAT randomizes.
+val measure :
+  Hierarchy.config -> Tlb.config -> chain -> accesses:int -> measurement
+(** [measure h t c ~accesses] is what a fresh hierarchy [h] and TLB
+    [t] count when the chase walks the cycle once to warm up (counters
+    reset afterwards) and then takes [accesses] dependent loads from
+    slot 0, each translated by the TLB before it loads.  It equals
+    stepping {!Hierarchy.load} and {!Tlb.access} through every one of
+    those steps, without stepping the hierarchy at all.
 
-    The counters are exactly those of simulating every step.  Without
-    a prefetcher and with no [Random] level, whenever the hierarchy
-    and TLB are in the same state at two consecutive cycle boundaries
-    of the measured window, every later whole cycle repeats the last
-    one, so its counter deltas are added without simulating it.  Raises
-    [Invalid_argument] when [accesses < 0]. *)
+    Regime, each checked: every level's geometry is valid
+    ({!Cache.config_valid}), every level's line size is the same, the
+    set counts do not decrease from L1 to L3, the stride is at least
+    one line (so a cycle's lines are distinct), and no L2 TLB set
+    holds more of the buffer's pages than its ways.  Outside it,
+    raises [Invalid_argument "Pointer_chase.measure: ..."] naming the
+    broken condition; raises [Invalid_argument "Pointer_chase.run:
+    accesses < 0"] on negative [accesses], and what {!Tlb.validate}
+    raises on an invalid TLB. *)
 
 val is_cycle : chain -> bool
 (** Structural check that the visiting order is a permutation of the

@@ -14,7 +14,6 @@ let level_cache ~entries ~ways ~page_bytes =
       Cache.size_bytes = entries * page_bytes;
       ways;
       line_bytes = page_bytes;
-      policy = Replacement.Lru;
     }
 
 let is_pow2 x = x > 0 && x land (x - 1) = 0
@@ -30,7 +29,7 @@ type t = {
 let default_config =
   { l1_entries = 64; l1_ways = 4; l2_entries = 1024; l2_ways = 8; page_bytes = 4096 }
 
-let create cfg =
+let validate cfg =
   if not (is_pow2 cfg.page_bytes) then
     invalid_arg "Tlb.create: page size must be a power of two";
   let check level entries ways =
@@ -43,7 +42,10 @@ let create cfg =
            level entries ways)
   in
   check "l1" cfg.l1_entries cfg.l1_ways;
-  check "l2" cfg.l2_entries cfg.l2_ways;
+  check "l2" cfg.l2_entries cfg.l2_ways
+
+let create cfg =
+  validate cfg;
   {
     t_l1 = level_cache ~entries:cfg.l1_entries ~ways:cfg.l1_ways ~page_bytes:cfg.page_bytes;
     t_l2 = level_cache ~entries:cfg.l2_entries ~ways:cfg.l2_ways ~page_bytes:cfg.page_bytes;
@@ -76,32 +78,6 @@ let reset_stats t =
   t.t_l1_hits <- 0;
   t.t_l2_hits <- 0;
   t.t_walks <- 0
-
-type snapshot = {
-  s_l1 : Cache.snapshot;
-  s_l2 : Cache.snapshot;
-  s_l1_hits : int;
-  s_l2_hits : int;
-  s_walks : int;
-}
-
-let snapshot t =
-  {
-    s_l1 = Cache.snapshot t.t_l1;
-    s_l2 = Cache.snapshot t.t_l2;
-    s_l1_hits = t.t_l1_hits;
-    s_l2_hits = t.t_l2_hits;
-    s_walks = t.t_walks;
-  }
-
-let same_state t s = Cache.same_state t.t_l1 s.s_l1 && Cache.same_state t.t_l2 s.s_l2
-
-let advance t s k =
-  Cache.advance t.t_l1 s.s_l1 k;
-  Cache.advance t.t_l2 s.s_l2 k;
-  t.t_l1_hits <- t.t_l1_hits + (k * (t.t_l1_hits - s.s_l1_hits));
-  t.t_l2_hits <- t.t_l2_hits + (k * (t.t_l2_hits - s.s_l2_hits));
-  t.t_walks <- t.t_walks + (k * (t.t_walks - s.s_walks))
 
 let pages_touched ~buffer_bytes ~page_bytes =
   (buffer_bytes + page_bytes - 1) / page_bytes

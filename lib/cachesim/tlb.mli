@@ -4,7 +4,9 @@
     enough pages to thrash the TLB; on real hardware that feeds the
     noisy [DTLB_LOAD_MISSES:*] events Figure 2d is full of.  The
     model: a small set-associative L1 TLB backed by a larger L2 TLB,
-    both LRU over page numbers; a miss in both costs a page walk. *)
+    both LRU over page numbers; a miss in both costs a page walk.
+    {!access} is the stepping reference; {!Pointer_chase.measure}
+    computes a chase's TLB counters with the L1 TLB alone. *)
 
 type t
 
@@ -19,10 +21,13 @@ type config = {
 val default_config : config
 (** 64-entry 4-way L1, 1024-entry 8-way L2, 4 KiB pages. *)
 
-val create : config -> t
+val validate : config -> unit
 (** Raises [Invalid_argument "Tlb.create: ..."] unless the page size
     is a power of two and each level's ways are positive and divide
     its entries into a power-of-two number of sets. *)
+
+val create : config -> t
+(** Raises what {!validate} raises. *)
 
 type outcome = L1_hit | L2_hit | Walk
 
@@ -36,14 +41,3 @@ val reset_stats : t -> unit
 
 val pages_touched : buffer_bytes:int -> page_bytes:int -> int
 (** Helper: pages a buffer spans (ceiling division). *)
-
-(** {1 Steady state}
-
-    {!Cache}'s snapshot operations over both levels, plus the hit and
-    walk counts. *)
-
-type snapshot
-
-val snapshot : t -> snapshot
-val same_state : t -> snapshot -> bool
-val advance : t -> snapshot -> int -> unit

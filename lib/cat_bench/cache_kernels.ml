@@ -70,8 +70,6 @@ let common_overhead a n_accesses =
   Activity.set a Keys.core_uops (1.05 *. instructions)
 
 let thread_activity config ~rep ~thread =
-  let h = Cachesim.Hierarchy.create Cachesim.Hierarchy.default_config in
-  let tlb = Cachesim.Tlb.create Cachesim.Tlb.default_config in
   let rng =
     Numkit.Rng.of_string
       (Printf.sprintf "cat-cache/%s/rep=%d/thread=%d" config.label rep thread)
@@ -83,13 +81,10 @@ let thread_activity config ~rep ~thread =
       (Cachesim.Pointer_chase.Shuffled rng)
   in
   let r =
-    Cachesim.Pointer_chase.run_instrumented ~tlb h chain ~accesses ~warmup:true
+    Cachesim.Pointer_chase.measure Cachesim.Hierarchy.default_config
+      Cachesim.Tlb.default_config chain ~accesses
   in
-  if Obs.enabled () then begin
-    let stepped = accesses + Cachesim.Pointer_chase.pointers chain in
-    Obs.add "cachesim.accesses_simulated" (float_of_int r.simulated);
-    Obs.add "cachesim.accesses_skipped" (float_of_int (stepped - r.simulated))
-  end;
+  if Obs.enabled () then Obs.add "cachesim.tlb_steps" (float_of_int r.tlb_steps);
   let c = r.cache in
   let a = Activity.create () in
   Activity.set a Keys.cache_l1_dh (float_of_int c.l1_hit);
@@ -99,12 +94,10 @@ let thread_activity config ~rep ~thread =
   Activity.set a Keys.cache_l3_dh (float_of_int c.l3_hit);
   Activity.set a Keys.cache_l3_dm (float_of_int c.l3_miss);
   common_overhead a c.accesses;
-  (match r.tlb with
-   | Some t ->
-     Activity.set a Keys.tlb_stlb_hits (float_of_int t.l2_hits);
-     Activity.set a Keys.tlb_walks (float_of_int t.walks);
-     Activity.set a Keys.tlb_dtlb_misses (float_of_int (t.l2_hits + t.walks))
-   | None -> ());
+  let t = r.tlb in
+  Activity.set a Keys.tlb_stlb_hits (float_of_int t.l2_hits);
+  Activity.set a Keys.tlb_walks (float_of_int t.walks);
+  Activity.set a Keys.tlb_dtlb_misses (float_of_int (t.l2_hits + t.walks));
   let n = float_of_int c.accesses in
   let mem = float_of_int c.l3_miss in
   Activity.set a Keys.core_cycles

@@ -32,11 +32,11 @@ val accesses : int
     walk). *)
 
 val thread_activity : config -> rep:int -> thread:int -> Hwsim.Activity.t
-(** Simulate one thread's chase: fresh hierarchy, rep/thread-seeded
-    random chain, warmup walk, measured chase.  With the collector
-    enabled, adds the steps simulated and the steps applied from the
-    steady state to the counters [cachesim.accesses_simulated] and
-    [cachesim.accesses_skipped]. *)
+(** One thread's chase: fresh hierarchy and TLB, rep/thread-seeded
+    random chain, warmup walk, measured chase, all computed by
+    {!Cachesim.Pointer_chase.measure}.  With the collector enabled,
+    adds the steps it walked through the L1 TLB to the counter
+    [cachesim.tlb_steps]. *)
 
 val ideal_row : config -> Hwsim.Activity.t
 (** The idealized expectation: all [accesses] loads served by the

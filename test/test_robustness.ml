@@ -112,32 +112,53 @@ let test_reps_one_pipeline_bounded () =
 (* Simulator edge cases                                                *)
 (* ------------------------------------------------------------------ *)
 
-let test_single_pointer_chain () =
-  let h = Cachesim.Hierarchy.create Cachesim.Hierarchy.default_config in
+let measure ?(h = Cachesim.Hierarchy.default_config) ?(tlb = Cachesim.Tlb.default_config)
+    ?(pointers = 8) ?(stride_bytes = 64) ~accesses () =
   let c =
-    Cachesim.Pointer_chase.make ~base:0 ~pointers:1 ~stride_bytes:64
+    Cachesim.Pointer_chase.make ~base:0 ~pointers ~stride_bytes
       Cachesim.Pointer_chase.Sequential
   in
-  let k = Cachesim.Pointer_chase.run h c ~accesses:100 ~warmup:true in
+  Cachesim.Pointer_chase.measure h tlb c ~accesses
+
+let test_single_pointer_chain () =
+  let k = (measure ~pointers:1 ~accesses:100 ()).Cachesim.Pointer_chase.cache in
   Alcotest.(check int) "all hits on self-loop" 100 k.Cachesim.Hierarchy.l1_hit
 
 let test_negative_accesses_rejected () =
-  let h = Cachesim.Hierarchy.create Cachesim.Hierarchy.default_config in
-  let c =
-    Cachesim.Pointer_chase.make ~base:0 ~pointers:8 ~stride_bytes:64
-      Cachesim.Pointer_chase.Sequential
+  Alcotest.check_raises "measure" (Invalid_argument "Pointer_chase.run: accesses < 0")
+    (fun () -> ignore (measure ~accesses:(-5) ()))
+
+(* Each condition of the closed-form model's regime has its own
+   message. *)
+let test_model_regime_rejected () =
+  let d = Cachesim.Hierarchy.default_config in
+  let raises what msg f =
+    Alcotest.check_raises what (Invalid_argument ("Pointer_chase.measure: " ^ msg))
+      (fun () -> ignore (f ()))
   in
-  let e = Invalid_argument "Pointer_chase.run: accesses < 0" in
-  Alcotest.check_raises "run" e (fun () ->
-      ignore (Cachesim.Pointer_chase.run h c ~accesses:(-5) ~warmup:true));
-  Alcotest.check_raises "run_instrumented" e (fun () ->
+  raises "stride below a line" "stride 32 is below the 64-byte line" (fun () ->
+      measure ~stride_bytes:32 ~accesses:10 ());
+  raises "unequal lines" "levels must share one line size (64, 128, 64 bytes)" (fun () ->
+      measure ~h:{ d with l2 = { d.l2 with line_bytes = 128 } } ~accesses:10 ());
+  (* A 2 KiB 8-way L2 has 4 sets, fewer than the 8 of L1. *)
+  raises "sets shrink" "set counts must not decrease from L1 to L3 (8, 4, 256 sets)"
+    (fun () -> measure ~h:{ d with l2 = { d.l2 with size_bytes = 2048 } } ~accesses:10 ());
+  raises "invalid geometry" "L3 geometry is invalid" (fun () ->
+      measure ~h:{ d with l3 = { d.l3 with size_bytes = 1000 } } ~accesses:10 ());
+  (* 64 pages in a 56-entry, 7-way L2 TLB: 8 pages per set, one too
+     many. *)
+  raises "L2 TLB overflows"
+    "an L2 TLB set holds 8 of the buffer's pages, more than its 7 ways" (fun () ->
+      measure
+        ~tlb:{ Cachesim.Tlb.default_config with l2_entries = 56; l2_ways = 7 }
+        ~pointers:4096 ~accesses:10 ());
+  Alcotest.check_raises "invalid TLB"
+    (Invalid_argument "Tlb.create: page size must be a power of two") (fun () ->
       ignore
-        (Cachesim.Pointer_chase.run_instrumented h c ~accesses:(-1)
-           ~warmup:false))
+        (measure ~tlb:{ Cachesim.Tlb.default_config with page_bytes = 1000 } ~accesses:10 ()))
 
 let test_eviction_counted () =
-  let cfg = { Cachesim.Cache.size_bytes = 128; ways = 2; line_bytes = 64;
-              policy = Cachesim.Replacement.Lru } in
+  let cfg = { Cachesim.Cache.size_bytes = 128; ways = 2; line_bytes = 64 } in
   let c = Cachesim.Cache.create cfg in
   ignore (Cachesim.Cache.access c 0);
   ignore (Cachesim.Cache.access c 128);
@@ -221,6 +242,7 @@ let () =
         [
           Alcotest.test_case "single-pointer chain" `Quick test_single_pointer_chain;
           Alcotest.test_case "negative accesses" `Quick test_negative_accesses_rejected;
+          Alcotest.test_case "model regime" `Quick test_model_regime_rejected;
           Alcotest.test_case "clean eviction" `Quick test_eviction_counted;
         ] );
       ( "gpu-scheduler",

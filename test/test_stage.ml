@@ -385,10 +385,9 @@ let test_jobs_sweep category () =
   with_clean_state @@ fun () ->
   let config = sweep_config category in
   (* Fill the process-wide activity tables first.  The run that fills
-     the dcache table records the cachesim.accesses_simulated and
-     cachesim.accesses_skipped counters and later runs, whatever their
-     jobs, do not; that difference belongs to the cache, not to the
-     executor. *)
+     the dcache table records the cachesim.tlb_steps counter and later
+     runs, whatever their jobs, do not; that difference belongs to the
+     cache, not to the executor. *)
   Core.Category.prewarm ~executor:E.Seq ~reps:config.Stage.reps category;
   List.iter
     (fun shards ->
