@@ -117,9 +117,12 @@ bench-par:
 	  --trajectory bench/TRAJECTORY.jsonl
 	dune exec bench/par_bench.exe -- --check bench/BENCH_par.json
 
-# Run-manifest smoke: emit a manifest from a real pipeline run, render
-# it, and diff two manifests of the same config — `analyze report
-# --diff` must exit zero (no non-timing differences).
+# Run-manifest smoke: emit manifests from real runs through each
+# entry point that takes an emitter — a plain run, a gated two-shard
+# run on two domains, and a merge of shard artifacts — render one, and
+# diff two manifests of the same config each time: `analyze report
+# --diff` must exit zero (no non-timing differences).  The gated run's
+# manifest must carry the pre-flight lint summary.
 manifest-smoke:
 	dune exec bin/analyze.exe -- -c branch --show summary \
 	  --manifest /tmp/manifest_a.json
@@ -127,6 +130,24 @@ manifest-smoke:
 	  --manifest /tmp/manifest_b.json
 	dune exec bin/analyze.exe -- report /tmp/manifest_a.json
 	dune exec bin/analyze.exe -- report --diff /tmp/manifest_a.json /tmp/manifest_b.json
+	dune exec bin/analyze.exe -- -c branch --shards 2 --jobs 2 --preflight \
+	  --show summary --manifest /tmp/manifest_gated_a.json
+	dune exec bin/analyze.exe -- -c branch --shards 2 --jobs 2 --preflight \
+	  --show summary --manifest /tmp/manifest_gated_b.json
+	dune exec bin/analyze.exe -- report --diff /tmp/manifest_gated_a.json \
+	  /tmp/manifest_gated_b.json
+	dune exec bin/analyze.exe -- report /tmp/manifest_gated_a.json \
+	  | grep -q '^lint: 0 error(s)'
+	dune exec bin/analyze.exe -- shard branch --index 0 --shards 2 \
+	  -o /tmp/manifest_shard_0.json
+	dune exec bin/analyze.exe -- shard branch --index 1 --shards 2 \
+	  -o /tmp/manifest_shard_1.json
+	dune exec bin/analyze.exe -- merge /tmp/manifest_shard_0.json \
+	  /tmp/manifest_shard_1.json --show summary --manifest /tmp/manifest_merge_a.json
+	dune exec bin/analyze.exe -- merge /tmp/manifest_shard_0.json \
+	  /tmp/manifest_shard_1.json --show summary --manifest /tmp/manifest_merge_b.json
+	dune exec bin/analyze.exe -- report --diff /tmp/manifest_merge_a.json \
+	  /tmp/manifest_merge_b.json
 
 # Perf-regression gate: full benchmark runs compared against the
 # newest comparable run in the run store when one exists (the

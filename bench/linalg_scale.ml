@@ -13,7 +13,7 @@
    this benchmark also exercises the tracing layer end to end.
 
    Usage:
-     linalg_scale [--smoke] [--jobs N] [--out FILE]
+     linalg_scale [--smoke] [--out FILE]
                   [--baseline FILE] [--check FILE] [--trajectory FILE]
 
    [--smoke] runs only the smallest scale with one repetition (the
@@ -113,13 +113,15 @@ let run_scale ~reps ~rows ~cols =
 
 let tagged base r = Printf.sprintf "%s_%dx%d" base r.rows r.cols
 
-let manifest_of_results ~smoke ~reps ~scales ~jobs recorder results =
+let manifest_of_results ~smoke ~reps ~scales recorder results =
   let config =
     [
       ("storage", "flat-floatarray-row-major");
       ("smoke", string_of_bool smoke);
       ("reps", string_of_int reps);
-      ("jobs", string_of_int jobs);
+      (* The kernels are sequential; the key stays so the recorded
+         manifests keep their config digest. *)
+      ("jobs", "1");
       ( "scales",
         String.concat ","
           (List.map (fun (r, c) -> Printf.sprintf "%dx%d" r c) scales) );
@@ -167,14 +169,9 @@ let () =
   let baseline = ref "" in
   let check = ref "" in
   let trajectory = ref "" in
-  let jobs = ref 1 in
   let spec =
     [
       ("--smoke", Arg.Set smoke, "smallest scale, one repetition (CI smoke)");
-      ( "--jobs",
-        Arg.Set_int jobs,
-        "N executor domains for the parallel panel primitives (default 1, \
-         the sequential reference)" );
       ("--out", Arg.Set_string out, "FILE output path (default BENCH_linalg.json)");
       ("--baseline", Arg.Set_string baseline, "FILE print speedups vs a recorded manifest");
       ("--check", Arg.Set_string check, "FILE strictly decode FILE as a bench manifest and exit");
@@ -182,7 +179,7 @@ let () =
     ]
   in
   Arg.parse spec (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "linalg_scale [--smoke] [--jobs N] [--out FILE] \
+    "linalg_scale [--smoke] [--out FILE] \
      [--baseline FILE] [--check FILE] [--trajectory FILE]";
   if !check <> "" then begin
     let m =
@@ -197,11 +194,6 @@ let () =
       m.Obs.Manifest.config_digest;
     exit 0
   end;
-  if !jobs < 1 then begin
-    prerr_endline "linalg_scale: --jobs must be at least 1";
-    exit 2
-  end;
-  Core.Exec.set_default (Core.Exec.of_jobs !jobs);
   Obs.install (Obs.Memory.sink mem);
   let recorder = Obs.Recorder.create () in
   Obs.install (Obs.Recorder.sink recorder);
@@ -232,8 +224,7 @@ let () =
            | _ -> ())
          results);
   let m =
-    manifest_of_results ~smoke:!smoke ~reps ~scales ~jobs:!jobs recorder
-      results
+    manifest_of_results ~smoke:!smoke ~reps ~scales recorder results
   in
   Bench_report.write_manifest !out m;
   (* The file must survive the strict decoder: emitting a malformed

@@ -59,12 +59,11 @@ let live_words () =
   Gc.full_major ();
   (Gc.stat ()).Gc.live_words
 
-let prewarm category =
+let prewarm ~executor category =
   let config = Core.Stage.default_config category in
   let w0 = Gc.minor_words () in
   let t0 = Obs.Clock.now_ns () in
-  Core.Category.prewarm ~executor:(Core.Exec.default ()) ~reps:config.reps
-    category;
+  Core.Category.prewarm ~executor ~reps:config.reps category;
   let t1 = Obs.Clock.now_ns () in
   {
     cold_category = Core.Category.name category;
@@ -131,12 +130,12 @@ let sweep ~shard_counts category =
 (* Each category's tables are built just before its own sweep, so an
    earlier category's sweep does not carry a later one's tables in
    the heap its per-shard [live_words] collections walk. *)
-let bench ~categories ~shard_counts =
+let bench ~executor ~categories ~shard_counts =
   let colds, samples =
     List.split
       (List.map
          (fun category ->
-           let cold = prewarm category in
+           let cold = prewarm ~executor category in
            (cold, sweep ~shard_counts category))
          categories)
   in
@@ -215,9 +214,9 @@ let () =
       ("--smoke", Arg.Set smoke, " shard counts 1-2, branch only");
       ( "--jobs",
         Arg.Set_int jobs,
-        "N executor domains for the parallel kernel primitives (default 1; \
-         the shard loop itself stays sequential — it profiles per-shard \
-         peak memory)" );
+        "N executor domains for the cold-table prewarm (default 1; the \
+         shard loop itself stays sequential — it profiles per-shard peak \
+         memory)" );
       ("--out", Arg.Set_string out, "FILE output path (default BENCH_shard.json)");
       ( "--check",
         Arg.Set_string check,
@@ -245,7 +244,6 @@ let () =
       prerr_endline "shard_bench: --jobs must be at least 1";
       exit 2
     end;
-    Core.Exec.set_default (Core.Exec.of_jobs !jobs);
     let recorder = Obs.Recorder.create () in
     Obs.install (Obs.Recorder.sink recorder);
     let categories, shard_counts =
@@ -254,7 +252,9 @@ let () =
         ( [ Core.Category.Branch; Core.Category.Dcache ],
           [ 1; 2; 4; 8 ] )
     in
-    let colds, samples = bench ~categories ~shard_counts in
+    let colds, samples =
+      bench ~executor:(Core.Exec.of_jobs !jobs) ~categories ~shard_counts
+    in
     List.iter
       (fun c ->
         Printf.printf "%-8s cold tables %7.1f ms  %.2fM minor words\n"

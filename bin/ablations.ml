@@ -18,6 +18,7 @@ let () =
   Arg.parse specs
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "ablations [--manifest FILE] [--store DIR]";
-  Obs_cli.install_hook ~command:"ablations" ?manifest:!manifest ?store:!store
-    ();
-  print_string (Core.Ablation.summary ())
+  let manifest =
+    Obs_cli.emitter ~command:"ablations" ?manifest:!manifest ?store:!store ()
+  in
+  print_string (Core.Ablation.summary ?manifest ())

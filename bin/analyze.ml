@@ -135,33 +135,35 @@ let shards_flag =
   Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
 
 let jobs_flag =
-  let doc = "Execute on $(docv) domains: shards of the collection front \
-             run concurrently and the QRCP panel kernels split their \
-             column ranges across the pool.  Outputs are byte-identical \
-             for every jobs count (1, the default, is the sequential \
-             reference executor); the count is recorded in the run \
-             manifest's config (and its digest)." in
+  let doc = "Execute on $(docv) domains: the shards of the collection \
+             front (see $(b,--shards)) run concurrently; everything \
+             downstream of the merge runs once, on one domain.  Outputs \
+             are byte-identical for every jobs count (1, the default, is \
+             the sequential reference executor); the count is recorded \
+             in the run manifest's config (and its digest)." in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 (* Jobs validation goes through the lint rule: a bad value is the typed
    param/unknown-jobs diagnostic, not an argv failure.  Warnings
    (jobs > shards) print but do not abort. *)
-let set_jobs ?shards jobs =
-  let ds = Check.Param_check.check_jobs ?shards jobs in
+let executor_of_jobs ~shards jobs =
+  let ds = Check.Param_check.check_jobs ~shards jobs in
   List.iter (fun d -> prerr_endline (Core.Diagnostic.render d)) ds;
   if
     List.exists
       (fun d -> d.Core.Diagnostic.severity = Core.Diagnostic.Error)
       ds
   then exit 1;
-  Core.Exec.set_default (Core.Exec.of_jobs jobs)
+  Core.Exec.of_jobs jobs
 
 let preflight_flag =
-  let doc = "Install the static pre-flight gate before running: the \
-             category's declarative inputs (basis, signatures, thresholds, \
-             catalog) are linted with zero kernel executions and the run \
-             aborts on any error-severity diagnostic.  Off by default; on \
-             clean inputs the gated run's outputs are bit-identical." in
+  let doc = "Gate each category's run on the static pre-flight lint: \
+             its declarative inputs (basis, signatures, thresholds, \
+             catalog) are linted before any reading is collected, the run \
+             aborts on any error-severity diagnostic, and the run \
+             manifest records the lint summary.  Off by default, and \
+             not applied to $(b,--csv) datasets; on clean inputs the \
+             gated run's outputs are bit-identical." in
   Arg.(value & flag & info [ "preflight" ] ~doc)
 
 let read_file path =
@@ -226,13 +228,34 @@ let print_sections ~sections category (r : Core.Pipeline.result) =
   if wants "fig3" && category = Core.Category.Dcache then
     print_string (Core.Report.fig3_text r)
 
-let run_category ?csv ?auto_tau ?summary ~shards ~tau ~alpha ~proj_tol ~reps
-    ~sections category =
+(* The pre-flight gate: exit 1 on any error-severity finding, else
+   return the manifest emitter with the lint summary filled in. *)
+let gated_emitter ?manifest category =
+  match Check.gate (Check.gate_lint category) with
+  | Error ds ->
+    prerr_endline "analyze: pre-flight gate failed:";
+    List.iter (fun d -> prerr_endline ("  " ^ Core.Diagnostic.render d)) ds;
+    exit 1
+  | Ok lint ->
+    Option.map
+      (fun emit m -> emit { m with Obs.Manifest.lint = Some lint })
+      manifest
+
+let run_category ?csv ?auto_tau ?summary ?manifest ~preflight ~executor
+    ~shards ~tau ~alpha ~proj_tol ~reps ~sections category =
+  (* Each gated run is linted just before it starts: the auto-tau
+     probes, then the category's own run (a --csv dataset is not). *)
+  let gate () =
+    if preflight then gated_emitter ?manifest category else manifest
+  in
   let tau =
     match auto_tau with
     | None -> tau
     | Some min_rank ->
-      let s = Core.Auto_threshold.select ~category ~min_rank () in
+      let s =
+        Core.Auto_threshold.select ~executor ?manifest:(gate ()) ~category
+          ~min_rank ()
+      in
       Printf.printf
         "auto-tau: selected %.3e (gap ratio %.1e, keeps %d events)\n"
         s.Core.Auto_threshold.tau s.Core.Auto_threshold.gap_ratio
@@ -249,7 +272,8 @@ let run_category ?csv ?auto_tau ?summary ~shards ~tau ~alpha ~proj_tol ~reps
     summary;
   let r =
     match csv with
-    | None -> Core.Pipeline.run ~config ~shards category
+    | None ->
+      Core.Pipeline.run ~config ~shards ~executor ?manifest:(gate ()) category
     | Some path ->
       let text =
         try read_file path
@@ -269,7 +293,7 @@ let run_category ?csv ?auto_tau ?summary ~shards ~tau ~alpha ~proj_tol ~reps
           Printf.eprintf "analyze: %s: %s\n" path reason;
           exit 1
       in
-      Core.Pipeline.run_custom ~config ~category ~dataset
+      Core.Pipeline.run_custom ~executor ?manifest ~config ~category ~dataset
         ~basis:(Core.Category.basis category)
         ~signatures:(Core.Category.signatures category) ()
   in
@@ -283,13 +307,12 @@ let run_category ?csv ?auto_tau ?summary ~shards ~tau ~alpha ~proj_tol ~reps
 
 let main category tau alpha proj_tol reps sections csv auto_tau obs manifest
     store shards preflight jobs =
-  set_jobs ~shards jobs;
+  let executor = executor_of_jobs ~shards jobs in
   let sections = String.split_on_char ',' sections |> List.map String.trim in
   if shards < 1 then begin
     prerr_endline "analyze: --shards must be at least 1";
     exit 2
   end;
-  if preflight then Check.install_gate ();
   if shards > 1 && csv <> None then begin
     (* A CSV import is a finished dataset, not a collection to split. *)
     prerr_endline "analyze: --shards does not apply to --csv datasets";
@@ -303,28 +326,19 @@ let main category tau alpha proj_tol reps sections csv auto_tau obs manifest
     prerr_endline "analyze: --manifest requires --category";
     exit 2
   | _ -> ());
-  Obs_cli.install_hook ~command:"analyze" ?manifest ?store ();
+  let manifest = Obs_cli.emitter ~command:"analyze" ?manifest ?store () in
   with_obs ~render_stats:false obs (fun ~summary ->
-      try
-        match (csv, category) with
-        | Some _, None ->
-          prerr_endline "analyze: --csv requires --category";
-          exit 2
-        | Some _, Some c ->
-          run_category ?csv ?auto_tau ?summary ~shards ~tau ~alpha ~proj_tol
-            ~reps ~sections c
-        | None, Some c ->
-          run_category ?auto_tau ?summary ~shards ~tau ~alpha ~proj_tol ~reps
-            ~sections c
-        | None, None ->
-          List.iter
-            (run_category ?auto_tau ?summary ~shards ~tau ~alpha ~proj_tol
-               ~reps ~sections)
-            Core.Category.all
-      with Core.Stage.Preflight_failed ds ->
-        prerr_endline "analyze: pre-flight gate failed:";
-        List.iter (fun d -> prerr_endline ("  " ^ Core.Diagnostic.render d)) ds;
-        exit 1)
+      let run =
+        run_category ?auto_tau ?summary ?manifest ~preflight ~executor ~shards
+          ~tau ~alpha ~proj_tol ~reps ~sections
+      in
+      match (csv, category) with
+      | Some _, None ->
+        prerr_endline "analyze: --csv requires --category";
+        exit 2
+      | Some _, Some c -> run ?csv c
+      | None, Some c -> run c
+      | None, None -> List.iter (fun c -> run c) Core.Category.all)
 
 (* ------------------------------------------------------------------ *)
 (* explain: query the per-event provenance ledger                      *)
@@ -362,17 +376,17 @@ let explain_smoke =
              to pin that explain is transparent to sharding." in
   Arg.(value & flag & info [ "smoke" ] ~doc)
 
-let ledger_for ?(shards = 1) category =
-  let r = Core.Pipeline.run ~shards category in
+let ledger_for ?(shards = 1) ~executor category =
+  let r = Core.Pipeline.run ~shards ~executor category in
   (r, Core.Pipeline.ledger r)
 
 let write_json path ledger =
   write_file ~what:"ledger" path
     (Jsonio.to_string (Provenance.Ledger.to_json ledger) ^ "\n")
 
-let smoke_category ?(shards = 1) category =
+let smoke_category ?(shards = 1) ~executor category =
   let module L = Provenance.Ledger in
-  let _, ledger = ledger_for ~shards category in
+  let _, ledger = ledger_for ~shards ~executor category in
   (* Every entry must resolve to exactly one terminal fate — on
      shard-assembled ledgers just like monolithic ones. *)
   List.iter
@@ -423,17 +437,17 @@ let smoke_category ?(shards = 1) category =
   check "discarded" discarded
 
 let explain_main category event all fate json smoke shards jobs obs =
-  set_jobs ~shards jobs;
+  let executor = executor_of_jobs ~shards jobs in
   with_obs obs @@ fun ~summary:_ ->
   let module L = Provenance.Ledger in
   if smoke then begin
     let categories =
       match category with Some c -> [ c ] | None -> Core.Category.all
     in
-    List.iter smoke_category categories;
+    List.iter (smoke_category ~executor) categories;
     (* Same checks on shard-assembled ledgers: explain must be
        transparent to how the classified catalog was put together. *)
-    List.iter (smoke_category ~shards:2) categories;
+    List.iter (smoke_category ~shards:2 ~executor) categories;
     Printf.printf "explain smoke ok (%d categories, monolithic and sharded)\n"
       (List.length categories)
   end
@@ -460,7 +474,7 @@ let explain_main category event all fate json smoke shards jobs obs =
       prerr_endline "analyze explain: --shards must be at least 1";
       exit 2
     end;
-    let _, ledger = ledger_for ~shards category in
+    let _, ledger = ledger_for ~shards ~executor category in
     Option.iter (fun path -> write_json path ledger) json;
     (match (event, all) with
     | Some name, _ -> (
@@ -527,8 +541,7 @@ let explain_cmd =
 (* shard / merge: the serialized staged pipeline                       *)
 (* ------------------------------------------------------------------ *)
 
-let shard_main category index shards out tau alpha proj_tol reps jobs obs =
-  set_jobs jobs;
+let shard_main category index shards out tau alpha proj_tol reps obs =
   with_obs obs @@ fun ~summary:_ ->
   let category =
     match category with
@@ -603,17 +616,16 @@ let shard_cmd =
     (Cmd.info "shard" ~doc ~man)
     Term.(
       const shard_main $ explain_category $ index $ shards $ out $ tau $ alpha
-      $ proj_tol $ reps $ jobs_flag $ obs_term)
+      $ proj_tol $ reps $ obs_term)
 
-let merge_main files sections json manifest store jobs obs =
-  set_jobs jobs;
+let merge_main files sections json manifest store obs =
   with_obs obs @@ fun ~summary:_ ->
   let sections = String.split_on_char ',' sections |> List.map String.trim in
   if files = [] then begin
     prerr_endline "analyze merge: give the shard artifact FILEs to merge";
     exit 2
   end;
-  Obs_cli.install_hook ~command:"analyze merge" ?manifest ?store ();
+  let manifest = Obs_cli.emitter ~command:"analyze merge" ?manifest ?store () in
   let shards =
     List.map
       (fun path ->
@@ -644,7 +656,7 @@ let merge_main files sections json manifest store jobs obs =
         exit 1)
   in
   let r =
-    try Core.Stage.run_merged ~category shards
+    try Core.Stage.run_merged ?manifest ~category shards
     with Invalid_argument msg ->
       Printf.eprintf "analyze merge: %s\n" msg;
       exit 1
@@ -686,7 +698,7 @@ let merge_cmd =
     (Cmd.info "merge" ~doc ~man)
     Term.(
       const merge_main $ files $ sections $ json $ manifest_file
-      $ store_flag $ jobs_flag $ obs_term)
+      $ store_flag $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* lint: the static pre-flight analyzer                                *)

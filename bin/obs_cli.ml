@@ -1,9 +1,9 @@
 (* Shared run-manifest and run-store plumbing for the bin/ front
    ends.  Every command that can emit a manifest (--manifest FILE)
-   and/or ingest into the on-disk run store (--store DIR) installs the
-   emission hook through [install_hook], so the file naming, store
-   ingestion and messages are identical across analyze, ablations and
-   reproduce. *)
+   and/or ingest into the on-disk run store (--store DIR) builds its
+   emitter with [emitter] and passes it to the pipeline, so the file
+   naming, store ingestion and messages are identical across analyze,
+   ablations and reproduce. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -50,25 +50,26 @@ let ingest_or_fail ~command store m =
    k-th thereafter to FILE.k, so nothing is silently overwritten. *)
 let numbered path k = if k = 0 then path else Printf.sprintf "%s.%d" path k
 
-let install_hook ~command ?manifest ?store () =
-  if manifest <> None || store <> None then begin
+(* The manifest emitter to pass to the pipeline drivers, or [None]
+   when neither --manifest nor --store was given.  The store is
+   opened here, before any run. *)
+let emitter ~command ?manifest ?store () =
+  if manifest = None && store = None then None
+  else begin
     let store = Option.map (open_store_or_fail ~command) store in
     let emitted = ref 0 in
-    Core.Stage.set_manifest
-      (Some
-         (fun m ->
-           let k = !emitted in
-           incr emitted;
-           Option.iter
-             (fun path ->
-               write_file
-                 ~what:(Printf.sprintf "run manifest (%s)" command)
-                 (numbered path k)
-                 (Jsonio.to_string (Obs.Manifest.to_json m) ^ "\n"))
-             manifest;
-           Option.iter
-             (fun s -> ignore (ingest_or_fail ~command s m))
-             store))
+    Some
+      (fun m ->
+        let k = !emitted in
+        incr emitted;
+        Option.iter
+          (fun path ->
+            write_file
+              ~what:(Printf.sprintf "run manifest (%s)" command)
+              (numbered path k)
+              (Jsonio.to_string (Obs.Manifest.to_json m) ^ "\n"))
+          manifest;
+        Option.iter (fun s -> ignore (ingest_or_fail ~command s m)) store)
   end
 
 let load_manifest ~command path =

@@ -18,8 +18,9 @@ let () =
   Arg.parse specs
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "reproduce [--manifest FILE] [--store DIR]";
-  Obs_cli.install_hook ~command:"reproduce" ?manifest:!manifest ?store:!store
-    ();
-  let verdicts = Core.Experiment.check_all () in
+  let manifest =
+    Obs_cli.emitter ~command:"reproduce" ?manifest:!manifest ?store:!store ()
+  in
+  let verdicts = Core.Experiment.check_all ?manifest () in
   print_string (Core.Experiment.scorecard verdicts);
   exit (if Core.Experiment.all_pass verdicts then 0 else 1)

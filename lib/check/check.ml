@@ -250,8 +250,13 @@ let gate_lint c =
   @ Catalog_check.analyze_catalog ~name:(catalog_name c)
       (Core.Category.events c)
 
-let install_gate () = Core.Stage.set_preflight (Some gate_lint)
-
-let remove_gate () = Core.Stage.set_preflight None
-
-let gate_installed () = Core.Stage.preflight_installed ()
+let gate diags =
+  match D.errors diags with
+  | [] ->
+    Ok
+      {
+        Obs.Manifest.errors = 0;
+        warns = D.count D.Warn diags;
+        infos = D.count D.Info diags;
+      }
+  | errors -> Error errors

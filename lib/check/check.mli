@@ -78,20 +78,19 @@ val report_of_json : Jsonio.t -> (Diagnostic.t list, string) result
 (** Strict decode; rejects unknown schema versions and mistyped
     fields. *)
 
-(** {1 The optional pre-flight gate}
+(** {1 The pre-flight gate}
 
-    Off by default.  Installing the gate makes {!Core.Pipeline.run}
-    and {!Core.Stage.run_sharded} lint the category (basis, ideals,
-    signatures, parameters, own catalog) before collecting anything,
-    raising {!Core.Stage.Preflight_failed} on any error-severity
-    diagnostic.  The lint pass is read-only, so on clean inputs the
-    gated pipeline's outputs are bit-identical to the ungated ones. *)
+    [analyze --preflight] lints the category (basis, ideals,
+    signatures, parameters, own catalog) with {!gate_lint} before it
+    calls {!Core.Pipeline.run}, and refuses to run when {!gate} says
+    no.  The lint pass is read-only, so a gated run's outputs are
+    bit-identical to an ungated one's. *)
 
 val gate_lint : Core.Category.t -> Diagnostic.t list
 (** What the gate runs per category. *)
 
-val install_gate : unit -> unit
-
-val remove_gate : unit -> unit
-
-val gate_installed : unit -> bool
+val gate :
+  Diagnostic.t list -> (Obs.Manifest.lint_summary, Diagnostic.t list) result
+(** [Error] with the error-severity diagnostics, if there are any;
+    else [Ok] with the severity counts a run manifest records as its
+    [lint] field. *)

@@ -113,8 +113,8 @@ let check_reps ?category reps =
 (* The jobs count is pipeline configuration like tau or alpha: reject
    impossible values as typed diagnostics, not argv failures, and flag
    the shape that silently buys nothing — more workers than shards
-   leaves the surplus idle for the whole front (the panel kernels can
-   still use them downstream, hence a warning, not an error). *)
+   leaves the surplus idle for the whole run.  The outputs are still
+   right, hence a warning, not an error. *)
 let check_jobs ?category ?shards jobs =
   if jobs < 1 then
     [
@@ -137,7 +137,7 @@ let check_jobs ?category ?shards jobs =
             ]
           "param/unknown-jobs" D.Warn "jobs"
           "jobs = %d exceeds the %d shard(s) of the front: the extra \
-           domains idle until the QRCP panels run"
+           domains stay idle for the whole run"
           jobs s;
       ]
     | _ -> []

@@ -39,7 +39,7 @@ val check_jobs :
   ?category:string -> ?shards:int -> int -> Core.Diagnostic.t list
 (** [param/unknown-jobs]: error when [jobs < 1] (the executor needs at
     least one domain), warning when [shards] is given and [jobs]
-    exceeds it (the surplus domains idle through the shard front). *)
+    exceeds it (the surplus domains idle for the whole run). *)
 
 val analyze :
   ?category:string ->

@@ -16,11 +16,13 @@ type alpha_point = {
   matches_paper : bool;
 }
 
-let alpha_sweep category ~alphas =
+let alpha_sweep ?manifest category ~alphas =
   List.map
     (fun alpha ->
       let config = { (Pipeline.default_config category) with Pipeline.alpha } in
-      let chosen = Pipeline.chosen_set (Pipeline.run ~config category) in
+      let chosen =
+        Pipeline.chosen_set (Pipeline.run ~config ?manifest category)
+      in
       { alpha; chosen; matches_paper = same_set chosen (paper_set category) })
     alphas
 
@@ -35,11 +37,11 @@ type tau_point = {
   chosen : string list;
 }
 
-let tau_sweep category ~taus =
+let tau_sweep ?manifest category ~taus =
   List.map
     (fun tau ->
       let config = { (Pipeline.default_config category) with Pipeline.tau } in
-      let r = Pipeline.run ~config category in
+      let r = Pipeline.run ~config ?manifest category in
       {
         tau;
         kept = Noise_filter.count r.Pipeline.classified Noise_filter.Kept;
@@ -66,12 +68,12 @@ let coefficient_deviation (metrics : Metric_solver.metric_def list) =
         acc d.combination)
     0.0 metrics
 
-let thread_reduction_comparison () =
+let thread_reduction_comparison ?manifest () =
   List.map
     (fun reduction ->
       let dataset = Cat_bench.Dataset.dcache_reduced reduction in
       let r =
-        Pipeline.run_custom
+        Pipeline.run_custom ?manifest
           ~config:(Pipeline.default_config Category.Dcache)
           ~category:Category.Dcache ~dataset
           ~basis:(Category.basis Category.Dcache)
@@ -135,7 +137,7 @@ type multiplex_point = {
   paper_events_survive : bool;
 }
 
-let multiplex_sweep ~counters =
+let multiplex_sweep ?manifest ~counters () =
   List.map
     (fun n ->
       let cfg = { Cat_bench.Multiplex.default_config with counters = n } in
@@ -163,7 +165,8 @@ let multiplex_sweep ~counters =
            leave no event representable at all — an honest negative
            result the sweep must report, not crash on. *)
         match
-          Pipeline.run_custom ~config ~category:Category.Branch ~dataset
+          Pipeline.run_custom ?manifest ~config ~category:Category.Branch
+            ~dataset
             ~basis:(Category.basis Category.Branch)
             ~signatures:(Category.signatures Category.Branch) ()
         with
@@ -191,7 +194,7 @@ type predictor_point = {
   misp_rate_random_kernel : float;
 }
 
-let predictor_comparison () =
+let predictor_comparison ?manifest () =
   let kinds =
     [ Branchsim.Predictor.Local { history_bits = 6 };
       Branchsim.Predictor.Two_bit { entries = 512 };
@@ -210,7 +213,7 @@ let predictor_comparison () =
       in
       let basis = Expectation.of_ideals (Cat_bench.Ideal.branch_of_rows rows) in
       let r =
-        Pipeline.run_custom
+        Pipeline.run_custom ?manifest
           ~config:(Pipeline.default_config Category.Branch)
           ~category:Category.Branch ~dataset ~basis
           ~signatures:(Category.signatures Category.Branch) ()
@@ -231,7 +234,7 @@ let predictor_comparison () =
 (* Summary                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let summary () =
+let summary ?manifest () =
   let buf = Buffer.create 8192 in
   let pr fmt = Printf.bprintf buf fmt in
   pr "== Ablation: alpha sweep (Section V-E) ==\n";
@@ -247,21 +250,22 @@ let summary () =
           pr "  %-10s alpha=%-8g matches-paper=%b (%d events)\n"
             (Category.name category) p.alpha p.matches_paper
             (List.length p.chosen))
-        (alpha_sweep category ~alphas))
+        (alpha_sweep ?manifest category ~alphas))
     Category.all;
   pr "\n== Ablation: tau sweep (Section IV) ==\n";
   List.iter
     (fun p ->
       pr "  branch tau=%-8g kept=%-4d noisy=%-4d chosen=%d\n" p.tau p.kept
         p.too_noisy (List.length p.chosen))
-    (tau_sweep Category.Branch ~taus:[ 1e-14; 1e-10; 1e-6; 1e-2; 1.0 ]);
+    (tau_sweep ?manifest Category.Branch
+       ~taus:[ 1e-14; 1e-10; 1e-6; 1e-2; 1.0 ]);
   pr "\n== Ablation: thread reduction for cache data ==\n";
   List.iter
     (fun p ->
       pr "  %-6s max |coeff - round(coeff)| = %.5f\n"
         (match p.reduction with `Median -> "median" | `Mean -> "mean")
         p.max_coefficient_deviation)
-    (thread_reduction_comparison ());
+    (thread_reduction_comparison ?manifest ());
   pr "\n== Ablation: noise measures (future work, Section VII) ==\n";
   List.iter
     (fun p ->
@@ -274,11 +278,11 @@ let summary () =
     (fun p ->
       pr "  counters=%-4d kept=%-4d paper-events-survive=%b chosen=%d\n"
         p.counters p.kept p.paper_events_survive (List.length p.chosen))
-    (multiplex_sweep ~counters:[ 400; 64; 16; 8; 4 ]);
+    (multiplex_sweep ?manifest ~counters:[ 400; 64; 16; 8; 4 ] ());
   pr "\n== Ablation: branch predictor ==\n";
   List.iter
     (fun p ->
       pr "  %-14s misp/iter on random kernel = %.3f, chosen=%d\n" p.predictor
         p.misp_rate_random_kernel (List.length p.chosen))
-    (predictor_comparison ());
+    (predictor_comparison ?manifest ());
   Buffer.contents buf

@@ -6,7 +6,8 @@
     V-E), the noise threshold τ (Section IV), the thread-reduction
     operator for cache data (median vs mean, Section IV), the noise
     measure itself (Section VII future work), counter multiplexing
-    pressure, and the branch predictor. *)
+    pressure, and the branch predictor.  A sweep given [?manifest]
+    hands it the manifest of every pipeline run it makes. *)
 
 type alpha_point = {
   alpha : float;
@@ -14,7 +15,9 @@ type alpha_point = {
   matches_paper : bool;
 }
 
-val alpha_sweep : Category.t -> alphas:float list -> alpha_point list
+val alpha_sweep :
+  ?manifest:(Obs.Manifest.t -> unit) -> Category.t -> alphas:float list ->
+  alpha_point list
 (** Runs the pipeline at each α and compares the chosen-event set to
     the paper's. *)
 
@@ -25,7 +28,9 @@ type tau_point = {
   chosen : string list;
 }
 
-val tau_sweep : Category.t -> taus:float list -> tau_point list
+val tau_sweep :
+  ?manifest:(Obs.Manifest.t -> unit) -> Category.t -> taus:float list ->
+  tau_point list
 
 type reduction_point = {
   reduction : [ `Median | `Mean ];
@@ -35,7 +40,8 @@ type reduction_point = {
   chosen : string list;
 }
 
-val thread_reduction_comparison : unit -> reduction_point list
+val thread_reduction_comparison :
+  ?manifest:(Obs.Manifest.t -> unit) -> unit -> reduction_point list
 (** Median vs mean across the 8 cache threads. *)
 
 type measure_point = {
@@ -55,7 +61,9 @@ type multiplex_point = {
       (** Do the four paper branch events survive the filter? *)
 }
 
-val multiplex_sweep : counters:int list -> multiplex_point list
+val multiplex_sweep :
+  ?manifest:(Obs.Manifest.t -> unit) -> counters:int list -> unit ->
+  multiplex_point list
 (** The branching analysis under increasing counter pressure. *)
 
 type predictor_point = {
@@ -65,7 +73,8 @@ type predictor_point = {
       (** Mispredicts per iteration on the pure random kernel. *)
 }
 
-val predictor_comparison : unit -> predictor_point list
+val predictor_comparison :
+  ?manifest:(Obs.Manifest.t -> unit) -> unit -> predictor_point list
 
-val summary : unit -> string
+val summary : ?manifest:(Obs.Manifest.t -> unit) -> unit -> string
 (** All ablations, formatted. *)

@@ -33,11 +33,11 @@ type claim = {
    four runs. *)
 let result_cache : (Category.t, Pipeline.result) Hashtbl.t = Hashtbl.create 4
 
-let result_of category =
+let result_of ?manifest category =
   match Hashtbl.find_opt result_cache category with
   | Some r -> r
   | None ->
-    let r = Pipeline.run category in
+    let r = Pipeline.run ?manifest category in
     Hashtbl.add result_cache category r;
     r
 
@@ -214,7 +214,8 @@ type verdict = {
   detail : string;
 }
 
-let check claim =
+let check ?manifest claim =
+  let result_of = result_of ?manifest in
   let passed, detail =
     match claim.expectation with
     | Chosen_events { category; events } ->
@@ -265,7 +266,7 @@ let check claim =
   in
   { claim; passed; detail }
 
-let check_all () = List.map check claims
+let check_all ?manifest () = List.map (check ?manifest) claims
 
 let scorecard verdicts =
   let buf = Buffer.create 4096 in

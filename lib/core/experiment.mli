@@ -50,10 +50,11 @@ type verdict = {
   detail : string;  (** What was measured. *)
 }
 
-val check : claim -> verdict
-(** Evaluate one claim against a (cached) pipeline run. *)
+val check : ?manifest:(Obs.Manifest.t -> unit) -> claim -> verdict
+(** Evaluate one claim against a (cached) pipeline run.  A run made
+    here hands its manifest to [manifest]; a cached one emits none. *)
 
-val check_all : unit -> verdict list
+val check_all : ?manifest:(Obs.Manifest.t -> unit) -> unit -> verdict list
 
 val scorecard : verdict list -> string
 (** Render pass/fail lines plus a summary. *)

@@ -34,34 +34,35 @@ let run_stages ~config ~category ~dataset ~basis ~signatures () =
   let classified = Stage.classify ~config dataset in
   Stage.downstream ~config ~category ~basis ~signatures ~classified ()
 
-let run_custom ~config ~category ~dataset ~basis ~signatures () =
-  Stage.with_manifest ~source:"pipeline-custom" ~category ~config ~shards:1
-    (fun () ->
-      Obs.span "pipeline" (fun () ->
-          Obs.attr_str "category" (Category.name category);
-          run_stages ~config ~category ~dataset ~basis ~signatures ()))
+let run_custom ?(executor = Exec.Seq) ?manifest ~config ~category ~dataset
+    ~basis ~signatures () =
+  Stage.with_manifest ?manifest ~source:"pipeline-custom" ~category ~config
+    ~shards:1 ~jobs:(Exec.jobs executor) (fun () ->
+      ( Obs.span "pipeline" (fun () ->
+            Obs.attr_str "category" (Category.name category);
+            run_stages ~config ~category ~dataset ~basis ~signatures ()),
+        [] ))
 
-let run ?config ?(shards = 1) category =
+let run ?config ?(shards = 1) ?(executor = Exec.Seq) ?manifest category =
   let config =
     match config with Some c -> c | None -> default_config category
   in
   if shards < 1 then invalid_arg "Pipeline.run: shards < 1"
-  else if shards > 1 then Stage.run_sharded ~config ~shards category
+  else if shards > 1 then
+    Stage.run_sharded ~config ~executor ?manifest ~shards category
   else
-    Stage.with_manifest ~source:"pipeline" ~category ~config ~shards:1
-      (fun () ->
-        (* run_sharded performs its own pre-flight; gate the monolithic
-           path here so both entry points are covered exactly once. *)
-        Stage.preflight_check category;
-        Obs.span "pipeline" (fun () ->
-            Obs.attr_str "category" (Category.name category);
-            let dataset =
-              Obs.span "dataset-collect" (fun () ->
-                  Category.dataset ~reps:config.reps category)
-            in
-            run_stages ~config ~category ~dataset
-              ~basis:(Category.basis category)
-              ~signatures:(Category.signatures category) ()))
+    Stage.with_manifest ?manifest ~source:"pipeline" ~category ~config
+      ~shards:1 ~jobs:(Exec.jobs executor) (fun () ->
+        ( Obs.span "pipeline" (fun () ->
+              Obs.attr_str "category" (Category.name category);
+              let dataset =
+                Obs.span "dataset-collect" (fun () ->
+                    Category.dataset ~reps:config.reps category)
+              in
+              run_stages ~config ~category ~dataset
+                ~basis:(Category.basis category)
+                ~signatures:(Category.signatures category) ()),
+          [] ))
 
 let run_all () = List.map (fun c -> run c) Category.all
 

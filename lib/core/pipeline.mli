@@ -40,26 +40,31 @@ type result = Stage.result = {
           [None] only on results assembled by hand. *)
 }
 
-val run : ?config:config -> ?shards:int -> Category.t -> result
+val run :
+  ?config:config -> ?shards:int -> ?executor:Exec.t ->
+  ?manifest:(Obs.Manifest.t -> unit) -> Category.t -> result
 (** Run the full pipeline for one category.  [config] defaults to
     the category's paper parameters.  [shards] (default 1) splits
     data collection and noise filtering into that many catalog-range
-    shards via {!Stage.run_sharded}; the outputs — chosen events,
-    metric definitions, provenance ledger — are bit-identical for
-    every shard count.  Raises [Invalid_argument] if [shards < 1].
-    When a pre-flight hook is installed ({!Stage.set_preflight},
-    normally via [Check.install_gate]), the category's declarative
-    inputs are linted first and {!Stage.Preflight_failed} is raised
-    on any error-severity diagnostic; with no hook (the default) the
-    run is unchanged. *)
+    shards via {!Stage.run_sharded}, whose front runs on [executor]
+    (default [Exec.Seq]); the outputs — chosen events, metric
+    definitions, provenance ledger — are bit-identical for every shard
+    count and executor.  With [manifest], the run's manifest (see
+    {!Stage.with_manifest}, jobs taken from [executor]) is handed to
+    it.  Raises [Invalid_argument] if [shards < 1].  The pipeline
+    does no pre-flight lint of its own: a caller that wants the gate
+    runs [Check.gate] first. *)
 
 val run_custom :
+  ?executor:Exec.t -> ?manifest:(Obs.Manifest.t -> unit) ->
   config:config -> category:Category.t -> dataset:Cat_bench.Dataset.t ->
   basis:Expectation.t -> signatures:Signature.t list -> unit -> result
 (** Run the pipeline on arbitrary inputs: a dataset from any source
     (another machine's catalog, CSV-imported real measurements, an
     ablation variant), any expectation basis, any signature set.
-    [category] only labels the result for reporting. *)
+    [category] only labels the result for reporting.  [executor]
+    only sets the jobs count the manifest records: the dataset is
+    already collected. *)
 
 val run_all : unit -> result list
 (** All four categories with default parameters. *)

@@ -29,46 +29,6 @@ let default_config category =
     reps = Cat_bench.Dataset.default_reps;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Optional pre-flight gate                                            *)
-(*                                                                     *)
-(* lib/check sits above core in the dependency order, so the static    *)
-(* analyzer cannot be called by name from here; instead it installs    *)
-(* itself through this hook (Check.install_gate).  Off by default:     *)
-(* with no hook installed the drivers below are bit-identical to a     *)
-(* build without the gate.  The hook is read-only over declarative     *)
-(* inputs (zero kernel executions), so enabling it on clean inputs     *)
-(* changes no pipeline output.                                         *)
-(* ------------------------------------------------------------------ *)
-
-exception Preflight_failed of Diagnostic.t list
-
-let preflight_hook : (Category.t -> Diagnostic.t list) option ref = ref None
-
-let set_preflight h = preflight_hook := h
-
-let preflight_installed () = !preflight_hook <> None
-
-(* Severity counts of the most recent pre-flight, kept so the run
-   manifest can record what the gate saw.  Always refreshed by
-   [preflight_check] (None when no hook is installed). *)
-let last_lint : Obs.Manifest.lint_summary option ref = ref None
-
-let preflight_check category =
-  match !preflight_hook with
-  | None -> last_lint := None
-  | Some lint ->
-    let diags = lint category in
-    last_lint :=
-      Some
-        {
-          Obs.Manifest.errors = Diagnostic.count Diagnostic.Error diags;
-          warns = Diagnostic.count Diagnostic.Warn diags;
-          infos = Diagnostic.count Diagnostic.Info diags;
-        };
-    let errors = Diagnostic.errors diags in
-    if errors <> [] then raise (Preflight_failed errors)
-
 type result = {
   category : Category.t;
   config : config;
@@ -388,36 +348,14 @@ let downstream ~config ~category ~basis ~signatures ~classified () =
 (* ------------------------------------------------------------------ *)
 (* Run manifests                                                       *)
 (*                                                                     *)
-(* Like the pre-flight gate, manifest emission is hook-installed and   *)
-(* off by default: with no hook the drivers below cost one ref check   *)
-(* and remain bit-identical to a build without manifests.  When a      *)
-(* hook is installed (Stage.set_manifest, wired by analyze --manifest  *)
-(* and the bench harness), every run scopes a Recorder sink around     *)
-(* itself, snapshots it into a schema-versioned Obs.Manifest.t —       *)
-(* config digest, per-stage span timings + latency histograms + GC     *)
-(* deltas, counters/gauges, ledger fate totals, the lint summary and   *)
-(* content hashes of the shard artifacts consumed and the ledger       *)
-(* produced — and hands it to the hook.                                *)
+(* Off unless the caller passes an emitter: without one the drivers    *)
+(* run bare and stay bit-identical to a build without manifests.  With *)
+(* one, a run scopes a Recorder sink around itself, snapshots it into  *)
+(* a schema-versioned Obs.Manifest.t — config digest, per-stage span   *)
+(* timings + latency histograms + GC deltas, counters/gauges, ledger   *)
+(* fate totals and content hashes of the shard artifacts consumed and  *)
+(* the ledger produced — and hands it to the emitter.                  *)
 (* ------------------------------------------------------------------ *)
-
-let manifest_hook : (Obs.Manifest.t -> unit) option ref = ref None
-
-let set_manifest h = manifest_hook := h
-
-let manifest_installed () = !manifest_hook <> None
-
-(* Reentrancy guard: run_sharded wraps itself, and calls run_merged,
-   which also wraps itself (so `analyze merge` gets a manifest too);
-   the inner wrap must be a no-op or one run would emit twice. *)
-let manifest_active = ref false
-
-let manifest_artifacts : (string * string) list ref = ref []
-
-let note_artifact name json =
-  if !manifest_active then
-    manifest_artifacts :=
-      (name, Obs.Manifest.fnv64_hex (Jsonio.to_string json))
-      :: !manifest_artifacts
 
 let totals_pairs (t : Provenance.Ledger.totals) =
   let f = float_of_int in
@@ -462,48 +400,6 @@ let gc_pairs (d : Obs.Gc_sample.t) =
     ("heap_words", f d.Obs.Gc_sample.heap_words);
     ("top_heap_words", f d.Obs.Gc_sample.top_heap_words);
   ]
-
-let with_manifest ~source ~category ~config ~shards ?jobs f =
-  let jobs =
-    match jobs with Some j -> j | None -> Executor.jobs (Executor.default ())
-  in
-  match !manifest_hook with
-  | Some emit when not !manifest_active ->
-    manifest_active := true;
-    manifest_artifacts := [];
-    last_lint := None;
-    let recorder = Obs.Recorder.create () in
-    let sink = Obs.Recorder.sink recorder in
-    Obs.install sink;
-    let gc_before = Obs.Gc_sample.take () in
-    let finish () =
-      Obs.uninstall sink;
-      manifest_active := false
-    in
-    let r =
-      try f ()
-      with e ->
-        finish ();
-        manifest_artifacts := [];
-        raise e
-    in
-    let gc_delta =
-      Obs.Gc_sample.delta ~before:gc_before ~after:(Obs.Gc_sample.take ())
-    in
-    let l = ledger r in
-    note_artifact "ledger" (Provenance.Ledger.to_json l);
-    finish ();
-    let artifacts = List.rev !manifest_artifacts in
-    manifest_artifacts := [];
-    let m =
-      Obs.Manifest.of_recorder ~source ~label:(Category.name category)
-        ~config:(config_pairs ~category ~config ~shards ~jobs r)
-        ~totals:(totals_pairs (Provenance.Ledger.totals l)) ~gc:(gc_pairs gc_delta) ?lint:!last_lint
-        ~artifacts recorder
-    in
-    emit m;
-    r
-  | _ -> f ()
 
 (* ------------------------------------------------------------------ *)
 (* Shard artifact JSON (versioned, non-finite-safe)                    *)
@@ -679,19 +575,45 @@ let shard_equal a b =
   && a.row_labels = b.row_labels
   && List.equal entry_equal a.entries b.entries
 
+(* The manifest scope (see "Run manifests" above); [f] returns the
+   shard artifacts it consumed with its result, hashed here with the
+   codec above. *)
+let with_manifest ?manifest ~source ~category ~config ~shards ~jobs f =
+  match manifest with
+  | None -> fst (f ())
+  | Some emit ->
+    let recorder = Obs.Recorder.create () in
+    let sink = Obs.Recorder.sink recorder in
+    Obs.install sink;
+    let gc_before = Obs.Gc_sample.take () in
+    let r, inputs, gc_delta =
+      Fun.protect
+        ~finally:(fun () -> Obs.uninstall sink)
+        (fun () ->
+          let r, inputs = f () in
+          let after = Obs.Gc_sample.take () in
+          (r, inputs, Obs.Gc_sample.delta ~before:gc_before ~after))
+    in
+    let l = ledger r in
+    let hash json = Obs.Manifest.fnv64_hex (Jsonio.to_string json) in
+    let artifacts =
+      ("ledger", hash (Provenance.Ledger.to_json l))
+      :: List.map
+           (fun s -> ("shard" ^ range_pp s.range, hash (shard_to_json s)))
+           inputs
+    in
+    emit
+      (Obs.Manifest.of_recorder ~source ~label:(Category.name category)
+         ~config:(config_pairs ~category ~config ~shards ~jobs r)
+         ~totals:(totals_pairs (Provenance.Ledger.totals l))
+         ~gc:(gc_pairs gc_delta) ~artifacts recorder);
+    r
+
 (* ------------------------------------------------------------------ *)
 (* Sharded drivers                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let run_merged_inner ~category shards =
-  (* When a manifest is being collected, content-hash each incoming
-     shard artifact (its canonical JSON) before touching it — the
-     manifest then proves which inputs the run consumed.  Off the
-     manifest path this serializes nothing. *)
-  if !manifest_active then
-    List.iter
-      (fun s -> note_artifact ("shard" ^ range_pp s.range) (shard_to_json s))
-      shards;
+let merge_downstream ~category shards =
   let merged =
     match
       Obs.span "shard-merge" (fun () ->
@@ -714,13 +636,15 @@ let run_merged_inner ~category shards =
     ~basis:(Category.basis category)
     ~signatures:(Category.signatures category) ~classified:merged.entries ()
 
-let run_merged ~category shards =
+(* The manifest hashes each incoming shard artifact (its canonical
+   JSON), so it proves which inputs the run consumed. *)
+let run_merged ?manifest ~category shards =
   match shards with
-  | [] -> run_merged_inner ~category shards (* raises the merge error *)
+  | [] -> merge_downstream ~category shards (* raises the merge error *)
   | first :: _ ->
-    with_manifest ~source:"pipeline-merge" ~category
-      ~config:first.shard_config ~shards:(List.length shards) (fun () ->
-        run_merged_inner ~category shards)
+    with_manifest ?manifest ~source:"pipeline-merge" ~category
+      ~config:first.shard_config ~shards:(List.length shards) ~jobs:1
+      (fun () -> (merge_downstream ~category shards, shards))
 
 (* DESIGN.md §11's counter contract, asserted at runtime whenever the
    collector is live: across one sharded front, the shard.events /
@@ -794,16 +718,12 @@ let run_front ~config ~category ~executor ~shards ranges =
     Array.iter (fun (_, cap) -> Option.iter Obs.replay cap) tagged;
     Array.to_list (Array.map fst tagged)
 
-let run_sharded ?config ?executor ~shards category =
+let run_sharded ?config ?(executor = Executor.Seq) ?manifest ~shards category =
   let config =
     match config with Some c -> c | None -> default_config category
   in
-  let executor =
-    match executor with Some e -> e | None -> Executor.default ()
-  in
-  with_manifest ~source:"pipeline" ~category ~config ~shards
+  with_manifest ?manifest ~source:"pipeline" ~category ~config ~shards
     ~jobs:(Executor.jobs executor) (fun () ->
-      preflight_check category;
       Obs.span "pipeline" (fun () ->
           Obs.attr_str "category" (Category.name category);
           if Obs.enabled () then Obs.attr_int "shards" shards;
@@ -828,4 +748,4 @@ let run_sharded ?config ?executor ~shards category =
           (match before with
           | Some b -> check_shard_counter_invariant ~category ~before:b
           | None -> ());
-          run_merged ~category classified_shards))
+          (merge_downstream ~category classified_shards, classified_shards)))

@@ -63,63 +63,6 @@ val ledger : result -> Provenance.Ledger.t
     results assembled by hand).  Both are the same derivation, so they
     are the same document. *)
 
-(** {1 Optional pre-flight gate}
-
-    [lib/check] sits above core in the dependency order, so the
-    static analyzer installs itself through a hook
-    ([Check.install_gate]) rather than being called by name.  Off by
-    default; when installed, {!Pipeline.run} and {!run_sharded} lint
-    the category's declarative inputs (zero kernel executions) before
-    collecting anything and raise {!Preflight_failed} carrying the
-    error-severity diagnostics.  On clean inputs the gate changes no
-    pipeline output. *)
-
-exception Preflight_failed of Diagnostic.t list
-
-val set_preflight : (Category.t -> Diagnostic.t list) option -> unit
-(** Install (or, with [None], remove) the pre-flight lint hook. *)
-
-val preflight_installed : unit -> bool
-
-val preflight_check : Category.t -> unit
-(** Run the installed hook, raising {!Preflight_failed} if any
-    diagnostic has error severity; a no-op when no hook is
-    installed. *)
-
-(** {1 Run manifests}
-
-    Manifest emission follows the same hook discipline as the
-    pre-flight gate: off by default (one ref check, bit-identical
-    behaviour), and when a hook is installed every {!Pipeline.run},
-    {!run_sharded} and {!run_merged} scopes an {!Obs.Recorder} around
-    itself and hands the hook a schema-versioned {!Obs.Manifest.t}
-    carrying the config digest (category, machine, τ/α/β, projection
-    tolerance, reps, shard count), per-stage span timings with latency
-    histograms and GC deltas, all counters and gauges, the ledger fate
-    totals, the latest pre-flight lint summary and content hashes of
-    the shard artifacts the run consumed and of the ledger it
-    produced. *)
-
-val set_manifest : (Obs.Manifest.t -> unit) option -> unit
-(** Install (or, with [None], remove) the manifest emission hook. *)
-
-val manifest_installed : unit -> bool
-
-val with_manifest :
-  source:string ->
-  category:Category.t ->
-  config:config ->
-  shards:int ->
-  ?jobs:int ->
-  (unit -> result) ->
-  result
-(** Run [f] under scoped manifest collection and emit the manifest to
-    the installed hook.  Exactly [f ()] when no hook is installed;
-    reentrant calls (run_sharded wrapping run_merged) collect once,
-    at the outermost scope.  On exception the recorder is torn down
-    and nothing is emitted.  [jobs] is recorded in the manifest config
-    (defaults to the jobs of {!Exec.default}). *)
-
 (** {1 Shard geometry} *)
 
 type range = { lo : int; hi : int }
@@ -198,21 +141,57 @@ val downstream :
     the QRCP picks and leftovers and the metrics.  The result always
     carries [ledger = Some _]. *)
 
-val run_merged : category:Category.t -> classified_shard list -> result
+(** {1 Run manifests}
+
+    Every driver below takes [?manifest], an emitter.  Without one
+    the run is unchanged (no sink, no hashing).  With one, the run
+    scopes an {!Obs.Recorder} around itself and hands the emitter a
+    schema-versioned {!Obs.Manifest.t} carrying the config digest
+    (category, machine, jobs, τ/α/β, projection tolerance, reps, shard
+    count), per-stage span timings with latency histograms and GC
+    deltas, all counters and gauges, the ledger fate totals and
+    content hashes of the shard artifacts the run consumed and of the
+    ledger it produced.  The manifest's [lint] field is left [None]:
+    a caller that gates the run on a pre-flight lint records its
+    summary there itself. *)
+
+val with_manifest :
+  ?manifest:(Obs.Manifest.t -> unit) ->
+  source:string ->
+  category:Category.t ->
+  config:config ->
+  shards:int ->
+  jobs:int ->
+  (unit -> result * classified_shard list) ->
+  result
+(** [with_manifest ?manifest ... f] runs [f], which returns the result
+    and the shard artifacts it consumed (hashed into the manifest;
+    [\[\]] on the monolithic paths), and emits one manifest.  Exactly
+    [fst (f ())] without [manifest].  On exception the recorder is
+    torn down and nothing is emitted.  [jobs] is recorded in the
+    manifest config. *)
+
+val run_merged :
+  ?manifest:(Obs.Manifest.t -> unit) -> category:Category.t ->
+  classified_shard list -> result
 (** Merge the shards (raising [Invalid_argument] on any conflict
     {!merge_shards} reports) and run {!downstream} with the
     category's basis and signatures; the ledger is derived from the
-    merged catalog exactly as on the monolithic path. *)
+    merged catalog exactly as on the monolithic path.  Its manifest
+    (source ["pipeline-merge"]) records jobs 1 and hashes every
+    shard. *)
 
 val run_sharded :
-  ?config:config -> ?executor:Exec.t -> shards:int -> Category.t -> result
+  ?config:config -> ?executor:Exec.t -> ?manifest:(Obs.Manifest.t -> unit) ->
+  shards:int -> Category.t -> result
 (** The full sharded pipeline: partition the catalog, collect and
     classify each shard, merge, run downstream.  Bit-identical to
     {!Pipeline.run} for every [shards >= 1], and — for every executor
     — to the [Exec.Seq] reference: shards are pure functions of their
     catalog range, worker-domain [Obs] events are captured and
     replayed in shard order, and the merge is order-insensitive by
-    construction.  [executor] defaults to {!Exec.default}. *)
+    construction.  [executor] defaults to [Exec.Seq]; its jobs count
+    is recorded in the manifest, which hashes every in-process shard. *)
 
 (** {1 Shard artifact JSON} *)
 

@@ -5,8 +5,10 @@
    published by bumping [generation]; workers that see a fresh
    generation pull task indices until the counter is exhausted.  The
    submitting domain participates in its own batch, then blocks until
-   [pending] reaches zero, so at most one batch is in flight and the
-   pool state can be reused without further synchronization.
+   [pending] reaches zero.  A second domain that submits meanwhile
+   waits until that batch has drained ([busy]), so at most one batch
+   is in flight and the pool state can be reused without further
+   synchronization.
 
    Exceptions raised by tasks are recorded (first one wins), the rest
    of the batch still drains, and the exception is re-raised on the
@@ -17,27 +19,15 @@ type t = Seq | Domains of int
 let of_jobs n = if n <= 1 then Seq else Domains n
 let jobs = function Seq -> 1 | Domains n -> n
 
-let name = function
-  | Seq -> "seq"
-  | Domains n -> Printf.sprintf "domains:%d" n
-
-let default_exec = ref Seq
-let default () = !default_exec
-let set_default e = default_exec := e
-
-let with_default e f =
-  let saved = !default_exec in
-  default_exec := e;
-  Fun.protect ~finally:(fun () -> default_exec := saved) f
-
 let worker_flag : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 let in_worker () = Domain.DLS.get worker_flag
 
 type pool = {
   mutex : Mutex.t;
   work : Condition.t;  (* workers: a new batch (or stop) is available *)
-  drained : Condition.t;  (* submitter: pending reached zero *)
+  drained : Condition.t;  (* submitters: batch drained, or pool freed *)
   mutable generation : int;
+  mutable busy : bool;  (* a batch is in flight *)
   mutable body : int -> unit;
   mutable next : int;  (* next task index to grab *)
   mutable total : int;
@@ -48,7 +38,9 @@ type pool = {
   mutable workers : unit Domain.t list;
 }
 
-let pool_ref : pool option ref = ref None
+(* Created on first use; two domains that race to create it keep the
+   one that was published first. *)
+let pool_ref : pool option Atomic.t = Atomic.make None
 
 (* Grab-and-run loop shared by workers and the submitting domain.
    Called and returns with [p.mutex] held. *)
@@ -90,7 +82,7 @@ let worker_main p k =
   loop ()
 
 let shutdown () =
-  match !pool_ref with
+  match Atomic.get pool_ref with
   | None -> ()
   | Some p ->
     Mutex.lock p.mutex;
@@ -98,10 +90,10 @@ let shutdown () =
     Condition.broadcast p.work;
     Mutex.unlock p.mutex;
     List.iter Domain.join p.workers;
-    pool_ref := None
+    Atomic.set pool_ref None
 
-let get_pool () =
-  match !pool_ref with
+let rec get_pool () =
+  match Atomic.get pool_ref with
   | Some p -> p
   | None ->
     let p =
@@ -110,6 +102,7 @@ let get_pool () =
         work = Condition.create ();
         drained = Condition.create ();
         generation = 0;
+        busy = false;
         body = ignore;
         next = 0;
         total = 0;
@@ -120,9 +113,11 @@ let get_pool () =
         workers = [];
       }
     in
-    pool_ref := Some p;
-    at_exit shutdown;
-    p
+    if Atomic.compare_and_set pool_ref None (Some p) then begin
+      at_exit shutdown;
+      p
+    end
+    else get_pool ()
 
 let ensure_workers p count =
   let have = List.length p.workers in
@@ -131,10 +126,15 @@ let ensure_workers p count =
   done
 
 (* Run [body 0 .. body (n-1)] on the pool with [extra] worker domains
-   plus the calling domain.  Blocks until the batch drains. *)
+   plus the calling domain.  Waits for any other submitter's batch to
+   drain first, then blocks until this one drains. *)
 let run_batch ~extra n body =
   let p = get_pool () in
   Mutex.lock p.mutex;
+  while p.busy do
+    Condition.wait p.drained p.mutex
+  done;
+  p.busy <- true;
   ensure_workers p extra;
   p.generation <- p.generation + 1;
   p.body <- body;
@@ -145,9 +145,9 @@ let run_batch ~extra n body =
   p.failure <- None;
   Condition.broadcast p.work;
   (* The submitting domain participates in its own batch; while it
-     does, it counts as a worker so a task that re-enters map/
-     iter_ranges on this domain degrades to sequential instead of
-     corrupting the in-flight batch. *)
+     does, it counts as a worker so a task that re-enters [map] on
+     this domain degrades to sequential instead of corrupting the
+     in-flight batch. *)
   let was_worker = Domain.DLS.get worker_flag in
   Domain.DLS.set worker_flag true;
   drain_tasks p;
@@ -158,15 +158,15 @@ let run_batch ~extra n body =
   let failure = p.failure in
   p.body <- ignore;
   p.failure <- None;
+  p.busy <- false;
+  Condition.broadcast p.drained;
   Mutex.unlock p.mutex;
   match failure with
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
 
-let resolve = function Some e -> e | None -> !default_exec
-
-let map ?executor n f =
-  match resolve executor with
+let map ?(executor = Seq) n f =
+  match executor with
   | Seq -> Array.init n f
   | Domains j when j <= 1 || n <= 1 || in_worker () -> Array.init n f
   | Domains j ->
@@ -178,29 +178,3 @@ let map ?executor n f =
     Array.map
       (function Some v -> v | None -> invalid_arg "Executor.map: lost slot")
       slots
-
-(* Split [lo, hi) into [parts] contiguous ranges of near-equal width,
-   wider ranges first. *)
-let split ~parts ~lo ~hi =
-  let n = hi - lo in
-  let base = n / parts and rem = n mod parts in
-  let ranges = Array.make parts (0, 0) in
-  let start = ref lo in
-  for k = 0 to parts - 1 do
-    let w = base + (if k < rem then 1 else 0) in
-    ranges.(k) <- (!start, !start + w);
-    start := !start + w
-  done;
-  ranges
-
-let iter_ranges ?executor ~lo ~hi f =
-  if hi > lo then
-    match resolve executor with
-    | Seq -> f lo hi
-    | Domains j when j <= 1 || hi - lo <= 1 || in_worker () -> f lo hi
-    | Domains j ->
-      let parts = min j (hi - lo) in
-      let ranges = split ~parts ~lo ~hi in
-      run_batch ~extra:(parts - 1) parts (fun k ->
-          let sub_lo, sub_hi = ranges.(k) in
-          f sub_lo sub_hi)

@@ -139,71 +139,18 @@ let check_panel name ~data ~rs ~row0 ~row1 ~col0 ~col1 =
       invalid_arg (name ^ ": panel exceeds storage")
   end
 
-(* Parallel decomposition: both panel primitives accumulate (or
-   update) strictly per column, so splitting the column range over
-   worker domains keeps each column's floating-point operation order
-   exactly that of the sequential loops — the results are bitwise
-   identical for any split.  Workers touch disjoint [acc]/[w] slots
-   and disjoint storage columns, so the split is also race-free.
-   Panels below [par_min_elems] stay sequential: the pool round-trip
-   costs more than the pass saves. *)
-let par_min_elems = 32768
-
-let par_executor ~rows ~width =
-  match Executor.default () with
-  | Executor.Seq -> None
-  | Executor.Domains j as e ->
-    if j > 1 && width > 1 && rows * width >= par_min_elems then Some e
-    else None
-
-(* Columns [col0 + k0, col0 + k1) of the sequential pass, verbatim. *)
-let col_sqnorms_cols ~data ~rs ~row0 ~row1 ~col0 ~acc ~k0 ~k1 =
-  for i = row0 to row1 - 1 do
-    let base = i * rs in
-    for k = k0 to k1 - 1 do
-      let x = Float.Array.unsafe_get data (base + col0 + k) in
-      Array.unsafe_set acc k (Array.unsafe_get acc k +. (x *. x))
-    done
-  done
-
 let col_sqnorms ~data ~rs ~row0 ~row1 ~col0 ~col1 =
   check_panel "Kernel.col_sqnorms" ~data ~rs ~row0 ~row1 ~col0 ~col1;
   let width = max 0 (col1 - col0) in
   let acc = Array.make width 0.0 in
-  (match par_executor ~rows:(max 0 (row1 - row0)) ~width with
-  | Some e ->
-    Executor.iter_ranges ~executor:e ~lo:0 ~hi:width (fun k0 k1 ->
-        col_sqnorms_cols ~data ~rs ~row0 ~row1 ~col0 ~acc ~k0 ~k1)
-  | None -> col_sqnorms_cols ~data ~rs ~row0 ~row1 ~col0 ~acc ~k0:0 ~k1:width);
+  for i = row0 to row1 - 1 do
+    let base = i * rs in
+    for k = 0 to width - 1 do
+      let x = Float.Array.unsafe_get data (base + col0 + k) in
+      Array.unsafe_set acc k (Array.unsafe_get acc k +. (x *. x))
+    done
+  done;
   acc
-
-(* Columns [col0 + k0, col0 + k1) of the sequential reflection,
-   verbatim: accumulate w = tau * (V^T A) per column in ascending row
-   order, then A <- A - v w^T, skipping exactly-zero coefficients so
-   columns already in the reflector's fixed space are left untouched
-   bit-for-bit. *)
-let reflect_panel_cols ~tau ~v ~len ~data ~rs ~row0 ~col0 ~w ~k0 ~k1 =
-  for i = 0 to len - 1 do
-    let vi = Float.Array.unsafe_get v i in
-    let base = ((row0 + i) * rs) + col0 in
-    for k = k0 to k1 - 1 do
-      Array.unsafe_set w k
-        (Array.unsafe_get w k +. (vi *. Float.Array.unsafe_get data (base + k)))
-    done
-  done;
-  for k = k0 to k1 - 1 do
-    Array.unsafe_set w k (tau *. Array.unsafe_get w k)
-  done;
-  for i = 0 to len - 1 do
-    let vi = Float.Array.unsafe_get v i in
-    let base = ((row0 + i) * rs) + col0 in
-    for k = k0 to k1 - 1 do
-      let s = Array.unsafe_get w k in
-      if s <> 0.0 then
-        Float.Array.unsafe_set data (base + k)
-          (Float.Array.unsafe_get data (base + k) -. (s *. vi))
-    done
-  done
 
 let reflect_panel ~tau ~v ~data ~rs ~row0 ~col0 ~col1 =
   if tau <> 0.0 then begin
@@ -214,12 +161,30 @@ let reflect_panel ~tau ~v ~data ~rs ~row0 ~col0 ~col1 =
       (* w = tau * (V^T A): per-column accumulation in ascending row
          order, traversed row-major so the storage is streamed. *)
       let w = Array.make width 0.0 in
-      match par_executor ~rows:len ~width with
-      | Some e ->
-        Executor.iter_ranges ~executor:e ~lo:0 ~hi:width (fun k0 k1 ->
-            reflect_panel_cols ~tau ~v ~len ~data ~rs ~row0 ~col0 ~w ~k0 ~k1)
-      | None ->
-        reflect_panel_cols ~tau ~v ~len ~data ~rs ~row0 ~col0 ~w ~k0:0
-          ~k1:width
+      for i = 0 to len - 1 do
+        let vi = Float.Array.unsafe_get v i in
+        let base = ((row0 + i) * rs) + col0 in
+        for k = 0 to width - 1 do
+          Array.unsafe_set w k
+            (Array.unsafe_get w k
+            +. (vi *. Float.Array.unsafe_get data (base + k)))
+        done
+      done;
+      for k = 0 to width - 1 do
+        Array.unsafe_set w k (tau *. Array.unsafe_get w k)
+      done;
+      (* A <- A - v w^T, skipping exactly-zero coefficients so columns
+         already in the reflector's fixed space are left untouched
+         bit-for-bit. *)
+      for i = 0 to len - 1 do
+        let vi = Float.Array.unsafe_get v i in
+        let base = ((row0 + i) * rs) + col0 in
+        for k = 0 to width - 1 do
+          let s = Array.unsafe_get w k in
+          if s <> 0.0 then
+            Float.Array.unsafe_set data (base + k)
+              (Float.Array.unsafe_get data (base + k) -. (s *. vi))
+        done
+      done
     end
   end

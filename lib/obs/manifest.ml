@@ -98,7 +98,7 @@ let span_stat_of_agg span (a : Recorder.span_agg) =
   }
 
 let of_recorder ~source ~label ?(config = []) ?(totals = []) ?(metrics = [])
-    ?(gc = []) ?lint ?(artifacts = []) recorder =
+    ?(gc = []) ?(artifacts = []) recorder =
   let config = List.sort compare config in
   {
     version = schema_version;
@@ -114,7 +114,7 @@ let of_recorder ~source ~label ?(config = []) ?(totals = []) ?(metrics = [])
     totals = List.sort compare totals;
     metrics = List.sort compare metrics;
     gc = List.sort compare gc;
-    lint;
+    lint = None;
     artifacts = List.sort compare artifacts;
   }
 

@@ -73,12 +73,13 @@ val of_recorder :
   ?totals:(string * float) list ->
   ?metrics:(string * float) list ->
   ?gc:(string * float) list ->
-  ?lint:lint_summary ->
   ?artifacts:(string * string) list ->
   Recorder.t ->
   t
 (** Snapshot a {!Recorder} into a manifest.  All association lists are
-    re-sorted by key; [created_unix] is stamped from the wall clock. *)
+    re-sorted by key; [created_unix] is stamped from the wall clock.
+    [lint] is [None]: a caller that ran the pre-flight gate sets it
+    with a record update. *)
 
 val equal : t -> t -> bool
 (** Structural equality, NaN-tolerant (two NaN quantiles compare

@@ -430,49 +430,76 @@ let test_report_rejects_drift () =
   | Ok _ -> Alcotest.fail "unknown schema version accepted"
   | Error _ -> ()
 
-(* --- the optional pre-flight gate ----------------------------- *)
+(* --- the pre-flight gate ---------------------------------------- *)
 
-let with_gate_cleanup f =
-  Fun.protect ~finally:(fun () -> Check.remove_gate ()) f
+let analyze =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/analyze.exe"
 
+(* [analyze ARGS]'s exit code and standard output. *)
+let run_analyze args =
+  let out = Filename.temp_file "check" ".out" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s > %s 2> /dev/null" (Filename.quote analyze)
+         (String.concat " " (List.map Filename.quote args))
+         (Filename.quote out))
+  in
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  (code, text)
+
+(* The library never lints: a run's manifest carries no lint summary
+   unless the caller gated the run and recorded one. *)
 let test_gate_off_by_default () =
-  Alcotest.(check bool) "no hook installed" false (Check.gate_installed ())
+  let captured = ref None in
+  ignore
+    (Core.Pipeline.run ~manifest:(fun m -> captured := Some m)
+       Core.Category.Branch);
+  match !captured with
+  | None -> Alcotest.fail "run emitted no manifest"
+  | Some m ->
+    Alcotest.(check bool) "no lint summary" true (m.Obs.Manifest.lint = None)
 
+(* The shipped inputs pass the gate, with the lint's own counts, and
+   [analyze --preflight] prints exactly what the ungated run prints. *)
 let test_gate_clean_inputs_identical () =
-  with_gate_cleanup (fun () ->
-      let ungated = Core.Pipeline.run Core.Category.Branch in
-      Check.install_gate ();
-      Alcotest.(check bool) "installed" true (Check.gate_installed ());
-      let gated = Core.Pipeline.run Core.Category.Branch in
-      Alcotest.(check (array string))
-        "chosen events identical" ungated.Core.Pipeline.chosen_names
-        gated.Core.Pipeline.chosen_names;
-      Alcotest.(check bool) "metric definitions identical" true
-        (ungated.Core.Pipeline.metrics = gated.Core.Pipeline.metrics));
-  Alcotest.(check bool) "removed" false (Check.gate_installed ())
+  List.iter
+    (fun c ->
+      let diags = Check.gate_lint c in
+      match Check.gate diags with
+      | Error ds ->
+        Alcotest.failf "%s: gate refused shipped inputs: %s"
+          (Core.Category.name c) (String.concat ", " (ids ds))
+      | Ok l ->
+        Alcotest.(check (list int))
+          (Core.Category.name c ^ " lint summary")
+          [ 0; D.count D.Warn diags; D.count D.Info diags ]
+          [ l.Obs.Manifest.errors; l.warns; l.infos ])
+    Core.Category.all;
+  let args = [ "-c"; "branch"; "--show"; "summary,chosen,metrics" ] in
+  let code, ungated = run_analyze args in
+  let gated_code, gated = run_analyze ("--preflight" :: args) in
+  Alcotest.(check (pair int int)) "both runs exit 0" (0, 0) (code, gated_code);
+  Alcotest.(check string) "gated output identical" ungated gated
 
+(* An error-severity finding refuses the run and carries exactly the
+   error diagnostics; warnings alone do not. *)
 let test_gate_fails_fast () =
-  with_gate_cleanup (fun () ->
-      (* A hook that reports an error-severity finding: the run must
-         stop before collecting anything. *)
-      Core.Stage.set_preflight
-        (Some
-           (fun _ ->
-             [ D.make ~rule:"test/forced-failure" ~severity:D.Error
-                 ~subject:"basis" "injected defect" ]));
-      match Core.Pipeline.run Core.Category.Branch with
-      | _ -> Alcotest.fail "gated run did not fail fast"
-      | exception Core.Stage.Preflight_failed ds ->
-        Alcotest.(check (list string))
-          "failure carries the diagnostics" [ "test/forced-failure" ]
-          (ids ds));
-  (* And the gate's own per-category lint accepts the shipped
-     inputs: install_gate then run must succeed. *)
-  with_gate_cleanup (fun () ->
-      Check.install_gate ();
-      let r = Core.Pipeline.run Core.Category.Branch in
-      Alcotest.(check bool) "gated run completes" true
-        (Array.length r.Core.Pipeline.chosen_names > 0))
+  let error =
+    D.make ~rule:"test/forced-failure" ~severity:D.Error ~subject:"basis"
+      "injected defect"
+  and warn =
+    D.make ~rule:"test/forced-warning" ~severity:D.Warn ~subject:"basis"
+      "injected warning"
+  in
+  (match Check.gate [ warn; error ] with
+  | Ok _ -> Alcotest.fail "gate accepted an error-severity finding"
+  | Error ds ->
+    Alcotest.(check (list string))
+      "failure carries the errors" [ "test/forced-failure" ] (ids ds));
+  match Check.gate [ warn ] with
+  | Ok l -> Alcotest.(check int) "warning counted" 1 l.Obs.Manifest.warns
+  | Error _ -> Alcotest.fail "gate refused a warning"
 
 let () =
   Alcotest.run "check"

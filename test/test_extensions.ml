@@ -246,7 +246,7 @@ let test_noise_measures_agree_on_branch () =
   | [] -> Alcotest.fail "no measure points"
 
 let test_multiplex_sweep_degrades () =
-  let points = Core.Ablation.multiplex_sweep ~counters:[ 400; 16 ] in
+  let points = Core.Ablation.multiplex_sweep ~counters:[ 400; 16 ] () in
   match points with
   | [ no_mux; heavy ] ->
     Alcotest.(check bool) "no multiplexing keeps the paper events" true

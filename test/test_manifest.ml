@@ -2,7 +2,7 @@
    round-trip and rejection paths (foreign schema version, wrong kind,
    tampered config vs digest), diff classification (two runs of the
    same config must show zero non-timing differences), and inertness
-   of the manifest hook (no hook installed => the pipeline result is
+   of manifest emission (no emitter passed => the pipeline result is
    bit-identical and no sink is left behind). *)
 
 module M = Obs.Manifest
@@ -10,12 +10,7 @@ module H = Obs.Histogram
 
 let with_clean_state f =
   Obs.clear ();
-  Core.Stage.set_manifest None;
-  Fun.protect
-    ~finally:(fun () ->
-      Core.Stage.set_manifest None;
-      Obs.clear ())
-    f
+  Fun.protect ~finally:Obs.clear f
 
 (* ------------------------------------------------------------------ *)
 (* Histogram quantiles                                                 *)
@@ -103,10 +98,10 @@ let build_manifest () =
       ~totals:[ ("events", 4.0) ]
       ~metrics:[ ("speed_ms", 1.25) ]
       ~gc:[ ("minor_words", 100.0) ]
-      ~lint:{ M.errors = 0; warns = 1; infos = 2 }
       ~artifacts:[ ("shard[0,4)", "0123456789abcdef") ]
       r
   in
+  let m = { m with M.lint = Some { M.errors = 0; warns = 1; infos = 2 } } in
   Obs.clear ();
   m
 
@@ -180,12 +175,9 @@ let test_strict_rejections () =
 
 let capture_pipeline_manifest ?(shards = 1) category =
   let captured = ref None in
-  Core.Stage.set_manifest (Some (fun m -> captured := Some m));
   let r =
-    if shards = 1 then Core.Pipeline.run category
-    else Core.Pipeline.run ~shards category
+    Core.Pipeline.run ~shards ~manifest:(fun m -> captured := Some m) category
   in
-  Core.Stage.set_manifest None;
   match !captured with
   | Some m -> (m, r)
   | None -> Alcotest.fail "pipeline emitted no manifest"
@@ -296,16 +288,15 @@ let test_manifest_totals_are_ledger_totals () =
 (* Inertness                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let test_inert_without_hook () =
+let test_inert_without_emitter () =
   with_clean_state @@ fun () ->
-  Alcotest.(check bool) "no hook installed" false
-    (Core.Stage.manifest_installed ());
   let r0 = Core.Pipeline.run Core.Category.Branch in
   Alcotest.(check bool) "no sink left enabled" false (Obs.enabled ());
   let _, r1 = capture_pipeline_manifest Core.Category.Branch in
   Alcotest.(check bool) "recorder uninstalled after run" false (Obs.enabled ());
   let r2 = Core.Pipeline.run Core.Category.Branch in
-  (* The pipeline output is bit-identical with and without the hook. *)
+  (* The pipeline output is bit-identical with and without an
+     emitter. *)
   Alcotest.(check (array string))
     "chosen unchanged by manifest capture" r0.Core.Stage.chosen_names
     r1.Core.Stage.chosen_names;
@@ -347,5 +338,5 @@ let () =
             test_sharded_manifest_coherent;
         ] );
       ( "inertness",
-        [ test_case "no hook, no effect" `Quick test_inert_without_hook ] );
+        [ test_case "no hook, no effect" `Quick test_inert_without_emitter ] );
     ]

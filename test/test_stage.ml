@@ -295,16 +295,6 @@ let test_executor_unit () =
   Alcotest.(check (array int))
     "parallel map" (Array.init 100 f)
     (E.map ~executor:(E.Domains 4) 100 f);
-  let hits = Array.make 50 0 in
-  E.iter_ranges ~executor:(E.Domains 3) ~lo:0 ~hi:50 (fun a b ->
-      for i = a to b - 1 do
-        hits.(i) <- hits.(i) + 1
-      done);
-  Alcotest.(check bool)
-    "iter_ranges covers each index once" true
-    (Array.for_all (fun n -> n = 1) hits);
-  E.iter_ranges ~executor:(E.Domains 3) ~lo:5 ~hi:5 (fun _ _ ->
-      Alcotest.fail "iter_ranges called on an empty range");
   (match
      E.map ~executor:(E.Domains 2) 8 (fun i ->
          if i = 5 then failwith "boom" else i)
@@ -328,6 +318,34 @@ let test_executor_unit () =
   Alcotest.(check bool) "of_jobs 1 = Seq" true (E.of_jobs 1 = E.Seq);
   Alcotest.(check bool) "of_jobs 0 = Seq" true (E.of_jobs 0 = E.Seq);
   Alcotest.(check int) "jobs (Domains 3)" 3 (E.jobs (E.Domains 3))
+
+(* Two domains that are not pool workers submit batches at once: each
+   must get its own results back, never the other's or an empty slot.
+   A second batch that started while the first still had a task on a
+   worker would reset the pool state under it, and [map] would raise
+   "lost slot" within a few hundred batches.  The tasks do a little
+   work so that a worker is often mid-task when the other domain
+   submits. *)
+let test_executor_two_submitters () =
+  let work x =
+    let acc = ref x in
+    for k = 1 to 2000 do
+      acc := ((!acc * 31) + k) land 0xffffff
+    done;
+    !acc
+  in
+  let submitter tag () =
+    let ok = ref true in
+    for b = 1 to 500 do
+      let f i = work ((tag * 1000) + b + i) in
+      if E.map ~executor:(E.Domains 2) 8 f <> Array.init 8 f then ok := false
+    done;
+    !ok
+  in
+  let d1 = Domain.spawn (submitter 1) and d2 = Domain.spawn (submitter 2) in
+  let ok1 = Domain.join d1 and ok2 = Domain.join d2 in
+  Alcotest.(check (pair bool bool)) "both submitters' results" (true, true)
+    (ok1, ok2)
 
 (* Worker-domain Obs capture: counters accumulated inside captured
    tasks replay to the same totals the sequential order produces. *)
@@ -356,13 +374,10 @@ let sweep_config category =
 
 let run_with_manifest ~jobs ~shards ~config category =
   let captured = ref None in
-  Stage.set_manifest (Some (fun m -> captured := Some m));
   let r =
-    Fun.protect
-      ~finally:(fun () -> Stage.set_manifest None)
-      (fun () ->
-        E.with_default (E.of_jobs jobs) (fun () ->
-            Stage.run_sharded ~config ~shards category))
+    Stage.run_sharded ~config ~executor:(E.of_jobs jobs)
+      ~manifest:(fun m -> captured := Some m)
+      ~shards category
   in
   match !captured with
   | Some m -> (r, m)
@@ -404,6 +419,42 @@ let test_jobs_sweep category () =
         [ 2; 4 ])
     [ 1; 2; 3; 5; 8 ]
 
+(* ------------------------------------------------------------------ *)
+(* Concurrent pipelines                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Everything a run returns: the report texts, the result's bytes and
+   its ledger JSON. *)
+let fingerprint (r : Core.Pipeline.result) =
+  String.concat "\n"
+    [
+      Core.Report.filter_summary r;
+      Core.Report.chosen_events r;
+      Core.Report.metric_table r;
+      Core.Report.qrcp_trace r;
+      Marshal.to_string r [ Marshal.No_sharing ];
+      Jsonio.to_string (Provenance.Ledger.to_json (Core.Pipeline.ledger r));
+    ]
+
+(* The four categories run at once, one per spawned domain, each with
+   its front on the shared pool: every result equals the one the same
+   run gives alone and sequentially.  No sink is installed (Obs's
+   collector is process-global), so no manifest is compared. *)
+let test_concurrent_pipelines () =
+  with_clean_state @@ fun () ->
+  let run executor c = fingerprint (Core.Pipeline.run ~shards:2 ~executor c) in
+  let par =
+    List.map (fun c -> Domain.spawn (fun () -> run (E.Domains 2) c)) categories
+    |> List.map Domain.join
+  in
+  List.iter2
+    (fun c p ->
+      Alcotest.(check bool)
+        (Core.Category.name c ^ ": concurrent == sequential")
+        true
+        (String.equal p (run E.Seq c)))
+    categories par
+
 let () =
   let open Alcotest in
   run "stage"
@@ -437,10 +488,16 @@ let () =
         [ test_case "shard counters sum" `Quick test_shard_counters_sum ] );
       ( "executor",
         [
-          test_case "pool map/iter_ranges/exceptions" `Quick
-            test_executor_unit;
+          test_case "pool map/exceptions" `Quick test_executor_unit;
+          test_case "two submitting domains" `Quick
+            test_executor_two_submitters;
           test_case "worker capture replays counters" `Quick
             test_executor_capture_counters;
+        ] );
+      ( "concurrency",
+        [
+          test_case "four categories on four domains" `Slow
+            test_concurrent_pipelines;
         ] );
       ( "jobs-sweep",
         List.map

@@ -10,12 +10,7 @@ module T = Obs.Trend
 
 let with_clean_state f =
   Obs.clear ();
-  Core.Stage.set_manifest None;
-  Fun.protect
-    ~finally:(fun () ->
-      Core.Stage.set_manifest None;
-      Obs.clear ())
-    f
+  Fun.protect ~finally:Obs.clear f
 
 (* Scratch store directories under the build's temp dir, removed after
    each test so reruns never see a stale index. *)
@@ -463,14 +458,14 @@ let test_folded_self_time_sums () =
 
 let capture_pipeline_manifest ?progress category =
   let captured = ref None in
-  Core.Stage.set_manifest (Some (fun m -> captured := Some m));
-  let run () = Core.Pipeline.run ~shards:2 category in
+  let run () =
+    Core.Pipeline.run ~shards:2 ~manifest:(fun m -> captured := Some m) category
+  in
   let r =
     match progress with
     | Some p -> Obs.with_progress p run
     | None -> run ()
   in
-  Core.Stage.set_manifest None;
   match !captured with
   | Some m -> (m, r)
   | None -> Alcotest.fail "pipeline emitted no manifest"
