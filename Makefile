@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test loc check lint lint-smoke bench bench-smoke bench-linalg bench-shard bench-par bench-check bench-check-smoke manifest-smoke shard-smoke par-smoke store-smoke trend-smoke repro examples figures clean
+.PHONY: all build test loc check lint lint-smoke bench bench-smoke bench-linalg bench-shard bench-par bench-check bench-check-smoke manifest-smoke shard-smoke progress-smoke par-smoke store-smoke trend-smoke repro examples figures clean
 
 all: build
 
@@ -33,6 +33,7 @@ check:
 	dune exec bin/analyze.exe -- -c cpu-flops --stats --show summary
 	dune exec bin/analyze.exe -- explain --smoke
 	$(MAKE) shard-smoke
+	$(MAKE) progress-smoke
 	$(MAKE) par-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) manifest-smoke
@@ -41,8 +42,9 @@ check:
 	$(MAKE) trend-smoke
 
 # Static pre-flight analysis of every declarative input — bases,
-# signatures, catalogs, parameters, artifact schema — with zero
-# kernel executions.  Non-zero exit on any error-severity finding.
+# signatures, catalogs, parameters, artifact schema.  It collects no
+# readings; it builds the memoized kernel row tables the ideals are
+# read from.  Non-zero exit on any error-severity finding.
 lint:
 	dune exec bin/analyze.exe -- lint
 
@@ -68,6 +70,18 @@ shard-smoke:
 	cmp /tmp/shard_smoke_mono.txt /tmp/shard_smoke_merged.txt
 	dune exec bench/shard_bench.exe -- --smoke --out /tmp/BENCH_shard_smoke.json
 	dune exec bench/shard_bench.exe -- --check /tmp/BENCH_shard_smoke.json
+
+# Live progress from worker domains: a two-shard dcache run on two
+# domains with --progress must print byte-identical stdout to the same
+# run without it, and its stderr must carry heartbeats (the shard taps
+# reach the run's progress handle from inside pool tasks).
+progress-smoke:
+	dune exec bin/analyze.exe -- -c dcache --shards 2 --jobs 2 --show summary \
+	  > /tmp/progress_smoke_quiet.txt
+	dune exec bin/analyze.exe -- -c dcache --shards 2 --jobs 2 --progress \
+	  --show summary > /tmp/progress_smoke_live.txt 2> /tmp/progress_smoke_err.txt
+	cmp /tmp/progress_smoke_quiet.txt /tmp/progress_smoke_live.txt
+	grep -q '^progress:' /tmp/progress_smoke_err.txt
 
 # Domain-parallel execution must be byte-identical to the sequential
 # reference: the same sharded run at --jobs 1 and at --jobs 4 must

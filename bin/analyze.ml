@@ -243,19 +243,19 @@ let gated_emitter ?manifest category =
 
 let run_category ?csv ?auto_tau ?summary ?manifest ~preflight ~executor
     ~shards ~tau ~alpha ~proj_tol ~reps ~sections category =
-  (* Each gated run is linted just before it starts: the auto-tau
-     probes, then the category's own run (a --csv dataset is not). *)
-  let gate () =
-    if preflight then gated_emitter ?manifest category else manifest
+  (* The gate lints once, before anything runs (the auto-tau probes
+     included; a --csv dataset alone is not gated).  Only the
+     category's own run records a manifest. *)
+  let gated =
+    if preflight && (csv = None || auto_tau <> None) then
+      gated_emitter ?manifest category
+    else manifest
   in
   let tau =
     match auto_tau with
     | None -> tau
     | Some min_rank ->
-      let s =
-        Core.Auto_threshold.select ~executor ?manifest:(gate ()) ~category
-          ~min_rank ()
-      in
+      let s = Core.Auto_threshold.select ~executor ~category ~min_rank () in
       Printf.printf
         "auto-tau: selected %.3e (gap ratio %.1e, keeps %d events)\n"
         s.Core.Auto_threshold.tau s.Core.Auto_threshold.gap_ratio
@@ -273,7 +273,7 @@ let run_category ?csv ?auto_tau ?summary ?manifest ~preflight ~executor
   let r =
     match csv with
     | None ->
-      Core.Pipeline.run ~config ~shards ~executor ?manifest:(gate ()) category
+      Core.Pipeline.run ~config ~shards ~executor ?manifest:gated category
     | Some path ->
       let text =
         try read_file path
@@ -766,7 +766,9 @@ let lint_cmd =
       `P
         "Runs the static pre-flight analyzer over the expectation bases, \
          metric signatures, event catalogs, thresholds and staged-artifact \
-         schemas — with zero kernel executions.  Exits non-zero if any \
+         schemas — before any collection runs.  It collects no \
+         readings; it does build the memoized kernel row tables the \
+         ideal vectors are read from.  Exits non-zero if any \
          error-severity diagnostic is found (regardless of the \
          $(b,--severity) display filter).";
       `P

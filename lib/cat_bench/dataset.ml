@@ -168,18 +168,8 @@ let dcache_activities_on executor ~reps =
            ~rep:(k / (nrows * threads)) ~thread:(k mod threads))
     in
     let flat =
-      Obs.span "cachesim" @@ fun () ->
-      match executor with
-      | Executor.Seq -> Executor.map ~executor (reps * nrows * threads) sim
-      | Executor.Domains _ ->
-        (* Workers buffer their counters; they are replayed here in
-           task order. *)
-        let tagged =
-          Executor.map ~executor (reps * nrows * threads) (fun k ->
-              Obs.with_capture (fun () -> sim k))
-        in
-        Array.iter (fun (_, cap) -> Option.iter Obs.replay cap) tagged;
-        Array.map fst tagged
+      Obs.span "cachesim" (fun () ->
+          Executor.map ~executor (reps * nrows * threads) sim)
     in
     let a =
       Array.init reps (fun rep ->

@@ -7,8 +7,10 @@
     labels, ragged vectors) surface as diagnostics, and defects it
     accepts silently (duplicate directions, near-colinear pairs, rank
     deficiency, ill conditioning) are caught before any collection
-    runs.  Zero kernel executions: the ideal vectors are direct reads
-    of the kernel declarations. *)
+    runs.  This pass only reads the ideal list it is given; the callers
+    in {!Check} take it from the memoized kernel row tables, which
+    builds them (a simulator run) on first use.  No readings are
+    collected. *)
 
 val colinear_cos_threshold : float
 (** |cos| at or above which two distinct directions are flagged

@@ -1,8 +1,9 @@
 (* The static pre-flight analyzer: one entry point over every
    declarative input of the pipeline — expectation bases, metric
-   signatures, event catalogs, thresholds, artifact schemas — with
-   zero kernel executions.  Individual analyses live in the
-   per-concern modules (Basis_check, Signature_check, Catalog_check,
+   signatures, event catalogs, thresholds, artifact schemas.  It
+   collects no readings; it does build the memoized kernel row tables
+   the ideals are read from (cpusim, branchsim or gpusim runs on first
+   use).  Individual analyses live in the per-concern modules (Basis_check, Signature_check, Catalog_check,
    Param_check, Stage_check, Result_check); this module wires them to
    the shipped categories and catalogs, owns the rule registry, the
    versioned report JSON, and the optional Pipeline pre-flight gate. *)

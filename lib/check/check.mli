@@ -1,7 +1,10 @@
 (** The static pre-flight analyzer: lint every declarative input of
     the pipeline — expectation bases, metric signatures, event
-    catalogs, thresholds, artifact schemas — with {e zero kernel
-    executions}, before any collection runs.
+    catalogs, thresholds, artifact schemas — before any collection
+    runs.  The lint collects no readings; it does build the memoized
+    kernel row tables the ideal vectors are read from
+    ([Flops_kernels.rows], [Branch_kernels.rows], [Gpu_kernels.rows]
+    run their simulator on first use).
 
     A bad basis or a colliding catalog key is otherwise discovered
     deep inside a run, or never (silently wrong metrics).  Rules are

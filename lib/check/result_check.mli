@@ -2,9 +2,10 @@
     the fold of [Core.Validate]'s result-validation into the single
     diagnostics vocabulary.
 
-    The static half ({!analyze_combination}) runs with zero kernel
-    executions; {!diagnose_reports} converts reports that
-    [Core.Validate] (which does measure) already produced. *)
+    The static half ({!analyze_combination}) only reads the catalog
+    it is given: it runs no simulator and collects no readings.
+    {!diagnose_reports} converts reports that [Core.Validate] (which
+    does measure) already produced. *)
 
 val default_error_threshold : float
 (** 0.05: the relative error above which a validation report becomes

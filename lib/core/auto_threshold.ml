@@ -59,7 +59,7 @@ let category_series category =
 
 let for_category category = suggest (category_series category)
 
-let select ?executor ?manifest ?(max_attempts = 10) ~category ~min_rank () =
+let select ?executor ?(max_attempts = 10) ~category ~min_rank () =
   let candidates = bands (category_series category) in
   let rec walk attempts = function
     | [] -> raise Not_found
@@ -69,7 +69,7 @@ let select ?executor ?manifest ?(max_attempts = 10) ~category ~min_rank () =
         { (Pipeline.default_config category) with Pipeline.tau = s.tau }
       in
       let rank =
-        match Pipeline.run ~config ?executor ?manifest category with
+        match Pipeline.run ~config ?executor category with
         | r -> Array.length r.Pipeline.chosen_names
         | exception Invalid_argument _ -> 0
       in

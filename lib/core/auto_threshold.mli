@@ -38,8 +38,8 @@ val bands : ?floor:float -> (string * float) array -> suggestion list
     search space {!select} walks. *)
 
 val select :
-  ?executor:Exec.t -> ?manifest:(Obs.Manifest.t -> unit) ->
-  ?max_attempts:int -> category:Category.t -> min_rank:int -> unit -> suggestion
+  ?executor:Exec.t -> ?max_attempts:int -> category:Category.t ->
+  min_rank:int -> unit -> suggestion
 (** Validated selection: walk {!bands} from the widest gap down,
     run the pipeline at each candidate τ, and return the first whose
     specialized QRCP finds at least [min_rank] independent events.
@@ -50,5 +50,6 @@ val select :
     exactly why the paper had to pick the lenient τ = 0.1 empirically
     (Section IV).  Walking down the bands recovers such a τ
     automatically.  Raises [Not_found] if no candidate within
-    [max_attempts] (default 10) achieves the rank.  [executor] and
-    [manifest] are passed to every {!Pipeline.run} it makes. *)
+    [max_attempts] (default 10) achieves the rank.  [executor] is
+    passed to every {!Pipeline.run} it makes; the probes record no
+    manifest. *)

@@ -672,51 +672,34 @@ let check_shard_counter_invariant ~category ~before:(ev0, kp0, nf_kept0) =
 
 (* Execute the collect+classify front over the shard ranges.
 
-   [Seq] is the bit-exact reference: the same direct calls in index
-   order the pre-executor code made, with no wrapping of any kind.
-
-   [Domains] hands shards to the pool.  Each task is wrapped in
-   [Obs.with_capture] so worker domains never touch the collector's
-   global state; the captures are replayed on this domain in shard
-   order, so sinks, counters (and therefore the shard-counter
-   invariant and recorded manifests) observe exactly the stream a
-   sequential front would have produced.  Module-level caches a task
-   could populate (the category's kernel row table, or
+   [Seq] runs the shards in index order on this domain.  [Domains]
+   hands them to the pool, which captures each task's [Obs] events and
+   replays them here in shard order, so sinks, counters (and therefore
+   the shard-counter invariant and recorded manifests) observe exactly
+   the stream a sequential front would have produced.  Module-level
+   caches a task could populate (the category's kernel row table, or
    [Dataset.dcache_activities] on the same pool) are pre-forced here
-   first, so workers only ever read them. *)
+   first, so workers only ever read them.  The progress taps reach the
+   handle installed in this run's collector. *)
 let run_front ~config ~category ~executor ~shards ranges =
-  let work i range =
-    Obs.Progress.note_shard_start ~index:i ~total:shards;
-    let t0 = Obs.Clock.now_ns () in
-    let s =
-      classify_shard ~config ~category
-        (collect_shard ~reps:config.reps category range)
-    in
-    Obs.Progress.note_shard_done ~total:shards
-      ~dur_ns:(Int64.sub (Obs.Clock.now_ns ()) t0);
-    s
-  in
-  match executor with
-  | Executor.Seq ->
-    let classified =
-      List.mapi
-        (fun i range ->
-          Obs.Progress.note_shard ~index:i ~total:shards;
-          work i range)
-        ranges
-    in
-    Obs.Progress.note_shard ~index:shards ~total:shards;
-    classified
-  | Executor.Domains _ as e ->
-    Category.prewarm ~executor:e ~reps:config.reps category;
-    Obs.Progress.note_front ~total:shards ~jobs:(Executor.jobs e);
-    let arr = Array.of_list ranges in
-    let tagged =
-      Executor.map ~executor:e (Array.length arr) (fun i ->
-          Obs.with_capture (fun () -> work i arr.(i)))
-    in
-    Array.iter (fun (_, cap) -> Option.iter Obs.replay cap) tagged;
-    Array.to_list (Array.map fst tagged)
+  let tap f = Option.iter f (Obs.progress ()) in
+  (match executor with
+  | Executor.Seq -> ()
+  | Executor.Domains _ -> Category.prewarm ~executor ~reps:config.reps category);
+  tap (Obs.Progress.note_front ~total:shards ~jobs:(Executor.jobs executor));
+  let arr = Array.of_list ranges in
+  Array.to_list
+    (Executor.map ~executor (Array.length arr) (fun i ->
+         tap (Obs.Progress.note_shard_start ~index:i ~total:shards);
+         let t0 = Obs.Clock.now_ns () in
+         let s =
+           classify_shard ~config ~category
+             (collect_shard ~reps:config.reps category arr.(i))
+         in
+         tap
+           (Obs.Progress.note_shard_done ~total:shards
+              ~dur_ns:(Int64.sub (Obs.Clock.now_ns ()) t0));
+         s))
 
 let run_sharded ?config ?(executor = Executor.Seq) ?manifest ~shards category =
   let config =
@@ -738,8 +721,8 @@ let run_sharded ?config ?(executor = Executor.Seq) ?manifest ~shards category =
                   Obs.counter "noise_filter.kept" )
             else None
           in
-          (* Progress taps: shard boundaries go straight to any
-             installed progress sink (a no-op otherwise) rather than
+          (* Progress taps: shard boundaries go straight to the run's
+             progress handle (skipped when there is none) rather than
              through a gauge, so manifests recorded without --progress
              stay byte-identical. *)
           let classified_shards =

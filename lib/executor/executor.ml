@@ -171,10 +171,16 @@ let map ?(executor = Seq) n f =
   | Domains j when j <= 1 || n <= 1 || in_worker () -> Array.init n f
   | Domains j ->
     let slots = Array.make n None in
-    run_batch
-      ~extra:(min (j - 1) (n - 1))
-      n
-      (fun i -> slots.(i) <- Some (f i));
+    let run i = slots.(i) <- Some (f i) in
+    let extra = min (j - 1) (n - 1) in
+    if Obs.enabled () then begin
+      (* Each task records into its own capture, replayed here in task
+         order: this domain's sinks see the stream [Seq] gives. *)
+      let caps = Array.init n (fun _ -> Obs.capture ()) in
+      run_batch ~extra n (fun i -> Obs.with_capture caps.(i) (fun () -> run i));
+      Array.iter Obs.replay caps
+    end
+    else run_batch ~extra n run;
     Array.map
       (function Some v -> v | None -> invalid_arg "Executor.map: lost slot")
       slots

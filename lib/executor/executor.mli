@@ -22,9 +22,13 @@
     cells indexed by task), and each task computes its output exactly
     as the sequential reference does, so the bits written do not
     depend on which domain ran the task or when.  The only ordered
-    side channel is observability: call sites capture [Obs] events per
-    task and replay them on the calling domain in task-index order
-    (see [Obs.with_capture]).
+    side channel is observability, and [map] keeps it ordered itself:
+    under [Domains], when the calling domain's [Obs] collector is
+    enabled, every task runs under its own [Obs.capture] (which
+    carries the caller's clock and progress handle), and the captures
+    are replayed on the calling domain in task-index order after the
+    batch.  The caller's sinks therefore see the stream [Seq] gives;
+    call sites capture nothing by hand.
 
     {1 Shared-state / RNG invariant}
 
@@ -62,7 +66,9 @@ val jobs : t -> int
 val map : ?executor:t -> int -> (int -> 'a) -> 'a array
 (** [map n f] is [Array.init n f] under [Seq] (the default); under
     [Domains] the [f i] calls run concurrently (each result written to
-    slot [i]).  Falls back to sequential when [n <= 1] or when already
-    inside a worker.  If any task raises, the first exception (by
+    slot [i]), each under an [Obs] capture replayed in index order
+    when the calling domain's collector is enabled.  Falls back to
+    sequential, on the calling domain's own collector, when [n <= 1]
+    or when already inside a worker.  If any task raises, the first exception (by
     completion order) is re-raised after the whole batch has
     drained. *)

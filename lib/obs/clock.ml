@@ -1,16 +1,1 @@
-let default_source () = Int64.of_float (Unix.gettimeofday () *. 1e9)
-
-let source = ref default_source
-let last = ref 0L
-
-(* Swapping the source restarts the clamp: a deterministic test
-   source must not be pinned below the last wall-clock reading. *)
-let set_source f =
-  source := f;
-  last := 0L
-
-let now_ns () =
-  let t = !source () in
-  let t = if t < !last then !last else t in
-  last := t;
-  t
+let now_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)

@@ -1,18 +1,8 @@
-(** Monotonic nanosecond clock for span timing.
+(** Nanosecond wall clock for timing.
 
-    The default source is wall time ([Unix.gettimeofday]) rescaled to
-    nanoseconds; readings are clamped so the clock never goes
-    backwards within a process, which gives every span a non-negative
-    duration even across NTP adjustments.  Tests install a
-    deterministic source with {!set_source}. *)
+    [Unix.gettimeofday] rescaled to nanoseconds.  The collector does
+    not time spans with it directly: each collector clamps its own
+    readings so they never go backwards ([Obs.set_clock]). *)
 
 val now_ns : unit -> int64
-(** Current reading, monotonically non-decreasing. *)
-
-val set_source : (unit -> int64) -> unit
-(** Replace the raw time source (tests: a counter).  The monotonic
-    clamp restarts from zero so the new source is never pinned below
-    the old one's last reading. *)
-
-val default_source : unit -> int64
-(** The wall-clock source, for restoring after a test. *)
+(** Current wall-clock reading. *)

@@ -1,8 +1,9 @@
-(** In-memory recording sink, primarily for tests.
+(** In-memory recording sink.
 
     Records every event verbatim, in arrival order, so assertions can
     inspect nesting, timestamps and attributes without parsing any
-    rendered output. *)
+    rendered output.  An [Obs.capture] buffers a pool task's events in
+    one, to be replayed on the submitting domain. *)
 
 type event =
   | Span_start of { id : int; parent : int; name : string; ts_ns : int64 }

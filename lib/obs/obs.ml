@@ -19,265 +19,240 @@ type open_span = {
   mutable rev_attrs : (string * Sink.attr) list;
 }
 
-let sinks : Sink.t list ref = ref []
-let enabled_flag = ref false
-let stack : open_span list ref = ref []
-let next_id = ref 1
-let counters_tbl : (string, float ref) Hashtbl.t = Hashtbl.create 64
-let gauges_tbl : (string, float ref) Hashtbl.t = Hashtbl.create 16
-
-let enabled () = !enabled_flag
-
-(* --- Per-domain capture ---------------------------------------------
-
-   The collector's global state (sinks, span stack, counter tables) is
-   owned by the main domain.  Code running on worker domains must not
-   touch it; instead a task is wrapped in [with_capture], which
-   installs a domain-local buffer recording every span/counter/gauge
-   event the task emits.  The caller replays buffers on the main
-   domain in task-index order, so sinks observe one deterministic
-   sequential stream regardless of how tasks were scheduled.
-
-   Captured span ids are buffer-local (they start at 1 per capture);
-   [replay] remaps them to fresh global ids and reparents top-level
-   captured spans under the span currently open on the main domain. *)
-
-type captured_event =
-  | Cstart of { id : int; parent : int; name : string; ts_ns : int64 }
-  | Cend of {
-      id : int;
-      name : string;
-      ts_ns : int64;
-      dur_ns : int64;
-      attrs : (string * Sink.attr) list;
-    }
-  | Ccounter of { name : string; delta : float }
-  | Cgauge of { name : string; value : float }
-
-type capture = {
-  mutable rev_events : captured_event list;
-  mutable cap_stack : open_span list;
-  mutable cap_next : int;
+(* Everything the collector owns.  Each domain has its own, found
+   through [key], so runs on different domains never see each other's
+   spans or counters.  A capture is an ordinary collector whose one
+   sink buffers into a [Memory.t]. *)
+type collector = {
+  mutable sinks : Sink.t list;
+  mutable stack : open_span list;  (* innermost first *)
+  mutable next_id : int;
+  counters_tbl : (string, float ref) Hashtbl.t;
+  gauges_tbl : (string, float ref) Hashtbl.t;
+  mutable progress : Progress.t option;
+  mutable source : unit -> int64;
+  mutable last_ns : int64;  (* the clamp: readings never go backwards *)
 }
 
-let capture_key : capture option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+let fresh ~progress ~source sinks =
+  {
+    sinks;
+    stack = [];
+    next_id = 1;
+    counters_tbl = Hashtbl.create 16;
+    gauges_tbl = Hashtbl.create 16;
+    progress;
+    source;
+    last_ns = 0L;
+  }
 
-let current_capture () = Domain.DLS.get capture_key
+let key : collector Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      fresh ~progress:None ~source:Clock.now_ns [])
+
+let current () = Domain.DLS.get key
+
+let enabled () = match (current ()).sinks with [] -> false | _ -> true
+
+let now c =
+  let t = c.source () in
+  if t < c.last_ns then c.last_ns
+  else begin
+    c.last_ns <- t;
+    t
+  end
+
+let set_clock source =
+  let c = current () in
+  c.source <- source;
+  c.last_ns <- 0L
 
 let install sink =
-  sinks := !sinks @ [ sink ];
-  enabled_flag := true
+  let c = current () in
+  c.sinks <- c.sinks @ [ sink ]
 
 let uninstall sink =
-  sinks := List.filter (fun s -> s != sink) !sinks;
-  if !sinks = [] then enabled_flag := false
+  let c = current () in
+  c.sinks <- List.filter (fun s -> s != sink) c.sinks
 
 let reset_counters () =
-  Hashtbl.reset counters_tbl;
-  Hashtbl.reset gauges_tbl
+  let c = current () in
+  Hashtbl.reset c.counters_tbl;
+  Hashtbl.reset c.gauges_tbl
 
 let clear () =
-  sinks := [];
-  enabled_flag := false;
-  stack := [];
-  next_id := 1;
+  let c = current () in
+  c.sinks <- [];
+  c.stack <- [];
+  c.next_id <- 1;
+  c.progress <- None;
   reset_counters ()
 
-let cap_begin_span c name =
-  let id = c.cap_next in
-  c.cap_next <- id + 1;
-  let parent = match c.cap_stack with [] -> 0 | s :: _ -> s.id in
-  let ts_ns = Clock.now_ns () in
-  c.cap_stack <- { id; name; start_ns = ts_ns; rev_attrs = [] } :: c.cap_stack;
-  c.rev_events <- Cstart { id; parent; name; ts_ns } :: c.rev_events;
-  id
-
 let begin_span name =
-  if not !enabled_flag then 0
-  else
-    match current_capture () with
-    | Some c -> cap_begin_span c name
-    | None ->
-      let id = !next_id in
-      Stdlib.incr next_id;
-      let parent = match !stack with [] -> 0 | s :: _ -> s.id in
-      let ts_ns = Clock.now_ns () in
-      stack := { id; name; start_ns = ts_ns; rev_attrs = [] } :: !stack;
-      List.iter
-        (fun (s : Sink.t) -> s.on_span_start ~id ~parent ~name ~ts_ns)
-        !sinks;
-      id
+  let c = current () in
+  match c.sinks with
+  | [] -> 0
+  | sinks ->
+    let id = c.next_id in
+    c.next_id <- id + 1;
+    let parent = match c.stack with [] -> 0 | s :: _ -> s.id in
+    let ts_ns = now c in
+    c.stack <- { id; name; start_ns = ts_ns; rev_attrs = [] } :: c.stack;
+    List.iter
+      (fun (s : Sink.t) -> s.on_span_start ~id ~parent ~name ~ts_ns)
+      sinks;
+    id
 
-let close_one (s : open_span) =
-  let ts_ns = Clock.now_ns () in
+let close_one c (s : open_span) =
+  let ts_ns = now c in
   let dur_ns = Int64.sub ts_ns s.start_ns in
   List.iter
     (fun (sink : Sink.t) ->
       sink.on_span_end ~id:s.id ~name:s.name ~ts_ns ~dur_ns
         ~attrs:(List.rev s.rev_attrs))
-    !sinks
+    c.sinks
 
-let cap_close c (s : open_span) =
-  let ts_ns = Clock.now_ns () in
-  let dur_ns = Int64.sub ts_ns s.start_ns in
-  c.rev_events <-
-    Cend
-      { id = s.id; name = s.name; ts_ns; dur_ns; attrs = List.rev s.rev_attrs }
-    :: c.rev_events
-
-let cap_end_span c id =
-  if id <> 0 && List.exists (fun s -> s.id = id) c.cap_stack then begin
+let end_span id =
+  let c = current () in
+  if id <> 0 && List.exists (fun s -> s.id = id) c.stack then begin
+    (* Close any spans opened after [id] first, so an exception that
+       skipped their end_span cannot corrupt the nesting. *)
     let rec pop () =
-      match c.cap_stack with
+      match c.stack with
       | [] -> ()
       | s :: rest ->
-        c.cap_stack <- rest;
-        cap_close c s;
+        c.stack <- rest;
+        close_one c s;
         if s.id <> id then pop ()
     in
     pop ()
   end
 
-let end_span id =
-  match current_capture () with
-  | Some c -> cap_end_span c id
-  | None ->
-    if id <> 0 && List.exists (fun s -> s.id = id) !stack then begin
-      (* Close any spans opened after [id] first, so an exception that
-         skipped their end_span cannot corrupt the nesting. *)
-      let rec pop () =
-        match !stack with
-        | [] -> ()
-        | s :: rest ->
-          stack := rest;
-          close_one s;
-          if s.id <> id then pop ()
-      in
-      pop ()
-    end
-
 let span name f =
-  if not !enabled_flag then f ()
+  if not (enabled ()) then f ()
   else begin
     let id = begin_span name in
     Fun.protect ~finally:(fun () -> end_span id) f
   end
 
 let set_attr name v =
-  let st =
-    match current_capture () with Some c -> c.cap_stack | None -> !stack
-  in
-  match st with
+  match (current ()).stack with
   | [] -> ()
   | s :: _ -> s.rev_attrs <- (name, v) :: s.rev_attrs
 
-let attr_str name v = if !enabled_flag then set_attr name (Sink.Str v)
-let attr_int name v = if !enabled_flag then set_attr name (Sink.Int v)
-let attr_float name v = if !enabled_flag then set_attr name (Sink.Float v)
-let attr_bool name v = if !enabled_flag then set_attr name (Sink.Bool v)
+let attr_str name v = if enabled () then set_attr name (Sink.Str v)
+let attr_int name v = if enabled () then set_attr name (Sink.Int v)
+let attr_float name v = if enabled () then set_attr name (Sink.Float v)
+let attr_bool name v = if enabled () then set_attr name (Sink.Bool v)
 
 let add name delta =
-  if !enabled_flag then begin
-    match current_capture () with
-    | Some c -> c.rev_events <- Ccounter { name; delta } :: c.rev_events
-    | None ->
+  let c = current () in
+  match c.sinks with
+  | [] -> ()
+  | sinks ->
     let cell =
-      match Hashtbl.find_opt counters_tbl name with
-      | Some c -> c
+      match Hashtbl.find_opt c.counters_tbl name with
+      | Some cell -> cell
       | None ->
-        let c = ref 0.0 in
-        Hashtbl.add counters_tbl name c;
-        c
+        let cell = ref 0.0 in
+        Hashtbl.add c.counters_tbl name cell;
+        cell
     in
     cell := !cell +. delta;
     let total = !cell in
-    let ts_ns = Clock.now_ns () in
-    List.iter (fun (s : Sink.t) -> s.on_counter ~name ~delta ~total ~ts_ns) !sinks
-  end
+    let ts_ns = now c in
+    List.iter (fun (s : Sink.t) -> s.on_counter ~name ~delta ~total ~ts_ns) sinks
 
 let incr name = add name 1.0
 
 let gauge name value =
-  if !enabled_flag then begin
-    match current_capture () with
-    | Some c -> c.rev_events <- Cgauge { name; value } :: c.rev_events
-    | None ->
-    (match Hashtbl.find_opt gauges_tbl name with
-    | Some c -> c := value
-    | None -> Hashtbl.add gauges_tbl name (ref value));
-    let ts_ns = Clock.now_ns () in
-    List.iter (fun (s : Sink.t) -> s.on_gauge ~name ~value ~ts_ns) !sinks
-  end
+  let c = current () in
+  match c.sinks with
+  | [] -> ()
+  | sinks ->
+    (match Hashtbl.find_opt c.gauges_tbl name with
+    | Some cell -> cell := value
+    | None -> Hashtbl.add c.gauges_tbl name (ref value));
+    let ts_ns = now c in
+    List.iter (fun (s : Sink.t) -> s.on_gauge ~name ~value ~ts_ns) sinks
 
 let counter name =
-  match Hashtbl.find_opt counters_tbl name with Some c -> !c | None -> 0.0
+  match Hashtbl.find_opt (current ()).counters_tbl name with
+  | Some c -> !c
+  | None -> 0.0
 
 let counters () =
-  Hashtbl.fold (fun name c acc -> (name, !c) :: acc) counters_tbl []
+  Hashtbl.fold (fun name c acc -> (name, !c) :: acc) (current ()).counters_tbl []
   |> List.sort compare
 
-let with_capture f =
-  if not !enabled_flag then (f (), None)
-  else begin
-    let c = { rev_events = []; cap_stack = []; cap_next = 1 } in
-    let saved = Domain.DLS.get capture_key in
-    Domain.DLS.set capture_key (Some c);
-    match f () with
-    | v ->
-      (* Close anything the task left open so replay never dangles. *)
-      List.iter (cap_close c) c.cap_stack;
-      c.cap_stack <- [];
-      Domain.DLS.set capture_key saved;
-      (v, Some c)
-    | exception e ->
-      Domain.DLS.set capture_key saved;
-      raise e
-  end
+(* --- Capture -------------------------------------------------------- *)
 
-let replay c =
-  if !enabled_flag then begin
+type capture = { collector : collector; buffer : Memory.t }
+
+let capture () =
+  let c = current () and buffer = Memory.create () in
+  {
+    collector =
+      fresh ~progress:c.progress ~source:c.source [ Memory.sink buffer ];
+    buffer;
+  }
+
+let with_capture cap f =
+  let saved = current () in
+  Domain.DLS.set key cap.collector;
+  Fun.protect
+    ~finally:(fun () ->
+      (* Close anything the task left open so replay never dangles. *)
+      List.iter (close_one cap.collector) cap.collector.stack;
+      cap.collector.stack <- [];
+      Domain.DLS.set key saved)
+    f
+
+(* Captured span ids are local to the capture; each gets a fresh id
+   here, and top-level captured spans are reparented under the span
+   open on this domain. *)
+let replay cap =
+  let c = current () in
+  if enabled () then begin
     let id_map = Hashtbl.create 16 in
-    let base_parent = match !stack with [] -> 0 | s :: _ -> s.id in
+    let global id = Option.value (Hashtbl.find_opt id_map id) ~default:0 in
+    let base_parent = match c.stack with [] -> 0 | s :: _ -> s.id in
     List.iter
       (function
-        | Cstart { id; parent; name; ts_ns } ->
-          let gid = !next_id in
-          Stdlib.incr next_id;
+        | Memory.Span_start { id; parent; name; ts_ns } ->
+          let gid = c.next_id in
+          c.next_id <- gid + 1;
           Hashtbl.replace id_map id gid;
-          let gparent =
-            if parent = 0 then base_parent
-            else
-              match Hashtbl.find_opt id_map parent with
-              | Some p -> p
-              | None -> base_parent
+          let parent =
+            match global parent with 0 -> base_parent | p -> p
           in
+          List.iter
+            (fun (s : Sink.t) -> s.on_span_start ~id:gid ~parent ~name ~ts_ns)
+            c.sinks
+        | Span_end { id; name; ts_ns; dur_ns; attrs } ->
           List.iter
             (fun (s : Sink.t) ->
-              s.on_span_start ~id:gid ~parent:gparent ~name ~ts_ns)
-            !sinks
-        | Cend { id; name; ts_ns; dur_ns; attrs } ->
-          let gid =
-            match Hashtbl.find_opt id_map id with Some g -> g | None -> 0
-          in
-          List.iter
-            (fun (s : Sink.t) -> s.on_span_end ~id:gid ~name ~ts_ns ~dur_ns ~attrs)
-            !sinks
-        | Ccounter { name; delta } -> add name delta
-        | Cgauge { name; value } -> gauge name value)
-      (List.rev c.rev_events)
+              s.on_span_end ~id:(global id) ~name ~ts_ns ~dur_ns ~attrs)
+            c.sinks
+        | Counter { name; delta; _ } -> add name delta
+        | Gauge { name; value; _ } -> gauge name value)
+      (Memory.events cap.buffer)
   end
 
-(* The collector owns sink installation, so the pairing of "install
-   the progress sink" with "subscribe it to the shard tap" lives
-   here; teardown runs even when [f] raises, so no heartbeat outlives
-   its run. *)
+(* --- Live progress ------------------------------------------------- *)
+
+let progress () = (current ()).progress
+
+(* Installing the progress sink and handing the run its tap go
+   together; teardown runs even when [f] raises, so no heartbeat
+   outlives its run. *)
 let with_progress p f =
-  let s = Progress.sink p in
-  Progress.register p;
+  let c = current () in
+  let s = Progress.sink p and saved = c.progress in
   install s;
+  c.progress <- Some p;
   Fun.protect
     ~finally:(fun () ->
       uninstall s;
-      Progress.unregister p)
+      c.progress <- saved)
     f

@@ -1,12 +1,13 @@
 (** Structured tracing and metrics for the analysis pipeline.
 
-    A process-wide collector of {e spans} (nested, monotonic-clock
+    A per-domain collector of {e spans} (nested, monotonic-clock
     timed regions), {e counters} (accumulating totals) and {e gauges}
     (last-write-wins levels), fanned out to pluggable {!Sink}s:
 
-    - no sink installed (the default): every entry point is a single
-      flag check and returns immediately — instrumented code behaves
-      bit-identically to uninstrumented code;
+    - no sink installed (the default): every entry point is one
+      domain-local lookup and an empty-list check, and returns
+      immediately — instrumented code behaves bit-identically to
+      uninstrumented code;
     - {!Sink.null}: the full recording path runs but nothing is kept
       (the inertness reference for tests);
     - {!Summary}: per-span timing aggregates plus counter totals,
@@ -18,13 +19,16 @@
     avoiding) behind {!enabled}; bare {!incr}/{!begin_span} calls with
     constant names are safe to leave unguarded.
 
-    The collector's global state (sinks, span stack, counter tables)
-    belongs to the main domain.  Code dispatched to worker domains by
-    [Executor] must be wrapped in {!with_capture}, which buffers the
-    task's events domain-locally; the caller then {!replay}s the
-    buffers on the main domain in task-index order.  Sinks therefore
-    always observe one deterministic sequential event stream and never
-    need their own locking. *)
+    Each domain has its own collector: its sinks, span stack and
+    counter and gauge tables live in one record held in [Domain.DLS],
+    so two runs on two domains record independently and each run's
+    sinks see only that run's events.  Work that one run fans out to
+    worker domains stays in that run's stream: [Executor.map] runs each
+    task under a {!capture} (a collector whose one sink is an
+    {!Memory} buffer) when the submitting domain's collector is
+    enabled, and {!replay}s the buffers on the submitting domain in
+    task-index order.  Sinks therefore always observe one deterministic
+    sequential event stream and never need their own locking. *)
 
 module Sink = Sink
 module Clock = Clock
@@ -41,11 +45,12 @@ module Folded = Folded
 module Progress = Progress
 
 val enabled : unit -> bool
-(** True iff at least one sink is installed.  The disabled fast path
-    of every other entry point. *)
+(** True iff at least one sink is installed in this domain's
+    collector.  The disabled fast path of every other entry point. *)
 
 val install : Sink.t -> unit
-(** Add a sink (multiple sinks all receive every event). *)
+(** Add a sink to this domain's collector (multiple sinks all receive
+    every event). *)
 
 val uninstall : Sink.t -> unit
 (** Remove one previously installed sink (matched by physical
@@ -55,8 +60,13 @@ val uninstall : Sink.t -> unit
     recording around one run). *)
 
 val clear : unit -> unit
-(** Remove all sinks, drop any open spans, and reset all counters and
-    gauges — back to the zero-overhead state. *)
+(** Remove all sinks and the progress handle, drop any open spans, and
+    reset all counters and gauges — back to the zero-overhead state. *)
+
+val set_clock : (unit -> int64) -> unit
+(** Replace the time source this domain's collector stamps events with
+    (tests: a counter; {!Clock.now_ns} by default).  Readings are
+    clamped so they never go backwards; the clamp restarts here. *)
 
 (** {1 Spans} *)
 
@@ -105,35 +115,40 @@ val reset_counters : unit -> unit
 (** Zero all counters and gauges (sinks are untouched) — used to
     measure per-phase deltas. *)
 
-(** {1 Per-domain capture}
+(** {1 Capture}
 
-    Support for running instrumented code on worker domains without
-    touching the main domain's collector state. *)
+    What [Executor.map] uses to keep worker-domain events in the
+    submitting run's stream. *)
 
 type capture
-(** A buffered stream of span/counter/gauge events recorded by one
-    task. *)
+(** A collector whose one sink buffers every event into a {!Memory.t}.
+    It carries the clock and the progress handle of the collector that
+    created it. *)
 
-val with_capture : (unit -> 'a) -> 'a * capture option
-(** [with_capture f] runs [f] with every collector entry point
-    redirected into a fresh domain-local buffer, restoring the
-    previous redirection afterwards.  Returns [f ()]'s value together
-    with the buffer ([None] when the collector is disabled — [f] then
-    ran with the usual zero-overhead no-ops).  Safe to call on any
-    domain; spans left open by [f] are closed at scope exit.  On
-    exception the buffer is discarded and the exception propagates. *)
+val capture : unit -> capture
+(** A fresh, empty capture inheriting this domain's clock and progress
+    handle.  Call on the submitting domain. *)
+
+val with_capture : capture -> (unit -> 'a) -> 'a
+(** [with_capture c f] runs [f] with [c] as this domain's collector and
+    restores the previous one afterwards, also when [f] raises.  Spans
+    [f] left open are closed at scope exit.  Safe on any domain. *)
 
 val replay : capture -> unit
-(** Replay a captured buffer into the main collector: spans get fresh
-    global ids (top-level captured spans are reparented under the
+(** Replay a capture's buffer into this domain's collector: spans get
+    fresh ids (top-level captured spans are reparented under the
     currently open span), counter deltas go through the normal
-    accumulation path, gauges are re-set.  Call on the main domain
-    only, once per capture, in the task order whose interleaving you
-    want sinks to observe.  No-op when the collector is disabled. *)
+    accumulation path, gauges are re-set.  Call once per capture, in
+    the task order whose interleaving the sinks should observe.  No-op
+    when the collector is disabled. *)
 
 (** {1 Live progress} *)
 
 val with_progress : Progress.t -> (unit -> 'a) -> 'a
-(** Run [f] with a progress sink installed and subscribed to the
-    shard tap ({!Progress.note_shard}); both are torn down when [f]
+(** Run [f] with a progress sink installed in this domain's collector
+    and [p] as its {!progress} handle; both are torn down when [f]
     returns or raises. *)
+
+val progress : unit -> Progress.t option
+(** The progress handle of this domain's collector (a capture carries
+    its submitter's), for the out-of-band shard taps. *)

@@ -5,15 +5,15 @@
    The taps exist because shard progress is a *hint*, not telemetry:
    publishing it as a gauge would make it part of every recorded
    manifest and break the byte-identity of manifests captured with
-   and without --progress.  note_shard/note_shard_start/note_shard_done
-   go straight to the installed progress sinks and nowhere else, and
-   are a single list check when none is installed.
+   and without --progress.  note_front/note_shard_start/note_shard_done
+   go straight to one [t] and nowhere else; the staged pipeline finds
+   that [t] in its run's collector ([Obs.progress]).
 
    Thread safety: the shard taps are called from worker domains while
-   the sink callbacks run on the main domain, so every state mutation
-   and every emission happens under one module-level mutex.  The lock
-   is cheap (uncontended except at shard boundaries) and is never held
-   across anything that can re-enter this module. *)
+   the sink callbacks run on the submitting domain, so every state
+   mutation and every emission happens under the [t]'s own mutex.  The
+   lock is cheap (uncontended except at shard boundaries) and is never
+   held across anything that can re-enter this module. *)
 
 type t = {
   out : string -> unit;
@@ -29,10 +29,10 @@ type t = {
   span_hists : (string, Histogram.t) Hashtbl.t;  (* completed spans *)
   shard_hist : Histogram.t;  (* whole-shard front durations *)
   mutable emitted : int;
+  lock : Mutex.t;
 }
 
-let lock = Mutex.create ()
-let locked f = Mutex.protect lock f
+let locked t f = Mutex.protect t.lock f
 
 let default_out line =
   Printf.eprintf "%s\n%!" line
@@ -53,11 +53,8 @@ let create ?(out = default_out) ?(min_interval_ns = 200_000_000L) () =
     span_hists = Hashtbl.create 16;
     shard_hist = Histogram.create ();
     emitted = 0;
+    lock = Mutex.create ();
   }
-
-let actives : t list ref = ref []
-
-let active () = !actives <> []
 
 let note_hist t name dur_ns =
   let h =
@@ -120,7 +117,7 @@ let line t ~now_ns =
   | None -> ());
   Buffer.contents buf
 
-(* Caller holds [lock]. *)
+(* Caller holds [t.lock]. *)
 let maybe_emit t =
   let now = Clock.now_ns () in
   if Int64.compare (Int64.sub now t.last_emit_ns) t.min_interval_ns >= 0 then begin
@@ -133,69 +130,41 @@ let sink t =
   {
     Sink.on_span_start =
       (fun ~id:_ ~parent:_ ~name ~ts_ns:_ ->
-        locked (fun () ->
+        locked t (fun () ->
             t.stack <- name :: t.stack;
             maybe_emit t));
     on_span_end =
       (fun ~id:_ ~name ~ts_ns:_ ~dur_ns ~attrs:_ ->
-        locked (fun () ->
+        locked t (fun () ->
             (match t.stack with [] -> () | _ :: rest -> t.stack <- rest);
             note_hist t name dur_ns;
             maybe_emit t));
     on_counter =
       (fun ~name ~delta:_ ~total ~ts_ns:_ ->
-        locked (fun () ->
+        locked t (fun () ->
             if name = "dataset.events_measured" then t.events <- total;
             maybe_emit t));
     on_gauge = (fun ~name:_ ~value:_ ~ts_ns:_ -> ());
   }
 
-(* Registration only covers the out-of-band taps; installing the sink
-   into the collector is the caller's move (Obs.with_progress pairs
-   the two, since the collector lives above this module). *)
-let register t =
-  locked (fun () ->
-      if not (List.memq t !actives) then actives := t :: !actives)
+let note_front t ~total ~jobs =
+  locked t (fun () ->
+      t.shards <- total;
+      t.jobs <- max 1 jobs;
+      t.done_shards <- 0;
+      maybe_emit t)
 
-let unregister t =
-  locked (fun () -> actives := List.filter (fun x -> x != t) !actives)
+let note_shard_start t ~index ~total =
+  locked t (fun () ->
+      t.shards <- total;
+      if index > t.shard then t.shard <- index;
+      maybe_emit t)
 
-let note_shard ~index ~total =
-  locked (fun () ->
-      List.iter
-        (fun t ->
-          t.shard <- index;
-          t.shards <- total;
-          maybe_emit t)
-        !actives)
+let note_shard_done t ~total ~dur_ns =
+  locked t (fun () ->
+      t.shards <- total;
+      t.done_shards <- t.done_shards + 1;
+      Histogram.observe t.shard_hist (Int64.to_float dur_ns);
+      maybe_emit t)
 
-let note_front ~total ~jobs =
-  locked (fun () ->
-      List.iter
-        (fun t ->
-          t.shards <- total;
-          t.jobs <- max 1 jobs;
-          t.done_shards <- 0;
-          maybe_emit t)
-        !actives)
-
-let note_shard_start ~index ~total =
-  locked (fun () ->
-      List.iter
-        (fun t ->
-          t.shards <- total;
-          if index > t.shard then t.shard <- index;
-          maybe_emit t)
-        !actives)
-
-let note_shard_done ~total ~dur_ns =
-  locked (fun () ->
-      List.iter
-        (fun t ->
-          t.shards <- total;
-          t.done_shards <- t.done_shards + 1;
-          Histogram.observe t.shard_hist (Int64.to_float dur_ns);
-          maybe_emit t)
-        !actives)
-
-let lines t = locked (fun () -> t.emitted)
+let lines t = locked t (fun () -> t.emitted)

@@ -7,7 +7,7 @@
 
     — carrying the innermost open span (the current stage), shard
     progress when the staged pipeline has announced it
-    ({!note_shard}), the events-processed counter, and an ETA
+    ({!note_shard_start}), the events-processed counter, and an ETA
     interpolated from the running histogram of completed shard-stage
     spans (median per-shard cost times remaining shards).  Emission is
     bounded: at most one line per [min_interval_ns] (default 200 ms),
@@ -16,18 +16,19 @@
     Like every sink, the progress path costs nothing when not
     installed; installed, it only reads the event stream and writes
     lines through [out], so pipeline outputs are bit-identical with
-    and without it (pinned by test).  {!note_shard},
+    and without it (pinned by test).  {!note_front},
     {!note_shard_start} and {!note_shard_done} are the out-of-band
-    taps: no-ops unless a progress sink is installed, so the staged
-    pipeline can announce shard boundaries without polluting recorded
-    gauges (and therefore manifests).
+    taps: the staged pipeline calls them on the [t] installed in its
+    run's collector ([Obs.with_progress], [Obs.progress]), so shard
+    boundaries never become recorded gauges (and therefore never reach
+    manifests).
 
-    Thread safety: all taps and sink callbacks are serialized behind
-    one internal mutex, so they may be called from worker domains (the
-    parallel shard front calls {!note_shard_start}/{!note_shard_done}
-    from inside tasks).  Under [--jobs N] the ETA divides the median
-    per-shard duration by the announced concurrency instead of
-    assuming serial completion. *)
+    Thread safety: every [t] serializes its taps and sink callbacks
+    behind its own mutex, so the taps may be called from worker domains
+    (the parallel shard front calls {!note_shard_start} and
+    {!note_shard_done} from inside tasks).  Under [--jobs N] the ETA
+    divides the median per-shard duration by the announced concurrency
+    instead of assuming serial completion. *)
 
 type t
 
@@ -41,28 +42,15 @@ val create :
 
 val sink : t -> Sink.t
 
-val register : t -> unit
-(** Subscribe to {!note_shard}.  Installing the sink into the
-    collector is separate ({!Obs.with_progress} does both). *)
-
-val unregister : t -> unit
-
-val active : unit -> bool
-(** True iff at least one progress sink is installed — the guard the
-    staged pipeline's shard taps check. *)
-
-val note_shard : index:int -> total:int -> unit
-(** Announce that shard [index] (0-based) of [total] is about to run.
-    No-op when {!active} is false. *)
-
-val note_front : total:int -> jobs:int -> unit
+val note_front : t -> total:int -> jobs:int -> unit
 (** Announce the start of a sharded front: [total] shards to run with
     [jobs]-way concurrency.  Resets the done count. *)
 
-val note_shard_start : index:int -> total:int -> unit
-(** A shard began executing (worker-domain safe). *)
+val note_shard_start : t -> index:int -> total:int -> unit
+(** Shard [index] (0-based) of [total] began executing (worker-domain
+    safe). *)
 
-val note_shard_done : total:int -> dur_ns:int64 -> unit
+val note_shard_done : t -> total:int -> dur_ns:int64 -> unit
 (** A shard finished after [dur_ns] (worker-domain safe); feeds the
     completion count and the per-shard duration histogram the
     concurrent ETA is computed from. *)

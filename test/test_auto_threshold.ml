@@ -87,6 +87,48 @@ let test_select_raises_when_unachievable () =
      Alcotest.fail "expected Not_found"
    with Not_found -> ())
 
+(* [analyze --auto-tau --manifest FILE] writes one manifest, the real
+   run's: the probes record none, so no FILE.1 appears, and the config
+   it records is at the tau the selection printed. *)
+let test_cli_manifest_is_the_real_run () =
+  let analyze =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/analyze.exe"
+  in
+  let dir = Filename.temp_dir "auto_tau" "" in
+  let path = Filename.concat dir "at.json" and out = Filename.temp_file "auto_tau" ".out" in
+  let code =
+    Sys.command
+      (String.concat " "
+         (List.map Filename.quote
+            [ analyze; "-c"; "branch"; "--auto-tau"; "3"; "--manifest"; path;
+              "--show"; "summary" ]
+         @ [ ">"; Filename.quote out; "2> /dev/null" ]))
+  in
+  Alcotest.(check int) "exit code" 0 code;
+  let printed =
+    In_channel.with_open_bin out In_channel.input_lines
+    |> List.find_map (fun l ->
+           Scanf.sscanf_opt l "auto-tau: selected %s@ " Fun.id)
+  in
+  Sys.remove out;
+  Alcotest.(check (array string)) "files written" [| "at.json" |] (Sys.readdir dir);
+  let m =
+    match
+      Result.bind
+        (Jsonio.of_string (In_channel.with_open_bin path In_channel.input_all))
+        Obs.Manifest.of_json
+    with
+    | Ok m -> m
+    | Error msg -> Alcotest.failf "%s: %s" path msg
+  in
+  Sys.remove path;
+  Sys.rmdir dir;
+  let recorded =
+    Printf.sprintf "%.3e" (float_of_string (List.assoc "tau" m.Obs.Manifest.config))
+  in
+  Alcotest.(check (option string)) "recorded tau is the printed one" printed
+    (Some recorded)
+
 let () =
   Alcotest.run "auto_threshold"
     [
@@ -102,5 +144,7 @@ let () =
           Alcotest.test_case "clean categories" `Slow test_auto_tau_reproduces_clean_categories;
           Alcotest.test_case "cache walks bands" `Slow test_auto_tau_cache_walks_to_lenient_band;
           Alcotest.test_case "unachievable rank" `Quick test_select_raises_when_unachievable;
+          Alcotest.test_case "CLI manifest is the real run" `Quick
+            test_cli_manifest_is_the_real_run;
         ] );
     ]

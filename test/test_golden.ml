@@ -87,8 +87,10 @@ let test_ledger (category, expected) () =
 (* Run manifests, through the CLI                                      *)
 (* ------------------------------------------------------------------ *)
 
-let analyze =
-  Filename.concat (Filename.dirname Sys.executable_name) "../bin/analyze.exe"
+let bin_exe name =
+  Filename.concat (Filename.dirname Sys.executable_name) ("../bin/" ^ name)
+
+let analyze = bin_exe "analyze.exe"
 
 let run_analyze args =
   let code =
@@ -129,6 +131,41 @@ let span_counts (m : Obs.Manifest.t) =
     m.spans
 
 let temp name = Filename.temp_file "golden" name
+
+(* ------------------------------------------------------------------ *)
+(* Whole stdout of the other executables                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The MD5 of what [exe args] prints on stdout; a non-zero exit fails. *)
+let stdout_md5 exe args =
+  let out = temp ".out" in
+  let code =
+    Sys.command
+      (String.concat " "
+         (Filename.quote (bin_exe exe) :: List.map Filename.quote args
+         @ [ ">"; Filename.quote out; "2> /dev/null" ]))
+  in
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  if code <> 0 then
+    Alcotest.failf "%s %s exited %d" exe (String.concat " " args) code;
+  md5 text
+
+let stdout_digests =
+  [
+    ("reproduce.exe", [], "299feaf83f077c105c0ecc3c7e64511f");
+    ("analyze.exe", [ "explain"; "--smoke" ], "81046d71a1d0418ab42fecb424f8d3f4");
+    ("figures.exe", [ "2a" ], "78f2356405a8163420d685d9280b764f");
+    ("figures.exe", [ "2b" ], "ebac28be59c01c1b2f2a9b66d113fcec");
+    ("figures.exe", [ "2c" ], "c86b293410294ff8dfcee84d8e6a5926");
+    ("figures.exe", [ "2d" ], "6952fbf8bbd1f10008cea85da61289d2");
+    ("figures.exe", [ "3" ], "47d6bbc7f58848feaf299ce8d0f6cae4");
+  ]
+
+let test_stdout (exe, args, expected) () =
+  Alcotest.(check string)
+    (String.concat " " (exe :: args))
+    expected (stdout_md5 exe args)
 
 (* A gated two-shard run on two domains: the config records jobs 2 and
    shards 2, the lint summary is the gate's, the artifacts are the two
@@ -198,4 +235,11 @@ let () =
           Alcotest.test_case "branch shard+merge" `Quick
             (test_manifest_merge "8ae288352264df866e244641b1f38fc6");
         ] );
+      ( "stdout",
+        List.map
+          (fun ((exe, args, _) as case) ->
+            Alcotest.test_case
+              (String.concat " " (Filename.remove_extension exe :: args))
+              `Quick (test_stdout case))
+          stdout_digests );
     ]

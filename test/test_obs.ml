@@ -10,12 +10,10 @@ let with_obs_cleared f =
 (* A deterministic clock ticking 10 ns per reading. *)
 let with_fake_clock f =
   let t = ref 0L in
-  Obs.Clock.set_source (fun () ->
+  Obs.set_clock (fun () ->
       t := Int64.add !t 10L;
       !t);
-  Fun.protect
-    ~finally:(fun () -> Obs.Clock.set_source Obs.Clock.default_source)
-    f
+  Fun.protect ~finally:(fun () -> Obs.set_clock Obs.Clock.now_ns) f
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
@@ -144,6 +142,56 @@ let test_counter_accumulation () =
   Alcotest.(check bool) "gauge last-write-wins stream" true (gauges = [ 3.0; 4.0 ]);
   Obs.reset_counters ();
   Alcotest.(check (float 0.0)) "reset zeroes" 0.0 (Obs.counter "a")
+
+(* ------------------------------------------------------------------ *)
+(* One collector per domain                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Two domains record at the same time, each into its own Memory sink:
+   every sink holds exactly its own domain's spans and counters, with
+   span ids and counter totals that no other domain advanced. *)
+let test_domains_record_apart () =
+  let rounds = 2000 in
+  let ready = Atomic.make 0 in
+  let record tag () =
+    let mem = Obs.Memory.create () in
+    Obs.install (Obs.Memory.sink mem);
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    for k = 1 to rounds do
+      Obs.span tag (fun () -> Obs.add tag (float_of_int k))
+    done;
+    let own = Obs.counter tag in
+    Obs.clear ();
+    (Obs.Memory.events mem, own)
+  in
+  let expected tag =
+    List.concat
+      (List.init rounds (fun i ->
+           let k = i + 1 in
+           [ `Start (k, tag); `Counter (tag, float_of_int k); `End (k, tag) ]))
+  in
+  let shape =
+    List.map (function
+      | Obs.Memory.Span_start { id; name; _ } -> `Start (id, name)
+      | Span_end { id; name; _ } -> `End (id, name)
+      | Counter { name; delta; _ } -> `Counter (name, delta)
+      | Gauge { name; value; _ } -> `Counter ("gauge " ^ name, value))
+  in
+  let da = Domain.spawn (record "a") and db = Domain.spawn (record "b") in
+  let ea, ca = Domain.join da and eb, cb = Domain.join db in
+  let total = float_of_int (rounds * (rounds + 1) / 2) in
+  List.iter
+    (fun (tag, events, own) ->
+      Alcotest.(check bool)
+        (tag ^ ": sink holds exactly its own stream")
+        true
+        (shape events = expected tag);
+      Alcotest.(check (float 0.0)) (tag ^ ": own counter total") total own)
+    [ ("a", ea, ca); ("b", eb, cb) ];
+  Alcotest.(check bool) "this domain saw nothing" false (Obs.enabled ())
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace JSON                                                   *)
@@ -455,6 +503,11 @@ let () =
         ] );
       ( "counters",
         [ Alcotest.test_case "accumulation" `Quick test_counter_accumulation ] );
+      ( "domains",
+        [
+          Alcotest.test_case "two domains record apart" `Quick
+            test_domains_record_apart;
+        ] );
       ( "chrome-trace",
         [
           Alcotest.test_case "well-formed JSON" `Quick

@@ -347,20 +347,31 @@ let test_executor_two_submitters () =
   Alcotest.(check (pair bool bool)) "both submitters' results" (true, true)
     (ok1, ok2)
 
-(* Worker-domain Obs capture: counters accumulated inside captured
-   tasks replay to the same totals the sequential order produces. *)
+(* Worker-domain Obs capture: the executor captures every task's
+   events and replays them on the submitting domain in task order, so
+   the sinks see the stream the sequential order produces. *)
 let test_executor_capture_counters () =
   with_clean_state @@ fun () ->
-  Obs.install Obs.Sink.null;
-  let caps =
-    E.map ~executor:(E.Domains 3) 12 (fun i ->
-        Obs.with_capture (fun () ->
-            Obs.add "cap.test" (float_of_int i);
-            Obs.span "cap-span" (fun () -> Obs.incr "cap.spans")))
+  let mem = Obs.Memory.create () in
+  Obs.install (Obs.Memory.sink mem);
+  let task i =
+    Obs.add "cap.test" (float_of_int i);
+    Obs.span "cap-span" (fun () -> Obs.incr "cap.spans")
   in
-  Array.iter (fun ((), cap) -> Option.iter Obs.replay cap) caps;
+  ignore (E.map ~executor:(E.Domains 3) 12 task);
   Alcotest.(check (float 0.0)) "counter total" 66.0 (Obs.counter "cap.test");
-  Alcotest.(check (float 0.0)) "span counter" 12.0 (Obs.counter "cap.spans")
+  Alcotest.(check (float 0.0)) "span counter" 12.0 (Obs.counter "cap.spans");
+  let deltas =
+    List.filter_map
+      (function
+        | Obs.Memory.Counter { name = "cap.test"; delta; _ } -> Some delta
+        | _ -> None)
+      (Obs.Memory.events mem)
+  in
+  Alcotest.(check (list (float 0.0)))
+    "replayed in task order"
+    (List.init 12 float_of_int)
+    deltas
 
 (* ------------------------------------------------------------------ *)
 (* The jobs sweep: executor equivalence                                *)
@@ -436,24 +447,70 @@ let fingerprint (r : Core.Pipeline.result) =
       Jsonio.to_string (Provenance.Ledger.to_json (Core.Pipeline.ledger r));
     ]
 
+(* A run with its manifest: the result's fingerprint and the manifest. *)
+let run_recorded executor c =
+  let m = ref None in
+  let r =
+    Core.Pipeline.run ~shards:2 ~executor ~manifest:(fun x -> m := Some x) c
+  in
+  match !m with
+  | Some m -> (fingerprint r, m)
+  | None -> Alcotest.fail "run emitted no manifest"
+
+(* Each concurrent run's result equals, and its manifest has no
+   non-timing difference from, the same run made alone. *)
+let check_alone_equal executor categories par =
+  List.iter2
+    (fun c (p, pm) ->
+      let name = Core.Category.name c in
+      let alone, am = run_recorded executor c in
+      Alcotest.(check bool) (name ^ ": concurrent == alone") true
+        (String.equal p alone);
+      match Obs.Manifest.non_timing (Obs.Manifest.diff am pm) with
+      | [] -> ()
+      | nt ->
+        Alcotest.failf "%s: manifest drift under concurrency:\n%s" name
+          (Obs.Manifest.render_changes nt))
+    categories par
+
+(* Every category once first: the run that fills the process-wide
+   activity tables records their simulations, later runs do not. *)
+let warm categories = List.iter (fun c -> ignore (Core.Pipeline.run c)) categories
+
+let run_concurrently executor categories =
+  List.map
+    (fun c -> Domain.spawn (fun () -> run_recorded executor c))
+    categories
+  |> List.map Domain.join
+
 (* The four categories run at once, one per spawned domain, each with
-   its front on the shared pool: every result equals the one the same
-   run gives alone and sequentially.  No sink is installed (Obs's
-   collector is process-global), so no manifest is compared. *)
+   its front on the shared pool and its own manifest: every domain's
+   collector records only its own run, and every result is also the
+   sequential one. *)
 let test_concurrent_pipelines () =
   with_clean_state @@ fun () ->
-  let run executor c = fingerprint (Core.Pipeline.run ~shards:2 ~executor c) in
-  let par =
-    List.map (fun c -> Domain.spawn (fun () -> run (E.Domains 2) c)) categories
-    |> List.map Domain.join
-  in
+  warm categories;
+  let executor = E.Domains 2 in
+  let par = run_concurrently executor categories in
+  check_alone_equal executor categories par;
   List.iter2
-    (fun c p ->
+    (fun c (p, _) ->
       Alcotest.(check bool)
         (Core.Category.name c ^ ": concurrent == sequential")
         true
-        (String.equal p (run E.Seq c)))
+        (String.equal p (fst (run_recorded E.Seq c))))
     categories par
+
+(* Two two-shard runs with manifests on two domains: each run's shard
+   counter invariant holds, which needs counters no other run
+   advanced. *)
+let test_two_manifests () =
+  with_clean_state @@ fun () ->
+  let pair = [ Core.Category.Branch; Core.Category.Cpu_flops ] in
+  warm pair;
+  for _ = 1 to 5 do
+    check_alone_equal E.Seq pair (run_concurrently E.Seq pair)
+  done
 
 let () =
   let open Alcotest in
@@ -498,6 +555,8 @@ let () =
         [
           test_case "four categories on four domains" `Slow
             test_concurrent_pipelines;
+          test_case "two manifest runs on two domains" `Quick
+            test_two_manifests;
         ] );
       ( "jobs-sweep",
         List.map

@@ -479,7 +479,7 @@ let test_progress_inert () =
   let noisy, r = capture_pipeline_manifest ~progress:p Core.Category.Branch in
   Alcotest.(check bool) "heartbeats were produced" true (Obs.Progress.lines p > 0);
   Alcotest.(check bool) "sink gone after run" false (Obs.enabled ());
-  Alcotest.(check bool) "tap gone after run" false (Obs.Progress.active ());
+  Alcotest.(check bool) "tap gone after run" true (Option.is_none (Obs.progress ()));
   let bare = Core.Pipeline.run ~shards:2 Core.Category.Branch in
   Alcotest.(check (array string))
     "chosen events unchanged under progress" bare.Core.Stage.chosen_names
@@ -497,7 +497,7 @@ let test_progress_rate_bound () =
     let p = Obs.Progress.create ~out:ignore ~min_interval_ns:interval () in
     Obs.with_progress p (fun () ->
         for i = 0 to 99 do
-          Obs.Progress.note_shard ~index:i ~total:100;
+          Obs.Progress.note_shard_start p ~index:i ~total:100;
           Obs.span "stage" (fun () -> Obs.incr "dataset.events_measured")
         done);
     Obs.Progress.lines p
@@ -516,7 +516,7 @@ let test_progress_line_shape () =
       ~min_interval_ns:0L ()
   in
   Obs.with_progress p (fun () ->
-      Obs.Progress.note_shard ~index:2 ~total:8;
+      Obs.Progress.note_shard_start p ~index:2 ~total:8;
       Obs.span "shard-collect" (fun () ->
           Obs.add "dataset.events_measured" 64.0));
   Alcotest.(check bool) "emitted" true (!lines <> []);
@@ -538,9 +538,7 @@ let test_progress_line_shape () =
            go 0
          in
          has "shard 3/8" && has "events=64")
-       !lines);
-  (* The tap is a no-op when nothing is registered. *)
-  Obs.Progress.note_shard ~index:0 ~total:4
+       !lines)
 
 let () =
   let open Alcotest in
