@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test loc check lint lint-smoke bench bench-smoke bench-linalg bench-shard bench-par bench-check bench-check-smoke manifest-smoke shard-smoke progress-smoke par-smoke store-smoke trend-smoke repro examples figures clean
+.PHONY: all build test loc check lint lint-smoke bench-smoke bench-linalg bench-shard bench-par bench-check bench-check-smoke manifest-smoke shard-smoke progress-smoke par-smoke store-smoke trend-smoke repro examples figures clean
 
 all: build
 
@@ -54,7 +54,7 @@ lint-smoke:
 	dune exec bin/analyze.exe -- lint --severity warn
 	dune exec bin/analyze.exe -- lint --quiet --json /tmp/lint_report.json
 
-# Sharded execution must be byte-identical to the monolithic run —
+# A two-shard run must be byte-identical to the plain (one-shard) run —
 # both in-process (--shards) and through serialized shard artifacts
 # (shard ... | merge).  cmp, not diff: byte-identical is the contract.
 shard-smoke:
@@ -99,10 +99,6 @@ par-smoke:
 	! dune exec bin/analyze.exe -- -c branch --jobs 0 --show summary 2> /dev/null
 	dune exec bench/par_bench.exe -- --smoke --out /tmp/BENCH_par_smoke.json
 	dune exec bench/par_bench.exe -- --check /tmp/BENCH_par_smoke.json
-
-# Full reproduction: every table and figure, plus stage timings.
-bench:
-	dune exec bench/main.exe
 
 # Smallest-scale linalg scaling run; fails if BENCH_linalg.json is
 # missing fields or malformed.

@@ -2,11 +2,11 @@
    through the executor at increasing --jobs, against the jobs=1
    sequential reference.
 
-   Each sample times the front half (collection + classification of
-   every shard, dispatched through [Core.Exec.map] exactly as the
-   product's [Stage.run_sharded] does; the executor itself captures
-   each shard's Obs events on the worker and replays them on this
-   domain in shard order) and the merge + downstream half.  Every
+   Each sample times the front half ([Core.Stage.run_front], the
+   product's front: collection + classification of every shard through
+   the executor, which captures each shard's Obs events on the worker
+   and replays them on this domain in shard order) and the merge +
+   downstream half.  Every
    run is self-validating: the chosen events at jobs>1 must be
    bit-identical to the jobs=1 run of the same shard layout — the
    executor contract is byte-identity, so any divergence is a bug,
@@ -47,29 +47,22 @@ type sample = {
 
 let ms_between t0 t1 = Int64.to_float (Int64.sub t1 t0) /. 1e6
 
-(* One sharded run at a given concurrency, front dispatched through
-   the executor the same way [Stage.run_sharded] dispatches it (the
-   executor captures each shard's Obs events and replays them here). *)
+(* One sharded run at a given concurrency, through the product's
+   front and merge. *)
 let run_one ~category ~shards ~jobs =
   let config = Core.Stage.default_config category in
   let executor = Core.Exec.of_jobs jobs in
   let ranges =
-    Array.of_list
-      (Core.Stage.shard_ranges ~shards
-         ~total:(Core.Category.catalog_size category))
+    Core.Stage.shard_ranges ~shards ~total:(Core.Category.catalog_size category)
   in
   (* Prewarm at every jobs count, not just jobs>1: the memoized
      dcache activity tables would otherwise be generated inside the
      first (jobs=1) front and reused by later arms, inflating the
-     apparent speedup with a cache artifact. *)
+     apparent speedup with a cache artifact.  The front's own prewarm
+     then finds the tables built. *)
   Core.Category.prewarm ~executor ~reps:config.reps category;
   let t0 = Obs.Clock.now_ns () in
-  let classified =
-    Core.Exec.map ~executor (Array.length ranges) (fun i ->
-        Core.Stage.classify_shard ~config ~category
-          (Core.Stage.collect_shard ~reps:config.reps category ranges.(i)))
-    |> Array.to_list
-  in
+  let classified = Core.Stage.run_front ~config ~executor category ranges in
   let t1 = Obs.Clock.now_ns () in
   let r = Core.Stage.run_merged ~category classified in
   let t2 = Obs.Clock.now_ns () in

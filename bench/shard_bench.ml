@@ -18,7 +18,7 @@
    front_ms_* then runs warm, so no shard count pays for the others.
 
    Every run is self-validating: chosen events must be bit-identical
-   to the monolithic reference for each shard count.  Results are
+   to the one-shard run for each shard count.  Results are
    written as a run manifest (the unified bench-report schema) —
    front/merge wall times and peak live words are metrics, the
    chosen-event counts are exact-match counters.
@@ -107,10 +107,8 @@ let run_one ~category ~shards =
     r.chosen_names )
 
 (* Self-validation compares every shard count against the shards=1
-   run of the same staged path (the test suite pins that path
-   bit-identical to the monolithic Pipeline.run; re-running the
-   monolithic driver here would pin its memoized whole-catalog
-   dataset in the heap and flatten the peak-live-words comparison). *)
+   run, the path a plain Pipeline.run takes (the test suite pins its
+   outputs). *)
 let sweep ~shard_counts category =
   let reference = ref [||] in
   List.map

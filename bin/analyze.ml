@@ -131,12 +131,13 @@ let shards_flag =
   let doc = "Split data collection and noise filtering into $(docv) \
              catalog-range shards (merged deterministically before \
              projection).  Outputs are bit-identical for every shard \
-             count; the default 1 is the monolithic reference path." in
+             count; the default 1 runs the whole catalog as one shard." in
   Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
 
 let jobs_flag =
   let doc = "Execute on $(docv) domains: the shards of the collection \
-             front (see $(b,--shards)) run concurrently; everything \
+             front (see $(b,--shards)) run concurrently, and so do the \
+             data-cache simulations before them; everything \
              downstream of the merge runs once, on one domain.  Outputs \
              are byte-identical for every jobs count (1, the default, is \
              the sequential reference executor); the count is recorded \
@@ -165,22 +166,6 @@ let preflight_flag =
              not applied to $(b,--csv) datasets; on clean inputs the \
              gated run's outputs are bit-identical." in
   Arg.(value & flag & info [ "preflight" ] ~doc)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file ~what path text =
-  if path = "-" then print_string text
-  else begin
-    let oc = open_out_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc text);
-    Printf.eprintf "%s written to %s\n" what path
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Run manifests                                                       *)
@@ -255,7 +240,7 @@ let run_category ?csv ?auto_tau ?summary ?manifest ~preflight ~executor
     match auto_tau with
     | None -> tau
     | Some min_rank ->
-      let s = Core.Auto_threshold.select ~executor ~category ~min_rank () in
+      let s = Core.Auto_threshold.select ~category ~min_rank () in
       Printf.printf
         "auto-tau: selected %.3e (gap ratio %.1e, keeps %d events)\n"
         s.Core.Auto_threshold.tau s.Core.Auto_threshold.gap_ratio
@@ -276,7 +261,7 @@ let run_category ?csv ?auto_tau ?summary ?manifest ~preflight ~executor
       Core.Pipeline.run ~config ~shards ~executor ?manifest:gated category
     | Some path ->
       let text =
-        try read_file path
+        try Obs_cli.read_file path
         with Sys_error msg ->
           Printf.eprintf "analyze: %s\n" msg;
           exit 1
@@ -381,14 +366,14 @@ let ledger_for ?(shards = 1) ~executor category =
   (r, Core.Pipeline.ledger r)
 
 let write_json path ledger =
-  write_file ~what:"ledger" path
+  Obs_cli.write_file ~what:"ledger" path
     (Jsonio.to_string (Provenance.Ledger.to_json ledger) ^ "\n")
 
 let smoke_category ?(shards = 1) ~executor category =
   let module L = Provenance.Ledger in
   let _, ledger = ledger_for ~shards ~executor category in
   (* Every entry must resolve to exactly one terminal fate — on
-     shard-assembled ledgers just like monolithic ones. *)
+     multi-shard ledgers just like one-shard ones. *)
   List.iter
     (fun e ->
       match L.fate_checked e with
@@ -526,8 +511,7 @@ let explain_cmd =
   in
   let explain_shards =
     let doc = "Assemble the ledger from $(docv) catalog-range shards \
-               instead of one monolithic run (the resulting ledger is \
-               bit-identical; this exercises the sharded path)." in
+               instead of one (the resulting ledger is bit-identical)." in
     Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
   in
   Cmd.v
@@ -580,7 +564,7 @@ let shard_main category index shards out tau alpha proj_tol reps obs =
     (Hwsim.Session.group_count sub)
     (Hwsim.Session.group_count plan)
     (Hwsim.Session.runs_needed sub ~reps:config.Core.Pipeline.reps);
-  write_file ~what:"shard artifact" out
+  Obs_cli.write_file ~what:"shard artifact" out
     (Jsonio.to_string (Core.Stage.shard_to_json artifact) ^ "\n")
 
 let shard_cmd =
@@ -596,8 +580,8 @@ let shard_cmd =
          collection and the noise filter — for the $(b,--index)-th of \
          $(b,--shards) contiguous catalog ranges, and serializes the \
          result.  'analyze merge' reassembles the artifacts and runs the \
-         downstream stages; the final outputs are bit-identical to a \
-         monolithic 'analyze' run.";
+         downstream stages; the final outputs are bit-identical to an \
+         in-process 'analyze' run.";
     ]
   in
   let index =
@@ -629,7 +613,7 @@ let merge_main files sections json manifest store obs =
   let shards =
     List.map
       (fun path ->
-        let text = try read_file path with Sys_error msg ->
+        let text = try Obs_cli.read_file path with Sys_error msg ->
           Printf.eprintf "analyze merge: %s\n" msg;
           exit 1
         in
@@ -663,7 +647,7 @@ let merge_main files sections json manifest store obs =
   in
   print_sections ~sections category r;
   (* Same trailing newline as the default runner, so a merged run's
-     output is byte-comparable against a monolithic one. *)
+     output is byte-comparable against an in-process one. *)
   print_newline ();
   Option.iter (fun path -> write_json path (Core.Pipeline.ledger r)) json
 
@@ -681,7 +665,7 @@ let merge_cmd =
          catalog; unique event names), concatenates the classified events \
          in catalog order, and runs projection, the specialized QRCP and \
          the metric solve.  Output sections and the provenance ledger are \
-         bit-identical to a monolithic 'analyze' run of the same \
+         bit-identical to an in-process 'analyze' run of the same \
          category.";
     ]
   in
@@ -746,7 +730,7 @@ let lint_main category severity json rules_flag quiet obs =
           | Error e -> bad ("does not decode: " ^ e)
           | Ok ds ->
             if ds <> shown then bad "round trip changed the diagnostics"));
-        write_file ~what:"lint report" path (printed ^ "\n"))
+        Obs_cli.write_file ~what:"lint report" path (printed ^ "\n"))
       json;
     if not quiet then
       Printf.printf "lint: %s\n" (Core.Diagnostic.summary_line diagnostics);

@@ -136,12 +136,6 @@ let gpu_flops_range ?(reps = default_reps) ~lo ~hi () =
     ~seed:"cat-gpu-flops" ~reps ~catalog:(mi250x ()) ~lo ~hi
     ~rows:Gpu_kernels.rows ~row_labels:Gpu_kernels.row_labels
 
-let zen_flops_range ?(reps = default_reps) ~lo ~hi () =
-  of_activities_range
-    ~name:(range_name "zen-flops" ~lo ~hi)
-    ~seed:"cat-zen-flops" ~reps ~catalog:(zen ()) ~lo ~hi
-    ~rows:Flops_kernels.rows ~row_labels:Flops_kernels.row_labels
-
 (* The thread activities are a function of (kernel config, rep,
    thread) only — independent of which events a build measures — so
    shards of the same campaign can share one generation.  Cached at

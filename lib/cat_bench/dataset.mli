@@ -83,7 +83,6 @@ val dcache : ?reps:int -> unit -> t
 val cpu_flops_range : ?reps:int -> lo:int -> hi:int -> unit -> t
 val branch_range : ?reps:int -> lo:int -> hi:int -> unit -> t
 val gpu_flops_range : ?reps:int -> lo:int -> hi:int -> unit -> t
-val zen_flops_range : ?reps:int -> lo:int -> hi:int -> unit -> t
 
 val dcache_range : ?reps:int -> lo:int -> hi:int -> unit -> t
 (** Data-cache shard.  The per-thread kernel activities are shared

@@ -112,9 +112,11 @@ let check_reps ?category reps =
 
 (* The jobs count is pipeline configuration like tau or alpha: reject
    impossible values as typed diagnostics, not argv failures, and flag
-   the shape that silently buys nothing — more workers than shards
-   leaves the surplus idle for the whole run.  The outputs are still
-   right, hence a warning, not an error. *)
+   the shape that buys little — more workers than shards leaves the
+   surplus idle while the shards are collected and classified (only
+   the dcache cache simulations, which run before the shards, use every
+   domain).  The outputs are still right, hence a warning, not an
+   error. *)
 let check_jobs ?category ?shards jobs =
   if jobs < 1 then
     [
@@ -137,7 +139,9 @@ let check_jobs ?category ?shards jobs =
             ]
           "param/unknown-jobs" D.Warn "jobs"
           "jobs = %d exceeds the %d shard(s) of the front: the extra \
-           domains stay idle for the whole run"
+           domains stay idle while the shards are collected and \
+           classified (only the dcache cache simulations, which run \
+           before the shards, use every domain)"
           jobs s;
       ]
     | _ -> []

@@ -39,7 +39,9 @@ val check_jobs :
   ?category:string -> ?shards:int -> int -> Core.Diagnostic.t list
 (** [param/unknown-jobs]: error when [jobs < 1] (the executor needs at
     least one domain), warning when [shards] is given and [jobs]
-    exceeds it (the surplus domains idle for the whole run). *)
+    exceeds it (the surplus domains idle while the shards are
+    collected and classified; the dcache cache simulations before the
+    shards use every domain). *)
 
 val analyze :
   ?category:string ->

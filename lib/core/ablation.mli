@@ -18,8 +18,9 @@ type alpha_point = {
 val alpha_sweep :
   ?manifest:(Obs.Manifest.t -> unit) -> Category.t -> alphas:float list ->
   alpha_point list
-(** Runs the pipeline at each α and compares the chosen-event set to
-    the paper's. *)
+(** Runs the pipeline at each α on one collection of the category's
+    dataset ({!Pipeline.run_custom}) and compares the chosen-event set
+    to the paper's. *)
 
 type tau_point = {
   tau : float;
@@ -31,6 +32,8 @@ type tau_point = {
 val tau_sweep :
   ?manifest:(Obs.Manifest.t -> unit) -> Category.t -> taus:float list ->
   tau_point list
+(** Runs the pipeline at each τ on one collection of the category's
+    dataset, like {!alpha_sweep}. *)
 
 type reduction_point = {
   reduction : [ `Median | `Mean ];

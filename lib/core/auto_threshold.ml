@@ -50,17 +50,20 @@ let suggest ?floor series =
   | best :: _ -> best
   | [] -> assert false (* bands never returns [] *)
 
-let category_series category =
-  let dataset = Category.dataset category in
-  (* Classify with an all-pass threshold purely to obtain the
-     variability series. *)
-  let classified = Noise_filter.classify ~tau:infinity dataset in
-  Noise_filter.variability_series classified
+(* Classify with an all-pass threshold purely to obtain the
+   variability series. *)
+let series_of dataset =
+  Noise_filter.variability_series (Noise_filter.classify ~tau:infinity dataset)
+
+let category_series category = series_of (Category.dataset category)
 
 let for_category category = suggest (category_series category)
 
-let select ?executor ?(max_attempts = 10) ~category ~min_rank () =
-  let candidates = bands (category_series category) in
+(* The probes re-analyse the dataset the series came from: collected
+   once, then only the stages after collection run per candidate. *)
+let select ?(max_attempts = 10) ~category ~min_rank () =
+  let dataset = Category.dataset category in
+  let candidates = bands (series_of dataset) in
   let rec walk attempts = function
     | [] -> raise Not_found
     | _ when attempts >= max_attempts -> raise Not_found
@@ -69,7 +72,11 @@ let select ?executor ?(max_attempts = 10) ~category ~min_rank () =
         { (Pipeline.default_config category) with Pipeline.tau = s.tau }
       in
       let rank =
-        match Pipeline.run ~config ?executor category with
+        match
+          Pipeline.run_custom ~config ~category ~dataset
+            ~basis:(Category.basis category)
+            ~signatures:(Category.signatures category) ()
+        with
         | r -> Array.length r.Pipeline.chosen_names
         | exception Invalid_argument _ -> 0
       in

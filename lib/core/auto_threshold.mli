@@ -38,10 +38,12 @@ val bands : ?floor:float -> (string * float) array -> suggestion list
     search space {!select} walks. *)
 
 val select :
-  ?executor:Exec.t -> ?max_attempts:int -> category:Category.t ->
-  min_rank:int -> unit -> suggestion
+  ?max_attempts:int -> category:Category.t -> min_rank:int -> unit ->
+  suggestion
 (** Validated selection: walk {!bands} from the widest gap down,
-    run the pipeline at each candidate τ, and return the first whose
+    run the pipeline at each candidate τ on the one collection of the
+    category's dataset the bands came from ({!Pipeline.run_custom}),
+    and return the first whose
     specialized QRCP finds at least [min_rank] independent events.
 
     This is what the cache category needs: its relevant events are
@@ -50,6 +52,5 @@ val select :
     exactly why the paper had to pick the lenient τ = 0.1 empirically
     (Section IV).  Walking down the bands recovers such a τ
     automatically.  Raises [Not_found] if no candidate within
-    [max_attempts] (default 10) achieves the rank.  [executor] is
-    passed to every {!Pipeline.run} it makes; the probes record no
-    manifest. *)
+    [max_attempts] (default 10) achieves the rank.  The probes record
+    no manifest. *)

@@ -45,12 +45,21 @@ let dataset_range ?reps ~lo ~hi = function
   | Branch -> Cat_bench.Dataset.branch_range ?reps ~lo ~hi ()
   | Dcache -> Cat_bench.Dataset.dcache_range ?reps ~lo ~hi ()
 
-(* Force the row table or activity cache the shard builders share,
-   from the calling domain, before shards are dispatched to workers. *)
-let prewarm ~executor ~reps = function
-  | Cpu_flops -> ignore (Cat_bench.Flops_kernels.rows ())
-  | Gpu_flops -> ignore (Cat_bench.Gpu_kernels.rows ())
-  | Branch -> ignore (Cat_bench.Branch_kernels.rows ())
+(* Force the tables the shard builders share, from the calling domain,
+   before shards are dispatched to workers: the compiled catalog, then
+   the row table or activity cache — the order a shard build reaches
+   them in. *)
+let prewarm ~executor ~reps category =
+  let warm catalog rows =
+    ignore (catalog ());
+    ignore (rows ())
+  in
+  match category with
+  | Cpu_flops ->
+    warm Cat_bench.Dataset.sapphire_rapids Cat_bench.Flops_kernels.rows
+  | Gpu_flops -> warm Cat_bench.Dataset.mi250x Cat_bench.Gpu_kernels.rows
+  | Branch ->
+    warm Cat_bench.Dataset.sapphire_rapids Cat_bench.Branch_kernels.rows
   | Dcache -> Cat_bench.Dataset.prewarm_dcache_on executor ~reps
 
 let ideals = function

@@ -44,11 +44,12 @@ val dataset_range : ?reps:int -> lo:int -> hi:int -> t -> Cat_bench.Dataset.t
     out-of-bounds range. *)
 
 val prewarm : executor:Exec.t -> reps:int -> t -> unit
-(** Force the table the category's shard builders share, from the
-    calling domain, before shards are dispatched to worker domains:
-    the kernel row table of cpu-flops, gpu-flops and branch, or the
-    dcache activity arrays.  The dcache simulations run on
-    [executor]; the row tables are built on the calling domain. *)
+(** Force the tables the category's shard builders share, from the
+    calling domain, before shards are dispatched: the compiled catalog
+    and then the kernel row table of cpu-flops, gpu-flops and branch,
+    or the dcache activity arrays (whose build compiles the catalog
+    first).  The dcache simulations run on [executor]; the other
+    tables are built on the calling domain. *)
 
 val ideals : t -> Cat_bench.Ideal.ideal list
 

@@ -60,23 +60,6 @@ let classify ?(measure = Max_rnmse) ~tau (dataset : Cat_bench.Dataset.t) =
   publish_tallies classified;
   classified
 
-(* Shard-local classification: same verdicts as [classify], plus the
-   per-shard counters that feed the sharding observability story
-   alongside the noise_filter.* totals, which sum across shards to the
-   monolithic values. *)
-let classify_shard ?(measure = Max_rnmse) ~tau (dataset : Cat_bench.Dataset.t) =
-  let classified =
-    List.map (classify_measurement ~measure ~tau) dataset.measurements
-  in
-  if Obs.enabled () then begin
-    Obs.add "shard.events" (float_of_int (List.length classified));
-    Obs.add "shard.kept"
-      (float_of_int
-         (List.length (List.filter (fun c -> c.status = Kept) classified)))
-  end;
-  publish_tallies classified;
-  classified
-
 let kept classified = List.filter (fun c -> c.status = Kept) classified
 
 let count classified status =

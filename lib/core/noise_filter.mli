@@ -25,16 +25,11 @@ type classified = {
 val classify :
   ?measure:measure -> tau:float -> Cat_bench.Dataset.t -> classified list
 (** Classify every measurement in the dataset.  [measure] defaults to
-    {!Max_rnmse} (the paper's). *)
-
-val classify_shard :
-  ?measure:measure -> tau:float -> Cat_bench.Dataset.t -> classified list
-(** Classify one catalog-range shard.  Verdicts are identical to
-    {!classify} (each event's verdict depends only on its own
-    repetition vectors); the one difference is operational: per-shard
-    [shard.events] / [shard.kept] counters next to the
-    [noise_filter.*] tallies, which sum across shards to the
-    monolithic totals. *)
+    {!Max_rnmse} (the paper's).  Each event's verdict depends only on
+    its own repetition vectors, so a catalog-range shard classifies
+    exactly like the same events of the whole catalog.  Publishes the
+    [noise_filter.kept] / [too_noisy] / [all_zero] counters when a
+    sink is live. *)
 
 val measure_name : measure -> string
 

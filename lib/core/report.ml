@@ -252,18 +252,3 @@ let fig3_gnuplot (r : Pipeline.result) =
       bprintf gp "     '' using 3 with points pt 4 title 'signature'\n";
       (slug, Buffer.contents dat, Buffer.contents gp))
     (fig3_panels r)
-
-let all_tables () =
-  let buf = Buffer.create 16384 in
-  List.iter
-    (fun category ->
-      let r = Pipeline.run category in
-      bprintf buf "%s\n" (String.make 72 '=');
-      bprintf buf "%s\n" (filter_summary r);
-      bprintf buf "%s\n" (fig2_text r);
-      bprintf buf "%s\n" (signature_table category);
-      bprintf buf "%s\n" (chosen_events r);
-      bprintf buf "%s\n" (metric_table r);
-      if category = Category.Dcache then bprintf buf "%s\n" (fig3_text r))
-    Category.all;
-  Buffer.contents buf

@@ -71,9 +71,3 @@ val fig3_gnuplot : Pipeline.result -> (string * string * string) list
 (** One [(panel_slug, dat, gp)] triple per data-cache metric:
     measured (rounded combination) vs signature per configuration.
     [Dcache] only. *)
-
-(** {1 Reproduction dump} *)
-
-val all_tables : unit -> string
-(** Every table and figure series, all categories — the full
-    reproduction dump. *)

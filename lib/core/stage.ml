@@ -9,10 +9,9 @@
    collection and noise filtering shard by catalog range; projection
    onwards needs the whole accepted set and runs once, downstream of
    the merge, and so does the one derivation of the provenance ledger.
-   The sequential path (Pipeline.run, a thin driver over this module)
-   remains the bit-exact reference: a sharded run must produce
-   byte-identical chosen events, metric definitions and provenance
-   ledger. *)
+   A plain run is the one-range case: Pipeline.run drives every shard
+   count through [run_front] and [run_merged], and the golden digests
+   in test/test_golden.ml pin its outputs. *)
 
 type config = {
   tau : float;
@@ -106,8 +105,15 @@ let classify_shard ~config ~category (ds : dataset_shard) =
           Obs.attr_int "lo" ds.shard_range.lo;
           Obs.attr_int "hi" ds.shard_range.hi
         end;
-        Noise_filter.classify_shard ~tau:config.tau ds.dataset)
+        Noise_filter.classify ~tau:config.tau ds.dataset)
   in
+  (* The per-shard counters sum across one front to the catalog size
+     and the noise_filter.kept total (see [check_front_counters]). *)
+  if Obs.enabled () then begin
+    Obs.add "shard.events" (float_of_int (List.length entries));
+    Obs.add "shard.kept"
+      (float_of_int (Noise_filter.count entries Noise_filter.Kept))
+  end;
   {
     category = Category.name category;
     machine = Category.machine category;
@@ -610,7 +616,7 @@ let with_manifest ?manifest ~source ~category ~config ~shards ~jobs f =
     r
 
 (* ------------------------------------------------------------------ *)
-(* Sharded drivers                                                     *)
+(* Runs: the merge-and-downstream back, and the front                *)
 (* ------------------------------------------------------------------ *)
 
 let merge_downstream ~category shards =
@@ -647,88 +653,70 @@ let run_merged ?manifest ~category shards =
       (fun () -> (merge_downstream ~category shards, shards))
 
 (* DESIGN.md §11's counter contract, asserted at runtime whenever the
-   collector is live: across one sharded front, the shard.events /
-   shard.kept deltas must equal the catalog size and the
-   noise_filter.kept delta (publish_tallies runs per shard, so the
-   noise_filter.* deltas are themselves the monolithic totals). *)
-let check_shard_counter_invariant ~category ~before:(ev0, kp0, nf_kept0) =
+   collector is live: across one front, the shard.events / shard.kept
+   deltas must equal the events in the ranges and the noise_filter.kept
+   delta (the noise filter publishes its tallies per shard, so the
+   noise_filter.* deltas are themselves the front's totals). *)
+let check_front_counters ~events ~before:(ev0, kp0, nf_kept0) =
   let d name v0 = Obs.counter name -. v0 in
   let d_events = d "shard.events" ev0 in
   let d_kept = d "shard.kept" kp0 in
   let d_nf_kept = d "noise_filter.kept" nf_kept0 in
-  let total = float_of_int (Category.catalog_size category) in
-  if not (Float.equal d_events total) then
+  if not (Float.equal d_events (float_of_int events)) then
     failwith
       (Printf.sprintf
-         "Stage.run_sharded: counter invariant violated: shard.events \
-          advanced by %g for a %g-event catalog"
-         d_events total);
+         "Stage.run_front: counter invariant violated: shard.events \
+          advanced by %g for %d events"
+         d_events events);
   if not (Float.equal d_kept d_nf_kept) then
     failwith
       (Printf.sprintf
-         "Stage.run_sharded: counter invariant violated: shard.kept advanced \
+         "Stage.run_front: counter invariant violated: shard.kept advanced \
           by %g but noise_filter.kept by %g"
          d_kept d_nf_kept)
 
-(* Execute the collect+classify front over the shard ranges.
-
-   [Seq] runs the shards in index order on this domain.  [Domains]
-   hands them to the pool, which captures each task's [Obs] events and
-   replays them here in shard order, so sinks, counters (and therefore
-   the shard-counter invariant and recorded manifests) observe exactly
-   the stream a sequential front would have produced.  Module-level
-   caches a task could populate (the category's kernel row table, or
-   [Dataset.dcache_activities] on the same pool) are pre-forced here
-   first, so workers only ever read them.  The progress taps reach the
-   handle installed in this run's collector. *)
-let run_front ~config ~category ~executor ~shards ranges =
+(* The collect+classify front over [ranges], one executor task per
+   range.  The executor captures each worker task's [Obs] events and
+   replays them here in range order, so sinks, counters (and therefore
+   the counter invariant and recorded manifests) observe exactly the
+   stream a sequential front produces.  The module-level tables a task
+   could populate (the compiled catalog and kernel row table, or the
+   dcache activity cache, whose simulations run on [executor]) are
+   forced here first, so tasks only ever read them.  Progress taps go
+   straight to the handle in this run's collector (skipped when there
+   is none) rather than through a gauge, so manifests recorded without
+   --progress stay byte-identical. *)
+let run_front ~config ~executor category ranges =
   let tap f = Option.iter f (Obs.progress ()) in
-  (match executor with
-  | Executor.Seq -> ()
-  | Executor.Domains _ -> Category.prewarm ~executor ~reps:config.reps category);
-  tap (Obs.Progress.note_front ~total:shards ~jobs:(Executor.jobs executor));
+  Category.prewarm ~executor ~reps:config.reps category;
   let arr = Array.of_list ranges in
-  Array.to_list
-    (Executor.map ~executor (Array.length arr) (fun i ->
-         tap (Obs.Progress.note_shard_start ~index:i ~total:shards);
-         let t0 = Obs.Clock.now_ns () in
-         let s =
-           classify_shard ~config ~category
-             (collect_shard ~reps:config.reps category arr.(i))
-         in
-         tap
-           (Obs.Progress.note_shard_done ~total:shards
-              ~dur_ns:(Int64.sub (Obs.Clock.now_ns ()) t0));
-         s))
-
-let run_sharded ?config ?(executor = Executor.Seq) ?manifest ~shards category =
-  let config =
-    match config with Some c -> c | None -> default_config category
+  let shards = Array.length arr in
+  let before =
+    if Obs.enabled () then
+      Some
+        ( Obs.counter "shard.events",
+          Obs.counter "shard.kept",
+          Obs.counter "noise_filter.kept" )
+    else None
   in
-  with_manifest ?manifest ~source:"pipeline" ~category ~config ~shards
-    ~jobs:(Executor.jobs executor) (fun () ->
-      Obs.span "pipeline" (fun () ->
-          Obs.attr_str "category" (Category.name category);
-          if Obs.enabled () then Obs.attr_int "shards" shards;
-          let ranges =
-            shard_ranges ~shards ~total:(Category.catalog_size category)
-          in
-          let before =
-            if Obs.enabled () then
-              Some
-                ( Obs.counter "shard.events",
-                  Obs.counter "shard.kept",
-                  Obs.counter "noise_filter.kept" )
-            else None
-          in
-          (* Progress taps: shard boundaries go straight to the run's
-             progress handle (skipped when there is none) rather than
-             through a gauge, so manifests recorded without --progress
-             stay byte-identical. *)
-          let classified_shards =
-            run_front ~config ~category ~executor ~shards ranges
-          in
-          (match before with
-          | Some b -> check_shard_counter_invariant ~category ~before:b
-          | None -> ());
-          (merge_downstream ~category classified_shards, classified_shards)))
+  tap (Obs.Progress.note_front ~total:shards ~jobs:(Executor.jobs executor));
+  let classified =
+    Executor.map ~executor shards (fun i ->
+        tap (Obs.Progress.note_shard_start ~index:i ~total:shards);
+        let t0 = Obs.Clock.now_ns () in
+        let s =
+          classify_shard ~config ~category
+            (collect_shard ~reps:config.reps category arr.(i))
+        in
+        tap
+          (Obs.Progress.note_shard_done ~total:shards
+             ~dur_ns:(Int64.sub (Obs.Clock.now_ns ()) t0));
+        s)
+  in
+  Option.iter
+    (fun before ->
+      check_front_counters
+        ~events:(List.fold_left (fun n r -> n + r.hi - r.lo) 0 ranges)
+        ~before)
+    before;
+  Array.to_list classified

@@ -19,15 +19,18 @@
     (an event's verdict depends only on its own repetition vectors),
     so they shard by catalog range [\[lo, hi)].  Projection, QRCP and
     the metric solve need the whole accepted set and run once,
-    downstream of the deterministic merge.
+    downstream of the deterministic merge.  There is one path: a plain
+    {!Pipeline.run} is the one-range front [\[0, total)], so its spans,
+    counters and counter invariant are those of every shard count.
 
     {b Bit-identity contract}: because a simulated reading's noise
-    stream is keyed by [(seed, event, rep, row)], a sharded run —
-    whether the shards stay in-process or travel through the JSON
-    artifact — produces byte-identical chosen events, metric
-    definitions and provenance ledger to the monolithic
-    {!Pipeline.run} for every shard count.  [test/test_stage.ml] pins
-    this for all four categories. *)
+    stream is keyed by [(seed, event, rep, row)], a run produces
+    byte-identical chosen events, metric definitions and provenance
+    ledger for every shard count and executor, whether the shards stay
+    in-process or travel through the JSON artifact.
+    [test/test_golden.ml] pins the outputs and [test/test_stage.ml]
+    the equality across shard and jobs counts for all four
+    categories. *)
 
 type config = {
   tau : float;
@@ -111,8 +114,24 @@ val collect_shard :
 
 val classify_shard :
   config:config -> category:Category.t -> dataset_shard -> classified_shard
-(** Run the noise filter on one shard; publishes [shard.events] /
-    [shard.kept] counters. *)
+(** Run the noise filter on one shard (span ["shard-classify"]);
+    publishes the [shard.events] / [shard.kept] counters next to the
+    noise filter's [noise_filter.*] tallies. *)
+
+val run_front :
+  config:config -> executor:Exec.t -> Category.t -> range list ->
+  classified_shard list
+(** The collect + classify front: one {!collect_shard} +
+    {!classify_shard} task per range on [executor], results in range
+    order.  The category's shared tables are forced first
+    ({!Category.prewarm}, the dcache simulations on [executor]).
+    Worker-domain [Obs] events are captured and replayed in range
+    order, so the event stream is the same for every executor.  While
+    a sink is live it asserts the counter invariant: [shard.events]
+    advances by the events in [ranges] and [shard.kept] by as much as
+    [noise_filter.kept] (raises [Failure] otherwise).  Progress taps
+    ({!Obs.Progress.note_front} and the per-shard notes) reach the
+    run's progress handle. *)
 
 (** {1 Merge stage} *)
 
@@ -129,8 +148,8 @@ val merge_shards :
 
 val classify :
   config:config -> Cat_bench.Dataset.t -> Noise_filter.classified list
-(** The monolithic noise-filter stage, inside the ["noise-filter"]
-    span — what {!Pipeline.run} uses. *)
+(** The noise filter over a finished dataset, inside the
+    ["noise-filter"] span — what {!Pipeline.run_custom} uses. *)
 
 val downstream :
   config:config -> category:Category.t -> basis:Expectation.t ->
@@ -143,7 +162,8 @@ val downstream :
 
 (** {1 Run manifests}
 
-    Every driver below takes [?manifest], an emitter.  Without one
+    Every entry point ({!run_merged} below, {!Pipeline.run} and
+    {!Pipeline.run_custom}) takes [?manifest], an emitter.  Without one
     the run is unchanged (no sink, no hashing).  With one, the run
     scopes an {!Obs.Recorder} around itself and hands the emitter a
     schema-versioned {!Obs.Manifest.t} carrying the config digest
@@ -166,7 +186,7 @@ val with_manifest :
   result
 (** [with_manifest ?manifest ... f] runs [f], which returns the result
     and the shard artifacts it consumed (hashed into the manifest;
-    [\[\]] on the monolithic paths), and emits one manifest.  Exactly
+    [\[\]] for a dataset handed in whole), and emits one manifest.  Exactly
     [fst (f ())] without [manifest].  On exception the recorder is
     torn down and nothing is emitted.  [jobs] is recorded in the
     manifest config. *)
@@ -177,21 +197,9 @@ val run_merged :
 (** Merge the shards (raising [Invalid_argument] on any conflict
     {!merge_shards} reports) and run {!downstream} with the
     category's basis and signatures; the ledger is derived from the
-    merged catalog exactly as on the monolithic path.  Its manifest
+    merged catalog exactly as on an in-process run.  Its manifest
     (source ["pipeline-merge"]) records jobs 1 and hashes every
     shard. *)
-
-val run_sharded :
-  ?config:config -> ?executor:Exec.t -> ?manifest:(Obs.Manifest.t -> unit) ->
-  shards:int -> Category.t -> result
-(** The full sharded pipeline: partition the catalog, collect and
-    classify each shard, merge, run downstream.  Bit-identical to
-    {!Pipeline.run} for every [shards >= 1], and — for every executor
-    — to the [Exec.Seq] reference: shards are pure functions of their
-    catalog range, worker-domain [Obs] events are captured and
-    replayed in shard order, and the merge is order-insensitive by
-    construction.  [executor] defaults to [Exec.Seq]; its jobs count
-    is recorded in the manifest, which hashes every in-process shard. *)
 
 (** {1 Shard artifact JSON} *)
 

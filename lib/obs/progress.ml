@@ -26,7 +26,6 @@ type t = {
   mutable jobs : int;  (* announced concurrency; 1 = serial *)
   mutable done_shards : int;  (* shards completed (note_shard_done) *)
   mutable events : float;  (* dataset.events_measured total *)
-  span_hists : (string, Histogram.t) Hashtbl.t;  (* completed spans *)
   shard_hist : Histogram.t;  (* whole-shard front durations *)
   mutable emitted : int;
   lock : Mutex.t;
@@ -50,52 +49,24 @@ let create ?(out = default_out) ?(min_interval_ns = 200_000_000L) () =
     jobs = 1;
     done_shards = 0;
     events = 0.0;
-    span_hists = Hashtbl.create 16;
     shard_hist = Histogram.create ();
     emitted = 0;
     lock = Mutex.create ();
   }
 
-let note_hist t name dur_ns =
-  let h =
-    match Hashtbl.find_opt t.span_hists name with
-    | Some h -> h
-    | None ->
-      let h = Histogram.create () in
-      Hashtbl.add t.span_hists name h;
-      h
-  in
-  Histogram.observe h (Int64.to_float dur_ns)
-
-(* ETA.  Preferred source: the histogram of whole-shard durations fed
-   by note_shard_done, divided by the announced concurrency — under
-   [--jobs N] the remaining shards complete roughly N at a time, so
-   serial extrapolation would overshoot by a factor of N.  Fallback
-   (nothing measured yet through the tap): the running histograms of
-   the per-shard front spans, as before.  Conservative and cheap;
-   absent until at least one shard has completed. *)
+(* ETA: the median of the whole-shard durations fed by note_shard_done,
+   times the remaining shards, divided by the announced concurrency —
+   under [--jobs N] the remaining shards complete roughly N at a time,
+   so serial extrapolation would overshoot by a factor of N.  Absent
+   until a shard has completed. *)
 let eta_ns t =
-  if t.shards <= 0 then None
-  else if Histogram.count t.shard_hist > 0 then begin
+  if t.shards <= 0 || Histogram.count t.shard_hist = 0 then None
+  else begin
     let per_shard = Histogram.quantile t.shard_hist 0.5 in
     let remaining = max (t.shards - t.done_shards) 0 in
     let effective = max 1 (min t.jobs (max remaining 1)) in
     Some (float_of_int remaining *. per_shard /. float_of_int effective)
   end
-  else if t.shard < 0 then None
-  else
-    let median name =
-      match Hashtbl.find_opt t.span_hists name with
-      | Some h when Histogram.count h > 0 -> Histogram.quantile h 0.5
-      | _ -> Float.nan
-    in
-    let per_shard = median "shard-collect" +. median "shard-classify" in
-    if Float.is_nan per_shard then None
-    else
-      let remaining = t.shards - t.shard in
-      Some
-        (float_of_int (max remaining 0) *. per_shard
-        /. float_of_int (max 1 t.jobs))
 
 let seconds ns = ns /. 1e9
 
@@ -103,9 +74,15 @@ let line t ~now_ns =
   let buf = Buffer.create 96 in
   Printf.bprintf buf "progress: %.1fs"
     (seconds (Int64.to_float (Int64.sub now_ns t.start_ns)));
-  (match t.stack with
-  | stage :: _ -> Printf.bprintf buf " stage=%s" stage
-  | [] -> ());
+  (* Worker-domain spans reach this sink only when the executor replays
+     them after the batch, so while a parallel front runs the innermost
+     span seen here is the submitting domain's: name the front instead. *)
+  (if t.jobs > 1 && t.done_shards < t.shards then
+     Buffer.add_string buf " stage=shard-front"
+   else
+     match t.stack with
+     | stage :: _ -> Printf.bprintf buf " stage=%s" stage
+     | [] -> ());
   if t.jobs > 1 && t.shards > 0 then
     Printf.bprintf buf " shards %d/%d done jobs=%d" t.done_shards t.shards
       t.jobs
@@ -134,10 +111,9 @@ let sink t =
             t.stack <- name :: t.stack;
             maybe_emit t));
     on_span_end =
-      (fun ~id:_ ~name ~ts_ns:_ ~dur_ns ~attrs:_ ->
+      (fun ~id:_ ~name:_ ~ts_ns:_ ~dur_ns:_ ~attrs:_ ->
         locked t (fun () ->
             (match t.stack with [] -> () | _ :: rest -> t.stack <- rest);
-            note_hist t name dur_ns;
             maybe_emit t));
     on_counter =
       (fun ~name ~delta:_ ~total ~ts_ns:_ ->

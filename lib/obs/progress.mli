@@ -5,11 +5,15 @@
 
     {v progress: 2.1s stage=shard-classify shard 3/8 events=512 eta=1.4s v}
 
-    — carrying the innermost open span (the current stage), shard
-    progress when the staged pipeline has announced it
-    ({!note_shard_start}), the events-processed counter, and an ETA
-    interpolated from the running histogram of completed shard-stage
-    spans (median per-shard cost times remaining shards).  Emission is
+    — carrying the current stage, shard progress when the staged
+    pipeline has announced it ({!note_shard_start}), the
+    events-processed counter, and an ETA from the running histogram of
+    completed shards ({!note_shard_done}: median per-shard cost times
+    remaining shards).  The stage is the innermost open span, except
+    while a front announced by {!note_front} with [jobs > 1] has shards
+    outstanding: worker-domain spans reach the sink only when the
+    executor replays them after the batch, so that stage reads
+    [shard-front].  Emission is
     bounded: at most one line per [min_interval_ns] (default 200 ms),
     no matter how many events arrive.
 

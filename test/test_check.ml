@@ -306,6 +306,22 @@ let test_param_jobs () =
   (* More domains than shards: wasteful, not wrong. *)
   let ds = Check.Param_check.check_jobs ~shards:2 8 in
   expect_rule ds "param/unknown-jobs" D.Warn;
+  (* The surplus idles through the shard phase, not the whole run: the
+     dcache simulations before the shards run on every domain. *)
+  List.iter
+    (fun (d : D.t) ->
+      let has sub =
+        let n = String.length d.message and m = String.length sub in
+        let rec go i =
+          i + m <= n && (String.sub d.message i m = sub || go (i + 1))
+        in
+        go 0
+      in
+      Alcotest.(check bool)
+        ("names the idle phase: " ^ d.message) true
+        (has "idle while the shards are collected and classified"
+        && not (has "whole run")))
+    ds;
   Alcotest.(check (list string)) "no errors" [] (error_ids ds);
   Alcotest.(check (list string))
     "jobs <= shards is clean" []

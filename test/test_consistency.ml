@@ -137,12 +137,15 @@ let prop_pipeline_invariants =
              d.error >= 0.0 && d.error <= 1.0 +. 1e-9)
            r.Core.Pipeline.metrics)
 
+(* The default branch run, shared by every case of the property. *)
+let full_branch = lazy (Core.Pipeline.run Core.Category.Branch)
+
 let prop_fewer_events_never_better =
   QCheck.Test.make ~name:"metric error never improves when events are removed"
     ~count:15
     QCheck.(int_range 0 10_000)
     (fun seed ->
-      let full = Core.Pipeline.run Core.Category.Branch in
+      let full = Lazy.force full_branch in
       let sub = run_on_subset seed in
       List.for_all2
         (fun (f : Core.Metric_solver.metric_def) (s : Core.Metric_solver.metric_def) ->

@@ -87,10 +87,11 @@ let test_ledger (category, expected) () =
 (* Run manifests, through the CLI                                      *)
 (* ------------------------------------------------------------------ *)
 
-let bin_exe name =
-  Filename.concat (Filename.dirname Sys.executable_name) ("../bin/" ^ name)
+(* [path] is relative to the build root, e.g. ["bin/analyze.exe"]. *)
+let built path =
+  Filename.concat (Filename.dirname Sys.executable_name) ("../" ^ path)
 
-let analyze = bin_exe "analyze.exe"
+let analyze = built "bin/analyze.exe"
 
 let run_analyze args =
   let code =
@@ -133,7 +134,7 @@ let span_counts (m : Obs.Manifest.t) =
 let temp name = Filename.temp_file "golden" name
 
 (* ------------------------------------------------------------------ *)
-(* Whole stdout of the other executables                               *)
+(* Whole stdout of the other executables and the examples             *)
 (* ------------------------------------------------------------------ *)
 
 (* The MD5 of what [exe args] prints on stdout; a non-zero exit fails. *)
@@ -142,7 +143,7 @@ let stdout_md5 exe args =
   let code =
     Sys.command
       (String.concat " "
-         (Filename.quote (bin_exe exe) :: List.map Filename.quote args
+         (Filename.quote (built exe) :: List.map Filename.quote args
          @ [ ">"; Filename.quote out; "2> /dev/null" ]))
   in
   let text = In_channel.with_open_bin out In_channel.input_all in
@@ -153,13 +154,25 @@ let stdout_md5 exe args =
 
 let stdout_digests =
   [
-    ("reproduce.exe", [], "299feaf83f077c105c0ecc3c7e64511f");
-    ("analyze.exe", [ "explain"; "--smoke" ], "81046d71a1d0418ab42fecb424f8d3f4");
-    ("figures.exe", [ "2a" ], "78f2356405a8163420d685d9280b764f");
-    ("figures.exe", [ "2b" ], "ebac28be59c01c1b2f2a9b66d113fcec");
-    ("figures.exe", [ "2c" ], "c86b293410294ff8dfcee84d8e6a5926");
-    ("figures.exe", [ "2d" ], "6952fbf8bbd1f10008cea85da61289d2");
-    ("figures.exe", [ "3" ], "47d6bbc7f58848feaf299ce8d0f6cae4");
+    ("bin/reproduce.exe", [], "299feaf83f077c105c0ecc3c7e64511f");
+    ("bin/analyze.exe", [ "explain"; "--smoke" ],
+     "81046d71a1d0418ab42fecb424f8d3f4");
+    ("bin/figures.exe", [ "2a" ], "78f2356405a8163420d685d9280b764f");
+    ("bin/figures.exe", [ "2b" ], "ebac28be59c01c1b2f2a9b66d113fcec");
+    ("bin/figures.exe", [ "2c" ], "c86b293410294ff8dfcee84d8e6a5926");
+    ("bin/figures.exe", [ "2d" ], "6952fbf8bbd1f10008cea85da61289d2");
+    ("bin/figures.exe", [ "3" ], "47d6bbc7f58848feaf299ce8d0f6cae4");
+    ("bin/ablations.exe", [], "3338a8d2b0de72e0d861fb1f356cadf2");
+    ("examples/quickstart.exe", [], "9347c663ce962c104716e8c89020b706");
+    ("examples/branch_metrics.exe", [], "f1b2482f054c2c7f0f971d867b59e8ca");
+    ("examples/cache_metrics.exe", [], "023680d55ce84c0e2e866c0ce5f942c4");
+    ("examples/gpu_metrics.exe", [], "984f373344f76023394a268093d8160c");
+    ("examples/custom_metric.exe", [], "9425a6865eb0fb0c3a8db4a4982d8fd9");
+    ("examples/cross_architecture.exe", [], "e1f5ff4cbed337c13576041c32e851c4");
+    ("examples/validate_on_app.exe", [], "013b489ada586b09c9e5906c2e6ae1c4");
+    ("examples/arithmetic_intensity.exe", [],
+     "33d208fb50329a3ac92a047d5ccb2afe");
+    ("examples/explain_event.exe", [], "53b94fef9cdfa71e0be25efccdbde45c");
   ]
 
 let test_stdout (exe, args, expected) () =
@@ -239,7 +252,8 @@ let () =
         List.map
           (fun ((exe, args, _) as case) ->
             Alcotest.test_case
-              (String.concat " " (Filename.remove_extension exe :: args))
+              (String.concat " "
+                 (Filename.(remove_extension (basename exe)) :: args))
               `Quick (test_stdout case))
           stdout_digests );
     ]

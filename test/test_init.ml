@@ -26,7 +26,7 @@ let fingerprint (r : Core.Pipeline.result) =
 let test_cold_domains_equal_seq () =
   let categories = [ Core.Category.Gpu_flops; Core.Category.Branch ] in
   let run executor c =
-    fingerprint (Core.Stage.run_sharded ~executor ~shards:4 c)
+    fingerprint (Core.Pipeline.run ~executor ~shards:4 c)
   in
   let par = List.map (run (Core.Exec.Domains 2)) categories in
   let seq = List.map (run Core.Exec.Seq) categories in

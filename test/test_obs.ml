@@ -353,7 +353,8 @@ let test_chrome_trace_well_formed () =
     List.length (List.filter (fun e -> str_field e "ph" = ph) events)
   in
   Alcotest.(check int) "balanced B/E" (count "B") (count "E");
-  (* The five pipeline stages all appear as spans... *)
+  (* The pipeline stages, a plain run's one-shard front included, all
+     appear as spans... *)
   let b_names =
     List.filter_map
       (fun e -> if str_field e "ph" = "B" then Some (str_field e "name") else None)
@@ -362,8 +363,8 @@ let test_chrome_trace_well_formed () =
   List.iter
     (fun stage ->
       Alcotest.(check bool) ("stage span " ^ stage) true (List.mem stage b_names))
-    [ "pipeline"; "dataset-collect"; "noise-filter"; "projection"; "qrcp";
-      "metric-solve" ];
+    [ "pipeline"; "shard-collect"; "shard-classify"; "shard-merge";
+      "projection"; "qrcp"; "metric-solve" ];
   (* ...and at least one pivot span carries score and runner_up. *)
   let pivot_args =
     List.filter_map

@@ -2,8 +2,14 @@
    (paper Section V-E), and the standard-QRCP baseline comparison
    (paper Section II's motivation). *)
 
+(* One default run per category, shared by every case that reads it. *)
+let default_runs =
+  List.map (fun c -> (c, lazy (Core.Pipeline.run c))) Core.Category.all
+
+let default_run c = Lazy.force (List.assoc c default_runs)
+
 let test_pipeline_structure () =
-  let r = Core.Pipeline.run Core.Category.Branch in
+  let r = default_run Core.Category.Branch in
   Alcotest.(check int) "chosen names match indices"
     (Array.length r.chosen) (Array.length r.chosen_names);
   Array.iteri
@@ -19,7 +25,7 @@ let test_pipeline_structure () =
     (List.length r.metrics)
 
 let test_pipeline_deterministic () =
-  let a = Core.Pipeline.run Core.Category.Branch in
+  let a = default_run Core.Category.Branch in
   let b = Core.Pipeline.run Core.Category.Branch in
   Alcotest.(check (array string)) "same chosen events" a.chosen_names b.chosen_names;
   List.iter2
@@ -28,19 +34,24 @@ let test_pipeline_deterministic () =
     a.metrics b.metrics
 
 let test_run_all () =
-  let results = Core.Pipeline.run_all () in
+  let results = List.map default_run Core.Category.all in
   Alcotest.(check int) "four categories" 4 (List.length results)
 
 (* ------------------------------------------------------------------ *)
 (* Threshold sensitivity (Section V-E)                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Each threshold re-analyses the category's one collected dataset. *)
 let chosen_with category ~tau ~alpha =
   let default = Core.Pipeline.default_config category in
   let config =
     { default with Core.Pipeline.tau; alpha }
   in
-  Core.Pipeline.chosen_set (Core.Pipeline.run ~config category)
+  Core.Pipeline.chosen_set
+    (Core.Pipeline.run_custom ~config ~category
+       ~dataset:(Core.Category.dataset category)
+       ~basis:(Core.Category.basis category)
+       ~signatures:(Core.Category.signatures category) ())
 
 let test_tau_insensitive_for_branch () =
   (* Any tau between the zero-noise cluster and the noisy tail gives
@@ -95,7 +106,7 @@ let test_cache_needs_coarser_alpha () =
      the scores it assigns to the paper's events must be worse than
      the clean score of 4 units. *)
   ignore fine;
-  let r = Core.Pipeline.run Core.Category.Dcache in
+  let r = default_run Core.Category.Dcache in
   let idx name =
     let rec go i = if r.x_names.(i) = name then i else go (i + 1) in
     go 0
@@ -163,7 +174,7 @@ let test_standard_qrcp_on_x_differs_from_special () =
   (* Even after projection, norm pivoting and score pivoting pick
      different representatives: norm pivoting prefers the largest
      columns (aggregates) over the cleanest ones. *)
-  let r = Core.Pipeline.run Core.Category.Cpu_flops in
+  let r = default_run Core.Category.Cpu_flops in
   let std = Linalg.Qrcp.factor r.x in
   let std_first = r.x_names.(std.Linalg.Qrcp.perm.(0)) in
   Alcotest.(check string) "norm pivot grabs the VECTOR aggregate"
@@ -174,7 +185,7 @@ let test_special_qrcp_rank_equals_standard_rank () =
      carries; they differ only in which representatives they keep. *)
   List.iter
     (fun category ->
-      let r = Core.Pipeline.run category in
+      let r = default_run category in
       let std = Linalg.Qrcp.factor ~tol:1e-7 r.x in
       Alcotest.(check int)
         (Core.Category.name category ^ " ranks agree")

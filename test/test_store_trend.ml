@@ -472,7 +472,7 @@ let capture_pipeline_manifest ?progress category =
 
 let test_progress_inert () =
   with_clean_state @@ fun () ->
-  (* Warm the memoized catalog so both runs follow identical paths. *)
+  (* Warm the branch row table so both runs follow identical paths. *)
   let _ = Core.Pipeline.run Core.Category.Branch in
   let quiet, _ = capture_pipeline_manifest Core.Category.Branch in
   let p = Obs.Progress.create ~out:ignore ~min_interval_ns:0L () in
@@ -508,6 +508,11 @@ let test_progress_rate_bound () =
   Alcotest.(check bool) "huge interval emits at most once" true
     (beats 3_600_000_000_000L <= 1)
 
+let contains l sub =
+  let n = String.length l and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub l i m = sub || go (i + 1)) in
+  go 0
+
 let test_progress_line_shape () =
   with_clean_state @@ fun () ->
   let lines = ref [] in
@@ -518,7 +523,8 @@ let test_progress_line_shape () =
   Obs.with_progress p (fun () ->
       Obs.Progress.note_shard_start p ~index:2 ~total:8;
       Obs.span "shard-collect" (fun () ->
-          Obs.add "dataset.events_measured" 64.0));
+          Obs.add "dataset.events_measured" 64.0);
+      Obs.span "shard-classify" ignore);
   Alcotest.(check bool) "emitted" true (!lines <> []);
   List.iter
     (fun l ->
@@ -528,17 +534,33 @@ let test_progress_line_shape () =
         (String.length l >= 9 && String.sub l 0 9 = "progress:"))
     !lines;
   Alcotest.(check bool) "shard position reported" true
-    (List.exists
-       (fun l ->
-         let has sub =
-           let n = String.length l and m = String.length sub in
-           let rec go i =
-             i + m <= n && (String.sub l i m = sub || go (i + 1))
-           in
-           go 0
-         in
-         has "shard 3/8" && has "events=64")
-       !lines)
+    (List.exists (fun l -> contains l "shard 3/8" && contains l "events=64")
+       !lines);
+  (* Completed spans alone give no ETA: only finished shards do. *)
+  Alcotest.(check bool) "no ETA before a shard finishes" true
+    (List.for_all (fun l -> not (contains l "eta=")) !lines);
+  (* A two-job front: while shards are outstanding the stage is the
+     front, not the submitting domain's innermost span; once every
+     shard is done the span stack names the stage again. *)
+  lines := [];
+  let last () = match !lines with l :: _ -> l | [] -> "" in
+  let p =
+    Obs.Progress.create ~out:(fun l -> lines := l :: !lines)
+      ~min_interval_ns:0L ()
+  in
+  Obs.with_progress p (fun () ->
+      Obs.span "pipeline" (fun () ->
+          Obs.Progress.note_front p ~total:2 ~jobs:2;
+          Alcotest.(check bool) "front named while shards run" true
+            (contains (last ()) "stage=shard-front shards 0/2 done jobs=2");
+          Alcotest.(check bool) "no ETA before a shard finishes" false
+            (contains (last ()) "eta=");
+          Obs.Progress.note_shard_done p ~total:2 ~dur_ns:1_000_000_000L;
+          Alcotest.(check bool) "ETA from the shard histogram" true
+            (contains (last ()) "shards 1/2 done jobs=2 eta=1.0s");
+          Obs.Progress.note_shard_done p ~total:2 ~dur_ns:1_000_000_000L;
+          Alcotest.(check bool) "pipeline span once the front is done" true
+            (contains (last ()) "stage=pipeline shards 2/2 done")))
 
 let () =
   let open Alcotest in
