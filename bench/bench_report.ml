@@ -2,7 +2,7 @@
    directory emits an Obs.Manifest run manifest (source "bench:*"),
    and regression checking compares two manifests metric by metric.
 
-   Shared by linalg_scale, shard_bench, main and the bench_check
+   Shared by linalg_scale, shard_bench, par_bench and the bench_check
    gate, so there is exactly one notion of "what a bench records" and
    one regression policy:
 

@@ -240,7 +240,10 @@ let run_category ?csv ?auto_tau ?summary ?manifest ~preflight ~executor
     match auto_tau with
     | None -> tau
     | Some min_rank ->
-      let s = Core.Auto_threshold.select ~category ~min_rank () in
+      let s =
+        Core.Auto_threshold.select ~category
+          ~dataset:(Core.Category.dataset category) ~min_rank ()
+      in
       Printf.printf
         "auto-tau: selected %.3e (gap ratio %.1e, keeps %d events)\n"
         s.Core.Auto_threshold.tau s.Core.Auto_threshold.gap_ratio
@@ -1117,7 +1120,7 @@ let trend_cmd =
 (* trace: flamegraph (folded stacks) and Chrome-trace export           *)
 (* ------------------------------------------------------------------ *)
 
-let trace_main category shards folded flamegraph obs =
+let trace_main category shards folded obs =
   let category =
     match category with
     | Some c -> c
@@ -1129,23 +1132,14 @@ let trace_main category shards folded flamegraph obs =
     prerr_endline "analyze trace: --shards must be at least 1";
     exit 2
   end;
-  let folded_path =
-    match (folded, flamegraph) with
-    | Some _, Some _ ->
-      prerr_endline
-        "analyze trace: --flamegraph is an alias of --folded; give one";
-      exit 2
-    | Some f, None | None, Some f -> Some f
-    | None, None -> None
-  in
   let trace_path, _, _ = obs in
-  if folded_path = None && trace_path = None then begin
+  if folded = None && trace_path = None then begin
     prerr_endline "analyze trace: give --folded FILE and/or --trace FILE";
     exit 2
   end;
   with_obs obs @@ fun ~summary:_ ->
   let run () = ignore (Core.Pipeline.run ~shards category) in
-  match folded_path with
+  match folded with
   | None -> run ()
   | Some path ->
     let f = Obs.Folded.create () in
@@ -1185,16 +1179,10 @@ let trace_cmd =
                $(docv)." in
     Arg.(value & opt (some string) None & info [ "folded" ] ~docv:"FILE" ~doc)
   in
-  let flamegraph =
-    let doc = "Alias of $(b,--folded)." in
-    Arg.(
-      value & opt (some string) None & info [ "flamegraph" ] ~docv:"FILE" ~doc)
-  in
   Cmd.v
     (Cmd.info "trace" ~doc ~man)
     Term.(
-      const trace_main $ category $ shards_flag $ folded $ flamegraph
-      $ obs_term)
+      const trace_main $ category $ shards_flag $ folded $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* store: inspect and feed the run store directly                      *)

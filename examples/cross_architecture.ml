@@ -18,7 +18,7 @@ let () =
   let config = Core.Pipeline.default_config Core.Category.Cpu_flops in
   let r =
     Core.Pipeline.run_custom ~config ~category:Core.Category.Cpu_flops
-      ~dataset:(Cat_bench.Dataset.zen_flops ())
+      ~dataset:(Cat_bench.Dataset.collect Cat_bench.Dataset.zen_flops_bench)
       ~basis:(Core.Category.basis Core.Category.Cpu_flops)
       ~signatures:
         (Core.Category.signatures Core.Category.Cpu_flops

@@ -1,3 +1,16 @@
+type rows =
+  | Kernels of (unit -> Hwsim.Activity.t array)
+  | Threads of (Executor.t -> reps:int -> float array array array array)
+
+type bench = {
+  name : string;
+  seeds : string array;
+  catalog : unit -> Hwsim.Machine.catalog;
+  rows : rows;
+  row_labels : string array;
+  reduce : [ `Median | `Mean ];
+}
+
 type measurement = {
   event : Hwsim.Event.t;
   reps : float array list;
@@ -12,129 +25,39 @@ type t = {
 
 let default_reps = 5
 
-let check_range ~ctx ~lo ~hi catalog =
-  let n = Hwsim.Machine.size catalog in
-  if lo < 0 || hi < lo || hi > n then
-    invalid_arg
-      (Printf.sprintf "%s: bad event range [%d,%d) of a %d-event catalog" ctx
-         lo hi n)
-
-let range_name base ~lo ~hi = Printf.sprintf "%s[%d,%d)" base lo hi
-
 (* The compiled catalogs, built on first use.  They do not depend on
-   the seed, so every builder, shard and domain shares them. *)
+   the seed, so every benchmark, shard and domain shares them. *)
 let sapphire_rapids =
   Once.once (fun () -> Hwsim.Machine.compile Hwsim.Catalog_sapphire_rapids.events)
 
 let mi250x = Once.once (fun () -> Hwsim.Machine.compile Hwsim.Catalog_mi250x.events)
 let zen = Once.once (fun () -> Hwsim.Machine.compile Hwsim.Catalog_zen.events)
 
-(* One reading is derived from (seed, event name, repetition, row) —
-   see Hwsim.Machine — so measuring only the events in [lo, hi) yields
-   bit-identical vectors to the whole-catalog build: the shard is a
-   restriction, never a re-randomization. *)
-let of_activities_range ~name ~seed ~reps ~catalog ~lo ~hi ~rows ~row_labels =
-  let total = Hwsim.Machine.size catalog in
-  check_range ~ctx:"Dataset.of_activities_range" ~lo ~hi catalog;
-  Obs.span "dataset-build" (fun () ->
-      Obs.attr_str "dataset" name;
-      Obs.attr_int "reps" reps;
-      if lo <> 0 || hi <> total then begin
-        Obs.attr_int "lo" lo;
-        Obs.attr_int "hi" hi
-      end;
-      let rows =
-        Obs.span "activities" (fun () ->
-            Array.map (Hwsim.Machine.row catalog) (rows ()))
-      in
-      let nrows = Array.length rows in
-      if nrows <> Array.length row_labels then
-        invalid_arg "Dataset.of_activities_range: rows/labels mismatch";
-      let measurements =
-        Obs.span "readings" @@ fun () ->
-        List.init (hi - lo) (fun j ->
-            let i = lo + j in
-            if Obs.enabled () then begin
-              Obs.incr "dataset.events_measured";
-              Obs.add "dataset.repetitions" (float_of_int reps);
-              (* Each repetition is one sweep, read as one vector. *)
-              Obs.add "hwsim.event_sweeps" (float_of_int reps);
-              Obs.add "hwsim.kernel_runs" (float_of_int (reps * nrows))
-            end;
-            {
-              event = Hwsim.Machine.event catalog i;
-              reps =
-                List.init reps (fun rep ->
-                    Hwsim.Machine.sweep catalog ~seed ~rep i rows);
-            })
-      in
-      { name; row_labels; reps; measurements })
+let kernel_bench ~name ~seed ~catalog ~rows ~row_labels =
+  {
+    name;
+    seeds = [| seed |];
+    catalog;
+    rows = Kernels rows;
+    row_labels;
+    reduce = `Median;
+  }
 
-(* Compatibility wrapper: the whole catalog is the full range. *)
-let of_activities ~name ~seed ~reps ~catalog ~rows ~row_labels =
-  of_activities_range ~name ~seed ~reps ~catalog ~lo:0
-    ~hi:(Hwsim.Machine.size catalog) ~rows ~row_labels
+let cpu_flops_bench =
+  kernel_bench ~name:"cpu-flops" ~seed:"cat-cpu-flops" ~catalog:sapphire_rapids
+    ~rows:Flops_kernels.rows ~row_labels:Flops_kernels.row_labels
 
-let memo f =
-  (* Datasets at default repetitions are deterministic: build once. *)
-  let cache = ref None in
-  fun ?(reps = default_reps) () ->
-    if reps = default_reps then begin
-      match !cache with
-      | Some d -> d
-      | None ->
-        let d = f ~reps in
-        cache := Some d;
-        d
-    end
-    else f ~reps
+let branch_bench =
+  kernel_bench ~name:"branch" ~seed:"cat-branch" ~catalog:sapphire_rapids
+    ~rows:Branch_kernels.rows ~row_labels:Branch_kernels.row_labels
 
-let cpu_flops =
-  memo (fun ~reps ->
-      of_activities ~name:"cpu-flops" ~seed:"cat-cpu-flops" ~reps
-        ~catalog:(sapphire_rapids ()) ~rows:Flops_kernels.rows
-        ~row_labels:Flops_kernels.row_labels)
-
-let branch =
-  memo (fun ~reps ->
-      of_activities ~name:"branch" ~seed:"cat-branch" ~reps
-        ~catalog:(sapphire_rapids ()) ~rows:Branch_kernels.rows
-        ~row_labels:Branch_kernels.row_labels)
-
-let gpu_flops =
-  memo (fun ~reps ->
-      of_activities ~name:"gpu-flops" ~seed:"cat-gpu-flops" ~reps
-        ~catalog:(mi250x ()) ~rows:Gpu_kernels.rows
-        ~row_labels:Gpu_kernels.row_labels)
-
-let zen_flops =
-  memo (fun ~reps ->
-      of_activities ~name:"zen-flops" ~seed:"cat-zen-flops" ~reps
-        ~catalog:(zen ()) ~rows:Flops_kernels.rows
-        ~row_labels:Flops_kernels.row_labels)
-
-(* Range variants of the four catalog-wide builders: measure only the
-   events at catalog positions [lo, hi).  Same seeds, same rows — a
-   shard's vectors are bit-identical to the corresponding slice of the
-   whole-catalog dataset. *)
-
-let cpu_flops_range ?(reps = default_reps) ~lo ~hi () =
-  of_activities_range
-    ~name:(range_name "cpu-flops" ~lo ~hi)
-    ~seed:"cat-cpu-flops" ~reps ~catalog:(sapphire_rapids ())
-    ~lo ~hi ~rows:Flops_kernels.rows ~row_labels:Flops_kernels.row_labels
-
-let branch_range ?(reps = default_reps) ~lo ~hi () =
-  of_activities_range
-    ~name:(range_name "branch" ~lo ~hi)
-    ~seed:"cat-branch" ~reps ~catalog:(sapphire_rapids ()) ~lo
-    ~hi ~rows:Branch_kernels.rows ~row_labels:Branch_kernels.row_labels
-
-let gpu_flops_range ?(reps = default_reps) ~lo ~hi () =
-  of_activities_range
-    ~name:(range_name "gpu-flops" ~lo ~hi)
-    ~seed:"cat-gpu-flops" ~reps ~catalog:(mi250x ()) ~lo ~hi
+let gpu_flops_bench =
+  kernel_bench ~name:"gpu-flops" ~seed:"cat-gpu-flops" ~catalog:mi250x
     ~rows:Gpu_kernels.rows ~row_labels:Gpu_kernels.row_labels
+
+let zen_flops_bench =
+  kernel_bench ~name:"zen-flops" ~seed:"cat-zen-flops" ~catalog:zen
+    ~rows:Flops_kernels.rows ~row_labels:Flops_kernels.row_labels
 
 (* The thread activities are a function of (kernel config, rep,
    thread) only — independent of which events a build measures — so
@@ -147,7 +70,7 @@ let gpu_flops_range ?(reps = default_reps) ~lo ~hi () =
    may run them in any order and place. *)
 let dcache_cache = ref None
 
-let dcache_activities_on executor ~reps =
+let dcache_activities executor ~reps =
   match !dcache_cache with
   | Some (r, a) when r = reps -> a
   | _ ->
@@ -174,53 +97,84 @@ let dcache_activities_on executor ~reps =
     dcache_cache := Some (reps, a);
     a
 
-let dcache_activities ~reps = dcache_activities_on Executor.Seq ~reps
+let dcache_bench =
+  {
+    name = "dcache";
+    seeds = Array.init Cache_kernels.threads (Printf.sprintf "cat-dcache/thread=%d");
+    catalog = sapphire_rapids;
+    rows = Threads dcache_activities;
+    row_labels = Cache_kernels.row_labels;
+    reduce = `Median;
+  }
 
-(* Pre-force the activity cache from the calling (main) domain before
-   shard builders run on worker domains: the workers then only read
-   the populated cache.  (A concurrent miss would be benign — every
-   builder computes the same arrays and the cache write is a single
-   pointer store — but wasteful.) *)
-let prewarm_dcache ~reps = ignore (dcache_activities ~reps)
+(* Force the catalog, then the shared row table, from the calling
+   domain: shard builds on worker domains then only read them.  (A
+   concurrent miss of the dcache cache would be benign — every build
+   computes the same arrays and the cache write is a single pointer
+   store — but wasteful.)  A kernel table's dense rows are not built
+   here: they are cheap, and each collection builds its own. *)
+let prewarm ~executor ~reps b =
+  ignore (b.catalog ());
+  match b.rows with
+  | Kernels table -> ignore (table ())
+  | Threads rows -> ignore (rows executor ~reps)
 
-let prewarm_dcache_on executor ~reps = ignore (dcache_activities_on executor ~reps)
+let prewarm_dcache ~reps = prewarm ~executor:Executor.Seq ~reps dcache_bench
 
-let dcache_build ?(lo = 0) ?hi ~reduce ~reps () =
-  let catalog = sapphire_rapids () in
+(* One reading is derived from (seed, event name, repetition, row) —
+   see Hwsim.Machine — so measuring only the events in [lo, hi) yields
+   bit-identical vectors to the whole-catalog build: a range is a
+   restriction, never a re-randomization. *)
+let collect ?(reps = default_reps) ?(lo = 0) ?hi b =
+  let catalog = b.catalog () in
   let total = Hwsim.Machine.size catalog in
   let hi = Option.value hi ~default:total in
-  check_range ~ctx:"Dataset.dcache_range" ~lo ~hi catalog;
+  if lo < 0 || hi < lo || hi > total then
+    invalid_arg
+      (Printf.sprintf "Dataset.collect: bad event range [%d,%d) of a %d-event catalog"
+         lo hi total);
+  let whole = lo = 0 && hi = total in
   let name =
-    if lo = 0 && hi = total then "dcache" else range_name "dcache" ~lo ~hi
+    if whole then b.name else Printf.sprintf "%s[%d,%d)" b.name lo hi
   in
   Obs.span "dataset-build" @@ fun () ->
   Obs.attr_str "dataset" name;
   Obs.attr_int "reps" reps;
-  if lo <> 0 || hi <> total then begin
+  if not whole then begin
     Obs.attr_int "lo" lo;
     Obs.attr_int "hi" hi
   end;
-  let nrows = Array.length Cache_kernels.row_labels in
-  let activities = Obs.span "activities" (fun () -> dcache_activities ~reps) in
-  let thread_seeds =
-    Array.init Cache_kernels.threads (Printf.sprintf "cat-dcache/thread=%d")
+  (* [rows.(rep).(thread).(row)]: a kernel table is one thread's
+     rows, the same at every repetition. *)
+  let rows =
+    Obs.span "activities" (fun () ->
+        match b.rows with
+        | Kernels table ->
+          Array.make reps [| Array.map (Hwsim.Machine.row catalog) (table ()) |]
+        | Threads rows -> rows Executor.Seq ~reps)
   in
-  let reduce_thread_readings readings =
-    match reduce with
-    | `Median -> Numkit.Stats.median readings
-    | `Mean -> Numkit.Stats.mean readings
+  let threads = Array.length b.seeds and nrows = Array.length b.row_labels in
+  if Array.exists (Array.exists (fun r -> Array.length r <> nrows)) rows then
+    invalid_arg "Dataset.collect: rows/labels mismatch";
+  let reduce =
+    match b.reduce with
+    | `Median -> Numkit.Stats.median
+    | `Mean -> Numkit.Stats.mean
   in
-  (* One sweep per thread over its rows, then each row's readings are
-     reduced across the threads, in thread order. *)
+  (* One sweep per thread over its rows; with several threads, each
+     row's readings are reduced across them, in thread order.  One
+     thread's repetition allocates nothing beside its sweep: more
+     per-sweep garbage shifts the minor collections, and with them
+     gpu-flops' peak heap (+0.2 MB seen). *)
+  let sweep i rep thread =
+    Hwsim.Machine.sweep catalog ~seed:b.seeds.(thread) ~rep i rows.(rep).(thread)
+  in
   let measure_rep i rep =
-    let per_thread =
-      Array.mapi
-        (fun thread rows ->
-          Hwsim.Machine.sweep catalog ~seed:thread_seeds.(thread) ~rep i rows)
-        activities.(rep)
-    in
-    Array.init nrows (fun row ->
-        reduce_thread_readings (Array.map (fun v -> v.(row)) per_thread))
+    if threads = 1 then sweep i rep 0
+    else begin
+      let per_thread = Array.init threads (sweep i rep) in
+      Array.init nrows (fun row -> reduce (Array.map (fun v -> v.(row)) per_thread))
+    end
   in
   let measurements =
     Obs.span "readings" @@ fun () ->
@@ -229,27 +183,20 @@ let dcache_build ?(lo = 0) ?hi ~reduce ~reps () =
         if Obs.enabled () then begin
           Obs.incr "dataset.events_measured";
           Obs.add "dataset.repetitions" (float_of_int reps);
-          Obs.add "dataset.thread_reductions"
-            (float_of_int (reps * nrows))
+          (* Each repetition is one sweep per thread, read as one vector. *)
+          Obs.add "hwsim.event_sweeps" (float_of_int (reps * threads));
+          Obs.add "hwsim.kernel_runs" (float_of_int (reps * threads * nrows));
+          if threads > 1 then
+            Obs.add "dataset.thread_reductions" (float_of_int (reps * nrows))
         end;
         {
           event = Hwsim.Machine.event catalog i;
           reps = List.init reps (measure_rep i);
         })
   in
-  {
-    name;
-    row_labels = Cache_kernels.row_labels;
-    reps;
-    measurements;
-  }
+  { name; row_labels = b.row_labels; reps; measurements }
 
-let dcache = memo (fun ~reps -> dcache_build ~reduce:`Median ~reps ())
-
-let dcache_range ?(reps = default_reps) ~lo ~hi () =
-  dcache_build ~lo ~hi ~reduce:`Median ~reps ()
-
-let dcache_reduced ?(reps = default_reps) reduce = dcache_build ~reduce ~reps ()
+let cpu_flops ?reps () = collect ?reps cpu_flops_bench
 
 let find t name =
   List.find (fun (m : measurement) -> m.event.Hwsim.Event.name = name) t.measurements

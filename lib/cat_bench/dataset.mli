@@ -6,6 +6,32 @@
     benchmark under PAPI produces — one measurement vector per event
     per repetition, nothing else. *)
 
+(** Where a benchmark's rows come from. *)
+type rows =
+  | Kernels of (unit -> Hwsim.Activity.t array)
+      (** One kernel table, measured by one thread: the same rows at
+          every repetition. *)
+  | Threads of (Executor.t -> reps:int -> float array array array array)
+      (** Per-repetition, per-thread dense rows of the catalog,
+          [rows.(rep).(thread).(row)], whose simulations may run on
+          the executor given. *)
+
+type bench = {
+  name : string;
+  seeds : string array;
+      (** One noise seed per measuring thread ([Kernels] rows: one). *)
+  catalog : unit -> Hwsim.Machine.catalog;
+      (** Compiled on first use (safely from several domains) and
+          shared by every benchmark on the same machine. *)
+  rows : rows;
+  row_labels : string array;
+  reduce : [ `Median | `Mean ];
+      (** How one row's readings across several threads become one
+          value; unused with one thread. *)
+}
+(** A CAT benchmark: what {!collect} runs and how its readings are
+    seeded and reduced. *)
+
 type measurement = {
   event : Hwsim.Event.t;
   reps : float array list;  (** One vector per repetition. *)
@@ -21,90 +47,57 @@ type t = {
 val default_reps : int
 (** 5 repetitions, as a CAT campaign would use. *)
 
-val sapphire_rapids : unit -> Hwsim.Machine.catalog
-(** {!Hwsim.Catalog_sapphire_rapids}, compiled on first use (safely
-    from several domains) and shared by every builder. *)
-
-val mi250x : unit -> Hwsim.Machine.catalog
-(** {!Hwsim.Catalog_mi250x}, compiled on first use. *)
-
-val zen : unit -> Hwsim.Machine.catalog
-(** {!Hwsim.Catalog_zen}, compiled on first use. *)
-
-val of_activities_range :
-  name:string -> seed:string -> reps:int -> catalog:Hwsim.Machine.catalog ->
-  lo:int -> hi:int -> rows:(unit -> Hwsim.Activity.t array) ->
-  row_labels:string array -> t
-(** Range-based collection, the primitive behind catalog sharding:
-    measure only the events at catalog positions [lo, hi) (0-based,
-    half-open) over every row, [reps] times, with noise streams
-    derived from [seed].  Because a reading's noise stream is keyed by
-    [(seed, event name, rep, row)], the shard's vectors are
-    bit-identical to the corresponding slice of the whole-catalog
-    dataset.  [rows ()] gives the per-row activities; it is called
-    inside the [dataset-build] span, in a child span [activities]
-    that also turns them into dense rows, and the readings (one
-    {!Hwsim.Machine.sweep} per event and repetition) are taken in a
-    second child span [readings].  Raises [Invalid_argument] on an
-    out-of-bounds range. *)
-
-val of_activities :
-  name:string -> seed:string -> reps:int -> catalog:Hwsim.Machine.catalog ->
-  rows:(unit -> Hwsim.Activity.t array) -> row_labels:string array -> t
-(** Whole-catalog collection: {!of_activities_range} over the full
-    range (kept as the compatibility entry point). *)
-
-val cpu_flops : ?reps:int -> unit -> t
+val cpu_flops_bench : bench
 (** CPU-FLOPs benchmark on the Sapphire Rapids catalog (48 rows). *)
 
-val branch : ?reps:int -> unit -> t
+val branch_bench : bench
 (** Branching benchmark on the Sapphire Rapids catalog (11 rows). *)
 
-val gpu_flops : ?reps:int -> unit -> t
+val gpu_flops_bench : bench
 (** GPU-FLOPs benchmark on the MI250X catalog (45 rows). *)
 
-val zen_flops : ?reps:int -> unit -> t
+val zen_flops_bench : bench
 (** The same CPU-FLOPs benchmark run on the simulated AMD Zen-class
     machine ([Hwsim.Catalog_zen]) — input for the cross-architecture
     portability demonstration. *)
 
-val dcache : ?reps:int -> unit -> t
-(** Data-cache benchmark on the Sapphire Rapids catalog (16 rows).
-    Each repetition's vector entry is the {e median} across the 8
-    measuring threads, the noise-suppression step of Section IV. *)
+val dcache_bench : bench
+(** Data-cache benchmark on the Sapphire Rapids catalog (16 rows),
+    measured by 8 threads.  Each repetition's vector entry is the
+    {e median} across the threads, the noise-suppression step of
+    Section IV; [{ dcache_bench with reduce = `Mean }] is the
+    ablation showing why.  Its rows are the per-thread kernel
+    activities, simulated once per repetition count and shared by
+    every collection (they depend only on kernel config, repetition
+    and thread). *)
 
-(** {2 Shard collection}
+val collect : ?reps:int -> ?lo:int -> ?hi:int -> bench -> t
+(** Run the benchmark [reps] times (default {!default_reps}) and
+    measure the events at catalog positions [lo, hi) (0-based,
+    half-open; default the whole catalog) over every row: one
+    {!Hwsim.Machine.sweep} per event, repetition and thread.  Because
+    a reading's noise stream is keyed by [(seed, event name, rep,
+    row)], a range's vectors are bit-identical to the corresponding
+    slice of the whole-catalog dataset.  The rows are taken in a
+    child span [activities] of the [dataset-build] span and the
+    readings in a second child span [readings].  A range's dataset
+    is named [name\[lo,hi)].  Raises [Invalid_argument] on an
+    out-of-bounds range. *)
 
-    One builder per benchmark, measuring only the catalog events at
-    positions [lo, hi).  These are what {!Core.Stage.collect_shard}
-    drives; each produces vectors bit-identical to the corresponding
-    slice of the whole-catalog dataset (same seeds, same rows). *)
-
-val cpu_flops_range : ?reps:int -> lo:int -> hi:int -> unit -> t
-val branch_range : ?reps:int -> lo:int -> hi:int -> unit -> t
-val gpu_flops_range : ?reps:int -> lo:int -> hi:int -> unit -> t
-
-val dcache_range : ?reps:int -> lo:int -> hi:int -> unit -> t
-(** Data-cache shard.  The per-thread kernel activities are shared
-    across shards of the same campaign (they depend only on kernel
-    config, repetition and thread), so sharding does not re-simulate
-    the benchmark differently. *)
+val prewarm : executor:Executor.t -> reps:int -> bench -> unit
+(** Force the benchmark's catalog and then its shared row table (the
+    kernel table, or the [Threads] rows with their simulations run on
+    [executor]) from the calling domain, so that collections on worker
+    domains only read them.  The rows are the same whatever the
+    executor. *)
 
 val prewarm_dcache : reps:int -> unit
-(** Force the shared activity cache from the calling domain.  The
-    parallel shard front calls this before dispatching dcache shards
-    to worker domains, so the one module-level cache in this library
-    is only ever read concurrently, never raced on. *)
+(** {!prewarm} of {!dcache_bench} on the calling domain alone (the
+    benchmark probe times the dcache simulations with it). *)
 
-val prewarm_dcache_on : Executor.t -> reps:int -> unit
-(** {!prewarm_dcache} with the pointer-chase simulations run on
-    [executor]: one task per (repetition, row, thread).  The cached
-    arrays are the same whatever the executor. *)
-
-val dcache_reduced : ?reps:int -> [ `Median | `Mean ] -> t
-(** The data-cache benchmark with an explicit thread-reduction
-    choice; [`Mean] is the ablation showing why the paper uses the
-    median. *)
+val cpu_flops : ?reps:int -> unit -> t
+(** [collect ?reps cpu_flops_bench]: the real events the benchmark
+    probe's seeded wide CSV is built around. *)
 
 val find : t -> string -> measurement
 (** Lookup a measurement by event name; raises [Not_found]. *)

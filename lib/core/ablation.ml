@@ -26,8 +26,7 @@ type alpha_point = {
   matches_paper : bool;
 }
 
-let alpha_sweep ?manifest category ~alphas =
-  let dataset = Category.dataset category in
+let alpha_sweep ?manifest ~dataset category ~alphas =
   List.map
     (fun alpha ->
       let config = { (Pipeline.default_config category) with Pipeline.alpha } in
@@ -48,8 +47,7 @@ type tau_point = {
   chosen : string list;
 }
 
-let tau_sweep ?manifest category ~taus =
-  let dataset = Category.dataset category in
+let tau_sweep ?manifest ~dataset category ~taus =
   List.map
     (fun tau ->
       let config = { (Pipeline.default_config category) with Pipeline.tau } in
@@ -83,7 +81,10 @@ let coefficient_deviation (metrics : Metric_solver.metric_def list) =
 let thread_reduction_comparison ?manifest () =
   List.map
     (fun reduction ->
-      let dataset = Cat_bench.Dataset.dcache_reduced reduction in
+      let dataset =
+        Cat_bench.Dataset.collect
+          { Cat_bench.Dataset.dcache_bench with reduce = reduction }
+      in
       let r =
         run_on ?manifest
           ~config:(Pipeline.default_config Category.Dcache)
@@ -106,8 +107,7 @@ type measure_point = {
   chosen : string list;
 }
 
-let noise_measure_comparison category =
-  let dataset = Category.dataset category in
+let noise_measure_comparison ~dataset category =
   let basis = Category.basis category in
   let config = Pipeline.default_config category in
   List.map
@@ -210,11 +210,13 @@ let predictor_comparison ?manifest () =
     (fun kind ->
       let rows = Cat_bench.Branch_kernels.rows_with_predictor kind in
       let dataset =
-        Cat_bench.Dataset.of_activities ~name:"branch-predictor-ablation"
-          ~seed:("cat-branch-" ^ Branchsim.Predictor.kind_name kind)
-          ~reps:Cat_bench.Dataset.default_reps
-          ~catalog:(Cat_bench.Dataset.sapphire_rapids ()) ~rows:(fun () -> rows)
-          ~row_labels:Cat_bench.Branch_kernels.row_labels
+        Cat_bench.Dataset.collect
+          {
+            Cat_bench.Dataset.branch_bench with
+            name = "branch-predictor-ablation";
+            seeds = [| "cat-branch-" ^ Branchsim.Predictor.kind_name kind |];
+            rows = Cat_bench.Dataset.Kernels (fun () -> rows);
+          }
       in
       let basis = Expectation.of_ideals (Cat_bench.Ideal.branch_of_rows rows) in
       let r =
@@ -242,9 +244,12 @@ let predictor_comparison ?manifest () =
 let summary ?manifest () =
   let buf = Buffer.create 8192 in
   let pr fmt = Printf.bprintf buf fmt in
+  (* Each category's dataset is collected once, for every sweep over it. *)
+  let datasets = List.map (fun c -> (c, Category.dataset c)) Category.all in
+  let branch = List.assoc Category.Branch datasets in
   pr "== Ablation: alpha sweep (Section V-E) ==\n";
   List.iter
-    (fun category ->
+    (fun (category, dataset) ->
       let alphas =
         match category with
         | Category.Dcache -> [ 2.5e-2; 4e-2; 5e-2; 1e-1 ]
@@ -255,14 +260,14 @@ let summary ?manifest () =
           pr "  %-10s alpha=%-8g matches-paper=%b (%d events)\n"
             (Category.name category) p.alpha p.matches_paper
             (List.length p.chosen))
-        (alpha_sweep ?manifest category ~alphas))
-    Category.all;
+        (alpha_sweep ?manifest ~dataset category ~alphas))
+    datasets;
   pr "\n== Ablation: tau sweep (Section IV) ==\n";
   List.iter
     (fun p ->
       pr "  branch tau=%-8g kept=%-4d noisy=%-4d chosen=%d\n" p.tau p.kept
         p.too_noisy (List.length p.chosen))
-    (tau_sweep ?manifest Category.Branch
+    (tau_sweep ?manifest ~dataset:branch Category.Branch
        ~taus:[ 1e-14; 1e-10; 1e-6; 1e-2; 1.0 ]);
   pr "\n== Ablation: thread reduction for cache data ==\n";
   List.iter
@@ -277,7 +282,7 @@ let summary ?manifest () =
       pr "  branch %-20s kept=%-4d chosen=%d\n"
         (Noise_filter.measure_name p.measure)
         p.kept (List.length p.chosen))
-    (noise_measure_comparison Category.Branch);
+    (noise_measure_comparison ~dataset:branch Category.Branch);
   pr "\n== Ablation: counter multiplexing ==\n";
   List.iter
     (fun p ->

@@ -16,11 +16,11 @@ type alpha_point = {
 }
 
 val alpha_sweep :
-  ?manifest:(Obs.Manifest.t -> unit) -> Category.t -> alphas:float list ->
-  alpha_point list
-(** Runs the pipeline at each α on one collection of the category's
-    dataset ({!Pipeline.run_custom}) and compares the chosen-event set
-    to the paper's. *)
+  ?manifest:(Obs.Manifest.t -> unit) -> dataset:Cat_bench.Dataset.t ->
+  Category.t -> alphas:float list -> alpha_point list
+(** Runs the pipeline at each α on [dataset], one collection of the
+    category's benchmark ({!Pipeline.run_custom}), and compares the
+    chosen-event set to the paper's. *)
 
 type tau_point = {
   tau : float;
@@ -30,10 +30,9 @@ type tau_point = {
 }
 
 val tau_sweep :
-  ?manifest:(Obs.Manifest.t -> unit) -> Category.t -> taus:float list ->
-  tau_point list
-(** Runs the pipeline at each τ on one collection of the category's
-    dataset, like {!alpha_sweep}. *)
+  ?manifest:(Obs.Manifest.t -> unit) -> dataset:Cat_bench.Dataset.t ->
+  Category.t -> taus:float list -> tau_point list
+(** Runs the pipeline at each τ on [dataset], like {!alpha_sweep}. *)
 
 type reduction_point = {
   reduction : [ `Median | `Mean ];
@@ -53,8 +52,10 @@ type measure_point = {
   chosen : string list;
 }
 
-val noise_measure_comparison : Category.t -> measure_point list
-(** The three variability measures on one category's data. *)
+val noise_measure_comparison :
+  dataset:Cat_bench.Dataset.t -> Category.t -> measure_point list
+(** The three variability measures on [dataset], one collection of
+    the category's benchmark. *)
 
 type multiplex_point = {
   counters : int;
@@ -80,4 +81,5 @@ val predictor_comparison :
   ?manifest:(Obs.Manifest.t -> unit) -> unit -> predictor_point list
 
 val summary : ?manifest:(Obs.Manifest.t -> unit) -> unit -> string
-(** All ablations, formatted. *)
+(** All ablations, formatted.  Each category's dataset is collected
+    once for every sweep over it. *)

@@ -55,14 +55,11 @@ let suggest ?floor series =
 let series_of dataset =
   Noise_filter.variability_series (Noise_filter.classify ~tau:infinity dataset)
 
-let category_series category = series_of (Category.dataset category)
-
-let for_category category = suggest (category_series category)
+let for_dataset dataset = suggest (series_of dataset)
 
 (* The probes re-analyse the dataset the series came from: collected
    once, then only the stages after collection run per candidate. *)
-let select ?(max_attempts = 10) ~category ~min_rank () =
-  let dataset = Category.dataset category in
+let select ?(max_attempts = 10) ~category ~dataset ~min_rank () =
   let candidates = bands (series_of dataset) in
   let rec walk attempts = function
     | [] -> raise Not_found

@@ -28,9 +28,9 @@ val suggest : ?floor:float -> (string * float) array -> suggestion
     [Invalid_argument] on an empty series or one with no positive
     variability (no threshold needed). *)
 
-val for_category : Category.t -> suggestion
-(** Measure the category's dataset and suggest its τ.  Note the cache
-    caveat below. *)
+val for_dataset : Cat_bench.Dataset.t -> suggestion
+(** Suggest the τ of a category's dataset.  Note the cache caveat
+    below. *)
 
 val bands : ?floor:float -> (string * float) array -> suggestion list
 (** All candidate thresholds (one per gap between adjacent
@@ -38,12 +38,12 @@ val bands : ?floor:float -> (string * float) array -> suggestion list
     search space {!select} walks. *)
 
 val select :
-  ?max_attempts:int -> category:Category.t -> min_rank:int -> unit ->
-  suggestion
-(** Validated selection: walk {!bands} from the widest gap down,
-    run the pipeline at each candidate τ on the one collection of the
-    category's dataset the bands came from ({!Pipeline.run_custom}),
-    and return the first whose
+  ?max_attempts:int -> category:Category.t -> dataset:Cat_bench.Dataset.t ->
+  min_rank:int -> unit -> suggestion
+(** Validated selection: walk {!bands} of [dataset] (one collection
+    of the category's benchmark) from the widest gap down, run the
+    pipeline at each candidate τ on that dataset
+    ({!Pipeline.run_custom}), and return the first whose
     specialized QRCP finds at least [min_rank] independent events.
 
     This is what the cache category needs: its relevant events are

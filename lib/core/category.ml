@@ -27,40 +27,23 @@ let projection_tol = function
   | Cpu_flops | Gpu_flops | Branch -> 0.02
   | Dcache -> 0.05
 
-let dataset ?reps = function
-  | Cpu_flops -> Cat_bench.Dataset.cpu_flops ?reps ()
-  | Gpu_flops -> Cat_bench.Dataset.gpu_flops ?reps ()
-  | Branch -> Cat_bench.Dataset.branch ?reps ()
-  | Dcache -> Cat_bench.Dataset.dcache ?reps ()
-
 let events = function
   | Cpu_flops | Branch | Dcache -> Hwsim.Catalog_sapphire_rapids.events
   | Gpu_flops -> Hwsim.Catalog_mi250x.events
 
 let catalog_size c = List.length (events c)
 
-let dataset_range ?reps ~lo ~hi = function
-  | Cpu_flops -> Cat_bench.Dataset.cpu_flops_range ?reps ~lo ~hi ()
-  | Gpu_flops -> Cat_bench.Dataset.gpu_flops_range ?reps ~lo ~hi ()
-  | Branch -> Cat_bench.Dataset.branch_range ?reps ~lo ~hi ()
-  | Dcache -> Cat_bench.Dataset.dcache_range ?reps ~lo ~hi ()
+let bench = function
+  | Cpu_flops -> Cat_bench.Dataset.cpu_flops_bench
+  | Gpu_flops -> Cat_bench.Dataset.gpu_flops_bench
+  | Branch -> Cat_bench.Dataset.branch_bench
+  | Dcache -> Cat_bench.Dataset.dcache_bench
 
-(* Force the tables the shard builders share, from the calling domain,
-   before shards are dispatched to workers: the compiled catalog, then
-   the row table or activity cache — the order a shard build reaches
-   them in. *)
+let dataset ?reps ?lo ?hi category =
+  Cat_bench.Dataset.collect ?reps ?lo ?hi (bench category)
+
 let prewarm ~executor ~reps category =
-  let warm catalog rows =
-    ignore (catalog ());
-    ignore (rows ())
-  in
-  match category with
-  | Cpu_flops ->
-    warm Cat_bench.Dataset.sapphire_rapids Cat_bench.Flops_kernels.rows
-  | Gpu_flops -> warm Cat_bench.Dataset.mi250x Cat_bench.Gpu_kernels.rows
-  | Branch ->
-    warm Cat_bench.Dataset.sapphire_rapids Cat_bench.Branch_kernels.rows
-  | Dcache -> Cat_bench.Dataset.prewarm_dcache_on executor ~reps
+  Cat_bench.Dataset.prewarm ~executor ~reps (bench category)
 
 let ideals = function
   | Cpu_flops -> Cat_bench.Ideal.cpu_flops ()

@@ -1,9 +1,9 @@
 (** The four benchmark categories and their paper-given parameters.
 
-    Each category bundles: the dataset collector, the expectation
-    basis, the metric signatures, and the thresholds the paper uses —
-    the noise cutoff τ (Section IV) and the QRCP rounding tolerance α
-    (Section V). *)
+    Each category bundles: the benchmark its dataset is collected
+    from, the expectation basis, the metric signatures, and the
+    thresholds the paper uses — the noise cutoff τ (Section IV) and
+    the QRCP rounding tolerance α (Section V). *)
 
 type t = Cpu_flops | Gpu_flops | Branch | Dcache
 
@@ -28,8 +28,6 @@ val projection_tol : t -> float
     "too large" least-squares error are disregarded; 2% (5% for the
     noisy cache data) implements that. *)
 
-val dataset : ?reps:int -> t -> Cat_bench.Dataset.t
-
 val events : t -> Hwsim.Event.t list
 (** The category's event catalog, in catalog order (the order every
     dataset, ledger and shard range refers to). *)
@@ -37,19 +35,22 @@ val events : t -> Hwsim.Event.t list
 val catalog_size : t -> int
 (** [List.length (events t)] — the [total] that shard ranges cover. *)
 
-val dataset_range : ?reps:int -> lo:int -> hi:int -> t -> Cat_bench.Dataset.t
-(** The category's dataset restricted to catalog positions [lo, hi):
-    bit-identical to the corresponding slice of {!dataset} (same
-    seeds, same benchmark rows).  Raises [Invalid_argument] on an
-    out-of-bounds range. *)
+val bench : t -> Cat_bench.Dataset.bench
+(** The CAT benchmark the category's dataset is collected from. *)
+
+val dataset : ?reps:int -> ?lo:int -> ?hi:int -> t -> Cat_bench.Dataset.t
+(** [Cat_bench.Dataset.collect] of the category's benchmark: its
+    events at catalog positions [lo, hi), by default all of them.  A
+    range is bit-identical to the corresponding slice of the whole
+    dataset (same seeds, same benchmark rows).  Raises
+    [Invalid_argument] on an out-of-bounds range. *)
 
 val prewarm : executor:Exec.t -> reps:int -> t -> unit
-(** Force the tables the category's shard builders share, from the
-    calling domain, before shards are dispatched: the compiled catalog
-    and then the kernel row table of cpu-flops, gpu-flops and branch,
-    or the dcache activity arrays (whose build compiles the catalog
-    first).  The dcache simulations run on [executor]; the other
-    tables are built on the calling domain. *)
+(** [Cat_bench.Dataset.prewarm] of the category's benchmark: force
+    the tables its range collections share, from the calling domain,
+    before shards are dispatched — the compiled catalog and then the
+    rows (for dcache, the activity arrays, whose simulations run on
+    [executor]). *)
 
 val ideals : t -> Cat_bench.Ideal.ideal list
 

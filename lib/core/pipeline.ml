@@ -29,13 +29,11 @@ type result = Stage.result = {
 let run_custom ?(executor = Exec.Seq) ?manifest ~config ~category ~dataset
     ~basis ~signatures () =
   Stage.with_manifest ?manifest ~source:"pipeline-custom" ~category ~config
-    ~shards:1 ~jobs:(Exec.jobs executor) (fun () ->
-      ( Obs.span "pipeline" (fun () ->
-            Obs.attr_str "category" (Category.name category);
-            let classified = Stage.classify ~config dataset in
-            Stage.downstream ~config ~category ~basis ~signatures ~classified
-              ()),
-        [] ))
+    ~shards:1 ~jobs:(Exec.jobs executor) ~inputs:[] (fun () ->
+      Obs.span "pipeline" (fun () ->
+          Obs.attr_str "category" (Category.name category);
+          let classified = Stage.classify ~config dataset in
+          Stage.downstream ~config ~category ~basis ~signatures ~classified ()))
 
 let run ?config ?(shards = 1) ?(executor = Exec.Seq) ?manifest category =
   let config =
@@ -43,19 +41,14 @@ let run ?config ?(shards = 1) ?(executor = Exec.Seq) ?manifest category =
   in
   if shards < 1 then invalid_arg "Pipeline.run: shards < 1";
   Stage.with_manifest ?manifest ~source:"pipeline" ~category ~config ~shards
-    ~jobs:(Exec.jobs executor) (fun () ->
+    ~jobs:(Exec.jobs executor) ~inputs:[] (fun () ->
       Obs.span "pipeline" (fun () ->
           Obs.attr_str "category" (Category.name category);
           if Obs.enabled () then Obs.attr_int "shards" shards;
-          let front =
-            Stage.run_front ~config ~executor category
-              (Stage.shard_ranges ~shards
-                 ~total:(Category.catalog_size category))
-          in
-          (* A one-range front's shard is the whole catalog: the
-             manifest hashes shards only when the catalog is split. *)
-          ( Stage.run_merged ~category front,
-            if shards = 1 then [] else front )))
+          Stage.run_merged ~category
+            (Stage.run_front ~config ~executor category
+               (Stage.shard_ranges ~shards
+                  ~total:(Category.catalog_size category)))))
 
 let ledger = Stage.ledger
 

@@ -52,8 +52,8 @@ val run :
     stages.  The outputs — chosen events, metric definitions,
     provenance ledger — are bit-identical for every shard count and
     executor.  With [manifest], the run's manifest (see
-    {!Stage.with_manifest}, jobs taken from [executor], every
-    in-process shard hashed when [shards > 1]) is handed to it.  Raises
+    {!Stage.with_manifest}, jobs taken from [executor], no in-process
+    shard hashed) is handed to it.  Raises
     [Invalid_argument] if [shards < 1].  The pipeline does no
     pre-flight lint of its own: a caller that wants the gate runs
     [Check.gate] first. *)

@@ -81,12 +81,9 @@ type classified_shard = {
   entries : Noise_filter.classified list;  (* catalog order within range *)
 }
 
+(* [Category.dataset] rejects an out-of-bounds range. *)
 let collect_shard ?(reps = Cat_bench.Dataset.default_reps) category range =
   let total = Category.catalog_size category in
-  if range.lo < 0 || range.hi < range.lo || range.hi > total then
-    invalid_arg
-      (Printf.sprintf "Stage.collect_shard: range %s outside [0,%d)"
-         (range_pp range) total);
   let dataset =
     Obs.span "shard-collect" (fun () ->
         if Obs.enabled () then begin
@@ -94,7 +91,7 @@ let collect_shard ?(reps = Cat_bench.Dataset.default_reps) category range =
           Obs.attr_int "lo" range.lo;
           Obs.attr_int "hi" range.hi
         end;
-        Category.dataset_range ~reps ~lo:range.lo ~hi:range.hi category)
+        Category.dataset ~reps ~lo:range.lo ~hi:range.hi category)
   in
   { shard_range = range; catalog_events = total; dataset }
 
@@ -581,24 +578,23 @@ let shard_equal a b =
   && a.row_labels = b.row_labels
   && List.equal entry_equal a.entries b.entries
 
-(* The manifest scope (see "Run manifests" above); [f] returns the
-   shard artifacts it consumed with its result, hashed here with the
-   codec above. *)
-let with_manifest ?manifest ~source ~category ~config ~shards ~jobs f =
+(* The manifest scope (see "Run manifests" above); [inputs] are the
+   shard artifacts the run reads, hashed here with the codec above. *)
+let with_manifest ?manifest ~source ~category ~config ~shards ~jobs ~inputs f =
   match manifest with
-  | None -> fst (f ())
+  | None -> f ()
   | Some emit ->
     let recorder = Obs.Recorder.create () in
     let sink = Obs.Recorder.sink recorder in
     Obs.install sink;
     let gc_before = Obs.Gc_sample.take () in
-    let r, inputs, gc_delta =
+    let r, gc_delta =
       Fun.protect
         ~finally:(fun () -> Obs.uninstall sink)
         (fun () ->
-          let r, inputs = f () in
+          let r = f () in
           let after = Obs.Gc_sample.take () in
-          (r, inputs, Obs.Gc_sample.delta ~before:gc_before ~after))
+          (r, Obs.Gc_sample.delta ~before:gc_before ~after))
     in
     let l = ledger r in
     let hash json = Obs.Manifest.fnv64_hex (Jsonio.to_string json) in
@@ -650,7 +646,7 @@ let run_merged ?manifest ~category shards =
   | first :: _ ->
     with_manifest ?manifest ~source:"pipeline-merge" ~category
       ~config:first.shard_config ~shards:(List.length shards) ~jobs:1
-      (fun () -> (merge_downstream ~category shards, shards))
+      ~inputs:shards (fun () -> merge_downstream ~category shards)
 
 (* DESIGN.md §11's counter contract, asserted at runtime whenever the
    collector is live: across one front, the shard.events / shard.kept

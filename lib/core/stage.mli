@@ -170,8 +170,8 @@ val downstream :
     (category, machine, jobs, τ/α/β, projection tolerance, reps, shard
     count), per-stage span timings with latency histograms and GC
     deltas, all counters and gauges, the ledger fate totals and
-    content hashes of the shard artifacts the run consumed and of the
-    ledger it produced.  The manifest's [lint] field is left [None]:
+    content hashes of the shard artifacts the run read from files and
+    of the ledger it produced.  The manifest's [lint] field is left [None]:
     a caller that gates the run on a pre-flight lint records its
     summary there itself. *)
 
@@ -182,12 +182,14 @@ val with_manifest :
   config:config ->
   shards:int ->
   jobs:int ->
-  (unit -> result * classified_shard list) ->
+  inputs:classified_shard list ->
+  (unit -> result) ->
   result
-(** [with_manifest ?manifest ... f] runs [f], which returns the result
-    and the shard artifacts it consumed (hashed into the manifest;
-    [\[\]] for a dataset handed in whole), and emits one manifest.  Exactly
-    [fst (f ())] without [manifest].  On exception the recorder is
+(** [with_manifest ?manifest ... ~inputs f] runs [f] and emits one
+    manifest, which hashes the ledger and each shard artifact of
+    [inputs] — the shards the run read from outside the process
+    ([\[\]] for an in-process front or a dataset handed in whole).
+    Exactly [f ()] without [manifest].  On exception the recorder is
     torn down and nothing is emitted.  [jobs] is recorded in the
     manifest config. *)
 

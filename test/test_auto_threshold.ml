@@ -46,7 +46,10 @@ let test_auto_tau_reproduces_clean_categories () =
      the paper's hand-picked 1e-10 keeps. *)
   List.iter
     (fun (category, min_rank, paper_set) ->
-      let s = Core.Auto_threshold.select ~category ~min_rank () in
+      let s =
+        Core.Auto_threshold.select ~category
+          ~dataset:(Core.Category.dataset category) ~min_rank ()
+      in
       let config =
         { (Core.Pipeline.default_config category) with
           Core.Pipeline.tau = s.Core.Auto_threshold.tau }
@@ -64,10 +67,13 @@ let test_auto_tau_cache_walks_to_lenient_band () =
   (* The widest gap keeps only exact (cache-irrelevant) events; the
      validated walk must settle on a lenient τ that still recovers
      the paper's four cache events. *)
-  let naive = Core.Auto_threshold.for_category Core.Category.Dcache in
+  let dataset = Core.Category.(dataset Dcache) in
+  let naive = Core.Auto_threshold.for_dataset dataset in
   Alcotest.(check bool) "naive suggestion keeps almost nothing" true
     (naive.Core.Auto_threshold.below < 20);
-  let s = Core.Auto_threshold.select ~category:Core.Category.Dcache ~min_rank:4 () in
+  let s =
+    Core.Auto_threshold.select ~category:Core.Category.Dcache ~dataset ~min_rank:4 ()
+  in
   Alcotest.(check bool) "validated tau is lenient" true
     (s.Core.Auto_threshold.tau > naive.Core.Auto_threshold.tau);
   let config =
@@ -83,7 +89,7 @@ let test_select_raises_when_unachievable () =
   (try
      ignore
        (Core.Auto_threshold.select ~max_attempts:3 ~category:Core.Category.Branch
-          ~min_rank:50 ());
+          ~dataset:Core.Category.(dataset Branch) ~min_rank:50 ());
      Alcotest.fail "expected Not_found"
    with Not_found -> ())
 

@@ -218,24 +218,20 @@ let test_dataset_shapes () =
         m.reps)
     d.measurements
 
-let test_dataset_memoized () =
-  let a = Cat_bench.Dataset.branch () and b = Cat_bench.Dataset.branch () in
-  Alcotest.(check bool) "same physical dataset" true (a == b)
-
 let test_dataset_deterministic_content () =
-  let d = Cat_bench.Dataset.branch ~reps:2 () in
-  let d' = Cat_bench.Dataset.branch ~reps:2 () in
+  let d = Core.Category.(dataset ~reps:2 Branch) in
+  let d' = Core.Category.(dataset ~reps:2 Branch) in
   let m = Cat_bench.Dataset.find d "BR_INST_RETIRED:COND" in
   let m' = Cat_bench.Dataset.find d' "BR_INST_RETIRED:COND" in
   Alcotest.(check bool) "rebuilt dataset identical" true (m.reps = m'.reps)
 
 let test_dataset_find_missing () =
-  let d = Cat_bench.Dataset.branch () in
+  let d = Core.Category.(dataset Branch) in
   Alcotest.check_raises "missing event" Not_found (fun () ->
       ignore (Cat_bench.Dataset.find d "NO_SUCH_EVENT"))
 
 let test_dataset_csv () =
-  let d = Cat_bench.Dataset.branch () in
+  let d = Core.Category.(dataset Branch) in
   let csv = Cat_bench.Dataset.to_csv d in
   let lines = String.split_on_char '\n' (String.trim csv) in
   Alcotest.(check int) "header + one line per event"
@@ -243,12 +239,37 @@ let test_dataset_csv () =
     (List.length lines)
 
 let test_dcache_dataset_uses_median () =
-  let d = Cat_bench.Dataset.dcache () in
+  let d = Core.Category.(dataset Dcache) in
   Alcotest.(check int) "16 rows" 16 (Array.length d.row_labels);
   let m = Cat_bench.Dataset.find d "MEM_LOAD_RETIRED:L1_HIT" in
   List.iter
     (fun v -> Alcotest.(check int) "16 entries" 16 (Array.length v))
     m.reps
+
+(* A range collection is the matching slice of the whole dataset: its
+   export is the whole export's header and the lines of the events in
+   [lo, hi), in order. *)
+let test_range_is_slice (_, bench) () =
+  let lines d = String.split_on_char '\n' (Cat_bench.Dataset.reps_to_csv d) in
+  let whole = Cat_bench.Dataset.collect bench in
+  let all = Array.of_list (lines whole) in
+  let total = List.length whole.measurements and reps = whole.reps in
+  let third = total / 3 in
+  List.iter
+    (fun (lo, hi) ->
+      let expected =
+        (all.(0) :: Array.to_list (Array.sub all (1 + (lo * reps)) ((hi - lo) * reps)))
+        @ [ "" ]
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "[%d,%d)" lo hi)
+        expected
+        (lines (Cat_bench.Dataset.collect ~lo ~hi bench)))
+    [ (0, third); (third, total); (1, total - 1); (third, third) ]
+
+let range_cases =
+  List.map (fun c -> (Core.Category.name c, Core.Category.bench c)) Core.Category.all
+  @ [ ("dcache mean", { Cat_bench.Dataset.dcache_bench with reduce = `Mean }) ]
 
 let () =
   Alcotest.run "cat_bench"
@@ -292,10 +313,14 @@ let () =
       ( "datasets",
         [
           Alcotest.test_case "shapes" `Slow test_dataset_shapes;
-          Alcotest.test_case "memoized" `Quick test_dataset_memoized;
           Alcotest.test_case "deterministic" `Quick test_dataset_deterministic_content;
           Alcotest.test_case "find missing" `Quick test_dataset_find_missing;
           Alcotest.test_case "csv" `Quick test_dataset_csv;
           Alcotest.test_case "dcache median" `Slow test_dcache_dataset_uses_median;
-        ] );
+        ]
+        @ List.map
+            (fun ((name, _) as case) ->
+              Alcotest.test_case ("range is a slice, " ^ name) `Quick
+                (test_range_is_slice case))
+            range_cases );
     ]

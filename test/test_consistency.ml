@@ -92,7 +92,7 @@ let test_signature_labels_resolve () =
 (* Pipeline invariants under random sub-catalogs                       *)
 (* ------------------------------------------------------------------ *)
 
-let branch_dataset = lazy (Cat_bench.Dataset.branch ())
+let branch_dataset = lazy (Core.Category.(dataset Branch))
 
 let run_on_subset seed =
   let rng = Numkit.Rng.create (Int64.of_int seed) in

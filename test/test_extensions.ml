@@ -10,7 +10,7 @@ let zen_result =
   lazy
     (let config = Core.Pipeline.default_config Core.Category.Cpu_flops in
      Core.Pipeline.run_custom ~config ~category:Core.Category.Cpu_flops
-       ~dataset:(Cat_bench.Dataset.zen_flops ())
+       ~dataset:(Cat_bench.Dataset.collect Cat_bench.Dataset.zen_flops_bench)
        ~basis:(Core.Category.basis Core.Category.Cpu_flops)
        ~signatures:(Core.Category.signatures Core.Category.Cpu_flops) ())
 
@@ -198,7 +198,8 @@ let test_branch_truth () =
 
 let test_alpha_sweep_matches_paper () =
   let points =
-    Core.Ablation.alpha_sweep Core.Category.Branch ~alphas:[ 1e-4; 5e-4; 1e-3 ]
+    Core.Ablation.alpha_sweep ~dataset:Core.Category.(dataset Branch)
+      Core.Category.Branch ~alphas:[ 1e-4; 5e-4; 1e-3 ]
   in
   List.iter
     (fun (p : Core.Ablation.alpha_point) ->
@@ -209,7 +210,8 @@ let test_alpha_sweep_matches_paper () =
 
 let test_tau_sweep_monotone () =
   let points =
-    Core.Ablation.tau_sweep Core.Category.Branch ~taus:[ 1e-10; 1e-2; 1.0 ]
+    Core.Ablation.tau_sweep ~dataset:Core.Category.(dataset Branch)
+      Core.Category.Branch ~taus:[ 1e-10; 1e-2; 1.0 ]
   in
   let kepts = List.map (fun (p : Core.Ablation.tau_point) -> p.kept) points in
   Alcotest.(check bool) "kept count non-decreasing in tau" true
@@ -234,7 +236,10 @@ let test_thread_reduction_both_small () =
 let test_noise_measures_agree_on_branch () =
   (* Branch data is cleanly split, so all three measures keep the
      same events. *)
-  let points = Core.Ablation.noise_measure_comparison Core.Category.Branch in
+  let points =
+    Core.Ablation.noise_measure_comparison
+      ~dataset:Core.Category.(dataset Branch) Core.Category.Branch
+  in
   match points with
   | first :: rest ->
     List.iter

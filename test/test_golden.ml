@@ -181,8 +181,8 @@ let test_stdout (exe, args, expected) () =
     expected (stdout_md5 exe args)
 
 (* A gated two-shard run on two domains: the config records jobs 2 and
-   shards 2, the lint summary is the gate's, the artifacts are the two
-   in-process shards and the ledger.  The gate lints the branch ideals,
+   shards 2, the lint summary is the gate's, the one artifact is the
+   ledger (in-process shards are not hashed).  The gate lints the branch ideals,
    which builds the branch kernel table (span [branchsim]) before the
    run starts, so the run's spans do not include it. *)
 let test_manifest_sharded expected () =
@@ -221,6 +221,28 @@ let test_manifest_merge expected () =
       "qrcp-pivot x4"; "shard-merge x1" ]
     (span_counts m)
 
+(* The shard smoke: the two artifacts [analyze shard] writes, and what
+   [analyze merge] of them prints.  The artifacts pin the shard JSON
+   codec, which no manifest of an in-process run hashes. *)
+let test_shard_smoke (expected_shards, expected_merge) () =
+  let files = [ temp ".s0.json"; temp ".s1.json" ] in
+  List.iteri
+    (fun index out ->
+      run_analyze
+        [ "shard"; "branch"; "--index"; string_of_int index; "--shards"; "2";
+          "-o"; out ])
+    files;
+  let shards =
+    List.map (fun f -> md5 (In_channel.with_open_bin f In_channel.input_all)) files
+  in
+  let merged =
+    stdout_md5 "bin/analyze.exe"
+      (("merge" :: files) @ [ "--show"; "summary,chosen,metrics" ])
+  in
+  List.iter Sys.remove files;
+  Alcotest.(check (list string)) "shard artifacts" expected_shards shards;
+  Alcotest.(check string) "merge stdout" expected_merge merged
+
 let () =
   Alcotest.run "golden"
     [
@@ -244,9 +266,17 @@ let () =
       ( "manifest",
         [
           Alcotest.test_case "branch shards=2 jobs=2 preflight" `Quick
-            (test_manifest_sharded "4df8d16eb496b781cb7b595171ada203");
+            (test_manifest_sharded "1f47a98da56877bb1ed6d5332ead4a87");
           Alcotest.test_case "branch shard+merge" `Quick
             (test_manifest_merge "8ae288352264df866e244641b1f38fc6");
+        ] );
+      ( "shard-smoke",
+        [
+          Alcotest.test_case "branch shards=2 + merge" `Quick
+            (test_shard_smoke
+               ( [ "77120800ace0f74d7f0d3c22d92ba062";
+                   "7235549500f714423e8b1dc9f9332de9" ],
+                 "2d26812fb9c719f155f8b19c4908be21" ));
         ] );
       ( "stdout",
         List.map

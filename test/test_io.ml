@@ -45,7 +45,7 @@ let test_real_dataset_roundtrip_preserves_analysis () =
      the import: identical chosen events and errors.  This is the
      real-data path: measurements from an actual machine enter the
      analysis as CSV. *)
-  let original = Cat_bench.Dataset.branch () in
+  let original = Core.Category.(dataset Branch) in
   let imported =
     Cat_bench.Dataset.of_reps_csv ~name:"branch"
       (Cat_bench.Dataset.reps_to_csv original)

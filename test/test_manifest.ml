@@ -237,14 +237,31 @@ let test_sharded_manifest_coherent () =
     "chosen total matches result"
     (Some (float_of_int (Array.length r.Core.Stage.chosen)))
     (List.assoc_opt "chosen" m.M.totals);
-  (* One content hash per shard artifact plus the ledger. *)
-  Alcotest.(check int) "artifact hashes" 4 (List.length m.M.artifacts);
+  (* In-process shards are not hashed: the one artifact is the ledger. *)
+  Alcotest.(check (list string))
+    "in-process artifacts" [ "ledger" ] (List.map fst m.M.artifacts);
+  (* A merge of shards handed in, as [analyze merge] reads them from
+     files, hashes each of them and the ledger. *)
+  let shards =
+    Core.Stage.run_front ~config:(Core.Stage.default_config category)
+      ~executor:Core.Exec.Seq category
+      (Core.Stage.shard_ranges ~shards:3 ~total:(Core.Category.catalog_size category))
+  in
+  let merged = ref [] in
+  ignore
+    (Core.Stage.run_merged
+       ~manifest:(fun m -> merged := m.M.artifacts)
+       ~category shards);
+  Alcotest.(check (list string))
+    "merge artifacts"
+    [ "ledger"; "shard[0,131)"; "shard[131,262)"; "shard[262,392)" ]
+    (List.map fst !merged);
   List.iter
     (fun (name, hash) ->
       Alcotest.(check int)
         (name ^ " hash is 16 hex digits")
         16 (String.length hash))
-    m.M.artifacts
+    !merged
 
 (* The manifest's totals table is the ledger's stage totals, for every
    fate.  Branch pins the unrepresentable case: two kept events have no

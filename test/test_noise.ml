@@ -106,7 +106,7 @@ let test_counts () =
 
 let test_branch_zero_noise_cluster () =
   let cl =
-    Core.Noise_filter.classify ~tau:1e-10 (Cat_bench.Dataset.branch ())
+    Core.Noise_filter.classify ~tau:1e-10 (Core.Category.(dataset Branch))
   in
   let kept = Core.Noise_filter.kept cl in
   Alcotest.(check bool)
@@ -133,11 +133,11 @@ let test_cache_events_noisier_than_branch () =
     Numkit.Stats.median (Array.of_list vs)
   in
   let branch =
-    med_pos (Core.Noise_filter.classify ~tau:1e-10 (Cat_bench.Dataset.branch ()))
+    med_pos (Core.Noise_filter.classify ~tau:1e-10 (Core.Category.(dataset Branch)))
   in
   ignore branch;
   let cache_cl =
-    Core.Noise_filter.classify ~tau:1e-1 (Cat_bench.Dataset.dcache ())
+    Core.Noise_filter.classify ~tau:1e-1 (Core.Category.(dataset Dcache))
   in
   (* The four cache events the paper selects survive tau = 0.1 ... *)
   List.iter

@@ -117,7 +117,7 @@ let test_trace_report_text () =
 (* ------------------------------------------------------------------ *)
 
 let test_filter_events () =
-  let d = Cat_bench.Dataset.branch () in
+  let d = Core.Category.(dataset Branch) in
   let only_br =
     Cat_bench.Dataset.filter_events
       (fun e ->
@@ -134,7 +134,7 @@ let test_filter_events () =
     only_br.measurements
 
 let test_merge_datasets () =
-  let d = Cat_bench.Dataset.branch () in
+  let d = Core.Category.(dataset Branch) in
   let is_br (e : Hwsim.Event.t) =
     String.length e.Hwsim.Event.name >= 3 && String.sub e.Hwsim.Event.name 0 3 = "BR_"
   in
@@ -146,7 +146,7 @@ let test_merge_datasets () =
     (List.length merged.measurements)
 
 let test_merge_rejects_duplicates () =
-  let d = Cat_bench.Dataset.branch () in
+  let d = Core.Category.(dataset Branch) in
   (try
      ignore (Cat_bench.Dataset.merge d d);
      Alcotest.fail "expected duplicate rejection"
@@ -156,7 +156,7 @@ let test_merged_sessions_reproduce_analysis () =
   (* Split the catalog into counter-sized session groups, merge the
      per-group datasets back, run the pipeline: identical results —
      the session-based measurement path CAT uses. *)
-  let d = Cat_bench.Dataset.branch () in
+  let d = Core.Category.(dataset Branch) in
   let plan = Hwsim.Session.plan ~counters:50 Hwsim.Catalog_sapphire_rapids.events in
   let parts =
     List.map
