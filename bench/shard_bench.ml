@@ -26,8 +26,9 @@
    Usage:
      shard_bench [--smoke] [--out FILE] [--check FILE] [--trajectory FILE]
 
-   [--smoke] runs only shard counts 1 and 2 on the branch category
-   (the [make check] entry point).  [--check FILE] strictly decodes
+   The full run sweeps shard counts 1, 2, 4 and 8 on the branch, dcache
+   and gpu-flops categories.  [--smoke] runs only shard counts 1 and 2
+   on the branch category (the [make check] entry point).  [--check FILE] strictly decodes
    FILE as a bench manifest and exits; it runs no benchmark.
    [--trajectory FILE] appends one JSONL summary line to FILE. *)
 
@@ -247,7 +248,7 @@ let () =
     let categories, shard_counts =
       if !smoke then ([ Core.Category.Branch ], [ 1; 2 ])
       else
-        ( [ Core.Category.Branch; Core.Category.Dcache ],
+        ( Core.Category.[ Branch; Dcache; Gpu_flops ],
           [ 1; 2; 4; 8 ] )
     in
     let colds, samples =
@@ -255,13 +256,13 @@ let () =
     in
     List.iter
       (fun c ->
-        Printf.printf "%-8s cold tables %7.1f ms  %.2fM minor words\n"
+        Printf.printf "%-9s cold tables %7.1f ms  %.2fM minor words\n"
           c.cold_category c.cold_ms (c.cold_minor_words /. 1e6))
       colds;
     List.iter
       (fun s ->
         Printf.printf
-          "%-8s shards=%d  front %7.1f ms  merge+downstream %6.1f ms  peak \
+          "%-9s shards=%d  front %7.1f ms  merge+downstream %6.1f ms  peak \
            %9d words (+%d over baseline)\n"
           s.category s.shards s.front_ms s.merge_ms s.peak_live_words
           (s.peak_live_words - s.baseline_live_words))

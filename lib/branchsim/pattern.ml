@@ -15,9 +15,10 @@ let outcome p i =
     block.(i mod Array.length block)
   | Random seed ->
     (* One fresh splitmix64 draw per occurrence keeps the function
-       pure in (seed, i). *)
-    let rng = Numkit.Rng.of_string (Printf.sprintf "%s#%d" seed i) in
-    Numkit.Rng.bool rng
+       pure in (seed, i).  The generator is seeded from the hash of
+       [seed ^ "#" ^ string_of_int i], streamed without building it. *)
+    let open Numkit.Rng in
+    bool (create (hash_extend_int (hash_extend (hash_string seed) "#") i))
 
 let outcomes p ~n = Array.init n (outcome p)
 

@@ -21,8 +21,3 @@ val rows : unit -> Hwsim.Activity.t array
 (** 45 activity rows, pair-major, unroll-minor; simulated on first use. *)
 
 val row_labels : string array
-
-val device_counters_consistent : unit -> bool
-(** Cross-checks the gpusim device counters against the activity
-    ground truth for every kernel (the ADD bank must equal
-    adds + subs); used by tests. *)

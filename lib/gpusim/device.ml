@@ -91,24 +91,6 @@ let counters t =
     cycles = t.cycles;
   }
 
-let reset t =
-  let clear b =
-    b.b16 <- 0;
-    b.b32 <- 0;
-    b.b64 <- 0
-  in
-  clear t.add;
-  clear t.mul;
-  clear t.trans;
-  clear t.fma;
-  t.valu_total <- 0;
-  t.salu <- 0;
-  t.smem <- 0;
-  t.vmem <- 0;
-  t.branches <- 0;
-  t.waves <- 0;
-  t.cycles <- 0
-
 let pick counts (p : Isa.precision) =
   match p with Isa.F16 -> counts.f16 | Isa.F32 -> counts.f32 | Isa.F64 -> counts.f64
 

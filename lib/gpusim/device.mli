@@ -31,7 +31,6 @@ val run : t -> Kernel.t -> unit
 (** Execute the kernel to completion, accumulating counters. *)
 
 val counters : t -> counters
-val reset : t -> unit
 
 val valu_count : counters -> op:Isa.op -> precision:Isa.precision -> int
 (** Reads the aliased counter bank the way the hardware exposes it:

@@ -9,10 +9,6 @@ type instr =
   | Vmem
   | Branch
 
-let flops_per_lane = function
-  | Vfma -> 2
-  | Vadd | Vsub | Vmul | Vtrans -> 1
-
 let precision_name = function F16 -> "f16" | F32 -> "f32" | F64 -> "f64"
 
 let op_name = function

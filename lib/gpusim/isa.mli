@@ -22,10 +22,6 @@ type instr =
   | Vmem  (** vector memory *)
   | Branch  (** wavefront-level branch *)
 
-val flops_per_lane : op -> int
-(** Arithmetic operations one lane performs for one instruction:
-    2 for {!Vfma}, 1 otherwise. *)
-
 val precision_name : precision -> string
 (** ["f16"], ["f32"], ["f64"]. *)
 

@@ -19,9 +19,5 @@ let flops_kernel ~op ~precision ~unroll ~iterations ~wavefronts =
     wavefronts;
   }
 
-let instruction_count t instr =
-  let per_iter = List.length (List.filter (fun i -> i = instr) t.body) in
-  per_iter * t.iterations * t.wavefronts
-
 let total_instructions t =
   List.length t.body * t.iterations * t.wavefronts

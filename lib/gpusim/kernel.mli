@@ -19,8 +19,4 @@ val flops_kernel :
 (** The benchmark kernel: [unroll] copies of [Valu (op, precision)]
     followed by the loop overhead ([Salu; Salu; Branch]). *)
 
-val instruction_count : t -> Isa.instr -> int
-(** Total dynamic executions of exactly [instr] across all wavefronts
-    and iterations. *)
-
 val total_instructions : t -> int

@@ -25,6 +25,44 @@ let simulate ?(config = default_config) (k : Kernel.t) =
       incr launched
     done
   in
+  (* Steady-state skipping.  Between two retirements the resident set
+     is fixed and [remaining] only counts down, so the schedule from a
+     cycle on depends only on each slot's [pc] and [ready_at - now].
+     [record] keys that state at the start of the cycle after slot 0
+     wraps its body.  When a key recurs [p] cycles later, slot [i]
+     having issued [d_i] instructions in between, those [p] cycles
+     repeat verbatim until a wave retires; [d_i >= 1], since a slot
+     that issued nothing would have moved its [ready_at - now].
+     [seen] is emptied at every retirement and after every jump, so a
+     key's two records never straddle a refill or another jump. *)
+  let seen = Hashtbl.create 64 in
+  let record () =
+    let now = !cycle in
+    let state = Array.make (2 * !n) 0 in
+    for i = 0 to !n - 1 do
+      state.(2 * i) <- pc.(i);
+      state.((2 * i) + 1) <- ready_at.(i) - now
+    done;
+    match Hashtbl.find_opt seen state with
+    | None -> Hashtbl.add seen state (now, Array.sub remaining 0 !n)
+    | Some (before, left) ->
+      let p = now - before in
+      (* The most whole periods that leave every wave >= 1 instruction,
+         so the retirements that follow are stepped exactly. *)
+      let periods = ref max_int in
+      for i = 0 to !n - 1 do
+        let d = left.(i) - remaining.(i) in
+        periods := Int.min !periods ((remaining.(i) - 1) / d)
+      done;
+      let j = !periods in
+      cycle := now + (j * p);
+      for i = 0 to !n - 1 do
+        let d = left.(i) - remaining.(i) in
+        ready_at.(i) <- ready_at.(i) + (j * p);
+        remaining.(i) <- remaining.(i) - (j * d)
+      done;
+      Hashtbl.reset seen
+  in
   launch ();
   while !n > 0 do
     let now = !cycle in
@@ -32,6 +70,7 @@ let simulate ?(config = default_config) (k : Kernel.t) =
        lowest ready_at first, ties to the newest wave.  An issued wave
        is ready again only after [now] (every latency is >= 1). *)
     let retired = ref (per_wave <= 0) and ports = ref config.issue_per_cycle in
+    let wrapped = ref false in
     while !ports > 0 do
       let w = ref (-1) in
       for i = !n - 1 downto 0 do
@@ -45,6 +84,7 @@ let simulate ?(config = default_config) (k : Kernel.t) =
         pc.(w) <- (if pc.(w) + 1 = body_len then 0 else pc.(w) + 1);
         remaining.(w) <- remaining.(w) - 1;
         if remaining.(w) <= 0 then retired := true;
+        if w = 0 && pc.(0) = 0 then wrapped := true;
         decr ports
       end
     done;
@@ -59,7 +99,8 @@ let simulate ?(config = default_config) (k : Kernel.t) =
           incr kept
         end
       done;
-      n := !kept
+      n := !kept;
+      Hashtbl.reset seen
     end;
     launch ();
     (* Advance time: next cycle, or jump to the earliest ready time
@@ -69,7 +110,8 @@ let simulate ?(config = default_config) (k : Kernel.t) =
       for i = 1 to !n - 1 do
         if ready_at.(i) < !earliest then earliest := ready_at.(i)
       done;
-      cycle := if !earliest > now then !earliest else now + 1
+      cycle := if !earliest > now then !earliest else now + 1;
+      if !wrapped && not !retired then record ()
     end
   done;
   !cycle

@@ -9,6 +9,16 @@
     the most recently launched — and is how the simulated MI250X's
     time-coupled counters get occupancy-dependent values.
 
+    Long kernels do not step every cycle.  Between retirements the
+    schedule is a function of each resident wave's body position and
+    time to ready; that state is recorded each time the oldest
+    resident wave wraps its body, and when one recurs [simulate] jumps
+    the largest whole number of periods that leaves every wave at
+    least one instruction, then steps the rest, so retirements and
+    refills are stepped exactly.  The result equals the plain
+    cycle-by-cycle stepper's; memory is allocated per recorded state,
+    never per cycle.
+
     Architectural instruction counts are untouched by scheduling;
     only cycles move.  That separation is the physical basis of the
     paper's split between exact (countable) and noisy (time-coupled)
@@ -24,7 +34,7 @@ val default_config : config
 
 val simulate : ?config:config -> Kernel.t -> int
 (** Cycles to drain the kernel's wavefronts through one CU (the
-    cycle of the last issue); allocates nothing per cycle. *)
+    cycle of the last issue); allocates nothing per stepped cycle. *)
 
 val serial_cycles : Kernel.t -> int
 (** Lower-fidelity reference: every instruction charged its full

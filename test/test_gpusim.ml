@@ -2,12 +2,6 @@
    device execution, and — crucially — the add/sub counter aliasing
    the paper's analysis is designed to discover. *)
 
-let test_flops_per_lane () =
-  Alcotest.(check int) "fma" 2 (Gpusim.Isa.flops_per_lane Gpusim.Isa.Vfma);
-  List.iter
-    (fun op -> Alcotest.(check int) "unit ops" 1 (Gpusim.Isa.flops_per_lane op))
-    [ Gpusim.Isa.Vadd; Gpusim.Isa.Vsub; Gpusim.Isa.Vmul; Gpusim.Isa.Vtrans ]
-
 let test_names () =
   Alcotest.(check string) "f64" "f64" (Gpusim.Isa.precision_name Gpusim.Isa.F64);
   Alcotest.(check string) "trans" "trans" (Gpusim.Isa.op_name Gpusim.Isa.Vtrans)
@@ -23,8 +17,11 @@ let mk ?(unroll = 8) ?(iterations = 10) ?(wavefronts = 2) op precision =
 let test_kernel_shape () =
   let k = mk Gpusim.Isa.Vadd Gpusim.Isa.F32 in
   Alcotest.(check int) "payload + overhead" (8 + 3) (List.length k.Gpusim.Kernel.body);
-  Alcotest.(check int) "payload count" (8 * 10 * 2)
-    (Gpusim.Kernel.instruction_count k (Gpusim.Isa.Valu (Gpusim.Isa.Vadd, Gpusim.Isa.F32)));
+  Alcotest.(check int) "payload per iteration" 8
+    (List.length
+       (List.filter
+          (( = ) (Gpusim.Isa.Valu (Gpusim.Isa.Vadd, Gpusim.Isa.F32)))
+          k.Gpusim.Kernel.body));
   Alcotest.(check int) "total" (11 * 10 * 2) (Gpusim.Kernel.total_instructions k)
 
 let test_kernel_validation () =
@@ -70,15 +67,6 @@ let test_valu_count_accessor () =
     (Gpusim.Device.valu_count c ~op:Gpusim.Isa.Vadd ~precision:Gpusim.Isa.F32);
   Alcotest.(check int) "vsub reads same" 160
     (Gpusim.Device.valu_count c ~op:Gpusim.Isa.Vsub ~precision:Gpusim.Isa.F32)
-
-let test_reset () =
-  let d = Gpusim.Device.create () in
-  Gpusim.Device.run d (mk Gpusim.Isa.Vadd Gpusim.Isa.F32);
-  Gpusim.Device.reset d;
-  let c = Gpusim.Device.counters d in
-  Alcotest.(check int) "cleared" 0
-    (c.Gpusim.Device.valu_total + c.Gpusim.Device.salu + c.Gpusim.Device.waves
-     + c.Gpusim.Device.cycles)
 
 let test_accumulation_across_kernels () =
   let d = Gpusim.Device.create () in
@@ -215,6 +203,28 @@ let prop_scheduler_matches_reference =
     (fun (k, config) ->
       Gpusim.Scheduler.simulate ~config k = Reference.simulate ~config k)
 
+(* Long kernels: enough iterations for the resident waves to settle
+   into a repeating schedule, so [simulate] jumps whole periods before
+   it steps the retirements; more wavefronts than slots puts refills
+   (and further skips) after a jump. *)
+let gen_long_schedule =
+  QCheck.Gen.(
+    let* body = list_size (int_range 1 6) (oneofl all_instrs) in
+    let* iterations = int_range 100 400 in
+    let* max_waves_in_flight = int_range 1 6 in
+    let* wavefronts = int_range 1 (2 * max_waves_in_flight) in
+    let* issue_per_cycle = int_range 1 3 in
+    return
+      ( { Gpusim.Kernel.name = "random"; body; iterations; wavefronts },
+        { Gpusim.Scheduler.max_waves_in_flight; issue_per_cycle } ))
+
+let prop_steady_state_skip_matches_reference =
+  QCheck.Test.make ~name:"steady-state skip agrees with the reference model"
+    ~count:1000
+    (QCheck.make ~print:print_schedule gen_long_schedule)
+    (fun (k, config) ->
+      Gpusim.Scheduler.simulate ~config k = Reference.simulate ~config k)
+
 (* Cycle counts of the 45 CAT GPU kernels (pair-major, unroll-minor),
    taken with the reference scheduler. *)
 let gpu_kernel_cycles =
@@ -271,7 +281,6 @@ let () =
     [
       ( "isa",
         [
-          Alcotest.test_case "flops per lane" `Quick test_flops_per_lane;
           Alcotest.test_case "names" `Quick test_names;
           Alcotest.test_case "latency ordering" `Quick test_latency_ordering;
         ] );
@@ -287,7 +296,6 @@ let () =
           Alcotest.test_case "valu total" `Quick test_valu_total;
           Alcotest.test_case "overhead counters" `Quick test_overhead_counters;
           Alcotest.test_case "valu_count accessor" `Quick test_valu_count_accessor;
-          Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "accumulation" `Quick test_accumulation_across_kernels;
           Alcotest.test_case "cycles vs latency" `Quick test_cycles_scale_with_latency;
         ] );
@@ -299,5 +307,9 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_payload_counts; prop_scheduler_matches_reference ] );
+          [
+            prop_payload_counts;
+            prop_scheduler_matches_reference;
+            prop_steady_state_skip_matches_reference;
+          ] );
     ]
