@@ -11,12 +11,15 @@ test:
 	dune runtest
 
 # The three line counts ROADMAP tracks: lib, bin+bench and test, each
-# the .ml/.mli/.mlt files git knows about.
+# the .ml/.mli/.mlt files git knows about; then the interface size,
+# the number of val declarations in lib's .mli files.
 loc:
 	@for d in lib "bin bench" test; do \
 	  printf '%-10s %s\n' "$$d" \
 	    "$$(cat $$(git ls-files $$d | grep -E '\.(ml|mli|mlt)$$') | wc -l)"; \
 	done
+	@printf '%-10s %s\n' "lib vals" \
+	  "$$(cat $$(git ls-files lib | grep -E '\.mli$$') | grep -cE '^ *val ')"
 
 # Single CI entry point: build, full test suite, the static
 # pre-flight lint (must report zero errors on the shipped inputs),

@@ -236,14 +236,39 @@ let run_category ?csv ?auto_tau ?summary ?manifest ~preflight ~executor
       gated_emitter ?manifest category
     else manifest
   in
+  (* A --csv file is parsed once: the auto-tau probes and the run both
+     analyse that dataset, and nothing is simulated for it. *)
+  let csv_dataset =
+    Option.map
+      (fun path ->
+        let text =
+          try Obs_cli.read_file path
+          with Sys_error msg ->
+            Printf.eprintf "analyze: %s\n" msg;
+            exit 1
+        in
+        match
+          Cat_bench.Dataset.parse_reps_csv ~name:(Core.Category.name category) text
+        with
+        | Ok d -> d
+        | Error { line = Some l; reason } ->
+          Printf.eprintf "analyze: %s line %d: %s\n" path l reason;
+          exit 1
+        | Error { line = None; reason } ->
+          Printf.eprintf "analyze: %s: %s\n" path reason;
+          exit 1)
+      csv
+  in
   let tau =
     match auto_tau with
     | None -> tau
     | Some min_rank ->
-      let s =
-        Core.Auto_threshold.select ~category
-          ~dataset:(Core.Category.dataset category) ~min_rank ()
+      let dataset =
+        match csv_dataset with
+        | Some d -> d
+        | None -> Core.Category.dataset category
       in
+      let s = Core.Auto_threshold.select ~category ~dataset ~min_rank () in
       Printf.printf
         "auto-tau: selected %.3e (gap ratio %.1e, keeps %d events)\n"
         s.Core.Auto_threshold.tau s.Core.Auto_threshold.gap_ratio
@@ -259,28 +284,10 @@ let run_category ?csv ?auto_tau ?summary ?manifest ~preflight ~executor
       Obs.reset_counters ())
     summary;
   let r =
-    match csv with
+    match csv_dataset with
     | None ->
       Core.Pipeline.run ~config ~shards ~executor ?manifest:gated category
-    | Some path ->
-      let text =
-        try Obs_cli.read_file path
-        with Sys_error msg ->
-          Printf.eprintf "analyze: %s\n" msg;
-          exit 1
-      in
-      let dataset =
-        match
-          Cat_bench.Dataset.parse_reps_csv ~name:(Core.Category.name category) text
-        with
-        | Ok d -> d
-        | Error { line = Some l; reason } ->
-          Printf.eprintf "analyze: %s line %d: %s\n" path l reason;
-          exit 1
-        | Error { line = None; reason } ->
-          Printf.eprintf "analyze: %s: %s\n" path reason;
-          exit 1
-      in
+    | Some dataset ->
       Core.Pipeline.run_custom ~executor ?manifest ~config ~category ~dataset
         ~basis:(Core.Category.basis category)
         ~signatures:(Core.Category.signatures category) ()

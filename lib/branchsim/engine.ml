@@ -92,12 +92,3 @@ let run ?(warmup = 64) ?predictor ~slots ~iterations () =
     uncond = float_of_int acc.d;
     mispredicted = float_of_int acc.m;
   }
-
-let rec static_branch_count slots =
-  List.fold_left
-    (fun n slot ->
-      match slot with
-      | Cond _ -> n + 1
-      | Uncond -> n
-      | If_taken { body; _ } -> n + 1 + static_branch_count body)
-    0 slots

@@ -41,7 +41,3 @@ val run :
     iterations (default [64]) to train the predictor, then
     [iterations] counted ones.  The default predictor is
     {!Predictor.default}. *)
-
-val static_branch_count : slot list -> int
-(** Number of static conditional branches (guards included, shadow
-    and unconditional excluded); tests use it to bound CE/CR. *)

@@ -29,10 +29,3 @@ let taken_fraction p ~n =
     if outcome p i then incr taken
   done;
   float_of_int !taken /. float_of_int n
-
-let describe = function
-  | Always_taken -> "always-taken"
-  | Never_taken -> "never-taken"
-  | Alternate -> "alternate"
-  | Periodic b -> Printf.sprintf "periodic(%d)" (Array.length b)
-  | Random seed -> Printf.sprintf "random(%s)" seed

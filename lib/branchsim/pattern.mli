@@ -25,5 +25,3 @@ val outcomes : t -> n:int -> bool array
 
 val taken_fraction : t -> n:int -> float
 (** Fraction of taken outcomes among the first [n]. *)
-
-val describe : t -> string

@@ -30,7 +30,6 @@ let make ~base ~pointers ~stride_bytes layout =
   done;
   { base; stride = stride_bytes; order; start = !start }
 
-let buffer_bytes c = Array.length c.order * c.stride
 let pointers c = Array.length c.order
 
 let address c i = c.base + (i * c.stride)

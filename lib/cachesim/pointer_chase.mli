@@ -19,9 +19,6 @@ type chain
 val make : base:int -> pointers:int -> stride_bytes:int -> layout -> chain
 (** Builds the chain.  [pointers >= 1], [stride_bytes >= 1]. *)
 
-val buffer_bytes : chain -> int
-(** Footprint: [pointers * stride_bytes]. *)
-
 val pointers : chain -> int
 
 val address : chain -> int -> int

@@ -32,18 +32,6 @@ val branchy_search : n:int -> t
 (** Binary-search-like workload: data-dependent branches with ~50%
     taken ratio and a realistic misprediction count, few FLOPs. *)
 
-val spmv_csr : rows:int -> nnz_per_row:int -> t
-(** Sparse matrix-vector product in CSR: scalar DP FMAs, irregular
-    gathers with a poor L1 hit rate, short inner loops. *)
-
-val memcpy_like : bytes:int -> t
-(** Pure data movement: wide loads and stores, no FLOPs — the
-    workload whose arithmetic intensity should come out ~0. *)
-
-val fft_radix2 : n:int -> t
-(** n log2 n butterfly stages of SP AVX-256 multiply-adds with a
-    strided access pattern that degrades in later stages. *)
-
 val mixed_hpc_app : unit -> t
 (** Sum of all the above — a miniature application phase mix. *)
 

@@ -11,16 +11,10 @@
 val iterations : int
 (** Counted iterations per kernel. *)
 
-val warmup : int
-(** Uncounted predictor-training iterations. *)
-
 val rows : unit -> Hwsim.Activity.t array
 (** Eleven activity records in paper row order; simulated on first use. *)
 
 val row_labels : string array
-
-val predictor_kind : Branchsim.Predictor.kind
-(** The predictor the benchmark rows were produced with. *)
 
 val rows_with_predictor : Branchsim.Predictor.kind -> Hwsim.Activity.t array
 (** Re-run the benchmark under a different predictor (ablations). *)

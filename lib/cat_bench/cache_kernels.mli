@@ -43,5 +43,3 @@ val ideal_row : config -> Hwsim.Activity.t
     region's level. *)
 
 val row_labels : string array
-
-val region_name : region -> string

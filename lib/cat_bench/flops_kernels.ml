@@ -28,8 +28,6 @@ let kernels =
       List.map (mk class_) [ Keys.Scalar; Keys.W128; Keys.W256; Keys.W512 ])
     [ (Keys.Single, false); (Keys.Double, false); (Keys.Single, true); (Keys.Double, true) ]
 
-let ideal_key_of_kernel k = k.name
-
 (* One benchmark row: the loop is assembled as a real instruction
    stream and executed on the simulated core, which produces the
    architectural counts (exact) and the cycle count (modelled).  A

@@ -35,6 +35,3 @@ val rows : unit -> Hwsim.Activity.t array
 
 val row_labels : string array
 (** e.g. ["dp_256_fma/loop1"]. *)
-
-val ideal_key_of_kernel : kernel -> string
-(** Activity key of the kernel's payload class. *)

@@ -20,6 +20,13 @@ let group_of_event cfg ~n_events ~event_index =
      group mixes unrelated events, as perf-style schedulers do. *)
   event_index mod groups cfg ~n_events
 
+(* The hash of [seed ^ tag ^ name ^ "|rep=" ^ rep ^ "|row=" ^ row],
+   built piece by piece instead of formatting the key. *)
+let reading_key ~seed tag name ~rep ~row =
+  let open Numkit.Rng in
+  let h = hash_extend (hash_extend (hash_string seed) tag) name in
+  hash_extend_int (hash_extend (hash_extend_int (hash_extend h "|rep=") rep) "|row=") row
+
 let measure cfg ~seed ~rep ~row ~event_index ~n_events (event : Hwsim.Event.t)
     activity =
   validate cfg;
@@ -35,35 +42,32 @@ let measure cfg ~seed ~rep ~row ~event_index ~n_events (event : Hwsim.Event.t)
     else begin
       let my_group = group_of_event cfg ~n_events ~event_index in
       let rng =
-        Numkit.Rng.of_string
-          (Printf.sprintf "%s|mux|%s|rep=%d|row=%d" seed event.Hwsim.Event.name
-             rep row)
+        Numkit.Rng.create
+          (reading_key ~seed "|mux|" event.Hwsim.Event.name ~rep ~row)
       in
-      let weights =
-        Array.init cfg.slices (fun _ ->
-            Numkit.Rng.lognormal rng ~mu:0.0 ~sigma:cfg.jitter)
-      in
-      let total_weight = Array.fold_left ( +. ) 0.0 weights in
-      let observed_weight = ref 0.0 and observed_slices = ref 0 in
-      Array.iteri
-        (fun slice w ->
-          if slice mod n_groups = my_group then begin
-            observed_weight := !observed_weight +. w;
-            incr observed_slices
-          end)
-        weights;
-      if !observed_slices = 0 || total_weight = 0.0 then 0.0
+      (* Summed in slice order as drawn: the order fixes the rounding
+         of every multiplexed reading. *)
+      let total_weight = ref 0.0 and observed_weight = ref 0.0 in
+      let observed_slices = ref 0 in
+      for slice = 0 to cfg.slices - 1 do
+        let w = Numkit.Rng.lognormal rng ~mu:0.0 ~sigma:cfg.jitter in
+        total_weight := !total_weight +. w;
+        if slice mod n_groups = my_group then begin
+          observed_weight := !observed_weight +. w;
+          incr observed_slices
+        end
+      done;
+      if !observed_slices = 0 || !total_weight = 0.0 then 0.0
       else begin
         (* Count observed during active slices, extrapolated by the
            slice-count fraction. *)
-        let observed_count = ideal *. (!observed_weight /. total_weight) in
+        let observed_count = ideal *. (!observed_weight /. !total_weight) in
         observed_count *. (float_of_int cfg.slices /. float_of_int !observed_slices)
       end
     end
   in
   let rng_noise =
-    Numkit.Rng.of_string
-      (Printf.sprintf "%s|%s|rep=%d|row=%d" seed event.Hwsim.Event.name rep row)
+    Numkit.Rng.create (reading_key ~seed "|" event.Hwsim.Event.name ~rep ~row)
   in
   Hwsim.Noise_model.apply event.Hwsim.Event.noise rng_noise value
 

@@ -29,20 +29,12 @@ val default_config : config
 val groups : config -> n_events:int -> int
 (** Number of round-robin groups needed (1 when everything fits). *)
 
-val group_of_event : config -> n_events:int -> event_index:int -> int
-
 val measure :
   config -> seed:string -> rep:int -> row:int -> event_index:int ->
   n_events:int -> Hwsim.Event.t -> Hwsim.Activity.t -> float
 (** One multiplexed reading: the event's ideal value, observed during
     its group's slices with jitter, extrapolated, then passed through
     the event's own noise model. *)
-
-val dataset :
-  config -> name:string -> seed:string -> reps:int ->
-  events:Hwsim.Event.t list -> rows:Hwsim.Activity.t array ->
-  row_labels:string array -> Dataset.t
-(** Collect a whole dataset under multiplexing. *)
 
 val branch_dataset : ?reps:int -> config -> Dataset.t
 (** The branching benchmark re-measured under multiplexing — the

@@ -12,15 +12,6 @@
     builds them (a simulator run) on first use.  No readings are
     collected. *)
 
-val colinear_cos_threshold : float
-(** |cos| at or above which two distinct directions are flagged
-    [basis/near-colinear] (0.999). *)
-
-val condition_warn_threshold : float
-(** Condition number above which a full-rank basis is flagged
-    [basis/ill-conditioned] (1e6; past 1/rank-tol = 1e8 the basis is
-    rank-deficient instead). *)
-
 val analyze :
   ?category:string ->
   ?expected_rows:int ->

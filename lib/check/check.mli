@@ -50,28 +50,20 @@ val rows_declared : Core.Category.t -> int
     declarations (the reference for [ideal/shape-mismatch] and the
     β relation). *)
 
-val catalog_name : Core.Category.t -> string
-(** The shipped catalog a category measures on
-    (["sapphire-rapids"] / ["mi250x"]). *)
-
 val lint_category :
   ?config:Core.Pipeline.config -> Core.Category.t -> Diagnostic.t list
 (** Basis + ideal + signature + parameter analysis for one category.
     [config] defaults to the category's paper parameters. *)
 
-val run_catalogs : unit -> Diagnostic.t list
-(** Catalog-level analysis of all three shipped catalogs
-    (SPR, MI250X, Zen) plus cross-catalog collisions. *)
-
 val run_all :
   ?categories:Core.Category.t list -> unit -> Diagnostic.t list
 (** The full pre-flight pass: {!lint_category} for every category
-    (default all four), {!run_catalogs}, and the
+    (default all four), the catalog-level analysis of the three
+    shipped catalogs (SPR, MI250X, Zen) plus cross-catalog
+    collisions, and the
     {!Stage_check.roundtrip} schema self-check. *)
 
 (** {1 Versioned report JSON} *)
-
-val report_schema_version : int
 
 val report_to_json : Diagnostic.t list -> Jsonio.t
 (** [kind = "lint-report"] with severity totals and one object per

@@ -4,12 +4,6 @@
     projection tolerance, and the repetition count the pairwise RNMSE
     needs. *)
 
-val tau_regime : string option -> (float * float) option
-(** The paper's prescribed τ regime for a category name:
-    [1e-12, 1e-6] for the exact-count categories (cpu-flops,
-    gpu-flops, branch), [1e-3, 0.5] for dcache, [None] for custom
-    categories (only the hard (0, 1) bound applies). *)
-
 val expected_beta : alpha:float -> rows:int -> float
 (** ‖(α,…,α)‖ over [rows] entries, computed literally as a vector
     norm — independent of [Special_qrcp.beta]'s closed form, so the

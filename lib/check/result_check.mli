@@ -7,10 +7,6 @@
     {!diagnose_reports} converts reports that [Core.Validate] (which
     does measure) already produced. *)
 
-val default_error_threshold : float
-(** 0.05: the relative error above which a validation report becomes
-    an error diagnostic. *)
-
 val analyze_combination :
   ?category:string ->
   catalog:Hwsim.Event.t list ->
@@ -27,5 +23,4 @@ val diagnose_reports :
   Core.Validate.report list ->
   Core.Diagnostic.t list
 (** [result/relative-error] (error) for every report whose relative
-    error exceeds [threshold] (default
-    {!default_error_threshold}). *)
+    error exceeds [threshold] (default [0.05]). *)

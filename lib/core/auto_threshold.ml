@@ -19,7 +19,7 @@ let band_edges ~floor values =
          (List.filter (fun v -> v > floor) (Array.to_list values)))
   in
   if Array.length positives = 0 then
-    invalid_arg "Auto_threshold.suggest: no positive variabilities";
+    invalid_arg "Auto_threshold.bands: no positive variabilities";
   let zeros =
     Array.length values
     - List.length (List.filter (fun v -> v > floor) (Array.to_list values))
@@ -32,7 +32,7 @@ let band_edges ~floor values =
   (positives, !edges)
 
 let bands ?(floor = 1e-15) series =
-  if Array.length series = 0 then invalid_arg "Auto_threshold.suggest: empty series";
+  if Array.length series = 0 then invalid_arg "Auto_threshold.bands: empty series";
   let values = Array.map snd series in
   let positives, edges = band_edges ~floor values in
   match edges with
@@ -45,17 +45,10 @@ let bands ?(floor = 1e-15) series =
     List.map (suggestion_of values) edges
     |> List.sort (fun a b -> compare b.gap_ratio a.gap_ratio)
 
-let suggest ?floor series =
-  match bands ?floor series with
-  | best :: _ -> best
-  | [] -> assert false (* bands never returns [] *)
-
 (* Classify with an all-pass threshold purely to obtain the
    variability series. *)
 let series_of dataset =
   Noise_filter.variability_series (Noise_filter.classify ~tau:infinity dataset)
-
-let for_dataset dataset = suggest (series_of dataset)
 
 (* The probes re-analyse the dataset the series came from: collected
    once, then only the stages after collection run per candidate. *)

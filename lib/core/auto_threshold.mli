@@ -21,21 +21,14 @@ type suggestion = {
   above : int;  (** Events rejected. *)
 }
 
-val suggest : ?floor:float -> (string * float) array -> suggestion
-(** [suggest series] over a Figure 2 series (sorted or not).  Events
-    at zero variability sit below any positive τ; [floor] (default
-    [1e-15]) stands in for zero when computing the gap.  Raises
-    [Invalid_argument] on an empty series or one with no positive
-    variability (no threshold needed). *)
-
-val for_dataset : Cat_bench.Dataset.t -> suggestion
-(** Suggest the τ of a category's dataset.  Note the cache caveat
-    below. *)
-
 val bands : ?floor:float -> (string * float) array -> suggestion list
-(** All candidate thresholds (one per gap between adjacent
-    variability levels), sorted by decreasing gap ratio — the
-    search space {!select} walks. *)
+(** [bands series] over a Figure 2 series (sorted or not): all
+    candidate thresholds (one per gap between adjacent variability
+    levels), sorted by decreasing gap ratio — the search space
+    {!select} walks.  Events at zero variability sit below any
+    positive τ; [floor] (default [1e-15]) stands in for zero when
+    computing the gap.  Raises [Invalid_argument] on an empty series
+    or one with no positive variability (no threshold needed). *)
 
 val select :
   ?max_attempts:int -> category:Category.t -> dataset:Cat_bench.Dataset.t ->

@@ -49,5 +49,3 @@ let to_string = function
     String.concat "\n"
       (term_string ~first:true first
       :: List.map (term_string ~first:false) rest)
-
-let pp ppf comb = Format.pp_print_string ppf (to_string comb)

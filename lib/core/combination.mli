@@ -25,5 +25,3 @@ val equal : ?eps:float -> t -> t -> bool
 
 val to_string : t -> string
 (** Multi-line paper style: ["1 x EV_A\n+ 8 x EV_B"]. *)
-
-val pp : Format.formatter -> t -> unit

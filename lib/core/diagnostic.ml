@@ -40,16 +40,6 @@ let errors ds = List.filter is_error ds
 let filter_min ~min ds =
   List.filter (fun d -> severity_at_least ~min d.severity) ds
 
-let max_severity = function
-  | [] -> None
-  | ds ->
-    Some
-      (List.fold_left
-         (fun acc d ->
-           if severity_rank d.severity > severity_rank acc then d.severity
-           else acc)
-         Info ds)
-
 let render d =
   Printf.sprintf "%-5s %-26s %s%s: %s"
     (severity_name d.severity)

@@ -14,11 +14,6 @@ val severity_name : severity -> string
 
 val severity_of_name : string -> severity option
 
-val severity_rank : severity -> int
-(** [Error] = 2 > [Warn] = 1 > [Info] = 0. *)
-
-val severity_at_least : min:severity -> severity -> bool
-
 type t = {
   rule : string;  (** Stable rule id, ["scope/slug"]. *)
   severity : severity;
@@ -37,17 +32,12 @@ val make :
   string ->
   t
 
-val is_error : t -> bool
-
 val count : severity -> t list -> int
 
 val errors : t list -> t list
 
 val filter_min : min:severity -> t list -> t list
 (** Keep diagnostics at or above [min]. *)
-
-val max_severity : t list -> severity option
-(** [None] on the empty list. *)
 
 val render : t -> string
 (** One text line: severity, rule, [category] subject, message. *)

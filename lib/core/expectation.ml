@@ -25,7 +25,6 @@ let of_ideals ideals =
 let labels t = Array.copy t.labels
 let mat t = t.mat
 let dim t = Array.length t.labels
-let rows t = Linalg.Mat.rows t.mat
 
 let label_index t label =
   let rec go i =
@@ -53,9 +52,3 @@ let diagnostics t =
     condition_number = Linalg.Svd.condition_number t.mat;
     full_rank = rank = dim;
   }
-
-let pp ppf t =
-  Format.fprintf ppf "basis [%s] (%d rows)@."
-    (String.concat "; " (Array.to_list t.labels))
-    (rows t);
-  Linalg.Mat.pp ppf t.mat

@@ -20,9 +20,6 @@ val mat : t -> Linalg.Mat.t
 val dim : t -> int
 (** Number of ideal events (columns). *)
 
-val rows : t -> int
-(** Number of benchmark rows. *)
-
 val label_index : t -> string -> int
 (** Column of a symbol; raises [Not_found]. *)
 
@@ -46,5 +43,3 @@ val diagnostics : t -> diagnostics
     mispredicted = retired - taken on every kernel — and event
     representations stop being unique.  The pipeline surfaces this
     instead of silently producing arbitrary coordinates. *)
-
-val pp : Format.formatter -> t -> unit

@@ -41,18 +41,11 @@ type claim = {
   expectation : expectation;
 }
 
-val claims : claim list
-(** Every reproduction claim, paper order. *)
-
 type verdict = {
   claim : claim;
   passed : bool;
   detail : string;  (** What was measured. *)
 }
-
-val check : ?manifest:(Obs.Manifest.t -> unit) -> claim -> verdict
-(** Evaluate one claim against a (cached) pipeline run.  A run made
-    here hands its manifest to [manifest]; a cached one emits none. *)
 
 val check_all : ?manifest:(Obs.Manifest.t -> unit) -> unit -> verdict list
 

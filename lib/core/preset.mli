@@ -6,7 +6,7 @@
     preset entries — preset name, the raw-event combination, the
     fitness (backward error) — and renders them as text or JSON.
 
-    Metrics whose backward error exceeds {!definable_threshold} are
+    Metrics whose backward error exceeds [1e-6] are
     exported as explicitly {e unavailable} on the architecture, which
     is itself valuable information (a preset that silently reads
     garbage is worse than a missing one). *)
@@ -20,9 +20,6 @@ type t = {
   error : float;
   available : bool;
 }
-
-val definable_threshold : float
-(** [1e-6]. *)
 
 val papi_name_of_metric : Category.t -> string -> string option
 (** The preset naming map; [None] for metrics with no PAPI

@@ -5,9 +5,6 @@ type t = {
 
 let make metric coords = { metric; coords }
 
-let scale alpha t =
-  { t with coords = List.map (fun (l, c) -> (l, alpha *. c)) t.coords }
-
 let sum name sigs =
   (* Coordinate-wise sum with merged labels. *)
   let table = Hashtbl.create 16 in

@@ -12,9 +12,6 @@ type t = {
 
 val make : string -> (string * float) list -> t
 
-val scale : float -> t -> t
-(** Scale every coefficient (the name is kept). *)
-
 val sum : string -> t list -> t
 (** [sum name sigs] adds signatures coordinate-wise — e.g.
     "All FP Ops" = sum of the SP-Ops and DP-Ops signatures. *)

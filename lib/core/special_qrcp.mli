@@ -72,12 +72,6 @@ val score_value : float -> float
 val column_score : alpha:float -> Linalg.Vec.t -> float
 (** Rounds then sums entry scores. *)
 
-val column_score_view : alpha:float -> Linalg.Kernel.view -> float
-(** {!column_score} over a no-copy view — the scoring pass streams
-    matrix columns through {!Linalg.Mat.col_view} instead of
-    materializing each one; same ascending-row accumulation order,
-    bit-identical scores. *)
-
 val beta : alpha:float -> rows:int -> float
 (** The norm threshold below which a column is not a candidate. *)
 

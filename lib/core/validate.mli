@@ -30,11 +30,6 @@ val evaluate_combination :
     noise included) and combine.  Raises [Not_found] if an event is
     missing from the catalog. *)
 
-val validate :
-  metric:Metric_solver.metric_def -> catalog:Hwsim.Event.t list ->
-  truth:(Cat_bench.App_workloads.t -> float) ->
-  apps:Cat_bench.App_workloads.t list -> report list
-
 val validate_cpu_flops_metrics :
   Pipeline.result -> Cat_bench.App_workloads.t list -> report list
 (** Convenience: validates SP/DP Ops and Instrs from a CPU-FLOPs

@@ -10,13 +10,3 @@ type instr =
   | Branch_back
 
 let fp ?(fma = false) precision width = Fp { precision; width; fma }
-
-let describe = function
-  | Fp { precision; width; fma } ->
-    Hwsim.Keys.flops ~precision ~width ~fma
-  | Int_alu -> "int_alu"
-  | Load -> "load"
-  | Store -> "store"
-  | Branch_back -> "branch_back"
-
-let is_fp = function Fp _ -> true | _ -> false

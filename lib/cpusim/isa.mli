@@ -18,7 +18,3 @@ type instr =
   | Branch_back  (** Conditional loop back-edge, taken while looping. *)
 
 val fp : ?fma:bool -> Hwsim.Keys.fp_precision -> Hwsim.Keys.fp_width -> instr
-
-val describe : instr -> string
-
-val is_fp : instr -> bool

@@ -15,12 +15,6 @@ let flops_microkernel_loop ~precision ~width ~fma ~payload ~trips =
   in
   loop ~trips body
 
-let static_instructions t =
-  List.fold_left (fun acc l -> acc + Array.length l.body) 0 t
-
-let dynamic_instructions t =
-  List.fold_left (fun acc l -> acc + (Array.length l.body * l.trips)) 0 t
-
 let validate t =
   List.iteri
     (fun i l ->

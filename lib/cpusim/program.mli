@@ -21,12 +21,6 @@ val flops_microkernel_loop :
 (** One CAT FLOPs-benchmark loop: [payload] FP instructions of the
     class, two operand loads, two integer ops and the back-edge. *)
 
-val static_instructions : t -> int
-(** Code-size proxy: instructions across all loop bodies. *)
-
-val dynamic_instructions : t -> int
-(** Total instructions executed. *)
-
 val validate : t -> unit
 (** Raises [Invalid_argument] on empty bodies, non-positive trip
     counts, or a [Branch_back] that is not the final instruction of

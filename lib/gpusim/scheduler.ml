@@ -8,6 +8,7 @@ let default_config = { max_waves_in_flight = 8; issue_per_cycle = 1 }
 let simulate ?(config = default_config) (k : Kernel.t) =
   if config.max_waves_in_flight < 1 || config.issue_per_cycle < 1 then
     invalid_arg "Scheduler.simulate: bad config";
+  if k.body = [] then invalid_arg "Scheduler.simulate: empty body";
   let latency = Array.of_list (List.map Isa.latency k.body) in
   let body_len = Array.length latency in
   let per_wave = body_len * k.iterations in

@@ -34,7 +34,9 @@ val default_config : config
 
 val simulate : ?config:config -> Kernel.t -> int
 (** Cycles to drain the kernel's wavefronts through one CU (the
-    cycle of the last issue); allocates nothing per stepped cycle. *)
+    cycle of the last issue); allocates nothing per stepped cycle.
+    Raises [Invalid_argument] on a config field below 1 or an empty
+    body. *)
 
 val serial_cycles : Kernel.t -> int
 (** Lower-fidelity reference: every instruction charged its full

@@ -20,11 +20,3 @@ let merge a b =
   let t = Hashtbl.copy a in
   Hashtbl.iter (fun k v -> add t k v) b;
   t
-
-let scale alpha a =
-  let t = create () in
-  Hashtbl.iter (fun k v -> Hashtbl.replace t k (alpha *. v)) a;
-  t
-
-let pp ppf t =
-  List.iter (fun k -> Format.fprintf ppf "%s=%g@ " k (get t k)) (keys t)

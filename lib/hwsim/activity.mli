@@ -27,8 +27,3 @@ val of_list : (string * float) list -> t
 
 val merge : t -> t -> t
 (** Keywise sum, fresh record. *)
-
-val scale : float -> t -> t
-(** Keywise scaling, fresh record. *)
-
-val pp : Format.formatter -> t -> unit

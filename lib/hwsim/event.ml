@@ -13,5 +13,3 @@ let ideal_value t activity =
   List.fold_left
     (fun acc (c, k) -> acc +. (c *. Activity.get activity k))
     t.offset t.terms
-
-let compare_name a b = compare a.name b.name

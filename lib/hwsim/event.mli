@@ -23,5 +23,3 @@ val make :
 
 val ideal_value : t -> Activity.t -> float
 (** The noiseless value of the functional on an activity record. *)
-
-val compare_name : t -> t -> int

@@ -36,9 +36,6 @@ let branch_taken = "branch.taken"
 let branch_uncond = "branch.uncond"
 let branch_misp = "branch.misp"
 
-let all_branch =
-  [ branch_cond_exec; branch_cond_retired; branch_taken; branch_uncond; branch_misp ]
-
 let cache_l1_dh = "cache.l1_dh"
 let cache_l1_dm = "cache.l1_dm"
 let cache_l2_dh = "cache.l2_dh"

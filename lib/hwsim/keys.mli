@@ -20,9 +20,6 @@ val all_flops : string list
 (** The 16 keys in expectation-basis order: SP widths, DP widths,
     SP-FMA widths, DP-FMA widths (the paper's Table I ordering). *)
 
-val fp_lanes : precision:fp_precision -> width:fp_width -> int
-(** Vector lanes of one instruction: e.g. 8 for 256-bit single. *)
-
 val fp_ops_per_instr : precision:fp_precision -> width:fp_width -> fma:bool -> int
 (** FLOPs per instruction = lanes, doubled for FMA. *)
 
@@ -36,9 +33,6 @@ val branch_cond_retired : string
 val branch_taken : string
 val branch_uncond : string
 val branch_misp : string
-
-val all_branch : string list
-(** In the paper's (CE, CR, T, D, M) order. *)
 
 (** {1 Data cache} *)
 

@@ -49,14 +49,3 @@ let restrict plan ~lo ~hi =
       plan.groups
   in
   { plan with groups }
-
-let group_of plan name =
-  let rec go i = function
-    | [] -> raise Not_found
-    | g :: rest ->
-      if List.exists (fun (e : Event.t) -> e.Event.name = name) g then i
-      else go (i + 1) rest
-  in
-  go 0 plan.groups
-
-let coresident plan a b = group_of plan a = group_of plan b

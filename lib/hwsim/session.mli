@@ -30,11 +30,3 @@ val group_count : plan -> int
 
 val runs_needed : plan -> reps:int -> int
 (** Benchmark executions for a full campaign: groups x repetitions. *)
-
-val group_of : plan -> string -> int
-(** Index of the group measuring the named event; raises
-    [Not_found]. *)
-
-val coresident : plan -> string -> string -> bool
-(** Whether two events are measured during the same runs (same
-    group) — relevant when comparing their readings directly. *)

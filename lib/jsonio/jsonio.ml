@@ -24,11 +24,6 @@ let add_escaped buf s =
     s;
   Buffer.add_char buf '"'
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  add_escaped buf s;
-  Buffer.contents buf
-
 (* The runtime conversion behind Printf's [%g]/[%f], called directly:
    the same bytes as [Printf.sprintf "%.17g"], without interpreting a
    format on every number. *)

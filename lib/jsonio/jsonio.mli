@@ -24,9 +24,6 @@ val to_string_compact : t -> string
     like the benchmark trajectory (JSONL).  Parses back with
     {!of_string} exactly like the pretty form. *)
 
-val escape_string : string -> string
-(** The quoted, escaped form of a string (exposed for tests). *)
-
 val of_string : string -> (t, string) result
 (** Parse a complete JSON document.  [Error msg] carries the byte
     offset of the first problem.  Duplicate object keys are kept in
@@ -49,10 +46,7 @@ val fnum_opt : t -> float option
 (** Inverse of {!fnum}: accepts {!Num} and the three tagged strings;
     [None] for anything else. *)
 
-val to_float_opt : t -> float option
 val to_string_opt : t -> string option
-val to_bool_opt : t -> bool option
-val to_list_opt : t -> t list option
 
 (** {1 Strict decoding}
 

@@ -29,27 +29,8 @@ let sub v ~pos ~len =
 let unsafe_get v i = Float.Array.unsafe_get v.data (v.off + (i * v.inc))
 let unsafe_set v i x = Float.Array.unsafe_set v.data (v.off + (i * v.inc)) x
 
-let get v i =
-  if i < 0 || i >= v.len then invalid_arg "Kernel.get: index out of bounds";
-  unsafe_get v i
-
-let set v i x =
-  if i < 0 || i >= v.len then invalid_arg "Kernel.set: index out of bounds";
-  unsafe_set v i x
-
 let check_same_len name x y =
   if x.len <> y.len then invalid_arg (name ^ ": length mismatch")
-
-let fill v x =
-  for i = 0 to v.len - 1 do
-    unsafe_set v i x
-  done
-
-let copy ~src ~dst =
-  check_same_len "Kernel.copy" src dst;
-  for i = 0 to src.len - 1 do
-    unsafe_set dst i (unsafe_get src i)
-  done
 
 let swap x y =
   check_same_len "Kernel.swap" x y;
@@ -85,21 +66,6 @@ let amax v =
   done;
   !s
 
-let asum v =
-  let s = ref 0.0 in
-  for i = 0 to v.len - 1 do
-    s := !s +. Float.abs (unsafe_get v i)
-  done;
-  !s
-
-let sqnorm v =
-  let s = ref 0.0 in
-  for i = 0 to v.len - 1 do
-    let x = unsafe_get v i in
-    s := !s +. (x *. x)
-  done;
-  !s
-
 let nrm2 v =
   (* Scaled two-pass norm: avoids overflow for large counts such as
      cycle measurements in the raw matrices. *)
@@ -113,11 +79,6 @@ let nrm2 v =
     done;
     scale *. sqrt !s
   end
-
-let iteri f v =
-  for i = 0 to v.len - 1 do
-    f i (unsafe_get v i)
-  done
 
 let fold_left f init v =
   let acc = ref init in

@@ -17,13 +17,13 @@
 
     - a view is only valid while its backing storage is; views are
       meant to be consumed immediately, not stored;
-    - binary operations ({!dot}, {!axpy}, {!copy}, {!swap}) require
+    - binary operations ({!dot}, {!axpy}, {!swap}) require
       the two views not to overlap unless they are the {e same}
       elements in the same order (in-place [x := x] patterns);
       overlapping but shifted views are undefined behaviour;
     - in-place mutation through a view is permitted exactly where an
       operation's documentation says so ([axpy]'s [y], [scal],
-      [fill], [copy]'s [dst], [swap], {!reflect_panel}'s [data]);
+      [swap], {!reflect_panel}'s [data]);
       every other argument is read-only.
 
     {2 The no-copy contract}
@@ -31,8 +31,8 @@
     Reading or updating {e through a view costs zero copies}: every
     operation in this module walks the backing storage in place.
     Pipeline code must therefore reach numeric data via views
-    ({!Vec.view}, {!Mat.col_view}/{!Mat.row_view}, {!sub}) or the
-    iteration combinators ({!iteri}, {!fold_left}) — never by
+    ({!Vec.view}, {!Mat.col_view}, {!sub}) or the fold
+    combinator ({!fold_left}) — never by
     round-tripping through [Vec.to_array]/[Vec.of_array], which
     materializes a boxed copy.  [of_array]/[to_array] are interchange
     boundaries (JSON, reports, tests), not access paths.
@@ -59,17 +59,10 @@ val sub : view -> pos:int -> len:int -> view
 
 val len : view -> int
 
-val get : view -> int -> float
-val set : view -> int -> float -> unit
-
 val unsafe_get : view -> int -> float
 (** No bounds check; the view's constructor already proved the range
     valid, so [0 <= i < len] is the caller's only obligation. *)
 
-val unsafe_set : view -> int -> float -> unit
-
-val fill : view -> float -> unit
-val copy : src:view -> dst:view -> unit
 val swap : view -> view -> unit
 
 val scal : float -> view -> unit
@@ -79,21 +72,11 @@ val dot : view -> view -> float
 val axpy : alpha:float -> x:view -> y:view -> unit
 (** [axpy ~alpha ~x ~y] updates [y <- alpha * x + y] in place. *)
 
-val amax : view -> float
-(** Maximum absolute value; [0.] for an empty view. *)
-
-val asum : view -> float
-
-val sqnorm : view -> float
-(** Unscaled sum of squares (the trailing-norm accumulation used by
-    the pivoted factorizations). *)
-
 val nrm2 : view -> float
 (** Euclidean norm with infinity-norm scaling against overflow —
     the same two-pass algorithm at every layer, so norms computed on
     views agree bit-for-bit with {!Vec.norm2} on copies. *)
 
-val iteri : (int -> float -> unit) -> view -> unit
 val fold_left : ('a -> float -> 'a) -> 'a -> view -> 'a
 
 (** {2 Row-major panel primitives}

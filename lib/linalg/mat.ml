@@ -120,10 +120,6 @@ let col t j =
   if j < 0 || j >= t.n then invalid_arg "Mat.col: column out of bounds";
   Vec.init t.m (fun i -> unsafe_get t i j)
 
-let row t i =
-  if i < 0 || i >= t.m then invalid_arg "Mat.row: row out of bounds";
-  Vec.init t.n (fun j -> unsafe_get t i j)
-
 let set_col t j v =
   if Vec.dim v <> t.m then invalid_arg "Mat.set_col: dimension mismatch";
   if j < 0 || j >= t.n then invalid_arg "Mat.set_col: column out of bounds";
@@ -183,10 +179,6 @@ let frobenius t =
   done;
   sqrt !s
 
-let col_norm t j =
-  if j < 0 || j >= t.n then invalid_arg "Mat.col_norm: column out of bounds";
-  sqrt (Kernel.sqnorm (col_view t j))
-
 let trailing_col_norms t ~row0 ~col0 =
   if row0 < 0 || row0 > t.m || col0 < 0 || col0 > t.n then
     invalid_arg "Mat.trailing_col_norms: out of bounds";
@@ -243,16 +235,3 @@ let equal ?(eps = 0.0) x y =
        done;
        !ok
      end
-
-let to_rows t =
-  Array.init t.m (fun i -> Array.init t.n (fun j -> unsafe_get t i j))
-
-let pp ppf t =
-  for i = 0 to t.m - 1 do
-    Format.fprintf ppf "[";
-    for j = 0 to t.n - 1 do
-      if j > 0 then Format.fprintf ppf " ";
-      Format.fprintf ppf "%10.4g" (unsafe_get t i j)
-    done;
-    Format.fprintf ppf "]@."
-  done

@@ -7,11 +7,11 @@
     kernels — trailing column norms and Householder panel updates
     over matrices with thousands of columns — on this storage via
     {!Kernel}'s row-major panel primitives and the no-copy
-    {!col_view}/{!row_view} accessors, so the factorizations stream
+    {!col_view} accessor, so the factorizations stream
     memory instead of chasing per-row pointers.
 
     The representation is abstract; interchange with ordinary OCaml
-    data goes through {!of_rows}/{!of_cols}/{!to_rows}, and
+    data goes through {!of_rows}/{!of_cols}, and
     {!storage} / {!row_stride} are the documented escape hatch for
     kernel code. *)
 
@@ -65,17 +65,10 @@ val col : t -> int -> Vec.t
     reads: the view costs nothing (see the no-copy contract in
     kernel.mli). *)
 
-val row : t -> int -> Vec.t
-(** Fresh copy of a row; same caveat as {!col}. *)
-
 val col_view : ?row0:int -> t -> int -> Kernel.view
 (** [col_view ~row0 a j] is the aliasing view of rows [row0..] of
     column [j] — no copy; writes through the view write the matrix.
     [row0] defaults to [0]. *)
-
-val row_view : ?col0:int -> t -> int -> Kernel.view
-(** [row_view ~col0 a i] is the aliasing (unit-stride) view of
-    columns [col0..] of row [i].  [col0] defaults to [0]. *)
 
 val set_col : t -> int -> Vec.t -> unit
 val swap_cols : t -> int -> int -> unit
@@ -100,9 +93,6 @@ val norm2 : ?iters:int -> t -> float
     working accuracy for the small, well-separated matrices used
     here.  [iters] defaults to [200]. *)
 
-val col_norm : t -> int -> float
-(** Euclidean norm of a column without copying it. *)
-
 val trailing_col_norms : t -> row0:int -> col0:int -> float array
 (** [trailing_col_norms a ~row0 ~col0] is the array of Euclidean
     norms of columns [col0..], each over rows [row0..] — the
@@ -116,8 +106,3 @@ val select_cols : t -> int array -> t
 
 val equal : ?eps:float -> t -> t -> bool
 (** Componentwise, with absolute tolerance [eps] (default [0.]). *)
-
-val to_rows : t -> float array array
-(** Fresh row-array copy. *)
-
-val pp : Format.formatter -> t -> unit

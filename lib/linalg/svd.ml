@@ -27,5 +27,3 @@ let rank ?(tol = 1e-10) a =
   | sv ->
     if sv.(0) = 0.0 then 0
     else Array.length (Array.of_list (List.filter (fun s -> s > tol *. sv.(0)) (Array.to_list sv)))
-
-let nuclear_norm a = Array.fold_left ( +. ) 0.0 (singular_values a)

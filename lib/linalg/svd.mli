@@ -18,6 +18,3 @@ val condition_number : Mat.t -> float
 
 val rank : ?tol:float -> Mat.t -> int
 (** Singular values above [tol * sigma_max] (default [1e-10]). *)
-
-val nuclear_norm : Mat.t -> float
-(** Sum of singular values. *)

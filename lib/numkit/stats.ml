@@ -39,19 +39,6 @@ let median a =
   let n = Array.length b in
   if n mod 2 = 1 then b.(n / 2) else (b.((n / 2) - 1) +. b.(n / 2)) /. 2.0
 
-let quantile a q =
-  check_nonempty "Stats.quantile" a;
-  if q < 0.0 || q > 1.0 then invalid_arg "Stats.quantile: q out of range";
-  let b = sorted_copy a in
-  let n = Array.length b in
-  if n = 1 then b.(0)
-  else begin
-    let pos = q *. float_of_int (n - 1) in
-    let i = int_of_float (Float.floor pos) in
-    let frac = pos -. float_of_int i in
-    if i >= n - 1 then b.(n - 1) else b.(i) +. (frac *. (b.(i + 1) -. b.(i)))
-  end
-
 (* Eq. 4 for one pair whose means are already known: the squared
    differences are Kahan-summed in index order, as [sum] would sum
    them from an array. *)
@@ -140,10 +127,6 @@ let max_relative_range reps =
     done;
     !worst
 
-let mad a =
-  let m = median a in
-  median (Array.map (fun x -> Float.abs (x -. m)) a)
-
 (* The common length of a non-empty list of equal-length vectors. *)
 let common_length vs =
   match vs with
@@ -155,10 +138,6 @@ let common_length vs =
         if Array.length v <> n then invalid_arg "Stats.elementwise: ragged input")
       vs;
     n
-
-let elementwise f vs =
-  let n = common_length vs in
-  Array.init n (fun i -> f (Array.of_list (List.map (fun v -> v.(i)) vs)))
 
 let elementwise_mean vs =
   let n = common_length vs in
@@ -178,5 +157,4 @@ let elementwise_mean vs =
   done;
   out
 
-let elementwise_median vs = elementwise median vs
 let all_zero a = Array.for_all (fun x -> x = 0.0) a

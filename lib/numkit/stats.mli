@@ -18,10 +18,6 @@ val median : float array -> float
     mean of the two central order statistics is returned.  Raises on
     empty input. *)
 
-val quantile : float array -> float -> float
-(** [quantile a q] with [0. <= q <= 1.], linear interpolation between
-    order statistics.  Raises on empty input or out-of-range [q]. *)
-
 val sum : float array -> float
 (** Kahan-compensated sum. *)
 
@@ -51,15 +47,8 @@ val max_relative_range : float array list -> float
     not count as [1.]; all-zero elements contribute [0.].  [0.] with
     fewer than two repetitions. *)
 
-val mad : float array -> float
-(** Median absolute deviation from the median. *)
-
 val elementwise_mean : float array list -> float array
 (** Mean vector of a non-empty list of equal-length vectors. *)
-
-val elementwise_median : float array list -> float array
-(** Median vector of a non-empty list of equal-length vectors — used
-    to combine per-thread cache measurements (paper Section IV). *)
 
 val all_zero : float array -> bool
 (** True when every element is exactly [0.]. *)

@@ -32,7 +32,6 @@ let attr_json = function
   | Sink.Str s -> escape s
   | Sink.Int i -> string_of_int i
   | Sink.Float f -> number f
-  | Sink.Bool b -> string_of_bool b
 
 let ts_us t ts_ns = Int64.to_float (Int64.sub ts_ns t.epoch_ns) /. 1e3
 

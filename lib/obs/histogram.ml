@@ -4,7 +4,7 @@
    every histogram in the process: bounds.(i) = 1024 * 2^i ns, i in
    0..25 (1.024 us up to ~34.4 s), plus one overflow bucket.  Fixed
    geometry is the point: two histograms recorded by different runs
-   (or different machines) are directly comparable and mergeable
+   (or different machines) are directly comparable
    bucket by bucket, which is what the run-manifest diff needs. *)
 
 let bucket_bounds =
@@ -53,13 +53,6 @@ let min_ns t = t.min_ns
 let max_ns t = t.max_ns
 let counts t = Array.copy t.counts
 
-let of_counts ~counts ~n ~sum_ns ~min_ns ~max_ns =
-  if Array.length counts <> bucket_count then
-    invalid_arg
-      (Printf.sprintf "Histogram.of_counts: %d buckets (scheme %s has %d)"
-         (Array.length counts) scheme_id bucket_count);
-  { counts = Array.copy counts; n; sum_ns; min_ns; max_ns }
-
 (* Quantile estimate: walk the cumulative counts to the bucket that
    contains rank q*n, then interpolate linearly inside the bucket.
    The estimate is clamped to the recorded [min, max], so single-value
@@ -87,12 +80,3 @@ let quantile t q =
     in
     go 0 0
   end
-
-let merge a b =
-  let t = create () in
-  Array.iteri (fun i c -> t.counts.(i) <- c + b.counts.(i)) a.counts;
-  t.n <- a.n + b.n;
-  t.sum_ns <- a.sum_ns +. b.sum_ns;
-  t.min_ns <- Float.min a.min_ns b.min_ns;
-  t.max_ns <- Float.max a.max_ns b.max_ns;
-  t

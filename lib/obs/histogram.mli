@@ -1,18 +1,14 @@
 (** Fixed-bucket latency histogram.
 
     Log2-spaced upper bounds, fixed for every histogram in the
-    process ({!bucket_bounds}: [1024 * 2^i] ns for [i] in 0..25, plus
-    an overflow bucket), so histograms from different runs — or
-    different machines — are comparable and mergeable bucket by
-    bucket.  Quantiles are estimated by linear interpolation inside
-    the containing bucket, clamped to the recorded min/max. *)
-
-val bucket_bounds : float array
-(** Upper bounds (ns), ascending.  Values above the last bound land
-    in the overflow bucket. *)
+    process ([1024 * 2^i] ns for [i] in 0..25, plus an overflow
+    bucket), so histograms from different runs — or different
+    machines — are comparable bucket by bucket.  Quantiles are
+    estimated by linear interpolation inside the containing bucket,
+    clamped to the recorded min/max. *)
 
 val bucket_count : int
-(** [Array.length bucket_bounds + 1] (the overflow bucket). *)
+(** The 26 bounded buckets plus the overflow bucket. *)
 
 val scheme_id : string
 (** Stable identifier of the bucket geometry, stored in serialized
@@ -39,16 +35,7 @@ val max_ns : t -> float
 val counts : t -> int array
 (** A copy of the bucket counts ({!bucket_count} cells). *)
 
-val of_counts :
-  counts:int array -> n:int -> sum_ns:float -> min_ns:float ->
-  max_ns:float -> t
-(** Rebuild from serialized state; raises [Invalid_argument] if the
-    bucket count does not match {!bucket_count}. *)
-
 val quantile : t -> float -> float
 (** [quantile t q] with [q] clamped to [0,1]; NaN when empty.  The
     estimate is exact for single-valued distributions and within one
     bucket's width otherwise. *)
-
-val merge : t -> t -> t
-(** Bucket-wise sum (same fixed scheme on both sides). *)

@@ -21,7 +21,6 @@
     --diff] fails when any non-timing field differs. *)
 
 val schema_version : int
-val kind_name : string
 
 type lint_summary = { errors : int; warns : int; infos : int }
 
@@ -111,17 +110,12 @@ val diff : t -> t -> change list
     [created_unix] is never reported. *)
 
 val non_timing : change list -> change list
-val timing_only : change list -> change list
 
 val render_changes : ?show_timing:bool -> change list -> string
 (** Summary line, then the non-timing section and — with [show_timing]
     (the default) — the timing section; with [~show_timing:false]
     timing deltas are counted but not listed (the expected-noise case:
     the caller only wants the non-timing verdict). *)
-
-val jobs : t -> string option
-(** The executor concurrency recorded under the [jobs] config key
-    (older manifests may not carry it). *)
 
 val cross_jobs : t -> t -> (string * string) option
 (** [cross_jobs a b] is [Some (ja, jb)] when both manifests record a

@@ -143,7 +143,6 @@ let set_attr name v =
 let attr_str name v = if enabled () then set_attr name (Sink.Str v)
 let attr_int name v = if enabled () then set_attr name (Sink.Int v)
 let attr_float name v = if enabled () then set_attr name (Sink.Float v)
-let attr_bool name v = if enabled () then set_attr name (Sink.Bool v)
 
 let add name delta =
   let c = current () in
@@ -180,10 +179,6 @@ let counter name =
   match Hashtbl.find_opt (current ()).counters_tbl name with
   | Some c -> !c
   | None -> 0.0
-
-let counters () =
-  Hashtbl.fold (fun name c acc -> (name, !c) :: acc) (current ()).counters_tbl []
-  |> List.sort compare
 
 (* --- Capture -------------------------------------------------------- *)
 

@@ -92,7 +92,6 @@ val end_span : int -> unit
 val attr_str : string -> string -> unit
 val attr_int : string -> int -> unit
 val attr_float : string -> float -> unit
-val attr_bool : string -> bool -> unit
 
 (** {1 Counters and gauges} *)
 
@@ -107,9 +106,6 @@ val gauge : string -> float -> unit
 
 val counter : string -> float
 (** Current accumulated value (0 if never incremented). *)
-
-val counters : unit -> (string * float) list
-(** Snapshot of all counters, sorted by name. *)
 
 val reset_counters : unit -> unit
 (** Zero all counters and gauges (sinks are untouched) — used to

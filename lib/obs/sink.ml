@@ -2,7 +2,6 @@ type attr =
   | Str of string
   | Int of int
   | Float of float
-  | Bool of bool
 
 type t = {
   on_span_start : id:int -> parent:int -> name:string -> ts_ns:int64 -> unit;
@@ -24,9 +23,3 @@ let null =
     on_counter = (fun ~name:_ ~delta:_ ~total:_ ~ts_ns:_ -> ());
     on_gauge = (fun ~name:_ ~value:_ ~ts_ns:_ -> ());
   }
-
-let attr_to_string = function
-  | Str s -> s
-  | Int i -> string_of_int i
-  | Float f -> Printf.sprintf "%g" f
-  | Bool b -> string_of_bool b

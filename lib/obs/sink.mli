@@ -9,7 +9,6 @@ type attr =
   | Str of string
   | Int of int
   | Float of float
-  | Bool of bool
       (** Span attributes: small typed values attached to a span while
           it is open and delivered with its end event. *)
 
@@ -34,6 +33,3 @@ val null : t
 (** Receives everything, records nothing.  Installing it exercises the
     full instrumentation path with no output — the reference point for
     the "observability is behaviorally inert" guarantee. *)
-
-val attr_to_string : attr -> string
-(** Human-readable rendering (no quoting). *)

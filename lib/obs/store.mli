@@ -16,7 +16,6 @@
     so editing a stored manifest or the index by hand is rejected with
     an error naming the file. *)
 
-val schema_version : int
 val default_dir : string
 (** [".analyze/store"]. *)
 

@@ -45,12 +45,6 @@ let sink t =
         | None -> Hashtbl.add t.gauges name (ref value));
   }
 
-let span_total_ns t name =
-  match Hashtbl.find_opt t.spans name with Some a -> a.total_ns | None -> 0L
-
-let counter_total t name =
-  match Hashtbl.find_opt t.counters name with Some c -> !c | None -> 0.0
-
 let ms ns = Int64.to_float ns /. 1e6
 
 let render t =

@@ -18,9 +18,3 @@ val reset : t -> unit
 val render : t -> string
 (** Two sections: span timings, then counters/gauges.  Empty string if
     nothing was recorded. *)
-
-val span_total_ns : t -> string -> int64
-(** Total time recorded under a span name (0 if never seen). *)
-
-val counter_total : t -> string -> float
-(** Accumulated counter value (0 if never seen). *)

@@ -99,11 +99,6 @@ val fate : entry -> fate
 
 val fate_checked : entry -> (fate, string) result
 
-val fate_name : fate -> string
-(** ["all-zero"], ["noisy"], ["unrepresentable"],
-    ["eliminated-below-beta"], ["eliminated-rank-exhausted"],
-    ["chosen"]. *)
-
 val fate_of_name : string -> fate option
 
 (** {1 Queries} *)

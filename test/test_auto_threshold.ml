@@ -3,9 +3,12 @@
 
 let series_of l = Array.of_list (List.mapi (fun i v -> (string_of_int i, v)) l)
 
+(* The widest band: the first candidate [select] probes. *)
+let widest series = List.hd (Core.Auto_threshold.bands series)
+
 let test_suggest_simple_gap () =
   let s =
-    Core.Auto_threshold.suggest
+    widest
       (series_of [ 0.0; 0.0; 1e-3; 2e-3; 0.5; 1.0 ])
   in
   (* The widest multiplicative gap is floor..1e-3 (1e12), so the cut
@@ -18,18 +21,18 @@ let test_suggest_simple_gap () =
   Alcotest.(check int) "rejects the rest" 4 s.Core.Auto_threshold.above
 
 let test_suggest_no_zero_cluster () =
-  let s = Core.Auto_threshold.suggest (series_of [ 1e-6; 2e-6; 0.9; 1.1 ]) in
+  let s = widest (series_of [ 1e-6; 2e-6; 0.9; 1.1 ]) in
   Alcotest.(check bool) "cuts inside the big gap" true
     (s.Core.Auto_threshold.tau > 2e-6 && s.Core.Auto_threshold.tau < 0.9);
   Alcotest.(check int) "below" 2 s.Core.Auto_threshold.below
 
 let test_suggest_rejects_degenerate_inputs () =
   Alcotest.check_raises "empty"
-    (Invalid_argument "Auto_threshold.suggest: empty series") (fun () ->
-      ignore (Core.Auto_threshold.suggest [||]));
+    (Invalid_argument "Auto_threshold.bands: empty series") (fun () ->
+      ignore (widest [||]));
   Alcotest.check_raises "all zero"
-    (Invalid_argument "Auto_threshold.suggest: no positive variabilities")
-    (fun () -> ignore (Core.Auto_threshold.suggest (series_of [ 0.0; 0.0 ])))
+    (Invalid_argument "Auto_threshold.bands: no positive variabilities")
+    (fun () -> ignore (widest (series_of [ 0.0; 0.0 ])))
 
 let test_bands_sorted_by_gap () =
   let bands = Core.Auto_threshold.bands (series_of [ 0.0; 1e-6; 1e-3; 1e-2 ]) in
@@ -68,7 +71,11 @@ let test_auto_tau_cache_walks_to_lenient_band () =
      validated walk must settle on a lenient τ that still recovers
      the paper's four cache events. *)
   let dataset = Core.Category.(dataset Dcache) in
-  let naive = Core.Auto_threshold.for_dataset dataset in
+  let naive =
+    widest
+      (Core.Noise_filter.variability_series
+         (Core.Noise_filter.classify ~tau:infinity dataset))
+  in
   Alcotest.(check bool) "naive suggestion keeps almost nothing" true
     (naive.Core.Auto_threshold.below < 20);
   let s =
@@ -135,6 +142,41 @@ let test_cli_manifest_is_the_real_run () =
   Alcotest.(check (option string)) "recorded tau is the printed one" printed
     (Some recorded)
 
+(* [analyze --csv F --auto-tau N] probes F's dataset, not the
+   simulated catalog: on a 40-event dump of cpu-flops the printed tau
+   and kept count are those of [select] on those 40 events. *)
+let test_cli_csv_probes_the_csv () =
+  let analyze =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/analyze.exe"
+  in
+  let dataset = Cat_bench.Dataset.(collect ~hi:40 cpu_flops_bench) in
+  let csv = Filename.temp_file "auto_tau" ".csv" and out = Filename.temp_file "auto_tau" ".out" in
+  Out_channel.with_open_bin csv (fun oc ->
+      output_string oc (Cat_bench.Dataset.reps_to_csv dataset));
+  let code =
+    Sys.command
+      (String.concat " "
+         (List.map Filename.quote
+            [ analyze; "-c"; "cpu-flops"; "--csv"; csv; "--auto-tau"; "1";
+              "--show"; "summary" ]
+         @ [ ">"; Filename.quote out; "2> /dev/null" ]))
+  in
+  let printed =
+    In_channel.with_open_bin out In_channel.input_lines
+    |> List.find_map (fun l ->
+           Scanf.sscanf_opt l "auto-tau: selected %s (gap ratio %s keeps %d events)"
+             (fun tau _ kept -> (tau, kept)))
+  in
+  Sys.remove csv;
+  Sys.remove out;
+  Alcotest.(check int) "exit code" 0 code;
+  let s =
+    Core.Auto_threshold.select ~category:Core.Category.Cpu_flops ~dataset ~min_rank:1 ()
+  in
+  Alcotest.(check (option (pair string int))) "tau and kept count of the CSV"
+    (Some (Printf.sprintf "%.3e" s.Core.Auto_threshold.tau, s.Core.Auto_threshold.below))
+    printed
+
 let () =
   Alcotest.run "auto_threshold"
     [
@@ -152,5 +194,7 @@ let () =
           Alcotest.test_case "unachievable rank" `Quick test_select_raises_when_unachievable;
           Alcotest.test_case "CLI manifest is the real run" `Quick
             test_cli_manifest_is_the_real_run;
+          Alcotest.test_case "CLI --csv probes the CSV" `Quick
+            test_cli_csv_probes_the_csv;
         ] );
     ]

@@ -178,11 +178,6 @@ let test_uncond_only_in_k10 () =
       Alcotest.(check (float 0.0)) (k.name ^ " uncond") expected c.Branchsim.Engine.uncond)
     Branchsim.Kernels.all
 
-let test_static_branch_count () =
-  Alcotest.(check int) "k05 has 3 static branches" 3
-    (Branchsim.Engine.static_branch_count (find "k05_taken_if_random_never").slots);
-  Alcotest.(check int) "k11 has 1" 1
-    (Branchsim.Engine.static_branch_count (find "k11_taken").slots)
 
 let test_engine_rejects_bad_iterations () =
   Alcotest.check_raises "zero iterations"
@@ -230,7 +225,6 @@ let () =
           Alcotest.test_case "CE = CR without" `Quick test_no_speculation_kernels_have_ce_eq_cr;
           Alcotest.test_case "shadow = mispredicts" `Quick test_shadow_executions_equal_mispredicts;
           Alcotest.test_case "uncond only k10" `Quick test_uncond_only_in_k10;
-          Alcotest.test_case "static branch count" `Quick test_static_branch_count;
           Alcotest.test_case "iteration validation" `Quick test_engine_rejects_bad_iterations;
           Alcotest.test_case "guarded branch predicted" `Quick test_guarded_branch_occurrence_stream;
         ] );

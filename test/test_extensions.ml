@@ -72,11 +72,7 @@ let test_signature_combinators () =
   Alcotest.(check string) "name" "a+b" s.metric;
   Alcotest.(check (list (pair string (float 1e-12)))) "merged coords"
     [ ("X", 1.); ("Y", 5.); ("Z", 4.) ]
-    (List.sort compare s.coords);
-  let d = Core.Signature.scale 2.0 a in
-  Alcotest.(check (list (pair string (float 1e-12)))) "scaled"
-    [ ("X", 2.); ("Y", 4.) ]
-    (List.sort compare d.coords)
+    (List.sort compare s.coords)
 
 (* ------------------------------------------------------------------ *)
 (* Multiplexing                                                        *)

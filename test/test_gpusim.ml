@@ -276,6 +276,13 @@ let test_gpu_rows_pinned () =
   Alcotest.(check string) "digest" "706f2768cf85c7a525c5c27d6bddfd85"
     (activity_digest (Array.to_list (Cat_bench.Gpu_kernels.rows ())))
 
+let test_empty_body_rejected () =
+  Alcotest.check_raises "empty body"
+    (Invalid_argument "Scheduler.simulate: empty body") (fun () ->
+      ignore
+        (Gpusim.Scheduler.simulate
+           { Gpusim.Kernel.name = "empty"; body = []; iterations = 1; wavefronts = 1 }))
+
 let () =
   Alcotest.run "gpusim"
     [
@@ -304,6 +311,7 @@ let () =
           Alcotest.test_case "45 kernel cycle counts pinned" `Quick
             test_gpu_kernel_cycles_pinned;
           Alcotest.test_case "gpu rows pinned" `Quick test_gpu_rows_pinned;
+          Alcotest.test_case "empty body rejected" `Quick test_empty_body_rejected;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

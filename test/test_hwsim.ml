@@ -15,9 +15,7 @@ let test_activity_merge_scale () =
   let b = Hwsim.Activity.of_list [ ("y", 3.0); ("z", 4.0) ] in
   let m = Hwsim.Activity.merge a b in
   Alcotest.(check (float 0.0)) "merge sums" 5.0 (Hwsim.Activity.get m "y");
-  Alcotest.(check (float 0.0)) "merge keeps" 1.0 (Hwsim.Activity.get m "x");
-  let s = Hwsim.Activity.scale 2.0 a in
-  Alcotest.(check (float 0.0)) "scale" 4.0 (Hwsim.Activity.get s "y")
+  Alcotest.(check (float 0.0)) "merge keeps" 1.0 (Hwsim.Activity.get m "x")
 
 let test_activity_keys_sorted () =
   let a = Hwsim.Activity.of_list [ ("b", 1.0); ("a", 1.0); ("c", 1.0) ] in
@@ -350,10 +348,10 @@ let three_events =
 let test_session_grouping () =
   let p = Hwsim.Session.plan ~counters:2 three_events in
   Alcotest.(check int) "two groups" 2 (Hwsim.Session.group_count p);
-  Alcotest.(check int) "A in group 0" 0 (Hwsim.Session.group_of p "A");
-  Alcotest.(check int) "C in group 1" 1 (Hwsim.Session.group_of p "C");
-  Alcotest.(check bool) "A,B coresident" true (Hwsim.Session.coresident p "A" "B");
-  Alcotest.(check bool) "A,C not" false (Hwsim.Session.coresident p "A" "C")
+  Alcotest.(check (list (list string))) "A,B then C" [ [ "A"; "B" ]; [ "C" ] ]
+    (List.map
+       (List.map (fun (e : Hwsim.Event.t) -> e.Hwsim.Event.name))
+       p.Hwsim.Session.groups)
 
 let test_session_runs_accounting () =
   let p = Hwsim.Session.plan ~counters:8 Hwsim.Catalog_sapphire_rapids.events in
@@ -375,10 +373,7 @@ let test_session_covers_all_events () =
 
 let test_session_validation () =
   Alcotest.check_raises "bad counters" (Invalid_argument "Session.plan: counters < 1")
-    (fun () -> ignore (Hwsim.Session.plan ~counters:0 three_events));
-  let p = Hwsim.Session.plan ~counters:2 three_events in
-  Alcotest.check_raises "unknown event" Not_found (fun () ->
-      ignore (Hwsim.Session.group_of p "Z"))
+    (fun () -> ignore (Hwsim.Session.plan ~counters:0 three_events))
 
 let test_session_restrict () =
   let five =

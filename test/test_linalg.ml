@@ -18,9 +18,7 @@ let test_vec_dot () =
 
 let test_vec_norms () =
   checkf "norm2 3-4-5" 5.0 (Linalg.Vec.norm2 (vec [| 3.; 4. |]));
-  checkf "norm2 zero" 0.0 (Linalg.Vec.norm2 (vec [| 0.; 0. |]));
-  checkf "norm_inf" 4.0 (Linalg.Vec.norm_inf (vec [| 3.; -4. |]));
-  checkf "norm1" 7.0 (Linalg.Vec.norm1 (vec [| 3.; -4. |]))
+  checkf "norm2 zero" 0.0 (Linalg.Vec.norm2 (vec [| 0.; 0. |]))
 
 let test_vec_norm2_no_overflow () =
   let v = vec [| 1e200; 1e200 |] in
@@ -32,14 +30,8 @@ let test_vec_axpy () =
   check_vec 1e-12 "axpy" [| 21.; 41. |] y
 
 let test_vec_arith () =
-  check_vec 1e-12 "add" [| 4.; 6. |]
-    (Linalg.Vec.add (vec [| 1.; 2. |]) (vec [| 3.; 4. |]));
   check_vec 1e-12 "sub" [| -2.; -2. |]
-    (Linalg.Vec.sub (vec [| 1.; 2. |]) (vec [| 3.; 4. |]));
-  check_vec 1e-12 "scale" [| 2.; 4. |]
-    (Linalg.Vec.scale 2.0 (vec [| 1.; 2. |]));
-  Alcotest.(check bool) "equal with eps" true
-    (Linalg.Vec.equal ~eps:0.01 (vec [| 1.0 |]) (vec [| 1.005 |]))
+    (Linalg.Vec.sub (vec [| 1.; 2. |]) (vec [| 3.; 4. |]))
 
 (* ------------------------------------------------------------------ *)
 (* Mat                                                                 *)

@@ -66,19 +66,6 @@ let test_histogram_known_distribution () =
   Alcotest.(check (float 0.0)) "q=1 is max" 1_000_000.0 (H.quantile h 1.0);
   Alcotest.(check bool) "q=0 at least min" true (H.quantile h 0.0 >= 1000.0)
 
-let test_histogram_merge () =
-  let a = H.create () and b = H.create () in
-  H.observe a 2000.0;
-  H.observe b 4000.0;
-  H.observe b 8000.0;
-  let m = H.merge a b in
-  Alcotest.(check int) "merged count" 3 (H.count m);
-  Alcotest.(check (float 0.0)) "merged sum" 14_000.0 (H.sum_ns m);
-  Alcotest.(check (float 0.0)) "merged min" 2000.0 (H.min_ns m);
-  Alcotest.(check (float 0.0)) "merged max" 8000.0 (H.max_ns m);
-  let counts c = Array.fold_left ( + ) 0 (H.counts c) in
-  Alcotest.(check int) "bucket totals add" (counts a + counts b) (counts m)
-
 (* ------------------------------------------------------------------ *)
 (* JSON round trip and strict rejection                                *)
 (* ------------------------------------------------------------------ *)
@@ -334,7 +321,6 @@ let () =
           test_case "empty quantile is NaN" `Quick test_histogram_empty;
           test_case "single value is exact" `Quick test_histogram_single_value;
           test_case "known distribution" `Quick test_histogram_known_distribution;
-          test_case "merge" `Quick test_histogram_merge;
         ] );
       ( "json",
         [

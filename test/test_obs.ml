@@ -120,8 +120,6 @@ let test_counter_accumulation () =
   Obs.gauge "g" 4.0;
   Alcotest.(check (float 1e-12)) "a accumulates" 4.5 (Obs.counter "a");
   Alcotest.(check (float 1e-12)) "b independent" 1.0 (Obs.counter "b");
-  Alcotest.(check bool) "snapshot sorted" true
-    (Obs.counters () = [ ("a", 4.5); ("b", 1.0) ]);
   (* Sinks see every step with running totals. *)
   let steps =
     List.filter_map

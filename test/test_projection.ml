@@ -149,7 +149,7 @@ let test_cache_representations_near_units () =
 let test_expectation_basis_accessors () =
   let basis = Core.Category.basis Core.Category.Branch in
   Alcotest.(check int) "dim" 5 (Core.Expectation.dim basis);
-  Alcotest.(check int) "rows" 11 (Core.Expectation.rows basis);
+  Alcotest.(check int) "rows" 11 (Linalg.Mat.rows (Core.Expectation.mat basis));
   Alcotest.(check int) "CE index" 0 (Core.Expectation.label_index basis "CE");
   Alcotest.check_raises "unknown label" Not_found (fun () ->
       ignore (Core.Expectation.label_index basis "XX"))

@@ -77,10 +77,6 @@ let test_svd_condition_number () =
   Alcotest.(check bool) "singular -> infinity" true
     (Linalg.Svd.condition_number singular = infinity)
 
-let test_svd_nuclear_norm () =
-  let a = mat_of_rows [ [ 3.; 0. ]; [ 0.; 4. ] ] in
-  Alcotest.(check (float 1e-9)) "3 + 4" 7.0 (Linalg.Svd.nuclear_norm a)
-
 let gen_mat =
   QCheck.make
     ~print:(fun (m, n, _) -> Printf.sprintf "%dx%d" m n)
@@ -135,7 +131,6 @@ let () =
           Alcotest.test_case "rank one" `Quick test_svd_rank_one;
           Alcotest.test_case "wide matrix" `Quick test_svd_wide_matrix;
           Alcotest.test_case "condition number" `Quick test_svd_condition_number;
-          Alcotest.test_case "nuclear norm" `Quick test_svd_nuclear_norm;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
