@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test loc check lint lint-smoke bench-smoke bench-linalg bench-shard bench-par bench-check bench-check-smoke manifest-smoke shard-smoke progress-smoke par-smoke store-smoke trend-smoke repro examples figures clean
+.PHONY: all build test loc check lint lint-smoke bench-smoke bench-linalg bench-shard bench-check bench-check-smoke manifest-smoke shard-smoke progress-smoke par-smoke store-smoke trend-smoke repro examples figures clean
 
 all: build
 
@@ -71,8 +71,6 @@ shard-smoke:
 	dune exec bin/analyze.exe -- merge /tmp/shard_smoke_0.json /tmp/shard_smoke_1.json \
 	  --show summary,chosen,metrics > /tmp/shard_smoke_merged.txt
 	cmp /tmp/shard_smoke_mono.txt /tmp/shard_smoke_merged.txt
-	dune exec bench/shard_bench.exe -- --smoke --out /tmp/BENCH_shard_smoke.json
-	dune exec bench/shard_bench.exe -- --check /tmp/BENCH_shard_smoke.json
 
 # Live progress from worker domains: a two-shard dcache run on two
 # domains with --progress must print byte-identical stdout to the same
@@ -90,7 +88,9 @@ progress-smoke:
 # reference: the same sharded run at --jobs 1 and at --jobs 4 must
 # produce byte-identical output for every category (cmp, not diff),
 # and an impossible --jobs value must fail through the typed lint
-# diagnostic.  Finishes with the parallel-front benchmark smoke.
+# diagnostic.  Finishes with the front benchmark smoke: branch at
+# shards {1,2} x jobs {1,2}, which exits non-zero when the two-shard
+# front misses its 1.5x jobs-2 speed-up on a host with 2+ cores.
 par-smoke:
 	for c in cpu-flops gpu-flops branch dcache; do \
 	  dune exec bin/analyze.exe -- -c $$c --shards 3 --jobs 1 \
@@ -100,8 +100,8 @@ par-smoke:
 	  cmp /tmp/par_smoke_seq.txt /tmp/par_smoke_par.txt || exit 1; \
 	done
 	! dune exec bin/analyze.exe -- -c branch --jobs 0 --show summary 2> /dev/null
-	dune exec bench/par_bench.exe -- --smoke --out /tmp/BENCH_par_smoke.json
-	dune exec bench/par_bench.exe -- --check /tmp/BENCH_par_smoke.json
+	dune exec bench/shard_bench.exe -- --smoke --out /tmp/BENCH_shard_smoke.json
+	dune exec bench/shard_bench.exe -- --check /tmp/BENCH_shard_smoke.json
 
 # Smallest-scale linalg scaling run; fails if BENCH_linalg.json is
 # missing fields or malformed.
@@ -109,26 +109,20 @@ bench-smoke:
 	dune exec bench/linalg_scale.exe -- --smoke --out /tmp/BENCH_linalg_smoke.json
 	dune exec bench/linalg_scale.exe -- --check /tmp/BENCH_linalg_smoke.json
 
-# Full linalg scaling run (1k..8k columns) with the boxed-storage
-# baseline comparison; refreshes bench/BENCH_linalg.json.
+# Full linalg scaling run (1k..8k columns); refreshes
+# bench/BENCH_linalg.json.
 bench-linalg:
 	dune exec bench/linalg_scale.exe -- --out bench/BENCH_linalg.json \
-	  --baseline bench/BENCH_linalg_baseline.json \
 	  --trajectory bench/TRAJECTORY.jsonl
 
-# Sharded-noise-filter profile (time + peak live heap words per shard
-# count); refreshes bench/BENCH_shard.json.
+# Front profile over (category, shards, jobs) points: front and merge
+# times, live heap after the front, chosen counts and the jobs-2
+# speed-up verdicts; refreshes bench/BENCH_shard.json (written before
+# the run exits non-zero on a missed 1.5x verdict with 2+ cores).
 bench-shard:
 	dune exec bench/shard_bench.exe -- --out bench/BENCH_shard.json \
 	  --trajectory bench/TRAJECTORY.jsonl
 	dune exec bench/shard_bench.exe -- --check bench/BENCH_shard.json
-
-# Parallel-front profile (sequential vs executor-dispatched front,
-# with the speedup verdict counter); refreshes bench/BENCH_par.json.
-bench-par:
-	dune exec bench/par_bench.exe -- --out bench/BENCH_par.json \
-	  --trajectory bench/TRAJECTORY.jsonl
-	dune exec bench/par_bench.exe -- --check bench/BENCH_par.json
 
 # Run-manifest smoke: emit manifests from real runs through each
 # entry point that takes an emitter — a plain run, a gated two-shard
@@ -166,9 +160,10 @@ manifest-smoke:
 # newest comparable run in the run store when one exists (the
 # checked-in baseline manifests are the empty-store fallback).
 # Passing runs are ingested, so the gate accumulates the trajectory
-# `analyze trend` reads, and TRAJECTORY.jsonl is regenerated as a
-# view over the store.  Non-zero exit on any metric regression or
-# exact-match counter mismatch.
+# `analyze trend` reads, and each appends one line to
+# TRAJECTORY.jsonl (append-only: the committed history is never
+# rewritten).  Non-zero exit on any metric regression or exact-match
+# counter mismatch.
 bench-check:
 	dune exec bench/linalg_scale.exe -- --out /tmp/BENCH_linalg_now.json
 	dune exec bench/bench_check.exe -- --baseline bench/BENCH_linalg.json \
@@ -178,22 +173,29 @@ bench-check:
 	dune exec bench/bench_check.exe -- --baseline bench/BENCH_shard.json \
 	  --current /tmp/BENCH_shard_now.json --from-store --store .analyze/store \
 	  --trajectory bench/TRAJECTORY.jsonl
-	dune exec bench/par_bench.exe -- --out /tmp/BENCH_par_now.json
-	dune exec bench/bench_check.exe -- --baseline bench/BENCH_par.json \
-	  --current /tmp/BENCH_par_now.json --from-store --store .analyze/store \
-	  --trajectory bench/TRAJECTORY.jsonl
 
 # Fast CI form of the gate: a smoke bench run compared against itself
 # must pass, the checked-in baselines must survive the strict decoder,
 # and an injected slowdown must make the gate fail (proving it fires).
+# A passing gate over a fresh store must append exactly one line to a
+# copy of the committed trajectory and keep every old line
+# byte-identical.
 bench-check-smoke:
 	dune exec bench/linalg_scale.exe -- --smoke --out /tmp/BENCH_gate_smoke.json
 	dune exec bench/bench_check.exe -- --baseline /tmp/BENCH_gate_smoke.json \
 	  --current /tmp/BENCH_gate_smoke.json
 	dune exec bench/linalg_scale.exe -- --check bench/BENCH_linalg.json
-	dune exec bench/linalg_scale.exe -- --check bench/BENCH_linalg_baseline.json
 	dune exec bench/shard_bench.exe -- --check bench/BENCH_shard.json
-	dune exec bench/par_bench.exe -- --check bench/BENCH_par.json
+	rm -rf /tmp/bench_check_smoke_store
+	cp bench/TRAJECTORY.jsonl /tmp/bench_check_smoke_trajectory.jsonl
+	dune exec bench/bench_check.exe -- --baseline /tmp/BENCH_gate_smoke.json \
+	  --current /tmp/BENCH_gate_smoke.json --from-store \
+	  --store /tmp/bench_check_smoke_store \
+	  --trajectory /tmp/bench_check_smoke_trajectory.jsonl
+	head -c $$(wc -c < bench/TRAJECTORY.jsonl) \
+	  /tmp/bench_check_smoke_trajectory.jsonl | cmp - bench/TRAJECTORY.jsonl
+	test $$(wc -l < /tmp/bench_check_smoke_trajectory.jsonl) \
+	  -eq $$(($$(wc -l < bench/TRAJECTORY.jsonl) + 1))
 	! dune exec bench/bench_check.exe -- --baseline /tmp/BENCH_gate_smoke.json \
 	  --current /tmp/BENCH_gate_smoke.json --inject 1000 > /dev/null 2>&1
 

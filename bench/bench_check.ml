@@ -24,10 +24,10 @@
    [--threshold] overrides the policy for one metric (repeatable).
    [--inject MS] adds MS to every current metric before comparing —
    the self-test that proves the gate actually fires (used by
-   bench-check-smoke).  [--trajectory FILE] writes the current
-   manifest's JSONL summary line after a passing comparison: appended
-   when no store is in play, regenerated as a view over the whole
-   store otherwise. *)
+   bench-check-smoke).  [--trajectory FILE] appends the current
+   manifest's JSONL summary line after a passing comparison; the log
+   is never rewritten, so a local store cannot replace the committed
+   history. *)
 
 let parse_threshold spec =
   match String.index_opt spec '=' with
@@ -51,16 +51,16 @@ let parse_threshold spec =
     let ratio = num "ratio" ratio_s in
     let slack_ms =
       match slack_s with
-      | None -> Bench_report.default_threshold.Bench_report.slack_ms
+      | None -> Obs.Trend.default_threshold.slack_ms
       | Some s -> num "slack" s
     in
-    (name, { Bench_report.ratio; slack_ms })
+    (name, { Obs.Trend.ratio; slack_ms })
 
 let () =
   let baseline = ref "" in
   let current = ref "" in
-  let ratio = ref Bench_report.default_threshold.Bench_report.ratio in
-  let slack = ref Bench_report.default_threshold.Bench_report.slack_ms in
+  let ratio = ref Obs.Trend.default_threshold.ratio in
+  let slack = ref Obs.Trend.default_threshold.slack_ms in
   let thresholds = ref [] in
   let inject = ref 0.0 in
   let trajectory = ref "" in
@@ -80,8 +80,7 @@ let () =
         "MS add MS to every current metric (gate self-test)" );
       ( "--trajectory",
         Arg.Set_string trajectory,
-        "FILE write the current manifest's summary line on pass (a \
-         store-regenerated view when --store is given)" );
+        "FILE append the current manifest's summary line on pass" );
       ( "--store",
         Arg.Set_string store,
         "DIR run store: ingest the current manifest after a pass" );
@@ -125,17 +124,7 @@ let () =
     end
   in
   let write_trajectory () =
-    if !trajectory <> "" then
-      if !store = "" then Bench_report.append_trajectory !trajectory cur
-      else begin
-        (* The JSONL log is a view over the store, regenerated whole so
-           it can never drift from what is actually stored. *)
-        match Bench_report.trajectory_from_store ~dir:!store with
-        | Ok text -> Bench_report.write_file !trajectory text
-        | Error msg ->
-          prerr_endline ("bench_check: " ^ msg);
-          exit 1
-      end
+    if !trajectory <> "" then Bench_report.append_trajectory !trajectory cur
   in
   let base =
     if !from_store then begin
@@ -190,7 +179,7 @@ let () =
     in
     let c =
       Bench_report.compare_manifests
-        ~default:{ Bench_report.ratio = !ratio; slack_ms = !slack }
+        ~default:{ Obs.Trend.ratio = !ratio; slack_ms = !slack }
         ~thresholds:!thresholds ~baseline:base compared
     in
     print_string (Bench_report.render_comparison c);

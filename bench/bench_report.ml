@@ -1,10 +1,12 @@
-(* The one bench-report schema: every benchmark executable in this
-   directory emits an Obs.Manifest run manifest (source "bench:*"),
-   and regression checking compares two manifests metric by metric.
+(* The one bench-report schema and the one bench driver: every
+   benchmark executable in this directory emits an Obs.Manifest run
+   manifest (source "bench:*") through [main], and regression checking
+   compares two manifests metric by metric.
 
-   Shared by linalg_scale, shard_bench, par_bench and the bench_check
-   gate, so there is exactly one notion of "what a bench records" and
-   one regression policy:
+   Shared by linalg_scale, shard_bench and the bench_check gate, so
+   there is exactly one notion of "what a bench records", one command
+   line, and one regression policy (Obs.Trend's, which `analyze trend`
+   applies too):
 
    - a metric (a wall-time or memory measurement) regresses when
        current > max(baseline * ratio, baseline + slack_ms)
@@ -13,20 +15,14 @@
      order-of-magnitude regressions; per-metric overrides tighten it
      where a metric is stable;
    - counters present in both manifests (ranks, chosen-event counts,
-     catalog sizes) must match exactly — they are correctness, not
-     timing. *)
+     catalog sizes, speed-up verdicts) must match exactly — they are
+     correctness, not timing. *)
 
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path text =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc text)
 
 (* ------------------------------------------------------------------ *)
 (* Manifest I/O                                                        *)
@@ -41,25 +37,32 @@ let load_manifest path =
     | Ok m -> Ok m)
 
 let write_manifest path m =
-  write_file path (Jsonio.to_string (Obs.Manifest.to_json m) ^ "\n")
+  let oc = open_out_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      output_string oc (Jsonio.to_string (Obs.Manifest.to_json m) ^ "\n"))
 
-(* Snapshot a recorder into a bench manifest.  [extra_counters] carry
-   exact-match facts (ranks, chosen counts) that were computed outside
-   the Obs counter machinery. *)
-let finalize ~source ~label ~config ~metrics ?(extra_counters = []) recorder =
-  let m = Obs.Manifest.of_recorder ~source ~label ~config ~metrics recorder in
-  {
-    m with
-    Obs.Manifest.counters =
-      List.sort compare (m.Obs.Manifest.counters @ extra_counters);
-  }
+(* A bench's own manifest: it must decode strictly, come from
+   [source] and record at least one metric. *)
+let check_manifest ~source path =
+  match load_manifest path with
+  | Ok m when m.Obs.Manifest.source <> source ->
+    Error
+      (Printf.sprintf "%s: manifest source is %S, expected %S" path
+         m.Obs.Manifest.source source)
+  | Ok m when m.Obs.Manifest.metrics = [] ->
+    Error (path ^ ": manifest records no metrics")
+  | r -> r
 
 (* ------------------------------------------------------------------ *)
 (* Trajectory log                                                      *)
 (* ------------------------------------------------------------------ *)
 
 (* One JSONL line per recorded bench run: enough to plot any metric
-   over time without parsing full manifests. *)
+   over time without parsing full manifests.  The log is append-only
+   and [append_trajectory] is its one writer: the committed history is
+   never rewritten, whatever the local run store holds. *)
 let trajectory_line (m : Obs.Manifest.t) =
   Jsonio.to_string_compact
     (Jsonio.Obj
@@ -84,10 +87,6 @@ let append_trajectory path m =
 (* ------------------------------------------------------------------ *)
 (* Run-store integration                                               *)
 (* ------------------------------------------------------------------ *)
-
-(* The store is the durable home of bench runs; TRAJECTORY.jsonl
-   becomes a view over it (regenerated, not hand-appended) once a
-   store is in play. *)
 
 let ingest_store ~dir m =
   match Obs.Store.open_store ~create:true dir with
@@ -121,34 +120,9 @@ let store_baseline ~dir (current : Obs.Manifest.t) =
       | Ok m -> Ok (Some (e, m))
       | Error _ as err -> err))
 
-(* Regenerate the full JSONL trajectory from the store — every stored
-   run, one summary line each, in ingestion order. *)
-let trajectory_from_store ~dir =
-  match Obs.Store.open_store ~create:false dir with
-  | Error _ as e -> e
-  | Ok store ->
-    let rec go acc = function
-      | [] -> Ok (String.concat "" (List.rev acc))
-      | e :: rest -> (
-        match Obs.Store.load store e with
-        | Ok m -> go ((trajectory_line m ^ "\n") :: acc) rest
-        | Error _ as err -> err)
-    in
-    go [] (Obs.Store.entries store)
-
 (* ------------------------------------------------------------------ *)
 (* Regression policy                                                   *)
 (* ------------------------------------------------------------------ *)
-
-(* The policy definition lives in Obs.Trend so this gate and the
-   cross-run trend gate (`analyze trend`) can never drift apart; the
-   re-export keeps existing Bench_report.{ratio,slack_ms} users
-   compiling unchanged. *)
-type threshold = Obs.Trend.threshold = { ratio : float; slack_ms : float }
-
-let default_threshold = Obs.Trend.default_threshold
-
-let limit_of = Obs.Trend.limit_of
 
 type verdict = {
   metric : string;
@@ -168,8 +142,8 @@ type comparison = {
 
 (* [thresholds] maps metric name -> override; everything else uses
    [default]. *)
-let compare_manifests ?(default = default_threshold) ?(thresholds = [])
-    ~(baseline : Obs.Manifest.t) (current : Obs.Manifest.t) =
+let compare_manifests ?(default = Obs.Trend.default_threshold)
+    ?(thresholds = []) ~(baseline : Obs.Manifest.t) (current : Obs.Manifest.t) =
   let threshold_for name =
     Option.value (List.assoc_opt name thresholds) ~default
   in
@@ -178,7 +152,9 @@ let compare_manifests ?(default = default_threshold) ?(thresholds = [])
       (fun (name, base) ->
         Option.map
           (fun cur ->
-            let limit = limit_of ~threshold:(threshold_for name) base in
+            let limit =
+              Obs.Trend.limit_of ~threshold:(threshold_for name) base
+            in
             {
               metric = name;
               baseline = base;
@@ -239,3 +215,87 @@ let render_comparison c =
     Printf.bprintf buf "new metrics (no baseline): %s\n"
       (String.concat ", " c.added);
   Buffer.contents buf
+
+(* ------------------------------------------------------------------ *)
+(* The bench driver                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* What one bench run measured.  [counters] are exact-match facts
+   computed outside the Obs counter machinery (ranks, chosen counts,
+   verdicts); [failure] is the verdict a run can fail, reported only
+   after its manifest is written. *)
+type outcome = {
+  config : (string * string) list;
+  metrics : (string * float) list;
+  counters : (string * float) list;
+  failure : string option;
+}
+
+(* The command line every benchmark executable shares:
+
+     NAME [--smoke] [--out FILE] [--check FILE] [--trajectory FILE]
+
+   [--check FILE] strictly decodes FILE as one of this bench's
+   manifests and exits; it runs nothing.  Otherwise [run ~smoke] runs
+   under a live recorder, and its manifest is written to [--out]
+   (default [default_out]), read back through [check_manifest] (a
+   malformed manifest is a bench bug and fails the run) and appended
+   to the [--trajectory] log.  Only then does a [failure] exit 1, so a
+   failing run still leaves its numbers behind. *)
+let main ~name ~source ~label ~default_out ~smoke_doc run =
+  let smoke = ref false in
+  let out = ref default_out in
+  let check = ref "" in
+  let trajectory = ref "" in
+  Arg.parse
+    [
+      ("--smoke", Arg.Set smoke, " " ^ smoke_doc);
+      ( "--out",
+        Arg.Set_string out,
+        Printf.sprintf "FILE output path (default %s)" default_out );
+      ( "--check",
+        Arg.Set_string check,
+        "FILE strictly decode FILE as a bench manifest and exit" );
+      ( "--trajectory",
+        Arg.Set_string trajectory,
+        "FILE append a JSONL summary line to FILE" );
+    ]
+    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
+    (name ^ " [--smoke] [--out FILE] [--check FILE] [--trajectory FILE]");
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+        prerr_endline msg;
+        exit 1)
+      fmt
+  in
+  if !check <> "" then
+    match check_manifest ~source !check with
+    | Ok m ->
+      Printf.printf "%s --check: %s ok (%d metrics, digest %s)\n" name !check
+        (List.length m.Obs.Manifest.metrics)
+        m.Obs.Manifest.config_digest
+    | Error msg -> fail "%s --check: %s" name msg
+  else begin
+    let recorder = Obs.Recorder.create () in
+    Obs.install (Obs.Recorder.sink recorder);
+    let o = run ~smoke:!smoke in
+    let m =
+      Obs.Manifest.of_recorder ~source ~label ~config:o.config
+        ~metrics:o.metrics recorder
+    in
+    let m =
+      {
+        m with
+        Obs.Manifest.counters =
+          List.sort compare (m.Obs.Manifest.counters @ o.counters);
+      }
+    in
+    write_manifest !out m;
+    (match check_manifest ~source !out with
+     | Ok _ -> ()
+     | Error msg -> fail "%s: wrote a malformed manifest: %s" name msg);
+    if !trajectory <> "" then append_trajectory !trajectory m;
+    Printf.eprintf "results written to %s\n" !out;
+    Option.iter (fail "%s: %s" name) o.failure
+  end

@@ -12,21 +12,12 @@
    records every span; wall time is the recorded span duration), so
    this benchmark also exercises the tracing layer end to end.
 
-   Usage:
-     linalg_scale [--smoke] [--out FILE]
-                  [--baseline FILE] [--check FILE] [--trajectory FILE]
+   Usage (the shared driver, Bench_report.main):
+     linalg_scale [--smoke] [--out FILE] [--check FILE] [--trajectory FILE]
 
    [--smoke] runs only the smallest scale with one repetition (the
-   [make bench-smoke] CI entry point).  [--baseline FILE] loads a
-   previously recorded manifest (e.g. the boxed-storage numbers
-   captured at the seed commit) and prints per-scale speedups.
-   [--check FILE] strictly decodes FILE as a bench manifest and exits
-   non-zero if it is malformed, tampered with or from a different
-   benchmark; it runs no kernel.  [--trajectory FILE] appends one
-   JSONL summary line to the trajectory log.  Regression gating
-   against a baseline manifest is bench_check's job. *)
-
-let source_label = "bench:linalg-scale"
+   [make bench-smoke] CI entry point).  Regression gating against a
+   baseline manifest is bench_check's job. *)
 
 (* ------------------------------------------------------------------ *)
 (* Synthetic event catalogs                                            *)
@@ -113,7 +104,7 @@ let run_scale ~reps ~rows ~cols =
 
 let tagged base r = Printf.sprintf "%s_%dx%d" base r.rows r.cols
 
-let manifest_of_results ~smoke ~reps ~scales recorder results =
+let outcome ~smoke ~reps ~scales results =
   let config =
     [
       ("storage", "flat-floatarray-row-major");
@@ -136,25 +127,12 @@ let manifest_of_results ~smoke ~reps ~scales recorder results =
         ])
       results
   in
-  let extra_counters =
+  let counters =
     List.map
       (fun r -> (tagged "qrcp_rank" r, float_of_int r.qrcp_rank))
       results
   in
-  Bench_report.finalize ~source:source_label ~label:"linalg" ~config ~metrics
-    ~extra_counters recorder
-
-let check_manifest path =
-  match Bench_report.load_manifest path with
-  | Error msg -> failwith msg
-  | Ok m ->
-    if m.Obs.Manifest.source <> source_label then
-      failwith
-        (Printf.sprintf "%s: manifest source is %S, expected %S" path
-           m.Obs.Manifest.source source_label);
-    if m.Obs.Manifest.metrics = [] then
-      failwith (path ^ ": manifest records no metrics");
-    m
+  { Bench_report.config; metrics; counters; failure = None }
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -164,41 +142,13 @@ let scales_full = [ (48, 1024); (48, 2048); (48, 4096); (48, 8192) ]
 let scales_smoke = [ (48, 256) ]
 
 let () =
-  let smoke = ref false in
-  let out = ref "BENCH_linalg.json" in
-  let baseline = ref "" in
-  let check = ref "" in
-  let trajectory = ref "" in
-  let spec =
-    [
-      ("--smoke", Arg.Set smoke, "smallest scale, one repetition (CI smoke)");
-      ("--out", Arg.Set_string out, "FILE output path (default BENCH_linalg.json)");
-      ("--baseline", Arg.Set_string baseline, "FILE print speedups vs a recorded manifest");
-      ("--check", Arg.Set_string check, "FILE strictly decode FILE as a bench manifest and exit");
-      ("--trajectory", Arg.Set_string trajectory, "FILE append a JSONL summary line to FILE");
-    ]
-  in
-  Arg.parse spec (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "linalg_scale [--smoke] [--out FILE] \
-     [--baseline FILE] [--check FILE] [--trajectory FILE]";
-  if !check <> "" then begin
-    let m =
-      try check_manifest !check
-      with Failure msg ->
-        prerr_endline ("linalg_scale --check: " ^ msg);
-        exit 1
-    in
-    Printf.printf "%s: well-formed bench manifest (%d metrics, digest %s)\n"
-      !check
-      (List.length m.Obs.Manifest.metrics)
-      m.Obs.Manifest.config_digest;
-    exit 0
-  end;
+  Bench_report.main ~name:"linalg_scale" ~source:"bench:linalg-scale"
+    ~label:"linalg" ~default_out:"BENCH_linalg.json"
+    ~smoke_doc:"smallest scale, one repetition (CI smoke)"
+  @@ fun ~smoke ->
   Obs.install (Obs.Memory.sink mem);
-  let recorder = Obs.Recorder.create () in
-  Obs.install (Obs.Recorder.sink recorder);
-  let scales = if !smoke then scales_smoke else scales_full in
-  let reps = if !smoke then 1 else 5 in
+  let scales = if smoke then scales_smoke else scales_full in
+  let reps = if smoke then 1 else 5 in
   let results =
     List.map
       (fun (rows, cols) ->
@@ -209,29 +159,4 @@ let () =
         r)
       scales
   in
-  (if !baseline <> "" then
-     match Bench_report.load_manifest !baseline with
-     | Error msg ->
-       prerr_endline ("linalg_scale --baseline: " ^ msg);
-       exit 1
-     | Ok base ->
-       List.iter
-         (fun r ->
-           match Obs.Manifest.find_metric base (tagged "qrcp_ms" r) with
-           | Some base_ms when r.qrcp_ms > 0.0 ->
-             Printf.printf "%dx%-6d qrcp speedup vs baseline: %.2fx\n%!"
-               r.rows r.cols (base_ms /. r.qrcp_ms)
-           | _ -> ())
-         results);
-  let m =
-    manifest_of_results ~smoke:!smoke ~reps ~scales recorder results
-  in
-  Bench_report.write_manifest !out m;
-  (* The file must survive the strict decoder: emitting a malformed
-     manifest is a bench bug and should fail CI. *)
-  (try ignore (check_manifest !out)
-   with Failure msg ->
-     prerr_endline ("linalg_scale: wrote a malformed manifest: " ^ msg);
-     exit 1);
-  if !trajectory <> "" then Bench_report.append_trajectory !trajectory m;
-  Printf.printf "wrote %s\n" !out
+  outcome ~smoke ~reps ~scales results

@@ -1,38 +1,50 @@
-(* Sharded-noise-filter benchmark: the memory/time profile of the
-   staged pipeline's front half as the shard count grows.
+(* The front benchmark: the staged pipeline's collect + classify front
+   and its merge + downstream half over a grid of (category, shards,
+   jobs) points.
 
-   For each shard count the benchmark runs collection + noise
-   filtering shard by shard (datasets dropped as soon as they are
-   classified, as a real campaign driver would), then merges and runs
-   the downstream stages.  It records wall time per phase and the
-   peak live heap words across the front half — the figure sharding
-   is meant to shrink: only one shard's measurement vectors need to
-   be resident at a time, while the retained classified entries are a
-   per-event summary (mean vector + verdict), an order of magnitude
-   smaller than the repetition data.
+   Each point times [Core.Stage.run_front ~executor:(Exec.of_jobs
+   jobs)], the front every product run takes, and then
+   [Core.Stage.run_merged].  The live heap is read once per point,
+   after the front and outside both timed regions: every classified
+   shard is live then and no shard's dataset is.  Classified shards
+   only accumulate, so at jobs 1 that reading is the front's peak; at
+   jobs > 1 several shards' datasets can be live at once, and the
+   reading is only the post-front live heap.  No timed region contains
+   a full major collection.
 
-   Cold and warm are measured apart.  Before its sweep, each category's
-   shared tables (the dcache activity cache, the kernel row tables)
-   are built once by [Core.Category.prewarm], timed as cold_ms_* with
-   the calling domain's minor words as cold_minor_mwords_*; every
-   front_ms_* then runs warm, so no shard count pays for the others.
+   Cold and warm are measured apart.  Before its points, each
+   category's shared tables (the dcache activity cache, the kernel row
+   tables) are built once by [Core.Category.prewarm], timed as
+   cold_ms_* with the calling domain's minor words as
+   cold_minor_mwords_*; every point then runs warm, so no point pays
+   for the others.
 
-   Every run is self-validating: chosen events must be bit-identical
-   to the one-shard run for each shard count.  Results are
-   written as a run manifest (the unified bench-report schema) —
-   front/merge wall times and peak live words are metrics, the
-   chosen-event counts are exact-match counters.
+   Every run is self-validating: each point's chosen events must be
+   bit-identical to its category's first point (one shard, one job),
+   the path a plain Pipeline.run takes.
 
-   Usage:
+   The parallel verdict: for each category with a jobs>1 point, the
+   front speed-up of its last such point over the jobs=1 point at the
+   same shard count is the exact-match counter speedup_ok_<cat>: 1.0
+   when the host recommends fewer than 2 domains (no speed-up is
+   possible; the run then certifies only byte-identity) or the
+   speed-up reaches 1.5x, 0.0 otherwise.  A run with a 0.0 exits 1
+   after writing its manifest; bench_check gates the counter across
+   runs.  The recommended domain count is in the manifest config,
+   so a reader can tell which arm applied.
+
+   Per-point names are keyed <cat>_s<shards>_j<jobs>: front_ms_*,
+   merge_ms_*, live_mwords_* (metrics) and chosen_* (counters).
+
+   Usage (the shared driver, Bench_report.main):
      shard_bench [--smoke] [--out FILE] [--check FILE] [--trajectory FILE]
 
-   The full run sweeps shard counts 1, 2, 4 and 8 on the branch, dcache
-   and gpu-flops categories.  [--smoke] runs only shard counts 1 and 2
-   on the branch category (the [make check] entry point).  [--check FILE] strictly decodes
-   FILE as a bench manifest and exits; it runs no benchmark.
-   [--trajectory FILE] appends one JSONL summary line to FILE. *)
+   The full grid is shards 1, 2, 4 and 8 at jobs 1 on branch, dcache
+   and gpu-flops, plus shards 2 at jobs 2 on branch and dcache.
+   [--smoke] runs branch at shards {1,2} x jobs {1,2} (the [make
+   check] entry point). *)
 
-let source_label = "bench:shard"
+let speedup_target = 1.5
 
 (* ------------------------------------------------------------------ *)
 (* Measurement                                                         *)
@@ -45,26 +57,25 @@ type cold = {
 }
 
 type sample = {
-  category : string;
+  key : string;  (* <cat>_s<shards>_j<jobs> *)
   shards : int;
+  jobs : int;
   front_ms : float;  (* collection + classification, all shards *)
   merge_ms : float;  (* merge + downstream stages *)
-  baseline_live_words : int;  (* heap before the front half *)
-  peak_live_words : int;  (* across the front half *)
-  chosen : int;
+  live_words : int;  (* after the front: every classified shard *)
+  chosen : string array;
 }
 
 let ms_between t0 t1 = Int64.to_float (Int64.sub t1 t0) /. 1e6
 
-let live_words () =
-  Gc.full_major ();
-  (Gc.stat ()).Gc.live_words
+let point_key category (shards, jobs) =
+  Printf.sprintf "%s_s%d_j%d" (Core.Category.name category) shards jobs
 
-let prewarm ~executor category =
+let prewarm category =
   let config = Core.Stage.default_config category in
   let w0 = Gc.minor_words () in
   let t0 = Obs.Clock.now_ns () in
-  Core.Category.prewarm ~executor ~reps:config.reps category;
+  Core.Category.prewarm ~executor:Core.Exec.Seq ~reps:config.reps category;
   let t1 = Obs.Clock.now_ns () in
   {
     cold_category = Core.Category.name category;
@@ -72,91 +83,115 @@ let prewarm ~executor category =
     cold_minor_words = Gc.minor_words () -. w0;
   }
 
-let run_one ~category ~shards =
+let run_point category (shards, jobs) =
   let config = Core.Stage.default_config category in
+  let executor = Core.Exec.of_jobs jobs in
   let ranges =
     Core.Stage.shard_ranges ~shards
       ~total:(Core.Category.catalog_size category)
   in
-  let baseline = live_words () in
-  let peak = ref baseline in
   let t0 = Obs.Clock.now_ns () in
-  let classified =
-    List.map
-      (fun range ->
-        let ds = Core.Stage.collect_shard ~reps:config.reps category range in
-        let s = Core.Stage.classify_shard ~config ~category ds in
-        (* [ds] is dead here; what stays live is the artifact. *)
-        let live = live_words () in
-        if live > !peak then peak := live;
-        s)
-      ranges
-  in
+  let classified = Core.Stage.run_front ~config ~executor category ranges in
   let t1 = Obs.Clock.now_ns () in
-  let r = Core.Stage.run_merged ~category classified in
+  Gc.full_major ();
+  let live_words = (Gc.stat ()).Gc.live_words in
   let t2 = Obs.Clock.now_ns () in
-  Obs.gauge "shard.peak_live_words" (float_of_int !peak);
-  ( {
-      category = Core.Category.name category;
-      shards;
-      front_ms = ms_between t0 t1;
-      merge_ms = ms_between t1 t2;
-      baseline_live_words = baseline;
-      peak_live_words = !peak;
-      chosen = Array.length r.chosen_names;
-    },
-    r.chosen_names )
+  let r = Core.Stage.run_merged ~category classified in
+  let t3 = Obs.Clock.now_ns () in
+  {
+    key = point_key category (shards, jobs);
+    shards;
+    jobs;
+    front_ms = ms_between t0 t1;
+    merge_ms = ms_between t2 t3;
+    live_words;
+    chosen = r.chosen_names;
+  }
 
-(* Self-validation compares every shard count against the shards=1
-   run, the path a plain Pipeline.run takes (the test suite pins its
-   outputs). *)
-let sweep ~shard_counts category =
-  let reference = ref [||] in
-  List.map
-    (fun shards ->
-      let sample, chosen = run_one ~category ~shards in
-      if !reference = [||] then reference := chosen
-      else if chosen <> !reference then begin
+(* Each category's tables are built just before its own points, so an
+   earlier category does not carry a later one's tables in the heap
+   its live-word readings walk. *)
+let sweep (category, points) =
+  let cold = prewarm category in
+  let samples = List.map (run_point category) points in
+  let reference = (List.hd samples).chosen in
+  List.iter
+    (fun s ->
+      if s.chosen <> reference then begin
         Printf.eprintf
-          "shard_bench: %s with %d shards chose different events than the \
-           single-shard run\n"
-          (Core.Category.name category) shards;
+          "shard_bench: %s chose different events than %s\n" s.key
+          (List.hd samples).key;
         exit 1
-      end;
-      sample)
-    shard_counts
+      end)
+    samples;
+  (cold, samples)
 
-(* Each category's tables are built just before its own sweep, so an
-   earlier category's sweep does not carry a later one's tables in
-   the heap its per-shard [live_words] collections walk. *)
-let bench ~executor ~categories ~shard_counts =
-  let colds, samples =
-    List.split
-      (List.map
-         (fun category ->
-           let cold = prewarm ~executor category in
-           (cold, sweep ~shard_counts category))
-         categories)
+(* The front speed-up of a category's last jobs>1 point over the
+   jobs=1 point at the same shard count; None without such a pair. *)
+let speedup samples =
+  match List.rev (List.filter (fun s -> s.jobs > 1) samples) with
+  | [] -> None
+  | par :: _ ->
+    List.find_opt (fun s -> s.jobs = 1 && s.shards = par.shards) samples
+    |> Option.map (fun seq -> (par.shards, seq.front_ms /. par.front_ms))
+
+(* ------------------------------------------------------------------ *)
+(* Driver                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let grid ~smoke =
+  if smoke then [ (Core.Category.Branch, [ (1, 1); (1, 2); (2, 1); (2, 2) ]) ]
+  else
+    let parallel = [ (1, 1); (2, 1); (2, 2); (4, 1); (8, 1) ] in
+    Core.Category.
+      [
+        (Branch, parallel);
+        (Dcache, parallel);
+        (Gpu_flops, [ (1, 1); (2, 1); (4, 1); (8, 1) ]);
+      ]
+
+let () =
+  Bench_report.main ~name:"shard_bench" ~source:"bench:shard" ~label:"shard"
+    ~default_out:"BENCH_shard.json"
+    ~smoke_doc:"branch at shards 1-2 x jobs 1-2"
+  @@ fun ~smoke ->
+  let grid = grid ~smoke in
+  let cores = Domain.recommended_domain_count () in
+  let runs = List.map sweep grid in
+  let colds = List.map fst runs and samples = List.concat_map snd runs in
+  List.iter
+    (fun c ->
+      Printf.printf "%-9s cold tables %7.1f ms  %.2fM minor words\n"
+        c.cold_category c.cold_ms (c.cold_minor_words /. 1e6))
+    colds;
+  List.iter
+    (fun s ->
+      Printf.printf
+        "%-17s front %7.1f ms  merge+downstream %6.1f ms  live %9d words\n"
+        s.key s.front_ms s.merge_ms s.live_words)
+    samples;
+  let verdicts =
+    List.filter_map
+      (fun (cold, samples) ->
+        Option.map
+          (fun (shards, sp) ->
+            Printf.printf
+              "%-9s front speedup %.2fx at %d shards (cores=%d, target %.1fx)\n"
+              cold.cold_category sp shards cores speedup_target;
+            (cold.cold_category, cores < 2 || sp >= speedup_target))
+          (speedup samples))
+      runs
   in
-  (colds, List.concat samples)
-
-(* ------------------------------------------------------------------ *)
-(* Manifest assembly                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let sample_key s = Printf.sprintf "%s_s%d" s.category s.shards
-
-let manifest_of_samples ~smoke ~categories ~shard_counts ~jobs recorder
-    ~colds samples =
   let config =
     [
-      ("benchmark", "sharded-noise-filter");
+      ("benchmark", "front");
       ("smoke", string_of_bool smoke);
-      ("jobs", string_of_int jobs);
-      ( "categories",
-        String.concat "," (List.map Core.Category.name categories) );
-      ( "shard_counts",
-        String.concat "," (List.map string_of_int shard_counts) );
+      ( "points",
+        String.concat ","
+          (List.concat_map
+             (fun (c, points) -> List.map (point_key c) points)
+             grid) );
+      ("cores", string_of_int cores);
     ]
   in
   let metrics =
@@ -170,112 +205,27 @@ let manifest_of_samples ~smoke ~categories ~shard_counts ~jobs recorder
     @ List.concat_map
         (fun s ->
           [
-            ("front_ms_" ^ sample_key s, s.front_ms);
-            ("merge_ms_" ^ sample_key s, s.merge_ms);
-            ( "peak_live_mwords_" ^ sample_key s,
-              float_of_int s.peak_live_words /. 1e6 );
+            ("front_ms_" ^ s.key, s.front_ms);
+            ("merge_ms_" ^ s.key, s.merge_ms);
+            ("live_mwords_" ^ s.key, float_of_int s.live_words /. 1e6);
           ])
         samples
   in
-  (* Chosen-event counts are correctness, not timing: exact-match. *)
-  let extra_counters =
+  (* Chosen counts and the speed-up verdicts are correctness, not
+     timing: exact-match counters. *)
+  let counters =
     List.map
-      (fun s -> ("chosen_" ^ sample_key s, float_of_int s.chosen))
+      (fun s -> ("chosen_" ^ s.key, float_of_int (Array.length s.chosen)))
       samples
+    @ List.map
+        (fun (cat, ok) -> ("speedup_ok_" ^ cat, if ok then 1.0 else 0.0))
+        verdicts
   in
-  Bench_report.finalize ~source:source_label ~label:"shard" ~config ~metrics
-    ~extra_counters recorder
-
-let check_manifest path =
-  match Bench_report.load_manifest path with
-  | Error msg -> failwith msg
-  | Ok m ->
-    if m.Obs.Manifest.source <> source_label then
-      failwith
-        (Printf.sprintf "%s: manifest source is %S, expected %S" path
-           m.Obs.Manifest.source source_label);
-    if m.Obs.Manifest.metrics = [] then
-      failwith (path ^ ": manifest records no metrics");
-    m
-
-(* ------------------------------------------------------------------ *)
-(* Driver                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let () =
-  let smoke = ref false in
-  let out = ref "BENCH_shard.json" in
-  let check = ref "" in
-  let trajectory = ref "" in
-  let jobs = ref 1 in
-  Arg.parse
-    [
-      ("--smoke", Arg.Set smoke, " shard counts 1-2, branch only");
-      ( "--jobs",
-        Arg.Set_int jobs,
-        "N executor domains for the cold-table prewarm (default 1; the \
-         shard loop itself stays sequential — it profiles per-shard peak \
-         memory)" );
-      ("--out", Arg.Set_string out, "FILE output path (default BENCH_shard.json)");
-      ( "--check",
-        Arg.Set_string check,
-        "FILE strictly decode FILE as a bench manifest and exit" );
-      ( "--trajectory",
-        Arg.Set_string trajectory,
-        "FILE append a JSONL summary line to FILE" );
-    ]
-    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "shard_bench [--smoke] [--jobs N] [--out FILE] [--check FILE] \
-     [--trajectory FILE]";
-  if !check <> "" then begin
-    match check_manifest !check with
-    | m ->
-      Printf.printf
-        "shard_bench --check: %s ok (%d metrics, digest %s)\n" !check
-        (List.length m.Obs.Manifest.metrics)
-        m.Obs.Manifest.config_digest
-    | exception Failure msg ->
-      Printf.eprintf "shard_bench --check: %s\n" msg;
-      exit 1
-  end
-  else begin
-    if !jobs < 1 then begin
-      prerr_endline "shard_bench: --jobs must be at least 1";
-      exit 2
-    end;
-    let recorder = Obs.Recorder.create () in
-    Obs.install (Obs.Recorder.sink recorder);
-    let categories, shard_counts =
-      if !smoke then ([ Core.Category.Branch ], [ 1; 2 ])
-      else
-        ( Core.Category.[ Branch; Dcache; Gpu_flops ],
-          [ 1; 2; 4; 8 ] )
-    in
-    let colds, samples =
-      bench ~executor:(Core.Exec.of_jobs !jobs) ~categories ~shard_counts
-    in
-    List.iter
-      (fun c ->
-        Printf.printf "%-9s cold tables %7.1f ms  %.2fM minor words\n"
-          c.cold_category c.cold_ms (c.cold_minor_words /. 1e6))
-      colds;
-    List.iter
-      (fun s ->
-        Printf.printf
-          "%-9s shards=%d  front %7.1f ms  merge+downstream %6.1f ms  peak \
-           %9d words (+%d over baseline)\n"
-          s.category s.shards s.front_ms s.merge_ms s.peak_live_words
-          (s.peak_live_words - s.baseline_live_words))
-      samples;
-    let m =
-      manifest_of_samples ~smoke:!smoke ~categories ~shard_counts ~jobs:!jobs
-        recorder ~colds samples
-    in
-    Bench_report.write_manifest !out m;
-    (try ignore (check_manifest !out)
-     with Failure msg ->
-       prerr_endline ("shard_bench: wrote a malformed manifest: " ^ msg);
-       exit 1);
-    if !trajectory <> "" then Bench_report.append_trajectory !trajectory m;
-    Printf.eprintf "results written to %s\n" !out
-  end
+  let failure =
+    if List.exists (fun (_, ok) -> not ok) verdicts then
+      Some
+        (Printf.sprintf "front speedup below %.1fx target with %d cores available"
+           speedup_target cores)
+    else None
+  in
+  { Bench_report.config; metrics; counters; failure }

@@ -4,7 +4,7 @@
    collects no readings; it does build the memoized kernel row tables
    the ideals are read from (cpusim, branchsim or gpusim runs on first
    use).  Individual analyses live in the per-concern modules (Basis_check, Signature_check, Catalog_check,
-   Param_check, Stage_check, Result_check); this module wires them to
+   Param_check, Stage_check); this module wires them to
    the shipped categories and catalogs, owns the rule registry, the
    versioned report JSON, and the optional Pipeline pre-flight gate. *)
 
@@ -18,7 +18,6 @@ module Signature_check = Signature_check
 module Catalog_check = Catalog_check
 module Param_check = Param_check
 module Stage_check = Stage_check
-module Result_check = Result_check
 
 (* ------------------------------------------------------------------ *)
 (* Rule registry                                                       *)
@@ -115,13 +114,6 @@ let rules =
     rule "stage/schema-drift" D.Error
       "Shard artifact encoder and decoder disagree"
       "Multi-machine sweeps ship classified-shard JSON between builds";
-    rule "result/missing-event" D.Error
-      "A metric combination names an event absent from the catalog"
-      "Validation would raise Not_found (CounterPoint: check counter \
-       assumptions mechanically)";
-    rule "result/relative-error" D.Error
-      "A validated metric misses its app ground truth"
-      "Sec. VI: backward error near zero iff composable";
   ]
 
 let find_rule id = List.find_opt (fun r -> r.id = id) rules

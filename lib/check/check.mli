@@ -24,7 +24,6 @@ module Signature_check = Signature_check
 module Catalog_check = Catalog_check
 module Param_check = Param_check
 module Stage_check = Stage_check
-module Result_check = Result_check
 
 (** {1 Rule registry} *)
 

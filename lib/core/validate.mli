@@ -4,15 +4,7 @@
     readings of a workload the analysis never saw, it reproduces the
     workload's ground truth.  This module measures a combination's
     events on an application activity (through the same noisy machine
-    model) and compares against a caller-supplied truth function.
-
-    This module is now the thin measurement layer only: its checks
-    speak the shared {!Diagnostic} vocabulary through
-    [Check.Result_check], which turns each report above an error
-    threshold into a [result/relative-error] diagnostic and statically
-    screens combinations for [result/missing-event] before anything is
-    measured.  Prefer those entry points when you want machine-readable
-    findings; the raw {!report} list remains for direct inspection. *)
+    model) and compares against a caller-supplied truth function. *)
 
 type report = {
   metric : string;

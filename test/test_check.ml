@@ -356,40 +356,6 @@ let test_stage_roundtrip_clean () =
     "roundtrip self-check" []
     (ids (Check.Stage_check.roundtrip ()))
 
-(* --- result/* ------------------------------------------------- *)
-
-let test_result_missing_event () =
-  let def =
-    {
-      Core.Metric_solver.metric = "DP Ops.";
-      combination = [ (2.0, "PAPI_DP_OPS"); (1.0, "NO_SUCH_EVENT") ];
-      error = 0.0;
-      residual_norm = 0.0;
-    }
-  in
-  let ds =
-    Check.Result_check.analyze_combination ~catalog:[ event "PAPI_DP_OPS" ]
-      def
-  in
-  expect_only_error ds "result/missing-event";
-  Alcotest.(check int) "one missing" 1 (List.length ds)
-
-let test_result_relative_error () =
-  let report err =
-    {
-      Core.Validate.metric = "DP Ops.";
-      app = "miniFE";
-      predicted = 1.0 +. err;
-      ground_truth = 1.0;
-      relative_error = err;
-    }
-  in
-  let ds = Check.Result_check.diagnose_reports [ report 0.2 ] in
-  expect_only_error ds "result/relative-error";
-  Alcotest.(check (list string))
-    "under threshold is clean" []
-    (ids (Check.Result_check.diagnose_reports [ report 0.01 ]))
-
 (* --- clean runs on the shipped inputs ------------------------- *)
 
 let test_clean_categories () =
@@ -586,12 +552,6 @@ let () =
           Alcotest.test_case "schema drift" `Quick test_stage_schema_drift;
           Alcotest.test_case "roundtrip clean" `Quick
             test_stage_roundtrip_clean;
-        ] );
-      ( "result",
-        [
-          Alcotest.test_case "missing event" `Quick test_result_missing_event;
-          Alcotest.test_case "relative error" `Quick
-            test_result_relative_error;
         ] );
       ( "clean",
         [
