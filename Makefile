@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test loc check lint lint-smoke bench-smoke bench-linalg bench-shard bench-check bench-check-smoke manifest-smoke shard-smoke progress-smoke par-smoke store-smoke trend-smoke repro examples figures clean
+.PHONY: all build test loc check lint lint-smoke csv-smoke bench-smoke bench-linalg bench-shard bench-check bench-check-smoke manifest-smoke shard-smoke progress-smoke par-smoke store-smoke trend-smoke repro examples figures clean
 
 all: build
 
@@ -37,6 +37,7 @@ check:
 	dune exec bin/analyze.exe -- explain --smoke
 	$(MAKE) shard-smoke
 	$(MAKE) progress-smoke
+	$(MAKE) csv-smoke
 	$(MAKE) par-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) manifest-smoke
@@ -83,6 +84,26 @@ progress-smoke:
 	  --show summary > /tmp/progress_smoke_live.txt 2> /tmp/progress_smoke_err.txt
 	cmp /tmp/progress_smoke_quiet.txt /tmp/progress_smoke_live.txt
 	grep -q '^progress:' /tmp/progress_smoke_err.txt
+
+# The streamed CSV import at the paper's scale: the seeded 20,000-event
+# dump of the repository benchmark (perfbench/probe.exe gen-csv 1,
+# 31.6 MB) must be analysed within a 30 MB peak heap, as the OCaml
+# runtime reports it at exit, and give the simulated cpu-flops run's
+# chosen events and metric definitions.
+csv-smoke:
+	dune build ./bin/analyze.exe ./perfbench/probe.exe
+	dir=$$(mktemp -d) && \
+	./_build/default/perfbench/probe.exe gen-csv 1 $$dir/wide.csv > /dev/null && \
+	OCAMLRUNPARAM=v=0x400 ./_build/default/bin/analyze.exe -c cpu-flops \
+	  --csv $$dir/wide.csv --show chosen,metrics > $$dir/csv.txt 2> $$dir/gc.txt && \
+	./_build/default/bin/analyze.exe -c cpu-flops --show chosen,metrics \
+	  > $$dir/sim.txt && \
+	cmp $$dir/sim.txt $$dir/csv.txt && \
+	awk '/^top_heap_words:/ { found = 1; mb = $$2 * 8 / 1e6 } \
+	  END { if (!found) { print "csv-smoke: no GC totals"; exit 1 } \
+	        printf "csv-smoke: peak heap %.1f MB (limit 30)\n", mb; exit (mb > 30) }' \
+	  $$dir/gc.txt; \
+	status=$$?; rm -rf $$dir; exit $$status
 
 # Domain-parallel execution must be byte-identical to the sequential
 # reference: the same sharded run at --jobs 1 and at --jobs 4 must

@@ -236,39 +236,41 @@ let run_category ?csv ?auto_tau ?summary ?manifest ~preflight ~executor
       gated_emitter ?manifest category
     else manifest
   in
-  (* A --csv file is parsed once: the auto-tau probes and the run both
-     analyse that dataset, and nothing is simulated for it. *)
-  let csv_dataset =
-    Option.map
-      (fun path ->
-        let text =
-          try Obs_cli.read_file path
-          with Sys_error msg ->
-            Printf.eprintf "analyze: %s\n" msg;
-            exit 1
-        in
-        match
-          Cat_bench.Dataset.parse_reps_csv ~name:(Core.Category.name category) text
-        with
-        | Ok d -> d
-        | Error { line = Some l; reason } ->
-          Printf.eprintf "analyze: %s line %d: %s\n" path l reason;
-          exit 1
-        | Error { line = None; reason } ->
-          Printf.eprintf "analyze: %s: %s\n" path reason;
-          exit 1)
-      csv
+  (* A --csv file is streamed: each event is reduced by the noise
+     filter as its lines are read, and nothing is simulated for it. *)
+  let import path () =
+    match
+      In_channel.with_open_bin path (fun ic ->
+          Cat_bench.Dataset.stream_reps_csv ic Core.Noise_filter.entry)
+    with
+    | Ok entries -> entries
+    | Error { line = Some l; reason } ->
+      Printf.eprintf "analyze: %s line %d: %s\n" path l reason;
+      exit 1
+    | Error { line = None; reason } ->
+      Printf.eprintf "analyze: %s: %s\n" path reason;
+      exit 1
+    | exception Sys_error msg ->
+      Printf.eprintf "analyze: %s\n" msg;
+      exit 1
+  in
+  (* With --auto-tau the file is streamed once, before the probes, and
+     the run reuses their entries. *)
+  let csv_entries =
+    match (csv, auto_tau) with
+    | Some path, Some _ -> Some (import path ())
+    | _ -> None
   in
   let tau =
     match auto_tau with
     | None -> tau
     | Some min_rank ->
-      let dataset =
-        match csv_dataset with
-        | Some d -> d
-        | None -> Core.Category.dataset category
+      let entries =
+        match csv_entries with
+        | Some e -> e
+        | None -> Core.Noise_filter.entries (Core.Category.dataset category)
       in
-      let s = Core.Auto_threshold.select ~category ~dataset ~min_rank () in
+      let s = Core.Auto_threshold.select ~category ~entries ~min_rank () in
       Printf.printf
         "auto-tau: selected %.3e (gap ratio %.1e, keeps %d events)\n"
         s.Core.Auto_threshold.tau s.Core.Auto_threshold.gap_ratio
@@ -284,13 +286,14 @@ let run_category ?csv ?auto_tau ?summary ?manifest ~preflight ~executor
       Obs.reset_counters ())
     summary;
   let r =
-    match csv_dataset with
+    match csv with
     | None ->
       Core.Pipeline.run ~config ~shards ~executor ?manifest:gated category
-    | Some dataset ->
-      Core.Pipeline.run_custom ~executor ?manifest ~config ~category ~dataset
-        ~basis:(Core.Category.basis category)
-        ~signatures:(Core.Category.signatures category) ()
+    | Some path ->
+      let entries =
+        match csv_entries with Some e -> fun () -> e | None -> import path
+      in
+      Core.Pipeline.run_entries ~executor ?manifest ~config ~category ~entries ()
   in
   print_sections ~sections category r;
   Option.iter

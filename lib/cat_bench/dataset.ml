@@ -237,10 +237,13 @@ let reps_to_csv t =
     t.measurements;
   Buffer.contents buf
 
-(* Import of the [reps_to_csv] format in one scan over the text: each
-   byte is read once, and a line allocates only its value array and
-   its event name.  Lines end at '\n' and are trimmed as by [String.trim];
-   blank lines are skipped and not counted in line numbers. *)
+(* Import of the [reps_to_csv] format.  One scanner reads lines, from
+   a whole text or from a channel, and hands each data line's event
+   name and values to a consumer: {!parse_reps_csv} gathers a whole
+   dataset, {!stream_reps_csv} reduces each event as soon as its lines
+   end.  A line allocates only its value array and its event name.
+   Lines end at '\n' and are trimmed as by [String.trim]; blank lines
+   are skipped and not counted in line numbers. *)
 
 type csv_error = { line : int option; reason : string }
 
@@ -253,20 +256,21 @@ let is_blank c = c = ' ' || c = '\t' || c = '\r' || c = '\012'
 
 let is_digit c = c >= '0' && c <= '9'
 
-(* The end of the field that starts at [i]: the next ',' or '\n', or
-   the end of the text. *)
-let field_end csv i =
-  let len = String.length csv and j = ref i in
+(* A line of [s] ends at the first '\n' or at [stop], exclusive (the
+   end of the text, or of what a channel has read).  The end of the
+   field that starts at [i]: the next ',' or the end of the line. *)
+let field_end s i stop =
+  let j = ref i in
   while
-    !j < len
-    && (let c = String.unsafe_get csv !j in
+    !j < stop
+    && (let c = Bytes.unsafe_get s !j in
         c <> ',' && c <> '\n')
   do
     incr j
   done;
   !j
 
-let at_comma csv i = i < String.length csv && String.unsafe_get csv i = ','
+let at_comma s i stop = i < stop && Bytes.unsafe_get s i = ','
 
 (* Parse the field that starts at [i] into [v.(k)] (dropped when [k]
    is past the row labels) and return where it ends.  Up to 15 plain
@@ -275,27 +279,27 @@ let at_comma csv i = i < String.length csv && String.unsafe_get csv i = ','
    goes through [float_of_string_opt] on the trimmed field; if that
    fails and no field of the line has failed before, [bad] is set to
    the field's start. *)
-let scan_value csv ~bad i v k =
-  let len = String.length csv and j = ref i in
-  while !j < len && is_blank (String.unsafe_get csv !j) do incr j done;
+let scan_value s ~bad i stop v k =
+  let j = ref i in
+  while !j < stop && is_blank (Bytes.unsafe_get s !j) do incr j done;
   let first = !j and acc = ref 0 in
-  while !j < len && is_digit (String.unsafe_get csv !j) do
+  while !j < stop && is_digit (Bytes.unsafe_get s !j) do
     (* May wrap past 18 digits, but is then not used. *)
-    acc := (10 * !acc) + Char.code (String.unsafe_get csv !j) - Char.code '0';
+    acc := (10 * !acc) + Char.code (Bytes.unsafe_get s !j) - Char.code '0';
     incr j
   done;
   let ndigits = !j - first in
-  while !j < len && is_blank (String.unsafe_get csv !j) do incr j done;
-  let e = field_end csv !j in
+  while !j < stop && is_blank (Bytes.unsafe_get s !j) do incr j done;
+  let e = field_end s !j stop in
   if ndigits >= 1 && ndigits <= 15 && e = !j then begin
     if k < Array.length v then v.(k) <- float_of_int !acc
   end
   else begin
     let last = ref e in
-    while !last > first && is_blank (String.unsafe_get csv (!last - 1)) do
+    while !last > first && is_blank (Bytes.unsafe_get s (!last - 1)) do
       decr last
     done;
-    match float_of_string_opt (String.sub csv first (!last - first)) with
+    match float_of_string_opt (Bytes.sub_string s first (!last - first)) with
     | Some x -> if k < Array.length v then v.(k) <- x
     | None -> if !bad < 0 then bad := i
   end;
@@ -303,17 +307,102 @@ let scan_value csv ~bad i v k =
 
 (* The field at [i] as the line's split shows it: untrimmed, except
    that the line's trailing blanks are not part of its last field. *)
-let raw_field csv i =
-  let e = field_end csv i in
+let raw_field s i stop =
+  let e = field_end s i stop in
   let e =
-    if at_comma csv e then e
+    if at_comma s e stop then e
     else begin
       let e = ref e in
-      while !e > i && is_blank (String.unsafe_get csv (!e - 1)) do decr e done;
+      while !e > i && is_blank (Bytes.unsafe_get s (!e - 1)) do decr e done;
       !e
     end
   in
-  String.sub csv i (e - i)
+  Bytes.sub_string s i (e - i)
+
+(* Line sources: [lines f] calls [f b start stop] on each line in turn,
+   and [f] returns where that line ends.  A text is read in place (its
+   bytes are only read); a channel through one buffer, which [f] reads
+   up to its last complete line before the rest moves to the front and
+   more is read after it. *)
+let text_lines csv f =
+  let b = Bytes.unsafe_of_string csv and len = String.length csv in
+  let pos = ref 0 in
+  while !pos < len do
+    pos := f b !pos len + 1
+  done
+
+let channel_lines ic f =
+  let buf = ref (Bytes.create 65536) and len = ref 0 and eof = ref false in
+  while not !eof do
+    let n = In_channel.input ic !buf !len (Bytes.length !buf - !len) in
+    len := !len + n;
+    eof := n = 0;
+    let stop =
+      if !eof then !len
+      else
+        match Bytes.rindex_from_opt !buf (!len - 1) '\n' with
+        | Some nl -> nl + 1
+        | None -> 0
+    in
+    let pos = ref 0 in
+    while !pos < stop do
+      pos := f !buf !pos stop + 1
+    done;
+    let rest = !len - stop in
+    Bytes.blit !buf stop !buf 0 rest;
+    len := rest;
+    (* A line longer than the buffer: double it. *)
+    if rest = Bytes.length !buf then buf := Bytes.extend !buf 0 rest
+  done
+
+(* The scanner: the header, then each data line's event name and values
+   to [data ~line event values].  A wrong value count is reported
+   before a bad number anywhere in the line.  Returns the row labels and
+   the number of (non-blank) lines; raises [Csv_error]. *)
+let scan lines ~data =
+  let row_labels = ref [||] and lineno = ref 0 and bad = ref (-1) in
+  let header s ls stop =
+    let eol =
+      match Bytes.index_from_opt s ls '\n' with
+      | Some e when e < stop -> e
+      | _ -> stop
+    in
+    let le = ref eol in
+    while is_blank (Bytes.unsafe_get s (!le - 1)) do decr le done;
+    (match String.split_on_char ',' (Bytes.sub_string s ls (!le - ls)) with
+     | "event" :: "rep" :: labels when labels <> [] ->
+       row_labels := Array.of_list labels
+     | _ -> csv_fail 1 "expected header event,rep,<row labels>");
+    eol
+  in
+  (* Event, repetition (ignored), then one value per row label. *)
+  let data_line line s ls stop =
+    let n = Array.length !row_labels in
+    let c1 = field_end s ls stop in
+    if not (at_comma s c1 stop) then csv_fail line "expected event,rep,values...";
+    let v = Array.create_float n in
+    let e = ref (field_end s (c1 + 1) stop) and values = ref 0 in
+    bad := -1;
+    while at_comma s !e stop do
+      e := scan_value s ~bad (!e + 1) stop v !values;
+      incr values
+    done;
+    if !values <> n then
+      csv_fail line (Printf.sprintf "expected %d values, got %d" n !values);
+    if !bad >= 0 then csv_fail line ("bad number " ^ raw_field s !bad stop);
+    data ~line (Bytes.sub_string s ls (c1 - ls)) v;
+    !e
+  in
+  lines (fun s start stop ->
+      let ls = ref start in
+      while !ls < stop && is_blank (Bytes.unsafe_get s !ls) do incr ls done;
+      if !ls = stop || Bytes.unsafe_get s !ls = '\n' then !ls
+      else begin
+        incr lineno;
+        if !lineno = 1 then header s !ls stop else data_line !lineno s !ls stop
+      end);
+  if !lineno = 0 then raise (Csv_error { line = None; reason = "empty input" });
+  (!row_labels, !lineno)
 
 (* An event's repetitions as they are read, newest first. *)
 type pending = {
@@ -323,89 +412,100 @@ type pending = {
   mutable rev_reps : float array list;
 }
 
-let parse_reps_csv ~name csv =
-  let len = String.length csv in
-  let row_labels = ref [||] and lineno = ref 0 and pos = ref 0 in
-  let bad = ref (-1) in
+let pending ~line event v =
+  { pname = event; first_line = line; count = 1; rev_reps = [ v ] }
+
+let add_rep p v =
+  p.count <- p.count + 1;
+  p.rev_reps <- v :: p.rev_reps
+
+let measurement_of p =
+  {
+    event = Hwsim.Event.make ~name:p.pname ~desc:"imported" [];
+    reps = List.rev p.rev_reps;
+  }
+
+(* The noise filter compares repetitions pairwise: every event must
+   have as many as the first. *)
+let ragged_fail p ~reps =
+  csv_fail p.first_line
+    (Printf.sprintf "event %s has %d repetitions, expected %d" p.pname p.count
+       reps)
+
+(* The whole-dataset consumer: an event's lines may lie anywhere in the
+   file.  Returns the dataset and its number of lines. *)
+let gather ~name lines =
   let table = Hashtbl.create 64 and order = ref [] in
-  (* The header line from [ls]; return where it ends. *)
-  let header ls =
-    let eol = Option.value (String.index_from_opt csv ls '\n') ~default:len in
-    let le = ref eol in
-    while is_blank (String.unsafe_get csv (!le - 1)) do decr le done;
-    (match String.split_on_char ',' (String.sub csv ls (!le - ls)) with
-     | "event" :: "rep" :: labels when labels <> [] ->
-       row_labels := Array.of_list labels
-     | _ -> csv_fail 1 "expected header event,rep,<row labels>");
-    eol
+  let data ~line event v =
+    match Hashtbl.find_opt table event with
+    | Some p -> add_rep p v
+    | None ->
+      let p = pending ~line event v in
+      Hashtbl.add table event p;
+      order := p :: !order
   in
-  (* The data line from [ls]: event, repetition (ignored), then one
-     value per row label.  Return where it ends.  A wrong value count
-     is reported before a bad number anywhere in the line. *)
-  let data_line line ls =
-    let n = Array.length !row_labels in
-    let c1 = field_end csv ls in
-    if not (at_comma csv c1) then csv_fail line "expected event,rep,values...";
-    let v = Array.create_float n in
-    let e = ref (field_end csv (c1 + 1)) and values = ref 0 in
-    bad := -1;
-    while at_comma csv !e do
-      e := scan_value csv ~bad (!e + 1) v !values;
-      incr values
-    done;
-    if !values <> n then
-      csv_fail line (Printf.sprintf "expected %d values, got %d" n !values);
-    if !bad >= 0 then csv_fail line ("bad number " ^ raw_field csv !bad);
-    let event = String.sub csv ls (c1 - ls) in
-    let p =
-      match Hashtbl.find_opt table event with
-      | Some p -> p
-      | None ->
-        let p = { pname = event; first_line = line; count = 0; rev_reps = [] } in
-        Hashtbl.add table event p;
-        order := p :: !order;
-        p
-    in
-    p.count <- p.count + 1;
-    p.rev_reps <- v :: p.rev_reps;
-    !e
+  let row_labels, nlines = scan lines ~data in
+  let events = List.rev !order in
+  let reps = match events with [] -> 0 | p :: _ -> p.count in
+  List.iter (fun p -> if p.count <> reps then ragged_fail p ~reps) events;
+  ( { name; row_labels; reps; measurements = List.map measurement_of events },
+    nlines )
+
+let parse_reps_csv ~name csv =
+  try Ok (fst (gather ~name (text_lines csv))) with Csv_error e -> Error e
+
+exception Split
+
+(* The streaming consumer: an event's lines form one block, reduced by
+   [f] when the next event starts, after which its vectors are dropped.
+   A ragged block is remembered and reported once the scan has found
+   no line error, as [gather] does; an event that starts a second block
+   raises [Split]. *)
+let stream_blocks ic f =
+  let seen = Hashtbl.create 1024 in
+  let current = ref None and out = ref [] in
+  let reps = ref (-1) and ragged = ref None in
+  let close p =
+    if !reps < 0 then reps := p.count;
+    if p.count <> !reps then (if !ragged = None then ragged := Some p)
+    else if !ragged = None then out := f (measurement_of p) :: !out
   in
-  try
-    while !pos < len do
-      let ls = ref !pos in
-      while !ls < len && is_blank (String.unsafe_get csv !ls) do incr ls done;
-      if !ls = len || String.unsafe_get csv !ls = '\n' then pos := !ls + 1
-      else begin
-        incr lineno;
-        let eol = if !lineno = 1 then header !ls else data_line !lineno !ls in
-        pos := eol + 1
-      end
-    done;
-    if !lineno = 0 then Error { line = None; reason = "empty input" }
-    else begin
-      let events = List.rev !order in
-      let reps = match events with [] -> 0 | p :: _ -> p.count in
-      (* The noise filter compares repetitions pairwise: every event
-         must have as many as the first. *)
-      List.iter
-        (fun p ->
-          if p.count <> reps then
-            csv_fail p.first_line
-              (Printf.sprintf "event %s has %d repetitions, expected %d"
-                 p.pname p.count reps))
-        events;
-      let measurements =
-        List.map
-          (fun p ->
-            {
-              event = Hwsim.Event.make ~name:p.pname ~desc:"imported" [];
-              reps = List.rev p.rev_reps;
-            })
-          events
-      in
-      Ok { name; row_labels = !row_labels; reps; measurements }
-    end
-  with Csv_error e -> Error e
+  let data ~line event v =
+    match !current with
+    | Some p when String.equal p.pname event -> add_rep p v
+    | cur ->
+      Option.iter close cur;
+      if Hashtbl.mem seen event then raise Split;
+      Hashtbl.add seen event ();
+      current := Some (pending ~line event v)
+  in
+  let _, lines = scan (channel_lines ic) ~data in
+  Option.iter close !current;
+  Option.iter (ragged_fail ~reps:!reps) !ragged;
+  (List.rev !out, lines)
+
+let stream_reps_csv ic f =
+  Obs.span "import" @@ fun () ->
+  let start = In_channel.pos ic in
+  match
+    try stream_blocks ic f
+    with Split ->
+      (* Rare: [reps_to_csv] writes each event's lines together.  A pipe
+         cannot be read twice, and [seek] would not say so:
+         [In_channel.length] raises [Sys_error] on one. *)
+      ignore (In_channel.length ic);
+      In_channel.seek ic start;
+      let d, lines = gather ~name:"" (channel_lines ic) in
+      (List.map f d.measurements, lines)
+  with
+  | exception Csv_error e -> Error e
+  | events, lines ->
+    if Obs.enabled () then begin
+      let bytes = Int64.sub (In_channel.pos ic) start in
+      Obs.add "import.bytes" (Int64.to_float bytes);
+      Obs.add "import.lines" (float_of_int lines)
+    end;
+    Ok events
 
 let of_reps_csv ~name csv =
   match parse_reps_csv ~name csv with

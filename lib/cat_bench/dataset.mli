@@ -139,6 +139,21 @@ val parse_reps_csv : name:string -> string -> (t, csv_error) result
     value per row label, a value is not a [float_of_string] number, or
     an event has a different number of repetitions than the first. *)
 
+val stream_reps_csv :
+  In_channel.t -> (measurement -> 'a) -> ('a list, csv_error) result
+(** Import the {!reps_to_csv} format from [ic], reading it line by
+    line: each event's lines form one block, handed to [f] as the
+    measurement {!parse_reps_csv} would build and dropped when the next
+    event starts, so neither the text nor any repetition vector outlives
+    its event.  The results follow the file's event order, and every
+    refusal is {!parse_reps_csv}'s, at the same line (a ragged
+    repetition count is still reported only after the whole file has
+    been read).  A file whose event lines are not contiguous is read
+    again from its start and gathered whole before [f] runs, so [ic]
+    must then be seekable: on a pipe it raises [Sys_error].  Runs in span [import], which adds the bytes
+    read to counter [import.bytes] and the non-blank lines to
+    [import.lines]. *)
+
 val of_reps_csv : name:string -> string -> t
 (** {!parse_reps_csv} raising [Failure "Dataset.of_reps_csv: line N:
     reason"] (or [": empty input"]) on malformed input. *)

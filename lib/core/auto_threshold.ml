@@ -5,12 +5,21 @@ type suggestion = {
   above : int;
 }
 
-let suggestion_of values (lo, hi) =
+(* How many of [sorted] (ascending, no NaN) are at most [x]. *)
+let count_at_most sorted x =
+  let lo = ref 0 and hi = ref (Array.length sorted) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if sorted.(mid) <= x then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* One binary search per band, not a pass over every value: a 20,000-
+   event import has ~15,000 bands. *)
+let suggestion_of ~sorted ~n (lo, hi) =
   let tau = sqrt (lo *. hi) in
-  let below =
-    List.length (List.filter (fun v -> v <= tau) (Array.to_list values))
-  in
-  { tau; gap_ratio = hi /. lo; below; above = Array.length values - below }
+  let below = count_at_most sorted tau in
+  { tau; gap_ratio = hi /. lo; below; above = n - below }
 
 let band_edges ~floor values =
   let positives =
@@ -42,18 +51,24 @@ let bands ?(floor = 1e-15) series =
     let v = positives.(0) in
     [ { tau = v; gap_ratio = 1.0; below = Array.length values; above = 0 } ]
   | edges ->
-    List.map (suggestion_of values) edges
+    (* A NaN variability is never at most tau. *)
+    let sorted =
+      Array.of_list
+        (List.filter (fun v -> not (Float.is_nan v)) (Array.to_list values))
+    in
+    Array.sort compare sorted;
+    List.map (suggestion_of ~sorted ~n:(Array.length values)) edges
     |> List.sort (fun a b -> compare b.gap_ratio a.gap_ratio)
 
-(* Classify with an all-pass threshold purely to obtain the
-   variability series. *)
-let series_of dataset =
-  Noise_filter.variability_series (Noise_filter.classify ~tau:infinity dataset)
-
-(* The probes re-analyse the dataset the series came from: collected
-   once, then only the stages after collection run per candidate. *)
-let select ?(max_attempts = 10) ~category ~dataset ~min_rank () =
-  let candidates = bands (series_of dataset) in
+(* The probes re-threshold the entries the series came from: each
+   candidate applies its tau and runs only the stages after the noise
+   filter. *)
+let select ?(max_attempts = 10) ~category ~entries ~min_rank () =
+  let candidates =
+    bands
+      (Noise_filter.variability_series
+         (Noise_filter.threshold ~tau:infinity entries))
+  in
   let rec walk attempts = function
     | [] -> raise Not_found
     | _ when attempts >= max_attempts -> raise Not_found
@@ -63,9 +78,9 @@ let select ?(max_attempts = 10) ~category ~dataset ~min_rank () =
       in
       let rank =
         match
-          Pipeline.run_custom ~config ~category ~dataset
-            ~basis:(Category.basis category)
-            ~signatures:(Category.signatures category) ()
+          Stage.downstream ~config ~category ~basis:(Category.basis category)
+            ~signatures:(Category.signatures category)
+            ~classified:(Noise_filter.threshold ~tau:s.tau entries) ()
         with
         | r -> Array.length r.Pipeline.chosen_names
         | exception Invalid_argument _ -> 0

@@ -31,12 +31,13 @@ val bands : ?floor:float -> (string * float) array -> suggestion list
     or one with no positive variability (no threshold needed). *)
 
 val select :
-  ?max_attempts:int -> category:Category.t -> dataset:Cat_bench.Dataset.t ->
+  ?max_attempts:int -> category:Category.t -> entries:Noise_filter.entry list ->
   min_rank:int -> unit -> suggestion
-(** Validated selection: walk {!bands} of [dataset] (one collection
-    of the category's benchmark) from the widest gap down, run the
-    pipeline at each candidate τ on that dataset
-    ({!Pipeline.run_custom}), and return the first whose
+(** Validated selection: walk {!bands} of [entries] (one collection of
+    the category's benchmark, or one CSV import, reduced by the noise
+    filter) from the widest gap down; at each candidate τ, apply it to
+    the entries ({!Noise_filter.threshold}) and run the stages after
+    the noise filter ({!Stage.downstream}); return the first whose
     specialized QRCP finds at least [min_rank] independent events.
 
     This is what the cache category needs: its relevant events are

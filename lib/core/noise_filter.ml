@@ -2,6 +2,13 @@ type status = Kept | Too_noisy | All_zero
 
 type measure = Max_rnmse | Mean_rnmse | Max_relative_range
 
+type entry = {
+  event : Hwsim.Event.t;
+  variability : float;
+  mean : Linalg.Vec.t;
+  all_zero : bool;
+}
+
 type classified = {
   event : Hwsim.Event.t;
   variability : float;
@@ -25,22 +32,23 @@ let provenance_status = function
   | Too_noisy -> Provenance.Ledger.Too_noisy
   | All_zero -> Provenance.Ledger.All_zero
 
-let classify_measurement ~measure ~tau (m : Cat_bench.Dataset.measurement) =
+let entry ?(measure = Max_rnmse) (m : Cat_bench.Dataset.measurement) =
   let mean = Linalg.Vec.of_array (Numkit.Stats.elementwise_mean m.reps) in
-  let every_rep_zero = List.for_all Numkit.Stats.all_zero m.reps in
-  if every_rep_zero then
-    (* Footnote 1: an event that never fires is irrelevant. *)
-    { event = m.event; variability = 0.0; mean; status = All_zero }
-  else begin
-    let variability = apply_measure measure m.reps in
-    (* Non-finite variability (NaN readings from a corrupt import)
-       must never classify as clean. *)
-    let status =
-      if variability > tau || not (Float.is_finite variability) then Too_noisy
-      else Kept
-    in
-    { event = m.event; variability; mean; status }
-  end
+  (* Footnote 1: an event that never fires is irrelevant. *)
+  let all_zero = List.for_all Numkit.Stats.all_zero m.reps in
+  let variability = if all_zero then 0.0 else apply_measure measure m.reps in
+  { event = m.event; variability; mean; all_zero }
+
+let entries ?measure (dataset : Cat_bench.Dataset.t) =
+  List.map (entry ?measure) dataset.measurements
+
+(* Non-finite variability (NaN readings from a corrupt import) must
+   never classify as clean. *)
+let status ~tau (e : entry) =
+  if e.all_zero then All_zero
+  else if e.variability > tau || not (Float.is_finite e.variability) then
+    Too_noisy
+  else Kept
 
 let publish_tallies classified =
   if Obs.enabled () then begin
@@ -53,12 +61,22 @@ let publish_tallies classified =
     Obs.add "noise_filter.all_zero" (tally All_zero)
   end
 
-let classify ?(measure = Max_rnmse) ~tau (dataset : Cat_bench.Dataset.t) =
+let threshold ~tau entries =
   let classified =
-    List.map (classify_measurement ~measure ~tau) dataset.measurements
+    List.map
+      (fun (e : entry) ->
+        {
+          event = e.event;
+          variability = e.variability;
+          mean = e.mean;
+          status = status ~tau e;
+        })
+      entries
   in
   publish_tallies classified;
   classified
+
+let classify ?measure ~tau dataset = threshold ~tau (entries ?measure dataset)
 
 let kept classified = List.filter (fun c -> c.status = Kept) classified
 

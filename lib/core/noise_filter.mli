@@ -15,6 +15,15 @@ type measure =
           exploring the paper's future-work direction of alternative
           noise quantifications. *)
 
+type entry = {
+  event : Hwsim.Event.t;
+  variability : float;  (** value of the chosen measure; 0 when [all_zero]. *)
+  mean : Linalg.Vec.t;  (** elementwise mean of the repetition vectors. *)
+  all_zero : bool;  (** every reading of every repetition is 0. *)
+}
+(** One event's noise analysis before any threshold: what a verdict at
+    any τ needs, without the repetition vectors. *)
+
 type classified = {
   event : Hwsim.Event.t;
   variability : float;  (** value of the chosen measure. *)
@@ -22,14 +31,25 @@ type classified = {
   status : status;
 }
 
+val entry : ?measure:measure -> Cat_bench.Dataset.measurement -> entry
+(** Reduce one event's repetitions ([measure] defaults to
+    {!Max_rnmse}). *)
+
+val entries : ?measure:measure -> Cat_bench.Dataset.t -> entry list
+(** {!entry} of every measurement, in dataset order. *)
+
+val threshold : tau:float -> entry list -> classified list
+(** The verdicts at [tau]: [All_zero], else [Too_noisy] when the
+    variability exceeds [tau] or is not finite, else [Kept].
+    Publishes the [noise_filter.kept] / [too_noisy] / [all_zero]
+    counters when a sink is live. *)
+
 val classify :
   ?measure:measure -> tau:float -> Cat_bench.Dataset.t -> classified list
-(** Classify every measurement in the dataset.  [measure] defaults to
-    {!Max_rnmse} (the paper's).  Each event's verdict depends only on
+(** [threshold ~tau (entries ?measure dataset)]: classify every
+    measurement in the dataset.  Each event's verdict depends only on
     its own repetition vectors, so a catalog-range shard classifies
-    exactly like the same events of the whole catalog.  Publishes the
-    [noise_filter.kept] / [too_noisy] / [all_zero] counters when a
-    sink is live. *)
+    exactly like the same events of the whole catalog. *)
 
 val measure_name : measure -> string
 

@@ -26,14 +26,30 @@ type result = Stage.result = {
   ledger : Provenance.Ledger.t option;
 }
 
-let run_custom ?(executor = Exec.Seq) ?manifest ~config ~category ~dataset
-    ~basis ~signatures () =
+(* One manifest scope and one [pipeline] span around [classify] and the
+   downstream stages. *)
+let run_classified ~executor ?manifest ~config ~category ~basis ~signatures
+    classify =
   Stage.with_manifest ?manifest ~source:"pipeline-custom" ~category ~config
-    ~shards:1 ~jobs:(Exec.jobs executor) ~inputs:[] (fun () ->
+    ~shards:1
+    ~jobs:(Exec.jobs executor) ~inputs:[] (fun () ->
       Obs.span "pipeline" (fun () ->
           Obs.attr_str "category" (Category.name category);
-          let classified = Stage.classify ~config dataset in
+          let classified = classify () in
           Stage.downstream ~config ~category ~basis ~signatures ~classified ()))
+
+let run_custom ?(executor = Exec.Seq) ?manifest ~config ~category ~dataset
+    ~basis ~signatures () =
+  run_classified ~executor ?manifest ~config ~category ~basis ~signatures
+    (fun () -> Stage.classify ~config dataset)
+
+let run_entries ?(executor = Exec.Seq) ?manifest ~config ~category ~entries () =
+  run_classified ~executor ?manifest ~config ~category
+    ~basis:(Category.basis category)
+    ~signatures:(Category.signatures category) (fun () ->
+      let entries = entries () in
+      Obs.span "noise-filter" (fun () ->
+          Noise_filter.threshold ~tau:config.tau entries))
 
 let run ?config ?(shards = 1) ?(executor = Exec.Seq) ?manifest category =
   let config =

@@ -69,6 +69,21 @@ val run_custom :
     only sets the jobs count the manifest records: the dataset is
     already collected. *)
 
+val run_entries :
+  ?executor:Exec.t -> ?manifest:(Obs.Manifest.t -> unit) ->
+  config:config -> category:Category.t ->
+  entries:(unit -> Noise_filter.entry list) -> unit -> result
+(** Run the category's analysis on events already reduced by the noise
+    filter, such as a streamed CSV import
+    ({!Cat_bench.Dataset.stream_reps_csv} with {!Noise_filter.entry}):
+    [entries ()] is called inside the [pipeline] span, then
+    {!Noise_filter.threshold} applies [config.tau] (span
+    [noise-filter]) and {!Stage.downstream} runs with the category's
+    basis and signatures.  The result and its manifest (source
+    ["pipeline-custom"]) equal {!run_custom}'s on the dataset the
+    entries were reduced from, but for the spans, the [import.*]
+    counters and the GC figures. *)
+
 val ledger : result -> Provenance.Ledger.t
 (** The result's provenance ledger: [r.ledger] when set, else the
     same derivation over the stage outputs the result carries, after

@@ -44,6 +44,28 @@ let test_bands_sorted_by_gap () =
   Alcotest.(check bool) "descending gap ratios" true (descending ratios);
   Alcotest.(check int) "three bands" 3 (List.length bands)
 
+(* Every band's kept count is the number of variabilities at most its
+   tau (a NaN never is), over series with repeats, zeros and NaNs. *)
+let prop_band_counts =
+  QCheck.Test.make ~name:"band counts are the plain counts" ~count:500
+    QCheck.(
+      make
+        ~print:(fun l -> String.concat "; " (List.map (Printf.sprintf "%h") l))
+        Gen.(
+          list_size (int_range 1 40)
+            (oneof
+               [ oneofl [ 0.0; 1e-12; 1e-6; 1e-3; 0.5; nan; infinity ];
+                 map (fun e -> 10.0 ** e) (float_range (-14.0) 1.0) ])))
+    (fun l ->
+      match Core.Auto_threshold.bands (series_of l) with
+      | exception Invalid_argument _ -> true
+      | bands ->
+        List.for_all
+          (fun (b : Core.Auto_threshold.suggestion) ->
+            let below = List.length (List.filter (fun v -> v <= b.tau) l) in
+            b.below = below && b.above = List.length l - below)
+          bands)
+
 let test_auto_tau_reproduces_clean_categories () =
   (* For FLOPs/branch/GPU the automatic τ keeps exactly the events
      the paper's hand-picked 1e-10 keeps. *)
@@ -51,7 +73,8 @@ let test_auto_tau_reproduces_clean_categories () =
     (fun (category, min_rank, paper_set) ->
       let s =
         Core.Auto_threshold.select ~category
-          ~dataset:(Core.Category.dataset category) ~min_rank ()
+          ~entries:(Core.Noise_filter.entries (Core.Category.dataset category))
+          ~min_rank ()
       in
       let config =
         { (Core.Pipeline.default_config category) with
@@ -79,7 +102,8 @@ let test_auto_tau_cache_walks_to_lenient_band () =
   Alcotest.(check bool) "naive suggestion keeps almost nothing" true
     (naive.Core.Auto_threshold.below < 20);
   let s =
-    Core.Auto_threshold.select ~category:Core.Category.Dcache ~dataset ~min_rank:4 ()
+    Core.Auto_threshold.select ~category:Core.Category.Dcache
+      ~entries:(Core.Noise_filter.entries dataset) ~min_rank:4 ()
   in
   Alcotest.(check bool) "validated tau is lenient" true
     (s.Core.Auto_threshold.tau > naive.Core.Auto_threshold.tau);
@@ -96,7 +120,8 @@ let test_select_raises_when_unachievable () =
   (try
      ignore
        (Core.Auto_threshold.select ~max_attempts:3 ~category:Core.Category.Branch
-          ~dataset:Core.Category.(dataset Branch) ~min_rank:50 ());
+          ~entries:(Core.Noise_filter.entries Core.Category.(dataset Branch))
+          ~min_rank:50 ());
      Alcotest.fail "expected Not_found"
    with Not_found -> ())
 
@@ -171,7 +196,8 @@ let test_cli_csv_probes_the_csv () =
   Sys.remove out;
   Alcotest.(check int) "exit code" 0 code;
   let s =
-    Core.Auto_threshold.select ~category:Core.Category.Cpu_flops ~dataset ~min_rank:1 ()
+    Core.Auto_threshold.select ~category:Core.Category.Cpu_flops
+      ~entries:(Core.Noise_filter.entries dataset) ~min_rank:1 ()
   in
   Alcotest.(check (option (pair string int))) "tau and kept count of the CSV"
     (Some (Printf.sprintf "%.3e" s.Core.Auto_threshold.tau, s.Core.Auto_threshold.below))
@@ -186,6 +212,7 @@ let () =
           Alcotest.test_case "no zero cluster" `Quick test_suggest_no_zero_cluster;
           Alcotest.test_case "degenerate inputs" `Quick test_suggest_rejects_degenerate_inputs;
           Alcotest.test_case "bands sorted" `Quick test_bands_sorted_by_gap;
+          QCheck_alcotest.to_alcotest prop_band_counts;
         ] );
       ( "select",
         [

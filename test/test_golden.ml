@@ -243,6 +243,45 @@ let test_shard_smoke (expected_shards, expected_merge) () =
   Alcotest.(check (list string)) "shard artifacts" expected_shards shards;
   Alcotest.(check string) "merge stdout" expected_merge merged
 
+(* [analyze -c cpu-flops --csv F --show all] on the cpu-flops export:
+   its stdout and the ledger hash of its manifest.  The shuffled file
+   keeps the header first and splits every event's lines apart. *)
+let csv_digests =
+  [
+    ("export", false, ("8ce94620a43583511033d80dc23bd963", "4a92c7248701839c"));
+    ("shuffled export", true, ("e9ac4e86ed61534e43945da9db72fd8a", "2c1f9ad5ec8e46b3"));
+  ]
+
+let shuffled_lines text =
+  match String.split_on_char '\n' (String.trim text) with
+  | [] -> text
+  | header :: data ->
+    let a = Array.of_list data and rng = Random.State.make [| 29 |] in
+    for i = Array.length a - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    done;
+    String.concat "\n" (header :: Array.to_list a) ^ "\n"
+
+let test_csv (_, shuffle, (expected_stdout, expected_ledger)) () =
+  let text =
+    Cat_bench.Dataset.reps_to_csv (Core.Category.dataset Core.Category.Cpu_flops)
+  in
+  let csv = temp ".csv" and path = temp ".json" in
+  Out_channel.with_open_bin csv (fun oc ->
+      output_string oc (if shuffle then shuffled_lines text else text));
+  let stdout =
+    stdout_md5 "bin/analyze.exe"
+      [ "-c"; "cpu-flops"; "--csv"; csv; "--show"; "all"; "--manifest"; path ]
+  in
+  Sys.remove csv;
+  let m = load_manifest path in
+  Alcotest.(check string) "stdout" expected_stdout stdout;
+  Alcotest.(check (option string)) "ledger hash" (Some expected_ledger)
+    (List.assoc_opt "ledger" m.Obs.Manifest.artifacts)
+
 let () =
   Alcotest.run "golden"
     [
@@ -270,6 +309,11 @@ let () =
           Alcotest.test_case "branch shard+merge" `Quick
             (test_manifest_merge "8ae288352264df866e244641b1f38fc6");
         ] );
+      ( "csv",
+        List.map
+          (fun ((what, _, _) as case) ->
+            Alcotest.test_case what `Quick (test_csv case))
+          csv_digests );
       ( "shard-smoke",
         [
           Alcotest.test_case "branch shards=2 + merge" `Quick

@@ -250,6 +250,115 @@ let prop_scanner_matches_reference =
       | Error msg, Error msg' -> msg = msg'
       | Error _, Ok _ -> false)
 
+(* The streamed import, read from a file as [analyze --csv] reads it. *)
+let stream_text text =
+  let path = Filename.temp_file "stream" ".csv" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+      In_channel.with_open_bin path (fun ic ->
+          Cat_bench.Dataset.stream_reps_csv ic Core.Noise_filter.entry))
+
+let same_classified (a : Core.Noise_filter.classified)
+    (b : Core.Noise_filter.classified) =
+  let bits x = Int64.bits_of_float x in
+  a.event = b.event
+  && bits a.variability = bits b.variability
+  && a.status = b.status
+  && Array.map bits (Linalg.Vec.to_array a.mean)
+     = Array.map bits (Linalg.Vec.to_array b.mean)
+
+(* Streaming each event as its lines end gives the whole-dataset
+   classification bit for bit, at any tau; a refused text gives the
+   same error.  [gen_csv_text] shuffles lines, so events are split
+   (the re-scan) and repetition counts are ragged. *)
+let prop_stream_matches_classify =
+  QCheck.Test.make ~name:"streamed import classifies as the dataset does"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun (text, tau) -> Printf.sprintf "%S at tau %h" text tau)
+       QCheck.Gen.(
+         pair gen_csv_text
+           (oneof
+              [ oneofl [ 0.0; 1e-10; 0.5; infinity ];
+                map (fun e -> 10.0 ** e) (float_range (-12.0) 1.0) ])))
+    (fun (text, tau) ->
+      match
+        ( Cat_bench.Dataset.parse_reps_csv ~name:"p" text,
+          stream_text text )
+      with
+      | Ok d, Ok entries ->
+        List.equal same_classified
+          (Core.Noise_filter.classify ~tau d)
+          (Core.Noise_filter.threshold ~tau entries)
+      | Error e, Error e' -> e = e'
+      | _ -> false)
+
+(* Texts larger than the import's read buffer: lines and CRLF pairs
+   that straddle its refills, a header and lines longer than the
+   buffer, blank lines, and (interleaved) the re-scan of a split file. *)
+let test_stream_large_texts () =
+  let rng = Random.State.make [| 7 |] in
+  let text ~nlabels ~nevents ~nreps ~interleaved =
+    let buf = Buffer.create (1 lsl 20) in
+    let eol () = if Random.State.bool rng then "\r\n" else "\n" in
+    Buffer.add_string buf "event,rep,";
+    Buffer.add_string buf
+      (String.concat "," (List.init nlabels (Printf.sprintf "r%d")));
+    Buffer.add_string buf (eol ());
+    let line e r =
+      if Random.State.int rng 10 = 0 then Buffer.add_string buf (eol ());
+      Buffer.add_string buf (Printf.sprintf "E%d,%d" e r);
+      for _ = 1 to nlabels do
+        Buffer.add_string buf
+          (match Random.State.int rng 3 with
+           | 0 -> ",0"
+           | 1 -> Printf.sprintf ",%d" (Random.State.int rng 1_000_000)
+           | _ -> Printf.sprintf ", %.17g " (Random.State.float rng 1e6))
+      done;
+      Buffer.add_string buf (eol ())
+    in
+    if interleaved then
+      for r = 0 to nreps - 1 do for e = 0 to nevents - 1 do line e r done done
+    else
+      for e = 0 to nevents - 1 do for r = 0 to nreps - 1 do line e r done done;
+    Buffer.contents buf
+  in
+  List.iter
+    (fun (nlabels, nevents, nreps, interleaved) ->
+      let text = text ~nlabels ~nevents ~nreps ~interleaved in
+      let what = Printf.sprintf "%d labels, %d events" nlabels nevents in
+      match
+        (Cat_bench.Dataset.parse_reps_csv ~name:"p" text, stream_text text)
+      with
+      | Ok d, Ok entries ->
+        Alcotest.(check int) (what ^ ": events") nevents (List.length entries);
+        Alcotest.(check bool) (what ^ ": bit-identical") true
+          (List.equal same_classified
+             (Core.Noise_filter.classify ~tau:1e-3 d)
+             (Core.Noise_filter.threshold ~tau:1e-3 entries))
+      | _ -> Alcotest.failf "%s: refused" what)
+    [ (1, 20_000, 3, false); (48, 400, 5, false); (20_000, 3, 2, false);
+      (48, 400, 5, true) ]
+
+(* The import span's counters: every byte of the file and its
+   non-blank lines, for a contiguous and for a split file. *)
+let test_import_counters () =
+  let mem = Obs.Memory.create () in
+  let sink = Obs.Memory.sink mem in
+  Obs.install sink;
+  Fun.protect ~finally:(fun () -> Obs.uninstall sink) @@ fun () ->
+  List.iter
+    (fun (what, text) ->
+      Obs.reset_counters ();
+      (match stream_text text with
+       | Ok entries -> Alcotest.(check int) (what ^ " events") 2 (List.length entries)
+       | Error e -> Alcotest.failf "%s: %s" what e.reason);
+      Alcotest.(check (float 0.0)) (what ^ " bytes")
+        (float_of_int (String.length text)) (Obs.counter "import.bytes");
+      Alcotest.(check (float 0.0)) (what ^ " lines") 5.0 (Obs.counter "import.lines"))
+    [ ("contiguous", "event,rep,a\nE1,0,1\n\nE1,1,2\nE2,0,3\nE2,1,3\n");
+      ("split", "event,rep,a\nE1,0,1\nE2,0,3\n \nE1,1,2\nE2,1,3") ]
+
 (* The cpu-flops export read back, as csv-wide's real events are;
    pinned from the split-based parser. *)
 let test_cpu_flops_import_pinned () =
@@ -319,6 +428,34 @@ let test_analyze_csv_exit () =
   Alcotest.(check string) "one-line message"
     (Printf.sprintf "analyze: %s line 2: bad number xyz\n" csv)
     stderr
+
+(* [analyze --csv] streams a pipe; only a split file, which must be
+   read twice, is refused there (as every pipe was before streaming). *)
+let test_analyze_csv_pipe () =
+  let analyze =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/analyze.exe"
+  in
+  let run text =
+    let csv = Filename.temp_file "pipe" ".csv" in
+    let err = Filename.temp_file "pipe" ".err" in
+    Out_channel.with_open_bin csv (fun oc -> output_string oc text);
+    let code =
+      Sys.command
+        (Printf.sprintf "cat %s | %s -c branch --csv /dev/stdin --show summary \
+                         > /dev/null 2> %s"
+           (Filename.quote csv) (Filename.quote analyze) (Filename.quote err))
+    in
+    let stderr = In_channel.with_open_bin err In_channel.input_all in
+    Sys.remove csv;
+    Sys.remove err;
+    (code, stderr)
+  in
+  let branch =
+    Cat_bench.Dataset.reps_to_csv (Core.Category.dataset Core.Category.Branch)
+  in
+  Alcotest.(check (pair int string)) "contiguous" (0, "") (run branch);
+  Alcotest.(check (pair int string)) "split" (1, "analyze: Illegal seek\n")
+    (run "event,rep,a\nE1,0,1\nE2,0,3\nE1,1,2\nE2,1,3\n")
 
 let test_mean_csv_shape () =
   let d = small_dataset () in
@@ -475,7 +612,11 @@ let () =
           Alcotest.test_case "ragged repetitions" `Quick test_ragged_repetitions;
           Alcotest.test_case "typed errors" `Quick test_typed_errors;
           Alcotest.test_case "analyze --csv exit" `Quick test_analyze_csv_exit;
+          Alcotest.test_case "analyze --csv pipe" `Quick test_analyze_csv_pipe;
           QCheck_alcotest.to_alcotest prop_scanner_matches_reference;
+          QCheck_alcotest.to_alcotest prop_stream_matches_classify;
+          Alcotest.test_case "streamed large texts" `Quick test_stream_large_texts;
+          Alcotest.test_case "import counters" `Quick test_import_counters;
         ] );
       ( "json",
         [
