@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test loc check lint lint-smoke csv-smoke bench-smoke bench-linalg bench-shard bench-check bench-check-smoke manifest-smoke shard-smoke progress-smoke par-smoke store-smoke trend-smoke repro examples figures clean
+.PHONY: all build test loc check lint lint-smoke csv-smoke dcache-smoke bench-smoke bench-linalg bench-shard bench-check bench-check-smoke manifest-smoke shard-smoke progress-smoke par-smoke store-smoke trend-smoke repro examples figures clean
 
 all: build
 
@@ -38,6 +38,7 @@ check:
 	$(MAKE) shard-smoke
 	$(MAKE) progress-smoke
 	$(MAKE) csv-smoke
+	$(MAKE) dcache-smoke
 	$(MAKE) par-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) manifest-smoke
@@ -102,6 +103,27 @@ csv-smoke:
 	awk '/^top_heap_words:/ { found = 1; mb = $$2 * 8 / 1e6 } \
 	  END { if (!found) { print "csv-smoke: no GC totals"; exit 1 } \
 	        printf "csv-smoke: peak heap %.1f MB (limit 30)\n", mb; exit (mb > 30) }' \
+	  $$dir/gc.txt; \
+	status=$$?; rm -rf $$dir; exit $$status
+
+# The data-cache category within its heap budget: the plain run and
+# the two-shard run on two domains must print perfbench's expected
+# dcache output byte for byte, and the plain run must peak at most
+# 3 MB of heap, as the OCaml runtime reports it at exit (the 640
+# pointer chases build into one buffer per job; a fresh chain per
+# simulation read 4.8 MB).
+dcache-smoke:
+	dune build ./bin/analyze.exe
+	dir=$$(mktemp -d) && \
+	OCAMLRUNPARAM=v=0x400 ./_build/default/bin/analyze.exe -c dcache \
+	  --show summary,chosen,metrics > $$dir/j1.txt 2> $$dir/gc.txt && \
+	./_build/default/bin/analyze.exe -c dcache --shards 2 --jobs 2 \
+	  --show summary,chosen,metrics > $$dir/j2.txt && \
+	cmp perfbench/expected/dcache.txt $$dir/j1.txt && \
+	cmp perfbench/expected/dcache.txt $$dir/j2.txt && \
+	awk '/^top_heap_words:/ { found = 1; mb = $$2 * 8 / 1e6 } \
+	  END { if (!found) { print "dcache-smoke: no GC totals"; exit 1 } \
+	        printf "dcache-smoke: peak heap %.2f MB (limit 3)\n", mb; exit (mb > 3) }' \
 	  $$dir/gc.txt; \
 	status=$$?; rm -rf $$dir; exit $$status
 

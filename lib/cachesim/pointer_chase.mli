@@ -7,17 +7,24 @@
     [accesses] steps yields a dependent-load stream whose hit level is
     dictated by whether the buffer fits in L1 / L2 / L3 or spills to
     memory, exactly the knob the paper's benchmark turns.  {!measure}
-    computes the warmed chase's counters in closed form. *)
+    computes the warmed chase's counters in closed form: the per-set
+    counts of a {!geometry}, which depend only on the slots'
+    addresses, then the few steps that read the visiting order. *)
 
 type layout = Sequential | Shuffled of Numkit.Rng.t
 
 type chain
-(** An immutable pointer chain placed at a base address, stored as its
-    visiting order: the slots in the order the chase from slot 0 meets
-    them. *)
+(** A pointer chain placed at a base address, stored as its visiting
+    order: the slots in the order the chase from slot 0 meets them. *)
 
-val make : base:int -> pointers:int -> stride_bytes:int -> layout -> chain
-(** Builds the chain.  [pointers >= 1], [stride_bytes >= 1]. *)
+val make :
+  ?buf:int array -> base:int -> pointers:int -> stride_bytes:int -> layout -> chain
+(** Builds the chain.  [pointers >= 1], [stride_bytes >= 1].  The
+    visiting order is written into the first [pointers] cells of
+    [buf] (any contents, at least [pointers] long, else
+    [Invalid_argument]), which the chain then reads: it is valid until
+    [buf] is written again, so one buffer serves a sequence of chains
+    without allocating.  Without [buf], into a fresh array. *)
 
 val pointers : chain -> int
 
@@ -40,6 +47,31 @@ type measurement = {
           end until every stepped set is full (at most one pass). *)
 }
 
+type geometry
+(** What a chase counts apart from its visiting order, under one
+    hierarchy and TLB: the cycle's lines per cache set and the level
+    serving each set, and its pages per L1-TLB set.  It depends only
+    on [(base, pointers, stride_bytes)], so every chain over the same
+    slots shares it.  Immutable, so domains may share it. *)
+
+val geometry :
+  Hierarchy.config ->
+  Tlb.config ->
+  base:int ->
+  pointers:int ->
+  stride_bytes:int ->
+  geometry
+(** Counts the slots' lines and pages, checking the regime {!measure}
+    describes (same exceptions; [Invalid_argument
+    "Pointer_chase.geometry: pointers < 1"] on an empty chain). *)
+
+val chase : geometry -> chain -> accesses:int -> measurement
+(** [chase g c ~accesses] is [measure h t c ~accesses] for the [h] and
+    [t] [g] was counted under: only the measured prefix of the order
+    and the stepped L1-TLB sets read [c].  Raises [Invalid_argument]
+    when [c]'s base, pointers or stride are not [g]'s, and on negative
+    [accesses] as {!measure} does. *)
+
 val measure :
   Hierarchy.config -> Tlb.config -> chain -> accesses:int -> measurement
 (** [measure h t c ~accesses] is what a fresh hierarchy [h] and TLB
@@ -47,7 +79,9 @@ val measure :
     reset afterwards) and then takes [accesses] dependent loads from
     slot 0, each translated by the TLB before it loads.  It equals
     stepping {!Hierarchy.load} and {!Tlb.access} through every one of
-    those steps, without stepping the hierarchy at all.
+    those steps, without stepping the hierarchy at all.  It is
+    [chase (geometry h t ~base ~pointers ~stride_bytes) c ~accesses]
+    for [c]'s slots.
 
     Regime, each checked: every level's geometry is valid
     ({!Cache.config_valid}), every level's line size is the same, the

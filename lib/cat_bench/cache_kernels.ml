@@ -69,21 +69,24 @@ let common_overhead a n_accesses =
   Activity.set a Keys.core_instructions instructions;
   Activity.set a Keys.core_uops (1.05 *. instructions)
 
-let thread_activity config ~rep ~thread =
+let pointers config = config.buffer_bytes / config.stride_bytes
+
+let thread_activity config =
+  let pointers = pointers config and stride_bytes = config.stride_bytes in
+  let geometry =
+    Cachesim.Pointer_chase.geometry Cachesim.Hierarchy.default_config
+      Cachesim.Tlb.default_config ~base:0 ~pointers ~stride_bytes
+  in
+  fun ~buf ~rep ~thread ->
   let rng =
     Numkit.Rng.of_string
       (Printf.sprintf "cat-cache/%s/rep=%d/thread=%d" config.label rep thread)
   in
   let chain =
-    Cachesim.Pointer_chase.make ~base:0
-      ~pointers:(config.buffer_bytes / config.stride_bytes)
-      ~stride_bytes:config.stride_bytes
+    Cachesim.Pointer_chase.make ~buf ~base:0 ~pointers ~stride_bytes
       (Cachesim.Pointer_chase.Shuffled rng)
   in
-  let r =
-    Cachesim.Pointer_chase.measure Cachesim.Hierarchy.default_config
-      Cachesim.Tlb.default_config chain ~accesses
-  in
+  let r = Cachesim.Pointer_chase.chase geometry chain ~accesses in
   if Obs.enabled () then Obs.add "cachesim.tlb_steps" (float_of_int r.tlb_steps);
   let c = r.cache in
   let a = Activity.create () in

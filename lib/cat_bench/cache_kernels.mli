@@ -31,12 +31,20 @@ val accesses : int
 (** Measured dependent loads per configuration (after a warmup
     walk). *)
 
-val thread_activity : config -> rep:int -> thread:int -> Hwsim.Activity.t
+val pointers : config -> int
+(** The config's chain length, [buffer_bytes / stride_bytes] (24,576
+    at most). *)
+
+val thread_activity :
+  config -> buf:int array -> rep:int -> thread:int -> Hwsim.Activity.t
 (** One thread's chase: fresh hierarchy and TLB, rep/thread-seeded
     random chain, warmup walk, measured chase, all computed by
-    {!Cachesim.Pointer_chase.measure}.  With the collector enabled,
-    adds the steps it walked through the L1 TLB to the counter
-    [cachesim.tlb_steps]. *)
+    {!Cachesim.Pointer_chase.chase}.  [thread_activity config] counts
+    the config's {!Cachesim.Pointer_chase.geometry} once: apply it once
+    per config, then to each [(buf, rep, thread)].  The chain is built
+    into [buf], at least {!pointers}[ config] long, whose contents it
+    overwrites.  With the collector enabled, adds the steps it walked
+    through the L1 TLB to the counter [cachesim.tlb_steps]. *)
 
 val ideal_row : config -> Hwsim.Activity.t
 (** The idealized expectation: all [accesses] loads served by the

@@ -64,10 +64,12 @@ let zen_flops_bench =
    shards of the same campaign can share one generation.  Cached at
    the last repetition count (shard sweeps hit the same count N
    times in a row) as dense rows of the Sapphire Rapids catalog,
-   [a.(rep).(thread).(row)]: each task densifies its activity as soon
-   as it is simulated, so no activity record is kept.  Every
-   simulation is a pure function of its seed string, so [executor]
-   may run them in any order and place. *)
+   [a.(rep).(thread).(row)]: each simulation densifies its activity at
+   once, so no activity record is kept.  Every simulation is a pure
+   function of its seed string and its config's geometry (counted
+   once per config), so [executor] may run them in any order and
+   place: one task per job, each a contiguous slice of the
+   simulations with one chain buffer of its own. *)
 let dcache_cache = ref None
 
 let dcache_activities executor ~reps =
@@ -77,16 +79,24 @@ let dcache_activities executor ~reps =
     let catalog = sapphire_rapids () in
     let configs = Array.of_list Cache_kernels.configs in
     let nrows = Array.length configs and threads = Cache_kernels.threads in
-    (* Task k is (rep, row, thread) in row-major order. *)
-    let sim k =
-      Hwsim.Machine.row catalog
-        (Cache_kernels.thread_activity
-           configs.(k / threads mod nrows)
-           ~rep:(k / (nrows * threads)) ~thread:(k mod threads))
-    in
+    let words = Array.fold_left (fun m c -> max m (Cache_kernels.pointers c)) 0 configs in
+    let total = reps * nrows * threads and jobs = Executor.jobs executor in
     let flat =
-      Obs.span "cachesim" (fun () ->
-          Executor.map ~executor (reps * nrows * threads) sim)
+      Obs.span "cachesim" @@ fun () ->
+      let sims = Array.map Cache_kernels.thread_activity configs in
+      (* Simulation k is (rep, row, thread) in row-major order; task j
+         runs k in [total * j / jobs, total * (j + 1) / jobs). *)
+      let slice j =
+        let lo = total * j / jobs and buf = Array.make words 0 in
+        Array.init
+          ((total * (j + 1) / jobs) - lo)
+          (fun i ->
+            let k = lo + i in
+            Hwsim.Machine.row catalog
+              (sims.(k / threads mod nrows) ~buf
+                 ~rep:(k / (nrows * threads)) ~thread:(k mod threads)))
+      in
+      Array.concat (Array.to_list (Executor.map ~executor jobs slice))
     in
     let a =
       Array.init reps (fun rep ->
@@ -158,22 +168,27 @@ let collect ?(reps = default_reps) ?(lo = 0) ?hi b =
     invalid_arg "Dataset.collect: rows/labels mismatch";
   let reduce =
     match b.reduce with
-    | `Median -> Numkit.Stats.median
+    | `Median -> Numkit.Stats.median_in_place
     | `Mean -> Numkit.Stats.mean
   in
   (* One sweep per thread over its rows; with several threads, each
-     row's readings are reduced across them, in thread order.  One
-     thread's repetition allocates nothing beside its sweep: more
-     per-sweep garbage shifts the minor collections, and with them
-     gpu-flops' peak heap (+0.2 MB seen). *)
+     row's readings are reduced across them, in thread order, through
+     one reused column.  One thread's repetition allocates nothing
+     beside its sweep: more per-sweep garbage shifts the minor
+     collections, and with them gpu-flops' peak heap (+0.2 MB seen). *)
   let sweep i rep thread =
     Hwsim.Machine.sweep catalog ~seed:b.seeds.(thread) ~rep i rows.(rep).(thread)
   in
+  let column = Array.create_float threads in
   let measure_rep i rep =
     if threads = 1 then sweep i rep 0
     else begin
       let per_thread = Array.init threads (sweep i rep) in
-      Array.init nrows (fun row -> reduce (Array.map (fun v -> v.(row)) per_thread))
+      Array.init nrows (fun row ->
+          for t = 0 to threads - 1 do
+            column.(t) <- per_thread.(t).(row)
+          done;
+          reduce column)
     end
   in
   let measurements =

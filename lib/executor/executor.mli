@@ -43,8 +43,11 @@
     [Cat_bench.Dataset.dcache_activities]) are pre-forced by
     [Category.prewarm] before dispatch; the row tables and the
     compiled catalogs are also safe to fill from a worker
-    ([Cat_bench.Once]).  No other
-    mutable state in [hwsim]/[cat_bench] escapes into tasks.
+    ([Cat_bench.Once]).  [dcache_activities] itself submits one task
+    per job, each a contiguous slice of its simulations with a chain
+    buffer the task allocates and alone writes; the per-config chain
+    geometries the tasks share are immutable.  No other mutable state
+    in [hwsim]/[cat_bench] escapes into tasks.
 
     Nested submission (a task that itself calls [map]) degrades to
     sequential execution on the worker — the pool is never re-entered,

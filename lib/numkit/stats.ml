@@ -28,16 +28,67 @@ let variance a =
 
 let stddev a = sqrt (variance a)
 
-let sorted_copy a =
-  let b = Array.copy a in
-  Array.sort compare b;
-  b
+(* The largest of node [i]'s (up to three) children in a ternary heap
+   of [l] cells, or -1 when it has none. *)
+let maxson (a : float array) l i =
+  let i31 = i + i + i + 1 in
+  if i31 + 2 < l then begin
+    let x = if Float.compare a.(i31) a.(i31 + 1) < 0 then i31 + 1 else i31 in
+    if Float.compare a.(x) a.(i31 + 2) < 0 then i31 + 2 else x
+  end
+  else if i31 + 1 < l && Float.compare a.(i31) a.(i31 + 1) < 0 then i31 + 1
+  else if i31 < l then i31
+  else -1
 
-let median a =
+(* [Array.sort compare a] for a float array: the same ternary heap
+   sort, comparison for comparison and move for move, so values that
+   compare equal but differ in bits (0. and -0., NaNs of either sign)
+   end where it puts them.  [Float.compare] orders floats as [compare]
+   does, NaN first.  Loops instead of its recursion keep every float
+   unboxed: nothing is allocated. *)
+let sort_floats (a : float array) =
+  let l = Array.length a in
+  for i = ((l + 1) / 3) - 1 downto 0 do
+    (* Trickle [a.(i)] down. *)
+    let e = a.(i) in
+    let i = ref i and j = ref (maxson a l i) in
+    while !j >= 0 && Float.compare a.(!j) e > 0 do
+      a.(!i) <- a.(!j);
+      i := !j;
+      j := maxson a l !j
+    done;
+    a.(!i) <- e
+  done;
+  for k = l - 1 downto 2 do
+    (* Move the top to [k], bubble the hole to the bottom of the heap
+       of [k] cells, and trickle the old [a.(k)] up from there. *)
+    let e = a.(k) in
+    a.(k) <- a.(0);
+    let i = ref 0 and j = ref (maxson a k 0) in
+    while !j >= 0 do
+      a.(!i) <- a.(!j);
+      i := !j;
+      j := maxson a k !j
+    done;
+    while !i > 0 && Float.compare a.((!i - 1) / 3) e < 0 do
+      a.(!i) <- a.((!i - 1) / 3);
+      i := (!i - 1) / 3
+    done;
+    a.(!i) <- e
+  done;
+  if l > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end
+
+let median_in_place a =
   check_nonempty "Stats.median" a;
-  let b = sorted_copy a in
-  let n = Array.length b in
-  if n mod 2 = 1 then b.(n / 2) else (b.((n / 2) - 1) +. b.(n / 2)) /. 2.0
+  sort_floats a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
+let median a = median_in_place (Array.copy a)
 
 (* Eq. 4 for one pair whose means are already known: the squared
    differences are Kahan-summed in index order, as [sum] would sum

@@ -16,7 +16,12 @@ val stddev : float array -> float
 val median : float array -> float
 (** Median; the input array is not modified.  For even lengths the
     mean of the two central order statistics is returned.  Raises on
-    empty input. *)
+    empty input.  Bit for bit the median of [Array.sort compare] on a
+    copy, NaNs and signed zeros included. *)
+
+val median_in_place : float array -> float
+(** {!median} without the copy: sorts the array itself, allocating
+    nothing. *)
 
 val sum : float array -> float
 (** Kahan-compensated sum. *)

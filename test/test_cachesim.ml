@@ -324,6 +324,8 @@ let test_dcache_activities_pinned () =
   let module K = Cat_bench.Cache_kernels in
   Obs.clear ();
   Obs.install Obs.Sink.null;
+  (* One buffer for every chain, each written over the last. *)
+  let buf = Array.make (List.fold_left (fun m c -> max m (K.pointers c)) 0 K.configs) 0 in
   let records, tlb_steps =
     Fun.protect ~finally:Obs.clear (fun () ->
         let records =
@@ -332,7 +334,7 @@ let test_dcache_activities_pinned () =
               List.concat_map
                 (fun config ->
                   List.init K.threads (fun thread ->
-                      K.thread_activity config ~rep ~thread))
+                      K.thread_activity config ~buf ~rep ~thread))
                 K.configs)
             (List.init 5 Fun.id)
         in
@@ -589,24 +591,62 @@ let model_configs k =
     { T.l1_entries = t1.l_ways * t1.l_sets; l1_ways = t1.l_ways;
       l2_entries = t2.l_ways * t2.l_sets; l2_ways = t2.l_ways; page_bytes = k.m_page } )
 
+(* One buffer for every case's chain, longer than any chain and never
+   cleared: each case builds over what earlier ones left. *)
+let shared_buf = Array.init 40_000 (fun i -> (i * 7919) mod 40_003)
+
 let prop_model_equals_stepping =
   QCheck.Test.make ~name:"measure equals the stepped chase" ~count:300
     (QCheck.make ~print:print_model_case gen_model_case)
     (fun k ->
       let hcfg, tcfg = model_configs k in
-      let c =
-        P.make ~base:k.m_base ~pointers:k.m_pointers ~stride_bytes:k.m_stride
+      let chain ?buf () =
+        P.make ?buf ~base:k.m_base ~pointers:k.m_pointers ~stride_bytes:k.m_stride
           (match k.m_shuffle with
            | None -> P.Sequential
            | Some s -> P.Shuffled (Numkit.Rng.create (Int64.of_int s)))
       in
+      let c = chain () in
       let m = P.measure hcfg tcfg c ~accesses:k.m_accesses in
+      (* The same chain built into the dirty shared buffer, measured
+         through a geometry counted on its own. *)
+      let cb = chain ~buf:shared_buf () in
+      let g =
+        P.geometry hcfg tcfg ~base:k.m_base ~pointers:k.m_pointers
+          ~stride_bytes:k.m_stride
+      in
+      let mb = P.chase g cb ~accesses:k.m_accesses in
       let h = H.create hcfg and t = T.create tcfg in
-      stepped_chase ~tlb:t h c ~accesses:k.m_accesses ~warmup:true;
+      stepped_chase ~tlb:t h cb ~accesses:k.m_accesses ~warmup:true;
       let n = k.m_pointers in
-      m.P.cache = H.counters h
+      P.pointers cb = n
+      && P.is_cycle cb
+      && mb.P.cache = m.P.cache
+      && mb.P.tlb = m.P.tlb
+      && mb.P.tlb_steps = m.P.tlb_steps
+      && m.P.cache = H.counters h
       && m.P.tlb = T.stats t
       && (m.P.tlb_steps = 0 || m.P.tlb_steps = min n k.m_accesses))
+
+(* A chain must fit its buffer, and a geometry only measures chains
+   over its own slots. *)
+let test_buffer_and_geometry_checked () =
+  let raises what msg f =
+    Alcotest.check_raises what (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  raises "short buffer" "Pointer_chase.make: buffer shorter than pointers" (fun () ->
+      P.make ~buf:(Array.make 7 0) ~base:0 ~pointers:8 ~stride_bytes:64 P.Sequential);
+  let g = P.geometry H.default_config T.default_config ~base:0 ~pointers:8 ~stride_bytes:64 in
+  List.iter
+    (fun (what, base, pointers, stride_bytes) ->
+      raises what "Pointer_chase.chase: the chain's slots are not the geometry's"
+        (fun () ->
+          P.chase g
+            (P.make ~base ~pointers ~stride_bytes P.Sequential)
+            ~accesses:10))
+    [ ("base", 64, 8, 64); ("pointers", 0, 9, 64); ("stride", 0, 8, 128) ];
+  raises "empty geometry" "Pointer_chase.geometry: pointers < 1" (fun () ->
+      P.geometry H.default_config T.default_config ~base:0 ~pointers:0 ~stride_bytes:64)
 
 (* The L1 TLB is stepped only when one of its sets holds more pages
    than ways: 16 pages fill a 4-set x 4-way L1 TLB exactly. *)
@@ -666,6 +706,8 @@ let () =
           fixed_seed prop_model_equals_stepping;
           Alcotest.test_case "TLB stepped only on overflow" `Quick
             test_tlb_stepped_only_on_overflow;
+          Alcotest.test_case "buffer and geometry checked" `Quick
+            test_buffer_and_geometry_checked;
         ] );
       ( "pinned",
         [

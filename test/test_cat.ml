@@ -3,6 +3,12 @@
 
 module Keys = Hwsim.Keys
 
+(* One thread's chase into a fresh buffer. *)
+let thread_activity (c : Cat_bench.Cache_kernels.config) ~rep ~thread =
+  Cat_bench.Cache_kernels.thread_activity c
+    ~buf:(Array.make (Cat_bench.Cache_kernels.pointers c) 0)
+    ~rep ~thread
+
 (* ------------------------------------------------------------------ *)
 (* CPU FLOPs kernels                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -169,7 +175,7 @@ let test_cache_regions_covered () =
 let test_cache_thread_activity_step_function () =
   List.iter
     (fun (c : Cat_bench.Cache_kernels.config) ->
-      let a = Cat_bench.Cache_kernels.thread_activity c ~rep:0 ~thread:0 in
+      let a = thread_activity c ~rep:0 ~thread:0 in
       let n = float_of_int Cat_bench.Cache_kernels.accesses in
       let get k = Hwsim.Activity.get a k in
       match c.region with
@@ -185,8 +191,8 @@ let test_cache_thread_activity_step_function () =
 
 let test_cache_threads_vary () =
   let c = List.hd Cat_bench.Cache_kernels.configs in
-  let a0 = Cat_bench.Cache_kernels.thread_activity c ~rep:0 ~thread:0 in
-  let a1 = Cat_bench.Cache_kernels.thread_activity c ~rep:0 ~thread:1 in
+  let a0 = thread_activity c ~rep:0 ~thread:0 in
+  let a1 = thread_activity c ~rep:0 ~thread:1 in
   (* Different chain layouts, same steady-state counts. *)
   Alcotest.(check (float 0.0)) "same L1 hits"
     (Hwsim.Activity.get a0 Keys.cache_l1_dh)
@@ -198,7 +204,7 @@ let test_ideal_row_matches_simulation () =
   List.iter
     (fun (c : Cat_bench.Cache_kernels.config) ->
       let ideal = Cat_bench.Cache_kernels.ideal_row c in
-      let real = Cat_bench.Cache_kernels.thread_activity c ~rep:0 ~thread:0 in
+      let real = thread_activity c ~rep:0 ~thread:0 in
       List.iter
         (fun k ->
           Alcotest.(check (float 1e-9)) (c.label ^ " " ^ k)
@@ -280,6 +286,31 @@ let test_dcache_dataset_uses_median () =
     (fun v -> Alcotest.(check int) "16 entries" 16 (Array.length v))
     m.reps
 
+(* The dcache rows are the same bits whichever executor simulates
+   them: one task per job, each over its own slice and chain buffer.
+   The rows are cached at the last repetition count, so a call at
+   another count precedes each measured one to make it simulate. *)
+let test_dcache_activities_executors () =
+  let rows =
+    match Cat_bench.Dataset.dcache_bench.rows with
+    | Cat_bench.Dataset.Threads f -> f
+    | Cat_bench.Dataset.Kernels _ -> Alcotest.fail "dcache rows are per thread"
+  in
+  let simulate executor =
+    ignore (rows Core.Exec.Seq ~reps:1);
+    Obs.clear ();
+    Obs.install Obs.Sink.null;
+    Fun.protect ~finally:Obs.clear (fun () ->
+        let a = rows executor ~reps:5 in
+        (a, Obs.counter "cachesim.tlb_steps"))
+  in
+  let seq, seq_steps = simulate Core.Exec.Seq in
+  let par, par_steps = simulate (Core.Exec.Domains 2) in
+  Alcotest.(check (float 0.0)) "tlb steps, Seq" 1_024_000.0 seq_steps;
+  Alcotest.(check (float 0.0)) "tlb steps, Domains 2" 1_024_000.0 par_steps;
+  let bits a = Array.map (Array.map (Array.map (Array.map Int64.bits_of_float))) a in
+  Alcotest.(check bool) "rows bit-identical" true (bits seq = bits par)
+
 (* A range collection is the matching slice of the whole dataset: its
    export is the whole export's header and the lines of the events in
    [lo, hi), in order. *)
@@ -351,6 +382,8 @@ let () =
           Alcotest.test_case "find missing" `Quick test_dataset_find_missing;
           Alcotest.test_case "csv" `Quick test_dataset_csv;
           Alcotest.test_case "dcache median" `Slow test_dcache_dataset_uses_median;
+          Alcotest.test_case "dcache rows, Seq = Domains 2" `Quick
+            test_dcache_activities_executors;
         ]
         @ List.map
             (fun ((name, _) as case) ->

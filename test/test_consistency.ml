@@ -23,7 +23,9 @@ let known_keys =
     List.concat_map
       (fun c ->
         Hwsim.Activity.keys
-          (Cat_bench.Cache_kernels.thread_activity c ~rep:0 ~thread:0))
+          (Cat_bench.Cache_kernels.thread_activity c
+             ~buf:(Array.make (Cat_bench.Cache_kernels.pointers c) 0)
+             ~rep:0 ~thread:0))
       [ List.hd Cat_bench.Cache_kernels.configs;
         List.nth Cat_bench.Cache_kernels.configs 6 ]
   in

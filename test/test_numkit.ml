@@ -293,6 +293,42 @@ let prop_median_bounds =
       let hi = Array.fold_left Float.max neg_infinity a in
       m >= lo -. 1e-12 && m <= hi +. 1e-12)
 
+(* The median as it was defined before it got its own float sort: a
+   copy sorted by the polymorphic [Array.sort compare]. *)
+let oracle_median a =
+  let b = Array.copy a in
+  Array.sort compare b;
+  let n = Array.length b in
+  if n mod 2 = 1 then b.(n / 2) else (b.((n / 2) - 1) +. b.(n / 2)) /. 2.0
+
+(* Short arrays drawn from a small pool rich in values that compare
+   equal but differ in bits (0. and -0., NaNs of either sign) and in
+   ties, so where the sort puts each one shows in the median; and
+   longer arrays of ordinary values. *)
+let median_cases =
+  let special =
+    [| 0.0; -0.0; nan; -.nan; infinity; neg_infinity; 1.0; -1.0; 2.5; 1.0 |]
+  in
+  QCheck.make
+    ~print:QCheck.Print.(array (fun x -> Printf.sprintf "%h" x))
+    QCheck.Gen.(
+      frequency
+        [
+          (3, array_size (int_range 1 9) (oneofa special));
+          (1, array_size (int_range 1 64) (oneof [ oneofa special; float ]));
+        ])
+
+let prop_median_is_oracle =
+  QCheck.Test.make ~name:"median is the sorted-copy median, bit for bit" ~count:3000
+    median_cases (fun a ->
+      let before = Array.copy a in
+      let bits x = Int64.bits_of_float x in
+      let m = Numkit.Stats.median a in
+      let in_place = Numkit.Stats.median_in_place (Array.copy a) in
+      bits m = bits (oracle_median a)
+      && bits in_place = bits m
+      && Array.for_all2 (fun x y -> bits x = bits y) a before)
+
 let prop_mean_linear =
   QCheck.Test.make ~name:"mean scales linearly" ~count:200 nonempty_floats
     (fun a ->
@@ -500,7 +536,8 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          ([ prop_rnmse_symmetric; prop_median_bounds; prop_mean_linear;
+          ([ prop_rnmse_symmetric; prop_median_bounds; prop_median_is_oracle;
+             prop_mean_linear;
              prop_hash_extend_streams ]
           @ prop_kernels_match_reference) );
     ]
