@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test loc check lint lint-smoke csv-smoke dcache-smoke bench-smoke bench-linalg bench-shard bench-check bench-check-smoke manifest-smoke shard-smoke progress-smoke par-smoke store-smoke trend-smoke repro examples figures clean
+.PHONY: all build test loc check lint lint-smoke csv-smoke dcache-smoke gpu-smoke bench-smoke bench-linalg bench-shard bench-check bench-check-smoke manifest-smoke shard-smoke progress-smoke par-smoke store-smoke trend-smoke repro examples figures clean
 
 all: build
 
@@ -39,6 +39,7 @@ check:
 	$(MAKE) progress-smoke
 	$(MAKE) csv-smoke
 	$(MAKE) dcache-smoke
+	$(MAKE) gpu-smoke
 	$(MAKE) par-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) manifest-smoke
@@ -124,6 +125,26 @@ dcache-smoke:
 	awk '/^top_heap_words:/ { found = 1; mb = $$2 * 8 / 1e6 } \
 	  END { if (!found) { print "dcache-smoke: no GC totals"; exit 1 } \
 	        printf "dcache-smoke: peak heap %.2f MB (limit 3)\n", mb; exit (mb > 3) }' \
+	  $$dir/gc.txt; \
+	status=$$?; rm -rf $$dir; exit $$status
+
+# The GPU-FLOPs category, where reading generation is most of the
+# run: the plain run and the two-shard run on two domains must print
+# perfbench's expected gpu-flops output byte for byte, and the plain
+# run must peak at most 4.75 MB of heap, as the OCaml runtime reports
+# it at exit (its 280,800 readings are held as one dataset; 4.27 MB).
+gpu-smoke:
+	dune build ./bin/analyze.exe
+	dir=$$(mktemp -d) && \
+	OCAMLRUNPARAM=v=0x400 ./_build/default/bin/analyze.exe -c gpu-flops \
+	  --show summary,chosen,metrics > $$dir/j1.txt 2> $$dir/gc.txt && \
+	./_build/default/bin/analyze.exe -c gpu-flops --shards 2 --jobs 2 \
+	  --show summary,chosen,metrics > $$dir/j2.txt && \
+	cmp perfbench/expected/gpu-flops.txt $$dir/j1.txt && \
+	cmp perfbench/expected/gpu-flops.txt $$dir/j2.txt && \
+	awk '/^top_heap_words:/ { found = 1; mb = $$2 * 8 / 1e6 } \
+	  END { if (!found) { print "gpu-smoke: no GC totals"; exit 1 } \
+	        printf "gpu-smoke: peak heap %.2f MB (limit 4.75)\n", mb; exit (mb > 4.75) }' \
 	  $$dir/gc.txt; \
 	status=$$?; rm -rf $$dir; exit $$status
 

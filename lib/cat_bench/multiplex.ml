@@ -20,31 +20,32 @@ let group_of_event cfg ~n_events ~event_index =
      group mixes unrelated events, as perf-style schedulers do. *)
   event_index mod groups cfg ~n_events
 
-(* The hash of [seed ^ tag ^ name ^ "|rep=" ^ rep ^ "|row=" ^ row],
-   built piece by piece instead of formatting the key. *)
-let reading_key ~seed tag name ~rep ~row =
+(* The hash of [seed ^ tag ^ name ^ "|rep=" ^ rep ^ "|row="], built
+   piece by piece instead of formatting the key; a row's key extends
+   it by the row number. *)
+let rep_prefix ~seed tag name ~rep =
   let open Numkit.Rng in
   let h = hash_extend (hash_extend (hash_string seed) tag) name in
-  hash_extend_int (hash_extend (hash_extend_int (hash_extend h "|rep=") rep) "|row=") row
+  hash_extend (hash_extend_int (hash_extend h "|rep=") rep) "|row="
 
-let measure cfg ~seed ~rep ~row ~event_index ~n_events (event : Hwsim.Event.t)
-    activity =
+let measure cfg ~seed ~rep ~event_index ~n_events (event : Hwsim.Event.t)
+    activities =
   validate cfg;
-  Obs.incr "multiplex.measurements";
-  let ideal = Hwsim.Event.ideal_value event activity in
+  let name = event.Hwsim.Event.name in
   let n_groups = groups cfg ~n_events in
-  (* The event's group is active in every n_groups-th slice.  The
-     total activity splits over slices with lognormal jitter; the
-     tool sums the observed slices and extrapolates by the inverse of
-     the observed slice fraction. *)
-  let value =
-    if n_groups = 1 then ideal
-    else begin
-      let my_group = group_of_event cfg ~n_events ~event_index in
-      let rng =
-        Numkit.Rng.create
-          (reading_key ~seed "|mux|" event.Hwsim.Event.name ~rep ~row)
-      in
+  let my_group = group_of_event cfg ~n_events ~event_index in
+  let mux_prefix = rep_prefix ~seed "|mux|" name ~rep in
+  let noise_prefix = rep_prefix ~seed "|" name ~rep in
+  let rng = Numkit.Rng.create noise_prefix in
+  let out = Array.map (Hwsim.Event.ideal_value event) activities in
+  for row = 0 to Array.length out - 1 do
+    Obs.incr "multiplex.measurements";
+    (* The event's group is active in every n_groups-th slice.  The
+       total activity splits over slices with lognormal jitter; the
+       tool sums the observed slices and extrapolates by the inverse
+       of the observed slice fraction. *)
+    if n_groups > 1 then begin
+      Numkit.Rng.reseed_int rng mux_prefix row;
       (* Summed in slice order as drawn: the order fixes the rounding
          of every multiplexed reading. *)
       let total_weight = ref 0.0 and observed_weight = ref 0.0 in
@@ -57,19 +58,19 @@ let measure cfg ~seed ~rep ~row ~event_index ~n_events (event : Hwsim.Event.t)
           incr observed_slices
         end
       done;
-      if !observed_slices = 0 || !total_weight = 0.0 then 0.0
-      else begin
-        (* Count observed during active slices, extrapolated by the
-           slice-count fraction. *)
-        let observed_count = ideal *. (!observed_weight /. !total_weight) in
-        observed_count *. (float_of_int cfg.slices /. float_of_int !observed_slices)
-      end
+      out.(row) <-
+        (if !observed_slices = 0 || !total_weight = 0.0 then 0.0
+         else begin
+           (* Count observed during active slices, extrapolated by the
+              slice-count fraction. *)
+           let observed_count = out.(row) *. (!observed_weight /. !total_weight) in
+           observed_count
+           *. (float_of_int cfg.slices /. float_of_int !observed_slices)
+         end)
     end
-  in
-  let rng_noise =
-    Numkit.Rng.create (reading_key ~seed "|" event.Hwsim.Event.name ~rep ~row)
-  in
-  Hwsim.Noise_model.apply event.Hwsim.Event.noise rng_noise value
+  done;
+  Hwsim.Noise_model.read event.Hwsim.Event.noise rng ~prefix:noise_prefix out;
+  out
 
 let dataset cfg ~name ~seed ~reps ~events ~rows ~row_labels =
   Obs.span "multiplex-dataset" @@ fun () ->
@@ -85,11 +86,7 @@ let dataset cfg ~name ~seed ~reps ~events ~rows ~row_labels =
           Dataset.event;
           reps =
             List.init reps (fun rep ->
-                Array.mapi
-                  (fun row activity ->
-                    measure cfg ~seed ~rep ~row ~event_index ~n_events event
-                      activity)
-                  rows);
+                measure cfg ~seed ~rep ~event_index ~n_events event rows);
         })
       events
   in

@@ -30,11 +30,13 @@ val groups : config -> n_events:int -> int
 (** Number of round-robin groups needed (1 when everything fits). *)
 
 val measure :
-  config -> seed:string -> rep:int -> row:int -> event_index:int ->
-  n_events:int -> Hwsim.Event.t -> Hwsim.Activity.t -> float
-(** One multiplexed reading: the event's ideal value, observed during
-    its group's slices with jitter, extrapolated, then passed through
-    the event's own noise model. *)
+  config -> seed:string -> rep:int -> event_index:int -> n_events:int ->
+  Hwsim.Event.t -> Hwsim.Activity.t array -> float array
+(** One repetition of one event over every row: element [r] is the
+    event's ideal value on [activities.(r)], observed during its
+    group's slices with jitter, extrapolated, then read through the
+    event's own noise model by {!Hwsim.Noise_model.read}, keyed as
+    {!Hwsim.Machine.sweep} keys row [r]. *)
 
 val branch_dataset : ?reps:int -> config -> Dataset.t
 (** The branching benchmark re-measured under multiplexing — the

@@ -597,7 +597,7 @@ let with_manifest ?manifest ~source ~category ~config ~shards ~jobs ~inputs f =
           (r, Obs.Gc_sample.delta ~before:gc_before ~after))
     in
     let l = ledger r in
-    let hash json = Obs.Manifest.fnv64_hex (Jsonio.to_string json) in
+    let hash = Obs.Manifest.fnv64_hex_json in
     let artifacts =
       ("ledger", hash (Provenance.Ledger.to_json l))
       :: List.map

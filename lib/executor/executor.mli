@@ -36,7 +36,8 @@
     through their disjoint output slots.  In particular no random
     generator may be shared across tasks: [Hwsim.Machine.sweep] owns
     one [Numkit.Rng], reseeded from the pure key
-    [(seed, event, rep, row)] for every reading, so shard workers never
+    [(seed, event, rep, row)] for every reading that draws, so shard
+    workers never
     observe generator state from another shard — this is what makes
     parallel collection bit-exact.  The module-level caches reachable
     from shard tasks (the kernel row tables and

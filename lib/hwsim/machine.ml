@@ -34,7 +34,7 @@ let event catalog i = catalog.events.(i).event
 let row catalog activity = Array.map (Activity.get activity) catalog.keys
 
 (* [Event.ideal_value]'s fold: the offset, then each term in order. *)
-let ideal { event; ids; coefs } row =
+let[@inline] ideal { event; ids; coefs } row =
   let acc = ref event.Event.offset in
   for t = 0 to Array.length ids - 1 do
     acc := !acc +. (coefs.(t) *. row.(ids.(t)))
@@ -49,11 +49,11 @@ let sweep catalog ~seed ~rep i rows =
   let prefix = hash_extend (hash_extend_int (hash_extend h "|rep=") rep) "|row=" in
   let rng = create prefix in
   let n = Array.length rows in
-  let out = Array.make n 0.0 in
+  let out = Array.create_float n in
   for r = 0 to n - 1 do
-    reseed rng (hash_extend_int prefix r);
-    out.(r) <- Noise_model.apply noise rng (ideal c rows.(r))
+    out.(r) <- ideal c rows.(r)
   done;
+  Noise_model.read noise rng ~prefix out;
   (* The counters a reading at a time would leave, never a zero one. *)
   if n > 0 && Obs.enabled () then begin
     Obs.add "hwsim.readings" (float_of_int n);

@@ -6,14 +6,21 @@
     array walk instead of string lookups.  The unit of work is a
     {e sweep}: one event, one repetition, every row ({!sweep}).
 
-    Reading [row] of repetition [rep] is drawn from
-    [Numkit.Rng.of_string (Printf.sprintf "%s|%s|rep=%d|row=%d" seed name rep row)],
-    applied to the ideal value [Event.ideal_value] computes, so:
+    Reading [row] of repetition [rep] is
+    [Noise_model.apply noise (Numkit.Rng.of_string (Printf.sprintf "%s|%s|rep=%d|row=%d" seed name rep row))]
+    of the ideal value [Event.ideal_value] computes, so:
     - the same experiment re-run gives bit-identical data;
     - [Noise_model.Exact] events are identical across repetitions
       (the paper's zero-variability cluster);
     - noisy events vary across repetitions but not across re-runs of
-      the whole experiment, nor with the catalog range measured. *)
+      the whole experiment, nor with the catalog range measured.
+
+    A reading whose value no draw can change takes none: [Exact]
+    readings, a zero sigma, and [Gauss_rel] on a zero ideal (which
+    clamps to +0 whatever the draw).  Its row key is not hashed and
+    the generator not reseeded; its bits are those of the definition
+    because the definition's value does not depend on the stream.
+    See {!Noise_model.read}. *)
 
 type catalog
 (** A compiled catalog.  Immutable, so every shard, domain and seed
@@ -36,5 +43,8 @@ val sweep :
 (** [sweep catalog ~seed ~rep i rows] reads event [i] of [catalog]
     over each of [rows] (dense rows of [catalog]): element [r] is
     reading [r] of repetition [rep].  The [seed|name|rep=R|row=]
-    prefix is hashed once per sweep.  When {!Obs.enabled}, adds the
-    sweep's [hwsim.readings] and [hwsim.noise_draws] in one step. *)
+    prefix is hashed once per sweep, and each row's key only when
+    {!Noise_model.read} draws.  When {!Obs.enabled}, adds the sweep's
+    [hwsim.readings] and [hwsim.noise_draws] in one step; the latter
+    is the model's static count ({!Noise_model.draws}), skipped draws
+    included. *)

@@ -23,8 +23,22 @@ val apply : t -> Numkit.Rng.t -> float -> float
 (** Apply the model to an ideal value.  The result is clamped at zero
     and rounded to the nearest integer — counters count. *)
 
+val read : t -> Numkit.Rng.t -> prefix:int64 -> float array -> unit
+(** [read t rng ~prefix a] replaces each ideal value [a.(r)] with
+    reading [r], [apply t (Numkit.Rng.create key) a.(r)] bit for bit,
+    where [key = Numkit.Rng.hash_extend_int prefix r].  [rng] is
+    scratch, reseeded with [key] only when a draw can change the
+    reading.  No key is hashed and nothing is drawn for [Exact], for a
+    zero sigma, nor for [Gauss_rel] on a zero value (which clamps to
+    +0 whatever the draw).  A non-positive value plus an additive draw
+    takes {!Numkit.Rng.normal_pos}: it draws the same uniforms, and
+    Box-Muller's [log], [sqrt] and [cos] only when the draw may be
+    positive. *)
+
 val draws : t -> int
-(** Normal draws {!apply} takes: 0 for [Exact], 2 for [Mixed], else 1
-    (also when a sigma is 0). *)
+(** The model's static count of normal draws per reading, the
+    [hwsim.noise_draws] a reading adds: 0 for [Exact], 2 for [Mixed],
+    else 1.  It does not fall where {!read} skips a draw (a zero sigma
+    or value). *)
 
 val is_exact : t -> bool

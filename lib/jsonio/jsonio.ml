@@ -6,24 +6,6 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-(* Append the quoted, escaped form of [s] straight into the output
-   buffer: the printers call this for every key and string value. *)
-let add_escaped buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 (* The runtime conversion behind Printf's [%g]/[%f], called directly:
    the same bytes as [Printf.sprintf "%.17g"], without interpreting a
    format on every number. *)
@@ -36,77 +18,128 @@ let number_string f =
   end
   else "null"
 
-let to_string ?(indent = 2) t =
-  let buf = Buffer.create 256 in
+(* The pretty printer's output: a fixed chunk, handed to [flush]
+   whenever it fills and once at the end. *)
+type out = { chunk : Bytes.t; mutable len : int; flush : Bytes.t -> int -> unit }
+
+let drain o =
+  if o.len > 0 then begin
+    o.flush o.chunk o.len;
+    o.len <- 0
+  end
+
+let out_char o c =
+  if o.len = Bytes.length o.chunk then drain o;
+  Bytes.unsafe_set o.chunk o.len c;
+  o.len <- o.len + 1
+
+let out_string o s =
+  let pos = ref 0 in
+  while !pos < String.length s do
+    if o.len = Bytes.length o.chunk then drain o;
+    let k = min (String.length s - !pos) (Bytes.length o.chunk - o.len) in
+    Bytes.blit_string s !pos o.chunk o.len k;
+    o.len <- o.len + k;
+    pos := !pos + k
+  done
+
+(* The quoted, escaped form of [s]: the printers write this for
+   every key and string value. *)
+let out_escaped o s =
+  out_char o '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> out_string o "\\\""
+      | '\\' -> out_string o "\\\\"
+      | '\n' -> out_string o "\\n"
+      | '\r' -> out_string o "\\r"
+      | '\t' -> out_string o "\\t"
+      | c when Char.code c < 0x20 -> out_string o (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> out_char o c)
+    s;
+  out_char o '"'
+
+let output ?(indent = 2) flush t =
+  let o = { chunk = Bytes.create 65536; len = 0; flush } in
   let pad level =
     for _ = 1 to level * indent do
-      Buffer.add_char buf ' '
+      out_char o ' '
     done
   in
   let rec go level = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Num f -> Buffer.add_string buf (number_string f)
-    | Str s -> add_escaped buf s
-    | List [] -> Buffer.add_string buf "[]"
+    | Null -> out_string o "null"
+    | Bool b -> out_string o (if b then "true" else "false")
+    | Num f -> out_string o (number_string f)
+    | Str s -> out_escaped o s
+    | List [] -> out_string o "[]"
     | List items ->
-      Buffer.add_string buf "[\n";
+      out_string o "[\n";
       List.iteri
         (fun i item ->
-          if i > 0 then Buffer.add_string buf ",\n";
+          if i > 0 then out_string o ",\n";
           pad (level + 1);
           go (level + 1) item)
         items;
-      Buffer.add_char buf '\n';
+      out_char o '\n';
       pad level;
-      Buffer.add_char buf ']'
-    | Obj [] -> Buffer.add_string buf "{}"
+      out_char o ']'
+    | Obj [] -> out_string o "{}"
     | Obj fields ->
-      Buffer.add_string buf "{\n";
+      out_string o "{\n";
       List.iteri
         (fun i (k, v) ->
-          if i > 0 then Buffer.add_string buf ",\n";
+          if i > 0 then out_string o ",\n";
           pad (level + 1);
-          add_escaped buf k;
-          Buffer.add_string buf ": ";
+          out_escaped o k;
+          out_string o ": ";
           go (level + 1) v)
         fields;
-      Buffer.add_char buf '\n';
+      out_char o '\n';
       pad level;
-      Buffer.add_char buf '}'
+      out_char o '}'
   in
   go 0 t;
-  Buffer.contents buf
+  drain o
 
 (* Single-line form, for line-oriented logs (JSONL). *)
-let to_string_compact t =
-  let buf = Buffer.create 256 in
+let output_compact flush t =
+  let o = { chunk = Bytes.create 65536; len = 0; flush } in
   let rec go = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Num f -> Buffer.add_string buf (number_string f)
-    | Str s -> add_escaped buf s
+    | Null -> out_string o "null"
+    | Bool b -> out_string o (if b then "true" else "false")
+    | Num f -> out_string o (number_string f)
+    | Str s -> out_escaped o s
     | List items ->
-      Buffer.add_char buf '[';
+      out_char o '[';
       List.iteri
         (fun i item ->
-          if i > 0 then Buffer.add_char buf ',';
+          if i > 0 then out_char o ',';
           go item)
         items;
-      Buffer.add_char buf ']'
+      out_char o ']'
     | Obj fields ->
-      Buffer.add_char buf '{';
+      out_char o '{';
       List.iteri
         (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          add_escaped buf k;
-          Buffer.add_char buf ':';
+          if i > 0 then out_char o ',';
+          out_escaped o k;
+          out_char o ':';
           go v)
         fields;
-      Buffer.add_char buf '}'
+      out_char o '}'
   in
   go t;
+  drain o
+
+let contents print =
+  let buf = Buffer.create 256 in
+  print (fun b n -> Buffer.add_subbytes buf b 0 n);
   Buffer.contents buf
+
+let to_string ?indent t = contents (fun flush -> output ?indent flush t)
+
+let to_string_compact t = contents (fun flush -> output_compact flush t)
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)

@@ -19,6 +19,12 @@ val to_string : ?indent:int -> t -> string
     strings are escaped per RFC 8259.  Non-finite numbers are emitted
     as [null] (JSON has no representation for them). *)
 
+val output : ?indent:int -> (Bytes.t -> int -> unit) -> t -> unit
+(** [output f t] hands {!to_string}'s bytes to [f] in order, a chunk
+    of at most 64 KiB at a time: [f b n] gets the first [n] bytes of
+    [b], which is reused once [f] returns.  The whole document is
+    never built as one string. *)
+
 val to_string_compact : t -> string
 (** Single-line rendering (no whitespace) — for line-oriented logs
     like the benchmark trajectory (JSONL).  Parses back with

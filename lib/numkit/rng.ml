@@ -27,34 +27,37 @@ let create s =
    unboxed: one boxed result per call, nothing per byte. *)
 let fnv_prime = 0x100000001B3L
 
+let[@inline] fnv_byte h c = Int64.mul (Int64.logxor h (Int64.of_int c)) fnv_prime
+
 let hash_extend h s =
   let h = ref h in
   for i = 0 to String.length s - 1 do
-    let c = Char.code (String.unsafe_get s i) in
-    h := Int64.mul (Int64.logxor !h (Int64.of_int c)) fnv_prime
+    h := fnv_byte !h (Char.code (String.unsafe_get s i))
   done;
   !h
 
 let hash_string s = hash_extend 0xCBF29CE484222325L s
 
+(* The digits of [m <= 0] (non-positive, so that [min_int] cannot
+   overflow), most significant first, by the constant divisions
+   [m / 10] and [m mod 10]. *)
+let rec hash_extend_digits h m =
+  let h = if m <= -10 then hash_extend_digits h (m / 10) else h in
+  fnv_byte h (Char.code '0' - (m mod 10))
+
 let hash_extend_int h n =
-  let h = ref h in
-  if n < 0 then
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code '-'))) fnv_prime;
-  (* Digits of [m = -|n|], most significant first; working on the
-     non-positive side cannot overflow, even at [min_int]. *)
-  let m = if n < 0 then n else -n in
-  let p = ref 1 in
-  while m / !p <= -10 do
-    p := !p * 10
-  done;
-  while !p > 0 do
-    let digit = -((m / !p) mod 10) in
-    let c = Char.code '0' + digit in
-    h := Int64.mul (Int64.logxor !h (Int64.of_int c)) fnv_prime;
-    p := !p / 10
-  done;
-  !h
+  if n < 0 then hash_extend_digits (fnv_byte h (Char.code '-')) n
+  else hash_extend_digits h (-n)
+
+(* [hash_extend_int h n] for [0 <= n < 100], inline: row and
+   repetition numbers. *)
+let[@inline] hash_extend_small h n =
+  if n < 10 then fnv_byte h (Char.code '0' + n)
+  else fnv_byte (fnv_byte h (Char.code '0' + (n / 10))) (Char.code '0' + (n mod 10))
+
+let reseed_int t h n =
+  if n >= 0 && n < 100 then reseed t (hash_extend_small h n)
+  else reseed t (hash_extend_int h n)
 
 let of_string s = create (hash_string s)
 
@@ -82,18 +85,45 @@ let int t n =
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
+(* Box-Muller's two uniforms, [u1] redrawn to guard against log 0,
+   and its transform. *)
+let[@inline] positive_float t =
+  let u = ref (float t) in
+  while not (!u > 0.0) do
+    u := float t
+  done;
+  !u
+
+let[@inline] box_muller ~sigma u1 u2 =
+  let r = sqrt (-2.0 *. log u1) in
+  sigma *. r *. cos (2.0 *. Float.pi *. u2)
+
 let normal t ~mu ~sigma =
   assert (sigma >= 0.0);
   if sigma = 0.0 then mu
   else begin
-    (* Box-Muller; redraw [u1] to guard against log 0. *)
-    let u1 = ref (float t) in
-    while not (!u1 > 0.0) do
-      u1 := float t
-    done;
+    let u1 = positive_float t in
     let u2 = float t in
-    let r = sqrt (-2.0 *. log !u1) in
-    mu +. (sigma *. r *. cos (2.0 *. Float.pi *. u2))
+    mu +. box_muller ~sigma u1 u2
+  end
+
+(* For [u2] strictly between these, [cos (2.0 *. Float.pi *. u2)] is
+   negative.  They sit 2^-40 (2^13 draws of [float]) inside 1/4 and
+   3/4, where the sign turns within a few draws of the exact edge;
+   test_numkit's boundary case checks every [u2] within 2^16 draws of
+   each.  Inside them the true cosine is below -5e-12, far beyond the
+   rounding of the product and of [cos]. *)
+let cos_negative_lo = 0x1.0000000004p-2 (* 1/4 + 2^-40 *)
+let cos_negative_hi = 0x1.7ffffffffep-1 (* 3/4 - 2^-40 *)
+
+let normal_pos t ~sigma =
+  assert (sigma >= 0.0);
+  if sigma = 0.0 then 0.0
+  else begin
+    let u1 = positive_float t in
+    let u2 = float t in
+    if u2 > cos_negative_lo && u2 < cos_negative_hi then 0.0
+    else Float.max 0.0 (box_muller ~sigma u1 u2)
   end
 
 let lognormal t ~mu ~sigma = exp (normal t ~mu ~sigma)

@@ -49,6 +49,13 @@ val normal : t -> mu:float -> sigma:float -> float
 (** [normal t ~mu ~sigma] draws from the normal distribution via the
     Box-Muller transform.  [sigma] must be non-negative. *)
 
+val normal_pos : t -> sigma:float -> float
+(** [normal_pos t ~sigma = Float.max 0. (normal t ~mu:0. ~sigma)], bit
+    for bit, drawing the same uniforms; when the second uniform alone
+    makes the cosine negative the result is [0.] without Box-Muller's
+    [log], [sqrt] and [cos].  That is what a count clamped at zero from
+    a non-positive value reads. *)
+
 val lognormal : t -> mu:float -> sigma:float -> float
 (** [lognormal t ~mu ~sigma] is [exp (normal t ~mu ~sigma)]. *)
 
@@ -65,4 +72,8 @@ val hash_extend : int64 -> string -> int64
 
 val hash_extend_int : int64 -> int -> int64
 (** [hash_extend_int h n = hash_extend h (string_of_int n)], without
-    the string. *)
+    the string and dividing only by the constant 10. *)
+
+val reseed_int : t -> int64 -> int -> unit
+(** [reseed_int t h n = reseed t (hash_extend_int h n)], without boxing
+    the key: one call per row of a sweep. *)

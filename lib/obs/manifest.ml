@@ -54,17 +54,28 @@ type t = {
 (* Content hashing (FNV-1a 64)                                         *)
 (* ------------------------------------------------------------------ *)
 
-let fnv64_hex s =
-  let prime = 0x100000001b3L in
-  (* A loop, not [String.iter]: the accumulator then stays a local
-     unboxed int64 instead of a heap box per byte. *)
-  let h = ref 0xcbf29ce484222325L in
-  for i = 0 to String.length s - 1 do
+(* FNV-1a over the first [len] bytes of [b], from [h].  A loop, not
+   [Bytes.iter]: the accumulator then stays a local unboxed int64
+   instead of a heap box per byte. *)
+let fnv_bytes h b len =
+  let h = ref h in
+  for i = 0 to len - 1 do
     h :=
       Int64.mul
-        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
-        prime
+        (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i))))
+        0x100000001b3L
   done;
+  !h
+
+let fnv_offset = 0xcbf29ce484222325L
+
+let fnv64_hex s =
+  Printf.sprintf "%016Lx"
+    (fnv_bytes fnv_offset (Bytes.unsafe_of_string s) (String.length s))
+
+let fnv64_hex_json json =
+  let h = ref fnv_offset in
+  Jsonio.output (fun b n -> h := fnv_bytes !h b n) json;
   Printf.sprintf "%016Lx" !h
 
 let digest_config pairs =

@@ -61,6 +61,10 @@ val fnv64_hex : string -> string
 (** FNV-1a 64-bit hash, rendered as 16 hex digits — the content hash
     used for config digests and artifact hashes. *)
 
+val fnv64_hex_json : Jsonio.t -> string
+(** [fnv64_hex (Jsonio.to_string json)], hashed chunk by chunk as
+    {!Jsonio.output} prints, without building the string. *)
+
 val digest_config : (string * string) list -> string
 (** Digest of the canonical (sorted, [k=v] per line) rendering of a
     config; order-insensitive. *)

@@ -90,8 +90,8 @@ let mux_activity = Hwsim.Activity.of_list [ ("x", 1.0e6) ]
 let test_multiplex_exact_when_fits () =
   let cfg = { Cat_bench.Multiplex.default_config with counters = 10 } in
   let v =
-    Cat_bench.Multiplex.measure cfg ~seed:"s" ~rep:0 ~row:0 ~event_index:3
-      ~n_events:10 mux_event mux_activity
+    (Cat_bench.Multiplex.measure cfg ~seed:"s" ~rep:0 ~event_index:3
+       ~n_events:10 mux_event [| mux_activity |]).(0)
   in
   Alcotest.(check (float 0.0)) "no extrapolation error" 1.0e6 v
 
@@ -100,8 +100,8 @@ let test_multiplex_noise_grows_with_pressure () =
     let cfg = { Cat_bench.Multiplex.default_config with counters } in
     let vs =
       Array.init 40 (fun rep ->
-          Cat_bench.Multiplex.measure cfg ~seed:"s" ~rep ~row:0 ~event_index:1
-            ~n_events:64 mux_event mux_activity)
+          (Cat_bench.Multiplex.measure cfg ~seed:"s" ~rep ~event_index:1
+             ~n_events:64 mux_event [| mux_activity |]).(0))
     in
     Numkit.Stats.stddev vs
   in
@@ -114,8 +114,8 @@ let test_multiplex_unbiased () =
   let cfg = { Cat_bench.Multiplex.default_config with counters = 8 } in
   let vs =
     Array.init 200 (fun rep ->
-        Cat_bench.Multiplex.measure cfg ~seed:"s" ~rep ~row:0 ~event_index:1
-          ~n_events:64 mux_event mux_activity)
+        (Cat_bench.Multiplex.measure cfg ~seed:"s" ~rep ~event_index:1
+           ~n_events:64 mux_event [| mux_activity |]).(0))
   in
   let mean = Numkit.Stats.mean vs in
   Alcotest.(check bool)

@@ -63,6 +63,26 @@ let test_noise_rel_scale () =
     true
     (sd > 0.007 *. base && sd < 0.013 *. base)
 
+(* A count is the clamped rounding [Float.max 0. (Float.round v)],
+   signed zeros, halves, infinities and NaN included. *)
+let prop_exact_is_clamped_round =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [ float;
+          map (fun i -> float_of_int i /. 2.0) small_signed_int;
+          oneofl
+            [ 0.0; -0.0; 0.49999999999999994; -0.49999999999999994; 0x1p52 +. 0.5;
+              Float.infinity; Float.neg_infinity; Float.nan ] ])
+  in
+  QCheck.Test.make ~name:"Exact reads the clamped rounding" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun v ->
+      let a = [| v |] in
+      Hwsim.Noise_model.read Hwsim.Noise_model.Exact (Numkit.Rng.create 0L)
+        ~prefix:0L a;
+      Int64.bits_of_float a.(0) = Int64.bits_of_float (Float.max 0.0 (Float.round v)))
+
 let test_noise_is_exact () =
   Alcotest.(check bool) "exact" true (Hwsim.Noise_model.is_exact Hwsim.Noise_model.Exact);
   Alcotest.(check bool) "gauss" false
@@ -243,34 +263,54 @@ let prop_sweep_matches_reference =
      sets, and may name a key twice. *)
   let key = oneofl [ "a"; "b"; "c"; "d"; "z" ] in
   (* Past 2^53 a sum's rounding depends on the order of its terms, and
-     counts are rounded to integers, so only large values tell. *)
+     counts are rounded to integers, so only large values tell; values
+     below 1 tell where rounding to a count meets the draw's sign. *)
   let value =
     oneof
       [ float_range 0.0 1.0e7; map float_of_int (int_range 0 5000);
-        float_range 1.0e15 1.0e18 ]
+        float_range 1.0e15 1.0e18; float_range 0.0 2.0 ]
   in
   let activity =
     map Hwsim.Activity.of_list
       (list_size (int_range 0 4) (pair (oneofl [ "a"; "b"; "c"; "d" ]) value))
   in
+  (* Every model may draw a zero sigma, which reads with no draw.  A
+     relative sigma of 2 often makes [1 + n] negative, so a negative
+     value may read positive; one too large for [v * (1 + n)] to stay
+     finite must take its draw even on a zero value. *)
   let noise =
     oneof
       [
         pure Hwsim.Noise_model.Exact;
-        map (fun s -> Hwsim.Noise_model.Gauss_rel s) (oneofl [ 0.0; 0.01; 0.3 ]);
+        map (fun s -> Hwsim.Noise_model.Gauss_rel s) (oneofl [ 0.0; 0.01; 0.3; 2.0; 1e308 ]);
         map (fun s -> Hwsim.Noise_model.Gauss_abs s) (oneofl [ 0.0; 1.0; 50.0 ]);
         map2 (fun r a -> Hwsim.Noise_model.Mixed (r, a))
           (oneofl [ 0.0; 0.05 ]) (oneofl [ 0.0; 5.0 ]);
       ]
   in
+  (* Zero ideals take the draw-free and sign-only paths, so they get
+     real weight: no terms on a zero or small offset (below 1, where
+     a count's rounding meets the draw's sign), and a term cancelled by
+     its negation, which reads -0 on an unset key from a -0 offset. *)
+  let terms_offset =
+    let zero = oneofl [ 0.0; -0.0 ] in
+    oneof
+      [
+        pair
+          (list_size (int_range 0 5) (pair (float_range (-8.0) 8.0) key))
+          (oneof [ pure 0.0; float_range (-100.0) 1000.0 ]);
+        map (fun offset -> ([], offset)) (oneof [ zero; float_range 0.0 1.0 ]);
+        map3
+          (fun c k offset -> ([ (c, k); (-.c, k) ], offset))
+          (float_range (-8.0) 8.0) key zero;
+      ]
+  in
   let event i =
-    map3
-      (fun terms offset noise ->
+    map2
+      (fun (terms, offset) noise ->
         Hwsim.Event.make ~offset ~noise ~name:(Printf.sprintf "EV%d:x" i) ~desc:""
           terms)
-      (list_size (int_range 0 5) (pair (float_range (-8.0) 8.0) key))
-      (oneof [ pure 0.0; float_range (-100.0) 1000.0 ])
-      noise
+      terms_offset noise
   in
   let events = int_range 1 4 >>= fun n -> flatten_l (List.init n event) in
   (* 0, 1 and more than 10 rows; repetitions past 9 have two or more
@@ -284,7 +324,7 @@ let prop_sweep_matches_reference =
       (rows >>= fun n -> array_repeat n activity)
   in
   let bits v = Int64.bits_of_float v in
-  QCheck.Test.make ~name:"sweep = reference readings" ~count:300
+  QCheck.Test.make ~name:"sweep = reference readings" ~count:2000
     (QCheck.make gen)
     (fun ((seed, rep), events, activities) ->
       let catalog = Hwsim.Machine.compile events in
@@ -413,6 +453,7 @@ let () =
           Alcotest.test_case "integer counts" `Quick test_noise_integer;
           Alcotest.test_case "relative scale" `Slow test_noise_rel_scale;
           Alcotest.test_case "is_exact" `Quick test_noise_is_exact;
+          QCheck_alcotest.to_alcotest prop_exact_is_clamped_round;
         ] );
       ( "events",
         [ Alcotest.test_case "ideal value" `Quick test_event_ideal_value ] );

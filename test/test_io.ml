@@ -503,6 +503,139 @@ let prop_numbers_match_printf =
       QCheck.assume (Float.is_finite f);
       Jsonio.to_string_compact (Jsonio.Num f) = reference f)
 
+(* The Buffer printers [Jsonio] had before it printed through a
+   fixed chunk: the oracle for the chunked [output]. *)
+module Reference_json = struct
+  let escaped buf s =
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+
+  let number f =
+    if Float.is_finite f then
+      if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+      else Printf.sprintf "%.17g" f
+    else "null"
+
+  let pretty ?(indent = 2) t =
+    let buf = Buffer.create 256 in
+    let pad level = Buffer.add_string buf (String.make (level * indent) ' ') in
+    let rec go level = function
+      | Jsonio.Null -> Buffer.add_string buf "null"
+      | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+      | Num f -> Buffer.add_string buf (number f)
+      | Str s -> escaped buf s
+      | List [] -> Buffer.add_string buf "[]"
+      | List items ->
+        Buffer.add_string buf "[\n";
+        List.iteri
+          (fun i item ->
+            if i > 0 then Buffer.add_string buf ",\n";
+            pad (level + 1);
+            go (level + 1) item)
+          items;
+        Buffer.add_char buf '\n';
+        pad level;
+        Buffer.add_char buf ']'
+      | Obj [] -> Buffer.add_string buf "{}"
+      | Obj fields ->
+        Buffer.add_string buf "{\n";
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_string buf ",\n";
+            pad (level + 1);
+            escaped buf k;
+            Buffer.add_string buf ": ";
+            go (level + 1) v)
+          fields;
+        Buffer.add_char buf '\n';
+        pad level;
+        Buffer.add_char buf '}'
+    in
+    go 0 t;
+    Buffer.contents buf
+
+  let rec compact buf = function
+    | Jsonio.Null -> Buffer.add_string buf "null"
+    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Num f -> Buffer.add_string buf (number f)
+    | Str s -> escaped buf s
+    | List items ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i item ->
+          if i > 0 then Buffer.add_char buf ',';
+          compact buf item)
+        items;
+      Buffer.add_char buf ']'
+    | Obj fields ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          escaped buf k;
+          Buffer.add_char buf ':';
+          compact buf v)
+        fields;
+      Buffer.add_char buf '}'
+end
+
+(* Documents from a few bytes to a few hundred KiB, so that chunk
+   edges fall inside strings, escapes and padding: every printer and
+   the chunked ledger hash must give the reference bytes. *)
+let prop_chunked_output_matches_reference =
+  let open QCheck.Gen in
+  let str =
+    frequency
+      [ (10, string_size ~gen:printable (int_range 0 12));
+        (10, string_size ~gen:(oneofl [ 'a'; '"'; '\\'; '\n'; '\001'; 'z' ]) (int_range 0 40));
+        (1, map (fun n -> String.make n 'x') (int_range 0 70_000)) ]
+  in
+  let scalar =
+    oneof
+      [ pure Jsonio.Null; map (fun b -> Jsonio.Bool b) bool;
+        map (fun f -> Jsonio.Num f) (oneof [ float; map float_of_int small_signed_int ]);
+        map (fun s -> Jsonio.Str s) str ]
+  in
+  let doc =
+    sized_size (int_range 0 4) @@ fix (fun self depth ->
+        if depth = 0 then scalar
+        else
+          frequency
+            [ (1, scalar);
+              (2, map (fun l -> Jsonio.List l) (list_size (int_range 0 8) (self (depth - 1))));
+              (2, map (fun l -> Jsonio.Obj l)
+                   (list_size (int_range 0 8) (pair str (self (depth - 1))))) ])
+  in
+  QCheck.Test.make ~name:"chunked printers = reference printers" ~count:100
+    (QCheck.make (pair doc (int_range 0 4)))
+    (fun (doc, indent) ->
+      let chunks = ref [] in
+      Jsonio.output ~indent
+        (fun b n ->
+          if n < 1 || n > 65536 then QCheck.Test.fail_reportf "chunk of %d bytes" n;
+          chunks := Bytes.sub_string b 0 n :: !chunks)
+        doc;
+      let pretty = Reference_json.pretty ~indent doc in
+      let buf = Buffer.create 256 in
+      Reference_json.compact buf doc;
+      String.concat "" (List.rev !chunks) = pretty
+      && Jsonio.to_string ~indent doc = pretty
+      && Jsonio.to_string_compact doc = Buffer.contents buf
+      && Obs.Manifest.fnv64_hex_json doc
+         = Obs.Manifest.fnv64_hex (Reference_json.pretty doc))
+
 let test_json_structures () =
   let j =
     Jsonio.Obj
@@ -623,6 +756,7 @@ let () =
           Alcotest.test_case "scalars" `Quick test_json_scalars;
           Alcotest.test_case "escaping" `Quick test_json_escaping;
           QCheck_alcotest.to_alcotest prop_numbers_match_printf;
+          QCheck_alcotest.to_alcotest prop_chunked_output_matches_reference;
           Alcotest.test_case "structures" `Quick test_json_structures;
           Alcotest.test_case "float precision" `Quick test_json_float_precision;
           Alcotest.test_case "decode" `Quick test_json_decode;

@@ -51,6 +51,91 @@ let prop_hash_extend_streams =
       && List.for_all extends_int
            [ n; 0; 9; 10; 99; 100; -1; -10; max_int; min_int ])
 
+(* [hash_extend_int] and [reseed_int] against the string they stand
+   for: every int, drawn near the digit-count edges (the packed loop
+   moves digits between its two words past 15 of them), in the inline
+   range 0..99, and at both ends of [int]. *)
+let prop_hash_extend_int_is_string =
+  let open QCheck.Gen in
+  let edge =
+    int_range 1 18 >>= fun k ->
+    let p = int_of_float (10.0 ** float_of_int k) in
+    map2 (fun d sign -> sign * (p + d)) (int_range (-2) 2) (oneofl [ 1; -1 ])
+  in
+  let n = oneof [ int_range 0 99; int_range (-120) 120; edge; oneofl [ min_int; max_int; min_int + 1; max_int - 1 ]; int ] in
+  QCheck.Test.make ~name:"hash_extend_int h n = hash_extend h (string_of_int n)"
+    ~count:2000
+    (QCheck.make ~print:(fun (a, n) -> Printf.sprintf "%S, %d" a n)
+       (pair (string_size ~gen:printable (int_range 0 8)) n))
+    (fun (a, n) ->
+      let open Numkit.Rng in
+      let h = hash_string a in
+      let expected = hash_extend h (string_of_int n) in
+      let rng = create 1L in
+      reseed_int rng h n;
+      hash_extend_int h n = expected
+      && next_int64 rng = next_int64 (create expected))
+
+(* splitmix64's output function [mix] is a bijection.  Its inverse
+   gives the generator state whose next draw is a chosen 64-bit word,
+   so a test can pick the uniforms [normal] and [normal_pos] see. *)
+let unmix =
+  let unxorshift y s =
+    let z = ref y in
+    for _ = 0 to 64 / s do
+      z := Int64.logxor y (Int64.shift_right_logical !z s)
+    done;
+    !z
+  in
+  (* Newton's iteration for the inverse of an odd number mod 2^64. *)
+  let inverse a =
+    let x = ref a in
+    for _ = 1 to 6 do
+      x := Int64.mul !x (Int64.sub 2L (Int64.mul a !x))
+    done;
+    !x
+  in
+  let m1 = inverse 0xBF58476D1CE4E5B9L and m2 = inverse 0x94D049BB133111EBL in
+  fun o ->
+    let z = unxorshift o 31 in
+    let z = unxorshift (Int64.mul z m2) 27 in
+    unxorshift (Int64.mul z m1) 30
+
+let golden_gamma = 0x9E3779B97F4A7C15L
+
+(* Every u2 = k 2^-53 within 2^16 draws of 1/4 and of 3/4, where the
+   cosine's sign turns, at three u1 each: [normal_pos] must equal the
+   positive part of the full Box-Muller draw bit for bit, shortcut
+   taken or not.  The second draw of [create s] reads
+   [mix (s + 2 gamma)]; its 11 low bits pick u1 without moving u2. *)
+let test_normal_pos_boundary () =
+  let module R = Numkit.Rng in
+  let checked = ref 0 in
+  List.iter
+    (fun edge ->
+      for k = edge - 65536 to edge + 65536 do
+        for low = 0 to 2 do
+          let word = Int64.logor (Int64.shift_left (Int64.of_int k) 11) (Int64.of_int (low * 977)) in
+          let s = Int64.sub (unmix word) (Int64.mul 2L golden_gamma) in
+          let probe = R.create s in
+          let u1 = R.float probe in
+          let u2 = R.float probe in
+          if u2 <> Float.ldexp (float_of_int k) (-53) then
+            Alcotest.failf "state for u2 = %d * 2^-53 draws %h" k u2;
+          (* u1 = 0 would redraw and move u2; it has odds 2^-53. *)
+          if u1 > 0.0 then begin
+            incr checked;
+            let full = Float.max 0.0 (R.normal (R.create s) ~mu:0.0 ~sigma:1.0) in
+            let fast = R.normal_pos (R.create s) ~sigma:1.0 in
+            if Int64.bits_of_float fast <> Int64.bits_of_float full then
+              Alcotest.failf "u1 = %h, u2 = %h: normal_pos %h, Box-Muller %h" u1 u2
+                fast full
+          end
+        done
+      done)
+    [ 1 lsl 51; 3 lsl 51 ];
+  Alcotest.(check bool) "every u2 checked" true (!checked > 6 * 131072 - 10)
+
 let test_split_independent () =
   let parent = Numkit.Rng.create 7L in
   let c1 = Numkit.Rng.split parent "a" and c2 = Numkit.Rng.split parent "b" in
@@ -516,6 +601,8 @@ let () =
           Alcotest.test_case "int uniform" `Quick test_int_range;
           Alcotest.test_case "normal moments" `Slow test_normal_moments;
           Alcotest.test_case "normal sigma=0" `Quick test_normal_zero_sigma;
+          Alcotest.test_case "normal_pos at the cosine's sign edges" `Quick
+            test_normal_pos_boundary;
           Alcotest.test_case "copy preserves state" `Quick test_copy_diverges_from_original;
           Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
           Alcotest.test_case "golden streams" `Quick test_golden_streams;
@@ -538,6 +625,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           ([ prop_rnmse_symmetric; prop_median_bounds; prop_median_is_oracle;
              prop_mean_linear;
-             prop_hash_extend_streams ]
+             prop_hash_extend_streams; prop_hash_extend_int_is_string ]
           @ prop_kernels_match_reference) );
     ]
