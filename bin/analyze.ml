@@ -254,32 +254,23 @@ let run_category ?csv ?auto_tau ?summary ?manifest ~preflight ~executor
       Printf.eprintf "analyze: %s\n" msg;
       exit 1
   in
-  (* With --auto-tau the file is streamed once, before the probes, and
-     the run reuses their entries. *)
-  let csv_entries =
-    match (csv, auto_tau) with
-    | Some path, Some _ -> Some (import path ())
-    | _ -> None
-  in
-  let tau =
-    match auto_tau with
-    | None -> tau
-    | Some min_rank ->
-      let entries =
-        match csv_entries with
-        | Some e -> e
-        | None -> Core.Noise_filter.entries (Core.Category.dataset category)
-      in
-      let s = Core.Auto_threshold.select ~category ~entries ~min_rank () in
-      Printf.printf
-        "auto-tau: selected %.3e (gap ratio %.1e, keeps %d events)\n"
-        s.Core.Auto_threshold.tau s.Core.Auto_threshold.gap_ratio
-        s.Core.Auto_threshold.below;
-      Some s.Core.Auto_threshold.tau
+  (* With --auto-tau the run collects (or imports) once: the probes
+     re-threshold its entries and the run keeps them at the tau they
+     pick. *)
+  let select =
+    Option.map
+      (fun min_rank entries ->
+        let s = Core.Auto_threshold.select ~category ~entries ~min_rank () in
+        Printf.printf
+          "auto-tau: selected %.3e (gap ratio %.1e, keeps %d events)\n"
+          s.Core.Auto_threshold.tau s.Core.Auto_threshold.gap_ratio
+          s.Core.Auto_threshold.below;
+        s.Core.Auto_threshold.tau)
+      auto_tau
   in
   let config = config_of ~tau ~alpha ~proj_tol ~reps category in
   (* Counters restart per category so --stats matches this category's
-     filter summary exactly (auto-tau probing above is excluded). *)
+     filter summary exactly (the auto-tau probes are not observed). *)
   Option.iter
     (fun s ->
       Obs.Summary.reset s;
@@ -288,12 +279,11 @@ let run_category ?csv ?auto_tau ?summary ?manifest ~preflight ~executor
   let r =
     match csv with
     | None ->
-      Core.Pipeline.run ~config ~shards ~executor ?manifest:gated category
+      Core.Pipeline.run ~config ?select ~shards ~executor ?manifest:gated
+        category
     | Some path ->
-      let entries =
-        match csv_entries with Some e -> fun () -> e | None -> import path
-      in
-      Core.Pipeline.run_entries ~executor ?manifest ~config ~category ~entries ()
+      Core.Pipeline.run_entries ~executor ?manifest ?select ~config ~category
+        ~entries:(import path) ()
   in
   print_sections ~sections category r;
   Option.iter
@@ -560,8 +550,8 @@ let shard_main category index shards out tau alpha proj_tol reps obs =
   let total = Core.Category.catalog_size category in
   let range = List.nth (Core.Stage.shard_ranges ~shards ~total) index in
   let artifact =
-    Core.Stage.classify_shard ~config ~category
-      (Core.Stage.collect_shard ~reps:config.Core.Pipeline.reps category range)
+    List.hd
+      (Core.Stage.run_front ~config ~executor:Core.Exec.Seq category [ range ])
   in
   (* Campaign accounting for this shard: cutting the full-catalog
      measurement plan at the same group boundaries shows what the

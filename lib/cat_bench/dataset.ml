@@ -134,8 +134,9 @@ let prewarm_dcache ~reps = prewarm ~executor:Executor.Seq ~reps dcache_bench
 (* One reading is derived from (seed, event name, repetition, row) —
    see Hwsim.Machine — so measuring only the events in [lo, hi) yields
    bit-identical vectors to the whole-catalog build: a range is a
-   restriction, never a re-randomization. *)
-let collect ?(reps = default_reps) ?(lo = 0) ?hi b =
+   restriction, never a re-randomization.  Each event goes to [f] as
+   soon as it is read; returns the range's name and [f]'s results. *)
+let sweep_events ~reps ~lo ?hi b f =
   let catalog = b.catalog () in
   let total = Hwsim.Machine.size catalog in
   let hi = Option.value hi ~default:total in
@@ -174,8 +175,7 @@ let collect ?(reps = default_reps) ?(lo = 0) ?hi b =
   (* One sweep per thread over its rows; with several threads, each
      row's readings are reduced across them, in thread order, through
      one reused column.  One thread's repetition allocates nothing
-     beside its sweep: more per-sweep garbage shifts the minor
-     collections, and with them gpu-flops' peak heap (+0.2 MB seen). *)
+     beside its sweep. *)
   let sweep i rep thread =
     Hwsim.Machine.sweep catalog ~seed:b.seeds.(thread) ~rep i rows.(rep).(thread)
   in
@@ -191,7 +191,7 @@ let collect ?(reps = default_reps) ?(lo = 0) ?hi b =
           reduce column)
     end
   in
-  let measurements =
+  let results =
     Obs.span "readings" @@ fun () ->
     List.init (hi - lo) (fun j ->
         let i = lo + j in
@@ -204,11 +204,19 @@ let collect ?(reps = default_reps) ?(lo = 0) ?hi b =
           if threads > 1 then
             Obs.add "dataset.thread_reductions" (float_of_int (reps * nrows))
         end;
-        {
-          event = Hwsim.Machine.event catalog i;
-          reps = List.init reps (measure_rep i);
-        })
+        f
+          {
+            event = Hwsim.Machine.event catalog i;
+            reps = List.init reps (measure_rep i);
+          })
   in
+  (name, results)
+
+let stream ?(reps = default_reps) ?(lo = 0) ?hi b f =
+  snd (sweep_events ~reps ~lo ?hi b f)
+
+let collect ?(reps = default_reps) ?(lo = 0) ?hi b =
+  let name, measurements = sweep_events ~reps ~lo ?hi b Fun.id in
   { name; row_labels = b.row_labels; reps; measurements }
 
 let cpu_flops ?reps () = collect ?reps cpu_flops_bench
@@ -288,36 +296,20 @@ let field_end s i stop =
 let at_comma s i stop = i < stop && Bytes.unsafe_get s i = ','
 
 (* Parse the field that starts at [i] into [v.(k)] (dropped when [k]
-   is past the row labels) and return where it ends.  Up to 15 plain
-   decimal digits between blanks are summed as an int: that is exact
-   below 2^53, so it equals [float_of_string]'s result.  Anything else
-   goes through [float_of_string_opt] on the trimmed field; if that
-   fails and no field of the line has failed before, [bad] is set to
-   the field's start. *)
+   is past the row labels) and return where it ends: the trimmed field
+   through [float_of_string_opt]; if that fails and no field of the line
+   has failed before, [bad] is set to the field's start. *)
 let scan_value s ~bad i stop v k =
-  let j = ref i in
-  while !j < stop && is_blank (Bytes.unsafe_get s !j) do incr j done;
-  let first = !j and acc = ref 0 in
-  while !j < stop && is_digit (Bytes.unsafe_get s !j) do
-    (* May wrap past 18 digits, but is then not used. *)
-    acc := (10 * !acc) + Char.code (Bytes.unsafe_get s !j) - Char.code '0';
-    incr j
+  let first = ref i in
+  while !first < stop && is_blank (Bytes.unsafe_get s !first) do incr first done;
+  let e = field_end s !first stop in
+  let last = ref e in
+  while !last > !first && is_blank (Bytes.unsafe_get s (!last - 1)) do
+    decr last
   done;
-  let ndigits = !j - first in
-  while !j < stop && is_blank (Bytes.unsafe_get s !j) do incr j done;
-  let e = field_end s !j stop in
-  if ndigits >= 1 && ndigits <= 15 && e = !j then begin
-    if k < Array.length v then v.(k) <- float_of_int !acc
-  end
-  else begin
-    let last = ref e in
-    while !last > first && is_blank (Bytes.unsafe_get s (!last - 1)) do
-      decr last
-    done;
-    match float_of_string_opt (Bytes.sub_string s first (!last - first)) with
-    | Some x -> if k < Array.length v then v.(k) <- x
-    | None -> if !bad < 0 then bad := i
-  end;
+  (match float_of_string_opt (Bytes.sub_string s !first (!last - !first)) with
+   | Some x -> if k < Array.length v then v.(k) <- x
+   | None -> if !bad < 0 then bad := i);
   e
 
 (* The field at [i] as the line's split shows it: untrimmed, except
@@ -399,7 +391,18 @@ let scan lines ~data =
     let e = ref (field_end s (c1 + 1) stop) and values = ref 0 in
     bad := -1;
     while at_comma s !e stop do
-      e := scan_value s ~bad (!e + 1) stop v !values;
+      (* 1 to 15 plain digits up to the field's end are summed as an
+         int: exact below 2^53, so equal to [float_of_string]'s. *)
+      let i = !e + 1 and acc = ref 0 in
+      e := i;
+      while !e < stop && is_digit (Bytes.unsafe_get s !e) do
+        acc := (10 * !acc) + Char.code (Bytes.unsafe_get s !e) - Char.code '0';
+        incr e
+      done;
+      if !e > i && !e - i <= 15 && field_end s !e stop = !e then begin
+        if !values < n then v.(!values) <- float_of_int !acc
+      end
+      else e := scan_value s ~bad i stop v !values;
       incr values
     done;
     if !values <> n then

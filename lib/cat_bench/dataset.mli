@@ -84,6 +84,13 @@ val collect : ?reps:int -> ?lo:int -> ?hi:int -> bench -> t
     is named [name\[lo,hi)].  Raises [Invalid_argument] on an
     out-of-bounds range. *)
 
+val stream :
+  ?reps:int -> ?lo:int -> ?hi:int -> bench -> (measurement -> 'a) -> 'a list
+(** {!collect}'s one event loop with a per-event consumer: [f] gets each
+    event's measurement as soon as it is read, in catalog order, and
+    only what [f] returns is kept.  [collect] gathers every
+    measurement. *)
+
 val prewarm : executor:Executor.t -> reps:int -> bench -> unit
 (** Force the benchmark's catalog and then its shared row table (the
     kernel table, or the [Threads] rows with their simulations run on

@@ -62,13 +62,9 @@ let bands ?(floor = 1e-15) series =
 
 (* The probes re-threshold the entries the series came from: each
    candidate applies its tau and runs only the stages after the noise
-   filter. *)
+   filter.  They run in a capture that is never replayed, so no sink
+   sees them. *)
 let select ?(max_attempts = 10) ~category ~entries ~min_rank () =
-  let candidates =
-    bands
-      (Noise_filter.variability_series
-         (Noise_filter.threshold ~tau:infinity entries))
-  in
   let rec walk attempts = function
     | [] -> raise Not_found
     | _ when attempts >= max_attempts -> raise Not_found
@@ -87,4 +83,10 @@ let select ?(max_attempts = 10) ~category ~entries ~min_rank () =
       in
       if rank >= min_rank then s else walk (attempts + 1) rest
   in
-  walk 0 candidates
+  let probe () =
+    walk 0
+      (bands
+         (Noise_filter.variability_series
+            (Noise_filter.threshold ~tau:infinity entries)))
+  in
+  if Obs.enabled () then Obs.with_capture (Obs.capture ()) probe else probe ()

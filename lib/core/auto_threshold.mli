@@ -33,11 +33,11 @@ val bands : ?floor:float -> (string * float) array -> suggestion list
 val select :
   ?max_attempts:int -> category:Category.t -> entries:Noise_filter.entry list ->
   min_rank:int -> unit -> suggestion
-(** Validated selection: walk {!bands} of [entries] (one collection of
-    the category's benchmark, or one CSV import, reduced by the noise
-    filter) from the widest gap down; at each candidate τ, apply it to
-    the entries ({!Noise_filter.threshold}) and run the stages after
-    the noise filter ({!Stage.downstream}); return the first whose
+(** Validated selection: walk {!bands} of [entries] (one front's
+    tau-free entries, as {!Pipeline.run}'s [select] gets them, or one
+    CSV import's) from the widest gap down; at each candidate τ, apply
+    it to the entries ({!Noise_filter.threshold}) and run the stages
+    after the noise filter ({!Stage.downstream}); return the first whose
     specialized QRCP finds at least [min_rank] independent events.
 
     This is what the cache category needs: its relevant events are
@@ -46,5 +46,5 @@ val select :
     exactly why the paper had to pick the lenient τ = 0.1 empirically
     (Section IV).  Walking down the bands recovers such a τ
     automatically.  Raises [Not_found] if no candidate within
-    [max_attempts] (default 10) achieves the rank.  The probes record
-    no manifest. *)
+    [max_attempts] (default 10) achieves the rank.  The probes run in
+    an {!Obs.capture} that is never replayed: no sink sees them. *)

@@ -39,9 +39,6 @@ let entry ?(measure = Max_rnmse) (m : Cat_bench.Dataset.measurement) =
   let variability = if all_zero then 0.0 else apply_measure measure m.reps in
   { event = m.event; variability; mean; all_zero }
 
-let entries ?measure (dataset : Cat_bench.Dataset.t) =
-  List.map (entry ?measure) dataset.measurements
-
 (* Non-finite variability (NaN readings from a corrupt import) must
    never classify as clean. *)
 let status ~tau (e : entry) =
@@ -76,7 +73,8 @@ let threshold ~tau entries =
   publish_tallies classified;
   classified
 
-let classify ?measure ~tau dataset = threshold ~tau (entries ?measure dataset)
+let classify ?measure ~tau (dataset : Cat_bench.Dataset.t) =
+  threshold ~tau (List.map (entry ?measure) dataset.measurements)
 
 let kept classified = List.filter (fun c -> c.status = Kept) classified
 

@@ -35,9 +35,6 @@ val entry : ?measure:measure -> Cat_bench.Dataset.measurement -> entry
 (** Reduce one event's repetitions ([measure] defaults to
     {!Max_rnmse}). *)
 
-val entries : ?measure:measure -> Cat_bench.Dataset.t -> entry list
-(** {!entry} of every measurement, in dataset order. *)
-
 val threshold : tau:float -> entry list -> classified list
 (** The verdicts at [tau]: [All_zero], else [Too_noisy] when the
     variability exceeds [tau] or is not finite, else [Kept].
@@ -46,7 +43,7 @@ val threshold : tau:float -> entry list -> classified list
 
 val classify :
   ?measure:measure -> tau:float -> Cat_bench.Dataset.t -> classified list
-(** [threshold ~tau (entries ?measure dataset)]: classify every
+(** [threshold ~tau] of every measurement's {!entry}: classify every
     measurement in the dataset.  Each event's verdict depends only on
     its own repetition vectors, so a catalog-range shard classifies
     exactly like the same events of the whole catalog. *)

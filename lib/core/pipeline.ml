@@ -26,43 +26,48 @@ type result = Stage.result = {
   ledger : Provenance.Ledger.t option;
 }
 
-(* One manifest scope and one [pipeline] span around [classify] and the
-   downstream stages. *)
-let run_classified ~executor ?manifest ~config ~category ~basis ~signatures
-    classify =
-  Stage.with_manifest ?manifest ~source:"pipeline-custom" ~category ~config
-    ~shards:1
+(* One manifest scope and one [pipeline] span around [classify], which
+   returns the config it classified at, and the downstream stages. *)
+let run_classified ~executor ?manifest ~category ~basis ~signatures classify =
+  Stage.with_manifest ?manifest ~source:"pipeline-custom" ~category ~shards:1
     ~jobs:(Exec.jobs executor) ~inputs:[] (fun () ->
       Obs.span "pipeline" (fun () ->
           Obs.attr_str "category" (Category.name category);
-          let classified = classify () in
+          let config, classified = classify () in
           Stage.downstream ~config ~category ~basis ~signatures ~classified ()))
 
 let run_custom ?(executor = Exec.Seq) ?manifest ~config ~category ~dataset
     ~basis ~signatures () =
-  run_classified ~executor ?manifest ~config ~category ~basis ~signatures
-    (fun () -> Stage.classify ~config dataset)
+  run_classified ~executor ?manifest ~category ~basis ~signatures (fun () ->
+      (config, Stage.classify ~config dataset))
 
-let run_entries ?(executor = Exec.Seq) ?manifest ~config ~category ~entries () =
-  run_classified ~executor ?manifest ~config ~category
+let run_entries ?(executor = Exec.Seq) ?manifest ?select ~config ~category
+    ~entries () =
+  run_classified ~executor ?manifest ~category
     ~basis:(Category.basis category)
     ~signatures:(Category.signatures category) (fun () ->
       let entries = entries () in
-      Obs.span "noise-filter" (fun () ->
-          Noise_filter.threshold ~tau:config.tau entries))
+      let config =
+        match select with
+        | None -> config
+        | Some f -> { config with tau = f entries }
+      in
+      ( config,
+        Obs.span "noise-filter" (fun () ->
+            Noise_filter.threshold ~tau:config.tau entries) ))
 
-let run ?config ?(shards = 1) ?(executor = Exec.Seq) ?manifest category =
+let run ?config ?select ?(shards = 1) ?(executor = Exec.Seq) ?manifest category =
   let config =
     match config with Some c -> c | None -> default_config category
   in
   if shards < 1 then invalid_arg "Pipeline.run: shards < 1";
-  Stage.with_manifest ?manifest ~source:"pipeline" ~category ~config ~shards
+  Stage.with_manifest ?manifest ~source:"pipeline" ~category ~shards
     ~jobs:(Exec.jobs executor) ~inputs:[] (fun () ->
       Obs.span "pipeline" (fun () ->
           Obs.attr_str "category" (Category.name category);
           if Obs.enabled () then Obs.attr_int "shards" shards;
           Stage.run_merged ~category
-            (Stage.run_front ~config ~executor category
+            (Stage.run_front ?select ~config ~executor category
                (Stage.shard_ranges ~shards
                   ~total:(Category.catalog_size category)))))
 

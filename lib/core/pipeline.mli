@@ -41,7 +41,8 @@ type result = Stage.result = {
 }
 
 val run :
-  ?config:config -> ?shards:int -> ?executor:Exec.t ->
+  ?config:config -> ?select:(Noise_filter.entry list -> float) ->
+  ?shards:int -> ?executor:Exec.t ->
   ?manifest:(Obs.Manifest.t -> unit) -> Category.t -> result
 (** Run the full pipeline for one category.  [config] defaults to
     the category's paper parameters.  Every run is the staged one:
@@ -49,7 +50,9 @@ val run :
     the whole catalog as one range) ranges, {!Stage.run_front}
     collects and classifies them on [executor] (default [Exec.Seq]),
     and {!Stage.run_merged} merges them and runs the downstream
-    stages.  The outputs — chosen events, metric definitions,
+    stages.  With [select], the tau is [select] of the front's entries
+    (see {!Auto_threshold.select}): one collection, at [config.reps].
+    The outputs — chosen events, metric definitions,
     provenance ledger — are bit-identical for every shard count and
     executor.  With [manifest], the run's manifest (see
     {!Stage.with_manifest}, jobs taken from [executor], no in-process
@@ -71,18 +74,19 @@ val run_custom :
 
 val run_entries :
   ?executor:Exec.t -> ?manifest:(Obs.Manifest.t -> unit) ->
+  ?select:(Noise_filter.entry list -> float) ->
   config:config -> category:Category.t ->
   entries:(unit -> Noise_filter.entry list) -> unit -> result
 (** Run the category's analysis on events already reduced by the noise
     filter, such as a streamed CSV import
     ({!Cat_bench.Dataset.stream_reps_csv} with {!Noise_filter.entry}):
     [entries ()] is called inside the [pipeline] span, then
-    {!Noise_filter.threshold} applies [config.tau] (span
-    [noise-filter]) and {!Stage.downstream} runs with the category's
-    basis and signatures.  The result and its manifest (source
-    ["pipeline-custom"]) equal {!run_custom}'s on the dataset the
-    entries were reduced from, but for the spans, the [import.*]
-    counters and the GC figures. *)
+    {!Noise_filter.threshold} applies [config.tau] or, as in {!run},
+    [select] of the entries (span [noise-filter]), and
+    {!Stage.downstream} runs with the category's basis and signatures.
+    The result and its manifest (source ["pipeline-custom"]) equal
+    {!run_custom}'s on the dataset the entries were reduced from, but
+    for the spans, the [import.*] counters and the GC figures. *)
 
 val ledger : result -> Provenance.Ledger.t
 (** The result's provenance ledger: [r.ledger] when set, else the

@@ -1,8 +1,8 @@
 (* The staged pipeline: typed stage boundaries with shard-parallel
    front stages and serializable inter-stage artifacts.
 
-   dataset_shard -> classified_shard -> merged classified list ->
-   projection -> QRCP -> metrics
+   range -> tau-free entries -> classified_shard -> merged classified
+   list -> projection -> QRCP -> metrics
 
    Everything up to the merge depends only on an event's own readings
    (its measurement vectors and its Eq. 4 noise verdict), so
@@ -81,28 +81,38 @@ type classified_shard = {
   entries : Noise_filter.classified list;  (* catalog order within range *)
 }
 
-(* [Category.dataset] rejects an out-of-bounds range. *)
+(* [Category.dataset] and [Dataset.stream] reject an out-of-bounds
+   range. *)
+let in_collect_span category range collect =
+  Obs.span "shard-collect" (fun () ->
+      if Obs.enabled () then begin
+        Obs.attr_str "category" (Category.name category);
+        Obs.attr_int "lo" range.lo;
+        Obs.attr_int "hi" range.hi
+      end;
+      collect ())
+
 let collect_shard ?(reps = Cat_bench.Dataset.default_reps) category range =
-  let total = Category.catalog_size category in
   let dataset =
-    Obs.span "shard-collect" (fun () ->
-        if Obs.enabled () then begin
-          Obs.attr_str "category" (Category.name category);
-          Obs.attr_int "lo" range.lo;
-          Obs.attr_int "hi" range.hi
-        end;
+    in_collect_span category range (fun () ->
         Category.dataset ~reps ~lo:range.lo ~hi:range.hi category)
   in
-  { shard_range = range; catalog_events = total; dataset }
+  { shard_range = range; catalog_events = Category.catalog_size category; dataset }
 
-let classify_shard ~config ~category (ds : dataset_shard) =
+let collect_entries ~reps category range =
+  in_collect_span category range (fun () ->
+      Cat_bench.Dataset.stream ~reps ~lo:range.lo ~hi:range.hi
+        (Category.bench category) Noise_filter.entry)
+
+(* The verdicts at [config.tau] on one range's entries. *)
+let threshold_shard ~config ~category range entries =
   let entries =
     Obs.span "shard-classify" (fun () ->
         if Obs.enabled () then begin
-          Obs.attr_int "lo" ds.shard_range.lo;
-          Obs.attr_int "hi" ds.shard_range.hi
+          Obs.attr_int "lo" range.lo;
+          Obs.attr_int "hi" range.hi
         end;
-        Noise_filter.classify ~tau:config.tau ds.dataset)
+        Noise_filter.threshold ~tau:config.tau entries)
   in
   (* The per-shard counters sum across one front to the catalog size
      and the noise_filter.kept total (see [check_front_counters]). *)
@@ -115,11 +125,15 @@ let classify_shard ~config ~category (ds : dataset_shard) =
     category = Category.name category;
     machine = Category.machine category;
     shard_config = config;
-    range = ds.shard_range;
-    total = ds.catalog_events;
-    row_labels = ds.dataset.Cat_bench.Dataset.row_labels;
+    range;
+    total = Category.catalog_size category;
+    row_labels = (Category.bench category).Cat_bench.Dataset.row_labels;
     entries;
   }
+
+let classify_shard ~config ~category (ds : dataset_shard) =
+  threshold_shard ~config ~category ds.shard_range
+    (List.map Noise_filter.entry ds.dataset.Cat_bench.Dataset.measurements)
 
 (* ------------------------------------------------------------------ *)
 (* Merge stage                                                         *)
@@ -373,8 +387,8 @@ let totals_pairs (t : Provenance.Ledger.totals) =
     ("chosen", f t.chosen);
   ]
 
-let config_pairs ~category ~config ~shards ~jobs (r : result) =
-  let g = Printf.sprintf "%.17g" in
+let config_pairs ~category ~shards ~jobs (r : result) =
+  let g = Printf.sprintf "%.17g" and config = r.config in
   [
     ("category", Category.name category);
     ("machine", Category.machine category);
@@ -580,7 +594,7 @@ let shard_equal a b =
 
 (* The manifest scope (see "Run manifests" above); [inputs] are the
    shard artifacts the run reads, hashed here with the codec above. *)
-let with_manifest ?manifest ~source ~category ~config ~shards ~jobs ~inputs f =
+let with_manifest ?manifest ~source ~category ~shards ~jobs ~inputs f =
   match manifest with
   | None -> f ()
   | Some emit ->
@@ -606,7 +620,7 @@ let with_manifest ?manifest ~source ~category ~config ~shards ~jobs ~inputs f =
     in
     emit
       (Obs.Manifest.of_recorder ~source ~label:(Category.name category)
-         ~config:(config_pairs ~category ~config ~shards ~jobs r)
+         ~config:(config_pairs ~category ~shards ~jobs r)
          ~totals:(totals_pairs (Provenance.Ledger.totals l))
          ~gc:(gc_pairs gc_delta) ~artifacts recorder);
     r
@@ -641,12 +655,9 @@ let merge_downstream ~category shards =
 (* The manifest hashes each incoming shard artifact (its canonical
    JSON), so it proves which inputs the run consumed. *)
 let run_merged ?manifest ~category shards =
-  match shards with
-  | [] -> merge_downstream ~category shards (* raises the merge error *)
-  | first :: _ ->
-    with_manifest ?manifest ~source:"pipeline-merge" ~category
-      ~config:first.shard_config ~shards:(List.length shards) ~jobs:1
-      ~inputs:shards (fun () -> merge_downstream ~category shards)
+  with_manifest ?manifest ~source:"pipeline-merge" ~category
+    ~shards:(List.length shards) ~jobs:1 ~inputs:shards (fun () ->
+      merge_downstream ~category shards)
 
 (* DESIGN.md §11's counter contract, asserted at runtime whenever the
    collector is live: across one front, the shard.events / shard.kept
@@ -671,18 +682,21 @@ let check_front_counters ~events ~before:(ev0, kp0, nf_kept0) =
           by %g but noise_filter.kept by %g"
          d_kept d_nf_kept)
 
-(* The collect+classify front over [ranges], one executor task per
-   range.  The executor captures each worker task's [Obs] events and
-   replays them here in range order, so sinks, counters (and therefore
-   the counter invariant and recorded manifests) observe exactly the
-   stream a sequential front produces.  The module-level tables a task
-   could populate (the compiled catalog and kernel row table, or the
-   dcache activity cache, whose simulations run on [executor]) are
-   forced here first, so tasks only ever read them.  Progress taps go
-   straight to the handle in this run's collector (skipped when there
-   is none) rather than through a gauge, so manifests recorded without
+(* The front over [ranges]: one executor task per range reduces each
+   event to its tau-free noise-filter entry as soon as its repetitions
+   are read, then every range is thresholded here, at [config.tau] or at
+   the tau [select] picks from all the entries in catalog order.  The
+   executor captures each worker task's [Obs] events and replays them
+   here in range order, so sinks, counters (and therefore the counter
+   invariant and recorded manifests) observe exactly the stream a
+   sequential front produces.  The module-level tables a task could
+   populate (the compiled catalog and kernel row table, or the dcache
+   activity cache, whose simulations run on [executor]) are forced here
+   first, so tasks only ever read them.  Progress taps go straight to
+   the handle in this run's collector (skipped when there is none)
+   rather than through a gauge, so manifests recorded without
    --progress stay byte-identical. *)
-let run_front ~config ~executor category ranges =
+let run_front ?select ~config ~executor category ranges =
   let tap f = Option.iter f (Obs.progress ()) in
   Category.prewarm ~executor ~reps:config.reps category;
   let arr = Array.of_list ranges in
@@ -696,19 +710,22 @@ let run_front ~config ~executor category ranges =
     else None
   in
   tap (Obs.Progress.note_front ~total:shards ~jobs:(Executor.jobs executor));
-  let classified =
+  let entries =
     Executor.map ~executor shards (fun i ->
         tap (Obs.Progress.note_shard_start ~index:i ~total:shards);
         let t0 = Obs.Clock.now_ns () in
-        let s =
-          classify_shard ~config ~category
-            (collect_shard ~reps:config.reps category arr.(i))
-        in
+        let e = collect_entries ~reps:config.reps category arr.(i) in
         tap
           (Obs.Progress.note_shard_done ~total:shards
              ~dur_ns:(Int64.sub (Obs.Clock.now_ns ()) t0));
-        s)
+        e)
   in
+  let config =
+    match select with
+    | None -> config
+    | Some f -> { config with tau = f (List.concat (Array.to_list entries)) }
+  in
+  let classified = Array.map2 (threshold_shard ~config ~category) arr entries in
   Option.iter
     (fun before ->
       check_front_counters

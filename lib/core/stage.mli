@@ -5,23 +5,25 @@
     The stage graph:
 
     {v
-      dataset_shard --classify--> classified_shard --\
-      dataset_shard --classify--> classified_shard ---+--merge--> classified
-      dataset_shard --classify--> classified_shard --/               |
-                                                                projection
-                                                                     |
-                                                                specialized QRCP
-                                                                     |
-                                                                metric solve
+      range -collect-> entries -threshold-> classified_shard --\
+      range -collect-> entries -threshold-> classified_shard ---+-merge-> classified
+      range -collect-> entries -threshold-> classified_shard --/             |
+                                                                        projection
+                                                                             |
+                                                                      specialized QRCP
+                                                                             |
+                                                                        metric solve
     v}
 
-    Collection and noise filtering are per-event computations
-    (an event's verdict depends only on its own repetition vectors),
-    so they shard by catalog range [\[lo, hi)].  Projection, QRCP and
-    the metric solve need the whole accepted set and run once,
-    downstream of the deterministic merge.  There is one path: a plain
-    {!Pipeline.run} is the one-range front [\[0, total)], so its spans,
-    counters and counter invariant are those of every shard count.
+    Collection and noise filtering are per-event computations (an
+    event's verdict depends only on its own repetition vectors), so
+    they shard by catalog range [\[lo, hi)], and each event's
+    repetitions become its tau-free {!Noise_filter.entry} as soon as
+    they are read.  Projection, QRCP and the metric solve need the
+    whole accepted set and run once, downstream of the deterministic
+    merge.  There is one path: a plain {!Pipeline.run} is the one-range
+    front [\[0, total)], so its spans, counters and counter invariant
+    are those of every shard count.
 
     {b Bit-identity contract}: because a simulated reading's noise
     stream is keyed by [(seed, event, rep, row)], a run produces
@@ -106,25 +108,30 @@ type classified_shard = {
 
 val collect_shard :
   ?reps:int -> Category.t -> range -> dataset_shard
-(** Measure only the catalog events in [range], reusing the same
-    per-event seeds (and, for the data cache, the same kernel-run
-    activities) as the whole-catalog collection — the shard's vectors
-    are bit-identical to the corresponding slice.  Raises
+(** Measure only the catalog events in [range], keeping every vector,
+    with the same per-event seeds (and, for the data cache, the same
+    kernel-run activities) as the whole-catalog collection — the
+    shard's vectors are bit-identical to the corresponding slice.  Raises
     [Invalid_argument] on an out-of-bounds range. *)
 
 val classify_shard :
   config:config -> category:Category.t -> dataset_shard -> classified_shard
-(** Run the noise filter on one shard (span ["shard-classify"]);
-    publishes the [shard.events] / [shard.kept] counters next to the
-    noise filter's [noise_filter.*] tallies. *)
+(** Run the noise filter on one gathered shard.  [classify_shard
+    ~config ~category (collect_shard ~reps:config.reps category range)]
+    equals the shard {!run_front} makes of [range]. *)
 
 val run_front :
+  ?select:(Noise_filter.entry list -> float) ->
   config:config -> executor:Exec.t -> Category.t -> range list ->
   classified_shard list
-(** The collect + classify front: one {!collect_shard} +
-    {!classify_shard} task per range on [executor], results in range
-    order.  The category's shared tables are forced first
-    ({!Category.prewarm}, the dcache simulations on [executor]).
+(** The front: one task per range on [executor] keeps only each
+    event's tau-free {!Noise_filter.entry} (span ["shard-collect"]),
+    then each range is thresholded in range order (span
+    ["shard-classify"], with counters [shard.events] / [shard.kept]) at
+    [config.tau], or at [select] of all the entries in catalog order,
+    and carries that config.  The category's shared tables are forced
+    first ({!Category.prewarm}, the dcache simulations on
+    [executor]).
     Worker-domain [Obs] events are captured and replayed in range
     order, so the event stream is the same for every executor.  While
     a sink is live it asserts the counter invariant: [shard.events]
@@ -179,7 +186,6 @@ val with_manifest :
   ?manifest:(Obs.Manifest.t -> unit) ->
   source:string ->
   category:Category.t ->
-  config:config ->
   shards:int ->
   jobs:int ->
   inputs:classified_shard list ->
@@ -190,8 +196,8 @@ val with_manifest :
     [inputs] — the shards the run read from outside the process
     ([\[\]] for an in-process front or a dataset handed in whole).
     Exactly [f ()] without [manifest].  On exception the recorder is
-    torn down and nothing is emitted.  [jobs] is recorded in the
-    manifest config. *)
+    torn down and nothing is emitted.  The manifest config is the
+    result's [config] with [shards] and [jobs]. *)
 
 val run_merged :
   ?manifest:(Obs.Manifest.t -> unit) -> category:Category.t ->

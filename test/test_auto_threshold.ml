@@ -6,6 +6,9 @@ let series_of l = Array.of_list (List.mapi (fun i v -> (string_of_int i, v)) l)
 (* The widest band: the first candidate [select] probes. *)
 let widest series = List.hd (Core.Auto_threshold.bands series)
 
+(* Every event of a gathered dataset reduced by the noise filter. *)
+let entries (d : Cat_bench.Dataset.t) = List.map Core.Noise_filter.entry d.measurements
+
 let test_suggest_simple_gap () =
   let s =
     widest
@@ -67,20 +70,16 @@ let prop_band_counts =
           bands)
 
 let test_auto_tau_reproduces_clean_categories () =
-  (* For FLOPs/branch/GPU the automatic τ keeps exactly the events
-     the paper's hand-picked 1e-10 keeps. *)
+  (* For FLOPs/branch/GPU the automatic τ, chosen from the run's own
+     front, keeps exactly the events the paper's hand-picked 1e-10
+     keeps. *)
   List.iter
     (fun (category, min_rank, paper_set) ->
-      let s =
-        Core.Auto_threshold.select ~category
-          ~entries:(Core.Noise_filter.entries (Core.Category.dataset category))
-          ~min_rank ()
+      let select entries =
+        (Core.Auto_threshold.select ~category ~entries ~min_rank ())
+          .Core.Auto_threshold.tau
       in
-      let config =
-        { (Core.Pipeline.default_config category) with
-          Core.Pipeline.tau = s.Core.Auto_threshold.tau }
-      in
-      let r = Core.Pipeline.run ~config category in
+      let r = Core.Pipeline.run ~select category in
       Alcotest.(check (list string))
         (Core.Category.name category ^ " auto-tau set")
         (List.sort compare paper_set)
@@ -103,7 +102,7 @@ let test_auto_tau_cache_walks_to_lenient_band () =
     (naive.Core.Auto_threshold.below < 20);
   let s =
     Core.Auto_threshold.select ~category:Core.Category.Dcache
-      ~entries:(Core.Noise_filter.entries dataset) ~min_rank:4 ()
+      ~entries:(entries dataset) ~min_rank:4 ()
   in
   Alcotest.(check bool) "validated tau is lenient" true
     (s.Core.Auto_threshold.tau > naive.Core.Auto_threshold.tau);
@@ -120,7 +119,7 @@ let test_select_raises_when_unachievable () =
   (try
      ignore
        (Core.Auto_threshold.select ~max_attempts:3 ~category:Core.Category.Branch
-          ~entries:(Core.Noise_filter.entries Core.Category.(dataset Branch))
+          ~entries:(entries Core.Category.(dataset Branch))
           ~min_rank:50 ());
      Alcotest.fail "expected Not_found"
    with Not_found -> ())
@@ -167,6 +166,51 @@ let test_cli_manifest_is_the_real_run () =
   Alcotest.(check (option string)) "recorded tau is the printed one" printed
     (Some recorded)
 
+(* [analyze --reps 3 --auto-tau N] collects the category once, at its
+   own repetitions: the probes re-threshold the run's entries, so the
+   trace has one [dataset-build] per shard, each at reps 3. *)
+let test_cli_auto_tau_collects_once () =
+  let analyze =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/analyze.exe"
+  in
+  List.iter
+    (fun shards ->
+      let trace = Filename.temp_file "auto_tau" ".json" in
+      let code =
+        Sys.command
+          (String.concat " "
+             (List.map Filename.quote
+                [ analyze; "-c"; "branch"; "--reps"; "3"; "--auto-tau"; "4";
+                  "--shards"; string_of_int shards; "--trace"; trace;
+                  "--show"; "summary" ]
+             @ [ "> /dev/null 2>&1" ]))
+      in
+      let text = In_channel.with_open_bin trace In_channel.input_all in
+      Sys.remove trace;
+      Alcotest.(check int) "exit code" 0 code;
+      let events =
+        match Jsonio.of_string text with
+        | Ok (Jsonio.List events) -> events
+        | Ok _ -> Alcotest.fail "trace is not an array"
+        | Error msg -> Alcotest.fail msg
+      in
+      let builds =
+        List.filter_map
+          (fun e ->
+            match (Jsonio.member "name" e, Jsonio.member "ph" e) with
+            | Some (Jsonio.Str "dataset-build"), Some (Jsonio.Str "E") -> (
+              match Option.bind (Jsonio.member "args" e) (Jsonio.member "reps") with
+              | Some (Jsonio.Num reps) -> Some reps
+              | _ -> Some nan)
+            | _ -> None)
+          events
+      in
+      Alcotest.(check (list (float 0.0)))
+        (Printf.sprintf "dataset-build reps, %d shard(s)" shards)
+        (List.init shards (fun _ -> 3.0))
+        builds)
+    [ 1; 2 ]
+
 (* [analyze --csv F --auto-tau N] probes F's dataset, not the
    simulated catalog: on a 40-event dump of cpu-flops the printed tau
    and kept count are those of [select] on those 40 events. *)
@@ -197,7 +241,7 @@ let test_cli_csv_probes_the_csv () =
   Alcotest.(check int) "exit code" 0 code;
   let s =
     Core.Auto_threshold.select ~category:Core.Category.Cpu_flops
-      ~entries:(Core.Noise_filter.entries dataset) ~min_rank:1 ()
+      ~entries:(entries dataset) ~min_rank:1 ()
   in
   Alcotest.(check (option (pair string int))) "tau and kept count of the CSV"
     (Some (Printf.sprintf "%.3e" s.Core.Auto_threshold.tau, s.Core.Auto_threshold.below))
@@ -221,6 +265,8 @@ let () =
           Alcotest.test_case "unachievable rank" `Quick test_select_raises_when_unachievable;
           Alcotest.test_case "CLI manifest is the real run" `Quick
             test_cli_manifest_is_the_real_run;
+          Alcotest.test_case "CLI collects once at --reps" `Quick
+            test_cli_auto_tau_collects_once;
           Alcotest.test_case "CLI --csv probes the CSV" `Quick
             test_cli_csv_probes_the_csv;
         ] );

@@ -406,6 +406,25 @@ let test_typed_errors () =
   check "fields" (Some 2, "expected event,rep,values...")
     (error "event,rep,a\nE1\n")
 
+(* The scanner sums 1 to 15 plain digits that end a field itself;
+   digits followed by a blank or a '\r', and longer runs, take the
+   [float_of_string] path.  Both give the split-based parser's values. *)
+let test_plain_digit_edges () =
+  List.iter
+    (fun (what, text, expected) ->
+      let d = Cat_bench.Dataset.of_reps_csv ~name:"x" text in
+      Alcotest.(check bool) (what ^ ": as the reference") true
+        (same_dataset (reference_of_reps_csv ~name:"x" text) d);
+      let bits v = Array.to_list (Array.map Int64.bits_of_float v) in
+      Alcotest.(check (list int64)) (what ^ ": values") (bits expected)
+        (bits (List.hd (List.hd d.measurements).reps)))
+    [ ("blank", "event,rep,a,b\nE1,0,12 ,7 \n", [| 12.0; 7.0 |]);
+      ("carriage return", "event,rep,a,b\r\nE1,0,12,34\r\n", [| 12.0; 34.0 |]);
+      ("15 digits", "event,rep,a\nE1,0,999999999999999", [| 999999999999999.0 |]);
+      ( "16 digits",
+        "event,rep,a,b\nE1,0,9999999999999999,1234567890123457\n",
+        [| float_of_string "9999999999999999"; 1234567890123457.0 |] ) ]
+
 (* [analyze --csv] reports a refused import on one line and exits 1,
    not through the uncaught-exception handler. *)
 let test_analyze_csv_exit () =
@@ -744,6 +763,7 @@ let () =
             test_cpu_flops_import_pinned;
           Alcotest.test_case "ragged repetitions" `Quick test_ragged_repetitions;
           Alcotest.test_case "typed errors" `Quick test_typed_errors;
+          Alcotest.test_case "plain-digit edges" `Quick test_plain_digit_edges;
           Alcotest.test_case "analyze --csv exit" `Quick test_analyze_csv_exit;
           Alcotest.test_case "analyze --csv pipe" `Quick test_analyze_csv_pipe;
           QCheck_alcotest.to_alcotest prop_scanner_matches_reference;

@@ -532,6 +532,49 @@ let test_two_manifests () =
     check_alone_equal E.Seq pair (run_concurrently E.Seq pair)
   done
 
+(* ------------------------------------------------------------------ *)
+(* The streamed front against the gathered dataset                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The front reduces each event as soon as its repetitions are read
+   ([Dataset.stream] with [Noise_filter.entry]); reducing the gathered
+   dataset afterwards must give the same entries bit for bit, and the
+   front's shard must be the gathered one's. *)
+let prop_front_matches_gathered =
+  let gen =
+    QCheck.Gen.(
+      oneofl categories >>= fun c ->
+      let total = Core.Category.catalog_size c in
+      int_range 0 total >>= fun lo ->
+      int_range lo (min total (lo + 200)) >>= fun hi ->
+      int_range 2 5 >|= fun reps -> (c, { Stage.lo; hi }, reps))
+  in
+  let print (c, range, reps) =
+    Printf.sprintf "%s %s reps=%d" (Core.Category.name c) (Stage.range_pp range)
+      reps
+  in
+  let bits x = Int64.bits_of_float x in
+  let same (a : Core.Noise_filter.entry) (b : Core.Noise_filter.entry) =
+    a.event.Hwsim.Event.name = b.event.Hwsim.Event.name
+    && Int64.equal (bits a.variability) (bits b.variability)
+    && Array.map bits (Linalg.Vec.to_array a.mean)
+       = Array.map bits (Linalg.Vec.to_array b.mean)
+    && a.all_zero = b.all_zero
+  in
+  QCheck.Test.make ~name:"front entries = entries of the gathered dataset"
+    ~count:30 (QCheck.make ~print gen) (fun (c, range, reps) ->
+      let gathered = Stage.collect_shard ~reps c range in
+      let config = { (Stage.default_config c) with Stage.reps } in
+      List.equal same
+        (Cat_bench.Dataset.stream ~reps ~lo:range.lo ~hi:range.hi
+           (Core.Category.bench c) Core.Noise_filter.entry)
+        (List.map Core.Noise_filter.entry gathered.Stage.dataset.measurements)
+      &&
+      match Stage.run_front ~config ~executor:E.Seq c [ range ] with
+      | [ front ] ->
+        Stage.shard_equal front (Stage.classify_shard ~config ~category:c gathered)
+      | _ -> false)
+
 let () =
   let open Alcotest in
   run "stage"
@@ -586,4 +629,9 @@ let () =
                  (Core.Category.name c))
               `Slow (test_jobs_sweep c))
           categories );
+      (* Last: its random repetition counts refill the process-wide
+         dcache activity table, which the concurrency cases expect
+         filled at the default count. *)
+      ( "front",
+        [ QCheck_alcotest.to_alcotest prop_front_matches_gathered ] );
     ]
