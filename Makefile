@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test loc check lint lint-smoke csv-smoke dcache-smoke gpu-smoke bench-smoke bench-linalg bench-shard bench-check bench-check-smoke manifest-smoke shard-smoke progress-smoke par-smoke store-smoke trend-smoke repro examples figures clean
+.PHONY: all build test loc check lint lint-smoke csv-smoke dcache-smoke gpu-smoke bench-shard bench-check bench-check-smoke manifest-smoke shard-smoke progress-smoke par-smoke store-smoke trend-smoke repro examples figures clean
 
 all: build
 
@@ -21,13 +21,15 @@ loc:
 	@printf '%-10s %s\n' "lib vals" \
 	  "$$(cat $$(git ls-files lib | grep -E '\.mli$$') | grep -cE '^ *val ')"
 
-# Single CI entry point: build, full test suite, the static
-# pre-flight lint (must report zero errors on the shipped inputs),
-# an observability smoke run (per-stage timings + counters on one
+# Single CI entry point: build, full test suite, the machine-checked
+# reproduction scorecard (every paper claim must hold), the static
+# pre-flight lint (must report zero errors on the shipped inputs), an
+# observability smoke run (per-stage timings + counters on one
 # category), the provenance explain smoke (one kept + one discarded
 # event per category must produce a coherent decision chain), the
-# machine-checked reproduction scorecard (every paper claim must
-# hold), and the linalg benchmark smoke test.
+# byte-identity and heap-budget smokes, the front benchmark smoke
+# (par-smoke), and the manifest, regression-gate, run-store and trend
+# smokes.
 check:
 	dune build
 	dune runtest
@@ -41,7 +43,6 @@ check:
 	$(MAKE) dcache-smoke
 	$(MAKE) gpu-smoke
 	$(MAKE) par-smoke
-	$(MAKE) bench-smoke
 	$(MAKE) manifest-smoke
 	$(MAKE) bench-check-smoke
 	$(MAKE) store-smoke
@@ -169,22 +170,11 @@ par-smoke:
 	dune exec bench/shard_bench.exe -- --smoke --out /tmp/BENCH_shard_smoke.json
 	dune exec bench/shard_bench.exe -- --check /tmp/BENCH_shard_smoke.json
 
-# Smallest-scale linalg scaling run; fails if BENCH_linalg.json is
-# missing fields or malformed.
-bench-smoke:
-	dune exec bench/linalg_scale.exe -- --smoke --out /tmp/BENCH_linalg_smoke.json
-	dune exec bench/linalg_scale.exe -- --check /tmp/BENCH_linalg_smoke.json
-
-# Full linalg scaling run (1k..8k columns); refreshes
-# bench/BENCH_linalg.json.
-bench-linalg:
-	dune exec bench/linalg_scale.exe -- --out bench/BENCH_linalg.json \
-	  --trajectory bench/TRAJECTORY.jsonl
-
 # Front profile over (category, shards, jobs) points: front and merge
-# times, live heap after the front, chosen counts and the jobs-2
-# speed-up verdicts; refreshes bench/BENCH_shard.json (written before
-# the run exits non-zero on a missed 1.5x verdict with 2+ cores).
+# times, live heap after the front and chosen counts, and the printed
+# jobs-2 speed-up verdicts; refreshes bench/BENCH_shard.json (written
+# before the run exits non-zero on a missed 1.5x verdict with 2+
+# cores).
 bench-shard:
 	dune exec bench/shard_bench.exe -- --out bench/BENCH_shard.json \
 	  --trajectory bench/TRAJECTORY.jsonl
@@ -222,48 +212,41 @@ manifest-smoke:
 	dune exec bin/analyze.exe -- report --diff /tmp/manifest_merge_a.json \
 	  /tmp/manifest_merge_b.json
 
-# Perf-regression gate: full benchmark runs compared against the
+# Perf-regression gate: a full front benchmark run compared against the
 # newest comparable run in the run store when one exists (the
-# checked-in baseline manifests are the empty-store fallback).
+# checked-in bench/BENCH_shard.json is the empty-store fallback).
 # Passing runs are ingested, so the gate accumulates the trajectory
 # `analyze trend` reads, and each appends one line to
 # TRAJECTORY.jsonl (append-only: the committed history is never
 # rewritten).  Non-zero exit on any metric regression or exact-match
 # counter mismatch.
 bench-check:
-	dune exec bench/linalg_scale.exe -- --out /tmp/BENCH_linalg_now.json
-	dune exec bench/bench_check.exe -- --baseline bench/BENCH_linalg.json \
-	  --current /tmp/BENCH_linalg_now.json --from-store --store .analyze/store \
-	  --trajectory bench/TRAJECTORY.jsonl
 	dune exec bench/shard_bench.exe -- --out /tmp/BENCH_shard_now.json
 	dune exec bench/bench_check.exe -- --baseline bench/BENCH_shard.json \
 	  --current /tmp/BENCH_shard_now.json --from-store --store .analyze/store \
 	  --trajectory bench/TRAJECTORY.jsonl
 
-# Fast CI form of the gate: a smoke bench run compared against itself
-# must pass, the checked-in baselines must survive the strict decoder,
-# and an injected slowdown must make the gate fail (proving it fires).
-# A passing gate over a fresh store must append exactly one line to a
-# copy of the committed trajectory and keep every old line
-# byte-identical.
+# Fast CI form of the gate, over the committed front baseline and in a
+# temporary directory: the baseline must survive the strict decoder
+# and pass against itself, a passing gate over a fresh store must
+# append exactly one line to a copy of the committed trajectory and
+# keep every old line byte-identical, and an injected slowdown must
+# make the gate fail (proving it fires).
 bench-check-smoke:
-	dune exec bench/linalg_scale.exe -- --smoke --out /tmp/BENCH_gate_smoke.json
-	dune exec bench/bench_check.exe -- --baseline /tmp/BENCH_gate_smoke.json \
-	  --current /tmp/BENCH_gate_smoke.json
-	dune exec bench/linalg_scale.exe -- --check bench/BENCH_linalg.json
-	dune exec bench/shard_bench.exe -- --check bench/BENCH_shard.json
-	rm -rf /tmp/bench_check_smoke_store
-	cp bench/TRAJECTORY.jsonl /tmp/bench_check_smoke_trajectory.jsonl
-	dune exec bench/bench_check.exe -- --baseline /tmp/BENCH_gate_smoke.json \
-	  --current /tmp/BENCH_gate_smoke.json --from-store \
-	  --store /tmp/bench_check_smoke_store \
-	  --trajectory /tmp/bench_check_smoke_trajectory.jsonl
-	head -c $$(wc -c < bench/TRAJECTORY.jsonl) \
-	  /tmp/bench_check_smoke_trajectory.jsonl | cmp - bench/TRAJECTORY.jsonl
-	test $$(wc -l < /tmp/bench_check_smoke_trajectory.jsonl) \
-	  -eq $$(($$(wc -l < bench/TRAJECTORY.jsonl) + 1))
-	! dune exec bench/bench_check.exe -- --baseline /tmp/BENCH_gate_smoke.json \
-	  --current /tmp/BENCH_gate_smoke.json --inject 1000 > /dev/null 2>&1
+	dune build ./bench/shard_bench.exe ./bench/bench_check.exe
+	dir=$$(mktemp -d) && base=bench/BENCH_shard.json && \
+	./_build/default/bench/shard_bench.exe --check $$base && \
+	./_build/default/bench/bench_check.exe --baseline $$base --current $$base && \
+	cp bench/TRAJECTORY.jsonl $$dir/trajectory.jsonl && \
+	./_build/default/bench/bench_check.exe --baseline $$base --current $$base \
+	  --from-store --store $$dir/store --trajectory $$dir/trajectory.jsonl && \
+	head -c $$(wc -c < bench/TRAJECTORY.jsonl) $$dir/trajectory.jsonl \
+	  | cmp - bench/TRAJECTORY.jsonl && \
+	test $$(wc -l < $$dir/trajectory.jsonl) \
+	  -eq $$(($$(wc -l < bench/TRAJECTORY.jsonl) + 1)) && \
+	! ./_build/default/bench/bench_check.exe --baseline $$base --current $$base \
+	  --inject 1000 > /dev/null 2>&1; \
+	status=$$?; rm -rf $$dir; exit $$status
 
 # Run-store smoke: pipeline runs accumulate in a scratch store as
 # distinct trajectory points (one with --progress, whose heartbeats

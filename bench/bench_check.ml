@@ -1,7 +1,8 @@
 (* Performance-regression gate over bench manifests.
 
    Compares a current run manifest against a baseline using the shared
-   Bench_report policy: every metric present in both must satisfy
+   Bench_report policy (Obs.Trend.default_threshold): every metric
+   present in both must satisfy
        current <= max(baseline * ratio, baseline + slack_ms)
    and every counter present in both must match exactly.  Exits
    non-zero on any regression or counter mismatch — the `make
@@ -10,8 +11,6 @@
    Usage:
      bench_check --current FILE
                  (--baseline FILE | --from-store) [--store DIR]
-                 [--ratio R] [--slack-ms S]
-                 [--threshold NAME=RATIO[:SLACK_MS]]...
                  [--inject MS] [--trajectory FILE]
 
    The baseline is either a checked-in manifest file (--baseline) or
@@ -21,7 +20,6 @@
    comparison, so repeated gate runs accumulate the trajectory the
    `analyze trend` command reads.
 
-   [--threshold] overrides the policy for one metric (repeatable).
    [--inject MS] adds MS to every current metric before comparing —
    the self-test that proves the gate actually fires (used by
    bench-check-smoke).  [--trajectory FILE] appends the current
@@ -29,39 +27,9 @@
    is never rewritten, so a local store cannot replace the committed
    history. *)
 
-let parse_threshold spec =
-  match String.index_opt spec '=' with
-  | None ->
-    raise (Arg.Bad (Printf.sprintf "--threshold %S: expected NAME=RATIO[:SLACK_MS]" spec))
-  | Some i ->
-    let name = String.sub spec 0 i in
-    let rest = String.sub spec (i + 1) (String.length spec - i - 1) in
-    let ratio_s, slack_s =
-      match String.index_opt rest ':' with
-      | None -> (rest, None)
-      | Some j ->
-        ( String.sub rest 0 j,
-          Some (String.sub rest (j + 1) (String.length rest - j - 1)) )
-    in
-    let num what s =
-      match float_of_string_opt s with
-      | Some v when Float.is_finite v && v >= 0.0 -> v
-      | _ -> raise (Arg.Bad (Printf.sprintf "--threshold %S: bad %s" spec what))
-    in
-    let ratio = num "ratio" ratio_s in
-    let slack_ms =
-      match slack_s with
-      | None -> Obs.Trend.default_threshold.slack_ms
-      | Some s -> num "slack" s
-    in
-    (name, { Obs.Trend.ratio; slack_ms })
-
 let () =
   let baseline = ref "" in
   let current = ref "" in
-  let ratio = ref Obs.Trend.default_threshold.ratio in
-  let slack = ref Obs.Trend.default_threshold.slack_ms in
-  let thresholds = ref [] in
   let inject = ref 0.0 in
   let trajectory = ref "" in
   let store = ref "" in
@@ -70,11 +38,6 @@ let () =
     [
       ("--baseline", Arg.Set_string baseline, "FILE baseline manifest");
       ("--current", Arg.Set_string current, "FILE current manifest");
-      ("--ratio", Arg.Set_float ratio, "R default allowed current/baseline ratio");
-      ("--slack-ms", Arg.Set_float slack, "S default absolute slack in ms");
-      ( "--threshold",
-        Arg.String (fun s -> thresholds := parse_threshold s :: !thresholds),
-        "NAME=RATIO[:SLACK_MS] per-metric override (repeatable)" );
       ( "--inject",
         Arg.Set_float inject,
         "MS add MS to every current metric (gate self-test)" );
@@ -177,11 +140,7 @@ let () =
               cur.Obs.Manifest.metrics;
         }
     in
-    let c =
-      Bench_report.compare_manifests
-        ~default:{ Obs.Trend.ratio = !ratio; slack_ms = !slack }
-        ~thresholds:!thresholds ~baseline:base compared
-    in
+    let c = Bench_report.compare_manifests ~baseline:base compared in
     print_string (Bench_report.render_comparison c);
     if Bench_report.passed c then begin
       Printf.printf "bench_check: ok (%d metrics within thresholds)\n"

@@ -3,33 +3,27 @@
    manifest (source "bench:*") through [main], and regression checking
    compares two manifests metric by metric.
 
-   Shared by linalg_scale, shard_bench and the bench_check gate, so
-   there is exactly one notion of "what a bench records", one command
-   line, and one regression policy (Obs.Trend's, which `analyze trend`
-   applies too):
+   Shared by shard_bench and the bench_check gate, so there is exactly
+   one notion of "what a bench records", one command line, and one
+   regression policy, Obs.Trend.default_threshold (which `analyze
+   trend` applies too):
 
    - a metric (a wall-time or memory measurement) regresses when
        current > max(baseline * ratio, baseline + slack_ms)
-     with a deliberately loose default (ratio 3.0, slack 5 ms) so the
-     gate survives machine-to-machine variance while still catching
-     order-of-magnitude regressions; per-metric overrides tighten it
-     where a metric is stable;
-   - counters present in both manifests (ranks, chosen-event counts,
-     catalog sizes, speed-up verdicts) must match exactly — they are
+     with a deliberately loose ratio 3.0 and slack 5 ms, so the gate
+     survives machine-to-machine variance while still catching
+     order-of-magnitude regressions;
+   - counters present in both manifests (chosen-event counts and
+     other facts of the result) must match exactly — they are
      correctness, not timing. *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 (* ------------------------------------------------------------------ *)
 (* Manifest I/O                                                        *)
 (* ------------------------------------------------------------------ *)
 
 let load_manifest path =
-  match Jsonio.of_string (read_file path) with
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  match Jsonio.of_string text with
   | Error msg -> Error (Printf.sprintf "%s: not JSON: %s" path msg)
   | Ok j -> (
     match Obs.Manifest.of_json j with
@@ -37,10 +31,7 @@ let load_manifest path =
     | Ok m -> Ok m)
 
 let write_manifest path m =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
+  Out_channel.with_open_bin path (fun oc ->
       output_string oc (Jsonio.to_string (Obs.Manifest.to_json m) ^ "\n"))
 
 (* A bench's own manifest: it must decode strictly, come from
@@ -140,20 +131,15 @@ type comparison = {
       (* counters present in both but unequal *)
 }
 
-(* [thresholds] maps metric name -> override; everything else uses
-   [default]. *)
-let compare_manifests ?(default = Obs.Trend.default_threshold)
-    ?(thresholds = []) ~(baseline : Obs.Manifest.t) (current : Obs.Manifest.t) =
-  let threshold_for name =
-    Option.value (List.assoc_opt name thresholds) ~default
-  in
+let compare_manifests ~(baseline : Obs.Manifest.t) (current : Obs.Manifest.t)
+    =
   let verdicts =
     List.filter_map
       (fun (name, base) ->
         Option.map
           (fun cur ->
             let limit =
-              Obs.Trend.limit_of ~threshold:(threshold_for name) base
+              Obs.Trend.limit_of ~threshold:Obs.Trend.default_threshold base
             in
             {
               metric = name;
@@ -221,9 +207,9 @@ let render_comparison c =
 (* ------------------------------------------------------------------ *)
 
 (* What one bench run measured.  [counters] are exact-match facts
-   computed outside the Obs counter machinery (ranks, chosen counts,
-   verdicts); [failure] is the verdict a run can fail, reported only
-   after its manifest is written. *)
+   computed outside the Obs counter machinery (chosen counts);
+   [failure] is the verdict a run can fail, reported only after its
+   manifest is written. *)
 type outcome = {
   config : (string * string) list;
   metrics : (string * float) list;

@@ -87,9 +87,21 @@ let obs_term =
     const (fun trace stats progress -> (trace, stats, progress))
     $ trace_file $ stats_flag $ progress_flag)
 
-(* [f] receives the Summary sink (when --stats) so it can reset and
-   render per phase; with [render_stats] (the default) the accumulated
-   table is printed once after [f] instead. *)
+(* [f ()] under a fresh Recorder when [stats]: its result, and the
+   recorder's --stats table if one was kept. *)
+let recording stats f =
+  if not stats then (f (), None)
+  else begin
+    let r = Obs.Recorder.create () in
+    let sink = Obs.Recorder.sink r in
+    Obs.install sink;
+    let x = Fun.protect ~finally:(fun () -> Obs.uninstall sink) f in
+    (x, Some (Obs.Recorder.render r))
+  end
+
+(* With [render_stats] (the default) one --stats table covers all of
+   [f] and is printed after it; without, [f] records its own tables
+   (one per category, see [run_category]). *)
 let with_obs ?(render_stats = true) (trace, stats, progress) f =
   let chrome =
     Option.map
@@ -99,23 +111,12 @@ let with_obs ?(render_stats = true) (trace, stats, progress) f =
         c)
       trace
   in
-  let summary =
-    if stats then begin
-      let s = Obs.Summary.create () in
-      Obs.install (Obs.Summary.sink s);
-      Some s
-    end
-    else None
-  in
-  let run () = f ~summary in
-  let result =
+  let run () = recording (stats && render_stats) f in
+  let result, table =
     if progress then Obs.with_progress (Obs.Progress.create ()) run
     else run ()
   in
-  if render_stats then
-    Option.iter
-      (fun s -> Printf.printf "Stage stats:\n%s" (Obs.Summary.render s))
-      summary;
+  Option.iter (Printf.printf "Stage stats:\n%s") table;
   (match (trace, chrome) with
   | Some path, Some c -> (
     try
@@ -226,7 +227,7 @@ let gated_emitter ?manifest category =
       (fun emit m -> emit { m with Obs.Manifest.lint = Some lint })
       manifest
 
-let run_category ?csv ?auto_tau ?summary ?manifest ~preflight ~executor
+let run_category ?csv ?auto_tau ?manifest ~stats ~preflight ~executor
     ~shards ~tau ~alpha ~proj_tol ~reps ~sections category =
   (* The gate lints once, before anything runs (the auto-tau probes
      included; a --csv dataset alone is not gated).  Only the
@@ -269,14 +270,12 @@ let run_category ?csv ?auto_tau ?summary ?manifest ~preflight ~executor
       auto_tau
   in
   let config = config_of ~tau ~alpha ~proj_tol ~reps category in
-  (* Counters restart per category so --stats matches this category's
-     filter summary exactly (the auto-tau probes are not observed). *)
-  Option.iter
-    (fun s ->
-      Obs.Summary.reset s;
-      Obs.reset_counters ())
-    summary;
-  let r =
+  (* Each category's --stats table is its own recorder, and counters
+     restart per category, so it matches this category's filter
+     summary exactly (the auto-tau probes are not observed). *)
+  if stats then Obs.reset_counters ();
+  let r, table =
+    recording stats @@ fun () ->
     match csv with
     | None ->
       Core.Pipeline.run ~config ?select ~shards ~executor ?manifest:gated
@@ -287,10 +286,8 @@ let run_category ?csv ?auto_tau ?summary ?manifest ~preflight ~executor
   in
   print_sections ~sections category r;
   Option.iter
-    (fun s ->
-      Printf.printf "Stage stats for %s:\n%s" (Core.Category.name category)
-        (Obs.Summary.render s))
-    summary;
+    (Printf.printf "Stage stats for %s:\n%s" (Core.Category.name category))
+    table;
   print_newline ()
 
 let main category tau alpha proj_tol reps sections csv auto_tau obs manifest
@@ -315,9 +312,10 @@ let main category tau alpha proj_tol reps sections csv auto_tau obs manifest
     exit 2
   | _ -> ());
   let manifest = Obs_cli.emitter ~command:"analyze" ?manifest ?store () in
-  with_obs ~render_stats:false obs (fun ~summary ->
+  let _, stats, _ = obs in
+  with_obs ~render_stats:false obs (fun () ->
       let run =
-        run_category ?auto_tau ?summary ?manifest ~preflight ~executor ~shards
+        run_category ?auto_tau ?manifest ~stats ~preflight ~executor ~shards
           ~tau ~alpha ~proj_tol ~reps ~sections
       in
       match (csv, category) with
@@ -426,7 +424,7 @@ let smoke_category ?(shards = 1) ~executor category =
 
 let explain_main category event all fate json smoke shards jobs obs =
   let executor = executor_of_jobs ~shards jobs in
-  with_obs obs @@ fun ~summary:_ ->
+  with_obs obs @@ fun () ->
   let module L = Provenance.Ledger in
   if smoke then begin
     let categories =
@@ -529,7 +527,7 @@ let explain_cmd =
 (* ------------------------------------------------------------------ *)
 
 let shard_main category index shards out tau alpha proj_tol reps obs =
-  with_obs obs @@ fun ~summary:_ ->
+  with_obs obs @@ fun () ->
   let category =
     match category with
     | Some c -> c
@@ -606,7 +604,7 @@ let shard_cmd =
       $ proj_tol $ reps $ obs_term)
 
 let merge_main files sections json manifest store obs =
-  with_obs obs @@ fun ~summary:_ ->
+  with_obs obs @@ fun () ->
   let sections = String.split_on_char ',' sections |> List.map String.trim in
   if files = [] then begin
     prerr_endline "analyze merge: give the shard artifact FILEs to merge";
@@ -616,9 +614,11 @@ let merge_main files sections json manifest store obs =
   let shards =
     List.map
       (fun path ->
-        let text = try Obs_cli.read_file path with Sys_error msg ->
-          Printf.eprintf "analyze merge: %s\n" msg;
-          exit 1
+        let text =
+          try In_channel.with_open_bin path In_channel.input_all
+          with Sys_error msg ->
+            Printf.eprintf "analyze merge: %s\n" msg;
+            exit 1
         in
         match Jsonio.of_string text with
         | Error msg ->
@@ -704,7 +704,7 @@ let severity_conv =
         Format.pp_print_string ppf (Core.Diagnostic.severity_name s) )
 
 let lint_main category severity json rules_flag quiet obs =
-  with_obs obs @@ fun ~summary:_ ->
+  with_obs obs @@ fun () ->
   if rules_flag then print_string (Check.rules_table ())
   else begin
     let diagnostics =
@@ -1137,7 +1137,7 @@ let trace_main category shards folded obs =
     prerr_endline "analyze trace: give --folded FILE and/or --trace FILE";
     exit 2
   end;
-  with_obs obs @@ fun ~summary:_ ->
+  with_obs obs @@ fun () ->
   let run () = ignore (Core.Pipeline.run ~shards category) in
   match folded with
   | None -> run ()

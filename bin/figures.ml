@@ -17,9 +17,7 @@ let gnuplot_dir =
 
 let write_file dir name contents =
   let path = Filename.concat dir name in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
-      output_string oc contents);
+  Out_channel.with_open_text path (fun oc -> output_string oc contents);
   Printf.printf "wrote %s\n" path
 
 let category_of_fig = function

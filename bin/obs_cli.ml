@@ -5,19 +5,10 @@
    naming, store ingestion and messages are identical across analyze,
    ablations and reproduce. *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let write_file ~what path text =
   if path = "-" then print_string text
   else begin
-    let oc = open_out_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc text);
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
     Printf.eprintf "%s written to %s\n" what path
   end
 
@@ -78,7 +69,10 @@ let load_manifest ~command path =
     Printf.eprintf "%s: %s: %s\n" command path msg;
     exit 1
   in
-  let text = try read_file path with Sys_error msg -> fail msg in
+  let text =
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error msg -> fail msg
+  in
   match Jsonio.of_string text with
   | Error msg -> fail ("not JSON: " ^ msg)
   | Ok j -> (

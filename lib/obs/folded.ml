@@ -73,7 +73,4 @@ let contents t =
   Buffer.contents buf
 
 let write_file t path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (contents t))
+  Out_channel.with_open_bin path (fun oc -> output_string oc (contents t))

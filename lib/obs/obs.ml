@@ -1,7 +1,6 @@
 module Sink = Sink
 module Clock = Clock
 module Chrome_trace = Chrome_trace
-module Summary = Summary
 module Memory = Memory
 module Histogram = Histogram
 module Gc_sample = Gc_sample

@@ -10,8 +10,9 @@
       uninstrumented code;
     - {!Sink.null}: the full recording path runs but nothing is kept
       (the inertness reference for tests);
-    - {!Summary}: per-span timing aggregates plus counter totals,
-      rendered as a plain-text table;
+    - {!Recorder}: per-span timing aggregates, counter totals and
+      gauges — what a run manifest snapshots and [--stats] renders as
+      a plain-text table;
     - {!Chrome_trace}: a [chrome://tracing]-loadable JSON trace.
 
     Instrumentation discipline for hot paths: guard anything that
@@ -33,7 +34,6 @@
 module Sink = Sink
 module Clock = Clock
 module Chrome_trace = Chrome_trace
-module Summary = Summary
 module Memory = Memory
 module Histogram = Histogram
 module Gc_sample = Gc_sample

@@ -1,12 +1,12 @@
 (* The manifest-feeding sink: per-span-name timing aggregates with a
    fixed-bucket duration histogram and accumulated GC deltas, plus
    counter deltas and last-write-wins gauges — everything a run
-   manifest snapshots, in structured (not rendered) form.
+   manifest snapshots, in structured form, and [render]s as the
+   [--stats] table.
 
-   Unlike [Summary] (a human-readable table), the recorder keeps the
-   full distribution of each span's durations and samples the GC
-   around every span, so per-stage allocation attributes to the stage
-   that allocated. *)
+   The recorder keeps the full distribution of each span's durations
+   and samples the GC around every span, so per-stage allocation
+   attributes to the stage that allocated. *)
 
 type span_agg = {
   mutable count : int;
@@ -90,3 +90,33 @@ let counters t =
 let gauges t =
   Hashtbl.fold (fun name c acc -> (name, !c) :: acc) t.gauges []
   |> List.sort compare
+
+let render t =
+  let buf = Buffer.create 1024 in
+  let ms ns = ns /. 1e6 in
+  let by_total =
+    List.stable_sort (fun (_, a) (_, b) -> compare b.total_ns a.total_ns)
+      (spans t)
+  in
+  if by_total <> [] then begin
+    Printf.bprintf buf "%-28s %6s %10s %10s %10s %10s\n" "span" "count"
+      "total ms" "mean ms" "min ms" "max ms";
+    List.iter
+      (fun (name, a) ->
+        Printf.bprintf buf "%-28s %6d %10.3f %10.3f %10.3f %10.3f\n" name
+          a.count (ms a.total_ns)
+          (ms a.total_ns /. float_of_int a.count)
+          (ms a.min_ns) (ms a.max_ns))
+      by_total
+  end;
+  let table title rows =
+    if rows <> [] then begin
+      Printf.bprintf buf "%s\n" title;
+      List.iter
+        (fun (name, v) -> Printf.bprintf buf "  %-34s %14g\n" name v)
+        rows
+    end
+  in
+  table "counters:" (counters t);
+  table "gauges:" (gauges t);
+  Buffer.contents buf

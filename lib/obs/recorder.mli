@@ -26,3 +26,9 @@ val counters : t -> (string * float) list
 
 val gauges : t -> (string * float) list
 (** Last-write-wins gauge levels, sorted by name. *)
+
+val render : t -> string
+(** The [--stats] table: one row per span name (count, total, mean,
+    min and max ms; total descending, then name), then the
+    [counters:] and [gauges:] sections.  Empty if nothing was
+    recorded. *)

@@ -36,20 +36,11 @@ let index_path root = Filename.concat root "index.json"
 let runs_dir root = Filename.concat root "runs"
 let run_path root e = Filename.concat (runs_dir root) e.file
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Atomic-enough writes: temp file in the same directory, then rename,
    so a crash mid-write never leaves a half-written index. *)
 let write_file_atomic path text =
   let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc text);
+  Out_channel.with_open_bin tmp (fun oc -> output_string oc text);
   Sys.rename tmp path
 
 (* The canonical line rendering an entry contributes to the index
@@ -171,7 +162,8 @@ let persist t =
 let open_store ?(create = false) root =
   let idx = index_path root in
   if Sys.file_exists idx then begin
-    match Jsonio.of_string (read_file idx) with
+    let text = In_channel.with_open_bin idx In_channel.input_all in
+    match Jsonio.of_string text with
     | Error msg -> Error (Printf.sprintf "%s: not JSON: %s" idx msg)
     | Ok j -> (
       match index_of_json root j with
@@ -233,7 +225,7 @@ let query ?config_digest ?source ?label t =
 
 let load t e =
   let path = run_path t.root e in
-  match read_file path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error msg
   | text ->
     let hash = Manifest.fnv64_hex text in

@@ -293,6 +293,64 @@ let test_manifest_totals_are_ledger_totals () =
     (List.assoc_opt "unrepresentable" m.M.totals)
 
 (* ------------------------------------------------------------------ *)
+(* The --stats table                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* [analyze --stats] renders a Recorder: a recorder installed around a
+   manifest-recording run must render one row per span the manifest
+   lists, with its count, total time descending, and the manifest's
+   counters line for line. *)
+let test_stats_table_is_manifest () =
+  with_clean_state @@ fun () ->
+  let r = Obs.Recorder.create () in
+  Obs.install (Obs.Recorder.sink r);
+  let m, _ = capture_pipeline_manifest Core.Category.Branch in
+  Obs.clear ();
+  let lines =
+    String.split_on_char '\n' (Obs.Recorder.render r)
+    |> List.filter (( <> ) "")
+  in
+  let words l = String.split_on_char ' ' l |> List.filter (( <> ) "") in
+  let rec split_at title acc = function
+    | l :: rest when l = title -> (List.rev acc, rest)
+    | l :: rest -> split_at title (l :: acc) rest
+    | [] -> (List.rev acc, [])
+  in
+  let table, counter_lines = split_at "counters:" [] lines in
+  match table with
+  | [] -> Alcotest.fail "no span table"
+  | header :: rows ->
+    Alcotest.(check (list string))
+      "header"
+      [ "span"; "count"; "total"; "ms"; "mean"; "ms"; "min"; "ms"; "max"; "ms" ]
+      (words header);
+    let rows =
+      List.map
+        (fun l ->
+          match words l with
+          | [ name; count; total; _; _; _ ] ->
+            (name, int_of_string count, float_of_string total)
+          | _ -> Alcotest.failf "malformed row %S" l)
+        rows
+    in
+    Alcotest.(check (list (pair string int)))
+      "one row per manifest span, same count"
+      (List.map (fun (s : M.span_stat) -> (s.M.span, s.M.count)) m.M.spans)
+      (List.sort compare (List.map (fun (n, c, _) -> (n, c)) rows));
+    let totals = List.map (fun (_, _, t) -> t) rows in
+    Alcotest.(check (list (float 0.0)))
+      "total descending"
+      (List.sort (fun a b -> compare b a) totals)
+      totals;
+    Alcotest.(check bool) "counters recorded" true (m.M.counters <> []);
+    Alcotest.(check (list string))
+      "counter lines are the manifest's counters"
+      (List.map
+         (fun (name, v) -> Printf.sprintf "  %-34s %14g" name v)
+         m.M.counters)
+      counter_lines
+
+(* ------------------------------------------------------------------ *)
 (* Inertness                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -343,6 +401,11 @@ let () =
         [
           test_case "sharded manifest coherent" `Quick
             test_sharded_manifest_coherent;
+        ] );
+      ( "stats",
+        [
+          test_case "table is the manifest's aggregate" `Quick
+            test_stats_table_is_manifest;
         ] );
       ( "inertness",
         [ test_case "no hook, no effect" `Quick test_inert_without_emitter ] );

@@ -493,9 +493,14 @@ let check_alone_equal executor categories par =
           (Obs.Manifest.render_changes nt))
     categories par
 
-(* Every category once first: the run that fills the process-wide
-   activity tables records their simulations, later runs do not. *)
-let warm categories = List.iter (fun c -> ignore (default_run c)) categories
+(* Every category's process-wide activity tables at the default
+   repetition count first: the run that fills them records their
+   simulations, later runs do not. *)
+let warm categories =
+  List.iter
+    (Core.Category.prewarm ~executor:E.Seq
+       ~reps:Cat_bench.Dataset.default_reps)
+    categories
 
 let run_concurrently executor categories =
   List.map
@@ -629,9 +634,6 @@ let () =
                  (Core.Category.name c))
               `Slow (test_jobs_sweep c))
           categories );
-      (* Last: its random repetition counts refill the process-wide
-         dcache activity table, which the concurrency cases expect
-         filled at the default count. *)
       ( "front",
         [ QCheck_alcotest.to_alcotest prop_front_matches_gathered ] );
     ]
