@@ -56,37 +56,46 @@ lint:
 	dune exec bin/analyze.exe -- lint
 
 # CI form: quiet text pass plus a JSON report round-tripped through
-# the strict parser (the lint subcommand re-reads what it wrote).
+# the strict parser (the lint subcommand re-reads what it wrote).  Like
+# every smoke below that writes files, it writes them to a temporary
+# directory of its own, removed on exit with the exit status kept, so
+# two runs at once do not touch each other's files.
 lint-smoke:
 	dune exec bin/analyze.exe -- lint --severity warn
-	dune exec bin/analyze.exe -- lint --quiet --json /tmp/lint_report.json
+	dir=$$(mktemp -d) && \
+	dune exec bin/analyze.exe -- lint --quiet --json $$dir/lint_report.json; \
+	status=$$?; rm -rf $$dir; exit $$status
 
 # A two-shard run must be byte-identical to the plain (one-shard) run —
 # both in-process (--shards) and through serialized shard artifacts
 # (shard ... | merge).  cmp, not diff: byte-identical is the contract.
 shard-smoke:
+	dir=$$(mktemp -d) && \
 	dune exec bin/analyze.exe -- -c branch --show summary,chosen,metrics \
-	  > /tmp/shard_smoke_mono.txt
+	  > $$dir/mono.txt && \
 	dune exec bin/analyze.exe -- -c branch --shards 2 --show summary,chosen,metrics \
-	  > /tmp/shard_smoke_inproc.txt
-	cmp /tmp/shard_smoke_mono.txt /tmp/shard_smoke_inproc.txt
-	dune exec bin/analyze.exe -- shard branch --index 0 --shards 2 -o /tmp/shard_smoke_0.json
-	dune exec bin/analyze.exe -- shard branch --index 1 --shards 2 -o /tmp/shard_smoke_1.json
-	dune exec bin/analyze.exe -- merge /tmp/shard_smoke_0.json /tmp/shard_smoke_1.json \
-	  --show summary,chosen,metrics > /tmp/shard_smoke_merged.txt
-	cmp /tmp/shard_smoke_mono.txt /tmp/shard_smoke_merged.txt
+	  > $$dir/inproc.txt && \
+	cmp $$dir/mono.txt $$dir/inproc.txt && \
+	dune exec bin/analyze.exe -- shard branch --index 0 --shards 2 -o $$dir/0.json && \
+	dune exec bin/analyze.exe -- shard branch --index 1 --shards 2 -o $$dir/1.json && \
+	dune exec bin/analyze.exe -- merge $$dir/0.json $$dir/1.json \
+	  --show summary,chosen,metrics > $$dir/merged.txt && \
+	cmp $$dir/mono.txt $$dir/merged.txt; \
+	status=$$?; rm -rf $$dir; exit $$status
 
 # Live progress from worker domains: a two-shard dcache run on two
 # domains with --progress must print byte-identical stdout to the same
 # run without it, and its stderr must carry heartbeats (the shard taps
 # reach the run's progress handle from inside pool tasks).
 progress-smoke:
+	dir=$$(mktemp -d) && \
 	dune exec bin/analyze.exe -- -c dcache --shards 2 --jobs 2 --show summary \
-	  > /tmp/progress_smoke_quiet.txt
+	  > $$dir/quiet.txt && \
 	dune exec bin/analyze.exe -- -c dcache --shards 2 --jobs 2 --progress \
-	  --show summary > /tmp/progress_smoke_live.txt 2> /tmp/progress_smoke_err.txt
-	cmp /tmp/progress_smoke_quiet.txt /tmp/progress_smoke_live.txt
-	grep -q '^progress:' /tmp/progress_smoke_err.txt
+	  --show summary > $$dir/live.txt 2> $$dir/err.txt && \
+	cmp $$dir/quiet.txt $$dir/live.txt && \
+	grep -q '^progress:' $$dir/err.txt; \
+	status=$$?; rm -rf $$dir; exit $$status
 
 # The streamed CSV import at the paper's scale: the seeded 20,000-event
 # dump of the repository benchmark (perfbench/probe.exe gen-csv 1,
@@ -159,16 +168,18 @@ gpu-smoke:
 # shards {1,2} x jobs {1,2}, which exits non-zero when the two-shard
 # front misses its 1.5x jobs-2 speed-up on a host with 2+ cores.
 par-smoke:
-	for c in cpu-flops gpu-flops branch dcache; do \
+	dir=$$(mktemp -d) && \
+	(for c in cpu-flops gpu-flops branch dcache; do \
 	  dune exec bin/analyze.exe -- -c $$c --shards 3 --jobs 1 \
-	    --show summary,chosen,metrics > /tmp/par_smoke_seq.txt && \
+	    --show summary,chosen,metrics > $$dir/seq.txt && \
 	  dune exec bin/analyze.exe -- -c $$c --shards 3 --jobs 4 \
-	    --show summary,chosen,metrics > /tmp/par_smoke_par.txt && \
-	  cmp /tmp/par_smoke_seq.txt /tmp/par_smoke_par.txt || exit 1; \
-	done
-	! dune exec bin/analyze.exe -- -c branch --jobs 0 --show summary 2> /dev/null
-	dune exec bench/shard_bench.exe -- --smoke --out /tmp/BENCH_shard_smoke.json
-	dune exec bench/shard_bench.exe -- --check /tmp/BENCH_shard_smoke.json
+	    --show summary,chosen,metrics > $$dir/par.txt && \
+	  cmp $$dir/seq.txt $$dir/par.txt || exit 1; \
+	done) && \
+	! dune exec bin/analyze.exe -- -c branch --jobs 0 --show summary 2> /dev/null && \
+	dune exec bench/shard_bench.exe -- --smoke --out $$dir/BENCH_shard_smoke.json && \
+	dune exec bench/shard_bench.exe -- --check $$dir/BENCH_shard_smoke.json; \
+	status=$$?; rm -rf $$dir; exit $$status
 
 # Front profile over (category, shards, jobs) points: front and merge
 # times, live heap after the front and chosen counts, and the printed
@@ -187,30 +198,32 @@ bench-shard:
 # --diff` must exit zero (no non-timing differences).  The gated run's
 # manifest must carry the pre-flight lint summary.
 manifest-smoke:
+	dir=$$(mktemp -d) && \
 	dune exec bin/analyze.exe -- -c branch --show summary \
-	  --manifest /tmp/manifest_a.json
+	  --manifest $$dir/a.json && \
 	dune exec bin/analyze.exe -- -c branch --show summary \
-	  --manifest /tmp/manifest_b.json
-	dune exec bin/analyze.exe -- report /tmp/manifest_a.json
-	dune exec bin/analyze.exe -- report --diff /tmp/manifest_a.json /tmp/manifest_b.json
+	  --manifest $$dir/b.json && \
+	dune exec bin/analyze.exe -- report $$dir/a.json && \
+	dune exec bin/analyze.exe -- report --diff $$dir/a.json $$dir/b.json && \
 	dune exec bin/analyze.exe -- -c branch --shards 2 --jobs 2 --preflight \
-	  --show summary --manifest /tmp/manifest_gated_a.json
+	  --show summary --manifest $$dir/gated_a.json && \
 	dune exec bin/analyze.exe -- -c branch --shards 2 --jobs 2 --preflight \
-	  --show summary --manifest /tmp/manifest_gated_b.json
-	dune exec bin/analyze.exe -- report --diff /tmp/manifest_gated_a.json \
-	  /tmp/manifest_gated_b.json
-	dune exec bin/analyze.exe -- report /tmp/manifest_gated_a.json \
-	  | grep -q '^lint: 0 error(s)'
+	  --show summary --manifest $$dir/gated_b.json && \
+	dune exec bin/analyze.exe -- report --diff $$dir/gated_a.json \
+	  $$dir/gated_b.json && \
+	dune exec bin/analyze.exe -- report $$dir/gated_a.json \
+	  | grep -q '^lint: 0 error(s)' && \
 	dune exec bin/analyze.exe -- shard branch --index 0 --shards 2 \
-	  -o /tmp/manifest_shard_0.json
+	  -o $$dir/shard_0.json && \
 	dune exec bin/analyze.exe -- shard branch --index 1 --shards 2 \
-	  -o /tmp/manifest_shard_1.json
-	dune exec bin/analyze.exe -- merge /tmp/manifest_shard_0.json \
-	  /tmp/manifest_shard_1.json --show summary --manifest /tmp/manifest_merge_a.json
-	dune exec bin/analyze.exe -- merge /tmp/manifest_shard_0.json \
-	  /tmp/manifest_shard_1.json --show summary --manifest /tmp/manifest_merge_b.json
-	dune exec bin/analyze.exe -- report --diff /tmp/manifest_merge_a.json \
-	  /tmp/manifest_merge_b.json
+	  -o $$dir/shard_1.json && \
+	dune exec bin/analyze.exe -- merge $$dir/shard_0.json \
+	  $$dir/shard_1.json --show summary --manifest $$dir/merge_a.json && \
+	dune exec bin/analyze.exe -- merge $$dir/shard_0.json \
+	  $$dir/shard_1.json --show summary --manifest $$dir/merge_b.json && \
+	dune exec bin/analyze.exe -- report --diff $$dir/merge_a.json \
+	  $$dir/merge_b.json; \
+	status=$$?; rm -rf $$dir; exit $$status
 
 # Perf-regression gate: a full front benchmark run compared against the
 # newest comparable run in the run store when one exists (the
@@ -221,10 +234,12 @@ manifest-smoke:
 # rewritten).  Non-zero exit on any metric regression or exact-match
 # counter mismatch.
 bench-check:
-	dune exec bench/shard_bench.exe -- --out /tmp/BENCH_shard_now.json
+	dir=$$(mktemp -d) && \
+	dune exec bench/shard_bench.exe -- --out $$dir/BENCH_shard_now.json && \
 	dune exec bench/bench_check.exe -- --baseline bench/BENCH_shard.json \
-	  --current /tmp/BENCH_shard_now.json --from-store --store .analyze/store \
-	  --trajectory bench/TRAJECTORY.jsonl
+	  --current $$dir/BENCH_shard_now.json --from-store --store .analyze/store \
+	  --trajectory bench/TRAJECTORY.jsonl; \
+	status=$$?; rm -rf $$dir; exit $$status
 
 # Fast CI form of the gate, over the committed front baseline and in a
 # temporary directory: the baseline must survive the strict decoder
@@ -255,39 +270,41 @@ bench-check-smoke:
 # --baseline store` auto-selects the previous comparable run (exit 0:
 # no non-timing drift).
 store-smoke:
-	rm -rf /tmp/analyze_store_smoke
+	dir=$$(mktemp -d) && \
 	dune exec bin/analyze.exe -- -c branch --show summary \
-	  --store /tmp/analyze_store_smoke
+	  --store $$dir/store && \
 	dune exec bin/analyze.exe -- -c branch --show summary --progress \
-	  --store /tmp/analyze_store_smoke
+	  --store $$dir/store && \
 	dune exec bin/analyze.exe -- -c branch --show summary \
-	  --manifest /tmp/store_smoke_c.json --store /tmp/analyze_store_smoke
-	dune exec bin/analyze.exe -- store ls --store /tmp/analyze_store_smoke
-	dune exec bin/analyze.exe -- store ingest /tmp/store_smoke_c.json \
-	  --store /tmp/analyze_store_smoke | grep -q "identical run already stored"
-	dune exec bin/analyze.exe -- report /tmp/store_smoke_c.json \
-	  --baseline store --store /tmp/analyze_store_smoke
+	  --manifest $$dir/c.json --store $$dir/store && \
+	dune exec bin/analyze.exe -- store ls --store $$dir/store && \
+	dune exec bin/analyze.exe -- store ingest $$dir/c.json \
+	  --store $$dir/store | grep -q "identical run already stored" && \
+	dune exec bin/analyze.exe -- report $$dir/c.json \
+	  --baseline store --store $$dir/store; \
+	status=$$?; rm -rf $$dir; exit $$status
 
 # Cross-run trend smoke: three stored runs of one config must pass
 # the trend gate (table and JSON forms), and the trace exporter must
 # produce non-empty folded stacks and a Chrome trace for the same
 # category.
 trend-smoke:
-	rm -rf /tmp/analyze_trend_smoke
+	dir=$$(mktemp -d) && \
 	dune exec bin/analyze.exe -- -c branch --show summary \
-	  --store /tmp/analyze_trend_smoke
+	  --store $$dir/store && \
 	dune exec bin/analyze.exe -- -c branch --show summary \
-	  --store /tmp/analyze_trend_smoke
+	  --store $$dir/store && \
 	dune exec bin/analyze.exe -- -c branch --show summary \
-	  --store /tmp/analyze_trend_smoke
-	dune exec bin/analyze.exe -- trend -c branch --store /tmp/analyze_trend_smoke
-	dune exec bin/analyze.exe -- trend -c branch --store /tmp/analyze_trend_smoke \
-	  --json > /tmp/trend_smoke.json
-	test -s /tmp/trend_smoke.json
+	  --store $$dir/store && \
+	dune exec bin/analyze.exe -- trend -c branch --store $$dir/store && \
+	dune exec bin/analyze.exe -- trend -c branch --store $$dir/store \
+	  --json > $$dir/trend.json && \
+	test -s $$dir/trend.json && \
 	dune exec bin/analyze.exe -- trace -c branch \
-	  --folded /tmp/trace_smoke.folded --trace /tmp/trace_smoke.json
-	test -s /tmp/trace_smoke.folded
-	test -s /tmp/trace_smoke.json
+	  --folded $$dir/trace.folded --trace $$dir/trace.json && \
+	test -s $$dir/trace.folded && \
+	test -s $$dir/trace.json; \
+	status=$$?; rm -rf $$dir; exit $$status
 
 # Machine-checked reproduction scorecard (non-zero exit on any failure).
 repro:

@@ -264,7 +264,8 @@ let reps_to_csv t =
    a whole text or from a channel, and hands each data line's event
    name and values to a consumer: {!parse_reps_csv} gathers a whole
    dataset, {!stream_reps_csv} reduces each event as soon as its lines
-   end.  A line allocates only its value array and its event name.
+   end.  A line allocates only its value array, and its event name when
+   that differs from the line before's.
    Lines end at '\n' and are trimmed as by [String.trim]; blank lines
    are skipped and not counted in line numbers. *)
 
@@ -294,6 +295,9 @@ let field_end s i stop =
   !j
 
 let at_comma s i stop = i < stop && Bytes.unsafe_get s i = ','
+
+(* A plain-digit field ends at ',' or at the end of its line. *)
+let is_end c = c = ',' || c = '\n'
 
 (* Parse the field that starts at [i] into [v.(k)] (dropped when [k]
    is past the row labels) and return where it ends: the trimmed field
@@ -382,7 +386,20 @@ let scan lines ~data =
      | _ -> csv_fail 1 "expected header event,rep,<row labels>");
     eol
   in
-  (* Event, repetition (ignored), then one value per row label. *)
+  (* Event, repetition (ignored), then one value per row label.  The
+     event's name is a new string only when it differs from the line
+     before's, so the lines of one event share one name. *)
+  let name = ref "" in
+  let same_name s ls len =
+    String.length !name = len
+    && begin
+         let k = ref 0 in
+         while !k < len && Bytes.unsafe_get s (ls + !k) = String.unsafe_get !name !k do
+           incr k
+         done;
+         !k = len
+       end
+  in
   let data_line line s ls stop =
     let n = Array.length !row_labels in
     let c1 = field_end s ls stop in
@@ -390,17 +407,20 @@ let scan lines ~data =
     let v = Array.create_float n in
     let e = ref (field_end s (c1 + 1) stop) and values = ref 0 in
     bad := -1;
-    while at_comma s !e stop do
-      (* 1 to 15 plain digits up to the field's end are summed as an
-         int: exact below 2^53, so equal to [float_of_string]'s. *)
-      let i = !e + 1 and acc = ref 0 in
-      e := i;
-      while !e < stop && is_digit (Bytes.unsafe_get s !e) do
-        acc := (10 * !acc) + Char.code (Bytes.unsafe_get s !e) - Char.code '0';
-        incr e
+    while !e < stop && Bytes.unsafe_get s !e = ',' do
+      (* 1 to 15 plain digits that end the field, at ',' or at the end
+         of the line, are summed as an int: exact below 2^53, so equal
+         to [float_of_string]'s.  Anything else is [scan_value]'s. *)
+      let i = !e + 1 in
+      let j = ref i and acc = ref 0 in
+      while !j < stop && is_digit (Bytes.unsafe_get s !j) do
+        acc := (10 * !acc) + Char.code (Bytes.unsafe_get s !j) - Char.code '0';
+        incr j
       done;
-      if !e > i && !e - i <= 15 && field_end s !e stop = !e then begin
-        if !values < n then v.(!values) <- float_of_int !acc
+      if !j > i && !j - i <= 15 && (!j = stop || is_end (Bytes.unsafe_get s !j))
+      then begin
+        if !values < n then Array.unsafe_set v !values (float_of_int !acc);
+        e := !j
       end
       else e := scan_value s ~bad i stop v !values;
       incr values
@@ -408,7 +428,8 @@ let scan lines ~data =
     if !values <> n then
       csv_fail line (Printf.sprintf "expected %d values, got %d" n !values);
     if !bad >= 0 then csv_fail line ("bad number " ^ raw_field s !bad stop);
-    data ~line (Bytes.sub_string s ls (c1 - ls)) v;
+    if not (same_name s ls (c1 - ls)) then name := Bytes.sub_string s ls (c1 - ls);
+    data ~line !name v;
     !e
   in
   lines (fun s start stop ->
@@ -453,14 +474,21 @@ let ragged_fail p ~reps =
 (* The whole-dataset consumer: an event's lines may lie anywhere in the
    file.  Returns the dataset and its number of lines. *)
 let gather ~name lines =
-  let table = Hashtbl.create 64 and order = ref [] in
+  let table = Hashtbl.create 64 and order = ref [] and last = ref None in
   let data ~line event v =
-    match Hashtbl.find_opt table event with
-    | Some p -> add_rep p v
-    | None ->
-      let p = pending ~line event v in
-      Hashtbl.add table event p;
-      order := p :: !order
+    match !last with
+    | Some p when String.equal p.pname event -> add_rep p v
+    | _ ->
+      let p =
+        match Hashtbl.find_opt table event with
+        | Some p -> add_rep p v; p
+        | None ->
+          let p = pending ~line event v in
+          Hashtbl.add table event p;
+          order := p :: !order;
+          p
+      in
+      last := Some p
   in
   let row_labels, nlines = scan lines ~data in
   let events = List.rev !order in

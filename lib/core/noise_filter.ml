@@ -16,12 +16,6 @@ type classified = {
   status : status;
 }
 
-let apply_measure measure reps =
-  match measure with
-  | Max_rnmse -> Numkit.Stats.max_rnmse reps
-  | Mean_rnmse -> Numkit.Stats.mean_rnmse reps
-  | Max_relative_range -> Numkit.Stats.max_relative_range reps
-
 let measure_name = function
   | Max_rnmse -> "max-rnmse"
   | Mean_rnmse -> "mean-rnmse"
@@ -33,10 +27,19 @@ let provenance_status = function
   | All_zero -> Provenance.Ledger.All_zero
 
 let entry ?(measure = Max_rnmse) (m : Cat_bench.Dataset.measurement) =
-  let mean = Linalg.Vec.of_array (Numkit.Stats.elementwise_mean m.reps) in
+  (* One pass makes the mean and the repetitions' own sums. *)
+  let reps = Numkit.Stats.reps m.reps in
+  let mean = Linalg.Vec.of_array (Numkit.Stats.reps_mean reps) in
   (* Footnote 1: an event that never fires is irrelevant. *)
   let all_zero = List.for_all Numkit.Stats.all_zero m.reps in
-  let variability = if all_zero then 0.0 else apply_measure measure m.reps in
+  let variability =
+    if all_zero then 0.0
+    else
+      match measure with
+      | Max_rnmse -> Numkit.Stats.reps_max_rnmse reps
+      | Mean_rnmse -> Numkit.Stats.reps_mean_rnmse reps
+      | Max_relative_range -> Numkit.Stats.max_relative_range m.reps
+  in
   { event = m.event; variability; mean; all_zero }
 
 (* Non-finite variability (NaN readings from a corrupt import) must

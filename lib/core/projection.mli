@@ -25,8 +25,12 @@ val project_one :
 val project :
   tol:float -> Expectation.t -> Noise_filter.classified list -> projected list
 (** Project every event of the (already noise-filtered) list.  The
-    basis is factored once, so the per-event cost is one orthogonal
-    apply plus one back-substitution. *)
+    basis is factored once.  With a full-rank basis the events go
+    {!block} at a time through one panel each, bit for bit what one
+    [Qr.apply_qt], [Qr.solve_r] and residual per event give. *)
+
+val block : int
+(** Events per panel of the full-rank {!project}. *)
 
 val accepted : projected list -> projected list
 

@@ -60,9 +60,13 @@ let axpy ~alpha ~x ~y =
   done
 
 let amax v =
+  (* [Float.max !s a] with [a = Float.abs x]: [s] starts at +0 and only
+     ever takes such an [a], so its sign bit is clear, and the largest,
+     or the last NaN, is kept without [Float.max]'s sign-bit calls. *)
   let s = ref 0.0 in
   for i = 0 to v.len - 1 do
-    s := Float.max !s (Float.abs (unsafe_get v i))
+    let a = Float.abs (unsafe_get v i) in
+    if a > !s || Float.is_nan a then s := a
   done;
   !s
 

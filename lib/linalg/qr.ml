@@ -29,6 +29,7 @@ let factor a0 =
   { m; n; reflectors; rmat }
 
 let r t = t.rmat
+let reflectors t = t.reflectors
 
 let apply_qt t b =
   if Vec.dim b <> t.m then invalid_arg "Qr.apply_qt: dimension mismatch";

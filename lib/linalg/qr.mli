@@ -15,6 +15,12 @@ val factor : Mat.t -> t
 val r : t -> Mat.t
 (** The [n x n] upper-triangular factor (thin R). *)
 
+val reflectors : t -> Householder.reflector array
+(** The reflectors H_0 .. H_{k-1}, [k = min m n], with Q = H_0 ... H_{k-1}:
+    reflector [j] acts on rows [j..] ([Vec.dim v = m - j]).  {!apply_qt}
+    applies each one whose [tau] is not zero, in order, through
+    {!Householder.apply_to_view}.  Shared, not copied: read only. *)
+
 val q_explicit : t -> Mat.t
 (** The thin [m x n] orthogonal factor, formed explicitly (test and
     reporting use only; solving goes through {!apply_qt}). *)

@@ -18,7 +18,12 @@ let init n f =
 let copy = Float.Array.copy
 let fill v x = Float.Array.fill v 0 (dim v) x
 
-let of_array a = init (Array.length a) (Array.unsafe_get a)
+let of_array a =
+  let v = Float.Array.create (Array.length a) in
+  for i = 0 to Array.length a - 1 do
+    unsafe_set v i (Array.unsafe_get a i)
+  done;
+  v
 
 let to_array v =
   let n = dim v in

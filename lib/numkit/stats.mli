@@ -55,5 +55,21 @@ val max_relative_range : float array list -> float
 val elementwise_mean : float array list -> float array
 (** Mean vector of a non-empty list of equal-length vectors. *)
 
+type reps
+(** Repetition vectors prepared for the noise filter: their
+    {!elementwise_mean} and each one's Kahan sum, made in one pass. *)
+
+val reps : float array list -> reps
+(** Raises as {!elementwise_mean} does. *)
+
+val reps_mean : reps -> float array
+(** {!elementwise_mean} of the vectors, bit for bit. *)
+
+val reps_max_rnmse : reps -> float
+(** {!max_rnmse} of the vectors, bit for bit, and raising as it does. *)
+
+val reps_mean_rnmse : reps -> float
+(** {!mean_rnmse} of the vectors, bit for bit, and raising as it does. *)
+
 val all_zero : float array -> bool
 (** True when every element is exactly [0.]. *)

@@ -310,9 +310,10 @@ let test_stream_large_texts () =
       Buffer.add_string buf (Printf.sprintf "E%d,%d" e r);
       for _ = 1 to nlabels do
         Buffer.add_string buf
-          (match Random.State.int rng 3 with
+          (match Random.State.int rng 4 with
            | 0 -> ",0"
            | 1 -> Printf.sprintf ",%d" (Random.State.int rng 1_000_000)
+           | 2 -> Printf.sprintf ",%Ld" (Random.State.int64 rng Int64.max_int)
            | _ -> Printf.sprintf ", %.17g " (Random.State.float rng 1e6))
       done;
       Buffer.add_string buf (eol ())
@@ -424,6 +425,68 @@ let test_plain_digit_edges () =
       ( "16 digits",
         "event,rep,a,b\nE1,0,9999999999999999,1234567890123457\n",
         [| float_of_string "9999999999999999"; 1234567890123457.0 |] ) ]
+
+(* The scanner's fast path at its edges, through all three readers:
+   the streamed import from a file, [parse_reps_csv] and the split-based
+   reference must give the same datasets, or the same typed error. *)
+let stream_measurements text =
+  let path = Filename.temp_file "edges" ".csv" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+      In_channel.with_open_bin path (fun ic ->
+          Cat_bench.Dataset.stream_reps_csv ic Fun.id))
+
+let check_three_readers what text =
+  let parsed = Cat_bench.Dataset.parse_reps_csv ~name:"x" text in
+  let reference =
+    try Ok (reference_of_reps_csv ~name:"x" text) with Failure msg -> Error msg
+  in
+  match (parsed, reference, stream_measurements text) with
+  | Ok d, Ok r, Ok ms ->
+    Alcotest.(check bool) (what ^ ": parsed = reference") true (same_dataset r d);
+    Alcotest.(check bool) (what ^ ": streamed = parsed") true
+      (same_dataset d { d with measurements = ms })
+  | Error e, Error msg, Error e' ->
+    Alcotest.(check bool) (what ^ ": same error streamed") true (e = e');
+    Alcotest.(check string) (what ^ ": reference error")
+      (match e.line with
+       | Some l -> Printf.sprintf "Dataset.of_reps_csv: line %d: %s" l e.reason
+       | None -> "Dataset.of_reps_csv: " ^ e.reason)
+      msg
+  | _ -> Alcotest.failf "%s: the readers disagree on %S" what text
+
+let test_fast_path_edges () =
+  let digits k = String.init k (fun i -> Char.chr (Char.code '1' + ((i * 7) mod 9))) in
+  (* 8 to 20 digits: the int sum covers 15, 16 and more are
+     [float_of_string]'s, 2^53 + 1 among them. *)
+  for k = 8 to 20 do
+    check_three_readers (Printf.sprintf "%d digits" k)
+      (Printf.sprintf "event,rep,a,b\nE,0,%s,%s\nE,1,%s,%s\n" (digits k)
+         (String.make k '9') (String.make k '9') (digits k))
+  done;
+  check_three_readers "2^53 + 1" "event,rep,a,b\nE,0,9007199254740993,900719925474099\n";
+  check_three_readers "signs and zeros" "event,rep,a,b,c,d\nE,0,007,-0,+5,0\nE,1,0,00,-00,+0\n";
+  check_three_readers "trailing blank" "event,rep,a,b\nE,0,1,12 \nE,1,1,12\t\r\n";
+  check_three_readers "trailing blank at the end" "event,rep,a\nE,0,7 ";
+  check_three_readers "no newline at the end" "event,rep,a\nE,0,7\nE,1,12345";
+  check_three_readers "digits then junk" "event,rep,a\nE,0,12x\n";
+  (* A line whose digits end at the read buffer's last complete line
+     (65,536 bytes a read), one byte before it, one byte after it, and
+     a text that ends there without a newline. *)
+  let buffer = 65536 in
+  List.iter
+    (fun (nl, tail) ->
+      let b = Buffer.create (2 * buffer) in
+      Buffer.add_string b "event,rep,a\n";
+      while Buffer.length b < nl - 18 do Buffer.add_string b "E,0,1234567\n" done;
+      (* 3 to 14 digits: the int sum's path. *)
+      let k = nl - Buffer.length b - String.length "E,0," in
+      Buffer.add_string b ("E,0," ^ digits k);
+      if tail then Buffer.add_string b "\nE,0,7654321\nE,0,1\n";
+      check_three_readers (Printf.sprintf "digits to byte %d%s" nl
+                             (if tail then "" else ", end of text"))
+        (Buffer.contents b))
+    [ (buffer - 1, true); (buffer - 2, true); (buffer, true); (buffer, false) ]
 
 (* [analyze --csv] reports a refused import on one line and exits 1,
    not through the uncaught-exception handler. *)
@@ -764,6 +827,8 @@ let () =
           Alcotest.test_case "ragged repetitions" `Quick test_ragged_repetitions;
           Alcotest.test_case "typed errors" `Quick test_typed_errors;
           Alcotest.test_case "plain-digit edges" `Quick test_plain_digit_edges;
+          Alcotest.test_case "fast-path edges, three readers" `Quick
+            test_fast_path_edges;
           Alcotest.test_case "analyze --csv exit" `Quick test_analyze_csv_exit;
           Alcotest.test_case "analyze --csv pipe" `Quick test_analyze_csv_pipe;
           QCheck_alcotest.to_alcotest prop_scanner_matches_reference;

@@ -299,6 +299,40 @@ let prop_norm2_scale_invariance =
       let na = Linalg.Mat.norm2 a in
       Float.abs (Linalg.Mat.norm2 scaled -. (2.5 *. na)) <= 1e-5 *. Float.max 1.0 na)
 
+(* [Kernel.nrm2] as it was when its [amax] folded [Float.max], kept
+   verbatim on an array as the reference of the fold that replaced it. *)
+let reference_nrm2 v =
+  let scale = Array.fold_left (fun s x -> Float.max s (Float.abs x)) 0.0 v in
+  if scale = 0.0 then 0.0
+  else begin
+    let s = ref 0.0 in
+    for i = 0 to Array.length v - 1 do
+      let r = v.(i) /. scale in
+      s := !s +. (r *. r)
+    done;
+    scale *. sqrt !s
+  end
+
+(* Bit for bit, signed zeros, NaNs of either sign and infinities
+   included. *)
+let prop_norm2_is_reference =
+  QCheck.Test.make ~name:"norm2 = the Float.max-fold reference, bit for bit"
+    ~count:500
+    QCheck.(
+      make
+        ~print:(fun l -> String.concat " " (List.map (Printf.sprintf "%h") l))
+        Gen.(
+          list_size (int_range 0 12)
+            (frequency
+               [ (4, float_range (-1e3) 1e3);
+                 (1, oneofl [ 0.0; -0.0; Float.nan; -.Float.nan;
+                              Float.infinity; Float.neg_infinity; 5e-324 ]) ])))
+    (fun l ->
+      let a = Array.of_list l in
+      Int64.equal
+        (Int64.bits_of_float (reference_nrm2 a))
+        (Int64.bits_of_float (Linalg.Vec.norm2 (Linalg.Vec.of_array a))))
+
 let () =
   Alcotest.run "linalg"
     [
@@ -348,5 +382,5 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_qr_reconstruction; prop_lstsq_residual_orthogonal;
-            prop_norm2_scale_invariance ] );
+            prop_norm2_scale_invariance; prop_norm2_is_reference ] );
     ]

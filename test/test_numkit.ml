@@ -524,12 +524,14 @@ let gen_reading =
               (float_range (-10.) 10.) (int_range (-300) 300));
         (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0 ]) ])
 
-(* 0-8 repetitions of one length 0-8, all-zero or zero-mean ones among
-   them, and now and then one of another length. *)
+(* 0-10 repetitions of one length, 0-8 or now and then up to 64, so
+   every group of the five-lane kernels and every short last group is
+   met; all-zero or zero-mean ones among them, and now and then one of
+   another length. *)
 let gen_reps =
   QCheck.Gen.(
-    int_range 0 8 >>= fun k ->
-    int_range 0 8 >>= fun n ->
+    int_range 0 10 >>= fun k ->
+    frequency [ (4, int_range 0 8); (1, int_range 9 64) ] >>= fun n ->
     let vector =
       frequency
         [ (8, array_repeat n gen_reading);
@@ -571,6 +573,33 @@ let prop_kernels_match_reference =
       (same_outcome
          (fun a b -> Array.length a = Array.length b && Array.for_all2 bits_eq a b)
          Numkit.Stats.elementwise_mean Reference.elementwise_mean);
+    (* The noise filter's entry, as the reference kernels make it. *)
+    QCheck.Test.make ~name:"Noise_filter.entry bit-identical to reference"
+      ~count:1000 arb_reps (fun reps ->
+        let m =
+          { Cat_bench.Dataset.event = Hwsim.Event.make ~name:"e" ~desc:"test" [];
+            reps }
+        in
+        List.for_all
+          (fun (measure, variability) ->
+            let reference reps =
+              let mean = Reference.elementwise_mean reps in
+              let all_zero = List.for_all (Array.for_all (fun x -> x = 0.0)) reps in
+              (mean, (if all_zero then 0.0 else variability reps), all_zero)
+            in
+            let actual reps =
+              let e = Core.Noise_filter.entry ~measure { m with reps } in
+              (Linalg.Vec.to_array e.mean, e.variability, e.all_zero)
+            in
+            same_outcome
+              (fun (m, v, z) (m', v', z') ->
+                Array.length m = Array.length m'
+                && Array.for_all2 bits_eq m m'
+                && bits_eq v v' && z = z')
+              actual reference reps)
+          [ (Core.Noise_filter.Max_rnmse, Reference.max_rnmse);
+            (Core.Noise_filter.Mean_rnmse, Reference.mean_rnmse);
+            (Core.Noise_filter.Max_relative_range, Reference.max_relative_range) ]);
     (* sum, mean and rnmse over every vector and every pair. *)
     QCheck.Test.make ~name:"sum, mean, rnmse bit-identical to reference"
       ~count:1000 arb_reps (fun reps ->

@@ -211,6 +211,121 @@ let test_basis_diagnostics_degenerate () =
     (fun _ c -> Alcotest.(check bool) "finite" true (Float.is_finite c))
     x
 
+(* ------------------------------------------------------------------ *)
+(* Panels against the per-event projection they replaced               *)
+(* ------------------------------------------------------------------ *)
+
+(* The former full-rank [Projection.project], kept verbatim (module
+   paths aside) as the oracle of the panel version. *)
+module Oracle = struct
+  let residual_of basis ~x ~mean =
+    let r =
+      Linalg.Vec.sub (Linalg.Mat.mul_vec (Core.Expectation.mat basis) x) mean
+    in
+    let mnorm = Linalg.Vec.norm2 mean in
+    if mnorm = 0.0 then 0.0 else Linalg.Vec.norm2 r /. mnorm
+
+  let project ~tol basis classified =
+    let f = Linalg.Qr.factor (Core.Expectation.mat basis) in
+    List.map
+      (fun (c : Core.Noise_filter.classified) ->
+        let qtb = Linalg.Qr.apply_qt f c.mean in
+        let x = Linalg.Qr.solve_r f qtb in
+        let relative_residual = residual_of basis ~x ~mean:c.mean in
+        {
+          Core.Projection.event = c.event;
+          representation = x;
+          relative_residual;
+          accepted = relative_residual <= tol;
+        })
+      classified
+end
+
+let bits x = Int64.bits_of_float x
+
+let same_projected (a : Core.Projection.projected) (b : Core.Projection.projected) =
+  a.event == b.event
+  && bits a.relative_residual = bits b.relative_residual
+  && a.accepted = b.accepted
+  && Linalg.Vec.dim a.representation = Linalg.Vec.dim b.representation
+  && List.for_all
+       (fun i ->
+         bits (Linalg.Vec.get a.representation i)
+         = bits (Linalg.Vec.get b.representation i))
+       (List.init (Linalg.Vec.dim a.representation) Fun.id)
+
+let check_oracle what ~tol basis classified =
+  Alcotest.(check bool) (what ^ ": as the per-event projection") true
+    (List.equal same_projected
+       (Core.Projection.project ~tol basis classified)
+       (Oracle.project ~tol basis classified))
+
+(* Every kept event of the four categories, in the pipeline's order. *)
+let test_panels_match_oracle_on_categories () =
+  List.iter
+    (fun category ->
+      let kept =
+        Core.Noise_filter.kept
+          (Core.Noise_filter.classify
+             ~tau:(Core.Category.tau category)
+             (Core.Category.dataset category))
+      in
+      check_oracle (Core.Category.name category)
+        ~tol:(Core.Category.projection_tol category)
+        (Core.Category.basis category) kept)
+    Core.Category.all
+
+(* Means a corrupt import may carry: signed zeros, NaN, infinities and
+   subnormals among ordinary counts. *)
+let gen_entry =
+  QCheck.Gen.(
+    frequency
+      [ (6, float_range 0. 1e6);
+        (2, map float_of_int (int_range (-3) 3));
+        (1, oneofl [ 0.0; -0.0; Float.nan; -.Float.nan; Float.infinity;
+                     Float.neg_infinity; 5e-324; -5e-324; 2.2e-308 ]);
+        (1, map (fun x -> x *. 1e-310) (float_range (-1.) 1.)) ])
+
+let cpu_basis = Core.Category.basis Core.Category.Cpu_flops
+
+let prop_panels_match_oracle =
+  QCheck.Test.make ~name:"panels give the per-event projection, bit for bit"
+    ~count:200
+    QCheck.(
+      make
+        ~print:(fun (w, flat) -> Printf.sprintf "%d events: %s" w
+                   (String.concat " " (List.map (Printf.sprintf "%h") flat)))
+        Gen.(
+          int_range 0 (2 * Core.Projection.block + 1) >>= fun w ->
+          let m = Linalg.Mat.rows (Core.Expectation.mat cpu_basis) in
+          map (fun l -> (w, l)) (list_repeat (w * m) gen_entry)))
+    (fun (w, flat) ->
+      let m = Linalg.Mat.rows (Core.Expectation.mat cpu_basis) in
+      let flat = Array.of_list flat in
+      let events =
+        List.init w (fun c ->
+            classified (Printf.sprintf "e%d" c) (Array.sub flat (c * m) m))
+      in
+      List.equal same_projected
+        (Core.Projection.project ~tol:0.05 cpu_basis events)
+        (Oracle.project ~tol:0.05 cpu_basis events))
+
+(* Panel tails: one event, a panel less one, a panel and one more. *)
+let test_panel_tails () =
+  let rng = Random.State.make [| 3 |] in
+  List.iter
+    (fun w ->
+      let events =
+        List.init w (fun c ->
+            classified (Printf.sprintf "e%d" c)
+              (Array.init 4 (fun i ->
+                   if c mod 5 = 0 then [| 10.; 20.; 5.; 15. |].(i) *. float_of_int c
+                   else Random.State.float rng 100.)))
+      in
+      check_oracle (Printf.sprintf "%d events" w) ~tol:0.05 basis_2d events)
+    [ 1; Core.Projection.block - 1; Core.Projection.block;
+      Core.Projection.block + 1 ]
+
 let test_duplicate_label_rejected () =
   Alcotest.check_raises "duplicate labels"
     (Invalid_argument "Expectation.of_ideals: duplicate labels") (fun () ->
@@ -227,6 +342,8 @@ let () =
           Alcotest.test_case "mixed + matrix" `Quick test_mixed_acceptance_and_matrix;
           Alcotest.test_case "empty rejected" `Quick test_to_matrix_empty_rejected;
           Alcotest.test_case "duplicate labels" `Quick test_duplicate_label_rejected;
+          Alcotest.test_case "panel tails" `Quick test_panel_tails;
+          QCheck_alcotest.to_alcotest prop_panels_match_oracle;
         ] );
       ( "benchmark-data",
         [
@@ -239,5 +356,7 @@ let () =
           Alcotest.test_case "signature in kernel space" `Quick test_expectation_kernel_space;
           Alcotest.test_case "diagnostics full rank" `Quick test_basis_diagnostics_full_rank;
           Alcotest.test_case "diagnostics degenerate" `Quick test_basis_diagnostics_degenerate;
+          Alcotest.test_case "panels = per-event projection" `Quick
+            test_panels_match_oracle_on_categories;
         ] );
     ]
