@@ -122,7 +122,10 @@ csv-smoke:
 # dcache output byte for byte, and the plain run must peak at most
 # 3 MB of heap, as the OCaml runtime reports it at exit (the 640
 # pointer chases build into one buffer per job; a fresh chain per
-# simulation read 4.8 MB).
+# simulation read 4.8 MB).  A --stats run pins the work the chases
+# and readings do: 1,024,000 stepped L1-TLB steps and 250,880
+# readings, exactly as its manifest records them (the table prints
+# the same counters to six digits).
 dcache-smoke:
 	dune build ./bin/analyze.exe
 	dir=$$(mktemp -d) && \
@@ -132,6 +135,12 @@ dcache-smoke:
 	  --show summary,chosen,metrics > $$dir/j2.txt && \
 	cmp perfbench/expected/dcache.txt $$dir/j1.txt && \
 	cmp perfbench/expected/dcache.txt $$dir/j2.txt && \
+	./_build/default/bin/analyze.exe -c dcache --stats --show summary \
+	  --manifest $$dir/run.json > $$dir/stats.txt 2> /dev/null && \
+	grep -qE '^  cachesim\.tlb_steps +1\.024e\+06$$' $$dir/stats.txt && \
+	grep -qE '^  hwsim\.readings +250880$$' $$dir/stats.txt && \
+	grep -q '"cachesim.tlb_steps": 1024000,' $$dir/run.json && \
+	grep -q '"hwsim.readings": 250880,' $$dir/run.json && \
 	awk '/^top_heap_words:/ { found = 1; mb = $$2 * 8 / 1e6 } \
 	  END { if (!found) { print "dcache-smoke: no GC totals"; exit 1 } \
 	        printf "dcache-smoke: peak heap %.2f MB (limit 3)\n", mb; exit (mb > 3) }' \

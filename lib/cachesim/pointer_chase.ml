@@ -22,22 +22,19 @@ let make ?buf ~base ~pointers ~stride_bytes layout =
         invalid_arg "Pointer_chase.make: buffer shorter than pointers";
       b
   in
+  (* [order] is at least [pointers] long, and 0 is among its first
+     [pointers] cells when the scan for it starts. *)
   for i = 0 to pointers - 1 do
-    order.(i) <- i
+    Array.unsafe_set order i i
   done;
   (match layout with
    | Sequential -> ()
    | Shuffled rng ->
      (* Sattolo's algorithm: a uniform random single-cycle
         permutation, so the chase still visits every slot. *)
-     for i = pointers - 1 downto 1 do
-       let j = Numkit.Rng.int rng i in
-       let tmp = order.(i) in
-       order.(i) <- order.(j);
-       order.(j) <- tmp
-     done);
+     Numkit.Rng.sattolo rng order pointers);
   let start = ref 0 in
-  while order.(!start) <> 0 do
+  while Array.unsafe_get order !start <> 0 do
     incr start
   done;
   { base; stride = stride_bytes; n = pointers; order; start = !start }
@@ -180,31 +177,37 @@ let geometry (h : Hierarchy.config) (t : Tlb.config) ~base ~pointers ~stride_byt
   }
 
 (* [accesses / n] whole cycles come from the per-set counts, then the
-   first [accesses mod n] steps of the visiting order. *)
+   first [accesses mod n] steps of the visiting order.  The reads are
+   unchecked: [pos < n], at most [order]'s length, and [served] is
+   indexed by a value masked with [l3_mask], its length - 1. *)
 let cache_counters g c ~accesses : Hierarchy.counters =
-  let n = c.n in
-  let tally = Array.map (fun k -> accesses / n * k) g.per_cycle in
-  let pos = ref c.start in
+  let n = c.n and order = c.order and served = g.served in
+  let base = c.base and stride = c.stride in
+  let line_shift = g.line_shift and l3_mask = g.l3_mask in
+  let t0 = ref 0 and t1 = ref 0 and t2 = ref 0 and pos = ref c.start in
   for _ = 1 to accesses mod n do
-    let s = g.served.((address c c.order.(!pos) lsr g.line_shift) land g.l3_mask) in
-    tally.(s) <- tally.(s) + 1;
+    let line = (base + (Array.unsafe_get order !pos * stride)) lsr line_shift in
+    (match Array.unsafe_get served (line land l3_mask) with
+     | 0 -> incr t0
+     | 1 -> incr t1
+     | 2 -> incr t2
+     | _ -> ());
     pos := if !pos = n - 1 then 0 else !pos + 1
   done;
-  let l1_miss = accesses - tally.(0) in
-  let l2_miss = l1_miss - tally.(1) in
-  {
-    accesses;
-    l1_hit = tally.(0);
-    l1_miss;
-    l2_hit = tally.(1);
-    l2_miss;
-    l3_hit = tally.(2);
-    l3_miss = l2_miss - tally.(2);
-  }
+  let cycles = accesses / n in
+  let l1_hit = (cycles * g.per_cycle.(0)) + !t0
+  and l2_hit = (cycles * g.per_cycle.(1)) + !t1
+  and l3_hit = (cycles * g.per_cycle.(2)) + !t2 in
+  let l1_miss = accesses - l1_hit in
+  let l2_miss = l1_miss - l2_hit in
+  { accesses; l1_hit; l1_miss; l2_hit; l2_miss; l3_hit; l3_miss = l2_miss - l3_hit }
 
 (* The L1-TLB sets holding more pages than ways start from the pass
    boundary state, read off by walking the pass backwards, and step at
-   most one measured pass, whose misses repeat every pass. *)
+   most one measured pass, whose misses repeat every pass: one loop of
+   [min accesses n] steps, noting the misses of the first
+   [accesses mod n].  Its reads are unchecked: [pos < n], a page masked
+   with [l1_mask] picks a set, and a set's tags are its [ways] cells. *)
 let tlb_stats g c ~accesses =
   let n = c.n and l1 = g.l1_pages and ways = g.l1_ways and l1_mask = g.l1_mask in
   let page i = address c i lsr g.page_shift in
@@ -230,29 +233,29 @@ let tlb_stats g c ~accesses =
           end
         end
       done;
-      let misses = ref 0 and pos = ref c.start in
-      let walk steps =
-        for _ = 1 to steps do
-          let p = page c.order.(!pos) in
-          let set = p land l1_mask in
-          if l1.(set) > ways then begin
-            let stop = (set + 1) * ways in
-            let i = ref (set * ways) and carry = ref p in
-            while !i < stop && tags.(!i) <> p do
-              let cur = tags.(!i) in
-              tags.(!i) <- !carry;
-              carry := cur;
-              incr i
-            done;
-            if !i < stop then tags.(!i) <- !carry else incr misses
-          end;
-          pos := if !pos = n - 1 then 0 else !pos + 1
-        done
-      in
-      walk (accesses mod n);
-      let prefix = !misses in
-      if accesses >= n then walk (n - (accesses mod n));
-      ((accesses / n * !misses) + prefix, min accesses n)
+      let order = c.order and base = c.base and stride = c.stride in
+      let page_shift = g.page_shift and prefix = accesses mod n in
+      let steps = min accesses n in
+      let misses = ref 0 and at_prefix = ref 0 and pos = ref c.start in
+      for k = 0 to steps - 1 do
+        if k = prefix then at_prefix := !misses;
+        let p = (base + (Array.unsafe_get order !pos * stride)) lsr page_shift in
+        let set = p land l1_mask in
+        if Array.unsafe_get l1 set > ways then begin
+          let stop = (set + 1) * ways in
+          let i = ref (set * ways) and carry = ref p in
+          while !i < stop && Array.unsafe_get tags !i <> p do
+            let cur = Array.unsafe_get tags !i in
+            Array.unsafe_set tags !i !carry;
+            carry := cur;
+            incr i
+          done;
+          if !i < stop then Array.unsafe_set tags !i !carry else incr misses
+        end;
+        pos := if !pos = n - 1 then 0 else !pos + 1
+      done;
+      let at_prefix = if prefix = steps then !misses else !at_prefix in
+      ((accesses / n * !misses) + at_prefix, steps)
     end
   in
   ({ Tlb.l1_hits = accesses - misses; l2_hits = misses; walks = 0 }, steps)

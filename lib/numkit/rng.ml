@@ -128,10 +128,23 @@ let normal_pos t ~sigma =
 
 let lognormal t ~mu ~sigma = exp (normal t ~mu ~sigma)
 
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
+(* Sattolo's algorithm over the first [n] cells: draw [j] is [int t i]
+   for [i = n - 1] down to [1], so the permutation and the final state
+   are [int]'s, bit for bit.  The state stays in a local for the whole
+   loop and is written back once: reading it from the bytes on every
+   draw would put a store-to-load round trip on the draw chain.  The
+   array's type is fixed, so its reads and writes check no float-array
+   tag, and [j < i < n <= length a] makes them safe unchecked. *)
+let sattolo t (a : int array) n =
+  if n < 0 || n > Array.length a then invalid_arg "Rng.sattolo: n out of bounds";
+  let s = ref (state t) in
+  for i = n - 1 downto 1 do
+    s := Int64.add !s golden_gamma;
+    let j =
+      Int64.to_int (Int64.rem (Int64.shift_right_logical (mix !s) 1) (Int64.of_int i))
+    in
+    let tmp = Array.unsafe_get a i in
+    Array.unsafe_set a i (Array.unsafe_get a j);
+    Array.unsafe_set a j tmp
+  done;
+  Bytes.set_int64_le t 0 !s

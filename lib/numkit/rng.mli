@@ -59,8 +59,13 @@ val normal_pos : t -> sigma:float -> float
 val lognormal : t -> mu:float -> sigma:float -> float
 (** [lognormal t ~mu ~sigma] is [exp (normal t ~mu ~sigma)]. *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle driven by [t]. *)
+val sattolo : t -> int array -> int -> unit
+(** [sattolo t a n] permutes the first [n] cells of [a] in place by
+    Sattolo's algorithm: for [i = n - 1] down to [1] it swaps [a.(i)]
+    with [a.(j)], [j = int t i].  From the identity this gives a
+    uniform single-cycle permutation.  The cells and the state of [t]
+    afterwards are those of that loop over {!int}, bit for bit.
+    Raises [Invalid_argument] unless [0 <= n <= Array.length a]. *)
 
 val hash_string : string -> int64
 (** The FNV-1a hash used by {!of_string} and {!split}:

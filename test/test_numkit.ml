@@ -185,13 +185,60 @@ let test_copy_diverges_from_original () =
   Alcotest.(check int64) "copy resumes at same point" (Numkit.Rng.next_int64 a)
     (Numkit.Rng.next_int64 b)
 
-let test_shuffle_permutes () =
+(* From the identity, [sattolo] links the cells into one cycle: following
+   [i -> a.(i)] from 0 meets every cell before it returns. *)
+let test_sattolo_single_cycle () =
   let rng = Numkit.Rng.create 11L in
-  let a = Array.init 50 (fun i -> i) in
-  Numkit.Rng.shuffle rng a;
+  let n = 50 in
+  let a = Array.init n Fun.id in
+  Numkit.Rng.sattolo rng a n;
   let sorted = Array.copy a in
   Array.sort compare sorted;
-  Alcotest.(check (array int)) "permutation" (Array.init 50 (fun i -> i)) sorted
+  Alcotest.(check (array int)) "permutation" (Array.init n Fun.id) sorted;
+  let rec length i k =
+    if k > n || (k > 0 && i = 0) then k else length a.(i) (k + 1)
+  in
+  Alcotest.(check int) "one cycle through every cell" n (length 0 0)
+
+(* Sattolo's loop as [Pointer_chase.make] ran it, one [int] draw per
+   swap, kept verbatim as the oracle of [Rng.sattolo]. *)
+let oracle_sattolo rng order pointers =
+  for i = pointers - 1 downto 1 do
+    let j = Numkit.Rng.int rng i in
+    let tmp = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- tmp
+  done
+
+(* Any seed; lengths 0-3,000, short ones often; cells past [n] that
+   must be left alone. *)
+let sattolo_cases =
+  QCheck.make
+    ~print:QCheck.Print.(triple Int64.to_string int int)
+    QCheck.Gen.(
+      triple
+        (map Int64.of_int int)
+        (frequency [ (1, oneofl [ 0; 1; 2; 3 ]); (3, int_range 1 3_000) ])
+        (int_range 0 3))
+
+let prop_sattolo_is_oracle =
+  QCheck.Test.make ~name:"sattolo = per-draw Sattolo over int, state included"
+    ~count:300 sattolo_cases (fun (seed, n, extra) ->
+      let fresh () = Array.init (n + extra) (fun i -> (7 * i) + 1) in
+      let a = fresh () and b = fresh () in
+      let r = Numkit.Rng.create seed and q = Numkit.Rng.create seed in
+      Numkit.Rng.sattolo r a n;
+      oracle_sattolo q b n;
+      a = b && Int64.equal (Numkit.Rng.next_int64 r) (Numkit.Rng.next_int64 q))
+
+let test_sattolo_bounds () =
+  let rng = Numkit.Rng.create 1L in
+  let raises what n =
+    Alcotest.check_raises what (Invalid_argument "Rng.sattolo: n out of bounds")
+      (fun () -> Numkit.Rng.sattolo rng (Array.make 3 0) n)
+  in
+  raises "n past the array" 4;
+  raises "negative n" (-1)
 
 (* The first outputs of each draw for three seeds, recorded from the
    generator as it was when its state was a mutable [int64] field.
@@ -280,8 +327,14 @@ let check_golden_stream g rng =
     (draws 3 (fun () -> R.int rng 1000));
   Alcotest.(check (list (float 0.0))) (g.label ^ ": normal") g.normals
     (draws 3 (fun () -> R.normal rng ~mu:0.0 ~sigma:1.0));
+  (* Fisher-Yates over [int], as the generator's shuffle drew it. *)
   let a = Array.init 10 Fun.id in
-  R.shuffle rng a;
+  for i = Array.length a - 1 downto 1 do
+    let j = R.int rng (i + 1) in
+    let tmp = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- tmp
+  done;
   Alcotest.(check (array int)) (g.label ^ ": shuffle") g.shuffled a;
   Alcotest.(check int64) (g.label ^ ": last") g.last (R.next_int64 rng)
 
@@ -559,6 +612,57 @@ let same_outcome eq f g x =
   | Error a, Error b -> a = b
   | _ -> false
 
+(* [Reference.sum] with its compensation taken in the other order,
+   [(t -. y) -. s] for [(t -. s) -. y]: on the inputs below it loses
+   what Kahan's order keeps. *)
+let swapped_sum a =
+  let s = ref 0.0 and c = ref 0.0 in
+  Array.iter
+    (fun x ->
+      let y = x -. !c in
+      let t = !s +. y in
+      c := t -. y -. !s;
+      s := t)
+    a;
+  !s
+
+(* Five repetitions give ten pairs, two groups of the five-lane kernel,
+   so pair [p] is summed in lane [p mod 5].  For each pair (a, b): every
+   repetition is 1e9 except a = 1e9 + d and b = 1e9 - d, with
+   d = (5e7, 0.5, 0.5, ...).  Pair (a, b) has the largest RNMSE, and its
+   squared differences (1e16, 1, 1, ...) round away under the swapped
+   order, so each lane's max must be Kahan's bit for bit. *)
+let test_pair_lanes_keep_kahan_order () =
+  let n = 21 and k = 5 in
+  let pairs =
+    List.concat (List.init k (fun a -> List.init (k - a - 1) (fun d -> (a, a + d + 1))))
+  in
+  List.iteri
+    (fun p (a, b) ->
+      let d i = if i = 0 then 5e7 else 0.5 in
+      let reps =
+        List.init k (fun r ->
+            Array.init n (fun i ->
+                if r = a then 1e9 +. d i else if r = b then 1e9 -. d i else 1e9))
+      in
+      let va = List.nth reps a and vb = List.nth reps b in
+      let sq = Array.init n (fun i -> (va.(i) -. vb.(i)) *. (va.(i) -. vb.(i))) in
+      let rnmse sum =
+        sqrt (sum sq) /. sqrt (float_of_int n *. Reference.mean va *. Reference.mean vb)
+      in
+      let lane = Printf.sprintf "pair %d (lane %d)" p (p mod 5) in
+      Alcotest.(check bool) (lane ^ ": the orders differ") false
+        (bits_eq (rnmse Reference.sum) (rnmse swapped_sum));
+      Alcotest.(check bool) (lane ^ ": pair is the max") true
+        (bits_eq (Reference.max_rnmse reps) (rnmse Reference.sum));
+      Alcotest.(check bool) (lane ^ ": max_rnmse") true
+        (bits_eq (Numkit.Stats.max_rnmse reps) (Reference.max_rnmse reps));
+      Alcotest.(check bool) (lane ^ ": reps_max_rnmse") true
+        (bits_eq
+           (Numkit.Stats.reps_max_rnmse (Numkit.Stats.reps reps))
+           (Reference.max_rnmse reps)))
+    pairs
+
 let prop_kernel name f g =
   QCheck.Test.make ~name:(name ^ " bit-identical to reference") ~count:1000
     arb_reps (same_outcome bits_eq f g)
@@ -633,7 +737,8 @@ let () =
           Alcotest.test_case "normal_pos at the cosine's sign edges" `Quick
             test_normal_pos_boundary;
           Alcotest.test_case "copy preserves state" `Quick test_copy_diverges_from_original;
-          Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
+          Alcotest.test_case "sattolo is a single cycle" `Quick test_sattolo_single_cycle;
+          Alcotest.test_case "sattolo bounds" `Quick test_sattolo_bounds;
           Alcotest.test_case "golden streams" `Quick test_golden_streams;
           Alcotest.test_case "reseed is create" `Quick test_reseed_is_create;
         ] );
@@ -649,11 +754,14 @@ let () =
           Alcotest.test_case "max rnmse" `Quick test_max_rnmse;
           Alcotest.test_case "elementwise" `Quick test_elementwise;
           Alcotest.test_case "all_zero" `Quick test_all_zero;
+          Alcotest.test_case "pair lanes keep Kahan's order" `Quick
+            test_pair_lanes_keep_kahan_order;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           ([ prop_rnmse_symmetric; prop_median_bounds; prop_median_is_oracle;
              prop_mean_linear;
-             prop_hash_extend_streams; prop_hash_extend_int_is_string ]
+             prop_hash_extend_streams; prop_hash_extend_int_is_string;
+             prop_sattolo_is_oracle ]
           @ prop_kernels_match_reference) );
     ]
