@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test loc check lint lint-smoke csv-smoke dcache-smoke gpu-smoke bench-shard bench-check bench-check-smoke manifest-smoke shard-smoke progress-smoke par-smoke store-smoke trend-smoke repro examples figures clean
+.PHONY: all build test loc check lint lint-smoke csv-smoke dcache-smoke gpu-smoke init-smoke bench-shard bench-check bench-check-smoke manifest-smoke shard-smoke progress-smoke par-smoke store-smoke trend-smoke repro examples figures clean
 
 all: build
 
@@ -42,6 +42,7 @@ check:
 	$(MAKE) csv-smoke
 	$(MAKE) dcache-smoke
 	$(MAKE) gpu-smoke
+	$(MAKE) init-smoke
 	$(MAKE) par-smoke
 	$(MAKE) manifest-smoke
 	$(MAKE) bench-check-smoke
@@ -124,8 +125,7 @@ csv-smoke:
 # pointer chases build into one buffer per job; a fresh chain per
 # simulation read 4.8 MB).  A --stats run pins the work the chases
 # and readings do: 1,024,000 stepped L1-TLB steps and 250,880
-# readings, exactly as its manifest records them (the table prints
-# the same counters to six digits).
+# readings, exactly, in its table and in its manifest.
 dcache-smoke:
 	dune build ./bin/analyze.exe
 	dir=$$(mktemp -d) && \
@@ -137,7 +137,7 @@ dcache-smoke:
 	cmp perfbench/expected/dcache.txt $$dir/j2.txt && \
 	./_build/default/bin/analyze.exe -c dcache --stats --show summary \
 	  --manifest $$dir/run.json > $$dir/stats.txt 2> /dev/null && \
-	grep -qE '^  cachesim\.tlb_steps +1\.024e\+06$$' $$dir/stats.txt && \
+	grep -qE '^  cachesim\.tlb_steps +1024000$$' $$dir/stats.txt && \
 	grep -qE '^  hwsim\.readings +250880$$' $$dir/stats.txt && \
 	grep -q '"cachesim.tlb_steps": 1024000,' $$dir/run.json && \
 	grep -q '"hwsim.readings": 250880,' $$dir/run.json && \
@@ -168,6 +168,20 @@ gpu-smoke:
 	        printf "gpu-smoke: peak heap %.2f MB (limit 2.75)\n", mb; exit (mb > 2.75) }' \
 	  $$dir/gc.txt; \
 	status=$$?; rm -rf $$dir; exit $$status
+
+# Module initialisation builds no catalog: `analyze --version` runs
+# every module initialiser and nothing else, and must allocate at most
+# 50,000 minor words with no major collection, as the OCaml runtime
+# reports at exit (building the three catalogs there read 273,258
+# words and 2 major collections; lazily, it reads about 25,000).
+init-smoke:
+	dune build ./bin/analyze.exe
+	OCAMLRUNPARAM=v=0x400 ./_build/default/bin/analyze.exe --version 2>&1 >/dev/null | \
+	awk '/^minor_words:/ { words = $$2; w = 1 } /^major_collections:/ { major = $$2; m = 1 } \
+	  END { if (!w || !m) { print "init-smoke: no GC totals"; exit 1 } \
+	        printf "init-smoke: %d minor words (limit 50000), %d major collections (limit 0)\n", \
+	          words, major; \
+	        exit (words > 50000 || major > 0) }'
 
 # Domain-parallel execution must be byte-identical to the sequential
 # reference: the same sharded run at --jobs 1 and at --jobs 4 must

@@ -15,7 +15,7 @@ let () =
   print_endline "Arithmetic intensity from derived metric definitions\n";
   let flops_result = Core.Pipeline.run Core.Category.Cpu_flops in
   let cache_result = Core.Pipeline.run Core.Category.Dcache in
-  let catalog = Hwsim.Catalog_sapphire_rapids.events in
+  let catalog = Hwsim.Catalog_sapphire_rapids.events () in
 
   let combo result name =
     Core.Combination.round_coefficients

@@ -36,7 +36,7 @@ let () =
   let daxpy = Cat_bench.App_workloads.daxpy ~n:1_000_000 in
   let predicted =
     Core.Validate.evaluate_combination fma.combination
-      ~catalog:Hwsim.Catalog_sapphire_rapids.events ~seed:"validate/fma"
+      ~catalog:(Hwsim.Catalog_sapphire_rapids.events ()) ~seed:"validate/fma"
       daxpy.activity
   in
   let truth =

@@ -35,7 +35,7 @@ let rows_with_predictor kind =
        Branchsim.Kernels.all)
 
 let rows =
-  Once.once (fun () -> Obs.span "branchsim" (fun () -> rows_with_predictor predictor_kind))
+  Hwsim.Once.once (fun () -> Obs.span "branchsim" (fun () -> rows_with_predictor predictor_kind))
 
 let row_labels =
   Array.of_list (List.map (fun (k : Branchsim.Kernels.t) -> k.name) Branchsim.Kernels.all)

@@ -25,13 +25,12 @@ type t = {
 
 let default_reps = 5
 
-(* The compiled catalogs, built on first use.  They do not depend on
-   the seed, so every benchmark, shard and domain shares them. *)
-let sapphire_rapids =
-  Once.once (fun () -> Hwsim.Machine.compile Hwsim.Catalog_sapphire_rapids.events)
-
-let mi250x = Once.once (fun () -> Hwsim.Machine.compile Hwsim.Catalog_mi250x.events)
-let zen = Once.once (fun () -> Hwsim.Machine.compile Hwsim.Catalog_zen.events)
+(* The compiled catalogs are built on first use, with their events.
+   They do not depend on the seed, so every benchmark, shard and
+   domain shares them. *)
+let sapphire_rapids = Hwsim.Catalog_sapphire_rapids.compiled
+let mi250x = Hwsim.Catalog_mi250x.compiled
+let zen = Hwsim.Catalog_zen.compiled
 
 let kernel_bench ~name ~seed ~catalog ~rows ~row_labels =
   {
@@ -301,8 +300,9 @@ let is_end c = c = ',' || c = '\n'
 
 (* Parse the field that starts at [i] into [v.(k)] (dropped when [k]
    is past the row labels) and return where it ends: the trimmed field
-   through [float_of_string_opt]; if that fails and no field of the line
-   has failed before, [bad] is set to the field's start. *)
+   through [float_of_string_opt]; if that fails or gives a non-finite
+   value ([nan], [inf], [1e400]) and no field of the line has failed
+   before, [bad] is set to the field's start. *)
 let scan_value s ~bad i stop v k =
   let first = ref i in
   while !first < stop && is_blank (Bytes.unsafe_get s !first) do incr first done;
@@ -312,8 +312,8 @@ let scan_value s ~bad i stop v k =
     decr last
   done;
   (match float_of_string_opt (Bytes.sub_string s !first (!last - !first)) with
-   | Some x -> if k < Array.length v then v.(k) <- x
-   | None -> if !bad < 0 then bad := i);
+   | Some x when Float.is_finite x -> if k < Array.length v then v.(k) <- x
+   | Some _ | None -> if !bad < 0 then bad := i);
   e
 
 (* The field at [i] as the line's split shows it: untrimmed, except
@@ -427,7 +427,13 @@ let scan lines ~data =
     done;
     if !values <> n then
       csv_fail line (Printf.sprintf "expected %d values, got %d" n !values);
-    if !bad >= 0 then csv_fail line ("bad number " ^ raw_field s !bad stop);
+    if !bad >= 0 then begin
+      let f = raw_field s !bad stop in
+      csv_fail line
+        (match float_of_string_opt (String.trim f) with
+         | Some _ -> "non-finite number " ^ f
+         | None -> "bad number " ^ f)
+    end;
     if not (same_name s ls (c1 - ls)) then name := Bytes.sub_string s ls (c1 - ls);
     data ~line !name v;
     !e

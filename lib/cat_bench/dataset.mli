@@ -143,8 +143,10 @@ val parse_reps_csv : name:string -> string -> (t, csv_error) result
     start).  Events keep their first-appearance order.  The input is
     refused when it is empty, the header is not
     [event,rep,<row labels>], a line has too few fields or not one
-    value per row label, a value is not a [float_of_string] number, or
-    an event has a different number of repetitions than the first. *)
+    value per row label, a value is not a [float_of_string] number or
+    not finite ([nan], [inf], an overflow such as [1e400]: reason
+    ["non-finite number <field>"]), or an event has a different number
+    of repetitions than the first. *)
 
 val stream_reps_csv :
   In_channel.t -> (measurement -> 'a) -> ('a list, csv_error) result

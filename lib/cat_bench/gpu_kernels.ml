@@ -62,7 +62,7 @@ let per_kernel f =
    here: f16 and f32 latencies are equal, as are add, sub, mul and
    fma, so the 45 kernels need 12 schedules. *)
 let rows =
-  Once.once (fun () ->
+  Hwsim.Once.once (fun () ->
       Obs.span "gpusim" (fun () ->
           let schedules = Hashtbl.create 16 in
           let cycles (kernel : Gpusim.Kernel.t) =

@@ -148,9 +148,9 @@ let catalog_name = function
 
 let shipped_catalogs () =
   [
-    ("sapphire-rapids", Hwsim.Catalog_sapphire_rapids.events);
-    ("mi250x", Hwsim.Catalog_mi250x.events);
-    ("zen", Hwsim.Catalog_zen.events);
+    ("sapphire-rapids", Hwsim.Catalog_sapphire_rapids.events ());
+    ("mi250x", Hwsim.Catalog_mi250x.events ());
+    ("zen", Hwsim.Catalog_zen.events ());
   ]
 
 let lint_category ?config c =

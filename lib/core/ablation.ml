@@ -1,6 +1,6 @@
 let paper_set = function
-  | Category.Cpu_flops -> Hwsim.Catalog_sapphire_rapids.fp_arith_events
-  | Category.Gpu_flops -> Hwsim.Catalog_mi250x.valu_chosen_events
+  | Category.Cpu_flops -> Hwsim.Catalog_sapphire_rapids.fp_arith_events ()
+  | Category.Gpu_flops -> Hwsim.Catalog_mi250x.valu_chosen_events ()
   | Category.Branch -> Hwsim.Catalog_sapphire_rapids.branch_chosen_events
   | Category.Dcache -> Hwsim.Catalog_sapphire_rapids.cache_chosen_events
 

@@ -28,10 +28,12 @@ let projection_tol = function
   | Dcache -> 0.05
 
 let events = function
-  | Cpu_flops | Branch | Dcache -> Hwsim.Catalog_sapphire_rapids.events
-  | Gpu_flops -> Hwsim.Catalog_mi250x.events
+  | Cpu_flops | Branch | Dcache -> Hwsim.Catalog_sapphire_rapids.events ()
+  | Gpu_flops -> Hwsim.Catalog_mi250x.events ()
 
-let catalog_size c = List.length (events c)
+let catalog_size = function
+  | Cpu_flops | Branch | Dcache -> Hwsim.Catalog_sapphire_rapids.size ()
+  | Gpu_flops -> Hwsim.Catalog_mi250x.size ()
 
 let bench = function
   | Cpu_flops -> Cat_bench.Dataset.cpu_flops_bench

@@ -58,17 +58,17 @@ let all_ops_combination p =
   [ (1., gpu_ev "ADD" p); (1., gpu_ev "MUL" p); (1., gpu_ev "TRANS" p);
     (2., gpu_ev "FMA" p) ]
 
-let claims =
+let claims () =
   [
     (* ---- Section V: chosen events ---- *)
     { id = "sectionV/cpu-chosen"; paper_ref = "Section V-A";
       expectation =
         Chosen_events { category = Category.Cpu_flops;
-                        events = Hwsim.Catalog_sapphire_rapids.fp_arith_events } };
+                        events = Hwsim.Catalog_sapphire_rapids.fp_arith_events () } };
     { id = "sectionV/gpu-chosen"; paper_ref = "Section V-B";
       expectation =
         Chosen_events { category = Category.Gpu_flops;
-                        events = Hwsim.Catalog_mi250x.valu_chosen_events } };
+                        events = Hwsim.Catalog_mi250x.valu_chosen_events () } };
     { id = "sectionV/branch-chosen"; paper_ref = "Section V-C";
       expectation =
         Chosen_events { category = Category.Branch;
@@ -266,7 +266,7 @@ let check ?manifest claim =
   in
   { claim; passed; detail }
 
-let check_all ?manifest () = List.map (check ?manifest) claims
+let check_all ?manifest () = List.map (check ?manifest) (claims ())
 
 let scorecard verdicts =
   let buf = Buffer.create 4096 in

@@ -48,7 +48,7 @@ let validate ~(metric : Metric_solver.metric_def) ~catalog ~truth ~apps =
     apps
 
 let validate_cpu_flops_metrics (result : Pipeline.result) apps =
-  let catalog = Hwsim.Catalog_sapphire_rapids.events in
+  let catalog = Hwsim.Catalog_sapphire_rapids.events () in
   let cases =
     [
       ("SP Ops.", Cat_bench.App_workloads.true_ops ~precision:Hwsim.Keys.Single);

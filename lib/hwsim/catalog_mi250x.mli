@@ -15,17 +15,22 @@
 val devices : int
 (** 8. *)
 
-val events : Event.t list
-(** Full catalog across all devices. *)
+val events : unit -> Event.t list
+(** Full catalog across all devices, built on first use (safely from
+    several domains) and shared from then on. *)
+
+val compiled : unit -> Machine.catalog
+(** [Machine.compile (events ())], built with the events and held in
+    the same memo. *)
 
 val find : string -> Event.t
 (** Lookup by full name; raises [Not_found]. *)
 
-val size : int
+val size : unit -> int
 
 val event_name : base:string -> device:int -> string
 (** [rocm:::<base>:device=<k>]. *)
 
-val valu_chosen_events : string list
+val valu_chosen_events : unit -> string list
 (** The 12 [SQ_INSTS_VALU_{ADD,MUL,TRANS,FMA}_F{16,32,64}] device-0
     names Section V-B reports. *)

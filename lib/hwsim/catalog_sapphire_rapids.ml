@@ -7,10 +7,10 @@ let ev = Event.make
 let fp_event_name ~(precision : Keys.fp_precision) ~(width : Keys.fp_width) =
   let p = match precision with Keys.Single -> "SINGLE" | Keys.Double -> "DOUBLE" in
   match width with
-  | Keys.Scalar -> Printf.sprintf "FP_ARITH_INST_RETIRED:SCALAR_%s" p
-  | Keys.W128 -> Printf.sprintf "FP_ARITH_INST_RETIRED:128B_PACKED_%s" p
-  | Keys.W256 -> Printf.sprintf "FP_ARITH_INST_RETIRED:256B_PACKED_%s" p
-  | Keys.W512 -> Printf.sprintf "FP_ARITH_INST_RETIRED:512B_PACKED_%s" p
+  | Keys.Scalar -> "FP_ARITH_INST_RETIRED:SCALAR_" ^ p
+  | Keys.W128 -> "FP_ARITH_INST_RETIRED:128B_PACKED_" ^ p
+  | Keys.W256 -> "FP_ARITH_INST_RETIRED:256B_PACKED_" ^ p
+  | Keys.W512 -> "FP_ARITH_INST_RETIRED:512B_PACKED_" ^ p
 
 (* Each FP_ARITH class event counts non-FMA instructions once and FMA
    instructions twice (Intel counts one increment per operation). *)
@@ -18,7 +18,7 @@ let fp_class_terms ~precision ~width =
   [ (1.0, Keys.flops ~precision ~width ~fma:false);
     (2.0, Keys.flops ~precision ~width ~fma:true) ]
 
-let fp_class_events =
+let fp_class_events () =
   List.concat_map
     (fun precision ->
       List.map
@@ -31,7 +31,7 @@ let fp_class_events =
         [ Keys.Scalar; Keys.W128; Keys.W256; Keys.W512 ])
     [ Keys.Single; Keys.Double ]
 
-let fp_aggregate_events =
+let fp_aggregate_events () =
   let packed precision =
     List.concat_map
       (fun width -> fp_class_terms ~precision ~width)
@@ -71,7 +71,7 @@ let fp_aggregate_events =
 (* Branching.                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let branch_events =
+let branch_events () =
   [
     ev ~name:"BR_INST_RETIRED:ALL_BRANCHES"
       ~desc:"All retired branches (conditional + unconditional)"
@@ -112,7 +112,7 @@ let branch_events =
 (* Data caches and memory.                                             *)
 (* ------------------------------------------------------------------ *)
 
-let cache_events =
+let cache_events () =
   [
     ev ~name:"MEM_LOAD_RETIRED:L1_HIT"
       ~desc:"Retired loads that hit the L1 data cache"
@@ -204,7 +204,7 @@ let cache_events =
 (* Core-coupled counters: respond to every CPU workload.               *)
 (* ------------------------------------------------------------------ *)
 
-let core_events =
+let core_events () =
   [
     ev ~name:"INST_RETIRED:ANY"
       ~desc:"All retired instructions (exact, but spans payload and overhead)"
@@ -268,17 +268,21 @@ let spread ~lo ~hi i n =
   let t = float_of_int i /. float_of_int (max 1 (n - 1)) in
   lo *. ((hi /. lo) ** t)
 
+(* [Printf.sprintf "%02d" i] for [i >= 0]. *)
+let two_digits i = if i < 10 then "0" ^ string_of_int i else string_of_int i
+
 let mem_family ~prefix ~count ~key ~coef_lo ~coef_hi ~noise_lo ~noise_hi =
+  let dot = prefix ^ "." and desc = "Generated " ^ prefix ^ " counter " in
   List.init count (fun i ->
       let coef = spread ~lo:coef_lo ~hi:coef_hi i count in
       let sigma = spread ~lo:noise_lo ~hi:noise_hi ((i * 7) mod count) count in
       ev
-        ~name:(Printf.sprintf "%s.%02d" prefix i)
-        ~desc:(Printf.sprintf "Generated %s counter %d" prefix i)
+        ~name:(dot ^ two_digits i)
+        ~desc:(desc ^ string_of_int i)
         ~noise:(Noise_model.Gauss_rel sigma)
         [ (coef, key) ])
 
-let generated_memory_events =
+let generated_memory_events () =
   (* ~190 events coupled to the memory hierarchy: zero during the
      branching benchmark, busy during FLOPs (operand loads) and the
      data-cache benchmark. *)
@@ -305,7 +309,7 @@ let generated_memory_events =
   @ mem_family ~prefix:"LLC_PREFETCH" ~count:16 ~key:Keys.cache_l3_dh
       ~coef_lo:0.01 ~coef_hi:0.4 ~noise_lo:0.1 ~noise_hi:0.8
 
-let generated_core_events =
+let generated_core_events () =
   (* ~90 events coupled to cycles/instructions: present in every CPU
      figure's noisy tail. *)
   mem_family ~prefix:"IDQ_UOPS_NOT_DELIVERED" ~count:12 ~key:Keys.core_cycles
@@ -331,19 +335,27 @@ let generated_core_events =
   @ mem_family ~prefix:"MISC_RETIRED_LBR" ~count:10 ~key:Keys.core_instructions
       ~coef_lo:0.001 ~coef_hi:0.05 ~noise_lo:0.1 ~noise_hi:0.7
 
-let dead_events =
+let dead_events () =
   (* Counters no CAT workload ever fires: AMX, CXL, SGX, ... — the
      "discarded as irrelevant" population of the paper's footnote 1. *)
   List.init 40 (fun i ->
       ev
-        ~name:(Printf.sprintf "DEAD_UNIT_EVENT.%02d" i)
+        ~name:("DEAD_UNIT_EVENT." ^ two_digits i)
         ~desc:"Counter for a hardware unit the CAT kernels never exercise"
         [])
 
-let events =
+type built = {
+  events : Event.t list;
+  compiled : Machine.catalog;
+  fp_arith : string list;
+}
+
+let build () =
+  let fp_class = fp_class_events () in
   let all =
-    fp_class_events @ fp_aggregate_events @ branch_events @ cache_events
-    @ core_events @ generated_memory_events @ generated_core_events @ dead_events
+    fp_class @ fp_aggregate_events () @ branch_events () @ cache_events ()
+    @ core_events () @ generated_memory_events () @ generated_core_events ()
+    @ dead_events ()
   in
   (* Guard against accidental name collisions in the data above. *)
   let seen = Hashtbl.create 512 in
@@ -353,14 +365,23 @@ let events =
         invalid_arg ("Catalog_sapphire_rapids: duplicate event " ^ e.Event.name);
       Hashtbl.add seen e.Event.name ())
     all;
-  all
+  {
+    events = all;
+    compiled = Machine.compile all;
+    fp_arith = List.map (fun (e : Event.t) -> e.Event.name) fp_class;
+  }
 
-let find name = List.find (fun (e : Event.t) -> e.Event.name = name) events
+let built = Once.once build
 
-let size = List.length events
+let events () = (built ()).events
 
-let fp_arith_events =
-  List.map (fun (e : Event.t) -> e.Event.name) fp_class_events
+let compiled () = (built ()).compiled
+
+let find name = List.find (fun (e : Event.t) -> e.Event.name = name) (events ())
+
+let size () = Machine.size (compiled ())
+
+let fp_arith_events () = (built ()).fp_arith
 
 let branch_chosen_events =
   [ "BR_MISP_RETIRED"; "BR_INST_RETIRED:COND"; "BR_INST_RETIRED:COND_TAKEN";

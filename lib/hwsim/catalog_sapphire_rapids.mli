@@ -22,15 +22,20 @@
       [L2_RQSTS:DEMAND_DATA_RD_HIT], so the noise filter removes it
       and the QRCP picks the L2_RQSTS event, matching Section V-D. *)
 
-val events : Event.t list
-(** The full catalog (deduplicated by name, stable order). *)
+val events : unit -> Event.t list
+(** The full catalog (deduplicated by name, stable order), built on
+    first use (safely from several domains) and shared from then on. *)
+
+val compiled : unit -> Machine.catalog
+(** [Machine.compile (events ())], built with the events and held in
+    the same memo. *)
 
 val find : string -> Event.t
 (** Lookup by name; raises [Not_found]. *)
 
-val size : int
+val size : unit -> int
 
-val fp_arith_events : string list
+val fp_arith_events : unit -> string list
 (** Names of the 8 FP_ARITH single-class events the QRCP should
     select for the CPU-FLOPs category (Section V-A). *)
 

@@ -15,7 +15,7 @@ let flops_terms ~fma =
         all_widths)
     all_precisions
 
-let fp_events =
+let fp_events () =
   [
     ev ~name:"RETIRED_SSE_AVX_FLOPS:ADD_SUB_FLOPS"
       ~desc:"Non-MAC FP operations retired (all precisions and widths)"
@@ -38,7 +38,7 @@ let fp_events =
     ev ~name:"FP_DISP_FAULTS" ~desc:"FP dispatch faults (none)" [];
   ]
 
-let branch_events =
+let branch_events () =
   [
     ev ~name:"EX_RET_BRN"
       ~desc:"Retired branches of any kind"
@@ -59,7 +59,7 @@ let branch_events =
     ev ~name:"EX_RET_BRN_FAR" ~desc:"Far control transfers (none)" [];
   ]
 
-let core_events =
+let core_events () =
   [
     ev ~name:"EX_RET_INSTR" ~desc:"Retired instructions"
       [ (1.0, Keys.core_instructions) ];
@@ -86,15 +86,19 @@ let spread ~lo ~hi i n =
   let t = float_of_int i /. float_of_int (max 1 (n - 1)) in
   lo *. ((hi /. lo) ** t)
 
+(* [Printf.sprintf "%02d" i] for [i >= 0]. *)
+let two_digits i = if i < 10 then "0" ^ string_of_int i else string_of_int i
+
 let family ~prefix ~count ~key ~coef_lo ~coef_hi ~noise_lo ~noise_hi =
+  let dot = prefix ^ "." and desc = "Generated " ^ prefix ^ " counter " in
   List.init count (fun i ->
       ev
-        ~name:(Printf.sprintf "%s.%02d" prefix i)
-        ~desc:(Printf.sprintf "Generated %s counter %d" prefix i)
+        ~name:(dot ^ two_digits i)
+        ~desc:(desc ^ string_of_int i)
         ~noise:(Noise_model.Gauss_rel (spread ~lo:noise_lo ~hi:noise_hi ((i * 5) mod count) count))
         [ (spread ~lo:coef_lo ~hi:coef_hi i count, key) ])
 
-let generated_events =
+let generated_events () =
   family ~prefix:"L3_LOOKUP_STATE" ~count:16 ~key:Keys.cache_l3_dm ~coef_lo:0.1
     ~coef_hi:1.5 ~noise_lo:0.05 ~noise_hi:0.7
   @ family ~prefix:"DF_CS_UMC" ~count:12 ~key:Keys.cache_l3_dm ~coef_lo:0.5
@@ -106,14 +110,19 @@ let generated_events =
   @ family ~prefix:"RESYNC_CYCLES" ~count:8 ~key:Keys.core_cycles ~coef_lo:0.001
       ~coef_hi:0.3 ~noise_lo:0.05 ~noise_hi:0.6
 
-let dead_events =
+let dead_events () =
   List.init 16 (fun i ->
       ev
-        ~name:(Printf.sprintf "ZEN_DEAD_EVENT.%02d" i)
+        ~name:("ZEN_DEAD_EVENT." ^ two_digits i)
         ~desc:"Counter for a unit the CAT kernels never exercise" [])
 
-let events =
-  let all = fp_events @ branch_events @ core_events @ generated_events @ dead_events in
+type built = { events : Event.t list; compiled : Machine.catalog }
+
+let build () =
+  let all =
+    fp_events () @ branch_events () @ core_events () @ generated_events ()
+    @ dead_events ()
+  in
   let seen = Hashtbl.create 128 in
   List.iter
     (fun (e : Event.t) ->
@@ -121,11 +130,17 @@ let events =
         invalid_arg ("Catalog_zen: duplicate event " ^ e.Event.name);
       Hashtbl.add seen e.Event.name ())
     all;
-  all
+  { events = all; compiled = Machine.compile all }
 
-let find name = List.find (fun (e : Event.t) -> e.Event.name = name) events
+let built = Once.once build
 
-let size = List.length events
+let events () = (built ()).events
+
+let compiled () = (built ()).compiled
+
+let find name = List.find (fun (e : Event.t) -> e.Event.name = name) (events ())
+
+let size () = Machine.size (compiled ())
 
 let flops_chosen_events =
   [ "RETIRED_SSE_AVX_FLOPS:ADD_SUB_FLOPS"; "RETIRED_SSE_AVX_FLOPS:MAC_FLOPS" ]

@@ -19,12 +19,18 @@
     {e not} composable here, while the all-precision FLOPs metric
     is — the analysis proves both automatically. *)
 
-val events : Event.t list
+val events : unit -> Event.t list
+(** Built on first use (safely from several domains) and shared from
+    then on. *)
+
+val compiled : unit -> Machine.catalog
+(** [Machine.compile (events ())], built with the events and held in
+    the same memo. *)
 
 val find : string -> Event.t
 (** Raises [Not_found]. *)
 
-val size : int
+val size : unit -> int
 
 val flops_chosen_events : string list
 (** The two independent FP events the QRCP selects:

@@ -5,8 +5,9 @@ let width_name = function Scalar -> "scalar" | W128 -> "128" | W256 -> "256" | W
 let precision_name = function Single -> "sp" | Double -> "dp"
 
 let flops ~precision ~width ~fma =
-  Printf.sprintf "flops.%s_%s%s" (precision_name precision) (width_name width)
-    (if fma then "_fma" else "")
+  String.concat ""
+    [ "flops."; precision_name precision; "_"; width_name width;
+      (if fma then "_fma" else "") ]
 
 let widths = [ Scalar; W128; W256; W512 ]
 
@@ -28,7 +29,7 @@ let fp_ops_per_instr ~precision ~width ~fma =
 let flops_label ~precision ~width ~fma =
   let p = match precision with Single -> "S" | Double -> "D" in
   let w = match width with Scalar -> "_SCAL" | W128 -> "128" | W256 -> "256" | W512 -> "512" in
-  Printf.sprintf "%s%s%s" p w (if fma then "_FMA" else "")
+  String.concat "" [ p; w; (if fma then "_FMA" else "") ]
 
 let branch_cond_exec = "branch.cond_exec"
 let branch_cond_retired = "branch.cond_retired"
@@ -71,8 +72,12 @@ let gpu_op_name = function
 
 let gpu_precision_name = function F16 -> "f16" | F32 -> "f32" | F64 -> "f64"
 
+(* "gpu<device>." *)
+let gpu_prefix device = "gpu" ^ string_of_int device ^ "."
+
 let gpu ~device ~op ~precision =
-  Printf.sprintf "gpu%d.%s_%s" device (gpu_op_name op) (gpu_precision_name precision)
+  String.concat ""
+    [ gpu_prefix device; gpu_op_name op; "_"; gpu_precision_name precision ]
 
 let all_gpu_flops ~device =
   List.concat_map
@@ -84,10 +89,10 @@ let gpu_label ~op ~precision =
   let p = match precision with F16 -> "H" | F32 -> "S" | F64 -> "D" in
   o ^ p
 
-let gpu_salu ~device = Printf.sprintf "gpu%d.salu" device
-let gpu_smem ~device = Printf.sprintf "gpu%d.smem" device
-let gpu_vmem ~device = Printf.sprintf "gpu%d.vmem" device
-let gpu_branch ~device = Printf.sprintf "gpu%d.branch" device
-let gpu_waves ~device = Printf.sprintf "gpu%d.waves" device
-let gpu_cycles ~device = Printf.sprintf "gpu%d.cycles" device
-let gpu_valu_total ~device = Printf.sprintf "gpu%d.valu_total" device
+let gpu_salu ~device = gpu_prefix device ^ "salu"
+let gpu_smem ~device = gpu_prefix device ^ "smem"
+let gpu_vmem ~device = gpu_prefix device ^ "vmem"
+let gpu_branch ~device = gpu_prefix device ^ "branch"
+let gpu_waves ~device = gpu_prefix device ^ "waves"
+let gpu_cycles ~device = gpu_prefix device ^ "cycles"
+let gpu_valu_total ~device = gpu_prefix device ^ "valu_total"

@@ -82,9 +82,33 @@ let sort_floats (a : float array) =
     a.(0) <- e
   end
 
+(* With no NaN and no -0. in [a], elements that compare equal are
+   bit-identical, so any correct sort leaves the cells [sort_floats]
+   would. *)
+let plain (a : float array) =
+  let ok = ref true in
+  for i = 0 to Array.length a - 1 do
+    let x = a.(i) in
+    if x <> x || (x = 0.0 && Float.sign_bit x) then ok := false
+  done;
+  !ok
+
+let insertion_sort (a : float array) =
+  for i = 1 to Array.length a - 1 do
+    let e = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > e do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- e
+  done
+
+(* Short plain arrays (dcache's median of 8 threads) skip the heap
+   sort's set-up. *)
 let median_in_place a =
   check_nonempty "Stats.median" a;
-  sort_floats a;
+  if Array.length a <= 16 && plain a then insertion_sort a else sort_floats a;
   let n = Array.length a in
   if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
 

@@ -113,7 +113,12 @@ let render t =
     if rows <> [] then begin
       Printf.bprintf buf "%s\n" title;
       List.iter
-        (fun (name, v) -> Printf.bprintf buf "  %-34s %14g\n" name v)
+        (fun (name, v) ->
+          (* A count prints every digit; [%g] would round one above a
+             million to six. *)
+          if Float.is_integer v && Float.abs v < 1e15 then
+            Printf.bprintf buf "  %-34s %14.0f\n" name v
+          else Printf.bprintf buf "  %-34s %14g\n" name v)
         rows
     end
   in

@@ -84,9 +84,9 @@ let test_auto_tau_reproduces_clean_categories () =
         (Core.Category.name category ^ " auto-tau set")
         (List.sort compare paper_set)
         (Core.Pipeline.chosen_set r))
-    [ (Core.Category.Cpu_flops, 8, Hwsim.Catalog_sapphire_rapids.fp_arith_events);
+    [ (Core.Category.Cpu_flops, 8, Hwsim.Catalog_sapphire_rapids.fp_arith_events ());
       (Core.Category.Branch, 4, Hwsim.Catalog_sapphire_rapids.branch_chosen_events);
-      (Core.Category.Gpu_flops, 12, Hwsim.Catalog_mi250x.valu_chosen_events) ]
+      (Core.Category.Gpu_flops, 12, Hwsim.Catalog_mi250x.valu_chosen_events ()) ]
 
 let test_auto_tau_cache_walks_to_lenient_band () =
   (* The widest gap keeps only exact (cache-irrelevant) events; the

@@ -248,7 +248,7 @@ let test_ideal_dcache () =
 let test_dataset_shapes () =
   let d = Cat_bench.Dataset.cpu_flops () in
   Alcotest.(check int) "row labels" 48 (Array.length d.row_labels);
-  Alcotest.(check int) "all catalog events" Hwsim.Catalog_sapphire_rapids.size
+  Alcotest.(check int) "all catalog events" (Hwsim.Catalog_sapphire_rapids.size ())
     (List.length d.measurements);
   List.iter
     (fun (m : Cat_bench.Dataset.measurement) ->

@@ -105,17 +105,17 @@ let test_event_ideal_value () =
 (* Catalogs                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let spr = Hwsim.Catalog_sapphire_rapids.events
+let spr () = Hwsim.Catalog_sapphire_rapids.events ()
 
 let test_spr_size () =
   Alcotest.(check bool)
-    (Printf.sprintf "a few hundred events (got %d)" Hwsim.Catalog_sapphire_rapids.size)
+    (Printf.sprintf "a few hundred events (got %d)" (Hwsim.Catalog_sapphire_rapids.size ()))
     true
-    (Hwsim.Catalog_sapphire_rapids.size >= 300
-     && Hwsim.Catalog_sapphire_rapids.size <= 600)
+    (Hwsim.Catalog_sapphire_rapids.size () >= 300
+     && Hwsim.Catalog_sapphire_rapids.size () <= 600)
 
 let test_spr_unique_names () =
-  let names = List.map (fun (e : Hwsim.Event.t) -> e.Hwsim.Event.name) spr in
+  let names = List.map (fun (e : Hwsim.Event.t) -> e.Hwsim.Event.name) (spr ()) in
   Alcotest.(check int) "unique" (List.length names)
     (List.length (List.sort_uniq compare names))
 
@@ -144,7 +144,7 @@ let test_spr_no_fma_only_event () =
       in
       if reads_fma_only then
         Alcotest.failf "catalog leaks an FMA-only event: %s" e.Hwsim.Event.name)
-    spr
+    (spr ())
 
 let test_spr_no_cond_exec_event () =
   (* Likewise: nothing may read branch.cond_exec, or "Conditional
@@ -156,29 +156,29 @@ let test_spr_no_cond_exec_event () =
           if k = Hwsim.Keys.branch_cond_exec then
             Alcotest.failf "catalog leaks executed-branch event: %s" e.Hwsim.Event.name)
         e.Hwsim.Event.terms)
-    spr
+    (spr ())
 
 let test_spr_chosen_lists () =
   Alcotest.(check int) "8 fp class events" 8
-    (List.length Hwsim.Catalog_sapphire_rapids.fp_arith_events);
+    (List.length (Hwsim.Catalog_sapphire_rapids.fp_arith_events ()));
   Alcotest.(check int) "4 branch" 4
     (List.length Hwsim.Catalog_sapphire_rapids.branch_chosen_events);
   Alcotest.(check int) "4 cache" 4
     (List.length Hwsim.Catalog_sapphire_rapids.cache_chosen_events);
   List.iter
     (fun n -> ignore (Hwsim.Catalog_sapphire_rapids.find n))
-    (Hwsim.Catalog_sapphire_rapids.fp_arith_events
+    (Hwsim.Catalog_sapphire_rapids.fp_arith_events ()
     @ Hwsim.Catalog_sapphire_rapids.branch_chosen_events
     @ Hwsim.Catalog_sapphire_rapids.cache_chosen_events)
 
 let test_mi250x_size_and_devices () =
   Alcotest.(check int) "8 devices" 8 Hwsim.Catalog_mi250x.devices;
   Alcotest.(check bool)
-    (Printf.sprintf "~1200 events (got %d)" Hwsim.Catalog_mi250x.size)
+    (Printf.sprintf "~1200 events (got %d)" (Hwsim.Catalog_mi250x.size ()))
     true
-    (Hwsim.Catalog_mi250x.size >= 1000 && Hwsim.Catalog_mi250x.size <= 1500);
+    (Hwsim.Catalog_mi250x.size () >= 1000 && Hwsim.Catalog_mi250x.size () <= 1500);
   Alcotest.(check int) "size divisible by devices" 0
-    (Hwsim.Catalog_mi250x.size mod 8)
+    (Hwsim.Catalog_mi250x.size () mod 8)
 
 let test_mi250x_add_aliases_sub () =
   let e =
@@ -192,10 +192,10 @@ let test_mi250x_add_aliases_sub () =
 
 let test_mi250x_valu_chosen () =
   Alcotest.(check int) "12 VALU events" 12
-    (List.length Hwsim.Catalog_mi250x.valu_chosen_events);
+    (List.length (Hwsim.Catalog_mi250x.valu_chosen_events ()));
   List.iter
     (fun n -> ignore (Hwsim.Catalog_mi250x.find n))
-    Hwsim.Catalog_mi250x.valu_chosen_events
+    (Hwsim.Catalog_mi250x.valu_chosen_events ())
 
 let test_mi250x_idle_devices_noisy () =
   let e0 =
@@ -210,6 +210,58 @@ let test_mi250x_idle_devices_noisy () =
     (Hwsim.Noise_model.is_exact e0.Hwsim.Event.noise);
   Alcotest.(check bool) "idle device noisy" false
     (Hwsim.Noise_model.is_exact e3.Hwsim.Event.noise)
+
+(* Every shipped catalog, event by event in list order, and the
+   interned key order of its compiled form: the name, the description,
+   each term's coefficient (as [%h]) and key, the offset and the noise
+   model.  The interned order is read back through [Machine.row] on an
+   activity that gives key [k] the value [k]. *)
+let catalog_digest (events, compiled) =
+  let b = Buffer.create 65536 in
+  let noise = function
+    | Hwsim.Noise_model.Exact -> "exact"
+    | Hwsim.Noise_model.Gauss_rel s -> Printf.sprintf "rel %h" s
+    | Hwsim.Noise_model.Gauss_abs s -> Printf.sprintf "abs %h" s
+    | Hwsim.Noise_model.Mixed (r, a) -> Printf.sprintf "mixed %h %h" r a
+  in
+  List.iter
+    (fun (e : Hwsim.Event.t) ->
+      Printf.bprintf b "%s\x00%s\x00" e.Hwsim.Event.name e.Hwsim.Event.description;
+      List.iter (fun (c, k) -> Printf.bprintf b "%h*%s;" c k) e.Hwsim.Event.terms;
+      Printf.bprintf b "\x00%h\x00%s\n" e.Hwsim.Event.offset (noise e.Hwsim.Event.noise))
+    events;
+  let keys =
+    List.sort_uniq compare
+      (List.concat_map (fun (e : Hwsim.Event.t) -> List.map snd e.Hwsim.Event.terms) events)
+  in
+  let numbered = List.mapi (fun i k -> (k, float_of_int i)) keys in
+  let row = Hwsim.Machine.row compiled (Hwsim.Activity.of_list numbered) in
+  Array.iter (fun v -> Printf.bprintf b "%s;" (List.nth keys (int_of_float v))) row;
+  Printf.bprintf b "\n%d" (Hwsim.Machine.size compiled);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let shipped_catalogs () =
+  Hwsim.
+    [
+      ( "sapphire-rapids",
+        (Catalog_sapphire_rapids.events (), Catalog_sapphire_rapids.compiled ()) );
+      ("mi250x", (Catalog_mi250x.events (), Catalog_mi250x.compiled ()));
+      ("zen", (Catalog_zen.events (), Catalog_zen.compiled ()));
+    ]
+
+let test_catalog_digests () =
+  let pinned =
+    [
+      ("sapphire-rapids", "f1bd4537a96f4263cbf8f40fcf222488");
+      ("mi250x", "9a278a78beb2e951ec1c554784e752a6");
+      ("zen", "a4326b126988e11ffc25a805e625ecef");
+    ]
+  in
+  List.iter2
+    (fun (name, expected) (name', catalog) ->
+      Alcotest.(check string) "catalog order" name name';
+      Alcotest.(check string) (name ^ " digest") expected (catalog_digest catalog))
+    pinned (shipped_catalogs ())
 
 (* ------------------------------------------------------------------ *)
 (* Machine                                                             *)
@@ -394,18 +446,18 @@ let test_session_grouping () =
        p.Hwsim.Session.groups)
 
 let test_session_runs_accounting () =
-  let p = Hwsim.Session.plan ~counters:8 Hwsim.Catalog_sapphire_rapids.events in
+  let p = Hwsim.Session.plan ~counters:8 (Hwsim.Catalog_sapphire_rapids.events ()) in
   let expected_groups =
-    (Hwsim.Catalog_sapphire_rapids.size + 7) / 8
+    (Hwsim.Catalog_sapphire_rapids.size () + 7) / 8
   in
   Alcotest.(check int) "groups" expected_groups (Hwsim.Session.group_count p);
   Alcotest.(check int) "campaign cost" (expected_groups * 5)
     (Hwsim.Session.runs_needed p ~reps:5)
 
 let test_session_covers_all_events () =
-  let p = Hwsim.Session.plan ~counters:7 Hwsim.Catalog_sapphire_rapids.events in
+  let p = Hwsim.Session.plan ~counters:7 (Hwsim.Catalog_sapphire_rapids.events ()) in
   let total = List.fold_left (fun acc g -> acc + List.length g) 0 p.Hwsim.Session.groups in
-  Alcotest.(check int) "disjoint cover" Hwsim.Catalog_sapphire_rapids.size total;
+  Alcotest.(check int) "disjoint cover" (Hwsim.Catalog_sapphire_rapids.size ()) total;
   List.iter
     (fun g ->
       Alcotest.(check bool) "group fits counters" true (List.length g <= 7))
@@ -473,6 +525,8 @@ let () =
           Alcotest.test_case "12 VALU chosen" `Quick test_mi250x_valu_chosen;
           Alcotest.test_case "idle devices noisy" `Quick test_mi250x_idle_devices_noisy;
         ] );
+      ( "catalogs",
+        [ Alcotest.test_case "events and interned keys pinned" `Quick test_catalog_digests ] );
       ( "session",
         [
           Alcotest.test_case "grouping" `Quick test_session_grouping;

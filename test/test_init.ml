@@ -1,14 +1,16 @@
-(* Fresh-process guards: module initialisation runs no simulator, and
-   the kernel row tables are safe to build on demand from a domain
-   pool.  The order of the cases matters — the sharded runs must be
-   the first code in this process to reach a row table. *)
+(* Fresh-process guards: module initialisation builds no catalog and
+   runs no simulator, and the catalogs and kernel row tables are safe to
+   build on demand from a domain pool.  The order of the cases matters —
+   the sharded runs must be the first code in this process to reach a
+   row table, and nothing before the last case reads the Zen catalog. *)
 
-(* Taken before anything in this process has read a row table: what
-   every binary pays before [main] runs. *)
+(* Taken before anything in this process has read a catalog or a row
+   table: what every binary pays before [main] runs.  Building the three
+   catalogs there cost about 260,000 words. *)
 let init_minor_words = Gc.minor_words ()
 
 let test_init_words () =
-  if init_minor_words >= 10e6 then
+  if init_minor_words >= 50_000. then
     Alcotest.failf "module initialisation allocated %.0f minor words"
       init_minor_words
 
@@ -47,16 +49,37 @@ let test_concurrent_first_use () =
   Alcotest.(check bool) "later calls reuse it" true
     (Cat_bench.Flops_kernels.rows () == here)
 
+(* Two domains force the cold Zen catalog at once, released together
+   from a spin barrier: both get the one stored event list and compiled
+   catalog. *)
+let test_concurrent_catalog () =
+  let arrived = Atomic.make 0 in
+  let force () =
+    Atomic.incr arrived;
+    while Atomic.get arrived < 2 do Domain.cpu_relax () done;
+    (Hwsim.Catalog_zen.events (), Hwsim.Catalog_zen.compiled ())
+  in
+  let d = Domain.spawn force in
+  let events, compiled = force () in
+  let events', compiled' = Domain.join d in
+  Alcotest.(check bool) "one event list" true (events == events');
+  Alcotest.(check bool) "one compiled catalog" true (compiled == compiled');
+  Alcotest.(check bool) "later calls reuse them" true
+    (Hwsim.Catalog_zen.events () == events
+    && Hwsim.Catalog_zen.compiled () == compiled)
+
 let () =
   Alcotest.run "init"
     [
       ( "fresh-process",
         [
-          Alcotest.test_case "init allocates < 10M minor words" `Quick
+          Alcotest.test_case "init allocates < 50,000 minor words" `Quick
             test_init_words;
           Alcotest.test_case "cold row tables: Domains 2 == Seq" `Quick
             test_cold_domains_equal_seq;
           Alcotest.test_case "concurrent first use" `Quick
             test_concurrent_first_use;
+          Alcotest.test_case "concurrent first catalog" `Quick
+            test_concurrent_catalog;
         ] );
     ]

@@ -441,12 +441,16 @@ let oracle_median a =
 
 (* Short arrays drawn from a small pool rich in values that compare
    equal but differ in bits (0. and -0., NaNs of either sign) and in
-   ties, so where the sort puts each one shows in the median; and
-   longer arrays of ordinary values. *)
+   ties, so where the sort puts each one shows in the median; longer
+   arrays of ordinary values; count-like columns of 8, as dcache's
+   thread medians read (small integers, many ties and zeros), which
+   take the short-array sort; and up to 17 cells of counts mixed with
+   -0. or a NaN, which must fall back to the heap sort. *)
 let median_cases =
   let special =
     [| 0.0; -0.0; nan; -.nan; infinity; neg_infinity; 1.0; -1.0; 2.5; 1.0 |]
   in
+  let count = QCheck.Gen.(map float_of_int (int_range 0 4)) in
   QCheck.make
     ~print:QCheck.Print.(array (fun x -> Printf.sprintf "%h" x))
     QCheck.Gen.(
@@ -454,6 +458,10 @@ let median_cases =
         [
           (3, array_size (int_range 1 9) (oneofa special));
           (1, array_size (int_range 1 64) (oneof [ oneofa special; float ]));
+          (2, array_size (return 8) count);
+          ( 2,
+            array_size (int_range 1 17)
+              (frequency [ (4, count); (1, oneofa [| -0.0; nan; -.nan |]) ]) );
         ])
 
 let prop_median_is_oracle =

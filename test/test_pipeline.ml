@@ -168,7 +168,7 @@ let test_standard_qrcp_on_raw_matrix_picks_large_norm_event () =
     (Printf.sprintf "first pivot is cycles-coupled, not FP (got %s)" first)
     true
     (not
-       (List.mem first Hwsim.Catalog_sapphire_rapids.fp_arith_events))
+       (List.mem first (Hwsim.Catalog_sapphire_rapids.fp_arith_events ())))
 
 let test_standard_qrcp_on_x_differs_from_special () =
   (* Even after projection, norm pivoting and score pivoting pick

@@ -157,7 +157,7 @@ let test_merged_sessions_reproduce_analysis () =
      per-group datasets back, run the pipeline: identical results —
      the session-based measurement path CAT uses. *)
   let d = Core.Category.(dataset Branch) in
-  let plan = Hwsim.Session.plan ~counters:50 Hwsim.Catalog_sapphire_rapids.events in
+  let plan = Hwsim.Session.plan ~counters:50 (Hwsim.Catalog_sapphire_rapids.events ()) in
   let parts =
     List.map
       (fun group ->
