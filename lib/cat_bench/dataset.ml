@@ -25,13 +25,6 @@ type t = {
 
 let default_reps = 5
 
-(* The compiled catalogs are built on first use, with their events.
-   They do not depend on the seed, so every benchmark, shard and
-   domain shares them. *)
-let sapphire_rapids = Hwsim.Catalog_sapphire_rapids.compiled
-let mi250x = Hwsim.Catalog_mi250x.compiled
-let zen = Hwsim.Catalog_zen.compiled
-
 let kernel_bench ~name ~seed ~catalog ~rows ~row_labels =
   {
     name;
@@ -43,19 +36,23 @@ let kernel_bench ~name ~seed ~catalog ~rows ~row_labels =
   }
 
 let cpu_flops_bench =
-  kernel_bench ~name:"cpu-flops" ~seed:"cat-cpu-flops" ~catalog:sapphire_rapids
+  kernel_bench ~name:"cpu-flops" ~seed:"cat-cpu-flops"
+    ~catalog:Hwsim.Catalog_sapphire_rapids.compiled
     ~rows:Flops_kernels.rows ~row_labels:Flops_kernels.row_labels
 
 let branch_bench =
-  kernel_bench ~name:"branch" ~seed:"cat-branch" ~catalog:sapphire_rapids
+  kernel_bench ~name:"branch" ~seed:"cat-branch"
+    ~catalog:Hwsim.Catalog_sapphire_rapids.compiled
     ~rows:Branch_kernels.rows ~row_labels:Branch_kernels.row_labels
 
 let gpu_flops_bench =
-  kernel_bench ~name:"gpu-flops" ~seed:"cat-gpu-flops" ~catalog:mi250x
+  kernel_bench ~name:"gpu-flops" ~seed:"cat-gpu-flops"
+    ~catalog:Hwsim.Catalog_mi250x.compiled
     ~rows:Gpu_kernels.rows ~row_labels:Gpu_kernels.row_labels
 
 let zen_flops_bench =
-  kernel_bench ~name:"zen-flops" ~seed:"cat-zen-flops" ~catalog:zen
+  kernel_bench ~name:"zen-flops" ~seed:"cat-zen-flops"
+    ~catalog:Hwsim.Catalog_zen.compiled
     ~rows:Flops_kernels.rows ~row_labels:Flops_kernels.row_labels
 
 (* The thread activities are a function of (kernel config, rep,
@@ -75,7 +72,7 @@ let dcache_activities executor ~reps =
   match !dcache_cache with
   | Some (r, a) when r = reps -> a
   | _ ->
-    let catalog = sapphire_rapids () in
+    let catalog = Hwsim.Catalog_sapphire_rapids.compiled () in
     let configs = Array.of_list Cache_kernels.configs in
     let nrows = Array.length configs and threads = Cache_kernels.threads in
     let words = Array.fold_left (fun m c -> max m (Cache_kernels.pointers c)) 0 configs in
@@ -110,7 +107,7 @@ let dcache_bench =
   {
     name = "dcache";
     seeds = Array.init Cache_kernels.threads (Printf.sprintf "cat-dcache/thread=%d");
-    catalog = sapphire_rapids;
+    catalog = Hwsim.Catalog_sapphire_rapids.compiled;
     rows = Threads dcache_activities;
     row_labels = Cache_kernels.row_labels;
     reduce = `Median;

@@ -30,10 +30,11 @@ val projection_tol : t -> float
 
 val events : t -> Hwsim.Event.t list
 (** The category's event catalog, in catalog order (the order every
-    dataset, ledger and shard range refers to). *)
+    dataset, ledger and shard range refers to), built on first use. *)
 
 val catalog_size : t -> int
-(** [List.length (events t)] — the [total] that shard ranges cover. *)
+(** [List.length (events t)] — the [total] that shard ranges cover.
+    The first call builds the catalog. *)
 
 val bench : t -> Cat_bench.Dataset.bench
 (** The CAT benchmark the category's dataset is collected from. *)

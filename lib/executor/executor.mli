@@ -44,7 +44,7 @@
     [Cat_bench.Dataset.dcache_activities]) are pre-forced by
     [Category.prewarm] before dispatch; the row tables and the
     compiled catalogs are also safe to fill from a worker
-    ([Cat_bench.Once]).  [dcache_activities] itself submits one task
+    ([Hwsim.Once]).  [dcache_activities] itself submits one task
     per job, each a contiguous slice of its simulations with a chain
     buffer the task allocates and alone writes; the per-config chain
     geometries the tasks share are immutable.  No other mutable state

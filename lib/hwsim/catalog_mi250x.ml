@@ -34,8 +34,8 @@ let flop_index op precision =
   let p = match precision with Keys.F16 -> 0 | F32 -> 1 | F64 -> 2 in
   (3 * o) + p
 
-(* Base events are described relative to a device namespace; [inst]
-   instantiates them for a concrete device's keys. *)
+(* Base events are described relative to a device namespace; [build]
+   instantiates them with each device's keys. *)
 type base_event = {
   base : string;
   desc : string;

@@ -29,7 +29,7 @@ let fp_ops_per_instr ~precision ~width ~fma =
 let flops_label ~precision ~width ~fma =
   let p = match precision with Single -> "S" | Double -> "D" in
   let w = match width with Scalar -> "_SCAL" | W128 -> "128" | W256 -> "256" | W512 -> "512" in
-  String.concat "" [ p; w; (if fma then "_FMA" else "") ]
+  Printf.sprintf "%s%s%s" p w (if fma then "_FMA" else "")
 
 let branch_cond_exec = "branch.cond_exec"
 let branch_cond_retired = "branch.cond_retired"
@@ -72,7 +72,6 @@ let gpu_op_name = function
 
 let gpu_precision_name = function F16 -> "f16" | F32 -> "f32" | F64 -> "f64"
 
-(* "gpu<device>." *)
 let gpu_prefix device = "gpu" ^ string_of_int device ^ "."
 
 let gpu ~device ~op ~precision =
