@@ -186,8 +186,9 @@ init-smoke:
 # Domain-parallel execution must be byte-identical to the sequential
 # reference: the same sharded run at --jobs 1 and at --jobs 4 must
 # produce byte-identical output for every category (cmp, not diff),
-# and an impossible --jobs value must fail through the typed lint
-# diagnostic.  Finishes with the front benchmark smoke: branch at
+# and an impossible --jobs value (0, or 129: past the runtime's 128
+# domains) must fail through the typed lint diagnostic before any
+# domain starts.  Finishes with the front benchmark smoke: branch at
 # shards {1,2} x jobs {1,2}, which exits non-zero when the two-shard
 # front misses its 1.5x jobs-2 speed-up on a host with 2+ cores.
 par-smoke:
@@ -200,6 +201,7 @@ par-smoke:
 	  cmp $$dir/seq.txt $$dir/par.txt || exit 1; \
 	done) && \
 	! dune exec bin/analyze.exe -- -c branch --jobs 0 --show summary 2> /dev/null && \
+	! dune exec bin/analyze.exe -- -c dcache --jobs 129 --show summary 2> /dev/null && \
 	dune exec bench/shard_bench.exe -- --smoke --out $$dir/BENCH_shard_smoke.json && \
 	dune exec bench/shard_bench.exe -- --check $$dir/BENCH_shard_smoke.json; \
 	status=$$?; rm -rf $$dir; exit $$status

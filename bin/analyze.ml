@@ -244,7 +244,22 @@ let run_category ?csv ?auto_tau ?manifest ~stats ~preflight ~executor
       In_channel.with_open_bin path (fun ic ->
           Cat_bench.Dataset.stream_reps_csv ic Core.Noise_filter.entry)
     with
-    | Ok entries -> entries
+    | Ok entries ->
+      (* Readings of another benchmark cannot be projected on this
+         category's basis: refuse them here, not in the projection. *)
+      let rows =
+        Linalg.Mat.rows (Core.Expectation.mat (Core.Category.basis category))
+      in
+      List.iter
+        (fun (e : Core.Noise_filter.entry) ->
+          let n = Linalg.Vec.dim e.mean in
+          if n <> rows then begin
+            Printf.eprintf "analyze: %s: %d rows, but %s has %d\n" path n
+              (Core.Category.name category) rows;
+            exit 1
+          end)
+        entries;
+      entries
     | Error { line = Some l; reason } ->
       Printf.eprintf "analyze: %s line %d: %s\n" path l reason;
       exit 1
@@ -276,13 +291,21 @@ let run_category ?csv ?auto_tau ?manifest ~stats ~preflight ~executor
   if stats then Obs.reset_counters ();
   let r, table =
     recording stats @@ fun () ->
-    match csv with
-    | None ->
-      Core.Pipeline.run ~config ?select ~shards ~executor ?manifest:gated
-        category
-    | Some path ->
-      Core.Pipeline.run_entries ~executor ?manifest ?select ~config ~category
-        ~entries:(import path) ()
+    try
+      match csv with
+      | None ->
+        Core.Pipeline.run ~config ?select ~shards ~executor ?manifest:gated
+          category
+      | Some path ->
+        Core.Pipeline.run_entries ~executor ?manifest ?select ~config
+          ~category ~entries:(import path) ()
+    with
+    | Invalid_argument msg when msg = Core.Projection.no_accepted_events ->
+      (* Nothing to choose from is this run's answer, not a fault. *)
+      Printf.eprintf
+        "analyze: %s: no event passed the noise filter and the projection\n"
+        (Core.Category.name category);
+      exit 1
   in
   print_sections ~sections category r;
   Option.iter

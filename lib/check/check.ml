@@ -109,8 +109,8 @@ let rules =
       "Eq. 4 is pairwise over repetition vectors";
     rule "param/unknown-jobs" D.Error
       "Impossible or wasteful --jobs count"
-      "[--jobs] sizes the executor's domain pool (error below 1, \
-       warning above the shard count)";
+      "[--jobs] is the domains each executor batch runs on (error \
+       below 1 or above the runtime's 128, warning above the shard count)";
     rule "stage/schema-drift" D.Error
       "Shard artifact encoder and decoder disagree"
       "Multi-machine sweeps ship classified-shard JSON between builds";

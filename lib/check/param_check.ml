@@ -116,17 +116,22 @@ let check_reps ?category reps =
    surplus idle while the shards are collected and classified (only
    the dcache cache simulations, which run before the shards, use every
    domain).  The outputs are still right, hence a warning, not an
-   error. *)
+   error.  Above 128 ([Max_domains] on 64-bit) no batch could start. *)
 let check_jobs ?category ?shards jobs =
+  let error fmt =
+    diag ?category
+      ~data:[ ("jobs", fnum (float_of_int jobs)) ]
+      "param/unknown-jobs" D.Error "jobs" fmt
+  in
   if jobs < 1 then
     [
-      diag ?category
-        ~data:[ ("jobs", fnum (float_of_int jobs)) ]
-        "param/unknown-jobs" D.Error "jobs"
+      error
         "jobs = %d: the executor needs at least one domain (--jobs 1 is \
          the sequential reference)"
         jobs;
     ]
+  else if jobs > 128 then
+    [ error "jobs = %d: the OCaml runtime runs at most 128 domains" jobs ]
   else
     match shards with
     | Some s when s >= 1 && jobs > s ->

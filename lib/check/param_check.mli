@@ -32,7 +32,8 @@ val check_reps : ?category:string -> int -> Core.Diagnostic.t list
 val check_jobs :
   ?category:string -> ?shards:int -> int -> Core.Diagnostic.t list
 (** [param/unknown-jobs]: error when [jobs < 1] (the executor needs at
-    least one domain), warning when [shards] is given and [jobs]
+    least one domain) or [jobs > 128] (the OCaml runtime's domain
+    limit on 64-bit), warning when [shards] is given and [jobs]
     exceeds it (the surplus domains idle while the shards are
     collected and classified; the dcache cache simulations before the
     shards use every domain). *)

@@ -176,9 +176,11 @@ let project ~tol basis classified =
 
 let accepted projected = List.filter (fun p -> p.accepted) projected
 
+let no_accepted_events = "Projection.to_matrix: no accepted events"
+
 let to_matrix projected =
   let acc = accepted projected in
-  if acc = [] then invalid_arg "Projection.to_matrix: no accepted events";
+  if acc = [] then invalid_arg no_accepted_events;
   let cols = Array.of_list (List.map (fun p -> p.representation) acc) in
   let names = Array.of_list (List.map (fun p -> p.event.Hwsim.Event.name) acc) in
   (Linalg.Mat.of_col_vecs cols, names)

@@ -34,6 +34,9 @@ val block : int
 
 val accepted : projected list -> projected list
 
+val no_accepted_events : string
+
 val to_matrix : projected list -> Linalg.Mat.t * string array
 (** X (dim x n_accepted) and the matching event names, preserving
-    input order.  Only accepted events contribute. *)
+    input order.  Only accepted events contribute; with none it raises
+    [Invalid_argument no_accepted_events]. *)

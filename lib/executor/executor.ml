@@ -1,174 +1,55 @@
-(* Executor: sequential reference + persistent domain pool.
-
-   The pool is deliberately simple: one mutex, two condition
-   variables, task distribution by shared-counter grab.  A batch is
-   published by bumping [generation]; workers that see a fresh
-   generation pull task indices until the counter is exhausted.  The
-   submitting domain participates in its own batch, then blocks until
-   [pending] reaches zero.  A second domain that submits meanwhile
-   waits until that batch has drained ([busy]), so at most one batch
-   is in flight and the pool state can be reused without further
-   synchronization.
-
-   Exceptions raised by tasks are recorded (first one wins), the rest
-   of the batch still drains, and the exception is re-raised on the
-   submitting domain with its original backtrace. *)
+(* Executor: sequential reference + domains spawned and joined per
+   batch.  A [Domains] batch's domains and the calling domain take task
+   indices from one atomic counter; batches share no state.  The first
+   failure by completion (a task's exception or a failed spawn) is
+   re-raised with its backtrace once the batch has drained. *)
 
 type t = Seq | Domains of int
 
 let of_jobs n = if n <= 1 then Seq else Domains n
 let jobs = function Seq -> 1 | Domains n -> n
 
+(* Set while a domain runs batch tasks: a [map] inside a task runs
+   sequentially. *)
 let worker_flag : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
-let in_worker () = Domain.DLS.get worker_flag
 
-type pool = {
-  mutex : Mutex.t;
-  work : Condition.t;  (* workers: a new batch (or stop) is available *)
-  drained : Condition.t;  (* submitters: batch drained, or pool freed *)
-  mutable generation : int;
-  mutable busy : bool;  (* a batch is in flight *)
-  mutable body : int -> unit;
-  mutable next : int;  (* next task index to grab *)
-  mutable total : int;
-  mutable pending : int;  (* tasks not yet completed *)
-  mutable width : int;  (* workers allowed to join the current batch *)
-  mutable failure : (exn * Printexc.raw_backtrace) option;
-  mutable stop : bool;
-  mutable workers : unit Domain.t list;
-}
-
-(* Created on first use; two domains that race to create it keep the
-   one that was published first. *)
-let pool_ref : pool option Atomic.t = Atomic.make None
-
-(* Grab-and-run loop shared by workers and the submitting domain.
-   Called and returns with [p.mutex] held. *)
-let drain_tasks p =
-  while p.next < p.total do
-    let i = p.next in
-    p.next <- i + 1;
-    Mutex.unlock p.mutex;
-    let fail =
-      try
-        p.body i;
-        None
-      with e -> Some (e, Printexc.get_raw_backtrace ())
-    in
-    Mutex.lock p.mutex;
-    (match fail with
-    | Some f when p.failure = None -> p.failure <- Some f
-    | _ -> ());
-    p.pending <- p.pending - 1;
-    if p.pending = 0 then Condition.broadcast p.drained
-  done
-
-let worker_main p k =
-  Domain.DLS.set worker_flag true;
-  let last_gen = ref 0 in
-  Mutex.lock p.mutex;
-  let rec loop () =
-    if p.stop then Mutex.unlock p.mutex
-    else if p.generation <> !last_gen && k < p.width then begin
-      last_gen := p.generation;
-      drain_tasks p;
-      loop ()
-    end
-    else begin
-      Condition.wait p.work p.mutex;
-      loop ()
-    end
-  in
-  loop ()
-
-let shutdown () =
-  match Atomic.get pool_ref with
-  | None -> ()
-  | Some p ->
-    Mutex.lock p.mutex;
-    p.stop <- true;
-    Condition.broadcast p.work;
-    Mutex.unlock p.mutex;
-    List.iter Domain.join p.workers;
-    Atomic.set pool_ref None
-
-let rec get_pool () =
-  match Atomic.get pool_ref with
-  | Some p -> p
-  | None ->
-    let p =
-      {
-        mutex = Mutex.create ();
-        work = Condition.create ();
-        drained = Condition.create ();
-        generation = 0;
-        busy = false;
-        body = ignore;
-        next = 0;
-        total = 0;
-        pending = 0;
-        width = 0;
-        failure = None;
-        stop = false;
-        workers = [];
-      }
-    in
-    if Atomic.compare_and_set pool_ref None (Some p) then begin
-      at_exit shutdown;
-      p
-    end
-    else get_pool ()
-
-let ensure_workers p count =
-  let have = List.length p.workers in
-  for k = have to count - 1 do
-    p.workers <- Domain.spawn (fun () -> worker_main p k) :: p.workers
-  done
-
-(* Run [body 0 .. body (n-1)] on the pool with [extra] worker domains
-   plus the calling domain.  Waits for any other submitter's batch to
-   drain first, then blocks until this one drains. *)
+(* [body 0 .. body (n-1)] on [extra] spawned domains and this one. *)
 let run_batch ~extra n body =
-  let p = get_pool () in
-  Mutex.lock p.mutex;
-  while p.busy do
-    Condition.wait p.drained p.mutex
-  done;
-  p.busy <- true;
-  ensure_workers p extra;
-  p.generation <- p.generation + 1;
-  p.body <- body;
-  p.next <- 0;
-  p.total <- n;
-  p.pending <- n;
-  p.width <- extra;
-  p.failure <- None;
-  Condition.broadcast p.work;
-  (* The submitting domain participates in its own batch; while it
-     does, it counts as a worker so a task that re-enters [map] on
-     this domain degrades to sequential instead of corrupting the
-     in-flight batch. *)
-  let was_worker = Domain.DLS.get worker_flag in
-  Domain.DLS.set worker_flag true;
-  drain_tasks p;
-  Domain.DLS.set worker_flag was_worker;
-  while p.pending > 0 do
-    Condition.wait p.drained p.mutex
-  done;
-  let failure = p.failure in
-  p.body <- ignore;
-  p.failure <- None;
-  p.busy <- false;
-  Condition.broadcast p.drained;
-  Mutex.unlock p.mutex;
-  match failure with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ()
+  let next = Atomic.make 0 and failure = Atomic.make None in
+  let fail e =
+    let f = Some (e, Printexc.get_raw_backtrace ()) in
+    ignore (Atomic.compare_and_set failure None f)
+  in
+  let drain () =
+    let was_worker = Domain.DLS.get worker_flag in
+    Domain.DLS.set worker_flag true;
+    let rec loop () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        (try body i with e -> fail e);
+        loop ()
+      end
+    in
+    loop ();
+    Domain.DLS.set worker_flag was_worker
+  in
+  let domains = ref [] in
+  (try
+     for _ = 1 to extra do
+       domains := Domain.spawn drain :: !domains
+     done
+   with e -> fail e);
+  drain ();
+  List.iter Domain.join !domains;
+  Option.iter
+    (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
+    (Atomic.get failure)
 
 let map ?(executor = Seq) n f =
   match executor with
   | Seq -> Array.init n f
-  | Domains j when j <= 1 || n <= 1 || in_worker () -> Array.init n f
+  | Domains j when j <= 1 || n <= 1 || Domain.DLS.get worker_flag ->
+    Array.init n f
   | Domains j ->
     let slots = Array.make n None in
     let run i = slots.(i) <- Some (f i) in

@@ -8,11 +8,12 @@
 
     - [Seq] — the bit-exact reference.  Tasks run in index order on
       the calling domain, with no wrapping of any kind.
-    - [Domains n] — a persistent pool of [n - 1] worker domains plus
-      the calling domain.  Tasks are handed out by an atomic index
-      grab, so assignment of tasks to domains is nondeterministic —
-      callers must only submit tasks whose results are independent of
-      execution order and placement.
+    - [Domains n] — a batch of [k] tasks runs on the calling domain
+      and [min (n - 1) (k - 1)] domains that [map] spawns and joins.
+      Tasks are handed out by an atomic index grab, so assignment of
+      tasks to domains is nondeterministic — callers must only submit
+      tasks whose results are independent of execution order and
+      placement.
 
     There is no process-wide default: every caller names its executor
     ([map]'s [?executor] is [Seq] when omitted).
@@ -51,15 +52,14 @@
     in [hwsim]/[cat_bench] escapes into tasks.
 
     Nested submission (a task that itself calls [map]) degrades to
-    sequential execution on the worker — the pool is never re-entered,
-    so it cannot deadlock.  Submissions from several domains that are
-    not pool workers are serialized: a batch starts once the one in
-    flight has drained. *)
+    sequential execution on the domain that runs the task.  Batches
+    share no state, so several domains may submit at once: each batch
+    runs on its own domains. *)
 
 type t =
   | Seq  (** sequential reference — bit-exact *)
   | Domains of int
-      (** [Domains n]: calling domain + [n - 1] pooled workers *)
+      (** [Domains n]: the caller + up to [n - 1] domains per batch *)
 
 val of_jobs : int -> t
 (** [of_jobs n] is [Seq] when [n <= 1], [Domains n] otherwise. *)
@@ -73,6 +73,7 @@ val map : ?executor:t -> int -> (int -> 'a) -> 'a array
     slot [i]), each under an [Obs] capture replayed in index order
     when the calling domain's collector is enabled.  Falls back to
     sequential, on the calling domain's own collector, when [n <= 1]
-    or when already inside a worker.  If any task raises, the first exception (by
-    completion order) is re-raised after the whole batch has
-    drained. *)
+    or inside a task of another batch.  If any task raises, or a
+    domain fails to spawn, the first such exception (by completion
+    order) is re-raised after the whole batch has drained on the
+    domains that did start and they are joined. *)

@@ -1,9 +1,9 @@
-(* GC and allocation sampling, built on [Gc.quick_stat] (cheap: no
-   heap walk, no collection).  A sample is either an absolute
-   snapshot or a delta between two snapshots; deltas accumulate per
-   stage in the recorder so a run manifest can attribute allocation
-   (minor/major words) and compactions to the stage that caused
-   them. *)
+(* GC and allocation sampling (no heap walk, no collection).  A
+   sample is either an absolute snapshot or a delta between two
+   snapshots; deltas accumulate per stage in the recorder so a run
+   manifest can attribute allocation (minor/major words) and
+   compactions to the stage that caused them.  Minor words are exact;
+   [quick_stat]'s advance only at collections. *)
 
 type t = {
   minor_words : float;
@@ -30,8 +30,10 @@ let zero =
 
 let take () =
   let s = Gc.quick_stat () in
+  (* Read last: the stat record above is counted before this sample. *)
+  let minor_words = Gc.minor_words () in
   {
-    minor_words = s.Gc.minor_words;
+    minor_words;
     promoted_words = s.Gc.promoted_words;
     major_words = s.Gc.major_words;
     minor_collections = s.Gc.minor_collections;

@@ -1,7 +1,10 @@
-(** GC and allocation sampling over [Gc.quick_stat] (no heap walk, no
-    collection forced).  Samples double as absolute snapshots
-    ({!take}) and as deltas between snapshots ({!delta}); the
-    recorder accumulates per-stage deltas for the run manifest. *)
+(** GC and allocation sampling (no heap walk, no collection forced).
+    Samples double as absolute snapshots ({!take}) and as deltas
+    between snapshots ({!delta}); the recorder accumulates per-stage
+    deltas for the run manifest.  [minor_words] is [Gc.minor_words ()],
+    exact for the calling domain (a delta adds the sampler's own few
+    words); the other fields are [Gc.quick_stat]'s, which advance only
+    at collections. *)
 
 type t = {
   minor_words : float;

@@ -328,7 +328,12 @@ let test_param_jobs () =
     (ids (Check.Param_check.check_jobs ~shards:4 4));
   Alcotest.(check (list string))
     "sequential reference is clean" []
-    (ids (Check.Param_check.check_jobs 1))
+    (ids (Check.Param_check.check_jobs 1));
+  (* The OCaml runtime holds at most 128 domains on 64-bit. *)
+  Alcotest.(check (list string))
+    "runtime's domain limit is clean" []
+    (ids (Check.Param_check.check_jobs 128));
+  expect_only_error (Check.Param_check.check_jobs 129) "param/unknown-jobs"
 
 (* --- stage/* -------------------------------------------------- *)
 

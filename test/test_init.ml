@@ -1,6 +1,6 @@
 (* Fresh-process guards: module initialisation builds no catalog and
    runs no simulator, and the catalogs and kernel row tables are safe to
-   build on demand from a domain pool.  The order of the cases matters —
+   build on demand from worker domains.  The order of the cases matters —
    the sharded runs must be the first code in this process to reach a
    row table, and nothing before the last case reads the Zen catalog. *)
 

@@ -543,28 +543,61 @@ let test_fast_path_edges () =
         (Buffer.contents b))
     [ (buffer - 1, true); (buffer - 2, true); (buffer, true); (buffer, false) ]
 
-(* [analyze --csv] reports a refused import on one line and exits 1,
-   not through the uncaught-exception handler. *)
-let test_analyze_csv_exit () =
+(* [analyze ARGS --csv FILE] on a file holding [text], stdout
+   discarded: its exit code, its stderr and the file's name. *)
+let analyze_csv args text =
   let csv = Filename.temp_file "bad" ".csv" in
   let err = Filename.temp_file "bad" ".err" in
-  Out_channel.with_open_bin csv (fun oc ->
-      output_string oc "event,rep,a\nE1,0,xyz\n");
+  Out_channel.with_open_bin csv (fun oc -> output_string oc text);
   let analyze =
     Filename.concat (Filename.dirname Sys.executable_name) "../bin/analyze.exe"
   in
   let code =
     Sys.command
-      (Printf.sprintf "%s -c branch --csv %s > /dev/null 2> %s"
-         (Filename.quote analyze) (Filename.quote csv) (Filename.quote err))
+      (Printf.sprintf "%s %s --csv %s > /dev/null 2> %s"
+         (Filename.quote analyze) args (Filename.quote csv) (Filename.quote err))
   in
   let stderr = In_channel.with_open_bin err In_channel.input_all in
   Sys.remove csv;
   Sys.remove err;
+  (code, stderr, csv)
+
+(* [analyze --csv] reports a refused import on one line and exits 1,
+   not through the uncaught-exception handler. *)
+let test_analyze_csv_exit () =
+  let code, stderr, csv = analyze_csv "-c branch" "event,rep,a\nE1,0,xyz\n" in
   Alcotest.(check int) "exit code" 1 code;
   Alcotest.(check string) "one-line message"
     (Printf.sprintf "analyze: %s line 2: bad number xyz\n" csv)
     stderr
+
+(* A run with no accepted event, or a file with another benchmark's
+   row count, ends on one line and exit 1, not in the projection's
+   [Invalid_argument]: an all-zero branch dump, a too-tight projection
+   tolerance, and a 3-row file for the 48-row cpu-flops basis. *)
+let test_analyze_csv_refusals () =
+  let zeros =
+    "event,rep" ^ String.concat "" (List.init 11 (Printf.sprintf ",r%d")) ^ "\n"
+    ^ String.concat ""
+        (List.init 4 (fun k ->
+             Printf.sprintf "E%d,%d%s\n" (k / 2) (k mod 2)
+               (String.concat "" (List.init 11 (fun _ -> ",0")))))
+  in
+  let none = "analyze: branch: no event passed the noise filter and the projection\n" in
+  let code, stderr, _ = analyze_csv "-c branch" zeros in
+  Alcotest.(check (pair int string)) "all-zero dump" (1, none) (code, stderr);
+  (* The branch dump's nonzero readings are all rejected by the
+     projection at this tolerance. *)
+  let ones = String.map (fun c -> if c = '0' then '1' else c) zeros in
+  let code, stderr, _ = analyze_csv "-c branch --projection-tol 1e-300" ones in
+  Alcotest.(check (pair int string)) "nothing accepted" (1, none) (code, stderr);
+  let code, stderr, csv =
+    analyze_csv "-c cpu-flops" "event,rep,a,b,c\nE1,0,1,2,3\nE1,1,1,2,3\n"
+  in
+  Alcotest.(check (pair int string))
+    "row count"
+    (1, Printf.sprintf "analyze: %s: 3 rows, but cpu-flops has 48\n" csv)
+    (code, stderr)
 
 (* [analyze --csv] streams a pipe; only a split file, which must be
    read twice, is refused there (as every pipe was before streaming). *)
@@ -886,6 +919,8 @@ let () =
           Alcotest.test_case "fast-path edges, three readers" `Quick
             test_fast_path_edges;
           Alcotest.test_case "analyze --csv exit" `Quick test_analyze_csv_exit;
+          Alcotest.test_case "analyze --csv refusals" `Quick
+            test_analyze_csv_refusals;
           Alcotest.test_case "analyze --csv pipe" `Quick test_analyze_csv_pipe;
           QCheck_alcotest.to_alcotest prop_scanner_matches_reference;
           QCheck_alcotest.to_alcotest prop_stream_matches_classify;

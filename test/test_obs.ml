@@ -105,6 +105,58 @@ let test_disabled_is_passthrough () =
   Alcotest.(check (float 0.0)) "counters dead when disabled" 0.0 (Obs.counter "c")
 
 (* ------------------------------------------------------------------ *)
+(* GC words                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Allocation kernels of known size, each under its own span of a
+   recorder: an n-cell int list is 3n words, an n-float floatarray
+   n + 1 (n <= 256 stays in the minor heap).  A span's minor words are
+   the kernel's plus a constant, which an empty span measures: the
+   sampler's own boxed float and records and the span bookkeeping (70
+   words on OCaml 5.1; the case allows up to 96).  A
+   sampler that reads minor words only when a minor heap is collected
+   reads 0 for most of these spans and fails. *)
+let test_gc_words_exact () =
+  with_obs_cleared @@ fun () ->
+  let r = Obs.Recorder.create () in
+  Obs.install (Obs.Recorder.sink r);
+  let rec cells k acc = if k = 0 then acc else cells (k - 1) (k :: acc) in
+  let kernels =
+    ("empty", 0, fun () -> ())
+    :: List.concat_map
+         (fun n ->
+           [
+             ( Printf.sprintf "list %d" n,
+               3 * n,
+               fun () -> ignore (Sys.opaque_identity (cells n [])) );
+             ( Printf.sprintf "floatarray %d" n,
+               n + 1,
+               fun () -> ignore (Sys.opaque_identity (Float.Array.create n)) );
+           ])
+         [ 1; 2; 100; 256 ]
+  in
+  (* Twice: the first round's spans also warm the recorder's tables. *)
+  for round = 1 to 2 do
+    List.iter
+      (fun (name, _, f) -> Obs.span (Printf.sprintf "%d %s" round name) f)
+      kernels
+  done;
+  let words name =
+    match List.assoc_opt ("2 " ^ name) (Obs.Recorder.spans r) with
+    | Some a -> int_of_float a.Obs.Recorder.gc.Obs.Gc_sample.minor_words
+    | None -> Alcotest.fail ("no span " ^ name)
+  in
+  let overhead = words "empty" in
+  Alcotest.(check bool)
+    (Printf.sprintf "sampler overhead %d words in [1, 96]" overhead)
+    true
+    (overhead >= 1 && overhead <= 96);
+  List.iter
+    (fun (name, expected, _) ->
+      Alcotest.(check int) name expected (words name - overhead))
+    kernels
+
+(* ------------------------------------------------------------------ *)
 (* Counters and gauges                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -502,6 +554,8 @@ let () =
         ] );
       ( "counters",
         [ Alcotest.test_case "accumulation" `Quick test_counter_accumulation ] );
+      ( "gc-words",
+        [ Alcotest.test_case "span words are exact" `Quick test_gc_words_exact ] );
       ( "domains",
         [
           Alcotest.test_case "two domains record apart" `Quick

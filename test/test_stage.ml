@@ -294,7 +294,7 @@ let test_merged_ledger_fates () =
   Alcotest.(check bool) "chain renders" true (String.length chain > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Executor: unit behavior of the domain pool                          *)
+(* Executor: unit behavior of the Domains executor                     *)
 (* ------------------------------------------------------------------ *)
 
 module E = Core.Exec
@@ -313,7 +313,7 @@ let test_executor_unit () =
    with
   | _ -> Alcotest.fail "expected the task exception to propagate"
   | exception Failure msg -> Alcotest.(check string) "task exn" "boom" msg);
-  (* The pool survives a failed batch. *)
+  (* A failed batch leaves nothing behind for the next one. *)
   Alcotest.(check (array int))
     "pool reusable after a failure" (Array.init 8 f)
     (E.map ~executor:(E.Domains 2) 8 f);
@@ -331,13 +331,12 @@ let test_executor_unit () =
   Alcotest.(check bool) "of_jobs 0 = Seq" true (E.of_jobs 0 = E.Seq);
   Alcotest.(check int) "jobs (Domains 3)" 3 (E.jobs (E.Domains 3))
 
-(* Two domains that are not pool workers submit batches at once: each
-   must get its own results back, never the other's or an empty slot.
-   A second batch that started while the first still had a task on a
-   worker would reset the pool state under it, and [map] would raise
-   "lost slot" within a few hundred batches.  The tasks do a little
-   work so that a worker is often mid-task when the other domain
-   submits. *)
+(* Two domains submit batches at once: each must get its own results
+   back, never the other's or an empty slot.  Batch state shared
+   between submitters would be reset under an in-flight batch, and
+   [map] would raise "lost slot" within a few hundred batches.  The
+   tasks do a little work so that one batch is often mid-task when
+   the other domain submits. *)
 let test_executor_two_submitters () =
   let work x =
     let acc = ref x in
@@ -358,6 +357,32 @@ let test_executor_two_submitters () =
   let ok1 = Domain.join d1 and ok2 = Domain.join d2 in
   Alcotest.(check (pair bool bool)) "both submitters' results" (true, true)
     (ok1, ok2)
+
+(* One raising task does not stop the batch: every other task still
+   runs, and [map] re-raises the task's exception once all have.  Nor
+   does a raise stop the domain that ran it: when every task raises,
+   every task still runs. *)
+let test_executor_drains_on_failure () =
+  let n = 64 in
+  let ran = Atomic.make 0 in
+  (match
+     E.map ~executor:(E.Domains 2) n (fun i ->
+         Atomic.incr ran;
+         if i = 3 then failwith "task 3")
+   with
+  | _ -> Alcotest.fail "expected the task exception to propagate"
+  | exception Failure msg ->
+    Alcotest.(check string) "task exn" "task 3" msg;
+    Alcotest.(check int) "every task ran" n (Atomic.get ran));
+  let ran = Atomic.make 0 in
+  match
+    E.map ~executor:(E.Domains 2) n (fun i ->
+        Atomic.incr ran;
+        failwith (string_of_int i))
+  with
+  | _ -> Alcotest.fail "expected a task exception to propagate"
+  | exception Failure _ ->
+    Alcotest.(check int) "every raising task ran" n (Atomic.get ran)
 
 (* Worker-domain Obs capture: the executor captures every task's
    events and replays them on the submitting domain in task order, so
@@ -509,7 +534,7 @@ let run_concurrently executor categories =
   |> List.map Domain.join
 
 (* The four categories run at once, one per spawned domain, each with
-   its front on the shared pool and its own manifest: every domain's
+   its front on its own batch domains and its own manifest: every domain's
    collector records only its own run, and every result is also the
    sequential one. *)
 let test_concurrent_pipelines () =
@@ -616,6 +641,8 @@ let () =
           test_case "pool map/exceptions" `Quick test_executor_unit;
           test_case "two submitting domains" `Quick
             test_executor_two_submitters;
+          test_case "every task runs when one raises" `Quick
+            test_executor_drains_on_failure;
           test_case "worker capture replays counters" `Quick
             test_executor_capture_counters;
         ] );
