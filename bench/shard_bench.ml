@@ -92,7 +92,9 @@ let run_point category (shards, jobs) =
       ~total:(Core.Category.catalog_size category)
   in
   let t0 = Obs.Clock.now_ns () in
-  let classified = Core.Stage.run_front ~config ~executor category ranges in
+  let classified =
+    Core.Stage.run_front ~config ~executor category (Core.Stage.Catalog ranges)
+  in
   let t1 = Obs.Clock.now_ns () in
   Gc.full_major ();
   let live_words = (Gc.stat ()).Gc.live_words in

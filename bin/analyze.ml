@@ -193,15 +193,28 @@ let store_flag =
 
 let load_manifest ~command = Obs_cli.load_manifest ~command:("analyze " ^ command)
 
+(* A run's parameters go through the param/* lint rules, as --jobs
+   does: a bad value is the typed diagnostic, printed with exit 1
+   before anything is collected, not an exception or a wrong answer
+   later.  Warnings print but do not abort. *)
 let config_of ~tau ~alpha ~proj_tol ~reps category =
   let default = Core.Pipeline.default_config category in
-  {
-    Core.Pipeline.tau = Option.value tau ~default:default.Core.Pipeline.tau;
-    alpha = Option.value alpha ~default:default.Core.Pipeline.alpha;
-    projection_tol =
-      Option.value proj_tol ~default:default.Core.Pipeline.projection_tol;
-    reps;
-  }
+  let config =
+    {
+      Core.Pipeline.tau = Option.value tau ~default:default.Core.Pipeline.tau;
+      alpha = Option.value alpha ~default:default.Core.Pipeline.alpha;
+      projection_tol =
+        Option.value proj_tol ~default:default.Core.Pipeline.projection_tol;
+      reps;
+    }
+  in
+  let ds =
+    Check.Param_check.analyze ~category:(Core.Category.name category) ~config
+      ~rows:(Check.rows_declared category) ()
+  in
+  List.iter (fun d -> prerr_endline (Core.Diagnostic.render d)) ds;
+  if Core.Diagnostic.errors ds <> [] then exit 1;
+  config
 
 let print_sections ~sections category (r : Core.Pipeline.result) =
   let wants s = List.mem s sections || List.mem "all" sections in
@@ -216,8 +229,8 @@ let print_sections ~sections category (r : Core.Pipeline.result) =
 
 (* The pre-flight gate: exit 1 on any error-severity finding, else
    return the manifest emitter with the lint summary filled in. *)
-let gated_emitter ?manifest category =
-  match Check.gate (Check.gate_lint category) with
+let gated_emitter ?manifest ~config category =
+  match Check.gate (Check.gate_lint ~config category) with
   | Error ds ->
     prerr_endline "analyze: pre-flight gate failed:";
     List.iter (fun d -> prerr_endline ("  " ^ Core.Diagnostic.render d)) ds;
@@ -229,12 +242,13 @@ let gated_emitter ?manifest category =
 
 let run_category ?csv ?auto_tau ?manifest ~stats ~preflight ~executor
     ~shards ~tau ~alpha ~proj_tol ~reps ~sections category =
+  let config = config_of ~tau ~alpha ~proj_tol ~reps category in
   (* The gate lints once, before anything runs (the auto-tau probes
      included; a --csv dataset alone is not gated).  Only the
      category's own run records a manifest. *)
   let gated =
     if preflight && (csv = None || auto_tau <> None) then
-      gated_emitter ?manifest category
+      gated_emitter ?manifest ~config category
     else manifest
   in
   (* A --csv file is streamed: each event is reduced by the noise
@@ -284,7 +298,6 @@ let run_category ?csv ?auto_tau ?manifest ~stats ~preflight ~executor
         s.Core.Auto_threshold.tau)
       auto_tau
   in
-  let config = config_of ~tau ~alpha ~proj_tol ~reps category in
   (* Each category's --stats table is its own recorder, and counters
      restart per category, so it matches this category's filter
      summary exactly (the auto-tau probes are not observed). *)
@@ -292,13 +305,8 @@ let run_category ?csv ?auto_tau ?manifest ~stats ~preflight ~executor
   let r, table =
     recording stats @@ fun () ->
     try
-      match csv with
-      | None ->
-        Core.Pipeline.run ~config ?select ~shards ~executor ?manifest:gated
-          category
-      | Some path ->
-        Core.Pipeline.run_entries ~executor ?manifest ?select ~config
-          ~category ~entries:(import path) ()
+      Core.Pipeline.run ~config ?select ~shards ~executor ?manifest:gated
+        ?import:(Option.map import csv) category
     with
     | Invalid_argument msg when msg = Core.Projection.no_accepted_events ->
       (* Nothing to choose from is this run's answer, not a fault. *)
@@ -572,7 +580,8 @@ let shard_main category index shards out tau alpha proj_tol reps obs =
   let range = List.nth (Core.Stage.shard_ranges ~shards ~total) index in
   let artifact =
     List.hd
-      (Core.Stage.run_front ~config ~executor:Core.Exec.Seq category [ range ])
+      (Core.Stage.run_front ~config ~executor:Core.Exec.Seq category
+         (Core.Stage.Catalog [ range ]))
   in
   (* Campaign accounting for this shard: cutting the full-catalog
      measurement plan at the same group boundaries shows what the

@@ -238,8 +238,8 @@ let report_of_json json =
 (* The optional pre-flight gate                                        *)
 (* ------------------------------------------------------------------ *)
 
-let gate_lint c =
-  lint_category c
+let gate_lint ~config c =
+  lint_category ~config c
   @ Catalog_check.analyze_catalog ~name:(catalog_name c)
       (Core.Category.events c)
 

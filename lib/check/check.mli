@@ -80,8 +80,10 @@ val report_of_json : Jsonio.t -> (Diagnostic.t list, string) result
     no.  The lint pass is read-only, so a gated run's outputs are
     bit-identical to an ungated one's. *)
 
-val gate_lint : Core.Category.t -> Diagnostic.t list
-(** What the gate runs per category. *)
+val gate_lint :
+  config:Core.Pipeline.config -> Core.Category.t -> Diagnostic.t list
+(** What the gate runs: {!lint_category} at the run's [config], and
+    the category's catalog. *)
 
 val gate :
   Diagnostic.t list -> (Obs.Manifest.lint_summary, Diagnostic.t list) result

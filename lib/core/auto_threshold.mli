@@ -34,8 +34,8 @@ val select :
   ?max_attempts:int -> category:Category.t -> entries:Noise_filter.entry list ->
   min_rank:int -> unit -> suggestion
 (** Validated selection: walk {!bands} of [entries] (one front's
-    tau-free entries, as {!Pipeline.run}'s [select] gets them, or one
-    CSV import's) from the widest gap down; at each candidate τ, apply
+    tau-free entries, as {!Pipeline.run}'s [select] gets them, a CSV
+    import's included) from the widest gap down; at each candidate τ, apply
     it to the entries ({!Noise_filter.threshold}) and run the stages
     after the noise filter ({!Stage.downstream}); return the first whose
     specialized QRCP finds at least [min_rank] independent events.

@@ -29,18 +29,6 @@ type claim = {
   expectation : expectation;
 }
 
-(* Pipeline runs are cached per category: checking ~50 claims costs
-   four runs. *)
-let result_cache : (Category.t, Pipeline.result) Hashtbl.t = Hashtbl.create 4
-
-let result_of ?manifest category =
-  match Hashtbl.find_opt result_cache category with
-  | Some r -> r
-  | None ->
-    let r = Pipeline.run ?manifest category in
-    Hashtbl.add result_cache category r;
-    r
-
 let fp w p = Printf.sprintf "FP_ARITH_INST_RETIRED:%s_%s" w p
 
 let gpu_ev bank p =
@@ -214,8 +202,7 @@ type verdict = {
   detail : string;
 }
 
-let check ?manifest claim =
-  let result_of = result_of ?manifest in
+let check ~result_of claim =
   let passed, detail =
     match claim.expectation with
     | Chosen_events { category; events } ->
@@ -266,7 +253,15 @@ let check ?manifest claim =
   in
   { claim; passed; detail }
 
-let check_all ?manifest () = List.map (check ?manifest) (claims ())
+(* One pipeline run per category and per call: checking ~50 claims
+   costs four runs, and each call emits its own manifests. *)
+let check_all ?manifest () =
+  let runs =
+    List.map (fun c -> (c, lazy (Pipeline.run ?manifest c))) Category.all
+  in
+  List.map
+    (check ~result_of:(fun c -> Lazy.force (List.assoc c runs)))
+    (claims ())
 
 let scorecard verdicts =
   let buf = Buffer.create 4096 in

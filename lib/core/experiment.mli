@@ -48,6 +48,8 @@ type verdict = {
 }
 
 val check_all : ?manifest:(Obs.Manifest.t -> unit) -> unit -> verdict list
+(** Check every claim on one pipeline run per category, made afresh
+    by each call; each run's manifest goes to [manifest]. *)
 
 val scorecard : verdict list -> string
 (** Render pass/fail lines plus a summary. *)

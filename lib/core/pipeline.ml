@@ -26,50 +26,41 @@ type result = Stage.result = {
   ledger : Provenance.Ledger.t option;
 }
 
-(* One manifest scope and one [pipeline] span around [classify], which
-   returns the config it classified at, and the downstream stages. *)
-let run_classified ~executor ?manifest ~category ~basis ~signatures classify =
+let run_custom ?(executor = Exec.Seq) ?manifest ~config ~category ~dataset
+    ~basis ~signatures () =
   Stage.with_manifest ?manifest ~source:"pipeline-custom" ~category ~shards:1
     ~jobs:(Exec.jobs executor) ~inputs:[] (fun () ->
       Obs.span "pipeline" (fun () ->
           Obs.attr_str "category" (Category.name category);
-          let config, classified = classify () in
+          let classified = Stage.classify ~config dataset in
           Stage.downstream ~config ~category ~basis ~signatures ~classified ()))
 
-let run_custom ?(executor = Exec.Seq) ?manifest ~config ~category ~dataset
-    ~basis ~signatures () =
-  run_classified ~executor ?manifest ~category ~basis ~signatures (fun () ->
-      (config, Stage.classify ~config dataset))
-
-let run_entries ?(executor = Exec.Seq) ?manifest ?select ~config ~category
-    ~entries () =
-  run_classified ~executor ?manifest ~category
-    ~basis:(Category.basis category)
-    ~signatures:(Category.signatures category) (fun () ->
-      let entries = entries () in
-      let config =
-        match select with
-        | None -> config
-        | Some f -> { config with tau = f entries }
-      in
-      ( config,
-        Obs.span "noise-filter" (fun () ->
-            Noise_filter.threshold ~tau:config.tau entries) ))
-
-let run ?config ?select ?(shards = 1) ?(executor = Exec.Seq) ?manifest category =
+(* An import keeps the source of a custom run, so a --csv run and a
+   simulated one never share a manifest series. *)
+let run ?config ?select ?(shards = 1) ?(executor = Exec.Seq) ?manifest ?import
+    category =
   let config =
     match config with Some c -> c | None -> default_config category
   in
   if shards < 1 then invalid_arg "Pipeline.run: shards < 1";
-  Stage.with_manifest ?manifest ~source:"pipeline" ~category ~shards
+  if shards > 1 && Option.is_some import then
+    invalid_arg "Pipeline.run: an import is one range";
+  let source = if Option.is_some import then "pipeline-custom" else "pipeline" in
+  Stage.with_manifest ?manifest ~source ~category ~shards
     ~jobs:(Exec.jobs executor) ~inputs:[] (fun () ->
       Obs.span "pipeline" (fun () ->
           Obs.attr_str "category" (Category.name category);
           if Obs.enabled () then Obs.attr_int "shards" shards;
+          let front =
+            match import with
+            | Some import -> Stage.Imported (import ())
+            | None ->
+              Stage.Catalog
+                (Stage.shard_ranges ~shards
+                   ~total:(Category.catalog_size category))
+          in
           Stage.run_merged ~category
-            (Stage.run_front ?select ~config ~executor category
-               (Stage.shard_ranges ~shards
-                  ~total:(Category.catalog_size category)))))
+            (Stage.run_front ?select ~config ~executor category front)))
 
 let ledger = Stage.ledger
 

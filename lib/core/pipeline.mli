@@ -43,7 +43,8 @@ type result = Stage.result = {
 val run :
   ?config:config -> ?select:(Noise_filter.entry list -> float) ->
   ?shards:int -> ?executor:Exec.t ->
-  ?manifest:(Obs.Manifest.t -> unit) -> Category.t -> result
+  ?manifest:(Obs.Manifest.t -> unit) ->
+  ?import:(unit -> Noise_filter.entry list) -> Category.t -> result
 (** Run the full pipeline for one category.  [config] defaults to
     the category's paper parameters.  Every run is the staged one:
     {!Stage.shard_ranges} splits the catalog into [shards] (default 1,
@@ -56,8 +57,11 @@ val run :
     provenance ledger — are bit-identical for every shard count and
     executor.  With [manifest], the run's manifest (see
     {!Stage.with_manifest}, jobs taken from [executor], no in-process
-    shard hashed) is handed to it.  Raises
-    [Invalid_argument] if [shards < 1].  The pipeline does no
+    shard hashed) is handed to it.  With [import], nothing is
+    simulated: the front is the {!Stage.Imported} entries [import ()]
+    returns inside the [pipeline] span, and the manifest's source is
+    ["pipeline-custom"].  Raises [Invalid_argument] if [shards < 1],
+    or if [shards > 1] with [import].  The pipeline does no
     pre-flight lint of its own: a caller that wants the gate runs
     [Check.gate] first. *)
 
@@ -71,22 +75,6 @@ val run_custom :
     [category] only labels the result for reporting.  [executor]
     only sets the jobs count the manifest records: the dataset is
     already collected. *)
-
-val run_entries :
-  ?executor:Exec.t -> ?manifest:(Obs.Manifest.t -> unit) ->
-  ?select:(Noise_filter.entry list -> float) ->
-  config:config -> category:Category.t ->
-  entries:(unit -> Noise_filter.entry list) -> unit -> result
-(** Run the category's analysis on events already reduced by the noise
-    filter, such as a streamed CSV import
-    ({!Cat_bench.Dataset.stream_reps_csv} with {!Noise_filter.entry}):
-    [entries ()] is called inside the [pipeline] span, then
-    {!Noise_filter.threshold} applies [config.tau] or, as in {!run},
-    [select] of the entries (span [noise-filter]), and
-    {!Stage.downstream} runs with the category's basis and signatures.
-    The result and its manifest (source ["pipeline-custom"]) equal
-    {!run_custom}'s on the dataset the entries were reduced from, but
-    for the spans, the [import.*] counters and the GC figures. *)
 
 val ledger : result -> Provenance.Ledger.t
 (** The result's provenance ledger: [r.ledger] when set, else the

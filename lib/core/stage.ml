@@ -9,9 +9,9 @@
    collection and noise filtering shard by catalog range; projection
    onwards needs the whole accepted set and runs once, downstream of
    the merge, and so does the one derivation of the provenance ledger.
-   A plain run is the one-range case: Pipeline.run drives every shard
-   count through [run_front] and [run_merged], and the golden digests
-   in test/test_golden.ml pin its outputs. *)
+   A plain run and an imported dump are one-range cases: Pipeline.run
+   drives every front through [run_front] and [run_merged], and the
+   golden digests in test/test_golden.ml pin its outputs. *)
 
 type config = {
   tau : float;
@@ -104,8 +104,8 @@ let collect_entries ~reps category range =
       Cat_bench.Dataset.stream ~reps ~lo:range.lo ~hi:range.hi
         (Category.bench category) Noise_filter.entry)
 
-(* The verdicts at [config.tau] on one range's entries. *)
-let threshold_shard ~config ~category range entries =
+(* The verdicts at [config.tau] on one range of a [total]-event front. *)
+let threshold_shard ~config ~category ~total range entries =
   let entries =
     Obs.span "shard-classify" (fun () ->
         if Obs.enabled () then begin
@@ -126,13 +126,13 @@ let threshold_shard ~config ~category range entries =
     machine = Category.machine category;
     shard_config = config;
     range;
-    total = Category.catalog_size category;
+    total;
     row_labels = (Category.bench category).Cat_bench.Dataset.row_labels;
     entries;
   }
 
 let classify_shard ~config ~category (ds : dataset_shard) =
-  threshold_shard ~config ~category ds.shard_range
+  threshold_shard ~config ~category ~total:ds.catalog_events ds.shard_range
     (List.map Noise_filter.entry ds.dataset.Cat_bench.Dataset.measurements)
 
 (* ------------------------------------------------------------------ *)
@@ -196,25 +196,35 @@ let merge_shards shards =
                s.range.lo (range_pp s.range))
         else check_coverage s.range.hi rest
     in
+    (* The first repeat in catalog order, from one open-addressing table
+       of names (over 1.5x the catalog), not a hash table cell per name. *)
     let check_duplicates entries =
-      let seen = Hashtbl.create 128 in
-      let rec go = function
-        | [] -> Ok ()
-        | (c : Noise_filter.classified) :: rest ->
-          let name = c.event.Hwsim.Event.name in
-          if Hashtbl.mem seen name then
-            Error (Printf.sprintf "duplicate event name across shards: %s" name)
-          else begin
-            Hashtbl.add seen name ();
-            go rest
-          end
+      let rec pow2 n = if n > first.total * 3 / 2 then n else pow2 (2 * n) in
+      let mask = pow2 16 - 1 in
+      let slots = Array.make (mask + 1) "" and used = Bytes.make (mask + 1) 'n' in
+      let rec seen name i =
+        if Bytes.get used i = 'n' then (
+          Bytes.set used i 'y';
+          slots.(i) <- name;
+          false)
+        else String.equal slots.(i) name || seen name ((i + 1) land mask)
       in
-      go entries
+      let name (c : Noise_filter.classified) = c.event.Hwsim.Event.name in
+      match
+        List.find_opt (fun c -> seen (name c) (Hashtbl.hash (name c) land mask))
+          entries
+      with
+      | None -> Ok ()
+      | Some c -> Error ("duplicate event name across shards: " ^ name c)
     in
     let open Jsonio.Decode in
     let* () = check_headers sorted in
     let* () = check_coverage 0 sorted in
-    let entries = List.concat_map (fun s -> s.entries) sorted in
+    let entries =
+      match sorted with
+      | [ s ] -> s.entries
+      | _ -> List.concat_map (fun s -> s.entries) sorted
+    in
     let* () = check_duplicates entries in
     Ok { first with range = { lo = 0; hi = first.total }; entries }
 
@@ -682,25 +692,15 @@ let check_front_counters ~events ~before:(ev0, kp0, nf_kept0) =
           by %g but noise_filter.kept by %g"
          d_kept d_nf_kept)
 
-(* The front over [ranges]: one executor task per range reduces each
-   event to its tau-free noise-filter entry as soon as its repetitions
-   are read, then every range is thresholded here, at [config.tau] or at
-   the tau [select] picks from all the entries in catalog order.  The
-   executor captures each worker task's [Obs] events and replays them
-   here in range order, so sinks, counters (and therefore the counter
-   invariant and recorded manifests) observe exactly the stream a
-   sequential front produces.  The module-level tables a task could
-   populate (the compiled catalog and kernel row table, or the dcache
-   activity cache, whose simulations run on [executor]) are forced here
-   first, so tasks only ever read them.  Progress taps go straight to
-   the handle in this run's collector (skipped when there is none)
+type front = Catalog of range list | Imported of Noise_filter.entry list
+
+(* The tables a task could populate (the compiled catalog and kernel
+   row table, or the dcache activity cache, whose simulations run on
+   [executor]) are forced first, so tasks only ever read them.
+   Progress taps go straight to the handle in this run's collector
    rather than through a gauge, so manifests recorded without
    --progress stay byte-identical. *)
-let run_front ?select ~config ~executor category ranges =
-  let tap f = Option.iter f (Obs.progress ()) in
-  Category.prewarm ~executor ~reps:config.reps category;
-  let arr = Array.of_list ranges in
-  let shards = Array.length arr in
+let run_front ?select ~config ~executor category front =
   let before =
     if Obs.enabled () then
       Some
@@ -709,27 +709,42 @@ let run_front ?select ~config ~executor category ranges =
           Obs.counter "noise_filter.kept" )
     else None
   in
-  tap (Obs.Progress.note_front ~total:shards ~jobs:(Executor.jobs executor));
-  let entries =
-    Executor.map ~executor shards (fun i ->
-        tap (Obs.Progress.note_shard_start ~index:i ~total:shards);
-        let t0 = Obs.Clock.now_ns () in
-        let e = collect_entries ~reps:config.reps category arr.(i) in
-        tap
-          (Obs.Progress.note_shard_done ~total:shards
-             ~dur_ns:(Int64.sub (Obs.Clock.now_ns ()) t0));
-        e)
+  let ranges, entries, total =
+    match front with
+    | Imported entries ->
+      let n = List.length entries in
+      ([| { lo = 0; hi = n } |], [| entries |], n)
+    | Catalog ranges ->
+      let tap f = Option.iter f (Obs.progress ()) in
+      Category.prewarm ~executor ~reps:config.reps category;
+      let arr = Array.of_list ranges in
+      let shards = Array.length arr in
+      tap (Obs.Progress.note_front ~total:shards ~jobs:(Executor.jobs executor));
+      let entries =
+        Executor.map ~executor shards (fun i ->
+            tap (Obs.Progress.note_shard_start ~index:i ~total:shards);
+            let t0 = Obs.Clock.now_ns () in
+            let e = collect_entries ~reps:config.reps category arr.(i) in
+            tap
+              (Obs.Progress.note_shard_done ~total:shards
+                 ~dur_ns:(Int64.sub (Obs.Clock.now_ns ()) t0));
+            e)
+      in
+      (arr, entries, Category.catalog_size category)
   in
   let config =
-    match select with
-    | None -> config
-    | Some f -> { config with tau = f (List.concat (Array.to_list entries)) }
+    match (select, entries) with
+    | None, _ -> config
+    | Some f, [| e |] -> { config with tau = f e }  (* not copied *)
+    | Some f, _ -> { config with tau = f (List.concat (Array.to_list entries)) }
   in
-  let classified = Array.map2 (threshold_shard ~config ~category) arr entries in
+  let classified =
+    Array.map2 (threshold_shard ~config ~category ~total) ranges entries
+  in
   Option.iter
     (fun before ->
       check_front_counters
-        ~events:(List.fold_left (fun n r -> n + r.hi - r.lo) 0 ranges)
+        ~events:(Array.fold_left (fun n r -> n + r.hi - r.lo) 0 ranges)
         ~before)
     before;
   Array.to_list classified

@@ -22,8 +22,9 @@
     they are read.  Projection, QRCP and the metric solve need the
     whole accepted set and run once, downstream of the deterministic
     merge.  There is one path: a plain {!Pipeline.run} is the one-range
-    front [\[0, total)], so its spans, counters and counter invariant
-    are those of every shard count.
+    front [\[0, total)], and an imported dump the one range
+    [\[0, n)] of its n events, so their spans, counters and counter
+    invariant are those of every shard count.
 
     {b Bit-identity contract}: because a simulated reading's noise
     stream is keyed by [(seed, event, rep, row)], a run produces
@@ -96,7 +97,7 @@ type classified_shard = {
   machine : string;
   shard_config : config;
   range : range;
-  total : int;  (** Catalog size the range refers to. *)
+  total : int;  (** Size of the catalog (or import) the range refers to. *)
   row_labels : string array;
   entries : Noise_filter.classified list;  (** Catalog order within range. *)
 }
@@ -118,27 +119,31 @@ val classify_shard :
   config:config -> category:Category.t -> dataset_shard -> classified_shard
 (** Run the noise filter on one gathered shard.  [classify_shard
     ~config ~category (collect_shard ~reps:config.reps category range)]
-    equals the shard {!run_front} makes of [range]. *)
+    equals the shard {!run_front} makes of [Catalog \[range\]]. *)
+
+type front =
+  | Catalog of range list  (** Collected on the executor. *)
+  | Imported of Noise_filter.entry list
+      (** An imported dump's entries in file order (a streamed CSV
+          import): the one range [\[0, n)] of an n-event catalog. *)
 
 val run_front :
   ?select:(Noise_filter.entry list -> float) ->
-  config:config -> executor:Exec.t -> Category.t -> range list ->
+  config:config -> executor:Exec.t -> Category.t -> front ->
   classified_shard list
-(** The front: one task per range on [executor] keeps only each
-    event's tau-free {!Noise_filter.entry} (span ["shard-collect"]),
-    then each range is thresholded in range order (span
-    ["shard-classify"], with counters [shard.events] / [shard.kept]) at
-    [config.tau], or at [select] of all the entries in catalog order,
-    and carries that config.  The category's shared tables are forced
-    first ({!Category.prewarm}, the dcache simulations on
-    [executor]).
-    Worker-domain [Obs] events are captured and replayed in range
-    order, so the event stream is the same for every executor.  While
-    a sink is live it asserts the counter invariant: [shard.events]
-    advances by the events in [ranges] and [shard.kept] by as much as
+(** The front: for [Catalog ranges], one task per range on [executor]
+    keeps each event's tau-free {!Noise_filter.entry} (span
+    ["shard-collect"]), after {!Category.prewarm}; an [Imported] front
+    collects nothing.  Each range is then thresholded in range order
+    (span ["shard-classify"], counters [shard.events] / [shard.kept])
+    at [config.tau], or at [select] of all the entries in catalog
+    order, and carries that config and the front's event count as its
+    [total].  Worker-domain [Obs] events are replayed in range order,
+    so the event stream is the same for every executor.  While a sink
+    is live it asserts the counter invariant: [shard.events] advances
+    by the events in the ranges and [shard.kept] by as much as
     [noise_filter.kept] (raises [Failure] otherwise).  Progress taps
-    ({!Obs.Progress.note_front} and the per-shard notes) reach the
-    run's progress handle. *)
+    reach the run's progress handle. *)
 
 (** {1 Merge stage} *)
 

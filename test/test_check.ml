@@ -452,7 +452,7 @@ let test_gate_off_by_default () =
 let test_gate_clean_inputs_identical () =
   List.iter
     (fun c ->
-      let diags = Check.gate_lint c in
+      let diags = Check.gate_lint ~config:(Core.Pipeline.default_config c) c in
       match Check.gate diags with
       | Error ds ->
         Alcotest.failf "%s: gate refused shipped inputs: %s"
@@ -468,6 +468,62 @@ let test_gate_clean_inputs_identical () =
   let gated_code, gated = run_analyze ("--preflight" :: args) in
   Alcotest.(check (pair int int)) "both runs exit 0" (0, 0) (code, gated_code);
   Alcotest.(check string) "gated output identical" ungated gated
+
+(* Every run lints its own parameters, gated or not: an impossible
+   alpha or too few repetitions exits 1 on its rule's diagnostic before
+   anything is collected (these exited 125, or 0 with a wrong answer),
+   and a default run prints no diagnostic.  [analyze shard] builds its
+   config the same way. *)
+let test_run_checks_its_config () =
+  let run args =
+    let out = Filename.temp_file "check" ".out"
+    and err = Filename.temp_file "check" ".err" in
+    let code =
+      Sys.command
+        (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote analyze)
+           (String.concat " " (List.map Filename.quote args))
+           (Filename.quote out) (Filename.quote err))
+    in
+    let read f =
+      let t = In_channel.with_open_bin f In_channel.input_all in
+      Sys.remove f;
+      t
+    in
+    let stdout = read out in
+    (code, stdout, read err)
+  in
+  let contains ~sub s =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  let refused rule args =
+    let code, stdout, stderr = run args in
+    let what = String.concat " " args in
+    Alcotest.(check int) (what ^ ": exit 1") 1 code;
+    Alcotest.(check string) (what ^ ": nothing printed") "" stdout;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: stderr names %s (got %S)" what rule stderr)
+      true
+      (contains ~sub:rule stderr)
+  in
+  let branch = [ "-c"; "branch"; "--show"; "summary" ] in
+  refused "param/alpha-out-of-range" (branch @ [ "--alpha"; "0" ]);
+  refused "param/alpha-out-of-range" (branch @ [ "--alpha"; "2" ]);
+  refused "param/reps-too-few" (branch @ [ "--reps"; "0" ]);
+  refused "param/reps-too-few" (branch @ [ "--reps"; "1" ]);
+  refused "param/alpha-out-of-range"
+    [ "shard"; "branch"; "--alpha"; "0"; "--out"; Filename.null ];
+  let config =
+    { (Core.Pipeline.default_config Core.Category.Branch) with alpha = 0. }
+  in
+  Alcotest.(check (list string))
+    "the gate lints the run's config" [ "param/alpha-out-of-range" ]
+    (ids (D.errors (Check.gate_lint ~config Core.Category.Branch)));
+  let code, stdout, stderr = run branch in
+  Alcotest.(check int) "default run: exit 0" 0 code;
+  Alcotest.(check bool) "default run: summary printed" true (stdout <> "");
+  Alcotest.(check string) "default run: no diagnostic" "" stderr
 
 (* An error-severity finding refuses the run and carries exactly the
    error diagnostics; warnings alone do not. *)
@@ -577,6 +633,8 @@ let () =
           Alcotest.test_case "off by default" `Quick test_gate_off_by_default;
           Alcotest.test_case "clean inputs identical" `Quick
             test_gate_clean_inputs_identical;
+          Alcotest.test_case "runs check their config" `Quick
+            test_run_checks_its_config;
           Alcotest.test_case "fails fast on errors" `Quick
             test_gate_fails_fast;
         ] );

@@ -599,6 +599,64 @@ let test_analyze_csv_refusals () =
     (1, Printf.sprintf "analyze: %s: 3 rows, but cpu-flops has 48\n" csv)
     (code, stderr)
 
+(* A --csv run is the one-range front over the file's events: the
+   front's spans and shard.* counters (the counter invariant is
+   asserted while --stats records), no noise-filter span, and the
+   source of a custom run in its manifest. *)
+let test_analyze_csv_front () =
+  let d = Cat_bench.Dataset.cpu_flops () in
+  let events = List.length d.Cat_bench.Dataset.measurements in
+  let csv = Filename.temp_file "front" ".csv"
+  and json = Filename.temp_file "front" ".json"
+  and out = Filename.temp_file "front" ".out" in
+  Out_channel.with_open_bin csv (fun oc ->
+      output_string oc (Cat_bench.Dataset.reps_to_csv d));
+  let analyze =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/analyze.exe"
+  in
+  let code =
+    Sys.command
+      (Printf.sprintf
+         "%s -c cpu-flops --csv %s --stats --show summary --manifest %s > %s \
+          2> /dev/null"
+         (Filename.quote analyze) (Filename.quote csv) (Filename.quote json)
+         (Filename.quote out))
+  in
+  let read f =
+    let t = In_channel.with_open_bin f In_channel.input_all in
+    Sys.remove f;
+    t
+  in
+  Sys.remove csv;
+  let table = read out and manifest = read json in
+  Alcotest.(check int) "exit code" 0 code;
+  let m =
+    match Result.bind (Jsonio.of_string manifest) Obs.Manifest.of_json with
+    | Ok m -> m
+    | Error e -> Alcotest.failf "manifest: %s" e
+  in
+  let spans = List.map (fun (s : Obs.Manifest.span_stat) -> s.span) m.spans in
+  List.iter
+    (fun (span, present) ->
+      Alcotest.(check bool) ("span " ^ span) present (List.mem span spans))
+    [ ("import", true); ("shard-classify", true); ("shard-merge", true);
+      ("noise-filter", false) ];
+  Alcotest.(check (option (float 0.0)))
+    "manifest shard.events" (Some (float_of_int events))
+    (Obs.Manifest.find_counter m "shard.events");
+  Alcotest.(check bool)
+    "table shard.events" true
+    (List.exists
+       (fun line ->
+         List.filter (( <> ) "") (String.split_on_char ' ' line)
+         = [ "shard.events"; string_of_int events ])
+       (String.split_on_char '\n' table));
+  Alcotest.(check string) "source" "pipeline-custom" m.source;
+  Alcotest.check_raises "an import is one range"
+    (Invalid_argument "Pipeline.run: an import is one range") (fun () ->
+      ignore
+        (Core.Pipeline.run ~shards:2 ~import:(fun () -> []) Core.Category.Cpu_flops))
+
 (* [analyze --csv] streams a pipe; only a split file, which must be
    read twice, is refused there (as every pipe was before streaming). *)
 let test_analyze_csv_pipe () =
@@ -922,6 +980,7 @@ let () =
           Alcotest.test_case "analyze --csv refusals" `Quick
             test_analyze_csv_refusals;
           Alcotest.test_case "analyze --csv pipe" `Quick test_analyze_csv_pipe;
+          Alcotest.test_case "analyze --csv front" `Quick test_analyze_csv_front;
           QCheck_alcotest.to_alcotest prop_scanner_matches_reference;
           QCheck_alcotest.to_alcotest prop_stream_matches_classify;
           Alcotest.test_case "streamed large texts" `Quick test_stream_large_texts;

@@ -232,7 +232,9 @@ let test_sharded_manifest_coherent () =
   let shards =
     Core.Stage.run_front ~config:(Core.Stage.default_config category)
       ~executor:Core.Exec.Seq category
-      (Core.Stage.shard_ranges ~shards:3 ~total:(Core.Category.catalog_size category))
+      (Core.Stage.Catalog
+         (Core.Stage.shard_ranges ~shards:3
+            ~total:(Core.Category.catalog_size category)))
   in
   let merged = ref [] in
   ignore

@@ -188,8 +188,15 @@ let test_merged_sessions_reproduce_analysis () =
 (* Reproduction scorecard                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The suite's one scorecard, from a call that also counts the
+   manifests it emits. *)
+let first_manifests = ref 0
+
+let verdicts =
+  lazy (Core.Experiment.check_all ~manifest:(fun _ -> incr first_manifests) ())
+
 let test_all_reproduction_claims_hold () =
-  let verdicts = Core.Experiment.check_all () in
+  let verdicts = Lazy.force verdicts in
   List.iter
     (fun (v : Core.Experiment.verdict) ->
       if not v.passed then
@@ -199,11 +206,19 @@ let test_all_reproduction_claims_hold () =
   Alcotest.(check bool) "non-trivial claim count" true (List.length verdicts >= 30)
 
 let test_scorecard_renders () =
-  let verdicts = Core.Experiment.check_all () in
-  let s = Core.Experiment.scorecard verdicts in
+  let s = Core.Experiment.scorecard (Lazy.force verdicts) in
   Alcotest.(check bool) "summary line" true
     (contains ~needle:"reproduction claims hold" s);
   Alcotest.(check bool) "PASS entries" true (contains ~needle:"[PASS]" s)
+
+(* Nothing is cached between calls: a second call runs the four
+   categories again and emits their four manifests. *)
+let test_manifests_per_call () =
+  ignore (Lazy.force verdicts);
+  let second = ref 0 in
+  ignore (Core.Experiment.check_all ~manifest:(fun _ -> incr second) ());
+  Alcotest.(check (pair int int))
+    "manifests per call" (4, 4) (!first_manifests, !second)
 
 let () =
   Alcotest.run "report"
@@ -236,6 +251,7 @@ let () =
         [
           Alcotest.test_case "all claims hold" `Slow test_all_reproduction_claims_hold;
           Alcotest.test_case "renders" `Slow test_scorecard_renders;
+          Alcotest.test_case "manifests per call" `Slow test_manifests_per_call;
         ] );
       ( "dataset-utils",
         [

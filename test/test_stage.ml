@@ -232,6 +232,30 @@ let test_merge_conflicts () =
   let b_short = { b with Stage.entries = List.tl b.Stage.entries } in
   expect_merge_error "short shard" "entries" [ a; b_short; c ]
 
+(* Two names repeated across shards, in catalog order zeta, alpha,
+   zeta, alpha: the error names the first repeat in catalog order
+   (zeta), not the first repeated name by sort order (alpha). *)
+let test_merge_first_repeat () =
+  let rename names (s : Stage.classified_shard) =
+    let entries =
+      List.mapi
+        (fun i (c : Core.Noise_filter.classified) ->
+          match List.nth_opt names i with
+          | Some name -> { c with event = { c.event with Hwsim.Event.name } }
+          | None -> c)
+        s.entries
+    in
+    { s with entries }
+  in
+  match shards_for ~shards:2 Core.Category.Branch with
+  | [ a; b ] ->
+    let shards = [ rename [ "zeta"; "alpha" ] a; rename [ "zeta"; "alpha" ] b ] in
+    Alcotest.(check (result unit string))
+      "first repeat in catalog order"
+      (Error "duplicate event name across shards: zeta")
+      (Result.map ignore (Stage.merge_shards shards))
+  | _ -> assert false
+
 (* ------------------------------------------------------------------ *)
 (* Counters                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -600,7 +624,7 @@ let prop_front_matches_gathered =
            (Core.Category.bench c) Core.Noise_filter.entry)
         (List.map Core.Noise_filter.entry gathered.Stage.dataset.measurements)
       &&
-      match Stage.run_front ~config ~executor:E.Seq c [ range ] with
+      match Stage.run_front ~config ~executor:E.Seq c (Stage.Catalog [ range ]) with
       | [ front ] ->
         Stage.shard_equal front (Stage.classify_shard ~config ~category:c gathered)
       | _ -> false)
@@ -628,7 +652,11 @@ let () =
             test_artifact_rejections;
         ] );
       ( "merge",
-        [ test_case "conflicts detected" `Quick test_merge_conflicts ] );
+        [
+          test_case "conflicts detected" `Quick test_merge_conflicts;
+          test_case "first repeat in catalog order" `Quick
+            test_merge_first_repeat;
+        ] );
       ( "ledger",
         [
           test_case "merged ledger has coherent fates" `Quick
