@@ -131,7 +131,9 @@ csv-smoke:
 # pointer chases build into one buffer per job; a fresh chain per
 # simulation read 4.8 MB).  A --stats run pins the work the chases
 # and readings do: 1,024,000 stepped L1-TLB steps and 250,880
-# readings, exactly, in its table and in its manifest.
+# readings, exactly, in its table and in its manifest.  A --stats run
+# of two shards on two domains counts the same 1,024,000 steps: the
+# front builds its one row table once, not once per range.
 dcache-smoke:
 	dune build ./bin/analyze.exe
 	dir=$$(mktemp -d) && \
@@ -147,6 +149,9 @@ dcache-smoke:
 	grep -qE '^  hwsim\.readings +250880$$' $$dir/stats.txt && \
 	grep -q '"cachesim.tlb_steps": 1024000,' $$dir/run.json && \
 	grep -q '"hwsim.readings": 250880,' $$dir/run.json && \
+	./_build/default/bin/analyze.exe -c dcache --shards 2 --jobs 2 --stats \
+	  --show summary > $$dir/stats2.txt 2> /dev/null && \
+	grep -qE '^  cachesim\.tlb_steps +1024000$$' $$dir/stats2.txt && \
 	awk '/^top_heap_words:/ { found = 1; mb = $$2 * 8 / 1e6 } \
 	  END { if (!found) { print "dcache-smoke: no GC totals"; exit 1 } \
 	        printf "dcache-smoke: peak heap %.2f MB (limit 3)\n", mb; exit (mb > 3) }' \

@@ -13,11 +13,11 @@
    a full major collection.
 
    Cold and warm are measured apart.  Before its points, each
-   category's shared tables (the dcache activity cache, the kernel row
-   tables) are built once by [Core.Category.prewarm], timed as
-   cold_ms_* with the calling domain's minor words as
-   cold_minor_mwords_*; every point then runs warm, so no point pays
-   for the others.
+   category's row table (the dcache simulations, the densified kernel
+   rows, and the compiled catalog and kernel table they need) is built
+   once by [Cat_bench.Dataset.table], timed as cold_ms_* with the
+   calling domain's minor words as cold_minor_mwords_*; every point's
+   front then reads that table, so no point pays for the others.
 
    Every run is self-validating: each point's chosen events must be
    bit-identical to its category's first point (one shard, one job),
@@ -53,7 +53,7 @@ let speedup_target = 1.5
 
 type cold = {
   cold_category : string;
-  cold_ms : float;  (* first build of the shared tables *)
+  cold_ms : float;  (* the category's row table *)
   cold_minor_words : float;  (* calling domain *)
 }
 
@@ -72,19 +72,23 @@ let ms_between t0 t1 = Int64.to_float (Int64.sub t1 t0) /. 1e6
 let point_key category (shards, jobs) =
   Printf.sprintf "%s_s%d_j%d" (Core.Category.name category) shards jobs
 
-let prewarm category =
+let build_table category =
   let config = Core.Stage.default_config category in
   let w0 = Gc.minor_words () in
   let t0 = Obs.Clock.now_ns () in
-  Core.Category.prewarm ~executor:Core.Exec.Seq ~reps:config.reps category;
+  let table =
+    Cat_bench.Dataset.table ~executor:Core.Exec.Seq ~reps:config.reps
+      (Core.Category.bench category)
+  in
   let t1 = Obs.Clock.now_ns () in
-  {
-    cold_category = Core.Category.name category;
-    cold_ms = ms_between t0 t1;
-    cold_minor_words = Gc.minor_words () -. w0;
-  }
+  ( table,
+    {
+      cold_category = Core.Category.name category;
+      cold_ms = ms_between t0 t1;
+      cold_minor_words = Gc.minor_words () -. w0;
+    } )
 
-let run_point category (shards, jobs) =
+let run_point ~table category (shards, jobs) =
   let config = Core.Stage.default_config category in
   let executor = Core.Exec.of_jobs jobs in
   let ranges =
@@ -93,7 +97,8 @@ let run_point category (shards, jobs) =
   in
   let t0 = Obs.Clock.now_ns () in
   let classified =
-    Core.Stage.run_front ~config ~executor category (Core.Stage.Catalog ranges)
+    Core.Stage.run_front ~config ~executor category
+      (Core.Stage.Catalog { table; ranges })
   in
   let t1 = Obs.Clock.now_ns () in
   Gc.full_major ();
@@ -111,12 +116,12 @@ let run_point category (shards, jobs) =
     chosen = r.chosen_names;
   }
 
-(* Each category's tables are built just before its own points, so an
-   earlier category does not carry a later one's tables in the heap
-   its live-word readings walk. *)
+(* Each category's table is built just before its own points and
+   dropped after them, so a category's live-word readings walk no
+   other category's table. *)
 let sweep (category, points) =
-  let cold = prewarm category in
-  let samples = List.map (run_point category) points in
+  let table, cold = build_table category in
+  let samples = List.map (run_point ~table category) points in
   let reference = (List.hd samples).chosen in
   List.iter
     (fun s ->

@@ -579,9 +579,13 @@ let shard_main category index shards out tau alpha proj_tol reps obs =
   let total = Core.Category.catalog_size category in
   let range = List.nth (Core.Stage.shard_ranges ~shards ~total) index in
   let artifact =
+    let table =
+      Cat_bench.Dataset.table ~executor:Core.Exec.Seq ~reps:config.Core.Pipeline.reps
+        (Core.Category.bench category)
+    in
     List.hd
       (Core.Stage.run_front ~config ~executor:Core.Exec.Seq category
-         (Core.Stage.Catalog [ range ]))
+         (Core.Stage.Catalog { table; ranges = [ range ] }))
   in
   (* Campaign accounting for this shard: cutting the full-catalog
      measurement plan at the same group boundaries shows what the

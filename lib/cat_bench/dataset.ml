@@ -55,53 +55,45 @@ let zen_flops_bench =
     ~catalog:Hwsim.Catalog_zen.compiled
     ~rows:Flops_kernels.rows ~row_labels:Flops_kernels.row_labels
 
-(* The thread activities are a function of (kernel config, rep,
-   thread) only — independent of which events a build measures — so
-   shards of the same campaign can share one generation.  Cached at
-   the last repetition count (shard sweeps hit the same count N
-   times in a row) as dense rows of the Sapphire Rapids catalog,
-   [a.(rep).(thread).(row)]: each simulation densifies its activity at
-   once, so no activity record is kept.  Every simulation is a pure
-   function of its seed string and its config's geometry (counted
-   once per config), so [executor] may run them in any order and
-   place: one task per job, each a contiguous slice of the
-   simulations with one chain buffer of its own. *)
-let dcache_cache = ref None
+type table = float array array array array
 
+(* The thread activities are a function of (kernel config, rep,
+   thread) only, independent of which events a build measures, so
+   every range of one front reads the one table its run builds, as
+   dense rows of the Sapphire Rapids catalog, [a.(rep).(thread).(row)]:
+   each simulation densifies its activity at once, so no activity
+   record is kept.  Every simulation is a pure function of its seed
+   string and its config's geometry (counted once per config), so
+   [executor] may run them in any order and place: one task per job,
+   each a contiguous slice of the simulations with one chain buffer of
+   its own. *)
 let dcache_activities executor ~reps =
-  match !dcache_cache with
-  | Some (r, a) when r = reps -> a
-  | _ ->
-    let catalog = Hwsim.Catalog_sapphire_rapids.compiled () in
-    let configs = Array.of_list Cache_kernels.configs in
-    let nrows = Array.length configs and threads = Cache_kernels.threads in
-    let words = Array.fold_left (fun m c -> max m (Cache_kernels.pointers c)) 0 configs in
-    let total = reps * nrows * threads and jobs = Executor.jobs executor in
-    let flat =
-      Obs.span "cachesim" @@ fun () ->
-      let sims = Array.map Cache_kernels.thread_activity configs in
-      (* Simulation k is (rep, row, thread) in row-major order; task j
-         runs k in [total * j / jobs, total * (j + 1) / jobs). *)
-      let slice j =
-        let lo = total * j / jobs and buf = Array.make words 0 in
-        Array.init
-          ((total * (j + 1) / jobs) - lo)
-          (fun i ->
-            let k = lo + i in
-            Hwsim.Machine.row catalog
-              (sims.(k / threads mod nrows) ~buf
-                 ~rep:(k / (nrows * threads)) ~thread:(k mod threads)))
-      in
-      Array.concat (Array.to_list (Executor.map ~executor jobs slice))
+  let catalog = Hwsim.Catalog_sapphire_rapids.compiled () in
+  let configs = Array.of_list Cache_kernels.configs in
+  let nrows = Array.length configs and threads = Cache_kernels.threads in
+  let words = Array.fold_left (fun m c -> max m (Cache_kernels.pointers c)) 0 configs in
+  let total = reps * nrows * threads and jobs = Executor.jobs executor in
+  let flat =
+    Obs.span "cachesim" @@ fun () ->
+    let sims = Array.map Cache_kernels.thread_activity configs in
+    (* Simulation k is (rep, row, thread) in row-major order; task j
+       runs k in [total * j / jobs, total * (j + 1) / jobs). *)
+    let slice j =
+      let lo = total * j / jobs and buf = Array.make words 0 in
+      Array.init
+        ((total * (j + 1) / jobs) - lo)
+        (fun i ->
+          let k = lo + i in
+          Hwsim.Machine.row catalog
+            (sims.(k / threads mod nrows) ~buf
+               ~rep:(k / (nrows * threads)) ~thread:(k mod threads)))
     in
-    let a =
-      Array.init reps (fun rep ->
-          Array.init threads (fun thread ->
-              Array.init nrows (fun row ->
-                  flat.((((rep * nrows) + row) * threads) + thread))))
-    in
-    dcache_cache := Some (reps, a);
-    a
+    Array.concat (Array.to_list (Executor.map ~executor jobs slice))
+  in
+  Array.init reps (fun rep ->
+      Array.init threads (fun thread ->
+          Array.init nrows (fun row ->
+              flat.((((rep * nrows) + row) * threads) + thread))))
 
 let dcache_bench =
   {
@@ -113,26 +105,24 @@ let dcache_bench =
     reduce = `Median;
   }
 
-(* Force the catalog, then the shared row table, from the calling
-   domain: shard builds on worker domains then only read them.  (A
-   concurrent miss of the dcache cache would be benign — every build
-   computes the same arrays and the cache write is a single pointer
-   store — but wasteful.)  A kernel table's dense rows are not built
-   here: they are cheap, and each collection builds its own. *)
-let prewarm ~executor ~reps b =
-  ignore (b.catalog ());
+(* A kernel table is one thread's rows, the same at every repetition:
+   densified once and shared by every repetition. *)
+let table ~executor ~reps b =
+  Obs.span "activities" @@ fun () ->
   match b.rows with
-  | Kernels table -> ignore (table ())
-  | Threads rows -> ignore (rows executor ~reps)
+  | Kernels kernels ->
+    Array.make reps [| Array.map (Hwsim.Machine.row (b.catalog ())) (kernels ()) |]
+  | Threads rows -> rows executor ~reps
 
-let prewarm_dcache ~reps = prewarm ~executor:Executor.Seq ~reps dcache_bench
+let prewarm_dcache ~reps = ignore (table ~executor:Executor.Seq ~reps dcache_bench)
 
 (* One reading is derived from (seed, event name, repetition, row) —
    see Hwsim.Machine — so measuring only the events in [lo, hi) yields
    bit-identical vectors to the whole-catalog build: a range is a
    restriction, never a re-randomization.  Each event goes to [f] as
-   soon as it is read; returns the range's name and [f]'s results. *)
-let sweep_events ~reps ~lo ?hi b f =
+   soon as it is read; returns the range's name and [f]'s results.
+   Without a [table], the range builds its own on the calling domain. *)
+let sweep_events ?table:rows ~reps ~lo ?hi b f =
   let catalog = b.catalog () in
   let total = Hwsim.Machine.size catalog in
   let hi = Option.value hi ~default:total in
@@ -140,6 +130,13 @@ let sweep_events ~reps ~lo ?hi b f =
     invalid_arg
       (Printf.sprintf "Dataset.collect: bad event range [%d,%d) of a %d-event catalog"
          lo hi total);
+  let threads = Array.length b.seeds and nrows = Array.length b.row_labels in
+  let rows = match rows with Some r -> r | None -> table ~executor:Executor.Seq ~reps b in
+  let fits r = Array.length r = threads && Array.for_all (fun r -> Array.length r = nrows) r in
+  if Array.length rows <> reps || not (Array.for_all fits rows) then
+    invalid_arg
+      (Printf.sprintf "Dataset.collect: the table does not fit %s (%d reps x %d threads x %d rows)"
+         b.name reps threads nrows);
   let whole = lo = 0 && hi = total in
   let name =
     if whole then b.name else Printf.sprintf "%s[%d,%d)" b.name lo hi
@@ -151,18 +148,6 @@ let sweep_events ~reps ~lo ?hi b f =
     Obs.attr_int "lo" lo;
     Obs.attr_int "hi" hi
   end;
-  (* [rows.(rep).(thread).(row)]: a kernel table is one thread's
-     rows, the same at every repetition. *)
-  let rows =
-    Obs.span "activities" (fun () ->
-        match b.rows with
-        | Kernels table ->
-          Array.make reps [| Array.map (Hwsim.Machine.row catalog) (table ()) |]
-        | Threads rows -> rows Executor.Seq ~reps)
-  in
-  let threads = Array.length b.seeds and nrows = Array.length b.row_labels in
-  if Array.exists (Array.exists (fun r -> Array.length r <> nrows)) rows then
-    invalid_arg "Dataset.collect: rows/labels mismatch";
   let reduce =
     match b.reduce with
     | `Median -> Numkit.Stats.median_in_place
@@ -208,11 +193,11 @@ let sweep_events ~reps ~lo ?hi b f =
   in
   (name, results)
 
-let stream ?(reps = default_reps) ?(lo = 0) ?hi b f =
-  snd (sweep_events ~reps ~lo ?hi b f)
+let stream ?table ?(reps = default_reps) ?(lo = 0) ?hi b f =
+  snd (sweep_events ?table ~reps ~lo ?hi b f)
 
-let collect ?(reps = default_reps) ?(lo = 0) ?hi b =
-  let name, measurements = sweep_events ~reps ~lo ?hi b Fun.id in
+let collect ?table ?(reps = default_reps) ?(lo = 0) ?hi b =
+  let name, measurements = sweep_events ?table ~reps ~lo ?hi b Fun.id in
   { name; row_labels = b.row_labels; reps; measurements }
 
 let cpu_flops ?reps () = collect ?reps cpu_flops_bench

@@ -13,8 +13,8 @@ type rows =
           every repetition. *)
   | Threads of (Executor.t -> reps:int -> float array array array array)
       (** Per-repetition, per-thread dense rows of the catalog,
-          [rows.(rep).(thread).(row)], whose simulations may run on
-          the executor given. *)
+          [rows.(rep).(thread).(row)], simulated afresh at each call,
+          on the executor given. *)
 
 type bench = {
   name : string;
@@ -67,40 +67,49 @@ val dcache_bench : bench
     {e median} across the threads, the noise-suppression step of
     Section IV; [{ dcache_bench with reduce = `Mean }] is the
     ablation showing why.  Its rows are the per-thread kernel
-    activities, simulated once per repetition count and shared by
-    every collection (they depend only on kernel config, repetition
-    and thread). *)
+    activities, 640 pointer-chase simulations at 5 repetitions: they
+    depend only on kernel config, repetition and thread, so every
+    range of one run reads the one {!table} the run builds. *)
 
-val collect : ?reps:int -> ?lo:int -> ?hi:int -> bench -> t
+type table = float array array array array
+(** A run's benchmark rows, [rows.(rep).(thread).(row)]: dense rows of
+    the benchmark's catalog, one array per repetition and measuring
+    thread.  A value of the run that builds it; nothing keeps it. *)
+
+val table : executor:Executor.t -> reps:int -> bench -> table
+(** The rows every collection of [reps] repetitions reads, in span
+    [activities]: a [Kernels] table densified once (one thread, the
+    same rows at every repetition), or the [Threads] rows with their
+    simulations run on [executor] (dcache: in child span [cachesim]).
+    The same bits whatever the executor. *)
+
+val collect : ?table:table -> ?reps:int -> ?lo:int -> ?hi:int -> bench -> t
 (** Run the benchmark [reps] times (default {!default_reps}) and
     measure the events at catalog positions [lo, hi) (0-based,
-    half-open; default the whole catalog) over every row: one
-    {!Hwsim.Machine.sweep} per event, repetition and thread.  Because
-    a reading's noise stream is keyed by [(seed, event name, rep,
-    row)], a range's vectors are bit-identical to the corresponding
-    slice of the whole-catalog dataset.  The rows are taken in a
-    child span [activities] of the [dataset-build] span and the
-    readings in a second child span [readings].  A range's dataset
-    is named [name\[lo,hi)].  Raises [Invalid_argument] on an
-    out-of-bounds range. *)
+    half-open; default the whole catalog) over every row of [table]
+    (default: [table ~executor:Seq ~reps bench], built on the calling
+    domain): one {!Hwsim.Machine.sweep} per event, repetition and
+    thread.  Because a reading's noise stream is keyed by [(seed,
+    event name, rep, row)], a range's vectors are bit-identical to the
+    corresponding slice of the whole-catalog dataset.  The readings
+    are taken in span [readings], the one child of span
+    [dataset-build].  A range's dataset is named [name\[lo,hi)].
+    Raises [Invalid_argument] on an out-of-bounds range, or on a table
+    that does not fit the benchmark: not [reps] repetitions of one
+    array per seed, each of one row per row label. *)
 
 val stream :
-  ?reps:int -> ?lo:int -> ?hi:int -> bench -> (measurement -> 'a) -> 'a list
+  ?table:table -> ?reps:int -> ?lo:int -> ?hi:int -> bench ->
+  (measurement -> 'a) -> 'a list
 (** {!collect}'s one event loop with a per-event consumer: [f] gets each
     event's measurement as soon as it is read, in catalog order, and
     only what [f] returns is kept.  [collect] gathers every
     measurement. *)
 
-val prewarm : executor:Executor.t -> reps:int -> bench -> unit
-(** Force the benchmark's catalog and then its shared row table (the
-    kernel table, or the [Threads] rows with their simulations run on
-    [executor]) from the calling domain, so that collections on worker
-    domains only read them.  The rows are the same whatever the
-    executor. *)
-
 val prewarm_dcache : reps:int -> unit
-(** {!prewarm} of {!dcache_bench} on the calling domain alone (the
-    benchmark probe times the dcache simulations with it). *)
+(** {!table} of {!dcache_bench} on the calling domain, dropped: every
+    call runs the simulations (the benchmark probe times them with
+    it). *)
 
 val cpu_flops : ?reps:int -> unit -> t
 (** [collect ?reps cpu_flops_bench]: the real events the benchmark

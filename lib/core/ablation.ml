@@ -78,12 +78,14 @@ let coefficient_deviation (metrics : Metric_solver.metric_def list) =
         acc d.combination)
     0.0 metrics
 
+(* Both reductions read one table of the same simulations. *)
 let thread_reduction_comparison ?manifest () =
+  let bench = Cat_bench.Dataset.dcache_bench in
+  let table = Cat_bench.Dataset.(table ~executor:Exec.Seq ~reps:default_reps bench) in
   List.map
     (fun reduction ->
       let dataset =
-        Cat_bench.Dataset.collect
-          { Cat_bench.Dataset.dcache_bench with reduce = reduction }
+        Cat_bench.Dataset.collect ~table { bench with reduce = reduction }
       in
       let r =
         run_on ?manifest

@@ -44,9 +44,6 @@ let bench = function
 let dataset ?reps ?lo ?hi category =
   Cat_bench.Dataset.collect ?reps ?lo ?hi (bench category)
 
-let prewarm ~executor ~reps category =
-  Cat_bench.Dataset.prewarm ~executor ~reps (bench category)
-
 let ideals = function
   | Cpu_flops -> Cat_bench.Ideal.cpu_flops ()
   | Gpu_flops -> Cat_bench.Ideal.gpu_flops ()

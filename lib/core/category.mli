@@ -41,17 +41,12 @@ val bench : t -> Cat_bench.Dataset.bench
 
 val dataset : ?reps:int -> ?lo:int -> ?hi:int -> t -> Cat_bench.Dataset.t
 (** [Cat_bench.Dataset.collect] of the category's benchmark: its
-    events at catalog positions [lo, hi), by default all of them.  A
-    range is bit-identical to the corresponding slice of the whole
-    dataset (same seeds, same benchmark rows).  Raises
-    [Invalid_argument] on an out-of-bounds range. *)
-
-val prewarm : executor:Exec.t -> reps:int -> t -> unit
-(** [Cat_bench.Dataset.prewarm] of the category's benchmark: force
-    the tables its range collections share, from the calling domain,
-    before shards are dispatched — the compiled catalog and then the
-    rows (for dcache, the activity arrays, whose simulations run on
-    [executor]). *)
+    events at catalog positions [lo, hi), by default all of them, over
+    a row table of its own, built on the calling domain (for dcache,
+    its 640 simulations).  A range is bit-identical to the
+    corresponding slice of the whole dataset (same seeds, same
+    benchmark rows).  Raises [Invalid_argument] on an out-of-bounds
+    range. *)
 
 val ideals : t -> Cat_bench.Ideal.ideal list
 

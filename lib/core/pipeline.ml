@@ -55,9 +55,9 @@ let run ?config ?select ?(shards = 1) ?(executor = Exec.Seq) ?manifest ?import
             match import with
             | Some import -> Stage.Imported (import ())
             | None ->
-              Stage.Catalog
-                (Stage.shard_ranges ~shards
-                   ~total:(Category.catalog_size category))
+              let total = Category.catalog_size category and bench = Category.bench category in
+              let table = Cat_bench.Dataset.table ~executor ~reps:config.reps bench in
+              Stage.Catalog { table; ranges = Stage.shard_ranges ~shards ~total }
           in
           Stage.run_merged ~category
             (Stage.run_front ?select ~config ~executor category front)))

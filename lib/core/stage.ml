@@ -99,9 +99,9 @@ let collect_shard ?(reps = Cat_bench.Dataset.default_reps) category range =
   in
   { shard_range = range; catalog_events = Category.catalog_size category; dataset }
 
-let collect_entries ~reps category range =
+let collect_entries ~table ~reps category range =
   in_collect_span category range (fun () ->
-      Cat_bench.Dataset.stream ~reps ~lo:range.lo ~hi:range.hi
+      Cat_bench.Dataset.stream ~table ~reps ~lo:range.lo ~hi:range.hi
         (Category.bench category) Noise_filter.entry)
 
 (* The verdicts at [config.tau] on one range of a [total]-event front. *)
@@ -692,11 +692,12 @@ let check_front_counters ~events ~before:(ev0, kp0, nf_kept0) =
           by %g but noise_filter.kept by %g"
          d_kept d_nf_kept)
 
-type front = Catalog of range list | Imported of Noise_filter.entry list
+type front =
+  | Catalog of { table : Cat_bench.Dataset.table; ranges : range list }
+  | Imported of Noise_filter.entry list
 
-(* The tables a task could populate (the compiled catalog and kernel
-   row table, or the dcache activity cache, whose simulations run on
-   [executor]) are forced first, so tasks only ever read them.
+(* Every range reads the front's one row table; the caller built it
+   (and with it the compiled catalog), so tasks only ever read them.
    Progress taps go straight to the handle in this run's collector
    rather than through a gauge, so manifests recorded without
    --progress stay byte-identical. *)
@@ -714,9 +715,8 @@ let run_front ?select ~config ~executor category front =
     | Imported entries ->
       let n = List.length entries in
       ([| { lo = 0; hi = n } |], [| entries |], n)
-    | Catalog ranges ->
+    | Catalog { table; ranges } ->
       let tap f = Option.iter f (Obs.progress ()) in
-      Category.prewarm ~executor ~reps:config.reps category;
       let arr = Array.of_list ranges in
       let shards = Array.length arr in
       tap (Obs.Progress.note_front ~total:shards ~jobs:(Executor.jobs executor));
@@ -724,7 +724,7 @@ let run_front ?select ~config ~executor category front =
         Executor.map ~executor shards (fun i ->
             tap (Obs.Progress.note_shard_start ~index:i ~total:shards);
             let t0 = Obs.Clock.now_ns () in
-            let e = collect_entries ~reps:config.reps category arr.(i) in
+            let e = collect_entries ~table ~reps:config.reps category arr.(i) in
             tap
               (Obs.Progress.note_shard_done ~total:shards
                  ~dur_ns:(Int64.sub (Obs.Clock.now_ns ()) t0));

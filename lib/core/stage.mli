@@ -110,19 +110,25 @@ type classified_shard = {
 val collect_shard :
   ?reps:int -> Category.t -> range -> dataset_shard
 (** Measure only the catalog events in [range], keeping every vector,
-    with the same per-event seeds (and, for the data cache, the same
-    kernel-run activities) as the whole-catalog collection — the
-    shard's vectors are bit-identical to the corresponding slice.  Raises
+    over a row table of its own built on the calling domain (for the
+    data cache, its 640 simulations), with the same per-event seeds
+    and rows as the whole-catalog collection — the shard's vectors are
+    bit-identical to the corresponding slice.  Raises
     [Invalid_argument] on an out-of-bounds range. *)
 
 val classify_shard :
   config:config -> category:Category.t -> dataset_shard -> classified_shard
 (** Run the noise filter on one gathered shard.  [classify_shard
     ~config ~category (collect_shard ~reps:config.reps category range)]
-    equals the shard {!run_front} makes of [Catalog \[range\]]. *)
+    equals the shard {!run_front} makes of [Catalog {table; ranges =
+    \[range\]}]. *)
 
 type front =
-  | Catalog of range list  (** Collected on the executor. *)
+  | Catalog of { table : Cat_bench.Dataset.table; ranges : range list }
+      (** Collected on the executor, every range over [table]: the
+          category benchmark's rows at [config.reps], built once per
+          front by {!Cat_bench.Dataset.table} ([Pipeline.run] builds it
+          on the run's executor). *)
   | Imported of Noise_filter.entry list
       (** An imported dump's entries in file order (a streamed CSV
           import): the one range [\[0, n)] of an n-event catalog. *)
@@ -131,10 +137,11 @@ val run_front :
   ?select:(Noise_filter.entry list -> float) ->
   config:config -> executor:Exec.t -> Category.t -> front ->
   classified_shard list
-(** The front: for [Catalog ranges], one task per range on [executor]
-    keeps each event's tau-free {!Noise_filter.entry} (span
-    ["shard-collect"]), after {!Category.prewarm}; an [Imported] front
-    collects nothing.  Each range is then thresholded in range order
+(** The front: for [Catalog {table; ranges}], one task per range on
+    [executor] keeps each event's tau-free {!Noise_filter.entry} (span
+    ["shard-collect"]), read over [table] (a table that does not fit
+    the benchmark at [config.reps] raises [Invalid_argument]); an
+    [Imported] front collects nothing.  Each range is then thresholded in range order
     (span ["shard-classify"], counters [shard.events] / [shard.kept])
     at [config.tau], or at [select] of all the entries in catalog
     order, and carries that config and the front's event count as its

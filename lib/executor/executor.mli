@@ -40,16 +40,16 @@
     [(seed, event, rep, row)] for every reading that draws, so shard
     workers never
     observe generator state from another shard — this is what makes
-    parallel collection bit-exact.  The module-level caches reachable
-    from shard tasks (the kernel row tables and
-    [Cat_bench.Dataset.dcache_activities]) are pre-forced by
-    [Category.prewarm] before dispatch; the row tables and the
-    compiled catalogs are also safe to fill from a worker
-    ([Hwsim.Once]).  [dcache_activities] itself submits one task
-    per job, each a contiguous slice of its simulations with a chain
-    buffer the task allocates and alone writes; the per-config chain
-    geometries the tasks share are immutable.  No other mutable state
-    in [hwsim]/[cat_bench] escapes into tasks.
+    parallel collection bit-exact.  Shard tasks read the run's row
+    table ([Cat_bench.Dataset.table]), built before dispatch and never
+    written after; the one module-level state they can reach is the
+    [Hwsim.Once] constants (the compiled catalogs and the kernel
+    tables), safe to fill from a worker.  The dcache table's build
+    submits one task per job, each a contiguous slice of its
+    simulations with a chain buffer the task allocates and alone
+    writes; the per-config chain geometries the tasks share are
+    immutable.  No other mutable state in [hwsim]/[cat_bench] escapes
+    into tasks.
 
     Nested submission (a task that itself calls [map]) degrades to
     sequential execution on the domain that runs the task.  Batches

@@ -278,8 +278,25 @@ let test_dataset_csv () =
     (1 + List.length d.measurements)
     (List.length lines)
 
+(* One row table per benchmark for the whole suite, keyed by the
+   benchmark's name: [dcache_bench] with either reduction reads the same
+   simulations. *)
+let tables = Hashtbl.create 8
+
+let suite_table (bench : Cat_bench.Dataset.bench) =
+  match Hashtbl.find_opt tables bench.name with
+  | Some t -> t
+  | None ->
+    let t =
+      Cat_bench.Dataset.table ~executor:Core.Exec.Seq
+        ~reps:Cat_bench.Dataset.default_reps bench
+    in
+    Hashtbl.add tables bench.name t;
+    t
+
 let test_dcache_dataset_uses_median () =
-  let d = Core.Category.(dataset Dcache) in
+  let bench = Cat_bench.Dataset.dcache_bench in
+  let d = Cat_bench.Dataset.collect ~table:(suite_table bench) bench in
   Alcotest.(check int) "16 rows" 16 (Array.length d.row_labels);
   let m = Cat_bench.Dataset.find d "MEM_LOAD_RETIRED:L1_HIT" in
   List.iter
@@ -288,20 +305,15 @@ let test_dcache_dataset_uses_median () =
 
 (* The dcache rows are the same bits whichever executor simulates
    them: one task per job, each over its own slice and chain buffer.
-   The rows are cached at the last repetition count, so a call at
-   another count precedes each measured one to make it simulate. *)
+   Every build simulates. *)
 let test_dcache_activities_executors () =
-  let rows =
-    match Cat_bench.Dataset.dcache_bench.rows with
-    | Cat_bench.Dataset.Threads f -> f
-    | Cat_bench.Dataset.Kernels _ -> Alcotest.fail "dcache rows are per thread"
-  in
   let simulate executor =
-    ignore (rows Core.Exec.Seq ~reps:1);
     Obs.clear ();
     Obs.install Obs.Sink.null;
     Fun.protect ~finally:Obs.clear (fun () ->
-        let a = rows executor ~reps:5 in
+        let a =
+          Cat_bench.Dataset.table ~executor ~reps:5 Cat_bench.Dataset.dcache_bench
+        in
         (a, Obs.counter "cachesim.tlb_steps"))
   in
   let seq, seq_steps = simulate Core.Exec.Seq in
@@ -311,12 +323,31 @@ let test_dcache_activities_executors () =
   let bits a = Array.map (Array.map (Array.map (Array.map Int64.bits_of_float))) a in
   Alcotest.(check bool) "rows bit-identical" true (bits seq = bits par)
 
+(* A table that does not fit the benchmark is refused before any
+   reading: another repetition count, or another benchmark's rows. *)
+let test_table_must_fit () =
+  let dcache = Cat_bench.Dataset.dcache_bench in
+  let refused msg table ~reps =
+    Alcotest.check_raises msg
+      (Invalid_argument
+         (Printf.sprintf
+            "Dataset.collect: the table does not fit dcache (%d reps x 8 \
+             threads x 16 rows)"
+            reps))
+      (fun () -> ignore (Cat_bench.Dataset.collect ~table ~reps dcache))
+  in
+  refused "5-rep table at 3 reps" (suite_table dcache) ~reps:3;
+  refused "cpu-flops table"
+    (suite_table Cat_bench.Dataset.cpu_flops_bench)
+    ~reps:Cat_bench.Dataset.default_reps
+
 (* A range collection is the matching slice of the whole dataset: its
    export is the whole export's header and the lines of the events in
    [lo, hi), in order. *)
 let test_range_is_slice (_, bench) () =
   let lines d = String.split_on_char '\n' (Cat_bench.Dataset.reps_to_csv d) in
-  let whole = Cat_bench.Dataset.collect bench in
+  let table = suite_table bench in
+  let whole = Cat_bench.Dataset.collect ~table bench in
   let all = Array.of_list (lines whole) in
   let total = List.length whole.measurements and reps = whole.reps in
   let third = total / 3 in
@@ -329,7 +360,7 @@ let test_range_is_slice (_, bench) () =
       Alcotest.(check (list string))
         (Printf.sprintf "[%d,%d)" lo hi)
         expected
-        (lines (Cat_bench.Dataset.collect ~lo ~hi bench)))
+        (lines (Cat_bench.Dataset.collect ~table ~lo ~hi bench)))
     [ (0, third); (third, total); (1, total - 1); (third, third) ]
 
 let range_cases =
@@ -384,6 +415,7 @@ let () =
           Alcotest.test_case "dcache median" `Slow test_dcache_dataset_uses_median;
           Alcotest.test_case "dcache rows, Seq = Domains 2" `Quick
             test_dcache_activities_executors;
+          Alcotest.test_case "table must fit" `Quick test_table_must_fit;
         ]
         @ List.map
             (fun ((name, _) as case) ->

@@ -1,10 +1,23 @@
 (* Golden digests of whole outputs.  Each is the MD5 of a text the
    product prints or exports; an intended output change re-records the
-   digest it moves.  One in-process run per category and shard count,
-   so the dcache simulations run once for the whole file; the run
-   manifests come from [analyze] subprocesses, as a user gets them. *)
+   digest it moves.  One in-process run per category and shard count:
+   the plain run builds its own row table, and the exports and sharded
+   runs read one suite table per category, so the dcache simulations
+   run twice for the whole file; the run manifests come from [analyze]
+   subprocesses, as a user gets them. *)
 
 let md5 s = Digest.to_hex (Digest.string s)
+
+let tables =
+  List.map
+    (fun c ->
+      ( c,
+        lazy
+          (Cat_bench.Dataset.table ~executor:Core.Exec.Seq
+             ~reps:Cat_bench.Dataset.default_reps (Core.Category.bench c)) ))
+    Core.Category.all
+
+let table category = Lazy.force (List.assoc category tables)
 
 (* Every repetition of every event: all the readings a category's
    dataset holds, not only the chosen events'. *)
@@ -20,7 +33,10 @@ let test_reps_csv (category, expected) () =
   Alcotest.(check string)
     (Core.Category.name category ^ " reps CSV")
     expected
-    (md5 (Cat_bench.Dataset.reps_to_csv (Core.Category.dataset category)))
+    (md5
+       (Cat_bench.Dataset.reps_to_csv
+          (Cat_bench.Dataset.collect ~table:(table category)
+             (Core.Category.bench category))))
 
 (* One pipeline run per (category, shard count), shared by every case
    that reads it. *)
@@ -30,7 +46,21 @@ let run category shards =
   match Hashtbl.find_opt runs (category, shards) with
   | Some r -> r
   | None ->
-    let r = Core.Pipeline.run ~shards category in
+    let r =
+      if shards = 1 then Core.Pipeline.run category
+      else
+        Core.Stage.run_merged ~category
+          (Core.Stage.run_front
+             ~config:(Core.Stage.default_config category)
+             ~executor:Core.Exec.Seq category
+             (Core.Stage.Catalog
+                {
+                  table = table category;
+                  ranges =
+                    Core.Stage.shard_ranges ~shards
+                      ~total:(Core.Category.catalog_size category);
+                }))
+    in
     Hashtbl.add runs (category, shards) r;
     r
 
@@ -195,7 +225,7 @@ let test_manifest_sharded expected () =
   Alcotest.(check string) "non-timing fields" expected (md5 (non_timing m));
   Alcotest.(check (list string))
     "spans"
-    [ "activities x2"; "dataset-build x2"; "metric-solve x1"; "pipeline x1";
+    [ "activities x1"; "dataset-build x2"; "metric-solve x1"; "pipeline x1";
       "projection x1"; "qrcp x1"; "qrcp-pivot x4"; "readings x2";
       "shard-classify x2"; "shard-collect x2"; "shard-merge x1" ]
     (span_counts m)
@@ -267,7 +297,9 @@ let shuffled_lines text =
 
 let test_csv (_, shuffle, (expected_stdout, expected_ledger)) () =
   let text =
-    Cat_bench.Dataset.reps_to_csv (Core.Category.dataset Core.Category.Cpu_flops)
+    Cat_bench.Dataset.reps_to_csv
+      (Cat_bench.Dataset.collect ~table:(table Core.Category.Cpu_flops)
+         Cat_bench.Dataset.cpu_flops_bench)
   in
   let csv = temp ".csv" and path = temp ".json" in
   Out_channel.with_open_bin csv (fun oc ->

@@ -230,11 +230,19 @@ let test_sharded_manifest_coherent () =
   (* A merge of shards handed in, as [analyze merge] reads them from
      files, hashes each of them and the ledger. *)
   let shards =
-    Core.Stage.run_front ~config:(Core.Stage.default_config category)
-      ~executor:Core.Exec.Seq category
+    let config = Core.Stage.default_config category in
+    let table =
+      Cat_bench.Dataset.table ~executor:Core.Exec.Seq ~reps:config.reps
+        (Core.Category.bench category)
+    in
+    Core.Stage.run_front ~config ~executor:Core.Exec.Seq category
       (Core.Stage.Catalog
-         (Core.Stage.shard_ranges ~shards:3
-            ~total:(Core.Category.catalog_size category)))
+         {
+           table;
+           ranges =
+             Core.Stage.shard_ranges ~shards:3
+               ~total:(Core.Category.catalog_size category);
+         })
   in
   let merged = ref [] in
   ignore

@@ -8,6 +8,13 @@ let default_runs =
 
 let default_run c = Lazy.force (List.assoc c default_runs)
 
+(* One collected dataset per category, shared by every case that
+   re-analyses it. *)
+let datasets =
+  List.map (fun c -> (c, lazy (Core.Category.dataset c))) Core.Category.all
+
+let dataset c = Lazy.force (List.assoc c datasets)
+
 let test_pipeline_structure () =
   let r = default_run Core.Category.Branch in
   Alcotest.(check int) "chosen names match indices"
@@ -49,7 +56,7 @@ let chosen_with category ~tau ~alpha =
   in
   Core.Pipeline.chosen_set
     (Core.Pipeline.run_custom ~config ~category
-       ~dataset:(Core.Category.dataset category)
+       ~dataset:(dataset category)
        ~basis:(Core.Category.basis category)
        ~signatures:(Core.Category.signatures category) ())
 
@@ -140,8 +147,7 @@ let raw_mean_matrix category =
   (* The raw measurement matrix A of Section II: mean vectors of all
      events that are not all-zero, before any noise filtering or
      projection. *)
-  let dataset = Core.Category.dataset category in
-  let cl = Core.Noise_filter.classify ~tau:infinity dataset in
+  let cl = Core.Noise_filter.classify ~tau:infinity (dataset category) in
   let nonzero =
     List.filter
       (fun (c : Core.Noise_filter.classified) ->

@@ -20,11 +20,32 @@ let with_clean_state f =
 let default_runs =
   List.map (fun c -> (c, lazy (Core.Pipeline.run c))) Core.Category.all
 
+(* One row table per category for the whole suite: the sharded runs
+   read it through [Stage.run_front]. *)
+let tables =
+  List.map
+    (fun c ->
+      ( c,
+        lazy
+          (Cat_bench.Dataset.table ~executor:Core.Exec.Seq
+             ~reps:Cat_bench.Dataset.default_reps (Core.Category.bench c)) ))
+    Core.Category.all
+
+let front ~shards category =
+  Stage.run_front ~config:(Stage.default_config category)
+    ~executor:Core.Exec.Seq category
+    (Stage.Catalog
+       {
+         table = Lazy.force (List.assoc category tables);
+         ranges =
+           Stage.shard_ranges ~shards ~total:(Core.Category.catalog_size category);
+       })
+
 let ledgered_run ?shards category =
   let r =
     match shards with
     | None -> Lazy.force (List.assoc category default_runs)
-    | Some shards -> Core.Pipeline.run ~shards category
+    | Some shards -> Stage.run_merged ~category (front ~shards category)
   in
   (match r.Core.Pipeline.ledger with
   | Some _ -> ()
@@ -54,13 +75,8 @@ let pinned = function
 (* Three shards, each through its JSON text as if it ran in another
    process, merged in reverse order. *)
 let merged_run category =
-  let config = Stage.default_config category in
-  Stage.shard_ranges ~shards:3 ~total:(Core.Category.catalog_size category)
-  |> List.rev_map (fun range ->
-         let s =
-           Stage.classify_shard ~config ~category
-             (Stage.collect_shard ~reps:config.reps category range)
-         in
+  front ~shards:3 category
+  |> List.rev_map (fun s ->
          match Jsonio.of_string (Jsonio.to_string (Stage.shard_to_json s)) with
          | Error msg -> Alcotest.failf "shard text does not parse: %s" msg
          | Ok json -> (

@@ -7,6 +7,7 @@
 
 module Stage = Core.Stage
 module L = Provenance.Ledger
+module E = Core.Exec
 
 let with_clean_state f =
   Obs.clear ();
@@ -25,6 +26,36 @@ let default_runs =
   List.map (fun c -> (c, lazy (Core.Pipeline.run c))) categories
 
 let default_run c = Lazy.force (List.assoc c default_runs)
+
+(* One row table per category and repetition count for the whole
+   suite.  [Pipeline.run] builds its own at every run; the cases that
+   compare many fronts read this one through [Stage.run_front]. *)
+let tables = Hashtbl.create 8
+
+let table ~reps c =
+  match Hashtbl.find_opt tables (c, reps) with
+  | Some t -> t
+  | None ->
+    let t = Cat_bench.Dataset.table ~executor:E.Seq ~reps (Core.Category.bench c) in
+    Hashtbl.add tables (c, reps) t;
+    t
+
+let front ~config c ranges =
+  Stage.run_front ~config ~executor:E.Seq c
+    (Stage.Catalog { table = table ~reps:config.Stage.reps c; ranges })
+
+(* [Pipeline.run]'s front, merge and manifest over the suite table,
+   which is built, if need be, before the manifest starts. *)
+let run_on_table ?config ?(shards = 1) ?(executor = E.Seq) ?manifest c =
+  let config =
+    match config with Some config -> config | None -> Stage.default_config c
+  in
+  let table = table ~reps:config.Stage.reps c in
+  let ranges = Stage.shard_ranges ~shards ~total:(Core.Category.catalog_size c) in
+  Stage.with_manifest ?manifest ~source:"pipeline" ~category:c ~shards
+    ~jobs:(E.jobs executor) ~inputs:[] (fun () ->
+      Stage.run_merged ~category:c
+        (Stage.run_front ~config ~executor c (Stage.Catalog { table; ranges })))
 
 let same_metrics a b =
   List.length a = List.length b
@@ -102,7 +133,7 @@ let test_sharded_equivalent category () =
   let mono = default_run category in
   List.iter
     (fun shards ->
-      let sharded = Core.Pipeline.run ~shards category in
+      let sharded = run_on_table ~shards category in
       check_equivalent
         ~msg:(Printf.sprintf "%s N=%d" (Core.Category.name category) shards)
         mono sharded)
@@ -116,10 +147,8 @@ let shards_for ?config ~shards category =
   let config =
     match config with Some c -> c | None -> Stage.default_config category
   in
-  Stage.shard_ranges ~shards ~total:(Core.Category.catalog_size category)
-  |> List.map (fun range ->
-         Stage.classify_shard ~config ~category
-           (Stage.collect_shard ~reps:config.reps category range))
+  front ~config category
+    (Stage.shard_ranges ~shards ~total:(Core.Category.catalog_size category))
 
 let test_serialized_round_trip () =
   with_clean_state @@ fun () ->
@@ -302,7 +331,7 @@ let test_shard_counters_sum () =
 
 let test_merged_ledger_fates () =
   with_clean_state @@ fun () ->
-  let r = Core.Pipeline.run ~shards:5 Core.Category.Dcache in
+  let r = run_on_table ~shards:5 Core.Category.Dcache in
   let l = Core.Pipeline.ledger r in
   (match L.validate l with
   | Ok () -> ()
@@ -320,8 +349,6 @@ let test_merged_ledger_fates () =
 (* ------------------------------------------------------------------ *)
 (* Executor: unit behavior of the Domains executor                     *)
 (* ------------------------------------------------------------------ *)
-
-module E = Core.Exec
 
 let test_executor_unit () =
   let f i = (i * i) + 1 in
@@ -447,7 +474,7 @@ let sweep_config category =
 let run_with_manifest ~jobs ~shards ~config category =
   let captured = ref None in
   let r =
-    Core.Pipeline.run ~config ~executor:(E.of_jobs jobs)
+    run_on_table ~config ~executor:(E.of_jobs jobs)
       ~manifest:(fun m -> captured := Some m)
       ~shards category
   in
@@ -470,15 +497,11 @@ let check_manifest_cross_jobs ~msg ref_m m =
 
 (* Every shards x jobs run against the one-shard sequential run, and
    at each shard count the manifests of the jobs > 1 runs against the
-   jobs = 1 one (only the jobs count may differ). *)
+   jobs = 1 one (only the jobs count may differ).  Every run reads the
+   suite table. *)
 let test_jobs_sweep category () =
   with_clean_state @@ fun () ->
   let config = sweep_config category in
-  (* Fill the process-wide activity tables first.  The run that fills
-     the dcache table records the cachesim.tlb_steps counter and later
-     runs, whatever their jobs, do not; that difference belongs to the
-     cache, not to the executor. *)
-  Core.Category.prewarm ~executor:E.Seq ~reps:config.Stage.reps category;
   let reference = ref None in
   List.iter
     (fun shards ->
@@ -542,14 +565,11 @@ let check_alone_equal executor categories par =
           (Obs.Manifest.render_changes nt))
     categories par
 
-(* Every category's process-wide activity tables at the default
-   repetition count first: the run that fills them records their
-   simulations, later runs do not. *)
+(* The kernel tables are process-wide constants ([Hwsim.Once]): the run
+   that first forces one records its simulator span, later runs do not.
+   Building each category's suite table forces them first. *)
 let warm categories =
-  List.iter
-    (Core.Category.prewarm ~executor:E.Seq
-       ~reps:Cat_bench.Dataset.default_reps)
-    categories
+  List.iter (fun c -> ignore (table ~reps:Cat_bench.Dataset.default_reps c)) categories
 
 let run_concurrently executor categories =
   List.map
@@ -587,13 +607,50 @@ let test_two_manifests () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* A run's row table is its own                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Two plain dcache runs in one process, whatever ran before them: each
+   builds its own table, so each records the 640 simulations (span
+   [cachesim], 1,024,000 TLB steps) and both list the same spans. *)
+let test_back_to_back_dcache () =
+  with_clean_state @@ fun () ->
+  let recorded () =
+    let m = ref None in
+    ignore
+      (Core.Pipeline.run ~manifest:(fun x -> m := Some x) Core.Category.Dcache);
+    match !m with
+    | Some m -> m
+    | None -> Alcotest.fail "run emitted no manifest"
+  in
+  let spans (m : Obs.Manifest.t) =
+    List.map
+      (fun (s : Obs.Manifest.span_stat) -> Printf.sprintf "%s x%d" s.span s.count)
+      m.spans
+  in
+  let first = recorded () in
+  let second = recorded () in
+  Alcotest.(check (list string)) "same spans" (spans first) (spans second);
+  List.iter
+    (fun (which, m) ->
+      Alcotest.(check bool)
+        (which ^ " run: cachesim x1") true
+        (List.mem "cachesim x1" (spans m));
+      Alcotest.(check (option (float 0.0)))
+        (which ^ " run: cachesim.tlb_steps")
+        (Some 1_024_000.)
+        (Obs.Manifest.find_counter m "cachesim.tlb_steps"))
+    [ ("first", first); ("second", second) ]
+
+(* ------------------------------------------------------------------ *)
 (* The streamed front against the gathered dataset                     *)
 (* ------------------------------------------------------------------ *)
 
 (* The front reduces each event as soon as its repetitions are read
    ([Dataset.stream] with [Noise_filter.entry]); reducing the gathered
    dataset afterwards must give the same entries bit for bit, and the
-   front's shard must be the gathered one's. *)
+   front's shard must be the gathered one's.  The gathered shard builds
+   a table of its own; the stream and the front read the suite's. *)
 let prop_front_matches_gathered =
   let gen =
     QCheck.Gen.(
@@ -620,11 +677,11 @@ let prop_front_matches_gathered =
       let gathered = Stage.collect_shard ~reps c range in
       let config = { (Stage.default_config c) with Stage.reps } in
       List.equal same
-        (Cat_bench.Dataset.stream ~reps ~lo:range.lo ~hi:range.hi
-           (Core.Category.bench c) Core.Noise_filter.entry)
+        (Cat_bench.Dataset.stream ~table:(table ~reps c) ~reps ~lo:range.lo
+           ~hi:range.hi (Core.Category.bench c) Core.Noise_filter.entry)
         (List.map Core.Noise_filter.entry gathered.Stage.dataset.measurements)
       &&
-      match Stage.run_front ~config ~executor:E.Seq c (Stage.Catalog [ range ]) with
+      match front ~config c [ range ] with
       | [ front ] ->
         Stage.shard_equal front (Stage.classify_shard ~config ~category:c gathered)
       | _ -> false)
@@ -680,6 +737,11 @@ let () =
             test_concurrent_pipelines;
           test_case "two manifest runs on two domains" `Quick
             test_two_manifests;
+        ] );
+      ( "table",
+        [
+          test_case "back-to-back dcache runs record the same" `Quick
+            test_back_to_back_dcache;
         ] );
       ( "jobs-sweep",
         List.map
