@@ -281,8 +281,9 @@ bench-check:
 # temporary directory: the baseline must survive the strict decoder
 # and pass against itself, a passing gate over a fresh store must
 # append exactly one line to a copy of the committed trajectory and
-# keep every old line byte-identical, and an injected slowdown must
-# make the gate fail (proving it fires).
+# keep every old line byte-identical, a missing baseline must fail
+# with one line naming it (exit 1, no uncaught exception), and an
+# injected slowdown must make the gate fail (proving it fires).
 bench-check-smoke:
 	dune build ./bench/shard_bench.exe ./bench/bench_check.exe
 	dir=$$(mktemp -d) && base=bench/BENCH_shard.json && \
@@ -295,6 +296,10 @@ bench-check-smoke:
 	  | cmp - bench/TRAJECTORY.jsonl && \
 	test $$(wc -l < $$dir/trajectory.jsonl) \
 	  -eq $$(($$(wc -l < bench/TRAJECTORY.jsonl) + 1)) && \
+	! ./_build/default/bench/bench_check.exe --baseline /nonexistent.json \
+	  --current $$base 2> $$dir/missing.txt && \
+	test $$(wc -l < $$dir/missing.txt) -eq 1 && \
+	grep -q '^bench_check: /nonexistent.json: ' $$dir/missing.txt && \
 	! ./_build/default/bench/bench_check.exe --baseline $$base --current $$base \
 	  --inject 1000 > /dev/null 2>&1; \
 	status=$$?; rm -rf $$dir; exit $$status

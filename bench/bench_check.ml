@@ -1,9 +1,9 @@
 (* Performance-regression gate over bench manifests.
 
    Compares a current run manifest against a baseline using the shared
-   Bench_report policy (Obs.Trend.default_threshold): every metric
+   Bench_report policy (Obs.Trend.limit): every metric
    present in both must satisfy
-       current <= max(baseline * ratio, baseline + slack_ms)
+       current <= max(baseline * 3, baseline + 5 ms)
    and every counter present in both must match exactly.  Exits
    non-zero on any regression or counter mismatch — the `make
    bench-check` CI gate.
@@ -14,8 +14,10 @@
                  [--inject MS] [--trajectory FILE]
 
    The baseline is either a checked-in manifest file (--baseline) or
-   the newest comparable run in the on-disk run store (--from-store;
-   --baseline then only serves as the fallback for an empty store).
+   the newest comparable run in the on-disk run store (--from-store):
+   Obs.Store.latest_comparable, the rule `analyze report --baseline
+   store` applies, so the same config digest and source.  --baseline
+   is then the fallback for a store with no comparable run.
    [--store DIR] also ingests the current manifest after a passing
    comparison, so repeated gate runs accumulate the trajectory the
    `analyze trend` command reads.
@@ -50,7 +52,7 @@ let () =
       ( "--from-store",
         Arg.Set from_store,
         " take the baseline from the newest comparable stored run \
-         (--baseline is then the empty-store fallback)" );
+         (--baseline is then the fallback when none is stored)" );
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "bench_check --current FILE (--baseline FILE | --from-store) [options]";
@@ -64,7 +66,7 @@ let () =
   end;
   if !from_store && !store = "" then store := Obs.Store.default_dir;
   let load path =
-    match Bench_report.load_manifest path with
+    match Obs.Manifest.load path with
     | Ok m -> m
     | Error msg ->
       prerr_endline ("bench_check: " ^ msg);
@@ -73,7 +75,10 @@ let () =
   let cur = load !current in
   let store_ingest () =
     if !store <> "" then begin
-      match Bench_report.ingest_store ~dir:!store cur with
+      match
+        Result.bind (Obs.Store.open_store ~create:true !store) (fun s ->
+            Obs.Store.ingest s cur)
+      with
       | Ok (Obs.Store.Ingested e) ->
         Printf.printf "bench_check: stored current run as seq %d in %s\n"
           e.Obs.Store.seq !store
@@ -89,9 +94,17 @@ let () =
   let write_trajectory () =
     if !trajectory <> "" then Bench_report.append_trajectory !trajectory cur
   in
+  let stored_baseline () =
+    match Obs.Store.open_store !store with
+    | Error _ as e -> e
+    | Ok s -> (
+      match Obs.Store.latest_comparable s cur with
+      | None -> Ok None
+      | Some e -> Result.map (fun m -> Some (e, m)) (Obs.Store.load s e))
+  in
   let base =
     if !from_store then begin
-      match Bench_report.store_baseline ~dir:!store cur with
+      match stored_baseline () with
       | Ok (Some (e, m)) ->
         Printf.printf "bench_check: baseline is stored run %d (%s)\n"
           e.Obs.Store.seq e.Obs.Store.file;
@@ -103,8 +116,8 @@ let () =
         Some (load !baseline)
       | Ok None ->
         Printf.printf
-          "bench_check: empty store %s — ingesting current run as the \
-           first baseline\n"
+          "bench_check: no comparable run in store %s — ingesting current \
+           run as the first baseline\n"
           !store;
         None
       | Error msg ->

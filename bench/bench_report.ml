@@ -5,8 +5,8 @@
 
    Shared by shard_bench and the bench_check gate, so there is exactly
    one notion of "what a bench records", one command line, and one
-   regression policy, Obs.Trend.default_threshold (which `analyze
-   trend` applies too):
+   regression policy, Obs.Trend.limit (which `analyze trend` applies
+   too):
 
    - a metric (a wall-time or memory measurement) regresses when
        current > max(baseline * ratio, baseline + slack_ms)
@@ -17,27 +17,10 @@
      other facts of the result) must match exactly — they are
      correctness, not timing. *)
 
-(* ------------------------------------------------------------------ *)
-(* Manifest I/O                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let load_manifest path =
-  let text = In_channel.with_open_bin path In_channel.input_all in
-  match Jsonio.of_string text with
-  | Error msg -> Error (Printf.sprintf "%s: not JSON: %s" path msg)
-  | Ok j -> (
-    match Obs.Manifest.of_json j with
-    | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-    | Ok m -> Ok m)
-
-let write_manifest path m =
-  Out_channel.with_open_bin path (fun oc ->
-      output_string oc (Jsonio.to_string (Obs.Manifest.to_json m) ^ "\n"))
-
 (* A bench's own manifest: it must decode strictly, come from
    [source] and record at least one metric. *)
 let check_manifest ~source path =
-  match load_manifest path with
+  match Obs.Manifest.load path with
   | Ok m when m.Obs.Manifest.source <> source ->
     Error
       (Printf.sprintf "%s: manifest source is %S, expected %S" path
@@ -76,42 +59,6 @@ let append_trajectory path m =
     (fun () -> output_string oc (trajectory_line m ^ "\n"))
 
 (* ------------------------------------------------------------------ *)
-(* Run-store integration                                               *)
-(* ------------------------------------------------------------------ *)
-
-let ingest_store ~dir m =
-  match Obs.Store.open_store ~create:true dir with
-  | Error _ as e -> e
-  | Ok store -> Obs.Store.ingest store m
-
-(* The newest stored run comparable to [current]: same config digest
-   and source but different content.  Falls back to the newest run of
-   the same source (config drift gets bench_check's existing warning
-   rather than silence). *)
-let store_baseline ~dir (current : Obs.Manifest.t) =
-  match Obs.Store.open_store ~create:false dir with
-  | Error _ as e -> e
-  | Ok store -> (
-    let entry =
-      match Obs.Store.latest_comparable store current with
-      | Some e -> Some e
-      | None ->
-        let hash =
-          Obs.Manifest.fnv64_hex
-            (Jsonio.to_string (Obs.Manifest.to_json current) ^ "\n")
-        in
-        Obs.Store.query ~source:current.Obs.Manifest.source store
-        |> List.filter (fun e -> e.Obs.Store.manifest_hash <> hash)
-        |> List.fold_left (fun _ e -> Some e) None
-    in
-    match entry with
-    | None -> Ok None
-    | Some e -> (
-      match Obs.Store.load store e with
-      | Ok m -> Ok (Some (e, m))
-      | Error _ as err -> err))
-
-(* ------------------------------------------------------------------ *)
 (* Regression policy                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -138,9 +85,7 @@ let compare_manifests ~(baseline : Obs.Manifest.t) (current : Obs.Manifest.t)
       (fun (name, base) ->
         Option.map
           (fun cur ->
-            let limit =
-              Obs.Trend.limit_of ~threshold:Obs.Trend.default_threshold base
-            in
+            let limit = Obs.Trend.limit base in
             {
               metric = name;
               baseline = base;
@@ -277,7 +222,8 @@ let main ~name ~source ~label ~default_out ~smoke_doc run =
           List.sort compare (m.Obs.Manifest.counters @ o.counters);
       }
     in
-    write_manifest !out m;
+    Out_channel.with_open_bin !out (fun oc ->
+        output_string oc (Obs.Manifest.to_text m));
     (match check_manifest ~source !out with
      | Ok _ -> ()
      | Error msg -> fail "%s: wrote a malformed manifest: %s" name msg);

@@ -788,8 +788,8 @@ let lint_cmd =
       `S Manpage.s_description;
       `P
         "Runs the static pre-flight analyzer over the expectation bases, \
-         metric signatures, event catalogs, thresholds and staged-artifact \
-         schemas — before any collection runs.  It collects no \
+         metric signatures, event catalogs and thresholds — before any \
+         collection runs.  It collects no \
          readings; it does build the memoized kernel row tables the \
          ideal vectors are read from.  Exits non-zero if any \
          error-severity diagnostic is found (regardless of the \
@@ -933,7 +933,7 @@ let report_main files diff json baseline store_dir quiet timing =
   | None, false, [ path ] ->
     let m = load path in
     if json then
-      print_string (Jsonio.to_string (Obs.Manifest.to_json m) ^ "\n")
+      print_string (Obs.Manifest.to_text m)
     else if not quiet then print_string (Obs.Manifest.render m)
   | None, false, _ ->
     prerr_endline
@@ -1026,7 +1026,7 @@ let report_cmd =
 (* trend: cross-run trajectories over the run store                    *)
 (* ------------------------------------------------------------------ *)
 
-let trend_main category config_digest source dir ratio slack_ms json =
+let trend_main category config_digest source dir json =
   let command = "analyze trend" in
   let store = Obs_cli.open_store_or_fail ~command ~create:false dir in
   let label = Option.map Core.Category.name category in
@@ -1070,9 +1070,8 @@ let trend_main category config_digest source dir ratio slack_ms json =
           exit 1)
       entries
   in
-  let threshold = { Obs.Trend.ratio; slack_ms } in
   let seqs = List.map (fun e -> e.Obs.Store.seq) entries in
-  match Obs.Trend.analyze ~threshold ~seqs manifests with
+  match Obs.Trend.analyze ~seqs manifests with
   | Error msg ->
     Printf.eprintf "%s: %s\n" command msg;
     exit 2
@@ -1094,8 +1093,8 @@ let trend_cmd =
          — ambiguity is an error), builds per-span quantile trajectories \
          in ingestion order, and passes two verdicts on each span: a \
          regression check of the last run against the median of the \
-         earlier runs, using the same policy as the benchmark gate \
-         (current > max(baseline*ratio, baseline+slack)); and a \
+         earlier runs, using the benchmark gate's one policy \
+         (current > max(baseline*3, baseline+5ms)); and a \
          change-point marker at the split maximizing the sustained level \
          shift between segment means.";
       `P "Populate the store by running 'analyze -c CATEGORY --store'.";
@@ -1127,21 +1126,6 @@ let trend_cmd =
       & opt string Obs.Store.default_dir
       & info [ "store" ] ~docv:"DIR" ~doc)
   in
-  let ratio =
-    let doc = "Regression limit ratio (current vs baseline median)." in
-    Arg.(
-      value
-      & opt float Obs.Trend.default_threshold.Obs.Trend.ratio
-      & info [ "ratio" ] ~docv:"R" ~doc)
-  in
-  let slack_ms =
-    let doc = "Absolute slack in milliseconds added to the baseline \
-               before the ratio test can fail a span." in
-    Arg.(
-      value
-      & opt float Obs.Trend.default_threshold.Obs.Trend.slack_ms
-      & info [ "slack-ms" ] ~docv:"MS" ~doc)
-  in
   let json =
     let doc = "Emit the trend as JSON instead of a table." in
     Arg.(value & flag & info [ "json" ] ~doc)
@@ -1149,8 +1133,7 @@ let trend_cmd =
   Cmd.v
     (Cmd.info "trend" ~doc ~man)
     Term.(
-      const trend_main $ category $ config_digest $ source $ dir $ ratio
-      $ slack_ms $ json)
+      const trend_main $ category $ config_digest $ source $ dir $ json)
 
 (* ------------------------------------------------------------------ *)
 (* trace: flamegraph (folded stacks) and Chrome-trace export           *)

@@ -57,23 +57,14 @@ let emitter ~command ?manifest ?store () =
           (fun path ->
             write_file
               ~what:(Printf.sprintf "run manifest (%s)" command)
-              (numbered path k)
-              (Jsonio.to_string (Obs.Manifest.to_json m) ^ "\n"))
+              (numbered path k) (Obs.Manifest.to_text m))
           manifest;
         Option.iter (fun s -> ignore (ingest_or_fail ~command s m)) store)
   end
 
 let load_manifest ~command path =
-  let fail : 'a. string -> 'a =
-   fun msg ->
-    Printf.eprintf "%s: %s: %s\n" command path msg;
+  match Obs.Manifest.load path with
+  | Ok m -> m
+  | Error msg ->
+    Printf.eprintf "%s: %s\n" command msg;
     exit 1
-  in
-  let text =
-    try In_channel.with_open_bin path In_channel.input_all
-    with Sys_error msg -> fail msg
-  in
-  match Jsonio.of_string text with
-  | Error msg -> fail ("not JSON: " ^ msg)
-  | Ok j -> (
-    match Obs.Manifest.of_json j with Error msg -> fail msg | Ok m -> m)

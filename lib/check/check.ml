@@ -1,12 +1,13 @@
 (* The static pre-flight analyzer: one entry point over every
    declarative input of the pipeline — expectation bases, metric
-   signatures, event catalogs, thresholds, artifact schemas.  It
-   collects no readings; it does build the memoized kernel row tables
-   the ideals are read from (cpusim, branchsim or gpusim runs on first
-   use).  Individual analyses live in the per-concern modules (Basis_check, Signature_check, Catalog_check,
-   Param_check, Stage_check); this module wires them to
-   the shipped categories and catalogs, owns the rule registry, the
-   versioned report JSON, and the optional Pipeline pre-flight gate. *)
+   signatures, event catalogs, thresholds.  It collects no readings;
+   it does build the memoized kernel row tables the ideals are read
+   from (cpusim, branchsim or gpusim runs on first use).  Individual
+   analyses live in the per-concern modules (Basis_check,
+   Signature_check, Catalog_check, Param_check); this module wires
+   them to the shipped categories and catalogs, owns the rule
+   registry, the versioned report JSON, and the optional Pipeline
+   pre-flight gate. *)
 
 module Diagnostic = Core.Diagnostic
 module D = Diagnostic
@@ -17,7 +18,6 @@ module Basis_check = Basis_check
 module Signature_check = Signature_check
 module Catalog_check = Catalog_check
 module Param_check = Param_check
-module Stage_check = Stage_check
 
 (* ------------------------------------------------------------------ *)
 (* Rule registry                                                       *)
@@ -111,9 +111,6 @@ let rules =
       "Impossible or wasteful --jobs count"
       "[--jobs] is the domains each executor batch runs on (error \
        below 1 or above the runtime's 128, warning above the shard count)";
-    rule "stage/schema-drift" D.Error
-      "Shard artifact encoder and decoder disagree"
-      "Multi-machine sweeps ship classified-shard JSON between builds";
   ]
 
 let find_rule id = List.find_opt (fun r -> r.id = id) rules
@@ -177,7 +174,7 @@ let run_catalogs () =
 
 let run_all ?(categories = Core.Category.all) () =
   List.concat_map (fun c -> lint_category c) categories
-  @ run_catalogs () @ Stage_check.roundtrip ()
+  @ run_catalogs ()
 
 (* ------------------------------------------------------------------ *)
 (* Versioned report JSON                                               *)
@@ -204,12 +201,7 @@ open Jsonio.Decode
 
 let report_of_json json =
   let ctx = "lint-report" in
-  let* version =
-    match Jsonio.member "schema_version" json with
-    | Some (Jsonio.Num v) when Float.is_integer v -> Ok (int_of_float v)
-    | Some _ -> Error (ctx ^ ": field \"schema_version\" is not an integer")
-    | None -> Error (ctx ^ ": missing field \"schema_version\"")
-  in
+  let* version = d_num_int ctx "schema_version" json in
   if version <> report_schema_version then
     Error
       (Printf.sprintf
@@ -217,21 +209,11 @@ let report_of_json json =
           version %d)"
          version report_schema_version)
   else
-    let* kind =
-      match Jsonio.member "kind" json with
-      | Some (Jsonio.Str s) -> Ok s
-      | Some _ -> Error (ctx ^ ": field \"kind\" is not a string")
-      | None -> Error (ctx ^ ": missing field \"kind\"")
-    in
+    let* kind = d_str ctx "kind" json in
     if kind <> "lint-report" then
       Error (Printf.sprintf "%s: unexpected kind %S" ctx kind)
     else
-      let* entries =
-        match Jsonio.member "diagnostics" json with
-        | Some (Jsonio.List l) -> Ok l
-        | Some _ -> Error (ctx ^ ": field \"diagnostics\" is not a list")
-        | None -> Error (ctx ^ ": missing field \"diagnostics\"")
-      in
+      let* entries = d_list ctx "diagnostics" json in
       map_result D.of_json entries
 
 (* ------------------------------------------------------------------ *)

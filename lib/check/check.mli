@@ -1,7 +1,7 @@
 (** The static pre-flight analyzer: lint every declarative input of
     the pipeline — expectation bases, metric signatures, event
-    catalogs, thresholds, artifact schemas — before any collection
-    runs.  The lint collects no readings; it does build the memoized
+    catalogs, thresholds — before any collection runs.  The lint
+    collects no readings; it does build the memoized
     kernel row tables the ideal vectors are read from
     ([Flops_kernels.rows], [Branch_kernels.rows], [Gpu_kernels.rows]
     run their simulator on first use).
@@ -23,7 +23,6 @@ module Basis_check = Basis_check
 module Signature_check = Signature_check
 module Catalog_check = Catalog_check
 module Param_check = Param_check
-module Stage_check = Stage_check
 
 (** {1 Rule registry} *)
 
@@ -59,8 +58,7 @@ val run_all :
 (** The full pre-flight pass: {!lint_category} for every category
     (default all four), the catalog-level analysis of the three
     shipped catalogs (SPR, MI250X, Zen) plus cross-catalog
-    collisions, and the
-    {!Stage_check.roundtrip} schema self-check. *)
+    collisions. *)
 
 (** {1 Versioned report JSON} *)
 

@@ -354,6 +354,33 @@ let of_json json =
               artifacts;
             }
 
+(* The canonical text: what a manifest file holds, what the run store
+   hashes into a run's identity. *)
+let to_text m = Jsonio.to_string (to_json m) ^ "\n"
+
+let of_text text =
+  match Jsonio.of_string text with
+  | Error msg -> Error ("not JSON: " ^ msg)
+  | Ok j -> of_json j
+
+(* Every failure names [path] once: [open]'s [Sys_error] already
+   starts with it, a read error (a directory) does not. *)
+let load ?hash path =
+  let named msg = path ^ ": " ^ msg in
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg ->
+    Error (if String.starts_with ~prefix:(path ^ ": ") msg then msg else named msg)
+  | text -> (
+    match Option.map (fun indexed -> (indexed, fnv64_hex text)) hash with
+    | Some (indexed, recomputed) when indexed <> recomputed ->
+      Error
+        (named
+           (Printf.sprintf
+              "content hash mismatch (indexed %s, recomputed %s) — the \
+               stored run was modified after ingestion"
+              indexed recomputed))
+    | _ -> Result.map_error named (of_text text))
+
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -387,7 +414,7 @@ let render m =
       List.iter (fun (k, v) -> Printf.bprintf buf "  %-34s %s\n" k (fmt v)) pairs
     end
   in
-  let g v = Printf.sprintf "%.6g" v in
+  let g = Recorder.format_value in
   table "totals:" m.totals g;
   table "counters:" m.counters g;
   table "gauges:" m.gauges g;
@@ -422,7 +449,7 @@ let diff a b =
   let push ~timing path before after =
     changes := { path; timing; before; after } :: !changes
   in
-  let fstr v = Printf.sprintf "%.6g" v in
+  let fstr = Recorder.format_value in
   let scalar ~timing path av bv =
     if av <> bv then push ~timing path av bv
   in

@@ -93,8 +93,23 @@ val find_counter : t -> string -> float option
 
 val to_json : t -> Jsonio.t
 
-val of_json : Jsonio.t -> (t, string) result
-(** Strict decode; recomputes and verifies the config digest. *)
+val to_text : t -> string
+(** The canonical text, [Jsonio.to_string (to_json m) ^ "\n"]: what a
+    manifest file holds, and what the run store hashes into a run's
+    identity.  The one place it is built. *)
+
+val of_text : string -> (t, string) result
+(** Strict decode of {!to_text}'s form: [not JSON: ...] for text the
+    parser rejects, then the field checks, and the config digest
+    recomputed and verified. *)
+
+val load : ?hash:string -> string -> (t, string) result
+(** [load path] reads the file and decodes it with {!of_text}.  Every
+    failure — a missing or unreadable path, a directory, text that is
+    not JSON or not a manifest — is an [Error] that names [path];
+    nothing raises.  With [hash] (the run store's indexed content
+    hash), a file whose text no longer hashes to it is rejected
+    before it is decoded. *)
 
 val render : t -> string
 (** Human-readable rendering (config, lint, span table with

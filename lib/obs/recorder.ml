@@ -91,6 +91,12 @@ let gauges t =
   Hashtbl.fold (fun name c acc -> (name, !c) :: acc) t.gauges []
   |> List.sort compare
 
+(* A count prints every digit; [%g] would round one above a million
+   to six. *)
+let format_value v =
+  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else Printf.sprintf "%g" v
+
 let render t =
   let buf = Buffer.create 1024 in
   let ms ns = ns /. 1e6 in
@@ -114,11 +120,7 @@ let render t =
       Printf.bprintf buf "%s\n" title;
       List.iter
         (fun (name, v) ->
-          (* A count prints every digit; [%g] would round one above a
-             million to six. *)
-          if Float.is_integer v && Float.abs v < 1e15 then
-            Printf.bprintf buf "  %-34s %14.0f\n" name v
-          else Printf.bprintf buf "  %-34s %14g\n" name v)
+          Printf.bprintf buf "  %-34s %14s\n" name (format_value v))
         rows
     end
   in

@@ -27,6 +27,11 @@ val counters : t -> (string * float) list
 val gauges : t -> (string * float) list
 (** Last-write-wins gauge levels, sorted by name. *)
 
+val format_value : float -> string
+(** A counter, gauge or total as {!render} and {!Manifest.render}
+    print it: an integral value below 1e15 with every digit, any
+    other with [%g]. *)
+
 val render : t -> string
 (** The [--stats] table: one row per span name (count, total, mean,
     min and max ms; total descending, then name), then the

@@ -162,8 +162,8 @@ let persist t =
 let open_store ?(create = false) root =
   let idx = index_path root in
   if Sys.file_exists idx then begin
-    let text = In_channel.with_open_bin idx In_channel.input_all in
-    match Jsonio.of_string text with
+    match Jsonio.of_string (In_channel.with_open_bin idx In_channel.input_all) with
+    | exception Sys_error msg -> Error (Printf.sprintf "%s: %s" idx msg)
     | Error msg -> Error (Printf.sprintf "%s: not JSON: %s" idx msg)
     | Ok j -> (
       match index_of_json root j with
@@ -185,10 +185,8 @@ let open_store ?(create = false) root =
 (* Ingest / query / load                                               *)
 (* ------------------------------------------------------------------ *)
 
-let manifest_text m = Jsonio.to_string (Manifest.to_json m) ^ "\n"
-
 let ingest t (m : Manifest.t) =
-  let text = manifest_text m in
+  let text = Manifest.to_text m in
   let hash = Manifest.fnv64_hex text in
   match List.find_opt (fun e -> e.manifest_hash = hash) t.all with
   | Some e -> Ok (Deduped e)
@@ -223,28 +221,10 @@ let query ?config_digest ?source ?label t =
       && want source e.source && want label e.label)
     t.all
 
-let load t e =
-  let path = run_path t.root e in
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error msg -> Error msg
-  | text ->
-    let hash = Manifest.fnv64_hex text in
-    if hash <> e.manifest_hash then
-      Error
-        (Printf.sprintf
-           "%s: content hash mismatch (indexed %s, recomputed %s) — the \
-            stored run was modified after ingestion"
-           path e.manifest_hash hash)
-    else (
-      match Jsonio.of_string text with
-      | Error msg -> Error (Printf.sprintf "%s: not JSON: %s" path msg)
-      | Ok j -> (
-        match Manifest.of_json j with
-        | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-        | Ok m -> Ok m))
+let load t e = Manifest.load ~hash:e.manifest_hash (run_path t.root e)
 
 let latest_comparable t (m : Manifest.t) =
-  let hash = Manifest.fnv64_hex (manifest_text m) in
+  let hash = Manifest.fnv64_hex (Manifest.to_text m) in
   query ~config_digest:m.Manifest.config_digest ~source:m.Manifest.source t
   |> List.filter (fun e -> e.manifest_hash <> hash)
   |> List.fold_left (fun _ e -> Some e) None

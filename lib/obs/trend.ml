@@ -3,16 +3,13 @@
    policy applied to the last run and a largest-sustained-level-shift
    change-point marker on the p50 series.
 
-   The threshold type is defined here so bench/bench_report.ml and the
-   `analyze trend` gate share one policy — one notion of "regressed"
-   across benches and stored pipeline runs. *)
+   The policy is one constant, defined here so bench_check and the
+   `analyze trend` gate share it — one notion of "regressed" across
+   benches and stored pipeline runs. *)
 
-type threshold = { ratio : float; slack_ms : float }
-
-let default_threshold = { ratio = 3.0; slack_ms = 5.0 }
-
-let limit_of ~threshold baseline =
-  Float.max (baseline *. threshold.ratio) (baseline +. threshold.slack_ms)
+let ratio = 3.0
+let slack_ms = 5.0
+let limit baseline = Float.max (baseline *. ratio) (baseline +. slack_ms)
 
 type point = {
   run : int;
@@ -50,7 +47,6 @@ type t = {
   config_digest : string;
   label : string;
   runs : int;
-  threshold : threshold;
   spans : span_trend list;
 }
 
@@ -73,7 +69,7 @@ let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
    segment mean breaks the regression limit computed from the other —
    the same policy the last-run verdict uses, so a marker means "the
    gate would have fired across this boundary". *)
-let find_change_point ~threshold points =
+let find_change_point points =
   let n = List.length points in
   if n < 3 then None
   else begin
@@ -91,7 +87,7 @@ let find_change_point ~threshold points =
     Option.map
       (fun (k, bm, am, shift) ->
         let significant =
-          am > limit_of ~threshold bm || bm > limit_of ~threshold am
+          am > limit bm || bm > limit am
         in
         {
           at = (List.nth points k).run;
@@ -110,7 +106,7 @@ let span_names (ms : Manifest.t list) =
     ms
   |> List.sort_uniq compare
 
-let analyze ?(threshold = default_threshold) ?seqs (manifests : Manifest.t list) =
+let analyze ?seqs (manifests : Manifest.t list) =
   match manifests with
   | [] | [ _ ] -> Error "trend needs at least two runs of the same config"
   | first :: rest ->
@@ -169,7 +165,7 @@ let analyze ?(threshold = default_threshold) ?seqs (manifests : Manifest.t list)
                 let verdict extract =
                   let baseline = median (List.map extract earlier) in
                   let cur = extract current in
-                  let limit = limit_of ~threshold baseline in
+                  let limit = limit baseline in
                   (baseline, cur, limit, cur > limit)
                 in
                 let b50, c50, l50, r50 = verdict (fun p -> p.p50_ms) in
@@ -186,7 +182,7 @@ let analyze ?(threshold = default_threshold) ?seqs (manifests : Manifest.t list)
                     current_p99_ms = c99;
                     limit_p99_ms = l99;
                     regressed_p99 = r99;
-                    change_point = find_change_point ~threshold points;
+                    change_point = find_change_point points;
                   }
               end)
             (span_names manifests)
@@ -196,7 +192,6 @@ let analyze ?(threshold = default_threshold) ?seqs (manifests : Manifest.t list)
             config_digest = digest;
             label = first.Manifest.label;
             runs = n;
-            threshold;
             spans;
           }))
 
@@ -216,7 +211,7 @@ let render t =
   Printf.bprintf buf
     "trend: %s, config %s, %d runs (policy: current > max(baseline*%g, \
      baseline+%gms))\n"
-    t.label t.config_digest t.runs t.threshold.ratio t.threshold.slack_ms;
+    t.label t.config_digest t.runs ratio slack_ms;
   Printf.bprintf buf "%-24s %4s %10s %10s %10s %10s %10s  %s\n" "span" "runs"
     "base p50" "cur p50" "limit p50" "cur p90" "cur p99" "verdict";
   List.iter
@@ -265,8 +260,8 @@ let to_json t =
       ( "threshold",
         Jsonio.Obj
           [
-            ("ratio", Jsonio.fnum t.threshold.ratio);
-            ("slack_ms", Jsonio.fnum t.threshold.slack_ms);
+            ("ratio", Jsonio.fnum ratio);
+            ("slack_ms", Jsonio.fnum slack_ms);
           ] );
       ("passed", Jsonio.Bool (passed t));
       ( "spans",

@@ -15,16 +15,12 @@
       the regression limit computed from the other — a sustained shift
       the policy itself would flag, not mere jitter.
 
-    The policy type lives here (not in bench/) so the pipeline trend
-    gate and the benchmark gate share one definition. *)
+    The policy is one constant and lives here (not in bench/), so the
+    pipeline trend gate and the benchmark gate share one definition. *)
 
-type threshold = { ratio : float; slack_ms : float }
-
-val default_threshold : threshold
-(** ratio 3.0, slack 5 ms — deliberately loose, see bench_report. *)
-
-val limit_of : threshold:threshold -> float -> float
-(** [max (baseline *. ratio) (baseline +. slack_ms)]. *)
+val limit : float -> float
+(** [max (baseline *. 3) (baseline +. 5)], in ms — the regression
+    limit of a baseline, deliberately loose (see bench_report). *)
 
 type point = {
   run : int;  (** Position in the series (store seq when known). *)
@@ -62,15 +58,10 @@ type t = {
   config_digest : string;
   label : string;
   runs : int;
-  threshold : threshold;
   spans : span_trend list;  (** Sorted by span name. *)
 }
 
-val analyze :
-  ?threshold:threshold ->
-  ?seqs:int list ->
-  Manifest.t list ->
-  (t, string) result
+val analyze : ?seqs:int list -> Manifest.t list -> (t, string) result
 (** Build the trend over manifests given oldest first.  All manifests
     must carry the same [config_digest] (runs of different configs are
     not a trajectory) and there must be at least two.  [seqs], when

@@ -195,59 +195,9 @@ let validate t =
     go [] t.entries
   end
 
-(* ------------------------------------------------------------------ *)
-(* Equality (NaN-tolerant, for round-trip tests)                       *)
-(* ------------------------------------------------------------------ *)
-
-let float_eq a b = Float.equal a b (* NaN-aware bitwise-style equality *)
-
-let noise_equal a b =
-  a.measure = b.measure
-  && float_eq a.variability b.variability
-  && float_eq a.tau b.tau
-  && a.status = b.status
-
-let projection_equal a b =
-  float_eq a.residual b.residual
-  && float_eq a.tol b.tol
-  && a.accepted = b.accepted
-  && Array.length a.representation = Array.length b.representation
-  && Array.for_all2 float_eq a.representation b.representation
-
-let qrcp_equal a b =
-  match (a, b) with
-  | Picked p, Picked q ->
-    p.round = q.round
-    && float_eq p.score q.score
-    && float_eq p.trailing_norm q.trailing_norm
-    && p.candidates = q.candidates
-    && p.runner_up = q.runner_up
-    && Option.equal float_eq p.runner_up_score q.runner_up_score
-  | Dropped p, Dropped q ->
-    p.reason = q.reason
-    && float_eq p.final_norm q.final_norm
-    && float_eq p.beta q.beta
-  | _ -> false
-
-let entry_equal a b =
-  a.event = b.event
-  && a.description = b.description
-  && noise_equal a.noise b.noise
-  && Option.equal projection_equal a.projection b.projection
-  && Option.equal qrcp_equal a.qrcp b.qrcp
-  && List.equal
-       (fun (m, c) (m', c') -> m = m' && float_eq c c')
-       a.memberships b.memberships
-
-let equal a b =
-  a.version = b.version
-  && a.category = b.category
-  && a.machine = b.machine
-  && float_eq a.tau b.tau
-  && float_eq a.alpha b.alpha
-  && float_eq a.projection_tol b.projection_tol
-  && a.basis_labels = b.basis_labels
-  && List.equal entry_equal a.entries b.entries
+(* NaN-tolerant structural equality ([compare] orders NaN = NaN,
+   which polymorphic [=] on floats does not), for round-trip tests. *)
+let equal a b = compare a b = 0
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)

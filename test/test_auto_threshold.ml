@@ -150,13 +150,9 @@ let test_cli_manifest_is_the_real_run () =
   Sys.remove out;
   Alcotest.(check (array string)) "files written" [| "at.json" |] (Sys.readdir dir);
   let m =
-    match
-      Result.bind
-        (Jsonio.of_string (In_channel.with_open_bin path In_channel.input_all))
-        Obs.Manifest.of_json
-    with
+    match Obs.Manifest.load path with
     | Ok m -> m
-    | Error msg -> Alcotest.failf "%s: %s" path msg
+    | Error msg -> Alcotest.fail msg
   in
   Sys.remove path;
   Sys.rmdir dir;

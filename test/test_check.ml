@@ -335,32 +335,6 @@ let test_param_jobs () =
     (ids (Check.Param_check.check_jobs 128));
   expect_only_error (Check.Param_check.check_jobs 129) "param/unknown-jobs"
 
-(* --- stage/* -------------------------------------------------- *)
-
-let test_stage_schema_drift () =
-  let shard = Check.Stage_check.synthetic_shard () in
-  let good = Core.Stage.shard_to_json shard in
-  Alcotest.(check (list string))
-    "current encoder is clean" []
-    (ids (Check.Stage_check.analyze_artifact good));
-  let tampered =
-    match good with
-    | Jsonio.Obj fields ->
-      Jsonio.Obj
-        (List.map
-           (fun (k, v) ->
-             if k = "schema_version" then (k, Jsonio.Num 999.0) else (k, v))
-           fields)
-    | _ -> Alcotest.fail "shard artifact is not an object"
-  in
-  let ds = Check.Stage_check.analyze_artifact tampered in
-  expect_only_error ds "stage/schema-drift"
-
-let test_stage_roundtrip_clean () =
-  Alcotest.(check (list string))
-    "roundtrip self-check" []
-    (ids (Check.Stage_check.roundtrip ()))
-
 (* --- clean runs on the shipped inputs ------------------------- *)
 
 let test_clean_categories () =
@@ -607,12 +581,6 @@ let () =
             test_param_projection_tol;
           Alcotest.test_case "too few reps" `Quick test_param_reps_too_few;
           Alcotest.test_case "jobs" `Quick test_param_jobs;
-        ] );
-      ( "stage",
-        [
-          Alcotest.test_case "schema drift" `Quick test_stage_schema_drift;
-          Alcotest.test_case "roundtrip clean" `Quick
-            test_stage_roundtrip_clean;
         ] );
       ( "clean",
         [

@@ -134,11 +134,9 @@ let run_analyze args =
     Alcotest.failf "analyze %s exited %d" (String.concat " " args) code
 
 let load_manifest path =
-  let text = In_channel.with_open_bin path In_channel.input_all in
+  let m = Obs.Manifest.load path in
   Sys.remove path;
-  match Result.bind (Jsonio.of_string text) Obs.Manifest.of_json with
-  | Ok m -> m
-  | Error msg -> Alcotest.failf "%s: %s" path msg
+  match m with Ok m -> m | Error msg -> Alcotest.fail msg
 
 (* The fields [analyze report --diff] requires equal across runs of one
    config, in a fixed text form: everything but times, GC words, the

@@ -631,7 +631,7 @@ let test_analyze_csv_front () =
   let table = read out and manifest = read json in
   Alcotest.(check int) "exit code" 0 code;
   let m =
-    match Result.bind (Jsonio.of_string manifest) Obs.Manifest.of_json with
+    match Obs.Manifest.of_text manifest with
     | Ok m -> m
     | Error e -> Alcotest.failf "manifest: %s" e
   in

@@ -92,28 +92,27 @@ let build_manifest () =
   Obs.clear ();
   m
 
-let decode_exn what j =
-  match M.of_json j with
+let decode_exn what text =
+  match M.of_text text with
   | Ok m -> m
   | Error e -> Alcotest.fail (what ^ ": unexpected decode error: " ^ e)
 
 let test_round_trip () =
   with_clean_state @@ fun () ->
   let m = build_manifest () in
-  let m' = decode_exn "direct" (M.to_json m) in
-  Alcotest.(check bool) "to_json |> of_json is identity" true (M.equal m m');
-  (* And through the actual serialized text. *)
-  match Jsonio.of_string (Jsonio.to_string (M.to_json m)) with
-  | Error e -> Alcotest.fail ("reparse: " ^ e)
-  | Ok j ->
-    let m'' = decode_exn "text" j in
-    Alcotest.(check bool) "text round trip" true (M.equal m m'');
-    Alcotest.(check (option (float 0.0)))
-      "find_metric" (Some 1.25)
-      (M.find_metric m'' "speed_ms");
-    Alcotest.(check (option (float 0.0)))
-      "find_counter" (Some 1.0)
-      (M.find_counter m'' "c.hits")
+  let text = M.to_text m in
+  Alcotest.(check string)
+    "the canonical text is the pretty JSON and a newline"
+    (Jsonio.to_string (M.to_json m) ^ "\n")
+    text;
+  let m' = decode_exn "text" text in
+  Alcotest.(check bool) "to_text |> of_text is identity" true (M.equal m m');
+  Alcotest.(check (option (float 0.0)))
+    "find_metric" (Some 1.25)
+    (M.find_metric m' "speed_ms");
+  Alcotest.(check (option (float 0.0)))
+    "find_counter" (Some 1.0)
+    (M.find_counter m' "c.hits")
 
 (* Replace one top-level field of a JSON object. *)
 let set_field name v = function
@@ -122,7 +121,7 @@ let set_field name v = function
   | j -> j
 
 let check_rejected what pattern j =
-  match M.of_json j with
+  match M.of_text (Jsonio.to_string j) with
   | Ok _ -> Alcotest.fail (what ^ ": expected rejection, got Ok")
   | Error e ->
     let mem =
@@ -155,6 +154,64 @@ let test_strict_rejections () =
     | Jsonio.Obj fields ->
       Jsonio.Obj (List.filter (fun (k, _) -> k <> "source") fields)
     | x -> x)
+
+(* [load] turns every way a path can fail to be a manifest into an
+   [Error] that names the path, and raises on none of them. *)
+let test_load_errors () =
+  with_clean_state @@ fun () ->
+  let dir = Filename.temp_file "manifest_load" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let write name text =
+    let path = Filename.concat dir name in
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    path
+  in
+  let foreign =
+    set_field "schema_version" (Jsonio.Num 99.0) (M.to_json (build_manifest ()))
+  in
+  let cases =
+    [
+      ("missing path", Filename.concat dir "absent.json");
+      ("directory", dir);
+      ("not JSON", write "garbage.json" "{ not json");
+      ("foreign schema", write "foreign.json" (Jsonio.to_string foreign));
+    ]
+  in
+  let good = write "good.json" (M.to_text (build_manifest ())) in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      List.iter
+        (fun (what, path) ->
+          match M.load path with
+          | Ok _ -> Alcotest.failf "%s: loaded" what
+          | Error msg ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %S names the file once" what msg)
+              true
+              (String.starts_with ~prefix:(path ^ ": ") msg
+              && not (String.starts_with ~prefix:(path ^ ": " ^ path) msg))
+          | exception e ->
+            Alcotest.failf "%s: raised %s" what (Printexc.to_string e))
+        cases;
+      Alcotest.(check bool) "a written manifest loads" true
+        (Result.is_ok (M.load good)))
+
+(* [render] prints a count with every digit, as [--stats] does. *)
+let test_render_exact_counts () =
+  with_clean_state @@ fun () ->
+  let m = build_manifest () in
+  let m = { m with M.counters = [ ("c.steps", 1_024_001.0) ] } in
+  let lines = String.split_on_char '\n' (M.render m) in
+  Alcotest.(check bool) "counter reads 1024001" true
+    (List.exists
+       (fun l ->
+         List.filter (( <> ) "") (String.split_on_char ' ' l)
+         = [ "c.steps"; "1024001" ])
+       lines)
 
 (* ------------------------------------------------------------------ *)
 (* Diff classification                                                 *)
@@ -401,6 +458,9 @@ let () =
         [
           test_case "strict round trip" `Quick test_round_trip;
           test_case "rejections" `Quick test_strict_rejections;
+          test_case "load errors name the file" `Quick test_load_errors;
+          test_case "render prints counts exactly" `Quick
+            test_render_exact_counts;
         ] );
       ( "diff",
         [

@@ -150,28 +150,55 @@ let shards_for ?config ~shards category =
   front ~config category
     (Stage.shard_ranges ~shards ~total:(Core.Category.catalog_size category))
 
+(* A shard no front produces: a NaN variability and an infinite mean,
+   which the artifact carries as tagged strings. *)
+let non_finite_shard () =
+  let event name desc = Hwsim.Event.make ~name ~desc [] in
+  {
+    Stage.category = "synthetic";
+    machine = "none";
+    shard_config =
+      { Stage.tau = 1e-10; alpha = 5e-4; projection_tol = 0.02; reps = 3 };
+    range = { Stage.lo = 0; hi = 2 };
+    total = 2;
+    row_labels = [| "row0"; "row1" |];
+    entries =
+      [
+        {
+          Core.Noise_filter.event = event "EVENT_A" "kept event";
+          variability = 0.0;
+          mean = Linalg.Vec.of_array [| 1.0; 2.0 |];
+          status = Core.Noise_filter.Kept;
+        };
+        {
+          Core.Noise_filter.event = event "EVENT_B" "noisy event";
+          variability = Float.nan;
+          mean = Linalg.Vec.of_array [| 0.5; Float.infinity |];
+          status = Core.Noise_filter.Too_noisy;
+        };
+      ];
+  }
+
 let test_serialized_round_trip () =
   with_clean_state @@ fun () ->
   let category = Core.Category.Branch in
   let mono = default_run category in
   let shards = shards_for ~shards:3 category in
-  let revived =
-    List.map
-      (fun s ->
-        (* Through text, as if the shard ran in another process. *)
-        let text = Jsonio.to_string (Stage.shard_to_json s) in
-        match Jsonio.of_string text with
-        | Error msg -> Alcotest.fail ("re-parse failed: " ^ msg)
-        | Ok json -> (
-          match Stage.shard_of_json json with
-          | Error msg -> Alcotest.fail ("decode failed: " ^ msg)
-          | Ok s' ->
-            Alcotest.(check bool)
-              "artifact round-trips structurally" true (Stage.shard_equal s s');
-            s'))
-      shards
+  let revive s =
+    (* Through text, as if the shard ran in another process. *)
+    let text = Jsonio.to_string (Stage.shard_to_json s) in
+    match Jsonio.of_string text with
+    | Error msg -> Alcotest.fail ("re-parse failed: " ^ msg)
+    | Ok json -> (
+      match Stage.shard_of_json json with
+      | Error msg -> Alcotest.fail ("decode failed: " ^ msg)
+      | Ok s' ->
+        Alcotest.(check bool)
+          "artifact round-trips structurally" true (Stage.shard_equal s s');
+        s')
   in
-  let sharded = Stage.run_merged ~category revived in
+  ignore (revive (non_finite_shard ()));
+  let sharded = Stage.run_merged ~category (List.map revive shards) in
   check_equivalent ~msg:"branch via serialized shards" mono sharded
 
 let test_artifact_rejections () =
