@@ -232,7 +232,9 @@ bench-shard:
 # run on two domains, and a merge of shard artifacts — render one, and
 # diff two manifests of the same config each time: `analyze report
 # --diff` must exit zero (no non-timing differences).  The gated run's
-# manifest must carry the pre-flight lint summary.
+# manifest must carry the pre-flight lint summary.  A manifest path
+# that cannot be written must fail with one line naming it (exit 1,
+# no uncaught exception).
 manifest-smoke:
 	dir=$$(mktemp -d) && \
 	dune exec bin/analyze.exe -- -c branch --show summary \
@@ -258,7 +260,11 @@ manifest-smoke:
 	dune exec bin/analyze.exe -- merge $$dir/shard_0.json \
 	  $$dir/shard_1.json --show summary --manifest $$dir/merge_b.json && \
 	dune exec bin/analyze.exe -- report --diff $$dir/merge_a.json \
-	  $$dir/merge_b.json; \
+	  $$dir/merge_b.json && \
+	! dune exec bin/analyze.exe -- -c branch --show summary \
+	  --manifest /nonexistent/m.json > /dev/null 2> $$dir/unwritable.txt && \
+	test $$(wc -l < $$dir/unwritable.txt) -eq 1 && \
+	grep -q '^analyze: /nonexistent/m.json: ' $$dir/unwritable.txt; \
 	status=$$?; rm -rf $$dir; exit $$status
 
 # Perf-regression gate: a full front benchmark run compared against the
@@ -281,9 +287,10 @@ bench-check:
 # temporary directory: the baseline must survive the strict decoder
 # and pass against itself, a passing gate over a fresh store must
 # append exactly one line to a copy of the committed trajectory and
-# keep every old line byte-identical, a missing baseline must fail
-# with one line naming it (exit 1, no uncaught exception), and an
-# injected slowdown must make the gate fail (proving it fires).
+# keep every old line byte-identical, a missing baseline and a
+# trajectory that cannot be written must each fail with one line
+# naming it (exit 1, no uncaught exception), and an injected slowdown
+# must make the gate fail (proving it fires).
 bench-check-smoke:
 	dune build ./bench/shard_bench.exe ./bench/bench_check.exe
 	dir=$$(mktemp -d) && base=bench/BENCH_shard.json && \
@@ -300,6 +307,10 @@ bench-check-smoke:
 	  --current $$base 2> $$dir/missing.txt && \
 	test $$(wc -l < $$dir/missing.txt) -eq 1 && \
 	grep -q '^bench_check: /nonexistent.json: ' $$dir/missing.txt && \
+	! ./_build/default/bench/bench_check.exe --baseline $$base --current $$base \
+	  --trajectory /nonexistent/t.jsonl > /dev/null 2> $$dir/unwritable.txt && \
+	test $$(wc -l < $$dir/unwritable.txt) -eq 1 && \
+	grep -q '^bench_check: /nonexistent/t.jsonl: ' $$dir/unwritable.txt && \
 	! ./_build/default/bench/bench_check.exe --baseline $$base --current $$base \
 	  --inject 1000 > /dev/null 2>&1; \
 	status=$$?; rm -rf $$dir; exit $$status

@@ -92,7 +92,8 @@ let () =
     end
   in
   let write_trajectory () =
-    if !trajectory <> "" then Bench_report.append_trajectory !trajectory cur
+    if !trajectory <> "" then
+      Bench_report.append_trajectory ~name:"bench_check" !trajectory cur
   in
   let stored_baseline () =
     match Obs.Store.open_store !store with

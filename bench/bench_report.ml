@@ -52,11 +52,16 @@ let trajectory_line (m : Obs.Manifest.t) =
                 m.Obs.Manifest.metrics) );
        ])
 
-let append_trajectory path m =
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (trajectory_line m ^ "\n"))
+(* Every file a bench writes: a path that cannot be written is one
+   line, NAME: PATH: reason, and exit 1. *)
+let write_file ~name ?(append = false) path text =
+  let flags = [ Open_wronly; Open_creat; Open_binary ] in
+  let flags = (if append then Open_append else Open_trunc) :: flags in
+  try Out_channel.with_open_gen flags 0o644 path (fun oc -> output_string oc text)
+  with Sys_error msg -> prerr_endline (name ^ ": " ^ msg); exit 1
+
+let append_trajectory ~name path m =
+  write_file ~name ~append:true path (trajectory_line m ^ "\n")
 
 (* ------------------------------------------------------------------ *)
 (* Regression policy                                                   *)
@@ -222,12 +227,11 @@ let main ~name ~source ~label ~default_out ~smoke_doc run =
           List.sort compare (m.Obs.Manifest.counters @ o.counters);
       }
     in
-    Out_channel.with_open_bin !out (fun oc ->
-        output_string oc (Obs.Manifest.to_text m));
+    write_file ~name !out (Obs.Manifest.to_text m);
     (match check_manifest ~source !out with
      | Ok _ -> ()
      | Error msg -> fail "%s: wrote a malformed manifest: %s" name msg);
-    if !trajectory <> "" then append_trajectory !trajectory m;
+    if !trajectory <> "" then append_trajectory ~name !trajectory m;
     Printf.eprintf "results written to %s\n" !out;
     Option.iter (fail "%s: %s" name) o.failure
   end

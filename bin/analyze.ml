@@ -82,9 +82,11 @@ let progress_flag =
              pipeline's outputs are bit-identical with and without it." in
   Arg.(value & flag & info [ "progress" ] ~doc)
 
+(* [with_obs] installs the progress sink; the command passes the handle on. *)
 let obs_term =
   Term.(
-    const (fun trace stats progress -> (trace, stats, progress))
+    const (fun trace stats progress ->
+        (trace, stats, if progress then Some (Obs.Progress.create ()) else None))
     $ trace_file $ stats_flag $ progress_flag)
 
 (* [f ()] under a fresh Recorder when [stats]: its result, and the
@@ -103,29 +105,14 @@ let recording stats f =
    [f] and is printed after it; without, [f] records its own tables
    (one per category, see [run_category]). *)
 let with_obs ?(render_stats = true) (trace, stats, progress) f =
-  let chrome =
-    Option.map
-      (fun _ ->
-        let c = Obs.Chrome_trace.create () in
-        Obs.install (Obs.Chrome_trace.sink c);
-        c)
-      trace
-  in
-  let run () = recording (stats && render_stats) f in
-  let result, table =
-    if progress then Obs.with_progress (Obs.Progress.create ()) run
-    else run ()
-  in
+  let chrome = Option.map (fun path -> (path, Obs.Chrome_trace.create ())) trace in
+  Option.iter (fun (_, c) -> Obs.install (Obs.Chrome_trace.sink c)) chrome;
+  Option.iter (fun p -> Obs.install (Obs.Progress.sink p)) progress;
+  let result, table = recording (stats && render_stats) f in
   Option.iter (Printf.printf "Stage stats:\n%s") table;
-  (match (trace, chrome) with
-  | Some path, Some c -> (
-    try
-      Obs.Chrome_trace.write_file c path;
-      Printf.eprintf "trace written to %s\n" path
-    with Sys_error msg ->
-      Printf.eprintf "analyze: cannot write trace: %s\n" msg;
-      exit 1)
-  | _ -> ());
+  Option.iter
+    (fun (path, c) -> Obs_cli.write_file ~what:"trace" path (Obs.Chrome_trace.contents c))
+    chrome;
   result
 
 let shards_flag =
@@ -240,7 +227,7 @@ let gated_emitter ?manifest ~config category =
       (fun emit m -> emit { m with Obs.Manifest.lint = Some lint })
       manifest
 
-let run_category ?csv ?auto_tau ?manifest ~stats ~preflight ~executor
+let run_category ?csv ?auto_tau ?manifest ?progress ~stats ~preflight ~executor
     ~shards ~tau ~alpha ~proj_tol ~reps ~sections category =
   let config = config_of ~tau ~alpha ~proj_tol ~reps category in
   (* The gate lints once, before anything runs (the auto-tau probes
@@ -305,7 +292,7 @@ let run_category ?csv ?auto_tau ?manifest ~stats ~preflight ~executor
   let r, table =
     recording stats @@ fun () ->
     try
-      Core.Pipeline.run ~config ?select ~shards ~executor ?manifest:gated
+      Core.Pipeline.run ~config ?select ~shards ~executor ?progress ?manifest:gated
         ?import:(Option.map import csv) category
     with
     | Invalid_argument msg when msg = Core.Projection.no_accepted_events ->
@@ -343,10 +330,10 @@ let main category tau alpha proj_tol reps sections csv auto_tau obs manifest
     exit 2
   | _ -> ());
   let manifest = Obs_cli.emitter ~command:"analyze" ?manifest ?store () in
-  let _, stats, _ = obs in
+  let _, stats, progress = obs in
   with_obs ~render_stats:false obs (fun () ->
       let run =
-        run_category ?auto_tau ?manifest ~stats ~preflight ~executor ~shards
+        run_category ?auto_tau ?manifest ?progress ~stats ~preflight ~executor ~shards
           ~tau ~alpha ~proj_tol ~reps ~sections
       in
       match (csv, category) with
@@ -393,17 +380,17 @@ let explain_smoke =
              to pin that explain is transparent to sharding." in
   Arg.(value & flag & info [ "smoke" ] ~doc)
 
-let ledger_for ?(shards = 1) ~executor category =
-  let r = Core.Pipeline.run ~shards ~executor category in
+let ledger_for ?(shards = 1) ?progress ~executor category =
+  let r = Core.Pipeline.run ~shards ~executor ?progress category in
   (r, Core.Pipeline.ledger r)
 
 let write_json path ledger =
   Obs_cli.write_file ~what:"ledger" path
     (Jsonio.to_string (Provenance.Ledger.to_json ledger) ^ "\n")
 
-let smoke_category ?(shards = 1) ~executor category =
+let smoke_category ?(shards = 1) ?progress ~executor category =
   let module L = Provenance.Ledger in
-  let _, ledger = ledger_for ~shards ~executor category in
+  let _, ledger = ledger_for ~shards ?progress ~executor category in
   (* Every entry must resolve to exactly one terminal fate — on
      multi-shard ledgers just like one-shard ones. *)
   List.iter
@@ -455,16 +442,17 @@ let smoke_category ?(shards = 1) ~executor category =
 
 let explain_main category event all fate json smoke shards jobs obs =
   let executor = executor_of_jobs ~shards jobs in
+  let _, _, progress = obs in
   with_obs obs @@ fun () ->
   let module L = Provenance.Ledger in
   if smoke then begin
     let categories =
       match category with Some c -> [ c ] | None -> Core.Category.all
     in
-    List.iter (smoke_category ~executor) categories;
+    List.iter (smoke_category ?progress ~executor) categories;
     (* Same checks on shard-assembled ledgers: explain must be
        transparent to how the classified catalog was put together. *)
-    List.iter (smoke_category ~shards:2 ~executor) categories;
+    List.iter (smoke_category ~shards:2 ?progress ~executor) categories;
     Printf.printf "explain smoke ok (%d categories, monolithic and sharded)\n"
       (List.length categories)
   end
@@ -491,7 +479,7 @@ let explain_main category event all fate json smoke shards jobs obs =
       prerr_endline "analyze explain: --shards must be at least 1";
       exit 2
     end;
-    let _, ledger = ledger_for ~shards ~executor category in
+    let _, ledger = ledger_for ~shards ?progress ~executor category in
     Option.iter (fun path -> write_json path ledger) json;
     (match (event, all) with
     | Some name, _ -> (
@@ -558,6 +546,7 @@ let explain_cmd =
 (* ------------------------------------------------------------------ *)
 
 let shard_main category index shards out tau alpha proj_tol reps obs =
+  let _, _, progress = obs in
   with_obs obs @@ fun () ->
   let category =
     match category with
@@ -584,7 +573,7 @@ let shard_main category index shards out tau alpha proj_tol reps obs =
         (Core.Category.bench category)
     in
     List.hd
-      (Core.Stage.run_front ~config ~executor:Core.Exec.Seq category
+      (Core.Stage.run_front ?progress ~config ~executor:Core.Exec.Seq category
          (Core.Stage.Catalog { table; ranges = [ range ] }))
   in
   (* Campaign accounting for this shard: cutting the full-catalog
@@ -1151,26 +1140,21 @@ let trace_main category shards folded obs =
     prerr_endline "analyze trace: --shards must be at least 1";
     exit 2
   end;
-  let trace_path, _, _ = obs in
+  let trace_path, _, progress = obs in
   if folded = None && trace_path = None then begin
     prerr_endline "analyze trace: give --folded FILE and/or --trace FILE";
     exit 2
   end;
   with_obs obs @@ fun () ->
-  let run () = ignore (Core.Pipeline.run ~shards category) in
+  let run () = ignore (Core.Pipeline.run ~shards ?progress category) in
   match folded with
   | None -> run ()
   | Some path ->
     let f = Obs.Folded.create () in
-    let s = Obs.Folded.sink f in
-    Obs.install s;
-    Fun.protect ~finally:(fun () -> Obs.uninstall s) run;
-    (try
-       Obs.Folded.write_file f path;
-       Printf.eprintf "folded stacks written to %s\n" path
-     with Sys_error msg ->
-       Printf.eprintf "analyze trace: cannot write folded stacks: %s\n" msg;
-       exit 1)
+    Obs.install (Obs.Folded.sink f);
+    run ();
+    Obs_cli.write_file ~what:"folded stacks" path
+      (Obs.Folded.contents f)
 
 let trace_cmd =
   let doc =

@@ -5,12 +5,17 @@
    naming, store ingestion and messages are identical across analyze,
    ablations and reproduce. *)
 
-let write_file ~what path text =
+(* Every file a front end writes goes through here: ["-"] is stdout,
+   and a path that cannot be written is one line, COMMAND: PATH:
+   reason, and exit 1. *)
+let write_file ?(command = "analyze") ~what path text =
   if path = "-" then print_string text
-  else begin
-    Out_channel.with_open_bin path (fun oc -> output_string oc text);
-    Printf.eprintf "%s written to %s\n" what path
-  end
+  else
+    match Out_channel.with_open_bin path (fun oc -> output_string oc text) with
+    | () -> Printf.eprintf "%s written to %s\n" what path
+    | exception Sys_error msg ->
+      Printf.eprintf "%s: %s\n" command msg;
+      exit 1
 
 let open_store_or_fail ~command ?(create = true) dir =
   match Obs.Store.open_store ~create dir with
@@ -55,7 +60,7 @@ let emitter ~command ?manifest ?store () =
         incr emitted;
         Option.iter
           (fun path ->
-            write_file
+            write_file ~command
               ~what:(Printf.sprintf "run manifest (%s)" command)
               (numbered path k) (Obs.Manifest.to_text m))
           manifest;

@@ -37,8 +37,8 @@ let run_custom ?(executor = Exec.Seq) ?manifest ~config ~category ~dataset
 
 (* An import keeps the source of a custom run, so a --csv run and a
    simulated one never share a manifest series. *)
-let run ?config ?select ?(shards = 1) ?(executor = Exec.Seq) ?manifest ?import
-    category =
+let run ?config ?select ?(shards = 1) ?(executor = Exec.Seq) ?progress
+    ?manifest ?import category =
   let config =
     match config with Some c -> c | None -> default_config category
   in
@@ -60,7 +60,7 @@ let run ?config ?select ?(shards = 1) ?(executor = Exec.Seq) ?manifest ?import
               Stage.Catalog { table; ranges = Stage.shard_ranges ~shards ~total }
           in
           Stage.run_merged ~category
-            (Stage.run_front ?select ~config ~executor category front)))
+            (Stage.run_front ?select ?progress ~config ~executor category front)))
 
 let ledger = Stage.ledger
 

@@ -42,7 +42,7 @@ type result = Stage.result = {
 
 val run :
   ?config:config -> ?select:(Noise_filter.entry list -> float) ->
-  ?shards:int -> ?executor:Exec.t ->
+  ?shards:int -> ?executor:Exec.t -> ?progress:Obs.Progress.t ->
   ?manifest:(Obs.Manifest.t -> unit) ->
   ?import:(unit -> Noise_filter.entry list) -> Category.t -> result
 (** Run the full pipeline for one category.  [config] defaults to
@@ -51,8 +51,9 @@ val run :
     the whole catalog as one range) ranges, {!Stage.run_front}
     collects and classifies them on [executor] (default [Exec.Seq]),
     and {!Stage.run_merged} merges them and runs the downstream
-    stages.  With [select], the tau is [select] of the front's entries
-    (see {!Auto_threshold.select}): one collection, at [config.reps].
+    stages.  The front reports its shards to [progress].  With
+    [select], the tau is [select] of the front's entries (see
+    {!Auto_threshold.select}): one collection, at [config.reps].
     The outputs — chosen events, metric definitions,
     provenance ledger — are bit-identical for every shard count and
     executor.  With [manifest], the run's manifest (see

@@ -379,7 +379,7 @@ let downstream ~config ~category ~basis ~signatures ~classified () =
 (* run bare and stay bit-identical to a build without manifests.  With *)
 (* one, a run scopes a Recorder sink around itself, snapshots it into  *)
 (* a schema-versioned Obs.Manifest.t — config digest, per-stage span   *)
-(* timings + latency histograms + GC deltas, counters/gauges, ledger   *)
+(* timings + latency histograms + GC deltas, counters, ledger          *)
 (* fate totals and content hashes of the shard artifacts consumed and  *)
 (* the ledger produced — and hands it to the emitter.                  *)
 (* ------------------------------------------------------------------ *)
@@ -611,13 +611,13 @@ let with_manifest ?manifest ~source ~category ~shards ~jobs ~inputs f =
     let recorder = Obs.Recorder.create () in
     let sink = Obs.Recorder.sink recorder in
     Obs.install sink;
-    let gc_before = Obs.Gc_sample.take () in
+    let gc_before = Obs.gc_sample () in
     let r, gc_delta =
       Fun.protect
         ~finally:(fun () -> Obs.uninstall sink)
         (fun () ->
           let r = f () in
-          let after = Obs.Gc_sample.take () in
+          let after = Obs.gc_sample () in
           (r, Obs.Gc_sample.delta ~before:gc_before ~after))
     in
     let l = ledger r in
@@ -698,10 +698,10 @@ type front =
 
 (* Every range reads the front's one row table; the caller built it
    (and with it the compiled catalog), so tasks only ever read them.
-   Progress taps go straight to the handle in this run's collector
-   rather than through a gauge, so manifests recorded without
-   --progress stay byte-identical. *)
-let run_front ?select ~config ~executor category front =
+   Progress taps go straight to the caller's handle and are never
+   recorded, so manifests recorded without --progress stay
+   byte-identical. *)
+let run_front ?select ?progress ~config ~executor category front =
   let before =
     if Obs.enabled () then
       Some
@@ -716,7 +716,7 @@ let run_front ?select ~config ~executor category front =
       let n = List.length entries in
       ([| { lo = 0; hi = n } |], [| entries |], n)
     | Catalog { table; ranges } ->
-      let tap f = Option.iter f (Obs.progress ()) in
+      let tap f = Option.iter f progress in
       let arr = Array.of_list ranges in
       let shards = Array.length arr in
       tap (Obs.Progress.note_front ~total:shards ~jobs:(Executor.jobs executor));

@@ -135,6 +135,7 @@ type front =
 
 val run_front :
   ?select:(Noise_filter.entry list -> float) ->
+  ?progress:Obs.Progress.t ->
   config:config -> executor:Exec.t -> Category.t -> front ->
   classified_shard list
 (** The front: for [Catalog {table; ranges}], one task per range on
@@ -149,8 +150,9 @@ val run_front :
     so the event stream is the same for every executor.  While a sink
     is live it asserts the counter invariant: [shard.events] advances
     by the events in the ranges and [shard.kept] by as much as
-    [noise_filter.kept] (raises [Failure] otherwise).  Progress taps
-    reach the run's progress handle. *)
+    [noise_filter.kept] (raises [Failure] otherwise).  A [Catalog]
+    front reports its shards to [progress] (the caller installs its
+    {!Obs.Progress.sink}). *)
 
 (** {1 Merge stage} *)
 
@@ -188,7 +190,8 @@ val downstream :
     schema-versioned {!Obs.Manifest.t} carrying the config digest
     (category, machine, jobs, τ/α/β, projection tolerance, reps, shard
     count), per-stage span timings with latency histograms and GC
-    deltas, all counters and gauges, the ledger fate totals and
+    deltas, all counters, the run's GC delta ({!Obs.gc_sample}: a
+    parallel run's worker words included), the ledger fate totals and
     content hashes of the shard artifacts the run read from files and
     of the ledger it produced.  The manifest's [lint] field is left [None]:
     a caller that gates the run on a pre-flight lint records its

@@ -26,9 +26,10 @@
     side channel is observability, and [map] keeps it ordered itself:
     under [Domains], when the calling domain's [Obs] collector is
     enabled, every task runs under its own [Obs.capture] (which
-    carries the caller's clock and progress handle), and the captures
+    carries the caller's clock), and the captures
     are replayed on the calling domain in task-index order after the
-    batch.  The caller's sinks therefore see the stream [Seq] gives;
+    batch.  The caller's sinks therefore see the stream [Seq] gives,
+    with each span's GC words as measured on the domain that ran it;
     call sites capture nothing by hand.
 
     {1 Shared-state / RNG invariant}

@@ -60,6 +60,14 @@ let out_escaped o s =
     s;
   out_char o '"'
 
+(* [out_escaped] into a chunk that cannot fill: no byte needs more
+   than the six of [\u00XX]. *)
+let escape s =
+  let chunk = Bytes.create ((6 * String.length s) + 2) in
+  let o = { chunk; len = 0; flush = (fun _ _ -> ()) } in
+  out_escaped o s;
+  Bytes.sub_string o.chunk 0 o.len
+
 let output ?(indent = 2) flush t =
   let o = { chunk = Bytes.create 65536; len = 0; flush } in
   let pad level =

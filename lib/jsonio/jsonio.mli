@@ -30,6 +30,10 @@ val to_string_compact : t -> string
     like the benchmark trajectory (JSONL).  Parses back with
     {!of_string} exactly like the pretty form. *)
 
+val escape : string -> string
+(** [s] as a quoted JSON string, escaped exactly as the printers
+    escape keys and string values. *)
+
 val of_string : string -> (t, string) result
 (** Parse a complete JSON document.  [Error msg] carries the byte
     offset of the first problem.  Duplicate object keys are kept in

@@ -6,30 +6,11 @@ type t = {
 
 let create () = { buf = Buffer.create 4096; epoch_ns = Clock.now_ns (); events = 0 }
 
-(* RFC 8259 string escaping, enough for event and attribute names. *)
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 let number f =
   if Float.is_finite f then Printf.sprintf "%.17g" f else "null"
 
 let attr_json = function
-  | Sink.Str s -> escape s
+  | Sink.Str s -> Jsonio.escape s
   | Sink.Int i -> string_of_int i
   | Sink.Float f -> number f
 
@@ -41,7 +22,7 @@ let add_event t fields =
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char t.buf ',';
-      Buffer.add_string t.buf (escape k);
+      Buffer.add_string t.buf (Jsonio.escape k);
       Buffer.add_char t.buf ':';
       Buffer.add_string t.buf v)
     fields;
@@ -50,8 +31,8 @@ let add_event t fields =
 
 let common t ~name ~ph ~ts_ns =
   [
-    ("name", escape name);
-    ("ph", escape ph);
+    ("name", Jsonio.escape name);
+    ("ph", Jsonio.escape ph);
     ("ts", Printf.sprintf "%.3f" (ts_us t ts_ns));
     ("pid", "1");
     ("tid", "1");
@@ -63,7 +44,7 @@ let args_json attrs =
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (escape k);
+      Buffer.add_string buf (Jsonio.escape k);
       Buffer.add_char buf ':';
       Buffer.add_string buf (attr_json v))
     attrs;
@@ -76,7 +57,7 @@ let sink t =
       (fun ~id:_ ~parent:_ ~name ~ts_ns ->
         add_event t (common t ~name ~ph:"B" ~ts_ns));
     on_span_end =
-      (fun ~id:_ ~name ~ts_ns ~dur_ns:_ ~attrs ->
+      (fun ~id:_ ~name ~ts_ns ~dur_ns:_ ~gc:_ ~attrs ->
         let fields = common t ~name ~ph:"E" ~ts_ns in
         let fields =
           if attrs = [] then fields else fields @ [ ("args", args_json attrs) ]
@@ -87,14 +68,6 @@ let sink t =
         add_event t
           (common t ~name ~ph:"C" ~ts_ns
           @ [ ("args", args_json [ ("value", Sink.Float total) ]) ]));
-    on_gauge =
-      (fun ~name ~value ~ts_ns ->
-        add_event t
-          (common t ~name ~ph:"C" ~ts_ns
-          @ [ ("args", args_json [ ("value", Sink.Float value) ]) ]));
   }
 
 let contents t = "[\n" ^ Buffer.contents t.buf ^ "\n]\n"
-
-let write_file t path =
-  Out_channel.with_open_bin path (fun oc -> output_string oc (contents t))

@@ -46,7 +46,7 @@ let sink t =
       (fun ~id:_ ~parent:_ ~name ~ts_ns:_ ->
         t.stack <- { name = sanitize name; child_ns = 0L } :: t.stack);
     on_span_end =
-      (fun ~id:_ ~name:_ ~ts_ns:_ ~dur_ns ~attrs:_ ->
+      (fun ~id:_ ~name:_ ~ts_ns:_ ~dur_ns ~gc:_ ~attrs:_ ->
         match t.stack with
         | [] -> ()  (* unbalanced end: ignore, like the other sinks *)
         | frame :: rest ->
@@ -58,7 +58,6 @@ let sink t =
           | [] -> ());
           t.stack <- rest);
     on_counter = (fun ~name:_ ~delta:_ ~total:_ ~ts_ns:_ -> ());
-    on_gauge = (fun ~name:_ ~value:_ ~ts_ns:_ -> ());
   }
 
 let stacks t =
@@ -71,6 +70,3 @@ let contents t =
     (fun (k, ns) -> Printf.bprintf buf "%s %Ld\n" k ns)
     (stacks t);
   Buffer.contents buf
-
-let write_file t path =
-  Out_channel.with_open_bin path (fun oc -> output_string oc (contents t))

@@ -27,5 +27,3 @@ val stacks : t -> (string * int64) list
 
 val contents : t -> string
 (** The folded document (possibly empty). *)
-
-val write_file : t -> string -> unit

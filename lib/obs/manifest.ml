@@ -1,7 +1,7 @@
 (* The run manifest: a schema-versioned, durable telemetry artifact
    describing one pipeline or benchmark run — config digest, per-span
    timing aggregates with fixed-bucket latency histograms and GC
-   deltas, counters, gauges, stage totals, bench metrics, the
+   deltas, counters, stage totals, bench metrics, the
    pre-flight lint summary and content hashes of the run's shard and
    ledger artifacts.
 
@@ -42,7 +42,6 @@ type t = {
   config_digest : string;
   spans : span_stat list;  (* sorted by span name *)
   counters : (string * float) list;
-  gauges : (string * float) list;
   totals : (string * float) list;  (* ledger fate totals *)
   metrics : (string * float) list;  (* bench measurements (ms) *)
   gc : (string * float) list;  (* whole-run GC stats *)
@@ -91,17 +90,17 @@ let digest_config pairs =
 (* ------------------------------------------------------------------ *)
 
 let span_stat_of_agg span (a : Recorder.span_agg) =
-  let g = a.Recorder.gc in
+  let g = a.Recorder.gc and h = a.Recorder.hist in
   {
     span;
-    count = a.Recorder.count;
-    total_ns = a.Recorder.total_ns;
-    min_ns = a.Recorder.min_ns;
-    max_ns = a.Recorder.max_ns;
-    p50_ns = Histogram.quantile a.Recorder.hist 0.5;
-    p90_ns = Histogram.quantile a.Recorder.hist 0.9;
-    p99_ns = Histogram.quantile a.Recorder.hist 0.99;
-    buckets = Histogram.counts a.Recorder.hist;
+    count = Histogram.count h;
+    total_ns = Histogram.sum_ns h;
+    min_ns = Histogram.min_ns h;
+    max_ns = Histogram.max_ns h;
+    p50_ns = Histogram.quantile h 0.5;
+    p90_ns = Histogram.quantile h 0.9;
+    p99_ns = Histogram.quantile h 0.99;
+    buckets = Histogram.counts h;
     gc_minor_words = g.Gc_sample.minor_words;
     gc_major_words = g.Gc_sample.major_words;
     gc_promoted_words = g.Gc_sample.promoted_words;
@@ -121,7 +120,6 @@ let of_recorder ~source ~label ?(config = []) ?(totals = []) ?(metrics = [])
     spans =
       List.map (fun (name, a) -> span_stat_of_agg name a) (Recorder.spans recorder);
     counters = Recorder.counters recorder;
-    gauges = Recorder.gauges recorder;
     totals = List.sort compare totals;
     metrics = List.sort compare metrics;
     gc = List.sort compare gc;
@@ -180,7 +178,10 @@ let to_json m =
       ("config_digest", Jsonio.Str m.config_digest);
       ("spans", Jsonio.List (List.map span_to_json m.spans));
       ("counters", float_table m.counters);
-      ("gauges", float_table m.gauges);
+      (* Always empty, and kept: the run store hashes this text, and
+         every stored manifest carries the section.  [of_text] reads
+         past it. *)
+      ("gauges", Jsonio.Obj []);
       ("totals", float_table m.totals);
       ("metrics", float_table m.metrics);
       ("gc", float_table m.gc);
@@ -321,7 +322,6 @@ let of_json json =
             | _ -> Error (ctx ^ ": field \"spans\" is not a list")
           in
           let* counters = d_float_table ctx "counters" json in
-          let* gauges = d_float_table ctx "gauges" json in
           let* totals = d_float_table ctx "totals" json in
           let* metrics = d_float_table ctx "metrics" json in
           let* gc = d_float_table ctx "gc" json in
@@ -346,7 +346,6 @@ let of_json json =
               config_digest;
               spans;
               counters;
-              gauges;
               totals;
               metrics;
               gc;
@@ -417,7 +416,6 @@ let render m =
   let g = Recorder.format_value in
   table "totals:" m.totals g;
   table "counters:" m.counters g;
-  table "gauges:" m.gauges g;
   table "metrics:" m.metrics g;
   table "gc:" m.gc g;
   table "artifacts:" m.artifacts (fun s -> s);
@@ -478,8 +476,6 @@ let diff a b =
   scalar ~timing:false "config_digest" a.config_digest b.config_digest;
   assoc_diff ~timing:false ~section:"counters" ~fmt:fstr ~eq:feq a.counters
     b.counters;
-  assoc_diff ~timing:false ~section:"gauges" ~fmt:fstr ~eq:feq a.gauges
-    b.gauges;
   assoc_diff ~timing:false ~section:"totals" ~fmt:fstr ~eq:feq a.totals
     b.totals;
   assoc_diff ~timing:false ~section:"artifacts" ~fmt:Fun.id ~eq:String.equal

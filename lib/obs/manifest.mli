@@ -3,8 +3,8 @@
     A manifest is the durable telemetry artifact of one pipeline or
     benchmark run: the configuration (with a content digest), per-span
     timing aggregates with fixed-bucket latency {!Histogram}s
-    (p50/p90/p99 readout) and per-stage GC deltas, every counter and
-    gauge, ledger fate totals, benchmark measurements, the pre-flight
+    (p50/p90/p99 readout) and per-stage GC deltas, every counter,
+    ledger fate totals, benchmark measurements, the pre-flight
     lint summary, and content hashes of the run's shard/ledger
     artifacts.
 
@@ -16,7 +16,7 @@
     {!diff} classifies every field as {e timing} (expected to differ
     between two runs of the same config: durations, quantiles, bucket
     shapes, GC words, metric values) or {e non-timing} (must be
-    bit-equal for identical configs: config, counters, gauges, totals,
+    bit-equal for identical configs: config, counters, totals,
     lint, artifact hashes, span names and counts).  [analyze report
     --diff] fails when any non-timing field differs. *)
 
@@ -49,7 +49,6 @@ type t = {
   config_digest : string;
   spans : span_stat list;
   counters : (string * float) list;
-  gauges : (string * float) list;
   totals : (string * float) list;
   metrics : (string * float) list;
   gc : (string * float) list;
@@ -101,7 +100,8 @@ val to_text : t -> string
 val of_text : string -> (t, string) result
 (** Strict decode of {!to_text}'s form: [not JSON: ...] for text the
     parser rejects, then the field checks, and the config digest
-    recomputed and verified. *)
+    recomputed and verified.  The [gauges] section {!to_text} writes
+    (always empty) is read past. *)
 
 val load : ?hash:string -> string -> (t, string) result
 (** [load path] reads the file and decodes it with {!of_text}.  Every
@@ -113,7 +113,7 @@ val load : ?hash:string -> string -> (t, string) result
 
 val render : t -> string
 (** Human-readable rendering (config, lint, span table with
-    p50/p90/p99, counters/gauges/totals/metrics/gc/artifacts). *)
+    p50/p90/p99, totals/counters/metrics/gc/artifacts). *)
 
 (** {1 Diffing} *)
 

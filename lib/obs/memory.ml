@@ -5,10 +5,10 @@ type event =
       name : string;
       ts_ns : int64;
       dur_ns : int64;
+      gc : Gc_sample.t;
       attrs : (string * Sink.attr) list;
     }
   | Counter of { name : string; delta : float; total : float; ts_ns : int64 }
-  | Gauge of { name : string; value : float; ts_ns : int64 }
 
 type t = { mutable rev_events : event list }
 
@@ -21,11 +21,10 @@ let sink t =
     Sink.on_span_start =
       (fun ~id ~parent ~name ~ts_ns -> record t (Span_start { id; parent; name; ts_ns }));
     on_span_end =
-      (fun ~id ~name ~ts_ns ~dur_ns ~attrs ->
-        record t (Span_end { id; name; ts_ns; dur_ns; attrs }));
+      (fun ~id ~name ~ts_ns ~dur_ns ~gc ~attrs ->
+        record t (Span_end { id; name; ts_ns; dur_ns; gc; attrs }));
     on_counter =
       (fun ~name ~delta ~total ~ts_ns -> record t (Counter { name; delta; total; ts_ns }));
-    on_gauge = (fun ~name ~value ~ts_ns -> record t (Gauge { name; value; ts_ns }));
   }
 
 let events t = List.rev t.rev_events

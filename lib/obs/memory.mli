@@ -2,7 +2,7 @@
 
     Records every event verbatim, in arrival order, so assertions can
     inspect nesting, timestamps and attributes without parsing any
-    rendered output.  An [Obs.capture] buffers a pool task's events in
+    rendered output.  An [Obs.capture] buffers an executor task's events in
     one, to be replayed on the submitting domain. *)
 
 type event =
@@ -12,10 +12,10 @@ type event =
       name : string;
       ts_ns : int64;
       dur_ns : int64;
+      gc : Gc_sample.t;
       attrs : (string * Sink.attr) list;
     }
   | Counter of { name : string; delta : float; total : float; ts_ns : int64 }
-  | Gauge of { name : string; value : float; ts_ns : int64 }
 
 type t
 

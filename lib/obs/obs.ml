@@ -15,6 +15,7 @@ type open_span = {
   id : int;
   name : string;
   start_ns : int64;
+  gc_start : Gc_sample.t;
   mutable rev_attrs : (string * Sink.attr) list;
 }
 
@@ -27,27 +28,25 @@ type collector = {
   mutable stack : open_span list;  (* innermost first *)
   mutable next_id : int;
   counters_tbl : (string, float ref) Hashtbl.t;
-  gauges_tbl : (string, float ref) Hashtbl.t;
-  mutable progress : Progress.t option;
+  mutable replayed_words : float;
+      (* minor words of replayed tasks that ran on another domain *)
   mutable source : unit -> int64;
   mutable last_ns : int64;  (* the clamp: readings never go backwards *)
 }
 
-let fresh ~progress ~source sinks =
+let fresh ~source sinks =
   {
     sinks;
     stack = [];
     next_id = 1;
     counters_tbl = Hashtbl.create 16;
-    gauges_tbl = Hashtbl.create 16;
-    progress;
+    replayed_words = 0.0;
     source;
     last_ns = 0L;
   }
 
 let key : collector Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      fresh ~progress:None ~source:Clock.now_ns [])
+  Domain.DLS.new_key (fun () -> fresh ~source:Clock.now_ns [])
 
 let current () = Domain.DLS.get key
 
@@ -60,6 +59,15 @@ let now c =
     c.last_ns <- t;
     t
   end
+
+(* This domain's GC sample, with the words its collector's replayed
+   tasks allocated on other domains counted as its own. *)
+let sample c =
+  let s = Gc_sample.take () in
+  if c.replayed_words = 0.0 then s
+  else { s with minor_words = s.minor_words +. c.replayed_words }
+
+let gc_sample () = sample (current ())
 
 let set_clock source =
   let c = current () in
@@ -74,19 +82,18 @@ let uninstall sink =
   let c = current () in
   c.sinks <- List.filter (fun s -> s != sink) c.sinks
 
-let reset_counters () =
-  let c = current () in
-  Hashtbl.reset c.counters_tbl;
-  Hashtbl.reset c.gauges_tbl
+let reset_counters () = Hashtbl.reset (current ()).counters_tbl
 
 let clear () =
   let c = current () in
   c.sinks <- [];
   c.stack <- [];
   c.next_id <- 1;
-  c.progress <- None;
+  c.replayed_words <- 0.0;
   reset_counters ()
 
+(* The GC is sampled last on the way in and first on the way out, so
+   a span's words are its body's plus a constant. *)
 let begin_span name =
   let c = current () in
   match c.sinks with
@@ -96,18 +103,21 @@ let begin_span name =
     c.next_id <- id + 1;
     let parent = match c.stack with [] -> 0 | s :: _ -> s.id in
     let ts_ns = now c in
-    c.stack <- { id; name; start_ns = ts_ns; rev_attrs = [] } :: c.stack;
     List.iter
       (fun (s : Sink.t) -> s.on_span_start ~id ~parent ~name ~ts_ns)
       sinks;
+    c.stack <-
+      { id; name; start_ns = ts_ns; gc_start = sample c; rev_attrs = [] }
+      :: c.stack;
     id
 
 let close_one c (s : open_span) =
+  let gc = Gc_sample.delta ~before:s.gc_start ~after:(sample c) in
   let ts_ns = now c in
   let dur_ns = Int64.sub ts_ns s.start_ns in
   List.iter
     (fun (sink : Sink.t) ->
-      sink.on_span_end ~id:s.id ~name:s.name ~ts_ns ~dur_ns
+      sink.on_span_end ~id:s.id ~name:s.name ~ts_ns ~dur_ns ~gc
         ~attrs:(List.rev s.rev_attrs))
     c.sinks
 
@@ -163,17 +173,6 @@ let add name delta =
 
 let incr name = add name 1.0
 
-let gauge name value =
-  let c = current () in
-  match c.sinks with
-  | [] -> ()
-  | sinks ->
-    (match Hashtbl.find_opt c.gauges_tbl name with
-    | Some cell -> cell := value
-    | None -> Hashtbl.add c.gauges_tbl name (ref value));
-    let ts_ns = now c in
-    List.iter (fun (s : Sink.t) -> s.on_gauge ~name ~value ~ts_ns) sinks
-
 let counter name =
   match Hashtbl.find_opt (current ()).counters_tbl name with
   | Some c -> !c
@@ -181,33 +180,47 @@ let counter name =
 
 (* --- Capture -------------------------------------------------------- *)
 
-type capture = { collector : collector; buffer : Memory.t }
+(* [words] and [domain]: what the task allocated, and where it ran. *)
+type capture = {
+  collector : collector;
+  buffer : Memory.t;
+  mutable words : float;
+  mutable domain : Domain.id;
+}
 
 let capture () =
   let c = current () and buffer = Memory.create () in
   {
-    collector =
-      fresh ~progress:c.progress ~source:c.source [ Memory.sink buffer ];
+    collector = fresh ~source:c.source [ Memory.sink buffer ];
     buffer;
+    words = 0.0;
+    domain = Domain.self ();
   }
 
 let with_capture cap f =
   let saved = current () in
+  cap.domain <- Domain.self ();
+  let before = Gc.minor_words () in
   Domain.DLS.set key cap.collector;
   Fun.protect
     ~finally:(fun () ->
       (* Close anything the task left open so replay never dangles. *)
       List.iter (close_one cap.collector) cap.collector.stack;
       cap.collector.stack <- [];
-      Domain.DLS.set key saved)
+      Domain.DLS.set key saved;
+      cap.words <- Gc.minor_words () -. before)
     f
 
 (* Captured span ids are local to the capture; each gets a fresh id
    here, and top-level captured spans are reparented under the span
-   open on this domain. *)
+   open on this domain.  Span ends keep the GC deltas measured where
+   they ran.  A task that ran on another domain allocated words this
+   domain's GC never counted: they go to the spans open here. *)
 let replay cap =
   let c = current () in
   if enabled () then begin
+    if cap.domain <> Domain.self () then
+      c.replayed_words <- c.replayed_words +. cap.words;
     let id_map = Hashtbl.create 16 in
     let global id = Option.value (Hashtbl.find_opt id_map id) ~default:0 in
     let base_parent = match c.stack with [] -> 0 | s :: _ -> s.id in
@@ -223,30 +236,11 @@ let replay cap =
           List.iter
             (fun (s : Sink.t) -> s.on_span_start ~id:gid ~parent ~name ~ts_ns)
             c.sinks
-        | Span_end { id; name; ts_ns; dur_ns; attrs } ->
+        | Span_end { id; name; ts_ns; dur_ns; gc; attrs } ->
           List.iter
             (fun (s : Sink.t) ->
-              s.on_span_end ~id:(global id) ~name ~ts_ns ~dur_ns ~attrs)
+              s.on_span_end ~id:(global id) ~name ~ts_ns ~dur_ns ~gc ~attrs)
             c.sinks
-        | Counter { name; delta; _ } -> add name delta
-        | Gauge { name; value; _ } -> gauge name value)
+        | Counter { name; delta; _ } -> add name delta)
       (Memory.events cap.buffer)
   end
-
-(* --- Live progress ------------------------------------------------- *)
-
-let progress () = (current ()).progress
-
-(* Installing the progress sink and handing the run its tap go
-   together; teardown runs even when [f] raises, so no heartbeat
-   outlives its run. *)
-let with_progress p f =
-  let c = current () in
-  let s = Progress.sink p and saved = c.progress in
-  install s;
-  c.progress <- Some p;
-  Fun.protect
-    ~finally:(fun () ->
-      uninstall s;
-      c.progress <- saved)
-    f

@@ -1,8 +1,9 @@
 (** Structured tracing and metrics for the analysis pipeline.
 
     A per-domain collector of {e spans} (nested, monotonic-clock
-    timed regions), {e counters} (accumulating totals) and {e gauges}
-    (last-write-wins levels), fanned out to pluggable {!Sink}s:
+    timed regions, each with the GC words it allocated) and
+    {e counters} (accumulating totals), fanned out to pluggable
+    {!Sink}s:
 
     - no sink installed (the default): every entry point is one
       domain-local lookup and an empty-list check, and returns
@@ -10,26 +11,36 @@
       uninstrumented code;
     - {!Sink.null}: the full recording path runs but nothing is kept
       (the inertness reference for tests);
-    - {!Recorder}: per-span timing aggregates, counter totals and
-      gauges — what a run manifest snapshots and [--stats] renders as
-      a plain-text table;
-    - {!Chrome_trace}: a [chrome://tracing]-loadable JSON trace.
+    - {!Recorder}: per-span duration histograms and GC sums, and
+      counter totals — what a run manifest snapshots and [--stats]
+      renders as a plain-text table;
+    - {!Chrome_trace}: a [chrome://tracing]-loadable JSON trace;
+    - {!Folded}: folded stacks for flamegraphs;
+    - {!Progress}: live stderr heartbeats.
 
     Instrumentation discipline for hot paths: guard anything that
     would allocate (attribute values, formatted names, closures worth
     avoiding) behind {!enabled}; bare {!incr}/{!begin_span} calls with
     constant names are safe to leave unguarded.
 
+    The collector measures each span once: {!begin_span} takes a
+    {!Gc_sample} on the domain that runs the span, and the end event
+    hands every sink the delta.  No sink samples the GC itself.
+
     Each domain has its own collector: its sinks, span stack and
-    counter and gauge tables live in one record held in [Domain.DLS],
-    so two runs on two domains record independently and each run's
-    sinks see only that run's events.  Work that one run fans out to
-    worker domains stays in that run's stream: [Executor.map] runs each
-    task under a {!capture} (a collector whose one sink is an
-    {!Memory} buffer) when the submitting domain's collector is
-    enabled, and {!replay}s the buffers on the submitting domain in
-    task-index order.  Sinks therefore always observe one deterministic
-    sequential event stream and never need their own locking. *)
+    counter table live in one record held in [Domain.DLS], so two runs
+    on two domains record independently and each run's sinks see only
+    that run's events.  Work that one run fans out to worker domains
+    stays in that run's stream: [Executor.map] runs each task under a
+    {!capture} (a collector whose one sink is a {!Memory} buffer) when
+    the submitting domain's collector is enabled, and {!replay}s the
+    buffers on the submitting domain in task-index order.  Sinks
+    therefore always observe one deterministic sequential event stream
+    and never need their own locking.  A replayed span keeps the GC
+    delta measured where it ran, and the words a task allocated on
+    another domain count in the spans open on the submitting domain
+    when it is replayed (and in {!gc_sample}), so no word is missed
+    and none is counted twice. *)
 
 module Sink = Sink
 module Clock = Clock
@@ -54,19 +65,25 @@ val install : Sink.t -> unit
 
 val uninstall : Sink.t -> unit
 (** Remove one previously installed sink (matched by physical
-    equality); counters, gauges and other sinks are untouched.  When
-    the last sink goes, the collector returns to the zero-overhead
-    disabled state.  Used for scoped collection (e.g. manifest
-    recording around one run). *)
+    equality); counters and other sinks are untouched.  When the last
+    sink goes, the collector returns to the zero-overhead disabled
+    state.  Used for scoped collection (e.g. manifest recording around
+    one run). *)
 
 val clear : unit -> unit
-(** Remove all sinks and the progress handle, drop any open spans, and
-    reset all counters and gauges — back to the zero-overhead state. *)
+(** Remove all sinks, drop any open spans, and reset all counters —
+    back to the zero-overhead state. *)
 
 val set_clock : (unit -> int64) -> unit
 (** Replace the time source this domain's collector stamps events with
     (tests: a counter; {!Clock.now_ns} by default).  Readings are
     clamped so they never go backwards; the clamp restarts here. *)
+
+val gc_sample : unit -> Gc_sample.t
+(** {!Gc_sample.take} on this domain, its minor words raised by the
+    words of every task replayed here that ran on another domain: the
+    run-level reading whose deltas include a parallel run's worker
+    words. *)
 
 (** {1 Spans} *)
 
@@ -93,7 +110,7 @@ val attr_str : string -> string -> unit
 val attr_int : string -> int -> unit
 val attr_float : string -> float -> unit
 
-(** {1 Counters and gauges} *)
+(** {1 Counters} *)
 
 val incr : string -> unit
 (** Add 1 to a counter. *)
@@ -101,15 +118,12 @@ val incr : string -> unit
 val add : string -> float -> unit
 (** Add an arbitrary delta to a counter. *)
 
-val gauge : string -> float -> unit
-(** Set a gauge level. *)
-
 val counter : string -> float
 (** Current accumulated value (0 if never incremented). *)
 
 val reset_counters : unit -> unit
-(** Zero all counters and gauges (sinks are untouched) — used to
-    measure per-phase deltas. *)
+(** Zero all counters (sinks are untouched) — used to measure
+    per-phase deltas. *)
 
 (** {1 Capture}
 
@@ -117,13 +131,14 @@ val reset_counters : unit -> unit
     submitting run's stream. *)
 
 type capture
-(** A collector whose one sink buffers every event into a {!Memory.t}.
-    It carries the clock and the progress handle of the collector that
-    created it. *)
+(** A collector whose one sink buffers every event into a {!Memory.t},
+    with the clock of the collector that created it; once run, it also
+    holds the minor words its task allocated and the domain it ran
+    on. *)
 
 val capture : unit -> capture
-(** A fresh, empty capture inheriting this domain's clock and progress
-    handle.  Call on the submitting domain. *)
+(** A fresh, empty capture inheriting this domain's clock.  Call on
+    the submitting domain. *)
 
 val with_capture : capture -> (unit -> 'a) -> 'a
 (** [with_capture c f] runs [f] with [c] as this domain's collector and
@@ -133,18 +148,8 @@ val with_capture : capture -> (unit -> 'a) -> 'a
 val replay : capture -> unit
 (** Replay a capture's buffer into this domain's collector: spans get
     fresh ids (top-level captured spans are reparented under the
-    currently open span), counter deltas go through the normal
-    accumulation path, gauges are re-set.  Call once per capture, in
-    the task order whose interleaving the sinks should observe.  No-op
-    when the collector is disabled. *)
-
-(** {1 Live progress} *)
-
-val with_progress : Progress.t -> (unit -> 'a) -> 'a
-(** Run [f] with a progress sink installed in this domain's collector
-    and [p] as its {!progress} handle; both are torn down when [f]
-    returns or raises. *)
-
-val progress : unit -> Progress.t option
-(** The progress handle of this domain's collector (a capture carries
-    its submitter's), for the out-of-band shard taps. *)
+    currently open span) and keep their GC deltas, counter deltas go
+    through the normal accumulation path.  When the task ran on
+    another domain, its words count in the spans open here.  Call
+    once per capture, in the task order whose interleaving the sinks
+    should observe.  No-op when the collector is disabled. *)

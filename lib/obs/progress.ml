@@ -3,11 +3,11 @@
    totals) plus out-of-band shard taps.
 
    The taps exist because shard progress is a *hint*, not telemetry:
-   publishing it as a gauge would make it part of every recorded
-   manifest and break the byte-identity of manifests captured with
-   and without --progress.  note_front/note_shard_start/note_shard_done
-   go straight to one [t] and nowhere else; the staged pipeline finds
-   that [t] in its run's collector ([Obs.progress]).
+   recording it would make it part of every manifest and break the
+   byte-identity of manifests captured with and without --progress.
+   note_front/note_shard_start/note_shard_done go straight to one [t]
+   and nowhere else; the staged pipeline gets that [t] as an argument
+   ([Stage.run_front ?progress]).
 
    Thread safety: the shard taps are called from worker domains while
    the sink callbacks run on the submitting domain, so every state
@@ -111,7 +111,7 @@ let sink t =
             t.stack <- name :: t.stack;
             maybe_emit t));
     on_span_end =
-      (fun ~id:_ ~name:_ ~ts_ns:_ ~dur_ns:_ ~attrs:_ ->
+      (fun ~id:_ ~name:_ ~ts_ns:_ ~dur_ns:_ ~gc:_ ~attrs:_ ->
         locked t (fun () ->
             (match t.stack with [] -> () | _ :: rest -> t.stack <- rest);
             maybe_emit t));
@@ -120,7 +120,6 @@ let sink t =
         locked t (fun () ->
             if name = "dataset.events_measured" then t.events <- total;
             maybe_emit t));
-    on_gauge = (fun ~name:_ ~value:_ ~ts_ns:_ -> ());
   }
 
 let note_front t ~total ~jobs =

@@ -22,10 +22,10 @@
     lines through [out], so pipeline outputs are bit-identical with
     and without it (pinned by test).  {!note_front},
     {!note_shard_start} and {!note_shard_done} are the out-of-band
-    taps: the staged pipeline calls them on the [t] installed in its
-    run's collector ([Obs.with_progress], [Obs.progress]), so shard
-    boundaries never become recorded gauges (and therefore never reach
-    manifests).
+    taps: the staged pipeline calls them on the [t] its caller passes
+    ([Stage.run_front ?progress], [Pipeline.run ?progress]) while the
+    caller has {!sink} installed, so shard boundaries are never
+    recorded (and therefore never reach manifests).
 
     Thread safety: every [t] serializes its taps and sink callbacks
     behind its own mutex, so the taps may be called from worker domains

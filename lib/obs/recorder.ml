@@ -1,82 +1,47 @@
-(* The manifest-feeding sink: per-span-name timing aggregates with a
-   fixed-bucket duration histogram and accumulated GC deltas, plus
-   counter deltas and last-write-wins gauges — everything a run
-   manifest snapshots, in structured form, and [render]s as the
-   [--stats] table.
+(* The manifest-feeding sink: per-span-name duration histograms and
+   summed GC deltas, plus counter deltas — everything a run manifest
+   snapshots, in structured form, and [render]s as the [--stats]
+   table.
 
-   The recorder keeps the full distribution of each span's durations
-   and samples the GC around every span, so per-stage allocation
-   attributes to the stage that allocated. *)
+   The histogram is the span's one duration record: its count, sum,
+   min and max are exact (durations are never negative: the
+   collector's clock is clamped).  The GC deltas are the collector's,
+   taken on the domain that ran the span, so a span replayed from a
+   worker domain carries the words it allocated there. *)
 
 type span_agg = {
-  mutable count : int;
-  mutable total_ns : float;
-  mutable min_ns : float;
-  mutable max_ns : float;
   hist : Histogram.t;
-  mutable gc : Gc_sample.t;  (* accumulated per-span deltas *)
+  mutable gc : Gc_sample.t;  (* summed per-span deltas *)
 }
 
 type t = {
   spans : (string, span_agg) Hashtbl.t;
   counters : (string, float ref) Hashtbl.t;
-  gauges : (string, float ref) Hashtbl.t;
-  open_gc : (int, Gc_sample.t) Hashtbl.t;  (* span id -> start snapshot *)
 }
 
-let create () =
-  {
-    spans = Hashtbl.create 32;
-    counters = Hashtbl.create 32;
-    gauges = Hashtbl.create 8;
-    open_gc = Hashtbl.create 16;
-  }
+let create () = { spans = Hashtbl.create 32; counters = Hashtbl.create 32 }
 
 let sink t =
   {
-    Sink.on_span_start =
-      (fun ~id ~parent:_ ~name:_ ~ts_ns:_ ->
-        Hashtbl.replace t.open_gc id (Gc_sample.take ()));
+    Sink.on_span_start = (fun ~id:_ ~parent:_ ~name:_ ~ts_ns:_ -> ());
     on_span_end =
-      (fun ~id ~name ~ts_ns:_ ~dur_ns ~attrs:_ ->
-        let gc_delta =
-          match Hashtbl.find_opt t.open_gc id with
-          | Some before ->
-            Hashtbl.remove t.open_gc id;
-            Gc_sample.delta ~before ~after:(Gc_sample.take ())
-          | None -> Gc_sample.zero
+      (fun ~id:_ ~name ~ts_ns:_ ~dur_ns ~gc ~attrs:_ ->
+        let a =
+          match Hashtbl.find_opt t.spans name with
+          | Some a ->
+            a.gc <- Gc_sample.add a.gc gc;
+            a
+          | None ->
+            let a = { hist = Histogram.create (); gc } in
+            Hashtbl.add t.spans name a;
+            a
         in
-        let dur = Int64.to_float dur_ns in
-        (match Hashtbl.find_opt t.spans name with
-        | Some a ->
-          a.count <- a.count + 1;
-          a.total_ns <- a.total_ns +. dur;
-          if dur < a.min_ns then a.min_ns <- dur;
-          if dur > a.max_ns then a.max_ns <- dur;
-          Histogram.observe a.hist dur;
-          a.gc <- Gc_sample.add a.gc gc_delta
-        | None ->
-          let hist = Histogram.create () in
-          Histogram.observe hist dur;
-          Hashtbl.add t.spans name
-            {
-              count = 1;
-              total_ns = dur;
-              min_ns = dur;
-              max_ns = dur;
-              hist;
-              gc = gc_delta;
-            }));
+        Histogram.observe a.hist (Int64.to_float dur_ns));
     on_counter =
       (fun ~name ~delta ~total:_ ~ts_ns:_ ->
         match Hashtbl.find_opt t.counters name with
         | Some cell -> cell := !cell +. delta
         | None -> Hashtbl.add t.counters name (ref delta));
-    on_gauge =
-      (fun ~name ~value ~ts_ns:_ ->
-        match Hashtbl.find_opt t.gauges name with
-        | Some cell -> cell := value
-        | None -> Hashtbl.add t.gauges name (ref value));
   }
 
 let spans t =
@@ -85,10 +50,6 @@ let spans t =
 
 let counters t =
   Hashtbl.fold (fun name c acc -> (name, !c) :: acc) t.counters []
-  |> List.sort compare
-
-let gauges t =
-  Hashtbl.fold (fun name c acc -> (name, !c) :: acc) t.gauges []
   |> List.sort compare
 
 (* A count prints every digit; [%g] would round one above a million
@@ -100,30 +61,28 @@ let format_value v =
 let render t =
   let buf = Buffer.create 1024 in
   let ms ns = ns /. 1e6 in
+  let total (_, a) = Histogram.sum_ns a.hist in
   let by_total =
-    List.stable_sort (fun (_, a) (_, b) -> compare b.total_ns a.total_ns)
-      (spans t)
+    List.stable_sort (fun a b -> compare (total b) (total a)) (spans t)
   in
   if by_total <> [] then begin
     Printf.bprintf buf "%-28s %6s %10s %10s %10s %10s\n" "span" "count"
       "total ms" "mean ms" "min ms" "max ms";
     List.iter
       (fun (name, a) ->
+        let h = a.hist in
         Printf.bprintf buf "%-28s %6d %10.3f %10.3f %10.3f %10.3f\n" name
-          a.count (ms a.total_ns)
-          (ms a.total_ns /. float_of_int a.count)
-          (ms a.min_ns) (ms a.max_ns))
+          (Histogram.count h) (ms (Histogram.sum_ns h))
+          (ms (Histogram.sum_ns h) /. float_of_int (Histogram.count h))
+          (ms (Histogram.min_ns h)) (ms (Histogram.max_ns h)))
       by_total
   end;
-  let table title rows =
-    if rows <> [] then begin
-      Printf.bprintf buf "%s\n" title;
-      List.iter
-        (fun (name, v) ->
-          Printf.bprintf buf "  %-34s %14s\n" name (format_value v))
-        rows
-    end
-  in
-  table "counters:" (counters t);
-  table "gauges:" (gauges t);
+  let counters = counters t in
+  if counters <> [] then begin
+    Printf.bprintf buf "counters:\n";
+    List.iter
+      (fun (name, v) ->
+        Printf.bprintf buf "  %-34s %14s\n" name (format_value v))
+      counters
+  end;
   Buffer.contents buf

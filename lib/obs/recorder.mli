@@ -1,13 +1,10 @@
-(** The manifest-feeding sink: structured per-span-name timing
-    aggregates (count/total/min/max, fixed-bucket duration
-    {!Histogram}, accumulated {!Gc_sample} deltas), counter deltas
-    and gauges — what {!Manifest.of_recorder} snapshots. *)
+(** The manifest-feeding sink: per-span-name aggregates (the
+    fixed-bucket duration {!Histogram}, whose count, sum, min and max
+    are the span's, and the sum of the {!Gc_sample} deltas the
+    collector measured) and counter deltas — what
+    {!Manifest.of_recorder} snapshots. *)
 
 type span_agg = {
-  mutable count : int;
-  mutable total_ns : float;
-  mutable min_ns : float;
-  mutable max_ns : float;
   hist : Histogram.t;
   mutable gc : Gc_sample.t;
 }
@@ -24,16 +21,12 @@ val spans : t -> (string * span_agg) list
 val counters : t -> (string * float) list
 (** Counter deltas seen by this sink, sorted by name. *)
 
-val gauges : t -> (string * float) list
-(** Last-write-wins gauge levels, sorted by name. *)
-
 val format_value : float -> string
-(** A counter, gauge or total as {!render} and {!Manifest.render}
-    print it: an integral value below 1e15 with every digit, any
-    other with [%g]. *)
+(** A counter or total as {!render} and {!Manifest.render} print it:
+    an integral value below 1e15 with every digit, any other with
+    [%g]. *)
 
 val render : t -> string
 (** The [--stats] table: one row per span name (count, total, mean,
     min and max ms; total descending, then name), then the
-    [counters:] and [gauges:] sections.  Empty if nothing was
-    recorded. *)
+    [counters:] section.  Empty if nothing was recorded. *)

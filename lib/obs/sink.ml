@@ -10,16 +10,15 @@ type t = {
     name:string ->
     ts_ns:int64 ->
     dur_ns:int64 ->
+    gc:Gc_sample.t ->
     attrs:(string * attr) list ->
     unit;
   on_counter : name:string -> delta:float -> total:float -> ts_ns:int64 -> unit;
-  on_gauge : name:string -> value:float -> ts_ns:int64 -> unit;
 }
 
 let null =
   {
     on_span_start = (fun ~id:_ ~parent:_ ~name:_ ~ts_ns:_ -> ());
-    on_span_end = (fun ~id:_ ~name:_ ~ts_ns:_ ~dur_ns:_ ~attrs:_ -> ());
+    on_span_end = (fun ~id:_ ~name:_ ~ts_ns:_ ~dur_ns:_ ~gc:_ ~attrs:_ -> ());
     on_counter = (fun ~name:_ ~delta:_ ~total:_ ~ts_ns:_ -> ());
-    on_gauge = (fun ~name:_ ~value:_ ~ts_ns:_ -> ());
   }

@@ -1,8 +1,8 @@
 (** The pluggable sink interface of the observability layer.
 
     A sink is a record of callbacks; the collector ({!Obs}) invokes
-    them for every span boundary and every counter/gauge update while
-    at least one sink is installed.  Sinks never see anything when
+    them for every span boundary and every counter update while at
+    least one sink is installed.  Sinks never see anything when
     none is installed — the disabled path is a single flag check. *)
 
 type attr =
@@ -20,13 +20,14 @@ type t = {
     name:string ->
     ts_ns:int64 ->
     dur_ns:int64 ->
+    gc:Gc_sample.t ->
     attrs:(string * attr) list ->
     unit;
-      (** Attributes are delivered in the order they were set. *)
+      (** [gc] is the span's {!Gc_sample.delta}, measured by the
+          collector on the domain that ran the span (see {!Obs});
+          attributes are delivered in the order they were set. *)
   on_counter : name:string -> delta:float -> total:float -> ts_ns:int64 -> unit;
       (** One accumulation step: the increment and the running total. *)
-  on_gauge : name:string -> value:float -> ts_ns:int64 -> unit;
-      (** A point-in-time level (last write wins). *)
 }
 
 val null : t

@@ -151,7 +151,7 @@ let non_timing (m : Obs.Manifest.t) =
   in
   String.concat "\n"
     ([ m.source; m.label; m.config_digest ]
-    @ strs m.config @ nums m.counters @ nums m.gauges @ nums m.totals @ lint
+    @ strs m.config @ nums m.counters @ nums m.totals @ lint
     @ strs m.artifacts)
 
 let span_counts (m : Obs.Manifest.t) =

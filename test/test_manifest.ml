@@ -78,7 +78,6 @@ let build_manifest () =
       Obs.incr "c.hits";
       Obs.span "beta" (fun () -> Obs.add "c.bytes" 64.0));
   Obs.span "alpha" (fun () -> ());
-  Obs.gauge "g.level" 3.5;
   let m =
     M.of_recorder ~source:"test" ~label:"unit"
       ~config:[ ("tau", "0.005"); ("category", "branch") ]
@@ -317,6 +316,47 @@ let test_sharded_manifest_coherent () =
         16 (String.length hash))
     !merged
 
+(* A parallel run's GC words are counted where they are allocated:
+   dcache at two shards on two domains reads at least 0.9x the words of
+   the same run on one domain, in its readings and cachesim spans and
+   in the run's minor words.  Sampled when the submitting domain
+   replays the spans, they read a third to a half.  The one-domain run
+   goes first and also builds the catalog. *)
+let test_parallel_gc_words () =
+  with_clean_state @@ fun () ->
+  let run executor =
+    let captured = ref None in
+    ignore
+      (Core.Pipeline.run ~shards:2 ~executor
+         ~manifest:(fun m -> captured := Some m)
+         Core.Category.Dcache);
+    match !captured with
+    | Some m -> m
+    | None -> Alcotest.fail "pipeline emitted no manifest"
+  in
+  let figures m =
+    let span name =
+      match List.find_opt (fun (s : M.span_stat) -> s.span = name) m.M.spans with
+      | Some s -> s.gc_minor_words
+      | None -> Alcotest.fail ("no span " ^ name)
+    in
+    [
+      ("readings", span "readings");
+      ("cachesim", span "cachesim");
+      ("gc.minor_words", List.assoc "minor_words" m.M.gc);
+    ]
+  in
+  let j1 = figures (run Core.Exec.Seq) in
+  let j2 = figures (run (Core.Exec.Domains 2)) in
+  List.iter2
+    (fun (name, a) (_, b) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f words at jobs 2 >= 0.9 x %.0f at jobs 1"
+           name b a)
+        true
+        (b >= 0.9 *. a))
+    j1 j2
+
 (* The manifest's totals table is the ledger's stage totals, for every
    fate.  Branch pins the unrepresentable case: two kept events have no
    representation in the basis, so kept and accepted must differ. *)
@@ -478,6 +518,8 @@ let () =
         [
           test_case "sharded manifest coherent" `Quick
             test_sharded_manifest_coherent;
+          test_case "jobs 2 counts worker GC words" `Quick
+            test_parallel_gc_words;
         ] );
       ( "stats",
         [

@@ -108,56 +108,111 @@ let test_disabled_is_passthrough () =
 (* GC words                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Allocation kernels of known size, each under its own span of a
-   recorder: an n-cell int list is 3n words, an n-float floatarray
-   n + 1 (n <= 256 stays in the minor heap).  A span's minor words are
-   the kernel's plus a constant, which an empty span measures: the
-   sampler's own boxed float and records and the span bookkeeping (70
-   words on OCaml 5.1; the case allows up to 96).  A
-   sampler that reads minor words only when a minor heap is collected
-   reads 0 for most of these spans and fails. *)
-let test_gc_words_exact () =
-  with_obs_cleared @@ fun () ->
+(* Allocation kernels of known size: an n-cell int list is 3n words,
+   an n-float floatarray n + 1 (n <= 256 stays in the minor heap). *)
+let rec cells k acc = if k = 0 then acc else cells (k - 1) (k :: acc)
+
+let kernels =
+  ("empty", 0, fun () -> ())
+  :: List.concat_map
+       (fun n ->
+         [
+           ( Printf.sprintf "list %d" n,
+             3 * n,
+             fun () -> ignore (Sys.opaque_identity (cells n [])) );
+           ( Printf.sprintf "floatarray %d" n,
+             n + 1,
+             fun () -> ignore (Sys.opaque_identity (Float.Array.create n)) );
+         ])
+       [ 1; 2; 100; 256 ]
+
+(* Each kernel under its own span of a recorder, twice (the first
+   round's spans also warm the tables), by [run round kernels]; then
+   round 2's words per kernel.  A span's minor words are the kernel's
+   plus a constant, which an empty span measures: the sampler's own
+   boxed float and records and the span bookkeeping (61 words on
+   OCaml 5.1; the cases allow up to 96). *)
+let measure_kernels run =
   let r = Obs.Recorder.create () in
   Obs.install (Obs.Recorder.sink r);
-  let rec cells k acc = if k = 0 then acc else cells (k - 1) (k :: acc) in
-  let kernels =
-    ("empty", 0, fun () -> ())
-    :: List.concat_map
-         (fun n ->
-           [
-             ( Printf.sprintf "list %d" n,
-               3 * n,
-               fun () -> ignore (Sys.opaque_identity (cells n [])) );
-             ( Printf.sprintf "floatarray %d" n,
-               n + 1,
-               fun () -> ignore (Sys.opaque_identity (Float.Array.create n)) );
-           ])
-         [ 1; 2; 100; 256 ]
-  in
-  (* Twice: the first round's spans also warm the recorder's tables. *)
-  for round = 1 to 2 do
-    List.iter
-      (fun (name, _, f) -> Obs.span (Printf.sprintf "%d %s" round name) f)
-      kernels
-  done;
+  run 1;
+  run 2;
   let words name =
-    match List.assoc_opt ("2 " ^ name) (Obs.Recorder.spans r) with
+    match List.assoc_opt name (Obs.Recorder.spans r) with
     | Some a -> int_of_float a.Obs.Recorder.gc.Obs.Gc_sample.minor_words
     | None -> Alcotest.fail ("no span " ^ name)
   in
-  let overhead = words "empty" in
+  let overhead = words "2 empty" in
   Alcotest.(check bool)
     (Printf.sprintf "sampler overhead %d words in [1, 96]" overhead)
     true
     (overhead >= 1 && overhead <= 96);
   List.iter
     (fun (name, expected, _) ->
-      Alcotest.(check int) name expected (words name - overhead))
+      Alcotest.(check int) name expected (words ("2 " ^ name) - overhead))
+    kernels;
+  (words, overhead)
+
+let on_this_domain round =
+  List.iter
+    (fun (name, _, f) -> Obs.span (Printf.sprintf "%d %s" round name) f)
     kernels
 
+(* On this domain, then as executor tasks on two domains inside a span
+   of this domain: every replayed span reads its kernel's words plus
+   the constant of a span on this domain, measured on the domain that
+   ran it, and the enclosing span reads at least the words of the
+   spans that ran on the other domain.  A sampler that reads minor
+   words only when a minor heap is collected reads 0 for most of these
+   spans, and a sink that samples when the replay reaches it counts
+   the replay's words instead: both fail.  Task 0, when this domain
+   takes it, waits (boundedly) until the other domain has taken a
+   task, so both run some. *)
+let test_gc_words_exact () =
+  with_obs_cleared @@ fun () ->
+  let _, constant = measure_kernels on_this_domain in
+  Obs.clear ();
+  let tasks = Array.of_list kernels in
+  let n = Array.length tasks and self = Domain.self () in
+  let elsewhere = Array.make n false and started = Atomic.make false in
+  let task round i =
+    let name, _, f = tasks.(i) in
+    let name = Printf.sprintf "%d %s" round name in
+    let far = Domain.self () <> self in
+    if far then Atomic.set started true
+    else if i = 0 then begin
+      let spins = ref 0 in
+      while (not (Atomic.get started)) && !spins < 100_000_000 do
+        incr spins;
+        Domain.cpu_relax ()
+      done
+    end;
+    elsewhere.(i) <- far;
+    Obs.span name f
+  in
+  let run round =
+    Atomic.set started false;
+    Obs.span (Printf.sprintf "%d outer" round) (fun () ->
+        ignore
+          (Core.Exec.map ~executor:(Core.Exec.Domains 2) n (task round)))
+  in
+  let words, overhead = measure_kernels run in
+  Alcotest.(check int) "the constant of a span on this domain" constant
+    overhead;
+  let far =
+    List.fold_left ( + ) 0
+      (List.filteri
+         (fun i _ -> elsewhere.(i))
+         (List.map (fun (name, _, _) -> words ("2 " ^ name)) kernels))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "outer span's %d words >= the %d run on the other domain"
+       (words "2 outer") far)
+    true
+    (words "2 outer" >= far)
+
 (* ------------------------------------------------------------------ *)
-(* Counters and gauges                                                 *)
+(* Counters                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let test_counter_accumulation () =
@@ -168,8 +223,6 @@ let test_counter_accumulation () =
   Obs.incr "a";
   Obs.add "a" 2.5;
   Obs.incr "b";
-  Obs.gauge "g" 3.0;
-  Obs.gauge "g" 4.0;
   Alcotest.(check (float 1e-12)) "a accumulates" 4.5 (Obs.counter "a");
   Alcotest.(check (float 1e-12)) "b independent" 1.0 (Obs.counter "b");
   (* Sinks see every step with running totals. *)
@@ -182,14 +235,6 @@ let test_counter_accumulation () =
   in
   Alcotest.(check bool) "deltas and totals" true
     (steps = [ (1.0, 1.0); (1.0, 2.0); (2.5, 4.5) ]);
-  let gauges =
-    List.filter_map
-      (function
-        | Obs.Memory.Gauge { name = "g"; value; _ } -> Some value
-        | _ -> None)
-      (Obs.Memory.events mem)
-  in
-  Alcotest.(check bool) "gauge last-write-wins stream" true (gauges = [ 3.0; 4.0 ]);
   Obs.reset_counters ();
   Alcotest.(check (float 0.0)) "reset zeroes" 0.0 (Obs.counter "a")
 
@@ -227,8 +272,7 @@ let test_domains_record_apart () =
     List.map (function
       | Obs.Memory.Span_start { id; name; _ } -> `Start (id, name)
       | Span_end { id; name; _ } -> `End (id, name)
-      | Counter { name; delta; _ } -> `Counter (name, delta)
-      | Gauge { name; value; _ } -> `Counter ("gauge " ^ name, value))
+      | Counter { name; delta; _ } -> `Counter (name, delta))
   in
   let da = Domain.spawn (record "a") and db = Domain.spawn (record "b") in
   let ea, ca = Domain.join da and eb, cb = Domain.join db in
